@@ -93,6 +93,17 @@ impl OutEdge {
     }
 }
 
+/// Count + in-flight bookkeeping for one routed delivery to `w` on a
+/// signal-bearing edge, mirroring the simulator's `record` ordering: after
+/// the route decision, before the next one (`route_batch_with`'s hook).
+#[inline]
+pub(crate) fn note_dispatch(loads: &SharedLoads, w: usize) {
+    loads.record(w);
+    if let Some(s) = loads.signals() {
+        s.dispatch(w);
+    }
+}
+
 /// Where an edge's packets physically go — the executor-specific half of an
 /// [`OutEdge`] (routing is executor-independent, which is what makes the
 /// two executors byte-identical).
@@ -200,15 +211,10 @@ impl Emitter<'_> {
     /// Route and deliver one owned tuple on one edge.
     fn emit_on(edge: &mut OutEdge, sink: &mut Sink<'_>, now_ns: u64, key_id: u64, tuple: Tuple) {
         let OutEdge { router, tx, depths, hedge, signals } = edge;
-        // Count + in-flight bookkeeping for one routed delivery, mirroring
-        // the simulator's `record` ordering: after the route decision,
-        // before the next one. No-op on edges without attached signals.
+        // No-op on edges without attached signals.
         let note = |signals: &Option<SharedLoads>, w: usize| {
-            if let Some(sl) = signals {
-                sl.record(w);
-                if let Some(s) = sl.signals() {
-                    s.dispatch(w);
-                }
+            if let Some(loads) = signals {
+                note_dispatch(loads, w);
             }
         };
         // Elastic edges: if this tuple crosses a membership threshold,
@@ -266,7 +272,7 @@ impl Emitter<'_> {
     }
 
     /// Queue depth of `tx`'s destination `w` — the gauge under the thread
-    /// executor, the live mailbox length under the pool.
+    /// executor, the mailbox length (a lock-free read) under the pool.
     fn dest_depth(tx: &EdgeTx, depths: &[Arc<DepthGauge>], sink: &Sink<'_>, w: usize) -> usize {
         match (tx, sink) {
             (EdgeTx::Channels(_), _) => depths.get(w).map_or(0, |g| g.load()),

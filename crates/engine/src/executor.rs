@@ -72,7 +72,12 @@ pub(crate) fn run_spout(
         processed += 1;
         let now_ns = epoch.elapsed().as_nanos() as u64;
         if let Some(ing) = ingress.as_mut() {
-            let depth = edges.iter().map(OutEdge::max_gauge_depth).max().unwrap_or(0);
+            // Scan every destination's gauge only when admission reads it.
+            let depth = if ing.needs_depth() {
+                edges.iter().map(OutEdge::max_gauge_depth).max().unwrap_or(0)
+            } else {
+                0
+            };
             if !ing.offer(&tuple.key, tuple.key_id(), tuple.value, depth, now_ns) {
                 continue;
             }

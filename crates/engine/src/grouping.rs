@@ -367,45 +367,68 @@ impl Router {
     /// the *delivery* is grouped. Callers must check
     /// [`Router::is_batchable`] first.
     pub fn route_batch(&mut self, keys: &[u64], out: &mut TargetBatch) {
+        self.route_batch_with(keys, out, |_| {});
+    }
+
+    /// [`Router::route_batch`] with a per-decision hook: `on_route(w)` runs
+    /// after each key is routed to `w` and **before the next key is
+    /// routed**. A sender on a signal-bearing edge records the delivery
+    /// there, so the next argmin sees it (the per-tuple emitter's order) and
+    /// a batch cannot pile onto one stale argmin. Monomorphised: the no-op
+    /// closure of `route_batch` compiles away.
+    pub fn route_batch_with(
+        &mut self,
+        keys: &[u64],
+        out: &mut TargetBatch,
+        on_route: impl FnMut(usize),
+    ) {
         out.begin(keys.len());
+        let n = self.n;
         match &mut self.kind {
-            RouterKind::Shuffle { next } => {
-                for _ in keys {
-                    out.dests.push(*next as u32);
-                    *next += 1;
-                    if *next == self.n {
-                        *next = 0;
-                    }
-                }
-            }
+            RouterKind::Shuffle { next } => route_each(keys, out, on_route, |_| {
+                let t = *next;
+                *next = if t + 1 == n { 0 } else { t + 1 };
+                t
+            }),
             RouterKind::Key { seed } => {
                 use pkg_hash::StreamKey;
-                let (seed, n) = (*seed, self.n as u64);
-                out.dests.extend(keys.iter().map(|k| (k.hash_seeded(seed) % n) as u32));
+                let seed = *seed;
+                route_each(keys, out, on_route, |k| (k.hash_seeded(seed) % n as u64) as usize);
             }
-            RouterKind::Partial { pkg } => {
-                out.dests.extend(keys.iter().map(|&k| pkg.route(k, 0) as u32));
-            }
-            RouterKind::PartialHot { pkg } => {
-                out.dests.extend(keys.iter().map(|&k| pkg.route(k, 0) as u32));
-            }
+            RouterKind::Partial { pkg } => route_each(keys, out, on_route, |k| pkg.route(k, 0)),
+            RouterKind::PartialHot { pkg } => route_each(keys, out, on_route, |k| pkg.route(k, 0)),
             RouterKind::Adaptive { choices } => {
-                out.dests.extend(keys.iter().map(|&k| choices.route(k, 0) as u32));
+                route_each(keys, out, on_route, |k| choices.route(k, 0));
             }
-            RouterKind::Global => {
-                out.dests.extend(keys.iter().map(|_| 0u32));
-            }
+            RouterKind::Global => route_each(keys, out, on_route, |_| 0),
             RouterKind::Elastic { .. } | RouterKind::Broadcast => {
                 unreachable!("caller checks is_batchable before routing a batch")
             }
         }
-        out.group(self.n);
+        out.group(n);
     }
+}
+
+/// Append `route(k)` for every key to `out`, running `on_route` on each
+/// destination before the next key is routed.
+fn route_each(
+    keys: &[u64],
+    out: &mut TargetBatch,
+    mut on_route: impl FnMut(usize),
+    mut route: impl FnMut(u64) -> usize,
+) {
+    out.dests.extend(keys.iter().map(|&k| {
+        let w = route(k);
+        on_route(w);
+        w as u32
+    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bolt::note_dispatch;
+    use pkg_metrics::{CapacityEstimator, LoadMetricKind};
 
     #[test]
     fn key_routing_is_consistent_across_senders() {
@@ -575,7 +598,71 @@ mod tests {
                     assert_eq!(one.route(k), Target::One(out.dest(i)), "{g:?} diverged at key {k}");
                 }
             }
+            // Signal-bearing routers: every sender minimizes shared state, so
+            // the batch must interleave `route → record → dispatch` exactly
+            // like the per-tuple emitter. Decisions, recorded counts and the
+            // signal (pending, latency, capacity scale) agree after each
+            // chunk; completions land between chunks so the signals move.
+            let n = 12;
+            let shared_loads: [fn(usize) -> SharedLoads; 3] = [
+                SharedLoads::new,
+                |n| SharedLoads::new(n).with_signals(LoadMetricKind::PendingRequests, None),
+                |n| {
+                    let estimator = Arc::new(CapacityEstimator::new(n, 64));
+                    SharedLoads::new(n).with_signals(LoadMetricKind::peak_ewma(), Some(estimator))
+                },
+            ];
+            for make in shared_loads {
+                let (scalar_loads, batch_loads) = (make(n), make(n));
+                let mut one = Router::with_shared(&g, n, 11, 2, Some(&scalar_loads));
+                let mut batched = Router::with_shared(&g, n, 11, 2, Some(&batch_loads));
+                let label = batch_loads.metric_label();
+                for (c, chunk) in keys.chunks(64).enumerate() {
+                    batched.route_batch_with(chunk, &mut out, |w| note_dispatch(&batch_loads, w));
+                    for (i, &k) in chunk.iter().enumerate() {
+                        let Target::One(w) = one.route(k) else {
+                            panic!("{g:?} is batchable, so it routes to one instance");
+                        };
+                        note_dispatch(&scalar_loads, w);
+                        assert_eq!(w, out.dest(i), "{g:?}/{label} diverged at key {k}");
+                    }
+                    assert_eq!(batch_loads.snapshot(), scalar_loads.snapshot(), "{g:?}/{label}");
+                    let signal = |l: &SharedLoads| (0..n).map(|w| l.signal(w)).collect::<Vec<_>>();
+                    assert_eq!(signal(&batch_loads), signal(&scalar_loads), "{g:?}/{label}");
+                    for loads in [&scalar_loads, &batch_loads] {
+                        let Some(signals) = loads.signals() else { continue };
+                        for w in 0..n {
+                            for _ in 0..(c + w) % 5 {
+                                signals.complete(w, 1_000 * (1 + w as u64 % 4));
+                            }
+                        }
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn route_batch_hook_keeps_a_batch_off_one_stale_argmin() {
+        // 256 tuples of one key on a shared, signal-bearing PKG edge. Routed
+        // with nothing recorded in between, every decision reads the same
+        // loads and the whole batch lands on one candidate (why batching used
+        // to be excluded on such edges); with the hook each decision sees the
+        // one before it and the key alternates between its two candidates.
+        let keys = [42u64; 256];
+        let run_lengths = |hook: bool| {
+            let loads = SharedLoads::new(8).with_signals(LoadMetricKind::PendingRequests, None);
+            let mut r = Router::with_shared(&Grouping::partial_key(), 8, 3, 0, Some(&loads));
+            let mut out = TargetBatch::new();
+            if hook {
+                r.route_batch_with(&keys, &mut out, |w| note_dispatch(&loads, w));
+            } else {
+                r.route_batch(&keys, &mut out);
+            }
+            out.runs().map(|(_, run)| run.len()).collect::<Vec<_>>()
+        };
+        assert_eq!(run_lengths(false), vec![256], "premise: no recording, one stale argmin");
+        assert_eq!(run_lengths(true), vec![128, 128]);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! thread-per-instance executor counts in-flight packets per bolt instance
 //! with a shared [`DepthGauge`] (senders increment, the receiving bolt
 //! decrements), while the pool executor reads its mailboxes' queue lengths
-//! directly and keeps a producer-side high-water mark per slot. Both
+//! lock-free (ring indices, or the length the mutexed mailbox publishes
+//! under its lock) and keeps a producer-side high-water mark per slot. Both
 //! surface the same "tuples queued downstream" signal, so watermark
 //! shedding behaves the same under either transport (pinned by
 //! `tests/ingress_overload.rs`).
@@ -125,10 +126,25 @@ impl SpoutIngress {
         }
     }
 
+    /// Whether [`Self::offer`] reads `depth`: true iff a watermark or an
+    /// in-flight limit is set. When false, executors skip the downstream
+    /// depth scan and the pool admits on its batched spout path.
+    pub(crate) fn needs_depth(&self) -> bool {
+        self.watermark.is_some() || self.inflight_limit.is_some()
+    }
+
+    /// Whether [`Self::offer`] reads `wall_now_ns`: a bucket with no logical
+    /// clock refills from elapsed wall time, so every offer needs a fresh
+    /// reading — one shared by a batch admits at most `burst` of it.
+    pub(crate) fn needs_wall_clock(&self) -> bool {
+        self.bucket.is_some() && self.logical_step_ns.is_none()
+    }
+
     /// Offer one tuple for admission. `depth` is the deepest downstream
-    /// queue observed right now; `wall_now_ns` is the executor clock (used
-    /// only when no logical clock is configured). Returns `true` to admit;
-    /// on `false` the tuple has already been handed to the shed policy.
+    /// queue observed right now (ignored unless [`Self::needs_depth`]);
+    /// `wall_now_ns` is the executor clock (used only when no logical clock
+    /// is configured). Returns `true` to admit; on `false` the tuple has
+    /// already been handed to the shed policy.
     pub(crate) fn offer(
         &mut self,
         key: &TupleKey,

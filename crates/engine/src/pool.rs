@@ -60,7 +60,7 @@ use crossbeam::deque::{Steal, WorkStealingDeque};
 use pkg_core::SharedLoads;
 use pkg_metrics::LatencyHistogram;
 
-use crate::bolt::{Bolt, EdgeTx, Emitter, OutEdge, Sink};
+use crate::bolt::{note_dispatch, Bolt, EdgeTx, Emitter, OutEdge, Sink};
 use crate::executor::StateSampler;
 use crate::grouping::{Router, TargetBatch};
 use crate::ingress::{HedgeState, IngressOptions, SpoutIngress};
@@ -252,8 +252,10 @@ struct MailboxInner {
 /// | exactly 1 (and rings on)  | [`SpscRing`] — lock-free indices | `TaskRings` |
 /// | several (MPSC)            | mutexed `VecDeque` | `Tasks` |
 enum Mailbox {
-    /// Multi-producer: every push/drain takes the mailbox lock.
-    Mutexed { cap: usize, inner: Mutex<MailboxInner> },
+    /// Multi-producer: every push/drain takes the mailbox lock, and
+    /// publishes the resulting queue length in `depth` before releasing it
+    /// ([`publish_depth`]) so depth readers never touch the lock.
+    Mutexed { cap: usize, inner: Mutex<MailboxInner>, depth: AtomicUsize },
     /// Single-producer: bounded SPSC ring, no lock on the packet path.
     Ring(SpscRing),
 }
@@ -309,11 +311,13 @@ impl Shared {
 
     /// Current queue depth of `tid`'s mailbox — the downstream-pressure
     /// signal consulted by ingress watermark shedding and hedged dispatch.
-    /// A point-in-time read: the mutexed arm takes the mailbox lock, the
-    /// ring arm reads the published indices.
+    /// A point-in-time, lock-free read: the mutexed arm reads the length
+    /// last published under the mailbox lock, the ring arm its indices.
     pub(crate) fn depth(&self, tid: usize) -> usize {
         match self.mailbox(tid) {
-            Mailbox::Mutexed { inner, .. } => lock(inner).queue.len(),
+            // ordering: SeqCst — advisory signal at the module policy
+            // ordering; the mailbox lock orders its writers (SC-only model)
+            Mailbox::Mutexed { depth, .. } => depth.load(SeqCst),
             Mailbox::Ring(ring) => ring.len(),
         }
     }
@@ -338,13 +342,13 @@ impl Shared {
     /// `Err` the caller spills to its outbox and parks at activation end.
     pub(crate) fn try_push(&self, dest: usize, packet: Packet) -> Result<(), Packet> {
         let depth = match self.mailbox(dest) {
-            Mailbox::Mutexed { cap, inner } => {
+            Mailbox::Mutexed { cap, inner, depth } => {
                 let mut inner = lock(inner);
                 if inner.queue.len() >= *cap {
                     return Err(packet);
                 }
                 inner.queue.push_back(packet);
-                inner.queue.len()
+                publish_depth(depth, inner.queue.len())
             }
             Mailbox::Ring(ring) => {
                 ring.try_push(packet)?;
@@ -362,7 +366,7 @@ impl Shared {
     /// announce→re-check protocol — so the release can never be missed.
     fn push_or_park(&self, dest: usize, packet: Packet, waiter: usize) -> Result<(), Packet> {
         let depth = match self.mailbox(dest) {
-            Mailbox::Mutexed { cap, inner } => {
+            Mailbox::Mutexed { cap, inner, depth } => {
                 let mut inner = lock(inner);
                 if inner.queue.len() >= *cap {
                     debug_assert_ne!(
@@ -377,7 +381,7 @@ impl Shared {
                     return Err(packet);
                 }
                 inner.queue.push_back(packet);
-                inner.queue.len()
+                publish_depth(depth, inner.queue.len())
             }
             Mailbox::Ring(ring) => {
                 ring.push_or_park(packet, waiter)?;
@@ -402,37 +406,35 @@ impl Shared {
         tuples: &mut [Option<Tuple>],
         outbox: &mut VecDeque<(usize, Packet)>,
     ) {
-        // `next` = first run index not yet handled; `accepted` = how many
-        // actually landed in the mailbox (a ring rejection consumes its
-        // index by spilling the taken packet straight to the outbox).
-        let mut next = 0usize;
-        let mut accepted = 0usize;
+        // How many of `run` landed in the mailbox, and the mailbox depth
+        // right after — read under the same hold as the push.
+        let (mut accepted, mut depth_after) = (0usize, 0usize);
         if outbox.is_empty() {
             match self.mailbox(dest) {
-                Mailbox::Mutexed { cap, inner } => {
+                Mailbox::Mutexed { cap, inner, depth } => {
                     let mut inner = lock(inner);
-                    while next < run.len() && inner.queue.len() < *cap {
-                        inner.queue.push_back(take_routed(tuples, run[next]));
-                        next += 1;
+                    while accepted < run.len() && inner.queue.len() < *cap {
+                        inner.queue.push_back(take_routed(tuples, run[accepted]));
+                        accepted += 1;
                     }
-                    accepted = next;
+                    depth_after = publish_depth(depth, inner.queue.len());
                 }
                 Mailbox::Ring(ring) => {
                     // One tail publication for the whole run (the batch
                     // analogue of the mutexed arm's single lock hold).
                     let mut supply = run.iter().map(|&idx| take_routed(tuples, idx));
                     accepted = ring.push_batch(&mut supply);
-                    next = accepted;
+                    depth_after = ring.len();
                 }
             }
         }
-        for &idx in &run[next..] {
+        for &idx in &run[accepted..] {
             outbox.push_back((dest, take_routed(tuples, idx)));
         }
         if accepted > 0 {
             // One high-water fold per run (the batch analogue of the
             // per-push updates in `try_push`/`push_or_park`).
-            self.note_depth(dest, self.depth(dest));
+            self.note_depth(dest, depth_after);
             self.wake(dest, &WakeKind::Notify);
         }
     }
@@ -441,10 +443,11 @@ impl Shared {
     /// waking any producers that were parked on the mailbox being full.
     fn refill_inbox(&self, tid: usize, inbox: &mut PacketBatch, max: usize) -> usize {
         match self.mailbox(tid) {
-            Mailbox::Mutexed { inner, .. } => {
+            Mailbox::Mutexed { inner, depth, .. } => {
                 let (moved, waiters) = {
                     let mut inner = lock(inner);
                     let moved = inbox.refill(&mut inner.queue, max);
+                    publish_depth(depth, inner.queue.len());
                     let waiters = if moved > 0 && !inner.waiters.is_empty() {
                         std::mem::take(&mut inner.waiters)
                     } else {
@@ -529,6 +532,26 @@ impl Shared {
     }
 }
 
+/// Publish a mutexed mailbox's queue length for [`Shared::depth`] and return
+/// it. Callers hold the mailbox lock, so the last store is the live length
+/// (stored after release, a stale length could overwrite a fresher one).
+fn publish_depth(depth: &AtomicUsize, len: usize) -> usize {
+    // ordering: SeqCst — advisory signal at the module policy ordering;
+    // writers are serialized by the mailbox lock (SC-only model)
+    depth.store(len, SeqCst);
+    len
+}
+
+/// Deepest downstream mailbox across every destination of every edge — the
+/// per-tuple signal of ingress watermark / in-flight-limit admission.
+fn max_downstream_depth(shared: &Shared, edges: &[OutEdge]) -> usize {
+    let dests = edges.iter().flat_map(|e| match &e.tx {
+        EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests) => dests,
+        EdgeTx::Channels(_) => unreachable!("pool tasks only have pool edges"),
+    });
+    dests.map(|&d| shared.depth(d)).max().unwrap_or(0)
+}
+
 /// Take tuple `idx` out of the batch scratch (each routed tuple is
 /// delivered exactly once).
 fn take_routed(tuples: &mut [Option<Tuple>], idx: u32) -> Packet {
@@ -597,78 +620,82 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
     let stall_scale = *stall_scale;
     match kind {
         TaskKind::Spout { spout, exhausted, ingress } => {
-            // Attached load signals force the per-tuple path: `route_batch`
-            // makes all its decisions before any count is recorded, which
-            // under a shared global estimate would dump the whole batch on
-            // one argmin destination. The per-tuple emitter records after
-            // each route, matching the simulator's (and the thread
-            // executor's) interleaving exactly.
+            // Batched hot path: generate (and admit) up to a quantum of
+            // tuples, route them in one `route_batch` pass, and deliver each
+            // destination's run with one lock acquisition and one wake —
+            // instead of per-tuple emitter setup, routing, and mailbox
+            // locking. The opt-in layers ride the same seam: ingress admits
+            // inside the generation loop (a shed tuple counts as processed
+            // but never enters the batch), and on a signal-bearing edge the
+            // `route_batch_with` hook records each decision before the next
+            // key is routed. Per sender, decisions are byte-identical to the
+            // per-tuple path (pinned by `grouping.rs` tests,
+            // `engine_executor_parity.rs` and `engine_optin_batched.rs`).
+            //
+            // The per-tuple emitter below keeps: multi-edge fan-out and
+            // Broadcast (no single destination run per tuple); Elastic (epoch
+            // markers interleave with the tuples); and a watermark, in-flight
+            // limit or hedge budget (a queue depth fresh for *that* tuple).
             if !*exhausted
                 && edges.len() == 1
                 && edges[0].router.is_batchable()
-                && edges[0].signals.is_none()
-                && ingress.is_none()
+                && edges[0].hedge.is_none()
+                && !ingress.as_ref().is_some_and(SpoutIngress::needs_depth)
             {
-                // Batched hot path: generate up to a quantum of tuples,
-                // route them all in one `route_batch` pass, and deliver
-                // each destination's run with one lock acquisition and one
-                // wake — instead of per-tuple emitter setup, routing, and
-                // mailbox locking. Routing results are byte-identical to
-                // the per-tuple path (pinned by `grouping.rs` tests and
-                // `engine_executor_parity.rs`): the router consumes keys in
-                // stream order either way.
+                // Tuples of one quantum share a birth stamp.
                 let now_ns = shared.now_ns();
                 batch_keys.clear();
                 batch_tuples.clear();
-                while batch_tuples.len() < shared.batch {
-                    match spout.next() {
-                        Some(mut tuple) => {
-                            tuple.born_ns = now_ns;
-                            batch_keys.push(tuple.key_id());
-                            batch_tuples.push(Some(tuple));
-                        }
-                        None => {
-                            *exhausted = true;
-                            break;
+                // The quantum counts *offered* tuples, so an activation stays
+                // bounded however much of the input is shed.
+                for _ in 0..shared.batch {
+                    let Some(mut tuple) = spout.next() else {
+                        *exhausted = true;
+                        break;
+                    };
+                    *processed += 1;
+                    let key_id = tuple.key_id();
+                    if let Some(ing) = ingress.as_mut() {
+                        // A wall-clock bucket refills per offer, as on the
+                        // per-tuple path; a logical clock ignores the reading.
+                        let clock = if ing.needs_wall_clock() { shared.now_ns() } else { now_ns };
+                        if !ing.offer(&tuple.key, key_id, tuple.value, 0, clock) {
+                            continue;
                         }
                     }
+                    tuple.born_ns = now_ns;
+                    batch_keys.push(key_id);
+                    batch_tuples.push(Some(tuple));
                 }
-                *processed += batch_keys.len() as u64;
                 *emitted += batch_keys.len() as u64;
-                let edge = &mut edges[0];
-                edge.router.route_batch(batch_keys, targets);
-                let (EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests)) = &edge.tx else {
+                let OutEdge { router, tx, signals, .. } = &mut edges[0];
+                match signals {
+                    Some(loads) => {
+                        router.route_batch_with(batch_keys, targets, |w| note_dispatch(loads, w));
+                    }
+                    None => router.route_batch(batch_keys, targets),
+                }
+                let (EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests)) = &*tx else {
                     unreachable!("pool tasks only have pool edges");
                 };
                 for (d, run) in targets.runs() {
                     shared.push_run(dests[d], run, batch_tuples, outbox);
                 }
-                if *exhausted {
+                if *exhausted && ingress.is_none() {
                     queue_eofs(edges, outbox);
                 }
             } else if !*exhausted {
-                // Per-tuple fallback: multi-edge fan-out, broadcast, or
-                // elastic edges (epoch markers) need the full emitter.
                 for _ in 0..shared.batch {
                     match spout.next() {
                         Some(tuple) => {
                             *processed += 1;
                             let now_ns = shared.now_ns();
                             if let Some(ing) = ingress.as_mut() {
-                                // The watermark signal: deepest downstream
-                                // mailbox across every edge destination.
-                                let depth = edges
-                                    .iter()
-                                    .map(|e| {
-                                        let (EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests)) =
-                                            &e.tx
-                                        else {
-                                            unreachable!("pool tasks only have pool edges");
-                                        };
-                                        dests.iter().map(|&d| shared.depth(d)).max().unwrap_or(0)
-                                    })
-                                    .max()
-                                    .unwrap_or(0);
+                                let depth = if ing.needs_depth() {
+                                    max_downstream_depth(shared, edges)
+                                } else {
+                                    0
+                                };
                                 let admit = ing.offer(
                                     &tuple.key,
                                     tuple.key_id(),
@@ -1157,7 +1184,11 @@ pub(crate) fn run_pool(
                     let mailbox = if use_ring(ci) {
                         Mailbox::Ring(SpscRing::new(mailbox_capacity))
                     } else {
-                        Mailbox::Mutexed { cap: mailbox_capacity, inner: Mutex::default() }
+                        Mailbox::Mutexed {
+                            cap: mailbox_capacity,
+                            inner: Mutex::default(),
+                            depth: AtomicUsize::new(0),
+                        }
                     };
                     (
                         TaskKind::Bolt {

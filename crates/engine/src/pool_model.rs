@@ -46,7 +46,11 @@ fn mini_shared(n_tasks: usize, cap: usize) -> Shared {
         tasks: (0..n_tasks)
             .map(|_| TaskSlot {
                 state: AtomicU8::new(IDLE),
-                mailbox: Some(Mailbox::Mutexed { cap, inner: Mutex::default() }),
+                mailbox: Some(Mailbox::Mutexed {
+                    cap,
+                    inner: Mutex::default(),
+                    depth: AtomicUsize::new(0),
+                }),
                 body: Mutex::new(None),
                 depth_high: AtomicUsize::new(0),
             })
@@ -280,7 +284,7 @@ fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> S
     let mailbox = if ring {
         Mailbox::Ring(SpscRing::new(1))
     } else {
-        Mailbox::Mutexed { cap: 1, inner: Mutex::default() }
+        Mailbox::Mutexed { cap: 1, inner: Mutex::default(), depth: AtomicUsize::new(0) }
     };
     Shared {
         tasks: vec![
