@@ -53,40 +53,31 @@ pub enum AggScope {
 
 /// Emulation of per-tuple CPU cost (the paper's 0.1–1 ms delay knob, Q4).
 ///
-/// The owed time is batched above OS timer granularity and then handed to
-/// [`Emitter::stall`], so the long-run service *rate* is exact while the
-/// realization is executor-appropriate: the thread-per-instance executor
-/// sleeps the instance's dedicated OS thread (the paper's
-/// one-core-per-PEI model), and the pool executor ends the activation and
-/// re-arms the task on the central timer wheel — emulated service time
-/// never occupies a pool worker, so hundred-instance delay topologies
+/// Every tuple charges its delay through [`Emitter::stall`]; the engine
+/// realizes the charges on the instance's virtual service clock (service
+/// starts when the previous tuple's ended, late timers are caught up, an
+/// idle instance banks nothing), so the service *rate* is exact on both
+/// executors and every completion fed to the load signals carries its own
+/// service time. The thread-per-instance executor sleeps the instance's
+/// dedicated OS thread (the paper's one-core-per-PEI model); the pool
+/// executor parks the task on the central timer wheel — emulated service
+/// time never occupies a pool worker, so hundred-instance delay topologies
 /// progress concurrently on a handful of threads.
 #[derive(Debug)]
 pub struct ServiceDelay {
     delay: Duration,
-    owed: Duration,
 }
-
-/// Stall once the owed service time reaches this much (well above Linux
-/// timer slack and the pool's ~1 ms timer granule, so the realized delay
-/// tracks the request closely).
-const OWED_SLEEP_THRESHOLD: Duration = Duration::from_millis(4);
 
 impl ServiceDelay {
     /// A per-tuple delay of `delay` (zero = free).
     pub fn new(delay: Duration) -> Self {
-        Self { delay, owed: Duration::ZERO }
+        Self { delay }
     }
 
     /// Charge one tuple's worth of service time against `out`'s executor.
-    pub fn charge(&mut self, out: &mut Emitter<'_>) {
-        if self.delay.is_zero() {
-            return;
-        }
-        self.owed += self.delay;
-        if self.owed >= OWED_SLEEP_THRESHOLD {
-            out.stall(self.owed);
-            self.owed = Duration::ZERO;
+    pub fn charge(&self, out: &mut Emitter<'_>) {
+        if !self.delay.is_zero() {
+            out.stall(self.delay);
         }
     }
 }
@@ -455,6 +446,19 @@ mod tests {
         assert_eq!(a.emit(), 2_000, "summary mass is conserved");
         // Canonical folding makes the merged sketch run-to-run identical.
         assert_eq!(a.summary().counters(), b.summary().counters());
+    }
+
+    #[test]
+    fn service_delay_charges_every_tuple_its_own_delay() {
+        let delay = ServiceDelay::new(Duration::from_micros(20));
+        let mut emitted = 0u64;
+        let mut out = Emitter::drop_sink(&mut emitted);
+        delay.charge(&mut out);
+        assert_eq!(out.stalled_ns(), 20_000, "one charge, one delay: no debt is batched");
+        delay.charge(&mut out);
+        assert_eq!(out.stalled_ns(), 40_000);
+        ServiceDelay::new(Duration::ZERO).charge(&mut out);
+        assert_eq!(out.stalled_ns(), 40_000, "a zero delay is free");
     }
 
     #[test]

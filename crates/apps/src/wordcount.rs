@@ -15,14 +15,16 @@
 //!
 //! The per-tuple `service_delay` emulates the paper's CPU-delay knob (they
 //! add 0.1–1 ms of processing per key to reach the cluster's saturation
-//! point). Under the thread-per-instance executor it sleeps the instance's
-//! dedicated thread, modeling one core per PEI (the paper's 10-VM cluster)
-//! rather than contending for this machine's cores; under the pool executor
-//! it reschedules the instance via the timer wheel so emulated service time
-//! never occupies a pool worker (see `pkg_agg::ServiceDelay`).
+//! point). Every tuple charges it on its counter's virtual service clock
+//! (`pkg_engine::Emitter::stall`): the thread-per-instance executor sleeps
+//! the instance's dedicated thread, modeling one core per PEI (the paper's
+//! 10-VM cluster) rather than contending for this machine's cores; the pool
+//! executor parks the instance on the timer wheel, so emulated service time
+//! never occupies a pool worker. `source_rate` paces the source the same
+//! way: it answers "not yet" (`Spout::not_before`) instead of sleeping.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pkg_agg::{Max, ServiceDelay, Sum, WindowedWorkerBolt};
 use pkg_datagen::text::{word_bytes_for_rank, word_for_rank, MAX_WORD_LEN};
@@ -262,6 +264,31 @@ impl Bolt for AggregatorBolt {
     }
 }
 
+/// An open-loop source: tuple `i` of `inner` is due `i / rate` seconds after
+/// the first poll (not after the spout factory ran — topology set-up is not
+/// the stream's time). Ahead of schedule it answers "not yet", which ends the
+/// pool spout's quantum without parking a worker; behind, it catches up.
+struct Paced {
+    inner: Box<dyn Spout>,
+    rate: f64,
+    started: Option<Instant>,
+    emitted: u64,
+}
+
+impl Spout for Paced {
+    fn next(&mut self) -> Option<Tuple> {
+        self.emitted += 1;
+        self.inner.next()
+    }
+
+    fn not_before(&mut self) -> Option<Duration> {
+        let started = *self.started.get_or_insert_with(Instant::now);
+        let due = Duration::from_secs_f64(self.emitted as f64 / self.rate);
+        let ahead = due.saturating_sub(started.elapsed());
+        (!ahead.is_zero()).then_some(ahead)
+    }
+}
+
 /// Precomputed rank→word table: fixed-width word bytes plus actual length.
 type Lexicon = Vec<([u8; MAX_WORD_LEN], u8)>;
 
@@ -297,22 +324,9 @@ pub fn wordcount_topology(cfg: &WordCountConfig) -> (Topology, NodeId, NodeId, N
         let mut rng = SmallRng::seed_from_u64(cfg2.seed ^ (i as u64).wrapping_mul(0x9e37));
         let words = shared_words.clone();
         let mut left = cfg2.messages_per_source;
-        let rate = cfg2.source_rate;
-        let started = std::time::Instant::now();
-        let total = cfg2.messages_per_source;
-        spout_from_fn(move || {
+        let unpaced = spout_from_fn(move || {
             if left == 0 {
                 return None;
-            }
-            if let Some(r) = rate {
-                // Emit tuple i no earlier than i/r seconds after start;
-                // sleep only when ahead by more than the timer slack.
-                let emitted = total - left;
-                let due = Duration::from_secs_f64(emitted as f64 / r);
-                let ahead = due.saturating_sub(started.elapsed());
-                if ahead > Duration::from_millis(2) {
-                    std::thread::sleep(ahead);
-                }
             }
             left -= 1;
             let rank = zipf.sample(&mut rng);
@@ -325,7 +339,11 @@ pub fn wordcount_topology(cfg: &WordCountConfig) -> (Topology, NodeId, NodeId, N
                 let (word, len) = word_bytes_for_rank(rank);
                 Some(Tuple::new(&word[..len], 1))
             }
-        })
+        });
+        match cfg2.source_rate {
+            Some(rate) => Box::new(Paced { inner: unpaced, rate, started: None, emitted: 0 }),
+            None => unpaced,
+        }
     });
 
     let running = cfg.variant == WordCountVariant::KeyGrouping;

@@ -8,12 +8,18 @@
 //! tenfold, while the impact on PKG and SG is smaller (≈37% decrease)" and
 //! "the average latency with KG is up to 45% larger than with PKG".
 //!
-//! We run the same delays (enforced by sleeping — one dedicated core per
-//! PEI, like the paper's 10 VMs). Message counts are sized so each
-//! configuration runs a few seconds. Latency is measured in a second,
-//! rate-limited pass at a fixed input rate (80% of the balanced capacity of
-//! the *largest* delay), where KG's overloaded instance shows the paper's
-//! latency blow-up.
+//! We run the same delays, charged per tuple on each counter's virtual
+//! service clock (one dedicated core per PEI, like the paper's 10 VMs).
+//! The source is paced at a fixed external rate, so the low delays are
+//! unsaturated — latency there is queueing at the counters, where KG's
+//! overloaded instance shows the paper's latency gap — and the high delays
+//! saturate, where throughput separates the variants.
+//!
+//! `--smoke` runs the unsaturated 0.1 ms point only and gates it (CI, both
+//! executor legs): PKG's mean counter latency stays below 2 ms — it was
+//! ≈ 10 ms while service time was realized in 4 ms batches — and KG's is at
+//! least PKG's. Each variant's row is the least disturbed of five runs (a
+//! busy host only ever adds latency). Non-zero exit otherwise.
 
 use std::time::Duration;
 
@@ -33,8 +39,9 @@ fn main() {
         WordCountVariant::ShuffleGrouping,
         WordCountVariant::KeyGrouping,
     ];
+    let smoke = std::env::args().any(|a| a == "--smoke");
     // The paper's 0.1–1 ms sweep.
-    let delays_us: [u64; 5] = [100, 200, 400, 700, 1000];
+    let delays_us: &[u64] = if smoke { &[100] } else { &[100, 200, 400, 700, 1000] };
     // Sized for ~1–6 s per configuration at 9 counters.
     let messages: u64 =
         std::env::var("PKG_FIG5_MESSAGES").ok().and_then(|s| s.parse().ok()).unwrap_or(20_000);
@@ -56,7 +63,10 @@ fn main() {
     let mut tsv =
         String::from("variant\tdelay_ms\tthroughput\tmean_latency_ms\tp99_latency_ms\tmax_load\n");
 
-    for &delay_us in &delays_us {
+    // Mean counter latency (ms) per variant at the first (0.1 ms, unsaturated)
+    // point, for the gate.
+    let mut unsaturated_mean_ms = Vec::new();
+    for &delay_us in delays_us {
         for variant in variants {
             let cfg = WordCountConfig {
                 variant,
@@ -71,22 +81,28 @@ fn main() {
                 seed: seed(),
                 source_rate: Some(rate),
             };
-            let stats = run_config(&cfg);
+            let stats = (0..if smoke { 5 } else { 1 })
+                .map(|_| run_config(&cfg))
+                .min_by(|a, b| a.latency("counter").mean().total_cmp(&b.latency("counter").mean()))
+                .expect("at least one run");
             let tput = stats.throughput("counter");
             let lat = stats.latency("counter");
             let mean_ms = lat.mean() / 1e6;
             let p99_ms = lat.quantile(0.99) as f64 / 1e6;
             let max_load = stats.loads("counter").into_iter().max().unwrap_or(0);
+            if delay_us == delays_us[0] {
+                unsaturated_mean_ms.push(mean_ms);
+            }
             table.row([
                 variant.label().to_string(),
                 format!("{:.1}", delay_us as f64 / 1000.0),
                 format!("{tput:.0}"),
-                format!("{mean_ms:.2}"),
-                format!("{p99_ms:.2}"),
+                format!("{mean_ms:.3}"),
+                format!("{p99_ms:.3}"),
                 format!("{max_load}"),
             ]);
             tsv.push_str(&format!(
-                "{}\t{:.1}\t{:.0}\t{:.2}\t{:.2}\t{}\n",
+                "{}\t{:.1}\t{:.0}\t{:.3}\t{:.3}\t{}\n",
                 variant.label(),
                 delay_us as f64 / 1000.0,
                 tput,
@@ -97,7 +113,21 @@ fn main() {
         }
     }
     out.push_str(&table.render());
+    let [pkg_ms, _sg_ms, kg_ms] = unsaturated_mean_ms[..] else {
+        unreachable!("the 0.1 ms point runs the three variants");
+    };
+    let ok = pkg_ms < 2.0 && kg_ms >= pkg_ms;
+    if smoke {
+        out.push_str(&format!(
+            "check: at 0.1 ms PKG mean latency {pkg_ms:.3} ms < 2 ms and KG {kg_ms:.3} ms >= PKG .. {}\n",
+            if ok { "OK" } else { "FAIL" }
+        ));
+    }
     out.push('\n');
     out.push_str(&tsv);
     pkg_bench::emit("fig5a.tsv", &out);
+    if smoke && !ok {
+        eprintln!("fig5a: checks FAILED");
+        std::process::exit(1);
+    }
 }

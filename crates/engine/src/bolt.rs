@@ -49,19 +49,16 @@ pub struct Emitter<'a> {
     pub(crate) inherit_born_ns: u64,
     pub(crate) now_ns: u64,
     pub(crate) emitted: &'a mut u64,
-    /// Emulated service time requested via [`Emitter::stall`] that the pool
-    /// executor realizes by re-arming the task on the timer wheel (the
-    /// blocking executor sleeps inline and leaves this at 0).
-    pub(crate) deferred_ns: u64,
     /// Service-time multiplier from the instance's capacity weight
     /// (`1/capacity`): a half-speed instance stalls twice as long per
     /// charged tuple. 1.0 on homogeneous topologies.
     pub(crate) stall_scale: f64,
     /// Capacity-scaled service time charged through [`Emitter::stall`] so
-    /// far in this emitter's scope; executors accumulate it into
-    /// [`crate::metrics::InstanceStats::stalled_ns`]. Deterministic in the
-    /// requested durations (not wall-clock), so it is comparable across
-    /// executors.
+    /// far in this emitter's scope. The instance driver realizes it on its
+    /// virtual service clock after `execute` returns and accumulates it
+    /// into [`crate::metrics::InstanceStats::stalled_ns`]. Deterministic in
+    /// the requested durations (not wall-clock), so it is comparable
+    /// across executors.
     pub(crate) stalled_ns: u64,
 }
 
@@ -294,32 +291,31 @@ impl Emitter<'_> {
     /// half-speed instance is charged `2d` per call, so heterogeneous
     /// hardware is emulated end to end.
     ///
-    /// Under the thread-per-instance executor this sleeps inline — each
-    /// instance owns a dedicated OS thread, so blocking it *is* the service
-    /// model. Under the pool executor the time is *deferred*: the current
-    /// activation ends after this tuple and the task is re-armed on the
-    /// central timer wheel, so emulated service time never occupies a
-    /// worker thread and hundreds of delay-emulating instances progress
-    /// concurrently on a small pool.
+    /// The call only *charges* the time; nothing sleeps here. After
+    /// `execute` returns, the instance driver advances the instance's
+    /// **virtual service clock**: the tuple's service starts when the
+    /// previous tuple's ended — or at the wall clock, if the instance was
+    /// idle — and ends the charge later. The instance takes no further
+    /// input while that end is still in the future: the pool executor
+    /// parks the task on the central timer wheel (never holding a worker),
+    /// the thread executor sleeps its dedicated thread. A timer that fires
+    /// late is caught up on the following tuples instead of accumulating,
+    /// so the long-run service rate is exact; going idle resets the clock,
+    /// so idleness is never banked.
     ///
     /// Multiple calls within one `execute` accumulate. The knob models
-    /// bolt-side processing cost: only the bolt `execute` path honors
-    /// deferral under the pool executor — a spout (or tick/finish
-    /// callback) calling `stall` sleeps inline under the thread executor
-    /// but is ignored under the pool.
+    /// bolt-side processing cost: a charge from a spout or from a
+    /// tick/finish callback is counted in `stalled_ns` but not realized.
     pub fn stall(&mut self, d: Duration) {
-        let d = if self.stall_scale == 1.0 {
-            d
-        } else {
-            Duration::from_nanos((d.as_nanos() as f64 * self.stall_scale) as u64)
-        };
-        self.stalled_ns = self.stalled_ns.saturating_add(d.as_nanos() as u64);
-        match &self.sink {
-            Sink::Blocking => std::thread::sleep(d),
-            Sink::Pool { .. } => {
-                self.deferred_ns = self.deferred_ns.saturating_add(d.as_nanos() as u64);
-            }
-        }
+        let ns = d.as_nanos() as u64;
+        let ns = if self.stall_scale == 1.0 { ns } else { (ns as f64 * self.stall_scale) as u64 };
+        self.stalled_ns = self.stalled_ns.saturating_add(ns);
+    }
+
+    /// Service time charged through [`Emitter::stall`] in this emitter's
+    /// scope so far, in nanoseconds (capacity-scaled).
+    pub fn stalled_ns(&self) -> u64 {
+        self.stalled_ns
     }
 
     /// An emitter with no outgoing edges: emissions are counted, then
@@ -331,7 +327,6 @@ impl Emitter<'_> {
             inherit_born_ns: 0,
             now_ns: 1,
             emitted,
-            deferred_ns: 0,
             stall_scale: 1.0,
             stalled_ns: 0,
         }

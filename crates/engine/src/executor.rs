@@ -68,7 +68,12 @@ pub(crate) fn run_spout(
     let mut processed = 0u64;
     let mut emitted = 0u64;
     let mut stalled_ns = 0u64;
-    while let Some(tuple) = spout.next() {
+    loop {
+        if let Some(wait) = spout.not_before() {
+            std::thread::sleep(wait);
+            continue;
+        }
+        let Some(tuple) = spout.next() else { break };
         processed += 1;
         let now_ns = epoch.elapsed().as_nanos() as u64;
         if let Some(ing) = ingress.as_mut() {
@@ -89,7 +94,6 @@ pub(crate) fn run_spout(
             // Guard against a zero elapsed reading: 0 means "stamp me".
             now_ns: now_ns.max(1),
             emitted: &mut emitted,
-            deferred_ns: 0,
             stall_scale,
             stalled_ns: 0,
         };
@@ -108,7 +112,6 @@ pub(crate) fn run_spout(
                 inherit_born_ns: 0,
                 now_ns,
                 emitted: &mut emitted,
-                deferred_ns: 0,
                 stall_scale,
                 stalled_ns: 0,
             };
@@ -158,8 +161,22 @@ pub(crate) fn run_bolt(
     let mut latency = LatencyHistogram::new(5);
     let mut sampler = StateSampler::default();
     let mut next_tick = tick_every.map(|p| Instant::now() + p);
+    // Virtual service clock (`Emitter::stall`): when the service time charged
+    // so far ends, in ns since `epoch`; 0 = idle.
+    let mut busy_until = 0u64;
 
     loop {
+        if busy_until != 0 {
+            // Sleep off what the clock is ahead of the wall (`sleep`
+            // overshoots; the clock catches that up on later tuples). With
+            // nothing queued the instance then goes idle, and the next
+            // tuple's service starts on its arrival.
+            let ahead = busy_until.saturating_sub(epoch.elapsed().as_nanos() as u64);
+            std::thread::sleep(Duration::from_nanos(ahead));
+            if gauge.as_ref().is_some_and(|g| g.load() == 0) {
+                busy_until = 0;
+            }
+        }
         let packet = match next_tick {
             Some(deadline) => {
                 let now = Instant::now();
@@ -178,7 +195,6 @@ pub(crate) fn run_bolt(
                         inherit_born_ns: 0,
                         now_ns,
                         emitted: &mut emitted,
-                        deferred_ns: 0,
                         stall_scale,
                         stalled_ns: 0,
                     };
@@ -213,7 +229,6 @@ pub(crate) fn run_bolt(
                     inherit_born_ns: tuple.born_ns,
                     now_ns,
                     emitted: &mut emitted,
-                    deferred_ns: 0,
                     stall_scale,
                     stalled_ns: 0,
                 };
@@ -229,6 +244,10 @@ pub(crate) fn run_bolt(
                 }
                 stalled_ns += tuple_stalled;
                 processed += 1;
+                if tuple_stalled > 0 {
+                    // Service starts when the previous tuple's ended.
+                    busy_until = if busy_until == 0 { now_ns } else { busy_until } + tuple_stalled;
+                }
             }
             Packet::Eof => {
                 eof_remaining -= 1;
@@ -250,7 +269,6 @@ pub(crate) fn run_bolt(
             inherit_born_ns: 0,
             now_ns,
             emitted: &mut emitted,
-            deferred_ns: 0,
             stall_scale,
             stalled_ns: 0,
         };

@@ -98,7 +98,7 @@ enum WakeKind {
     /// cannot make progress until its downstream drains).
     Notify,
     /// Park-ending wake: a consumer freed mailbox space (backpressure
-    /// release) or a service-stall deadline fired on the timer wheel.
+    /// release) or an `Outcome::Stall` deadline fired on the timer wheel.
     Unpark,
 }
 
@@ -109,16 +109,17 @@ enum Outcome {
     Yield,
     /// Downstream full: sleep until the consumer wakes us.
     Park,
-    /// Emulated service time requested ([`Emitter::stall`]): park and arm
-    /// the carried deadline on the timer wheel — without occupying a
-    /// worker thread, which is what lets `engine_scale`-style runs emulate
-    /// per-tuple CPU cost on many more instances than workers. The park is
-    /// unconditional (a data wake that landed mid-activation is absorbed —
-    /// the whole point is not to process more input before the deadline),
-    /// and the timer is armed only *after* the task is parked so the wake
-    /// can never be consumed early and lost. If the stalling tuple also
-    /// hit backpressure, the task is additionally registered as a mailbox
-    /// waiter and whichever wake fires first resumes it.
+    /// Not before the carried deadline: a bolt whose virtual service clock
+    /// (`TaskBody::busy_until`) is ahead of the wall clock, or a spout whose
+    /// next tuple is not due yet ([`Spout::not_before`]). Park and arm the
+    /// deadline on the timer wheel — without occupying a worker thread,
+    /// which is what lets `engine_scale`-style runs emulate per-tuple CPU
+    /// cost on many more instances than workers. The park is unconditional
+    /// (a wake that landed mid-activation is absorbed — the whole point is
+    /// not to run before the deadline), and the timer is armed only *after*
+    /// the task is parked so the wake can never be consumed early and
+    /// lost. A backpressure release may still resume the task early; the
+    /// next activation re-checks the deadline and parks again.
     Stall(u64),
     /// Eof protocol complete, stats finalized.
     Done,
@@ -165,6 +166,9 @@ struct TaskBody {
     /// Service-time multiplier `1/capacity` of this instance.
     stall_scale: f64,
     stalled_ns: u64,
+    /// Virtual service clock: when the service time charged so far ends, in
+    /// ns since `Shared::epoch`; 0 = idle (see [`Emitter::stall`]).
+    busy_until: u64,
     latency: LatencyHistogram,
     sampler: StateSampler,
     final_state: usize,
@@ -203,6 +207,7 @@ impl TaskBody {
             activations: 0,
             stall_scale,
             stalled_ns: 0,
+            busy_until: 0,
             latency: LatencyHistogram::new(5),
             sampler: StateSampler::default(),
             final_state: 0,
@@ -611,6 +616,7 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
         ticks,
         stall_scale,
         stalled_ns,
+        busy_until,
         latency,
         sampler,
         final_state,
@@ -636,6 +642,10 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
             // Broadcast (no single destination run per tuple); Elastic (epoch
             // markers interleave with the tuples); and a watermark, in-flight
             // limit or hedge budget (a queue depth fresh for *that* tuple).
+            //
+            // Either loop ends early when the source answers "not yet"
+            // (`Spout::not_before`); what it generated is still delivered.
+            let mut defer = None;
             if !*exhausted
                 && edges.len() == 1
                 && edges[0].router.is_batchable()
@@ -649,6 +659,10 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                 // The quantum counts *offered* tuples, so an activation stays
                 // bounded however much of the input is shed.
                 for _ in 0..shared.batch {
+                    defer = spout.not_before();
+                    if defer.is_some() {
+                        break;
+                    }
                     let Some(mut tuple) = spout.next() else {
                         *exhausted = true;
                         break;
@@ -686,6 +700,10 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                 }
             } else if !*exhausted {
                 for _ in 0..shared.batch {
+                    defer = spout.not_before();
+                    if defer.is_some() {
+                        break;
+                    }
                     match spout.next() {
                         Some(tuple) => {
                             *processed += 1;
@@ -713,7 +731,6 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                                 inherit_born_ns: 0,
                                 now_ns,
                                 emitted,
-                                deferred_ns: 0,
                                 stall_scale,
                                 stalled_ns: 0,
                             };
@@ -749,7 +766,6 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                             inherit_born_ns: 0,
                             now_ns,
                             emitted,
-                            deferred_ns: 0,
                             stall_scale,
                             stalled_ns: 0,
                         };
@@ -764,6 +780,9 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
             }
             if !deliver_outbox(shared, tid, outbox) {
                 return Outcome::Park;
+            }
+            if let Some(wait) = defer {
+                return Outcome::Stall(shared.now_ns() + wait.as_nanos() as u64);
             }
             let drain_complete = match ingress {
                 Some(ing) => ing.drain_complete(),
@@ -791,7 +810,6 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                         inherit_born_ns: 0,
                         now_ns,
                         emitted,
-                        deferred_ns: 0,
                         stall_scale,
                         stalled_ns: 0,
                     };
@@ -818,6 +836,10 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
             //    every packet.
             let mut budget = shared.batch;
             let mut now_ns = shared.now_ns();
+            if *busy_until > now_ns {
+                // Resumed early (backpressure release, stale timer entry).
+                return Outcome::Stall(*busy_until);
+            }
             while budget > 0 {
                 if inbox.is_empty() {
                     if shared.refill_inbox(tid, inbox, budget) == 0 {
@@ -838,30 +860,36 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                             inherit_born_ns: tuple.born_ns,
                             now_ns,
                             emitted,
-                            deferred_ns: 0,
                             stall_scale,
                             stalled_ns: 0,
                         };
                         bolt.execute(tuple, &mut em);
-                        let stall_ns = em.deferred_ns;
-                        let tuple_stalled = em.stalled_ns;
+                        let charged = em.stalled_ns;
                         // Feed the load signals: one in-flight tuple done,
                         // its capacity-scaled service time is the latency
                         // sample for Peak-EWMA and the capacity estimator.
                         if let Some(s) = signals.as_ref().and_then(SharedLoads::signals) {
-                            s.complete(*instance, tuple_stalled);
+                            s.complete(*instance, charged);
                         }
-                        *stalled_ns += tuple_stalled;
+                        *stalled_ns += charged;
                         *processed += 1;
                         let blocked = !outbox.is_empty() && !deliver_outbox(shared, tid, outbox);
-                        if stall_ns > 0 {
-                            // End the activation: emulated service time must
-                            // not hold a worker. run_task parks the task and
-                            // then arms this deadline (in that order — see
-                            // Outcome::Stall). When `blocked` too, the
-                            // mailbox waiter registered by push_or_park
-                            // doubles as an earlier-release wake.
-                            return Outcome::Stall(shared.now_ns() + stall_ns);
+                        if charged > 0 {
+                            // Service starts when the previous tuple's ended.
+                            // Behind the wall clock (a late timer): keep
+                            // draining to catch up. Ahead: emulated service
+                            // time must not hold a worker; run_task parks the
+                            // task, then arms the deadline (Outcome::Stall).
+                            // When `blocked` too, push_or_park's mailbox
+                            // waiter doubles as an earlier-release wake.
+                            *busy_until =
+                                if *busy_until == 0 { now_ns } else { *busy_until } + charged;
+                            if *busy_until > now_ns {
+                                now_ns = shared.now_ns();
+                                if *busy_until > now_ns {
+                                    return Outcome::Stall(*busy_until);
+                                }
+                            }
                         }
                         if blocked {
                             return Outcome::Park;
@@ -882,7 +910,6 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                                 inherit_born_ns: 0,
                                 now_ns,
                                 emitted,
-                                deferred_ns: 0,
                                 stall_scale,
                                 stalled_ns: 0,
                             };
@@ -901,6 +928,8 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
             // empty; any packet arriving after that flips us to NOTIFIED,
             // so idling cannot lose a wake.
             if inbox.is_empty() && budget > 0 {
+                // Idleness is never banked as catch-up credit.
+                *busy_until = 0;
                 Outcome::Idle
             } else {
                 Outcome::Yield

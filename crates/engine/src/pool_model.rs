@@ -24,10 +24,17 @@
 //!    FIFO under every producer/consumer interleaving
 //!    ([`model_ring_parked_producer_is_always_observed`],
 //!    [`model_ring_spsc_fifo_across_interleavings`]).
+//! 6. **Deferred spout vs. early release** — a spout parked on a timer
+//!    deadline ([`Spout::not_before`]) while a draining consumer's
+//!    backpressure `Unpark` and the timer fire race its park: the task is
+//!    never queued twice, never stranded, and a resume ahead of the
+//!    deadline re-checks it instead of emitting
+//!    ([`deferred_spout_survives_early_release_and_timer_race`]).
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
-//! the PR 4 stall bug and an unconditional-IDLE variant of the idle
-//! transition, and assert the checker *finds* the violating schedule.
+//! the PR 4 stall bug, an unconditional-IDLE variant of the idle
+//! transition, and a spout resume that skips the deadline re-check, and
+//! assert the checker *finds* the violating schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
 // to police fixture code.
@@ -35,7 +42,7 @@
 
 use super::*;
 use crate::grouping::Grouping;
-use crate::spout::spout_from_iter;
+use crate::spout::{spout_from_iter, Spout};
 use crate::tuple::Tuple;
 use std::sync::{Arc, Mutex as StdMutex};
 
@@ -237,6 +244,186 @@ fn mutation_pr4_conditional_stall_park_is_caught() {
         })
         .expect_err("the PR 4 conditional-park bug must be caught");
     assert!(violation.message.contains("stall skipped"), "got: {violation}");
+}
+
+/// The deferral fixture's emulated wait: far beyond any real elapsed time of
+/// one schedule, so only a pass that *says* the deadline passed fires it.
+const DEFER: Duration = Duration::from_secs(2);
+
+/// A one-tuple source that is due only once `due` is set — the fixture's
+/// stand-in for the clock reaching the deadline (the model does not
+/// virtualize time). Emitting earlier is the violation.
+struct GateSpout {
+    due: Arc<StdMutex<bool>>,
+    left: u32,
+}
+
+impl Spout for GateSpout {
+    fn next(&mut self) -> Option<Tuple> {
+        assert!(*self.due.lock().expect("due flag"), "emitted before its deadline");
+        (self.left > 0).then(|| {
+            self.left -= 1;
+            Tuple::new(*b"k", 1)
+        })
+    }
+
+    fn not_before(&mut self) -> Option<Duration> {
+        (!*self.due.lock().expect("due flag")).then_some(DEFER)
+    }
+}
+
+/// Task 0: a [`GateSpout`] whose quantum just ended on "not yet" (RUNNING,
+/// about to settle `Outcome::Stall`). Task 1: its consumer, mid-activation,
+/// with one packet queued and the spout still registered as a waiter from an
+/// earlier full mailbox — so the consumer's drain issues the backpressure
+/// `Unpark` that can resume the spout ahead of its deadline.
+fn deferral_fixture(due: Arc<StdMutex<bool>>) -> Shared {
+    let shared = mini_shared(2, 4);
+    let edges = vec![OutEdge {
+        router: Router::new(&Grouping::Key, 1, 7, 0),
+        tx: EdgeTx::Tasks(vec![1]),
+        depths: Vec::new(),
+        hedge: None,
+        signals: None,
+    }];
+    let kind = TaskKind::Spout {
+        spout: Box::new(GateSpout { due, left: 1 }),
+        exhausted: false,
+        ingress: None,
+    };
+    *lock(&shared.tasks[0].body) = Some(Box::new(blank_body("src", kind, edges)));
+    // ordering: SeqCst — fixture set-up before any thread is spawned (SC-only model)
+    shared.tasks[0].state.store(RUNNING, SeqCst);
+    // ordering: SeqCst — as above
+    shared.tasks[1].state.store(RUNNING, SeqCst);
+    if let Some(Mailbox::Mutexed { inner, .. }) = &shared.tasks[1].mailbox {
+        let mut inner = lock(inner);
+        inner.queue.push_back(Packet::Tuple(Tuple::new(*b"k", 0)));
+        inner.waiters.push(0);
+    }
+    shared
+}
+
+/// One pass of [`worker_loop`]'s pick step with the clock at `now_ns`: fire
+/// due timers into the run queue, then run the spout if it is queued —
+/// through `resume`, which the real suite binds to [`run_task`].
+fn worker_pass(shared: &Shared, now_ns: u64, resume: impl Fn(&Shared)) {
+    let picked = {
+        let mut s = lock(&shared.sched);
+        let mut due = Vec::new();
+        s.timers.fire(now_ns, &mut due);
+        for (t, unpark) in due {
+            let kind = if unpark { WakeKind::Unpark } else { WakeKind::Notify };
+            if shared.wake_state(t, &kind) {
+                s.runq.push_back(t);
+            }
+        }
+        s.runq.pop_front()
+    };
+    if let Some(tid) = picked {
+        assert_eq!(tid, 0, "only the spout is ever queued here");
+        assert_eq!(
+            // ordering: SeqCst — the popped id's state, as run_task reads it (SC-only model)
+            shared.tasks[0].state.load(SeqCst),
+            QUEUED,
+            "double-queued: a second run-queue entry for a task already claimed"
+        );
+        resume(shared);
+    }
+}
+
+/// Race a deferred spout's park against the consumer's early release and
+/// the timer fire, then let the deadline pass for good. `resume` is how a
+/// worker runs the queued spout.
+fn check_deferred_spout(resume: fn(&Shared)) -> Result<pkg_model::Report, pkg_model::Violation> {
+    pkg_model::Builder::new().preemption_bound(2).check(move || {
+        let due = Arc::new(StdMutex::new(false));
+        let shared = Arc::new(deferral_fixture(Arc::clone(&due)));
+        let deadline = shared.now_ns() + DEFER.as_nanos() as u64;
+        let worker = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || {
+                settle(&shared, 0, &Outcome::Stall(deadline), || {
+                    unreachable!("a stall settle must never requeue");
+                });
+                // The wall clock is nowhere near the deadline: only an
+                // early release can have queued the spout.
+                worker_pass(&shared, shared.now_ns(), resume);
+            })
+        };
+        let consumer = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || {
+                let mut inbox = PacketBatch::default();
+                assert!(shared.refill_inbox(1, &mut inbox, 64) > 0, "drains the queued packet");
+            })
+        };
+        let timer = {
+            let shared = Arc::clone(&shared);
+            let due = Arc::clone(&due);
+            pkg_model::thread::spawn(move || {
+                *due.lock().expect("due flag") = true;
+                worker_pass(&shared, deadline, resume);
+            })
+        };
+        worker.join();
+        consumer.join();
+        timer.join();
+        // Time moves on: every deadline armed along the way passes.
+        worker_pass(&shared, 2 * deadline, resume);
+        worker_pass(&shared, 2 * deadline, resume);
+        // ordering: SeqCst — quiescent post-join read (SC-only model)
+        let state = shared.tasks[0].state.load(SeqCst);
+        assert_eq!(state, DONE, "stranded: the deferred spout never resumed (state {state})");
+        let stats = lock(&shared.stats);
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].emitted, 1, "the one tuple, once");
+    })
+}
+
+/// Invariant 6: in every interleaving the deferred spout ends DONE having
+/// emitted its tuple exactly once and only after the deadline — an early
+/// release resumes it into the real `activate`, which asks `not_before`
+/// again and parks it back on the wheel.
+#[test]
+fn deferred_spout_survives_early_release_and_timer_race() {
+    let report = check_deferred_spout(|shared| run_task(shared, 0, 0))
+        .expect("no schedule may strand, double-queue or prematurely resume a deferred spout");
+    assert!(
+        report.iterations >= 100,
+        "expected a real interleaving space, got {} schedules",
+        report.iterations
+    );
+}
+
+/// The mutation: a spout driver that never asks `not_before` (the trait's
+/// default answers "now").
+struct SkipsRecheck(Box<dyn Spout>);
+
+impl Spout for SkipsRecheck {
+    fn next(&mut self) -> Option<Tuple> {
+        self.0.next()
+    }
+}
+
+/// Detection power for invariant 6: resume the spout without re-checking
+/// the deadline and the checker must find the schedule where the
+/// consumer's release wake lands first and a tuple is emitted early.
+#[test]
+fn mutation_resume_without_deadline_recheck_is_caught() {
+    let violation = check_deferred_spout(|shared| {
+        if let Some(body) = lock(&shared.tasks[0].body).as_mut() {
+            if let TaskKind::Spout { spout, .. } = &mut body.kind {
+                // BUG (deliberate): the resumed activation generates
+                // without asking `not_before` again.
+                let inner = std::mem::replace(spout, spout_from_iter(Vec::new()));
+                *spout = Box::new(SkipsRecheck(inner));
+            }
+        }
+        run_task(shared, 0, 0);
+    })
+    .expect_err("a resume that skips the deadline re-check must be caught");
+    assert!(violation.message.contains("emitted before its deadline"), "got: {violation}");
 }
 
 /// Order-recording sink bolt for the end-to-end spill fixture. The log uses

@@ -1,5 +1,7 @@
 //! Stream sources.
 
+use std::time::Duration;
+
 use crate::tuple::Tuple;
 
 /// A source of tuples (Storm's spout). `next` returning `None` ends the
@@ -8,6 +10,15 @@ use crate::tuple::Tuple;
 pub trait Spout: Send {
     /// Produce the next tuple, or `None` at end of stream.
     fn next(&mut self) -> Option<Tuple>;
+
+    /// How long until the next tuple is due; `None` (the default) means
+    /// now. Executors ask before every [`Spout::next`]. On `Some(wait)` the
+    /// pool ends the spout's quantum, delivers what it produced and re-arms
+    /// the task on the timer wheel, holding no worker; the thread executor
+    /// sleeps. Either may ask again early: answer from the source's clock.
+    fn not_before(&mut self) -> Option<Duration> {
+        None
+    }
 }
 
 /// A spout from a closure.

@@ -25,9 +25,9 @@ const SLOTS: u64 = 256;
 struct Entry {
     deadline_ns: u64,
     task: usize,
-    /// `true` for service-stall deadlines, which must wake even a PARKED
-    /// task (`WakeKind::Unpark`); tick deadlines wake with `Notify` and
-    /// leave backpressure-parked tasks alone.
+    /// `true` for `Outcome::Stall` deadlines (charged service time, a source
+    /// not due yet), which wake the PARKED task (`WakeKind::Unpark`); tick
+    /// deadlines wake with `Notify` and leave parked tasks alone.
     unpark: bool,
 }
 
@@ -70,8 +70,8 @@ impl TimerWheel {
         self.insert_entry(Entry { deadline_ns, task, unpark: false });
     }
 
-    /// Register a service-stall deadline: fires as an `Unpark` wake, which
-    /// resumes the stalled (parked) task.
+    /// Register an `Outcome::Stall` deadline: fires as an `Unpark` wake,
+    /// which resumes the stalled (parked) task.
     pub(crate) fn insert_unpark(&mut self, deadline_ns: u64, task: usize) {
         self.insert_entry(Entry { deadline_ns, task, unpark: true });
     }
