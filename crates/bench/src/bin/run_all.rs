@@ -7,7 +7,7 @@
 
 use std::process::Command;
 
-const DRIVERS: [&str; 17] = [
+const DRIVERS: [&str; 16] = [
     "table1",
     "table2",
     "fig2",
@@ -22,7 +22,6 @@ const DRIVERS: [&str; 17] = [
     "fig_overload",
     "theory_bounds",
     "ablation_d",
-    "ablation_hot",
     "ablation_estimator",
     "jaccard",
 ];

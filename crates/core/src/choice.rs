@@ -22,34 +22,22 @@
 //! * **W-Choices** gives head keys all `W` workers (`d = W`).
 //!
 //! Candidates are drawn from the key's *hash sequence*
-//! `H_i(k) = murmur3(k, member_seed(seed, i)) mod W`: the same derivation
-//! (and therefore the same first two members) as PKG's [`HashFamily`], so
-//! candidate sets are prefix-nested — raising `d` only ever *adds* workers —
-//! and reproducible across sources and executors from the experiment seed
-//! alone.
+//! `H_i(k) = murmur3(k, member_seed(seed, i)) mod W` — PKG's own, so the
+//! first two members are PKG's candidates, candidate sets are prefix-nested
+//! (raising `d` only ever *adds* workers) and reproducible across sources
+//! and executors from the experiment seed alone.
 //!
-//! [`HashFamily`]: pkg_hash::HashFamily
-
-use pkg_hash::{member_seed, StreamKey};
-use pkg_metrics::Capacities;
-
-use crate::estimator::Estimate;
-use crate::head_tracker::HeadTracker;
-use crate::partitioner::{check_membership, Partitioner};
+//! Nothing else differs from PKG, so both schemes are
+//! [`PartialKeyGrouping`](crate::PartialKeyGrouping) under a
+//! [`CandidatePolicy::Head`](crate::CandidatePolicy::Head) policy; this
+//! module keeps the candidate-count rule ([`ChoiceConfig`]: `θ`, `d(p̂)`).
+//!
+//! [`HeadTracker`]: crate::HeadTracker
 
 /// Default relative imbalance target `ε` (per-worker load within
 /// `(1+ε)/W` of the stream). The sweeps of `fig_dchoices` gate the achieved
 /// imbalance fraction well below this.
 pub const DEFAULT_EPSILON: f64 = 0.1;
-
-/// Which adaptive scheme a partitioner runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChoiceStrategy {
-    /// Head keys get `d(p̂) = ⌈p̂·W/(1+ε)⌉` candidates.
-    DChoices,
-    /// Head keys get all `W` workers.
-    WChoices,
-}
 
 /// The candidate-count rule shared by both schemes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,231 +78,16 @@ impl Default for ChoiceConfig {
     }
 }
 
-/// The adaptive partitioner: PKG for the tail, more choices for the head.
-#[derive(Debug, Clone)]
-pub struct AdaptiveChoices {
-    n: usize,
-    strategy: ChoiceStrategy,
-    config: ChoiceConfig,
-    /// Cached `config.theta(n)`.
-    theta: f64,
-    estimate: Estimate,
-    tracker: HeadTracker,
-    /// Per-worker capacity weights: every argmin (tail greedy-2, head
-    /// sequence, W-Choices global) compares `L_i/c_i` when attached.
-    capacities: Option<Capacities>,
-    /// Live membership subset of `0..n` (pkg-elastic); `None` is the
-    /// untouched fixed-`W` fast path. When set, `theta` and `d_for` are
-    /// computed over the live count and candidates land only on live
-    /// workers.
-    live: Option<Vec<usize>>,
-    /// Member seeds of the key hash sequence, `seeds[0..2]` identical to
-    /// PKG's two-choice family under the same experiment seed.
-    seeds: Vec<u64>,
-}
-
-impl AdaptiveChoices {
-    /// An adaptive partitioner over `n` workers.
-    pub fn new(
-        n: usize,
-        strategy: ChoiceStrategy,
-        config: ChoiceConfig,
-        estimate: Estimate,
-        seed: u64,
-    ) -> Self {
-        assert!(n > 0, "need at least one worker");
-        assert_eq!(estimate.n(), n, "estimate must cover all workers");
-        let theta = config.theta(n);
-        Self {
-            n,
-            strategy,
-            config,
-            theta,
-            estimate,
-            tracker: HeadTracker::for_threshold(theta.min(1.0)),
-            capacities: None,
-            live: None,
-            seeds: (0..n as u64).map(|i| member_seed(seed, i)).collect(),
-        }
-    }
-
-    /// Route by capacity-normalized load `L_i/c_i` using these per-worker
-    /// weights (`None` = homogeneous; uniform weights collapse upstream).
-    pub fn with_capacities(mut self, capacities: Option<Capacities>) -> Self {
-        if let Some(c) = &capacities {
-            assert_eq!(c.len(), self.n, "one capacity per worker");
-        }
-        self.capacities = capacities;
-        self
-    }
-
-    /// D-Choices with the given imbalance target.
-    pub fn d_choices(n: usize, estimate: Estimate, epsilon: f64, seed: u64) -> Self {
-        Self::new(n, ChoiceStrategy::DChoices, ChoiceConfig::new(epsilon), estimate, seed)
-    }
-
-    /// W-Choices with the given imbalance target.
-    pub fn w_choices(n: usize, estimate: Estimate, epsilon: f64, seed: u64) -> Self {
-        Self::new(n, ChoiceStrategy::WChoices, ChoiceConfig::new(epsilon), estimate, seed)
-    }
-
-    /// The head threshold `θ` in effect.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// The candidate-count rule in effect.
-    pub fn config(&self) -> &ChoiceConfig {
-        &self.config
-    }
-
-    /// Read access to the head tracker (tests/diagnostics).
-    pub fn tracker(&self) -> &HeadTracker {
-        &self.tracker
-    }
-
-    /// Whether the *next* message of `key` routes as a head key. Uses the
-    /// same prediction as [`Partitioner::route`], so it must be consulted
-    /// *before* routing that message (`route` observes the key and can flip
-    /// the prediction for the one after).
-    pub fn is_head(&self, key: u64) -> bool {
-        self.next_head_d(key).is_some()
-    }
-
-    /// Number of workers the scheme currently routes over: the live count
-    /// under a membership subset, `n` otherwise.
-    #[inline]
-    fn w_count(&self) -> usize {
-        self.live.as_ref().map_or(self.n, Vec::len)
-    }
-
-    /// Member `i` of `key`'s hash sequence, reduced onto the current
-    /// membership (all of `[0, n)` when never resized).
-    #[inline]
-    fn choice(&self, i: usize, key: u64) -> usize {
-        match &self.live {
-            None => (key.hash_seeded(self.seeds[i]) % self.n as u64) as usize,
-            Some(live) => live[(key.hash_seeded(self.seeds[i]) % live.len() as u64) as usize],
-        }
-    }
-
-    /// How the *next* message of `key` will route: `None` for a tail key
-    /// (the plain two-choice path), `Some(d)` for a head key (`d = w`
-    /// meaning all live workers).
-    fn next_head_d(&self, key: u64) -> Option<usize> {
-        if !self.tracker.next_is_head(key, self.theta) {
-            return None;
-        }
-        let w = self.w_count();
-        Some(match self.strategy {
-            ChoiceStrategy::WChoices => w,
-            ChoiceStrategy::DChoices => self.config.d_for(self.tracker.next_frequency(key), w),
-        })
-    }
-
-    /// Least-loaded worker among the first `d` members of `key`'s hash
-    /// sequence; ties break toward the earlier member (deterministic, same
-    /// rule as PKG).
-    #[inline]
-    fn argmin_sequence(&mut self, key: u64, d: usize, ts_ms: u64) -> usize {
-        let mut best = self.choice(0, key);
-        let mut best_load = self.estimate.load(best, ts_ms);
-        for i in 1..d {
-            let c = self.choice(i, key);
-            let l = self.estimate.load(c, ts_ms);
-            if pkg_metrics::prefers(self.capacities.as_ref(), l, c, best_load, best) {
-                best = c;
-                best_load = l;
-            }
-        }
-        best
-    }
-
-    /// Least-loaded live worker (W-Choices head path); ties break toward
-    /// the lower index.
-    #[inline]
-    fn argmin_all(&mut self, ts_ms: u64) -> usize {
-        let m = self.w_count();
-        let mut best = self.live.as_ref().map_or(0, |live| live[0]);
-        let mut best_load = self.estimate.load(best, ts_ms);
-        for i in 1..m {
-            let c = match &self.live {
-                None => i,
-                Some(live) => live[i],
-            };
-            let l = self.estimate.load(c, ts_ms);
-            if pkg_metrics::prefers(self.capacities.as_ref(), l, c, best_load, best) {
-                best = c;
-                best_load = l;
-            }
-        }
-        best
-    }
-}
-
-impl Partitioner for AdaptiveChoices {
-    fn route(&mut self, key: u64, ts_ms: u64) -> usize {
-        let head_d = self.next_head_d(key);
-        self.tracker.observe(key);
-        let w_count = self.w_count();
-        let w = match head_d {
-            // Tail: exactly PKG's greedy-2 over the first two sequence
-            // members (ties toward the earlier member), so on streams with
-            // no head keys the scheme is byte-identical to PKG.
-            None => self.argmin_sequence(key, 2.min(w_count), ts_ms),
-            Some(d) if d >= w_count => self.argmin_all(ts_ms),
-            Some(d) => self.argmin_sequence(key, d, ts_ms),
-        };
-        self.estimate.record(w);
-        w
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> String {
-        match self.strategy {
-            ChoiceStrategy::DChoices => format!("D-Choices(ε={})", self.config.epsilon),
-            ChoiceStrategy::WChoices => format!("W-Choices(ε={})", self.config.epsilon),
-        }
-    }
-
-    /// The workers the key's *next* message may go to: the first `d`
-    /// members of its hash sequence (all workers for a W-Choices head).
-    /// Computed with the same prediction the router uses, so
-    /// `candidates(k)` immediately followed by `route(k, _)` always
-    /// contains the routed worker.
-    fn candidates(&self, key: u64) -> Vec<usize> {
-        let w_count = self.w_count();
-        match self.next_head_d(key) {
-            None => (0..2.min(w_count)).map(|i| self.choice(i, key)).collect(),
-            Some(d) if d >= w_count => match &self.live {
-                None => (0..self.n).collect(),
-                Some(live) => live.clone(),
-            },
-            Some(d) => (0..d).map(|i| self.choice(i, key)).collect(),
-        }
-    }
-
-    fn resizable(&self) -> bool {
-        true
-    }
-
-    /// Re-derives the head threshold `θ = 2(1+ε)/|live|` and the candidate
-    /// rule over the live count. The head tracker is kept: it was sized for
-    /// `θ_n ≤ θ_live` (live sets only shrink below `n`), so it already
-    /// tracks every key that can be head under the new membership.
-    fn apply_membership(&mut self, live: &[usize]) {
-        check_membership(live, self.n);
-        self.theta = self.config.theta(live.len());
-        self.live = Some(live.to_vec());
-    }
-}
+/// D-Choices / W-Choices are [`PartialKeyGrouping`] under a
+/// [`crate::CandidatePolicy::Head`] policy; the name survives for
+/// `AdaptiveChoices::d_choices(..)` / `::w_choices(..)` call sites.
+pub type AdaptiveChoices = crate::pkg::PartialKeyGrouping;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::Estimate;
+    use crate::partitioner::Partitioner;
     use crate::pkg::PartialKeyGrouping;
     use pkg_metrics::imbalance;
 
@@ -458,7 +231,7 @@ mod tests {
             let live: Vec<usize> = (0..n).step_by(3).collect();
             p.apply_membership(&live);
             // θ is re-derived over the live count.
-            assert!((p.theta() - 2.2 / live.len() as f64).abs() < 1e-12);
+            assert!((p.theta().expect("head policy") - 2.2 / live.len() as f64).abs() < 1e-12);
             for i in 0..50_000u64 {
                 let key = if i % 4 == 0 { 1 } else { i };
                 let cands = p.candidates(key);

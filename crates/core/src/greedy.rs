@@ -1,15 +1,12 @@
-//! The greedy baselines of Q1 (Table II).
+//! Off-Greedy — the offline yardstick of Q1 (Table II).
 //!
-//! * [`OnlineGreedy`] ("On-Greedy"): an online algorithm that assigns each
-//!   *new* key to the least-loaded worker over **all** `n` workers (not just
-//!   two hash candidates) and pins it there. It preserves key-grouping
-//!   semantics at the cost of a full routing table and global choice.
-//! * [`OfflineGreedy`] ("Off-Greedy"): the offline yardstick — it "sorts the
-//!   keys by decreasing frequency and executes On-Greedy" (§V-B), i.e. the
-//!   classic LPT assignment given the whole key histogram in advance. It is
-//!   an unfair comparison for online algorithms; remarkably, Table II shows
-//!   PKG beating it, because key splitting can do what no single-worker
-//!   assignment can.
+//! [`OfflineGreedy`] "sorts the keys by decreasing frequency and executes
+//! On-Greedy" (§V-B), i.e. the classic LPT assignment given the whole key
+//! histogram in advance. It is an unfair comparison for online algorithms;
+//! remarkably, Table II shows PKG beating it, because key splitting can do
+//! what no single-worker assignment can. It consults no live load, so it is
+//! a reference baseline outside the greedy family ([`crate::load_view`]);
+//! On-Greedy itself is [`crate::PinnedGreedy::on_greedy`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,8 +14,7 @@ use std::collections::BinaryHeap;
 use pkg_hash::{FxHashMap, HashFamily};
 use pkg_metrics::Capacities;
 
-use crate::estimator::Estimate;
-use crate::partitioner::{check_membership, family, Partitioner};
+use crate::partitioner::Partitioner;
 
 /// A key-frequency histogram (key id → occurrence count), the input to
 /// Off-Greedy.
@@ -67,104 +63,6 @@ impl KeyFrequencies {
     }
 }
 
-/// On-Greedy: new keys go to the globally least-loaded worker and stick.
-#[derive(Debug, Clone)]
-pub struct OnlineGreedy {
-    n: usize,
-    estimate: Estimate,
-    table: FxHashMap<u64, u32>,
-    /// Per-worker capacity weights: new keys go to the least
-    /// capacity-normalized worker when attached.
-    capacities: Option<Capacities>,
-    /// Live membership subset of `0..n` (pkg-elastic); `None` is the
-    /// untouched fixed-`W` fast path.
-    live: Option<Vec<usize>>,
-    /// Fallback hash for deterministic tie-breaking order of workers.
-    _family: HashFamily,
-}
-
-impl OnlineGreedy {
-    /// On-Greedy over `n` workers consulting `estimate` on first sight.
-    pub fn new(n: usize, estimate: Estimate, seed: u64) -> Self {
-        assert!(n > 0, "need at least one worker");
-        assert_eq!(estimate.n(), n, "estimate must cover all workers");
-        Self {
-            n,
-            estimate,
-            table: FxHashMap::default(),
-            capacities: None,
-            live: None,
-            _family: family(1, seed),
-        }
-    }
-
-    /// Route by capacity-normalized load `L_i/c_i` using these per-worker
-    /// weights (`None` = homogeneous; uniform weights collapse upstream).
-    pub fn with_capacities(mut self, capacities: Option<Capacities>) -> Self {
-        if let Some(c) = &capacities {
-            assert_eq!(c.len(), self.n, "one capacity per worker");
-        }
-        self.capacities = capacities;
-        self
-    }
-
-    /// Number of routing-table entries.
-    pub fn table_entries(&self) -> usize {
-        self.table.len()
-    }
-}
-
-impl Partitioner for OnlineGreedy {
-    #[inline]
-    fn route(&mut self, key: u64, ts_ms: u64) -> usize {
-        let w = match self.table.get(&key) {
-            Some(&w) => w as usize,
-            None => {
-                // Argmin over the live set (all of 0..n when never resized);
-                // ties break toward the earlier live member.
-                let m = self.live.as_ref().map_or(self.n, Vec::len);
-                let mut best = self.live.as_ref().map_or(0, |live| live[0]);
-                let mut best_load = self.estimate.load(best, ts_ms);
-                for i in 1..m {
-                    let w = match &self.live {
-                        None => i,
-                        Some(live) => live[i],
-                    };
-                    let l = self.estimate.load(w, ts_ms);
-                    if pkg_metrics::prefers(self.capacities.as_ref(), l, w, best_load, best) {
-                        best = w;
-                        best_load = l;
-                    }
-                }
-                self.table.insert(key, best as u32);
-                best
-            }
-        };
-        self.estimate.record(w);
-        w
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> String {
-        "OnlineGreedy".into()
-    }
-
-    fn resizable(&self) -> bool {
-        true
-    }
-
-    /// Evicts routing-table entries pinned to dead workers — those keys are
-    /// re-placed on the least-loaded live worker at next sight.
-    fn apply_membership(&mut self, live: &[usize]) {
-        check_membership(live, self.n);
-        self.table.retain(|_, w| live.binary_search(&(*w as usize)).is_ok());
-        self.live = Some(live.to_vec());
-    }
-}
-
 /// Off-Greedy: LPT assignment of keys to workers from a full histogram.
 #[derive(Debug, Clone)]
 pub struct OfflineGreedy {
@@ -190,7 +88,7 @@ impl OfflineGreedy {
             table.insert(key, w);
             heap.push(Reverse((load + count, w)));
         }
-        Self { n, table, fallback: family(1, seed) }
+        Self { n, table, fallback: HashFamily::new(1, seed) }
     }
 
     /// Heterogeneous LPT: each key (by decreasing frequency) goes to the
@@ -226,7 +124,7 @@ impl OfflineGreedy {
             table.insert(key, best as u32);
             loads[best] += count;
         }
-        Self { n, table, fallback: family(1, seed) }
+        Self { n, table, fallback: HashFamily::new(1, seed) }
     }
 
     /// The planned (expected) per-worker loads of the assignment.
@@ -279,44 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn online_greedy_pins_keys() {
-        let mut g = OnlineGreedy::new(5, Estimate::local(5), 1);
-        let w = g.route(9, 0);
-        for t in 1..50 {
-            assert_eq!(g.route(9, t), w);
-        }
-        assert_eq!(g.table_entries(), 1);
-    }
-
-    #[test]
-    fn online_greedy_spreads_new_keys_to_least_loaded() {
-        let mut g = OnlineGreedy::new(3, Estimate::local(3), 2);
-        // Keys 0,1,2 land on three distinct workers (each new key sees the
-        // previous ones' load).
-        let w0 = g.route(0, 0);
-        let w1 = g.route(1, 0);
-        let w2 = g.route(2, 0);
-        let mut ws = [w0, w1, w2];
-        ws.sort_unstable();
-        assert_eq!(ws, [0, 1, 2]);
-    }
-
-    #[test]
-    fn online_greedy_membership_evicts_and_reroutes() {
-        let mut g = OnlineGreedy::new(4, Estimate::local(4), 3);
-        for k in 0..200u64 {
-            g.route(k, 0);
-        }
-        let before = g.table_entries();
-        let live = [1usize, 3];
-        g.apply_membership(&live);
-        assert!(g.table_entries() < before);
-        for k in 0..400u64 {
-            assert!(live.contains(&g.route(k, 1)));
-        }
-    }
-
-    #[test]
     fn offline_greedy_membership_is_unsupported() {
         let f = KeyFrequencies::from_keys([1, 2, 3]);
         let g = OfflineGreedy::new(4, &f, 0);
@@ -355,22 +215,6 @@ mod tests {
         let mut loads = g.planned_loads(&f);
         loads.sort_unstable();
         assert_eq!(loads, vec![8, 10]);
-    }
-
-    #[test]
-    fn online_greedy_weighted_fills_fast_worker_first() {
-        // Worker 0 is 3×: with per-key unit loads, normalized loads are
-        // L_0/[1.8] vs L_{1,2}/[0.6] — the first three new keys land 0, 0, 1
-        // (after two keys worker 0 sits at 2/1.8 > 0/0.6).
-        let caps = Capacities::heterogeneous(&[3.0, 1.0, 1.0]);
-        let mut g = OnlineGreedy::new(3, Estimate::local(3), 2).with_capacities(caps);
-        let mut loads = [0u64; 3];
-        for key in 0..40u64 {
-            loads[g.route(key, 0)] += 1;
-        }
-        // 3× capacity absorbs ~3/5 of the 40 unit keys.
-        assert!((loads[0] as i64 - 24).unsigned_abs() <= 2, "loads = {loads:?}");
-        assert!(loads[1] > 0 && loads[2] > 0);
     }
 
     #[test]

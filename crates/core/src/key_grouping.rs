@@ -8,7 +8,7 @@
 
 use pkg_hash::HashFamily;
 
-use crate::partitioner::{check_membership, family, Partitioner};
+use crate::partitioner::{check_membership, Partitioner};
 
 /// Single-choice hash partitioner (`KG`).
 #[derive(Debug, Clone)]
@@ -25,7 +25,7 @@ impl KeyGrouping {
     /// `seed`.
     pub fn new(n: usize, seed: u64) -> Self {
         assert!(n > 0, "need at least one worker");
-        Self { family: family(1, seed), n, live: None }
+        Self { family: HashFamily::new(1, seed), n, live: None }
     }
 
     #[inline]

@@ -1,13 +1,12 @@
 //! The [`Partitioner`] trait and buildable scheme specifications.
 
-use pkg_hash::HashFamily;
-
-use crate::choice::{AdaptiveChoices, ChoiceConfig, ChoiceStrategy, DEFAULT_EPSILON};
+use crate::choice::DEFAULT_EPSILON;
 use crate::estimator::{EstimateKind, SharedLoads};
-use crate::greedy::{KeyFrequencies, OfflineGreedy, OnlineGreedy};
+use crate::greedy::{KeyFrequencies, OfflineGreedy};
 use crate::key_grouping::KeyGrouping;
-use crate::pkg::PartialKeyGrouping;
-use crate::potc::StaticPotc;
+use crate::load_view::LoadView;
+use crate::pinned::PinnedGreedy;
+use crate::pkg::{CandidatePolicy, HeadCap, PartialKeyGrouping};
 use crate::shuffle::ShuffleGrouping;
 
 /// A stream partitioning function `P_t : K → [n]` (§II of the paper).
@@ -191,52 +190,36 @@ impl SchemeSpec {
         shared: &SharedLoads,
         freqs: Option<&KeyFrequencies>,
     ) -> Box<dyn Partitioner> {
-        let caps = shared.capacities().cloned();
+        // What every load-consulting scheme routes on.
+        let view = |estimate: &EstimateKind| {
+            LoadView::new(n, estimate.build(n, shared))
+                .with_capacities(shared.capacities().cloned())
+        };
         match self {
             SchemeSpec::KeyGrouping => Box::new(KeyGrouping::new(n, seed)),
             SchemeSpec::ShuffleGrouping => Box::new(ShuffleGrouping::with_offset(n, source_index)),
-            SchemeSpec::Pkg { d, estimate } => Box::new(
-                PartialKeyGrouping::new(n, *d, estimate.build(n, shared), seed)
-                    .with_capacities(caps),
-            ),
-            SchemeSpec::StaticPotc { estimate } => {
-                Box::new(StaticPotc::new(n, estimate.build(n, shared), seed).with_capacities(caps))
+            SchemeSpec::Pkg { d, estimate } => {
+                Box::new(PartialKeyGrouping::over(view(estimate), CandidatePolicy::Fixed(*d), seed))
             }
-            SchemeSpec::OnGreedy { estimate } => Box::new(
-                OnlineGreedy::new(n, estimate.build(n, shared), seed).with_capacities(caps),
-            ),
+            SchemeSpec::StaticPotc { estimate } => {
+                Box::new(PinnedGreedy::potc(view(estimate), seed))
+            }
+            SchemeSpec::OnGreedy { estimate } => Box::new(PinnedGreedy::on_greedy(view(estimate))),
             SchemeSpec::OffGreedy => {
                 let freqs = freqs.expect("Off-Greedy requires key frequencies");
-                Box::new(OfflineGreedy::weighted(n, freqs, seed, caps.as_ref()))
+                Box::new(OfflineGreedy::weighted(n, freqs, seed, shared.capacities()))
             }
-            SchemeSpec::DChoices { estimate, epsilon } => Box::new(
-                AdaptiveChoices::new(
-                    n,
-                    ChoiceStrategy::DChoices,
-                    ChoiceConfig::new(*epsilon),
-                    estimate.build(n, shared),
-                    seed,
-                )
-                .with_capacities(caps),
-            ),
-            SchemeSpec::WChoices { estimate, epsilon } => Box::new(
-                AdaptiveChoices::new(
-                    n,
-                    ChoiceStrategy::WChoices,
-                    ChoiceConfig::new(*epsilon),
-                    estimate.build(n, shared),
-                    seed,
-                )
-                .with_capacities(caps),
-            ),
+            SchemeSpec::DChoices { estimate, epsilon }
+            | SchemeSpec::WChoices { estimate, epsilon } => {
+                let cap = match self {
+                    SchemeSpec::DChoices { .. } => HeadCap::PerFrequency,
+                    _ => HeadCap::All,
+                };
+                let policy = CandidatePolicy::Head { epsilon: *epsilon, cap };
+                Box::new(PartialKeyGrouping::over(view(estimate), policy, seed))
+            }
         }
     }
-}
-
-/// Shared helper: a `HashFamily` with the conventions used by every
-/// partitioner in this crate (`d` members derived from the experiment seed).
-pub(crate) fn family(d: usize, seed: u64) -> HashFamily {
-    HashFamily::new(d, seed)
 }
 
 #[cfg(test)]

@@ -16,115 +16,207 @@
 //! it degenerates to key grouping, with `d ≫ n ln n` to shuffle grouping;
 //! the paper proves `I(m) = O(m/n)` for `d ≥ 2` versus
 //! `O(m/n · ln n / ln ln n)` for `d = 1` (Theorem 4.1).
+//!
+//! The follow-up schemes keep this process and change only **how many**
+//! candidates a key gets — see [`CandidatePolicy`] and the [`crate::choice`]
+//! module docs — so they are configurations of the same struct.
 
 use pkg_hash::seeded::MAX_CHOICES;
-use pkg_hash::HashFamily;
-use pkg_metrics::Capacities;
+use pkg_hash::{member_seed, StreamKey};
 
+use crate::choice::ChoiceConfig;
 use crate::estimator::Estimate;
-use crate::partitioner::{check_membership, family, Partitioner};
+use crate::head_tracker::HeadTracker;
+use crate::load_view::LoadView;
+use crate::partitioner::Partitioner;
 
-/// The Greedy-`d` partitioner with key splitting (PKG when `d = 2`).
+/// How many members of its hash sequence a key may be routed among.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CandidatePolicy {
+    /// Every key gets the first `d` members (`1 ≤ d ≤ 16`): the paper's
+    /// Greedy-`d`, PKG at `d = 2`.
+    Fixed(usize),
+    /// Tail keys get two; a key whose estimated frequency reaches
+    /// `θ = 2(1+ε)/W` gets `cap` (D-Choices / W-Choices).
+    Head {
+        /// Relative imbalance target `ε`.
+        epsilon: f64,
+        /// Candidate count of a head key.
+        cap: HeadCap,
+    },
+}
+
+/// Candidate count of a head key under [`CandidatePolicy::Head`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadCap {
+    /// `d(p̂) = ⌈p̂·W/(1+ε)⌉` (D-Choices).
+    PerFrequency,
+    /// Every live worker (W-Choices).
+    All,
+}
+
+/// Head-key classification state of a [`CandidatePolicy::Head`] partitioner.
+#[derive(Debug, Clone)]
+struct Head {
+    config: ChoiceConfig,
+    cap: HeadCap,
+    /// Cached `config.theta(live count)`.
+    theta: f64,
+    tracker: HeadTracker,
+}
+
+/// The greedy partitioner with key splitting: PKG under
+/// [`CandidatePolicy::Fixed`]`(2)`, D-Choices and W-Choices under
+/// [`CandidatePolicy::Head`].
 #[derive(Debug, Clone)]
 pub struct PartialKeyGrouping {
-    family: HashFamily,
-    n: usize,
-    estimate: Estimate,
-    /// Per-worker capacity weights on heterogeneous clusters: the greedy
-    /// choice compares `L_i/c_i` instead of `L_i` ("Load Balancing for
-    /// Skewed Streams on Heterogeneous Clusters"). `None` — including
-    /// collapsed uniform weights — keeps the exact integer comparison.
-    capacities: Option<Capacities>,
-    /// Live membership subset of `0..n` (pkg-elastic). `None` is the
-    /// untouched fixed-`W` fast path — byte-identical to the pre-elastic
-    /// code by construction.
-    live: Option<Vec<usize>>,
-    buf: [usize; MAX_CHOICES],
+    view: LoadView,
+    /// Member seeds of the key hash sequence `H_i(k)`: `d` of them under
+    /// `Fixed(d)`, one per worker under `Head` — the same derivation either
+    /// way, so a head policy's first two candidates are PKG's.
+    seeds: Vec<u64>,
+    /// `None` under a fixed policy: the per-tuple path of plain PKG carries
+    /// no head tracking.
+    head: Option<Head>,
 }
 
 impl PartialKeyGrouping {
     /// PKG over `n` workers with `d` choices (`1 ≤ d ≤ 16`; the paper
     /// recommends 2) and the given load-estimation strategy.
     pub fn new(n: usize, d: usize, estimate: Estimate, seed: u64) -> Self {
-        assert!(n > 0, "need at least one worker");
-        assert_eq!(estimate.n(), n, "estimate must cover all workers");
-        Self {
-            family: family(d, seed),
-            n,
-            estimate,
-            capacities: None,
-            live: None,
-            buf: [0; MAX_CHOICES],
+        Self::over(LoadView::new(n, estimate), CandidatePolicy::Fixed(d), seed)
+    }
+
+    /// D-Choices with the given imbalance target.
+    pub fn d_choices(n: usize, estimate: Estimate, epsilon: f64, seed: u64) -> Self {
+        let policy = CandidatePolicy::Head { epsilon, cap: HeadCap::PerFrequency };
+        Self::over(LoadView::new(n, estimate), policy, seed)
+    }
+
+    /// W-Choices with the given imbalance target.
+    pub fn w_choices(n: usize, estimate: Estimate, epsilon: f64, seed: u64) -> Self {
+        let policy = CandidatePolicy::Head { epsilon, cap: HeadCap::All };
+        Self::over(LoadView::new(n, estimate), policy, seed)
+    }
+
+    /// The general constructor: route over `view` (which carries the
+    /// estimate, capacity weights and live set) under `policy`, with hash
+    /// functions derived from `seed`.
+    pub fn over(view: LoadView, policy: CandidatePolicy, seed: u64) -> Self {
+        let n = view.n();
+        let (members, head) = match policy {
+            CandidatePolicy::Fixed(d) => {
+                assert!(d >= 1, "a hash family needs at least one member");
+                assert!(d <= MAX_CHOICES, "at most {MAX_CHOICES} choices supported");
+                (d, None)
+            }
+            CandidatePolicy::Head { epsilon, cap } => {
+                let config = ChoiceConfig::new(epsilon);
+                let theta = config.theta(n);
+                let tracker = HeadTracker::for_threshold(theta.min(1.0));
+                (n, Some(Head { config, cap, theta, tracker }))
+            }
+        };
+        let seeds = (0..members as u64).map(|i| member_seed(seed, i)).collect();
+        Self { view, seeds, head }
+    }
+
+    /// The head threshold `θ` in effect (`None` under a fixed policy).
+    pub fn theta(&self) -> Option<f64> {
+        self.head.as_ref().map(|h| h.theta)
+    }
+
+    /// Whether the *next* message of `key` routes as a head key (never,
+    /// under a fixed policy). Uses the same prediction as
+    /// [`Partitioner::route`], so it must be consulted *before* routing
+    /// that message (`route` observes the key and can flip the prediction
+    /// for the one after).
+    pub fn is_head(&self, key: u64) -> bool {
+        self.head.as_ref().is_some_and(|h| h.next_d(key, self.view.live_count()).is_some())
+    }
+
+    /// How many members of its hash sequence the *next* message of `key` is
+    /// routed among; `None`: every live worker.
+    #[inline]
+    fn next_count(&self, key: u64) -> Option<usize> {
+        let Some(head) = &self.head else { return Some(self.seeds.len()) };
+        let w = self.view.live_count();
+        match head.next_d(key, w) {
+            None => Some(2.min(w)),
+            Some(d) if d >= w => None,
+            Some(d) => Some(d),
         }
     }
 
-    /// Route by capacity-normalized load `L_i/c_i` using these per-worker
-    /// weights (`None` = homogeneous; uniform weights collapse upstream).
-    pub fn with_capacities(mut self, capacities: Option<Capacities>) -> Self {
-        if let Some(c) = &capacities {
-            assert_eq!(c.len(), self.n, "one capacity per worker");
+    /// Member `i` of `key`'s hash sequence, reduced onto the live set.
+    #[inline]
+    pub(crate) fn choice(&self, i: usize, key: u64) -> usize {
+        self.view.reduce(key.hash_seeded(self.seeds[i]))
+    }
+}
+
+impl Head {
+    /// How the *next* message of `key` will route over `w` live workers:
+    /// `None` for a tail key (the plain two-choice path), `Some(d)` for a
+    /// head key (`d ≥ w` meaning all live workers).
+    fn next_d(&self, key: u64, w: usize) -> Option<usize> {
+        if !self.tracker.next_is_head(key, self.theta) {
+            return None;
         }
-        self.capacities = capacities;
-        self
-    }
-
-    /// Number of choices `d`.
-    pub fn d(&self) -> usize {
-        self.family.d()
-    }
-
-    /// Read access to the live load estimate (for tests/diagnostics).
-    pub fn estimate(&self) -> &Estimate {
-        &self.estimate
+        Some(match self.cap {
+            HeadCap::All => w,
+            HeadCap::PerFrequency => self.config.d_for(self.tracker.next_frequency(key), w),
+        })
     }
 }
 
 impl Partitioner for PartialKeyGrouping {
-    #[inline]
+    // Not `#[inline]`: a downstream crate's own copy of this body measured
+    // ~1.5× slower than a direct call to this crate's (the hash and the
+    // estimate read stop being inlined into it).
     fn route(&mut self, key: u64, ts_ms: u64) -> usize {
-        let d = self.family.d();
-        // Compute the d candidates without allocating; under a membership
-        // subset the same hash members are reduced onto the live set.
-        match &self.live {
-            None => {
-                for i in 0..d {
-                    self.buf[i] = self.family.choice(i, &key, self.n);
-                }
-            }
-            Some(live) => {
-                for i in 0..d {
-                    self.buf[i] = self.family.choice_in(i, &key, live);
-                }
-            }
+        // Ties break toward the earlier member, so with no head keys a head
+        // policy is PKG, byte for byte.
+        let d = self.next_count(key);
+        if let Some(head) = &mut self.head {
+            head.tracker.observe(key);
         }
-        // Pick the candidate with the smallest estimated (capacity-
-        // normalized, when weights are attached) load; ties break toward
-        // the earlier hash function (deterministic).
-        let mut best = self.buf[0];
-        let mut best_load = self.estimate.load(best, ts_ms);
-        for &c in &self.buf[1..d] {
-            let l = self.estimate.load(c, ts_ms);
-            if pkg_metrics::prefers(self.capacities.as_ref(), l, c, best_load, best) {
-                best = c;
-                best_load = l;
+        let w = match d {
+            Some(d) => {
+                let hashes = self.seeds[..d].iter().map(|&s| key.hash_seeded(s));
+                self.view.argmin_hashed(hashes, ts_ms)
             }
-        }
-        self.estimate.record(best);
-        best
+            None => self.view.argmin_live(ts_ms),
+        };
+        self.view.record(w);
+        w
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.view.n()
     }
 
     fn name(&self) -> String {
-        format!("PartialKeyGrouping(d={})", self.family.d())
+        match &self.head {
+            None => format!("PartialKeyGrouping(d={})", self.seeds.len()),
+            Some(Head { config, cap: HeadCap::PerFrequency, .. }) => {
+                format!("D-Choices(ε={})", config.epsilon)
+            }
+            Some(Head { config, cap: HeadCap::All, .. }) => {
+                format!("W-Choices(ε={})", config.epsilon)
+            }
+        }
     }
 
+    /// The workers the key's *next* message may go to: the first `d`
+    /// members of its hash sequence (all live workers for a W-Choices
+    /// head). Computed with the same prediction the router uses, so
+    /// `candidates(k)` immediately followed by `route(k, _)` always
+    /// contains the routed worker.
     fn candidates(&self, key: u64) -> Vec<usize> {
-        match &self.live {
-            None => self.family.choices(&key, self.n),
-            Some(live) => self.family.choices_in(&key, live),
+        match self.next_count(key) {
+            Some(d) => (0..d).map(|i| self.choice(i, key)).collect(),
+            None => self.view.live_workers(),
         }
     }
 
@@ -132,9 +224,15 @@ impl Partitioner for PartialKeyGrouping {
         true
     }
 
+    /// Under a head policy this also re-derives the head threshold
+    /// `θ = 2(1+ε)/|live|`. The head tracker is kept: it was sized for
+    /// `θ_n ≤ θ_live` (live sets only shrink below `n`), so it already
+    /// tracks every key that can be head under the new membership.
     fn apply_membership(&mut self, live: &[usize]) {
-        check_membership(live, self.n);
-        self.live = Some(live.to_vec());
+        self.view.set_live(live);
+        if let Some(head) = &mut self.head {
+            head.theta = head.config.theta(live.len());
+        }
     }
 }
 
@@ -308,7 +406,9 @@ mod tests {
         // The first candidate is a 4× worker, everything else 1×.
         let mut weights = vec![1.0; n];
         weights[cands[0]] = 4.0;
-        let mut p = pkg(n, 2, 6).with_capacities(Capacities::heterogeneous(&weights));
+        let view = LoadView::new(n, Estimate::local(n))
+            .with_capacities(Capacities::heterogeneous(&weights));
+        let mut p = PartialKeyGrouping::over(view, CandidatePolicy::Fixed(2), 6);
         let mut hits = vec![0u64; n];
         for t in 0..10_000u64 {
             hits[p.route(key, t)] += 1;

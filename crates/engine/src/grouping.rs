@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use pkg_core::{
-    AdaptiveChoices, ChoiceConfig, ChoiceStrategy, Estimate, HotAwarePkg, PartialKeyGrouping,
-    Partitioner as _, SharedLoads, DEFAULT_EPSILON,
+    CandidatePolicy, Estimate, HeadCap, LoadView, PartialKeyGrouping, Partitioner as _,
+    SharedLoads, DEFAULT_EPSILON,
 };
 use pkg_elastic::MembershipPlan;
 
@@ -21,17 +21,6 @@ pub enum Grouping {
     Partial {
         /// Number of candidate workers per key.
         d: usize,
-    },
-    /// Hot-aware PKG (an ad-hoc precursor of the W-Choices extension): keys
-    /// locally estimated to exceed `hot_threshold` of the sender's traffic
-    /// may use `d_hot` candidates; everything else uses plain two-choice
-    /// PKG. Prefer [`Grouping::DChoices`]/[`Grouping::WChoices`], which
-    /// implement the journal's candidate-count rule.
-    PartialHot {
-        /// Frequency fraction above which a key counts as hot.
-        hot_threshold: f64,
-        /// Choices for hot keys (`usize::MAX` = all instances).
-        d_hot: usize,
     },
     /// D-CHOICES (the journal follow-up's adaptive scheme): keys whose
     /// locally-estimated frequency crosses `θ = 2(1+ε)/n` get
@@ -188,16 +177,35 @@ pub struct Router {
     n: usize,
 }
 
+// A router is built once per (edge, sender) and routed through in place:
+// boxing the greedy arm would buy nothing but a pointer chase per tuple.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum RouterKind {
-    Shuffle { next: usize },
-    Key { seed: u64 },
-    Partial { pkg: PartialKeyGrouping },
-    PartialHot { pkg: HotAwarePkg },
-    Adaptive { choices: AdaptiveChoices },
-    Elastic { pkg: PartialKeyGrouping, plan: Arc<MembershipPlan>, routed: u64, next_epoch: u32 },
+    Shuffle {
+        next: usize,
+    },
+    Key {
+        seed: u64,
+    },
+    /// Every load-consulting grouping: one greedy partitioner, configured
+    /// by its candidate policy; `elastic` is the plan replay state of an
+    /// [`Grouping::Elastic`] edge.
+    Greedy {
+        pkg: PartialKeyGrouping,
+        elastic: Option<PlanReplay>,
+    },
     Global,
     Broadcast,
+}
+
+/// One sender's position in a [`MembershipPlan`].
+#[derive(Debug)]
+struct PlanReplay {
+    plan: Arc<MembershipPlan>,
+    /// Tuples this sender has routed on the edge.
+    routed: u64,
+    next_epoch: u32,
 }
 
 impl Router {
@@ -230,33 +238,17 @@ impl Router {
             }
             None => Estimate::local(n),
         };
+        let greedy = |policy| RouterKind::Greedy {
+            pkg: PartialKeyGrouping::over(LoadView::new(n, estimate()), policy, seed),
+            elastic: None,
+        };
+        let head = |epsilon: &f64, cap| CandidatePolicy::Head { epsilon: *epsilon, cap };
         let kind = match grouping {
             Grouping::Shuffle => RouterKind::Shuffle { next: sender_index % n },
             Grouping::Key => RouterKind::Key { seed },
-            Grouping::Partial { d } => {
-                RouterKind::Partial { pkg: PartialKeyGrouping::new(n, *d, estimate(), seed) }
-            }
-            Grouping::PartialHot { hot_threshold, d_hot } => RouterKind::PartialHot {
-                pkg: HotAwarePkg::new(n, estimate(), *hot_threshold, (*d_hot).min(n).max(2), seed),
-            },
-            Grouping::DChoices { epsilon } => RouterKind::Adaptive {
-                choices: AdaptiveChoices::new(
-                    n,
-                    ChoiceStrategy::DChoices,
-                    ChoiceConfig::new(*epsilon),
-                    estimate(),
-                    seed,
-                ),
-            },
-            Grouping::WChoices { epsilon } => RouterKind::Adaptive {
-                choices: AdaptiveChoices::new(
-                    n,
-                    ChoiceStrategy::WChoices,
-                    ChoiceConfig::new(*epsilon),
-                    estimate(),
-                    seed,
-                ),
-            },
+            Grouping::Partial { d } => greedy(CandidatePolicy::Fixed(*d)),
+            Grouping::DChoices { epsilon } => greedy(head(epsilon, HeadCap::PerFrequency)),
+            Grouping::WChoices { epsilon } => greedy(head(epsilon, HeadCap::All)),
             Grouping::Elastic { d, plan } => {
                 assert_eq!(
                     plan.capacity(),
@@ -265,7 +257,8 @@ impl Router {
                 );
                 let mut pkg = PartialKeyGrouping::new(n, *d, Estimate::local(n), seed);
                 pkg.apply_membership(plan.live(0));
-                RouterKind::Elastic { pkg, plan: Arc::clone(plan), routed: 0, next_epoch: 1 }
+                let replay = PlanReplay { plan: Arc::clone(plan), routed: 0, next_epoch: 1 };
+                RouterKind::Greedy { pkg, elastic: Some(replay) }
             }
             Grouping::Global => RouterKind::Global,
             Grouping::Broadcast => RouterKind::Broadcast,
@@ -289,11 +282,10 @@ impl Router {
                 use pkg_hash::StreamKey;
                 Target::One((key_id.hash_seeded(*seed) % self.n as u64) as usize)
             }
-            RouterKind::Partial { pkg } => Target::One(pkg.route(key_id, 0)),
-            RouterKind::PartialHot { pkg } => Target::One(pkg.route(key_id, 0)),
-            RouterKind::Adaptive { choices } => Target::One(choices.route(key_id, 0)),
-            RouterKind::Elastic { pkg, routed, .. } => {
-                *routed += 1;
+            RouterKind::Greedy { pkg, elastic } => {
+                if let Some(replay) = elastic {
+                    replay.routed += 1;
+                }
                 Target::One(pkg.route(key_id, 0))
             }
             RouterKind::Global => Target::One(0),
@@ -309,9 +301,7 @@ impl Router {
     /// dispatcher uses this to pick the fallback instance.
     pub fn head_candidates(&self, key_id: u64) -> Option<Vec<usize>> {
         match &self.kind {
-            RouterKind::Adaptive { choices } if choices.is_head(key_id) => {
-                Some(choices.candidates(key_id))
-            }
+            RouterKind::Greedy { pkg, .. } if pkg.is_head(key_id) => Some(pkg.candidates(key_id)),
             _ => None,
         }
     }
@@ -326,7 +316,8 @@ impl Router {
     /// thresholds.
     pub fn advance_epoch(&mut self) -> Option<u32> {
         match &mut self.kind {
-            RouterKind::Elastic { pkg, plan, routed, next_epoch } => {
+            RouterKind::Greedy { pkg, elastic: Some(replay) } => {
+                let PlanReplay { plan, routed, next_epoch } = replay;
                 if *next_epoch < plan.epochs() && *routed >= plan.threshold(*next_epoch) {
                     let epoch = *next_epoch;
                     pkg.apply_membership(plan.live(epoch));
@@ -355,7 +346,7 @@ impl Router {
     /// the batch size, so deferring delivery (not the decision — decisions
     /// stay per-tuple, in stream order) changes nothing.
     pub fn is_batchable(&self) -> bool {
-        !matches!(self.kind, RouterKind::Elastic { .. } | RouterKind::Broadcast)
+        !matches!(self.kind, RouterKind::Greedy { elastic: Some(_), .. } | RouterKind::Broadcast)
     }
 
     /// Route a whole batch of key fingerprints in one pass, grouping the
@@ -395,13 +386,11 @@ impl Router {
                 let seed = *seed;
                 route_each(keys, out, on_route, |k| (k.hash_seeded(seed) % n as u64) as usize);
             }
-            RouterKind::Partial { pkg } => route_each(keys, out, on_route, |k| pkg.route(k, 0)),
-            RouterKind::PartialHot { pkg } => route_each(keys, out, on_route, |k| pkg.route(k, 0)),
-            RouterKind::Adaptive { choices } => {
-                route_each(keys, out, on_route, |k| choices.route(k, 0));
+            RouterKind::Greedy { pkg, elastic: None } => {
+                route_each(keys, out, on_route, |k| pkg.route(k, 0));
             }
             RouterKind::Global => route_each(keys, out, on_route, |_| 0),
-            RouterKind::Elastic { .. } | RouterKind::Broadcast => {
+            RouterKind::Greedy { elastic: Some(_), .. } | RouterKind::Broadcast => {
                 unreachable!("caller checks is_batchable before routing a batch")
             }
         }
@@ -457,28 +446,6 @@ mod tests {
         let mut b = Router::new(&Grouping::Shuffle, 4, 0, 1);
         assert_eq!(a.route(0), Target::One(0));
         assert_eq!(b.route(0), Target::One(1));
-    }
-
-    #[test]
-    fn partial_hot_spreads_extreme_key_past_two() {
-        let n = 16;
-        let mut r =
-            Router::new(&Grouping::PartialHot { hot_threshold: 0.02, d_hot: usize::MAX }, n, 5, 0);
-        let mut hot_targets = std::collections::HashSet::new();
-        for i in 0..20_000u64 {
-            // 50% of traffic on key 0, rest unique.
-            let key = if i % 2 == 0 { 0 } else { i + 1 };
-            if let Target::One(t) = r.route(key) {
-                if key == 0 {
-                    hot_targets.insert(t);
-                }
-            }
-        }
-        assert!(
-            hot_targets.len() > 2,
-            "hot key stayed on {} instances; W-Choices must widen it",
-            hot_targets.len()
-        );
     }
 
     #[test]
@@ -579,7 +546,6 @@ mod tests {
             Grouping::Shuffle,
             Grouping::Key,
             Grouping::partial_key(),
-            Grouping::PartialHot { hot_threshold: 0.05, d_hot: 6 },
             Grouping::d_choices(),
             Grouping::w_choices(),
             Grouping::Global,

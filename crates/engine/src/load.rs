@@ -1,7 +1,7 @@
 //! Engine-side wiring of the pluggable load signals.
 //!
 //! [`LoadSignalOptions`] selects which load *signal* the load-consulting
-//! groupings (`Partial`, `PartialHot`, `DChoices`, `WChoices`) minimize,
+//! groupings (`Partial`, `DChoices`, `WChoices`) minimize,
 //! and whether an online [`CapacityEstimator`] re-derives per-instance
 //! capacity weights from observed service times. When set, every component
 //! that is the destination of at least one load-consulting edge gets one
@@ -59,10 +59,7 @@ impl LoadSignalOptions {
 pub(crate) fn consults_load(grouping: &Grouping) -> bool {
     matches!(
         grouping,
-        Grouping::Partial { .. }
-            | Grouping::PartialHot { .. }
-            | Grouping::DChoices { .. }
-            | Grouping::WChoices { .. }
+        Grouping::Partial { .. } | Grouping::DChoices { .. } | Grouping::WChoices { .. }
     )
 }
 
@@ -104,7 +101,6 @@ mod tests {
     #[test]
     fn load_consulting_groupings_are_exactly_the_greedy_ones() {
         assert!(consults_load(&Grouping::partial_key()));
-        assert!(consults_load(&Grouping::PartialHot { hot_threshold: 0.1, d_hot: 4 }));
         assert!(consults_load(&Grouping::d_choices()));
         assert!(consults_load(&Grouping::w_choices()));
         assert!(!consults_load(&Grouping::Shuffle));

@@ -19,6 +19,9 @@
 //! | `panic`   | `pkg-engine` and              | no `.unwrap()` / `.expect(` — engine errors   |
 //! |           | `pkg-ingress` non-test code   | surface as typed panics with context          |
 //! | `unsafe`  | every crate root              | `#![forbid(unsafe_code)]` present             |
+//! | `argmin`  | whole workspace               | `prefers(`, the greedy comparison, is called  |
+//! |           |                               | only by `LoadView`'s one argmin loop (and     |
+//! |           |                               | defined in `metrics/src/capacity.rs`)         |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -57,6 +60,12 @@ const FACADE_FILES: [&str; 7] = [
 /// (pool spawn-and-join structure is not a sync primitive), as does
 /// `std::time::Duration` (a value type, not a clock).
 const FACADE_BANNED: [&str; 3] = ["std::sync", "std::thread::sleep", "std::time::Instant"];
+
+/// The only files that may spell `prefers(`: its definition and the one
+/// argmin loop of the greedy family. A second loop elsewhere would bring
+/// back a per-scheme tie rule that the byte-identity gates compare with
+/// nothing.
+const ARGMIN_FILES: [&str; 2] = ["crates/metrics/src/capacity.rs", "crates/core/src/load_view.rs"];
 
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
@@ -139,6 +148,9 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     {
         rule_panic(rel, &code, &in_test, &mut out);
     }
+    if !ARGMIN_FILES.contains(&rel) {
+        rule_argmin(rel, &code, &in_test, &mut out);
+    }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
     }
@@ -215,6 +227,18 @@ fn rule_panic(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String
                     i + 1
                 ));
             }
+        }
+    }
+}
+
+fn rule_argmin(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    for (i, line) in code.iter().enumerate() {
+        if !in_test[i] && line.contains("prefers(") {
+            out.push(format!(
+                "{rel}:{}: [argmin] `prefers(` outside LoadView \
+                 (route through `LoadView::argmin`, the family's one argmin loop)",
+                i + 1
+            ));
         }
     }
 }
@@ -659,6 +683,24 @@ mod tests {
         let v = lint("crates/core/src/lib.rs", "fn f() {}\n");
         assert!(v.iter().any(|v| v.contains("[unsafe]")), "{v:?}");
         assert!(lint("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\nfn f() {}\n").is_empty());
+    }
+
+    #[test]
+    fn pasted_second_argmin_loop_is_caught() {
+        let src =
+            "fn pick(caps: Option<&Capacities>, loads: &[u64], cands: &[usize]) -> usize {\n    \
+                   let mut best = cands[0];\n    \
+                   for &c in &cands[1..] {\n        \
+                   if pkg_metrics::prefers(caps, loads[c], c, loads[best], best) {\n            \
+                   best = c;\n        }\n    }\n    best\n}\n";
+        let v = lint("crates/core/src/pkg.rs", src);
+        assert!(v.iter().any(|v| v.contains("[argmin]") && v.contains("pkg.rs:4")), "{v:?}");
+        // The one loop and the definition are where it belongs; importing
+        // the name or mentioning it in a comment is not a call.
+        assert!(lint("crates/core/src/load_view.rs", src).is_empty());
+        assert!(lint("crates/metrics/src/capacity.rs", src).is_empty());
+        let mention = "use pkg_metrics::prefers;\n// prefers(a, b) decides ties\nfn f() {}\n";
+        assert!(lint("crates/core/src/pkg.rs", mention).is_empty());
     }
 
     /// The tree this binary ships in must itself be clean — the same scan

@@ -156,42 +156,6 @@ impl LoadVector {
         &self.loads
     }
 
-    /// Grow the id space to `n` workers: new workers start at zero load,
-    /// existing workers keep their full history (totals, max, and any
-    /// downstream Welford accumulators fed from this vector are
-    /// unaffected). Attached capacities are resized via
-    /// [`Capacities::resized`].
-    ///
-    /// # Panics
-    /// Panics if `n < self.len()` — use [`Self::shrink_to`] to shrink.
-    pub fn grow(&mut self, n: usize) {
-        assert!(n >= self.loads.len(), "grow({n}) below current len {}", self.loads.len());
-        self.loads.resize(n, 0);
-        if let Some(caps) = self.capacities.take() {
-            self.capacities = caps.resized(n);
-        }
-    }
-
-    /// Shrink the id space to the first `n` workers, dropping the history
-    /// of the removed ones (totals and max are recomputed from the
-    /// survivors). For membership changes that *retire* workers without
-    /// renumbering the id space — the elastic layer's normal mode — keep
-    /// the full vector and scope reads with [`Self::imbalance_over`]
-    /// instead; this is for permanently compacting a plan's capacity.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `n > self.len()`.
-    pub fn shrink_to(&mut self, n: usize) {
-        assert!(n > 0, "need at least one worker");
-        assert!(n <= self.loads.len(), "shrink_to({n}) above current len {}", self.loads.len());
-        self.loads.truncate(n);
-        self.total = self.loads.iter().sum();
-        self.max = self.loads.iter().copied().max().unwrap_or(0);
-        if let Some(caps) = self.capacities.take() {
-            self.capacities = caps.resized(n);
-        }
-    }
-
     /// The imbalance of the membership subset `live`:
     /// `max_{i∈live} L_i − avg_{i∈live} L_i`. With `live = 0..n` this is
     /// exactly [`Self::imbalance`]. Loads on non-live workers are ignored
@@ -224,43 +188,6 @@ impl LoadVector {
         self.loads.fill(0);
         self.total = 0;
         self.max = 0;
-    }
-
-    /// Index of the least-loaded worker among `candidates`
-    /// (ties broken toward the earlier candidate, as in the reference
-    /// PKG implementation).
-    #[inline]
-    pub fn argmin_of(&self, candidates: &[usize]) -> usize {
-        debug_assert!(!candidates.is_empty());
-        let mut best = candidates[0];
-        let mut best_load = self.loads[best];
-        for &c in &candidates[1..] {
-            let l = self.loads[c];
-            if l < best_load {
-                best = c;
-                best_load = l;
-            }
-        }
-        best
-    }
-
-    /// Index of the least *capacity-normalized* load among `candidates`
-    /// (ties toward the earlier candidate). Identical to
-    /// [`Self::argmin_of`] — decision by decision — when no heterogeneous
-    /// capacities are attached.
-    #[inline]
-    pub fn weighted_argmin_of(&self, candidates: &[usize]) -> usize {
-        debug_assert!(!candidates.is_empty());
-        let mut best = candidates[0];
-        let mut best_load = self.loads[best];
-        for &c in &candidates[1..] {
-            let l = self.loads[c];
-            if crate::capacity::prefers(self.capacities.as_ref(), l, c, best_load, best) {
-                best = c;
-                best_load = l;
-            }
-        }
-        best
     }
 }
 
@@ -299,15 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn argmin_prefers_first_on_tie() {
-        let mut lv = LoadVector::new(5);
-        lv.record(2, 4);
-        assert_eq!(lv.argmin_of(&[1, 3]), 1);
-        assert_eq!(lv.argmin_of(&[2, 3]), 3);
-        assert_eq!(lv.argmin_of(&[2, 2]), 2);
-    }
-
-    #[test]
     fn reset_zeroes_everything() {
         let mut lv = LoadVector::new(2);
         lv.record(1, 7);
@@ -331,7 +249,6 @@ mod tests {
         lv.record(1, 5);
         assert_eq!(lv.weighted_imbalance(), lv.imbalance());
         assert_eq!(lv.weighted_imbalance_fraction(), lv.imbalance_fraction());
-        assert_eq!(lv.weighted_argmin_of(&[0, 1, 2]), lv.argmin_of(&[0, 1, 2]));
     }
 
     #[test]
@@ -347,60 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn weighted_argmin_prefers_fast_worker() {
-        let mut lv = LoadVector::new(3).with_capacities(&[4.0, 1.0, 1.0]);
-        // Raw loads: worker 0 has 12, worker 1 has 6. Normalized (weights
-        // [2, 0.5, 0.5]): 12/2 = 6 vs 6/0.5 = 12 — the 4× worker wins
-        // despite the higher raw load.
-        lv.record(0, 12);
-        lv.record(1, 6);
-        assert_eq!(lv.argmin_of(&[0, 1]), 1);
-        assert_eq!(lv.weighted_argmin_of(&[0, 1]), 0);
-        // Equal normalized loads tie toward the earlier candidate.
-        let mut tie = LoadVector::new(2).with_capacities(&[2.0, 1.0]);
-        tie.record(0, 8);
-        tie.record(1, 4);
-        assert_eq!(tie.weighted_argmin_of(&[0, 1]), 0);
-        assert_eq!(tie.weighted_argmin_of(&[1, 0]), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "one capacity per worker")]
     fn mismatched_capacities_panic() {
         let _ = LoadVector::new(3).with_capacities(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn grow_preserves_history_and_zeroes_new_workers() {
-        let mut lv = LoadVector::new(2);
-        lv.record(0, 10);
-        lv.record(1, 4);
-        lv.grow(4);
-        assert_eq!(lv.len(), 4);
-        assert_eq!(lv.loads(), &[10, 4, 0, 0]);
-        assert_eq!(lv.total(), 14);
-        assert_eq!(lv.max(), 10);
-    }
-
-    #[test]
-    fn shrink_recomputes_totals_from_survivors() {
-        let mut lv = LoadVector::new(4);
-        lv.record(0, 1);
-        lv.record(3, 9);
-        lv.shrink_to(2);
-        assert_eq!(lv.len(), 2);
-        assert_eq!(lv.total(), 1);
-        assert_eq!(lv.max(), 1);
-    }
-
-    #[test]
-    fn grow_resizes_capacities_with_unit_speed_joiners() {
-        let mut lv = LoadVector::new(2).with_capacities(&[3.0, 1.0]);
-        lv.grow(3);
-        let caps = lv.capacities().expect("still heterogeneous");
-        assert_eq!(caps.len(), 3);
-        // Raw speeds [1.5, 0.5] (normalized) + joiner at 1.0, renormalized.
-        assert!(caps.weight(0) > caps.weight(2) && caps.weight(2) > caps.weight(1));
     }
 
     #[test]

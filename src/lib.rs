@@ -75,8 +75,8 @@ pub mod prelude {
         AggregatorBolt, Collector, Count, Mean, PartialAgg, Sum, TopK, WindowedWorkerBolt,
     };
     pub use pkg_core::{
-        Estimate, EstimateKind, KeyGrouping, OfflineGreedy, OnlineGreedy, PartialKeyGrouping,
-        Partitioner, SchemeSpec, ShuffleGrouping, StaticPotc,
+        Estimate, EstimateKind, KeyGrouping, OfflineGreedy, PartialKeyGrouping, Partitioner,
+        PinnedGreedy, SchemeSpec, ShuffleGrouping,
     };
     pub use pkg_datagen::DatasetProfile;
     pub use pkg_elastic::{Change, MembershipPlan};

@@ -356,6 +356,56 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn load_view_argmin_equals_the_naive_reference(
+        workers in prop::collection::vec((0u64..40, 0.25f64..4.0), 2..24),
+        picks in prop::collection::vec(any::<u64>(), 1..40),
+        live_mask: u32,
+        cap in 0.1f64..8.0,
+    ) {
+        // The one argmin against min-by-(load, position), written without
+        // it: a later candidate wins only if strictly smaller — by the
+        // integer comparison, or cross-multiplied `L_a·c_b < L_b·c_a` under
+        // weights. Candidates repeat freely.
+        let n = workers.len();
+        let (loads, weights): (Vec<u64>, Vec<f64>) = workers.into_iter().unzip();
+        let reference = |caps: Option<&pkg_metrics::Capacities>, cands: &[usize]| {
+            let less = |a: usize, b: usize| match caps {
+                None => loads[a] < loads[b],
+                Some(c) => (loads[a] as f64) * c.weight(b) < (loads[b] as f64) * c.weight(a),
+            };
+            cands.iter().copied().reduce(|best, c| if less(c, best) { c } else { best })
+                .expect("at least one candidate")
+        };
+        let subset: Vec<usize> = (0..n).filter(|i| live_mask >> i & 1 == 1).collect();
+        let full: Vec<usize> = (0..n).collect();
+        let skewed = pkg_metrics::Capacities::heterogeneous(&weights);
+        // Uniform weights of any value collapse at construction, so that
+        // leg must give the unweighted answer.
+        let uniform = pkg_metrics::Capacities::heterogeneous(&vec![cap; n]);
+        for live in [None, (!subset.is_empty()).then_some(&subset)] {
+            let allowed = live.unwrap_or(&full);
+            let cands: Vec<usize> =
+                picks.iter().map(|&p| allowed[(p % allowed.len() as u64) as usize]).collect();
+            for caps in [None, uniform.clone(), skewed.clone()] {
+                let mut view = pkg_core::LoadView::new(n, Estimate::local(n))
+                    .with_capacities(caps.clone());
+                for (w, &l) in loads.iter().enumerate() {
+                    (0..l).for_each(|_| view.record(w));
+                }
+                if let Some(live) = live {
+                    view.set_live(live);
+                }
+                let want = reference(caps.as_ref(), &cands);
+                prop_assert_eq!(view.argmin(cands.iter().copied(), 0), want);
+                // The two derived entry points enumerate, then run the same
+                // loop: a key's hash sequence and every live worker.
+                prop_assert_eq!(view.argmin_hashed(picks.iter().copied(), 0), want);
+                prop_assert_eq!(view.argmin_live(0), reference(caps.as_ref(), allowed));
+            }
+        }
+    }
 }
 
 /// Build a valid join/leave schedule from raw fuzz input: each toggle flips
