@@ -29,9 +29,16 @@ pub struct Counter {
 
 /// A SPACESAVING stream summary with at most `k` counters.
 ///
-/// Operations are `O(log k)` via an indexed binary min-heap on counts (the
-/// original paper's bucket list achieves `O(1)`; at the `k ≤ 10⁴` sizes used
-/// here the heap is simpler and the difference immaterial — see DESIGN.md).
+/// Operations are `O(log k)` via an indexed binary min-heap on counts. The
+/// original paper's bucket list is `O(1)` per unit increment, and that is
+/// not immaterial: the routing core's `pkg_core::HeadTracker` is built on
+/// it, and the per-layer ledger's `core.head_tracker_observe_ns` is about a
+/// third of this sketch's `agg.spacesaving_offer_ns` (both on Zipf keys).
+/// This sketch keeps the heap because it takes *weighted* offers (an
+/// increment by `w` must search the bucket list instead of stepping to the
+/// next bucket), tracks a per-counter error, and must merge and encode —
+/// none of which the bucket list makes cheaper. Moving it onto the same
+/// summary is open work.
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: usize,

@@ -26,7 +26,7 @@ use pkg_hash::{member_seed, StreamKey};
 
 use crate::choice::ChoiceConfig;
 use crate::estimator::Estimate;
-use crate::head_tracker::HeadTracker;
+use crate::head_tracker::{is_head_at, HeadTracker};
 use crate::load_view::LoadView;
 use crate::partitioner::Partitioner;
 
@@ -141,11 +141,7 @@ impl PartialKeyGrouping {
     fn next_count(&self, key: u64) -> Option<usize> {
         let Some(head) = &self.head else { return Some(self.seeds.len()) };
         let w = self.view.live_count();
-        match head.next_d(key, w) {
-            None => Some(2.min(w)),
-            Some(d) if d >= w => None,
-            Some(d) => Some(d),
-        }
+        members(head.next_d(key, w), w)
     }
 
     /// Member `i` of `key`'s hash sequence, reduced onto the live set.
@@ -156,17 +152,36 @@ impl PartialKeyGrouping {
 }
 
 impl Head {
-    /// How the *next* message of `key` will route over `w` live workers:
-    /// `None` for a tail key (the plain two-choice path), `Some(d)` for a
-    /// head key (`d ≥ w` meaning all live workers).
-    fn next_d(&self, key: u64, w: usize) -> Option<usize> {
-        if !self.tracker.next_is_head(key, self.theta) {
+    /// How a message of a key counted `count` times in `total` observations
+    /// routes over `w` live workers: `None` for a tail key (the plain
+    /// two-choice path), `Some(d)` for a head key (`d ≥ w` meaning all live
+    /// workers). The one classification: routing feeds it what `observe`
+    /// returned, prediction what the next `observe` will return.
+    #[inline]
+    fn classify(&self, count: u64, total: u64, w: usize) -> Option<usize> {
+        if !is_head_at(count, total, self.theta) {
             return None;
         }
         Some(match self.cap {
             HeadCap::All => w,
-            HeadCap::PerFrequency => self.config.d_for(self.tracker.next_frequency(key), w),
+            HeadCap::PerFrequency => self.config.d_for(count as f64 / total as f64, w),
         })
+    }
+
+    /// [`Self::classify`] for the *next* message of `key`.
+    fn next_d(&self, key: u64, w: usize) -> Option<usize> {
+        self.classify(self.tracker.next_count(key), self.tracker.total() + 1, w)
+    }
+}
+
+/// Hash-sequence members a message classified `d` (see [`Head::classify`])
+/// is routed among over `w` live workers; `None`: every live worker.
+#[inline]
+fn members(d: Option<usize>, w: usize) -> Option<usize> {
+    match d {
+        None => Some(2.min(w)),
+        Some(d) if d >= w => None,
+        Some(d) => Some(d),
     }
 }
 
@@ -176,11 +191,16 @@ impl Partitioner for PartialKeyGrouping {
     // estimate read stop being inlined into it).
     fn route(&mut self, key: u64, ts_ms: u64) -> usize {
         // Ties break toward the earlier member, so with no head keys a head
-        // policy is PKG, byte for byte.
-        let d = self.next_count(key);
-        if let Some(head) = &mut self.head {
-            head.tracker.observe(key);
-        }
+        // policy is PKG, byte for byte. A head policy probes its tracker
+        // once: `observe`, then classify from what it returned.
+        let d = match &mut self.head {
+            None => Some(self.seeds.len()),
+            Some(head) => {
+                let count = head.tracker.observe(key);
+                let w = self.view.live_count();
+                members(head.classify(count, head.tracker.total(), w), w)
+            }
+        };
         let w = match d {
             Some(d) => {
                 let hashes = self.seeds[..d].iter().map(|&s| key.hash_seeded(s));

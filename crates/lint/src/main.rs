@@ -22,6 +22,8 @@
 //! | `argmin`  | whole workspace               | `prefers(`, the greedy comparison, is called  |
 //! |           |                               | only by `LoadView`'s one argmin loop (and     |
 //! |           |                               | defined in `metrics/src/capacity.rs`)         |
+//! | `ordered_`| `pkg-core` non-test code      | no `BTreeMap` / `BTreeSet` — per-message      |
+//! | `map`     |                               | routing state stays O(1)                      |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -66,6 +68,11 @@ const FACADE_BANNED: [&str; 3] = ["std::sync", "std::thread::sleep", "std::time:
 /// back a per-scheme tie rule that the byte-identity gates compare with
 /// nothing.
 const ARGMIN_FILES: [&str; 2] = ["crates/metrics/src/capacity.rs", "crates/core/src/load_view.rs"];
+
+/// Ordered collections the `ordered_map` rule bans from the routing core:
+/// their O(log n) updates on the per-message path are what the head
+/// tracker's stream-summary replaced.
+const ORDERED_MAPS: [&str; 2] = ["BTreeMap", "BTreeSet"];
 
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
@@ -150,6 +157,9 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     }
     if !ARGMIN_FILES.contains(&rel) {
         rule_argmin(rel, &code, &in_test, &mut out);
+    }
+    if rel.starts_with("crates/core/src/") {
+        rule_ordered_map(rel, &code, &in_test, &mut out);
     }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
@@ -239,6 +249,20 @@ fn rule_argmin(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<Strin
                  (route through `LoadView::argmin`, the family's one argmin loop)",
                 i + 1
             ));
+        }
+    }
+}
+
+fn rule_ordered_map(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    for (i, line) in code.iter().enumerate() {
+        for map in ORDERED_MAPS {
+            if !in_test[i] && has_word(line, map) {
+                out.push(format!(
+                    "{rel}:{}: [ordered_map] `{map}` in pkg-core \
+                     (per-message routing state must stay O(1))",
+                    i + 1
+                ));
+            }
         }
     }
 }
@@ -701,6 +725,21 @@ mod tests {
         assert!(lint("crates/metrics/src/capacity.rs", src).is_empty());
         let mention = "use pkg_metrics::prefers;\n// prefers(a, b) decides ties\nfn f() {}\n";
         assert!(lint("crates/core/src/pkg.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_btreemap_field_in_core_is_caught() {
+        let src = "use std::collections::BTreeMap;\n\
+                   pub struct Tracker {\n    buckets: BTreeMap<u64, Vec<u64>>,\n}\n";
+        let v = lint("crates/core/src/head_tracker.rs", src);
+        assert!(v.iter().any(|v| v.contains("[ordered_map]") && v.contains(".rs:3")), "{v:?}");
+        assert!(v.iter().any(|v| v.contains("[ordered_map]") && v.contains(".rs:1")), "{v:?}");
+        // Outside pkg-core, in core test code, or in a comment it is fine.
+        assert!(lint("crates/agg/src/topk.rs", src).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/core/src/head_tracker.rs", &gated).is_empty());
+        let mention = "// replaced a BTreeMap<u64, FxHashSet<u64>>\nfn f() {}\n";
+        assert!(lint("crates/core/src/head_tracker.rs", mention).is_empty());
     }
 
     /// The tree this binary ships in must itself be clean — the same scan

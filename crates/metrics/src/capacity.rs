@@ -91,20 +91,6 @@ impl Capacities {
         load as f64 / self.weights[w]
     }
 
-    /// The same capacity vector over a grown or shrunk id space: existing
-    /// workers keep their relative speeds, workers added past the current
-    /// length join at the pre-normalization mean speed (weight 1), and the
-    /// result is renormalized to mean 1. Collapses to `None` when the
-    /// resize makes the vector uniform — exactly the
-    /// [`Self::heterogeneous`] construction rule, so elastic resizes keep
-    /// the uniform-collapse invariant.
-    pub fn resized(&self, n: usize) -> Option<Self> {
-        assert!(n > 0, "need at least one worker capacity");
-        let mut w: Vec<f64> = self.weights.iter().copied().take(n).collect();
-        w.resize(n, 1.0);
-        Self::heterogeneous(&w)
-    }
-
     /// The capacity weights restricted to a membership subset,
     /// renormalized to mean 1 over the survivors (same collapse rule as
     /// [`Self::heterogeneous`]). Used for epoch-scoped weighted imbalance.
@@ -228,19 +214,6 @@ mod tests {
     #[should_panic(expected = "finite and positive")]
     fn non_positive_weight_panics() {
         let _ = Capacities::heterogeneous(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn resized_keeps_relative_speeds_and_collapses_when_uniform() {
-        let caps = Capacities::heterogeneous(&[2.0, 1.0, 1.0]).expect("het");
-        let grown = caps.resized(4).expect("still heterogeneous");
-        assert_eq!(grown.len(), 4);
-        // Worker 0 stays 2x workers 1 and 2; the joiner arrives at mean
-        // speed (pre-normalization weight 1).
-        assert!((grown.weight(0) / grown.weight(1) - 2.0).abs() < 1e-12);
-        assert_eq!(grown.weight(1), grown.weight(2));
-        // Shrinking to the uniform prefix collapses to None.
-        assert!(caps.resized(1).is_none());
     }
 
     #[test]

@@ -292,6 +292,139 @@ proptest! {
     }
 }
 
+/// Space-Saving in O(capacity) per step, with the head tracker's victim
+/// rule: entries sit in the order they reached their current count (a
+/// counted entry moves to the back), and the victim is the first entry at
+/// the minimum count.
+struct NaiveSpaceSaving {
+    capacity: usize,
+    entries: Vec<(u64, u64)>,
+}
+
+impl NaiveSpaceSaving {
+    fn observe(&mut self, key: u64) -> u64 {
+        let at = match self.entries.iter().position(|&(k, _)| k == key) {
+            Some(i) => Some(i),
+            None if self.entries.len() < self.capacity => None,
+            None => {
+                let min = self.min();
+                self.entries.iter().position(|&(_, c)| c == min)
+            }
+        };
+        let count = at.map_or(0, |i| self.entries.remove(i).1) + 1;
+        self.entries.push((key, count));
+        count
+    }
+
+    fn count(&self, key: u64) -> u64 {
+        self.entries.iter().find(|&&(k, _)| k == key).map_or(0, |&(_, c)| c)
+    }
+
+    fn min(&self) -> u64 {
+        self.entries.iter().map(|&(_, c)| c).min().unwrap_or(0)
+    }
+}
+
+// The O(1) head tracker against its naive reference, and head routing
+// across evictions, in a fresh proptest! block (the vendored tt-muncher's
+// recursion depth scales with one block's tokens).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn head_tracker_equals_the_naive_space_saving(
+        capacity in 1usize..64,
+        alphabet in 1u64..160,
+        wide: bool,
+        draws in prop::collection::vec((any::<u64>(), 0u8..4), 1..1_500),
+    ) {
+        // One in four draws is one of four hot keys; the rest come from a
+        // small alphabet (mostly hits) or all of u64 (mostly evictions).
+        let keys: Vec<u64> = draws
+            .iter()
+            .map(|&(raw, pick)| match pick {
+                0 => raw % 4,
+                _ if wide => raw,
+                _ => raw % alphabet,
+            })
+            .collect();
+        let mut tracker = pkg_core::HeadTracker::new(capacity);
+        let mut naive = NaiveSpaceSaving { capacity, entries: Vec::new() };
+        let mut occ = std::collections::HashMap::new();
+        for (i, &key) in keys.iter().enumerate() {
+            // The prediction `is_head` / `candidates` rely on, evictions
+            // included, before the observe it predicts.
+            let (next, next_freq) = (tracker.next_count(key), tracker.next_frequency(key));
+            let count = tracker.observe(key);
+            prop_assert_eq!(count, naive.observe(key), "observe diverged at step {}", i);
+            prop_assert_eq!(next, count, "next_count mispredicted step {}", i);
+            prop_assert_eq!(next_freq, count as f64 / tracker.total() as f64);
+            *occ.entry(key).or_insert(0u64) += 1;
+            tracker.check_invariants();
+            let min = tracker.min_count();
+            prop_assert_eq!(min, naive.min());
+            prop_assert_eq!(tracker.tracked(), naive.entries.len());
+            for probe in [key, 0, 1, 2, 3, keys[i / 2], !key] {
+                let (c, o) = (tracker.count(probe), occ.get(&probe).copied().unwrap_or(0));
+                prop_assert_eq!(c, naive.count(probe), "count({}) diverged at step {}", probe, i);
+                if c > 0 {
+                    prop_assert!(o <= c && c <= o + min, "{} ∉ [occ, occ + min] at {}", c, i);
+                } else {
+                    prop_assert!(o <= min, "untracked key occurred {} > min {} times", o, min);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn head_routing_predicts_candidates_across_evictions(
+        many_workers: bool,
+        seed: u64,
+        fill_extra in 0u64..400,
+        hot_tenths in 7u64..10,
+        epoch in 1_000u64..1_500,
+    ) {
+        // Distinct tail keys fill the summary; then two hot keys in turn
+        // (the second over an epoch four times longer) each enter with
+        // the summary full — inheriting the minimum — and climb past θ.
+        let n = if many_workers { 50 } else { 5 };
+        let theta = pkg_core::ChoiceConfig::default().theta(n);
+        let capacity = pkg_core::HeadTracker::for_threshold(theta).capacity() as u64;
+        let hot = [u64::MAX, u64::MAX - 1];
+        let mut stream: Vec<u64> = (0..capacity + fill_extra).collect();
+        for (e, &key) in hot.iter().enumerate() {
+            let start = stream.len() as u64;
+            stream.extend((0..epoch << (2 * e)).map(|i| {
+                if i % 10 < hot_tenths { key } else { start + i }
+            }));
+        }
+        for mut p in [
+            pkg_core::AdaptiveChoices::d_choices(n, Estimate::local(n), pkg_core::DEFAULT_EPSILON, seed),
+            pkg_core::AdaptiveChoices::w_choices(n, Estimate::local(n), pkg_core::DEFAULT_EPSILON, seed),
+        ] {
+            let mut mirror = pkg_core::HeadTracker::for_threshold(theta);
+            let mut became_head = [false; 2];
+            for (t, &key) in stream.iter().enumerate() {
+                let (cands, head) = (p.candidates(key), p.is_head(key));
+                let w = p.route(key, t as u64);
+                prop_assert!(cands.contains(&w), "{} escaped {:?} at t={}", w, cands, t);
+                if !head {
+                    prop_assert_eq!(cands.len(), 2, "tail key {} at t={}", key, t);
+                }
+                if let Some(h) = hot.iter().position(|&k| k == key) {
+                    became_head[h] |= head;
+                    if mirror.count(key) == 0 {
+                        prop_assert_eq!(mirror.tracked(), mirror.capacity());
+                        prop_assert!(mirror.next_count(key) > 1, "hot key {} did not inherit", h);
+                    }
+                }
+                mirror.observe(key);
+            }
+            prop_assert_eq!(became_head, [true, true], "{}", p.name());
+        }
+    }
+}
+
 // Heterogeneous-capacity properties, again in their own proptest! block
 // (the vendored tt-muncher's recursion depth scales with one block's
 // tokens).
