@@ -3,10 +3,8 @@
 use std::time::Duration;
 
 use crate::grouping::{Router, Target};
-use crate::ingress::{DepthGauge, HedgeState};
-use crate::sync::Arc;
+use crate::ingress::HedgeState;
 use crate::tuple::{Packet, Tuple};
-use crossbeam::channel::Sender;
 use pkg_core::SharedLoads;
 use pkg_hash::FxHashMap;
 
@@ -66,10 +64,6 @@ pub struct Emitter<'a> {
 pub(crate) struct OutEdge {
     pub(crate) router: Router,
     pub(crate) tx: EdgeTx,
-    /// Depth gauges of the downstream instances, parallel to the `Channels`
-    /// senders (thread-per-instance executor). Empty under the pool, which
-    /// reads its mailbox lengths directly.
-    pub(crate) depths: Vec<Arc<DepthGauge>>,
     /// Hedged-dispatch state; `Some` only on spout out-edges when the
     /// ingress layer enables hedging.
     pub(crate) hedge: Option<HedgeState>,
@@ -80,14 +74,6 @@ pub(crate) struct OutEdge {
     /// signal; counts and in-flight dispatches are recorded here at emit
     /// time (global estimates make `Estimate::record` a no-op).
     pub(crate) signals: Option<SharedLoads>,
-}
-
-impl OutEdge {
-    /// Deepest downstream gauge on this edge (thread-per-instance depth
-    /// signal; 0 under the pool, whose executors probe mailboxes instead).
-    pub(crate) fn max_gauge_depth(&self) -> usize {
-        self.depths.iter().map(|g| g.load()).max().unwrap_or(0)
-    }
 }
 
 /// Count + in-flight bookkeeping for one routed delivery to `w` on a
@@ -101,86 +87,67 @@ pub(crate) fn note_dispatch(loads: &SharedLoads, w: usize) {
     }
 }
 
-/// Where an edge's packets physically go — the executor-specific half of an
-/// [`OutEdge`] (routing is executor-independent, which is what makes the
-/// two executors byte-identical).
+/// Where an edge's packets physically go: the destinations' task ids, plus
+/// which mailbox kind they use (routing is schedule- and
+/// transport-independent, which is what makes every mode byte-identical).
 pub(crate) enum EdgeTx {
-    /// Blocking bounded channels, one per downstream instance
-    /// (thread-per-instance executor).
-    Channels(Vec<Sender<Packet>>),
-    /// Task ids of the downstream instances (pool executor); delivery goes
-    /// through the shared pool state's mutexed mailboxes.
+    /// Delivery goes through each destination's mutexed mailbox.
     Tasks(Vec<usize>),
-    /// Task ids of downstream instances fed by exactly one upstream sender
-    /// (pool executor); delivery goes through each destination's bounded
-    /// SPSC ring, bypassing the mailbox mutex entirely. Selected at
-    /// `build_out_edges` time — see [`crate::ring`].
+    /// Destinations fed by exactly one upstream sender; delivery goes
+    /// through each destination's bounded SPSC ring, bypassing the mailbox
+    /// mutex entirely. Selected at `run_pool` build time — see
+    /// [`crate::ring`].
     TaskRings(Vec<usize>),
 }
 
 impl EdgeTx {
-    /// Number of downstream instances on this edge.
-    pub(crate) fn fanout(&self) -> usize {
+    /// Task ids of the downstream instances, by instance index.
+    pub(crate) fn dests(&self) -> &[usize] {
         match self {
-            EdgeTx::Channels(txs) => txs.len(),
-            EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests) => dests.len(),
+            EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests) => dests,
         }
     }
 }
 
 /// Delivery discipline of an [`Emitter`].
 pub(crate) enum Sink<'a> {
-    /// Send on the edge channels, blocking while a mailbox is full. Used by
-    /// the thread-per-instance executor (where blocking an OS thread *is*
-    /// the backpressure mechanism) and by [`Emitter::drop_sink`].
-    Blocking,
-    /// Cooperative: non-blocking try-push into downstream mailboxes; on a
-    /// full mailbox the packet spills into the task's outbox and the task
-    /// parks at the end of its activation instead of blocking a worker.
+    /// Non-blocking try-push into downstream mailboxes; on a full mailbox
+    /// the packet spills into the task's outbox and the task parks at the
+    /// end of its activation (under either schedule, the producer's thread
+    /// then waits until the consumer drains).
     Pool {
         shared: &'a crate::pool::Shared,
         outbox: &'a mut std::collections::VecDeque<(usize, Packet)>,
     },
+    /// No outgoing edges ([`Emitter::drop_sink`]): nothing is delivered.
+    Detached,
 }
 
 impl Sink<'_> {
-    /// Deliver one routed packet to `dest` along `tx`. `depths` are the
-    /// edge's downstream gauges (empty under the pool): tuple deliveries
-    /// increment the destination's gauge *before* the send, so the owning
-    /// bolt's decrement on receipt can never underflow it.
-    fn deliver(&mut self, tx: &EdgeTx, depths: &[Arc<DepthGauge>], dest: usize, packet: Packet) {
-        match (tx, self) {
-            (EdgeTx::Channels(txs), Sink::Blocking) => {
-                // Only tuples are gauged: the receiving bolt decrements per
-                // `Packet::Tuple`, and Eof never passes through `deliver`.
-                if matches!(packet, Packet::Tuple(_)) {
-                    if let Some(gauge) = depths.get(dest) {
-                        gauge.inc();
-                    }
-                }
-                // A send fails only if the receiver hung up, which the
-                // shutdown protocol makes impossible before our Eof.
-                if txs[dest].send(packet).is_err() {
-                    unreachable!("downstream alive until Eof");
-                }
+    /// Deliver one routed packet to `tx`'s destination `dest`.
+    fn deliver(&mut self, tx: &EdgeTx, dest: usize, packet: Packet) {
+        let Sink::Pool { shared, outbox } = self else {
+            unreachable!("a detached emitter has no edges to deliver on");
+        };
+        let task = tx.dests()[dest];
+        // Once anything spilled, everything spills: per-destination FIFO
+        // must survive the detour through the outbox.
+        if outbox.is_empty() {
+            match shared.try_push(task, packet) {
+                Ok(()) => {}
+                Err(packet) => outbox.push_back((task, packet)),
             }
-            (EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests), Sink::Pool { shared, outbox }) => {
-                let task = dests[dest];
-                // Once anything spilled, everything spills: per-destination
-                // FIFO must survive the detour through the outbox.
-                if outbox.is_empty() {
-                    match shared.try_push(task, packet) {
-                        Ok(()) => {}
-                        Err(packet) => outbox.push_back((task, packet)),
-                    }
-                } else {
-                    outbox.push_back((task, packet));
-                }
-            }
-            (EdgeTx::Channels(_), Sink::Pool { .. })
-            | (EdgeTx::Tasks(_) | EdgeTx::TaskRings(_), Sink::Blocking) => {
-                unreachable!("edge transport and emitter sink are built by the same executor")
-            }
+        } else {
+            outbox.push_back((task, packet));
+        }
+    }
+
+    /// Queue depth of `tx`'s destination `w`: its mailbox length, a
+    /// lock-free read.
+    fn depth(&self, tx: &EdgeTx, w: usize) -> usize {
+        match self {
+            Sink::Pool { shared, .. } => shared.depth(tx.dests()[w]),
+            Sink::Detached => 0,
         }
     }
 }
@@ -207,7 +174,7 @@ impl Emitter<'_> {
 
     /// Route and deliver one owned tuple on one edge.
     fn emit_on(edge: &mut OutEdge, sink: &mut Sink<'_>, now_ns: u64, key_id: u64, tuple: Tuple) {
-        let OutEdge { router, tx, depths, hedge, signals } = edge;
+        let OutEdge { router, tx, hedge, signals } = edge;
         // No-op on edges without attached signals.
         let note = |signals: &Option<SharedLoads>, w: usize| {
             if let Some(loads) = signals {
@@ -220,8 +187,8 @@ impl Emitter<'_> {
         // traffic — they bypass the router and do not count as emissions.
         while let Some(epoch) = router.advance_epoch() {
             let marker = crate::elastic::epoch_marker(epoch, now_ns);
-            for w in 0..tx.fanout() {
-                sink.deliver(tx, depths, w, Packet::Tuple(marker.clone()));
+            for w in 0..tx.dests().len() {
+                sink.deliver(tx, w, Packet::Tuple(marker.clone()));
             }
         }
         // Hedging applies to head keys only, and their candidate set must
@@ -235,7 +202,7 @@ impl Emitter<'_> {
         match router.route(key_id) {
             Target::One(w) => {
                 if let (Some(state), Some(cands)) = (hedge.as_mut(), hedge_cands) {
-                    if Self::dest_depth(tx, depths, sink, w) > state.budget {
+                    if sink.depth(tx, w) > state.budget {
                         if let Some(&alt) = cands.iter().find(|&&c| c != w) {
                             // The chosen instance is over its latency
                             // budget: issue the tuple to both it and the
@@ -244,39 +211,27 @@ impl Emitter<'_> {
                             let mut tagged = tuple;
                             tagged.payload = pkg_ingress::hedge::encode_tag(state.next_id());
                             note(signals, alt);
-                            sink.deliver(tx, depths, alt, Packet::Tuple(tagged.clone()));
+                            sink.deliver(tx, alt, Packet::Tuple(tagged.clone()));
                             note(signals, w);
-                            sink.deliver(tx, depths, w, Packet::Tuple(tagged));
+                            sink.deliver(tx, w, Packet::Tuple(tagged));
                             return;
                         }
                     }
                 }
                 note(signals, w);
-                sink.deliver(tx, depths, w, Packet::Tuple(tuple));
+                sink.deliver(tx, w, Packet::Tuple(tuple));
             }
             Target::All => {
-                let n = tx.fanout();
+                let n = tx.dests().len();
                 for w in 1..n {
                     note(signals, w);
-                    sink.deliver(tx, depths, w, Packet::Tuple(tuple.clone()));
+                    sink.deliver(tx, w, Packet::Tuple(tuple.clone()));
                 }
                 if n > 0 {
                     note(signals, 0);
-                    sink.deliver(tx, depths, 0, Packet::Tuple(tuple));
+                    sink.deliver(tx, 0, Packet::Tuple(tuple));
                 }
             }
-        }
-    }
-
-    /// Queue depth of `tx`'s destination `w` — the gauge under the thread
-    /// executor, the mailbox length (a lock-free read) under the pool.
-    fn dest_depth(tx: &EdgeTx, depths: &[Arc<DepthGauge>], sink: &Sink<'_>, w: usize) -> usize {
-        match (tx, sink) {
-            (EdgeTx::Channels(_), _) => depths.get(w).map_or(0, |g| g.load()),
-            (EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests), Sink::Pool { shared, .. }) => {
-                shared.depth(dests[w])
-            }
-            _ => 0,
         }
     }
 
@@ -296,12 +251,13 @@ impl Emitter<'_> {
     /// **virtual service clock**: the tuple's service starts when the
     /// previous tuple's ended — or at the wall clock, if the instance was
     /// idle — and ends the charge later. The instance takes no further
-    /// input while that end is still in the future: the pool executor
-    /// parks the task on the central timer wheel (never holding a worker),
-    /// the thread executor sleeps its dedicated thread. A timer that fires
-    /// late is caught up on the following tuples instead of accumulating,
-    /// so the long-run service rate is exact; going idle resets the clock,
-    /// so idleness is never banked.
+    /// input while that end is still in the future: the task parks until
+    /// that deadline — on the central timer wheel under the pool (never
+    /// holding a worker), on its own thread's parker under
+    /// thread-per-instance. A timer that fires late is caught up on the
+    /// following tuples instead of accumulating, so the long-run service
+    /// rate is exact; going idle resets the clock, so idleness is never
+    /// banked.
     ///
     /// Multiple calls within one `execute` accumulate. The knob models
     /// bolt-side processing cost: a charge from a spout or from a
@@ -323,7 +279,7 @@ impl Emitter<'_> {
     pub fn drop_sink(emitted: &mut u64) -> Emitter<'_> {
         Emitter {
             edges: &mut [],
-            sink: Sink::Blocking,
+            sink: Sink::Detached,
             inherit_born_ns: 0,
             now_ns: 1,
             emitted,

@@ -9,17 +9,14 @@
 //! re-injected at end-of-stream via the drain phase, ahead of EOF, so
 //! downstream bolts see degraded summaries as ordinary tuples.
 //!
-//! Depth signals come from two sources depending on executor: the
-//! thread-per-instance executor counts in-flight packets per bolt instance
-//! with a shared [`DepthGauge`] (senders increment, the receiving bolt
-//! decrements), while the pool executor reads its mailboxes' queue lengths
+//! There is one depth signal, whichever schedule drives the instances:
+//! admission and hedging read the destination mailboxes' queue lengths
 //! lock-free (ring indices, or the length the mutexed mailbox publishes
-//! under its lock) and keeps a producer-side high-water mark per slot. Both
-//! surface the same "tuples queued downstream" signal, so watermark
-//! shedding behaves the same under either transport (pinned by
-//! `tests/ingress_overload.rs`).
+//! under its lock), and each mailbox keeps a producer-side high-water mark
+//! that surfaces as `InstanceStats::max_depth`. Watermark shedding
+//! therefore behaves the same under either schedule and either transport
+//! (pinned by `tests/ingress_overload.rs`).
 
-use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Arc;
 use crate::tuple::{Tuple, TupleKey};
 use std::collections::VecDeque;
@@ -90,9 +87,9 @@ impl fmt::Debug for IngressOptions {
     }
 }
 
-/// Per-spout-instance admission state. Both executors consult it with
-/// `(tuple, observed downstream depth, clock)` before emitting; at
-/// end-of-stream they run the drain phase to re-inject whatever the shed
+/// Per-spout-instance admission state. The spout's activation consults it
+/// with `(tuple, observed downstream depth, clock)` before emitting; at
+/// end-of-stream it runs the drain phase to re-inject whatever the shed
 /// policy retained.
 pub(crate) struct SpoutIngress {
     bucket: Option<TokenBucket>,
@@ -127,8 +124,8 @@ impl SpoutIngress {
     }
 
     /// Whether [`Self::offer`] reads `depth`: true iff a watermark or an
-    /// in-flight limit is set. When false, executors skip the downstream
-    /// depth scan and the pool admits on its batched spout path.
+    /// in-flight limit is set. When false, the spout skips the downstream
+    /// depth scan and admits on its batched path.
     pub(crate) fn needs_depth(&self) -> bool {
         self.watermark.is_some() || self.inflight_limit.is_some()
     }
@@ -142,7 +139,7 @@ impl SpoutIngress {
 
     /// Offer one tuple for admission. `depth` is the deepest downstream
     /// queue observed right now (ignored unless [`Self::needs_depth`]);
-    /// `wall_now_ns` is the executor clock (used only when no logical clock
+    /// `wall_now_ns` is the runtime clock (used only when no logical clock
     /// is configured). Returns `true` to admit; on `false` the tuple has
     /// already been handed to the shed policy.
     pub(crate) fn offer(
@@ -178,8 +175,8 @@ impl SpoutIngress {
 
     /// Begin the end-of-stream drain phase: collect whatever the shed
     /// policy retained, as ordinary tuples with empty payloads. Idempotent,
-    /// and restartable through [`Self::next_drained`] — the pool executor
-    /// may yield mid-drain when its outbox fills.
+    /// and restartable through [`Self::next_drained`] — the spout task may
+    /// park mid-drain when its outbox fills.
     pub(crate) fn start_drain(&mut self) {
         if self.drain_started {
             return;
@@ -201,7 +198,7 @@ impl SpoutIngress {
     }
 
     /// Has the drain phase started *and* run dry? Gates the Eof protocol
-    /// in the pool executor (a spout is not complete while retained
+    /// (a spout is not complete while retained
     /// summaries still await re-injection).
     pub(crate) fn drain_complete(&self) -> bool {
         self.drain_started && self.drained.is_empty()
@@ -213,54 +210,6 @@ impl SpoutIngress {
 
     pub(crate) fn degraded(&self) -> u64 {
         self.degraded
-    }
-}
-
-/// Shared in-flight counter for one bolt instance under the
-/// thread-per-instance executor: every upstream sender increments on
-/// delivery, the owning bolt decrements on receipt. The pool executor does
-/// not use gauges — it reads its mailbox lengths directly.
-pub(crate) struct DepthGauge {
-    depth: AtomicUsize,
-    high: AtomicUsize,
-}
-
-impl DepthGauge {
-    pub(crate) fn new() -> Self {
-        Self { depth: AtomicUsize::new(0), high: AtomicUsize::new(0) }
-    }
-
-    pub(crate) fn inc(&self) {
-        // ordering: Relaxed — the gauge is an advisory load signal (shed
-        // watermarks, hedge budgets), never a synchronization edge; the
-        // channel send/recv pair orders the packet itself.
-        let now = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        // Monotonic max via CAS (the facade atomic exposes no fetch_max).
-        // ordering: Relaxed — folds one racy sample into a statistic.
-        let mut cur = self.high.load(Ordering::Relaxed);
-        while now > cur {
-            // ordering: Relaxed — same statistic; retry on a lost race.
-            match self.high.compare_exchange(cur, now, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    pub(crate) fn dec(&self) {
-        // ordering: Relaxed — see `inc`.
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn load(&self) -> usize {
-        // ordering: Relaxed — advisory read; staleness only shifts *when*
-        // shedding engages, never correctness.
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn high(&self) -> usize {
-        // ordering: Relaxed — read after the run joins, which synchronizes.
-        self.high.load(Ordering::Relaxed)
     }
 }
 
@@ -297,21 +246,6 @@ impl HedgeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn depth_gauge_tracks_depth_and_high_water() {
-        let g = DepthGauge::new();
-        g.inc();
-        g.inc();
-        g.inc();
-        g.dec();
-        assert_eq!(g.load(), 2);
-        assert_eq!(g.high(), 3);
-        g.dec();
-        g.dec();
-        assert_eq!(g.load(), 0);
-        assert_eq!(g.high(), 3, "high-water mark never recedes");
-    }
 
     #[test]
     fn watermark_sheds_exactly_at_the_mark() {

@@ -2,12 +2,12 @@
 //!
 //! The paper's Q4 experiments run word count "on a Storm cluster of 10
 //! virtual servers" and measure throughput, end-to-end latency, and memory.
-//! This crate substitutes that cluster with a real multi-threaded engine.
-//! Two executors are available via [`runtime::ExecutorMode`]: the faithful
-//! one-OS-thread-per-PEI mode with blocking bounded channels, and a
-//! cooperative worker-pool scheduler that runs each instance as a task
-//! with a bounded mailbox — letting topologies with hundreds of instances
-//! fit one process. In both, an overloaded instance exerts genuine
+//! This crate substitutes that cluster with a real multi-threaded engine:
+//! every instance is a task with a bounded mailbox, driven by one
+//! activation loop, and [`runtime::ExecutorMode`] picks the schedule — the
+//! faithful one-OS-thread-per-PEI mode, or a cooperative worker pool that
+//! lets topologies with hundreds of instances fit one process. In both, an
+//! overloaded instance exerts genuine
 //! backpressure on its sources (exactly the mechanism that makes load
 //! imbalance destroy throughput), and stream partitioning is pluggable
 //! per edge via [`grouping::Grouping`] — including
@@ -39,7 +39,6 @@
 
 pub mod bolt;
 pub mod elastic;
-pub mod executor;
 pub mod grouping;
 pub mod ingress;
 pub mod load;

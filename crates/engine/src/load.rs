@@ -8,7 +8,7 @@
 //! shared [`SharedLoads`] — all senders route on the same signal, fed by
 //! real observations: dispatches from the emitters, completions (with the
 //! tuple's capacity-scaled `stalled_ns` as the service-time sample) from
-//! the executors, under both executor modes identically.
+//! the activation loop, under either schedule identically.
 //!
 //! The default (`None`, or `TupleCount` with no estimator) attaches
 //! nothing: the builders below return `None` per component and every

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use pkg_metrics::LatencyHistogram;
 
-/// Statistics of one component instance, reported when its executor exits.
+/// Statistics of one component instance, reported when its task completes.
 #[derive(Debug)]
 pub struct InstanceStats {
     /// Component name.
@@ -32,13 +32,11 @@ pub struct InstanceStats {
     /// in nanoseconds, *after* capacity scaling
     /// ([`crate::runtime::RuntimeOptions::capacities`]). Deterministic in
     /// the requested durations, so a half-speed instance reports exactly
-    /// twice the stall of a full-speed one under either executor.
+    /// twice the stall of a full-speed one under either schedule.
     pub stalled_ns: u64,
-    /// Scheduler activations that drove this instance. Under the pool
-    /// executor this counts how often a worker picked the task up (the
-    /// batching quantum's amortization denominator); under
-    /// thread-per-instance the whole run is one long activation, so it
-    /// is 1.
+    /// Activations that drove this instance: how often a thread ran the
+    /// task (the batching quantum's amortization denominator), under
+    /// either schedule.
     pub activations: u64,
     /// Tuples refused at ingress and discarded outright (spouts only; zero
     /// when the ingress layer is disabled).
@@ -51,8 +49,32 @@ pub struct InstanceStats {
     /// budget.
     pub hedges: u64,
     /// High-water mark of this instance's input queue depth (bolts only):
-    /// the deepest its mailbox/gauge got at any point in the run.
+    /// the deepest its mailbox got at any point in the run.
     pub max_depth: u64,
+}
+
+/// Accumulates state-size samples (at every tick and at end of stream).
+#[derive(Debug, Default)]
+pub(crate) struct StateSampler {
+    sum: f64,
+    count: u64,
+    pub(crate) max: usize,
+}
+
+impl StateSampler {
+    pub(crate) fn sample(&mut self, size: usize) {
+        self.sum += size as f64;
+        self.count += 1;
+        self.max = self.max.max(size);
+    }
+
+    pub(crate) fn avg(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
 }
 
 /// Results of one topology run.
@@ -98,7 +120,7 @@ impl RunStats {
         }
     }
 
-    /// Total scheduler activations of a component (pool executor; see
+    /// Total activations of a component (see
     /// [`InstanceStats::activations`]).
     pub fn activations(&self, component: &str) -> u64 {
         self.instances.iter().filter(|i| i.component == component).map(|i| i.activations).sum()

@@ -1,20 +1,30 @@
-//! The cooperative worker-pool executor.
+//! The engine's one instance runtime.
 //!
-//! Instead of one OS thread per instance (`executor.rs`), a fixed pool of N
-//! worker threads drives every instance as a schedulable *task*:
+//! Every processing-element instance is a schedulable *task* driven by the
+//! one activation loop ([`activate`]):
 //!
 //! * Each bolt task owns a bounded **mailbox**; producers `try_push` into
-//!   it and never block an OS thread.
+//!   it and never block inside an activation.
 //! * A task activation drains up to a **batch quantum** of packets
 //!   ([`DEFAULT_BATCH`]), amortizing mailbox locking and emitter setup,
-//!   then yields the worker.
-//! * Tick deadlines live in one central [`TimerWheel`](crate::timer) —
-//!   replacing the per-thread `recv_timeout` of the legacy executor — and
-//!   wake the owning task when due.
+//!   then yields.
 //! * **Backpressure parks instead of blocking**: when an emission finds a
 //!   downstream mailbox full, the packet spills into the task's outbox, the
 //!   task parks, and the *consumer* wakes it after draining (a
 //!   backpressure-release edge, not a timeout).
+//!
+//! Two schedules decide only *who calls [`run_task`] and when*:
+//!
+//! * **Pool** ([`worker_loop`]): a fixed set of worker threads pick tasks
+//!   from a global injector, their own Chase–Lev deques and each other's;
+//!   tick and stall deadlines live in one central
+//!   [`TimerWheel`](crate::timer) that the workers fire.
+//! * **Dedicated threads** ([`owner_loop`], `ExecutorMode::ThreadPerInstance`
+//!   — the paper's one executor per instance): one thread per task runs that
+//!   task only. A wake unparks the owner instead of queueing the task, and
+//!   the owner records its task's own next deadlines instead of a shared
+//!   wheel. [`Shared::wake`] and [`Shared::arm`] are the only places the
+//!   two differ.
 //!
 //! Scheduling state per task is a small atomic state machine
 //! (idle / queued / running / running-notified / parked / done) that makes
@@ -26,8 +36,9 @@
 //! Determinism: all routing state (the per-sender [`Router`]s, seeded by
 //! the same `edge_seed` derivation) is owned by the task and consulted in
 //! the task's own processing order, so a topology routes **byte-identically**
-//! under both executors regardless of how activations interleave — the
-//! property `tests/engine_executor_parity.rs` pins down.
+//! under either schedule regardless of how activations interleave — the
+//! property `tests/engine_executor_parity.rs` pins down, against both the
+//! other schedule and a bare-router replay.
 //!
 //! # Memory ordering policy
 //!
@@ -61,11 +72,11 @@ use pkg_core::SharedLoads;
 use pkg_metrics::LatencyHistogram;
 
 use crate::bolt::{note_dispatch, Bolt, EdgeTx, Emitter, OutEdge, Sink};
-use crate::executor::StateSampler;
 use crate::grouping::{Router, TargetBatch};
-use crate::ingress::{HedgeState, IngressOptions, SpoutIngress};
-use crate::metrics::{InstanceStats, RunStats};
+use crate::ingress::{HedgeState, SpoutIngress};
+use crate::metrics::{InstanceStats, RunStats, StateSampler};
 use crate::ring::SpscRing;
+use crate::runtime::{ExecutorMode, RuntimeOptions};
 use crate::spout::Spout;
 use crate::sync::atomic::{AtomicU8, AtomicUsize, Ordering::SeqCst};
 use crate::sync::{lock, Instant, Mutex, Parker, Unparker};
@@ -76,9 +87,9 @@ use crate::tuple::{Packet, PacketBatch, Tuple};
 /// Default batch quantum: packets drained per task activation.
 pub const DEFAULT_BATCH: usize = 256;
 
-/// Upper bound on an idle worker's sleep. A defensive backstop: all wakes
-/// are edge-triggered, so this only bounds recovery latency, it is not a
-/// correctness mechanism.
+/// Upper bound on an idle worker's (or dedicated owner's) sleep. A
+/// defensive backstop: all wakes are edge-triggered, so this only bounds
+/// recovery latency, it is not a correctness mechanism.
 const MAX_IDLE_PARK: Duration = Duration::from_millis(100);
 
 // Task scheduling states.
@@ -271,8 +282,7 @@ struct TaskSlot {
     mailbox: Option<Mailbox>,
     /// Taken by the worker for the duration of an activation.
     body: Mutex<Option<Box<TaskBody>>>,
-    /// Producer-maintained high-water mark of the mailbox depth — the pool
-    /// analogue of `DepthGauge::high` in the thread executor, surfaced as
+    /// Producer-maintained high-water mark of the mailbox depth, surfaced as
     /// `InstanceStats::max_depth` when the task completes.
     depth_high: AtomicUsize,
 }
@@ -282,7 +292,29 @@ struct Sched {
     timers: TimerWheel,
 }
 
-/// Shared pool state; [`Emitter`] reaches it through [`Sink::Pool`] to
+/// A dedicated thread's hold on its one task under the thread-per-instance
+/// schedule: how to wake it, and the task's pending deadlines.
+struct Owner {
+    unparker: Unparker,
+    /// Touched only by the owner thread (and by `run_pool` arming the first
+    /// tick before the thread starts), so the lock never contends.
+    deadlines: Mutex<Deadlines>,
+}
+
+/// A dedicated owner's stand-in for the shared timer wheel: its task's next
+/// deadlines in ns since `Shared::epoch`, 0 = none. One of each kind is
+/// enough: each is re-armed only by a later activation of the task, and
+/// that activation's deadline supersedes the earlier one (which could only
+/// have resumed the task early, to be parked again).
+#[derive(Default)]
+struct Deadlines {
+    /// Next tick: fires as a `Notify` wake.
+    tick_ns: u64,
+    /// End of the current `Outcome::Stall`: fires as an `Unpark` wake.
+    stall_ns: u64,
+}
+
+/// Shared runtime state; [`Emitter`] reaches it through [`Sink::Pool`] to
 /// deliver emissions without blocking.
 pub(crate) struct Shared {
     tasks: Vec<TaskSlot>,
@@ -290,8 +322,12 @@ pub(crate) struct Shared {
     /// Per-worker run queues for self-requeues; idle workers steal. Each is
     /// a Chase–Lev deque: worker `w` alone pushes/pops queue `w` (LIFO,
     /// cache-hot), siblings steal the oldest entry by CAS — no lock on the
-    /// requeue path.
+    /// requeue path. Under dedicated threads, queue `t` belongs to task
+    /// `t`'s owner and holds at most its own id; nothing steals.
     locals: Vec<WorkStealingDeque>,
+    /// One owner per task under the thread-per-instance schedule, indexed
+    /// by task id; empty under the pool.
+    owners: Vec<Owner>,
     /// Idle workers awaiting work, newest last.
     idlers: Mutex<Vec<(usize, Unparker)>>,
     /// Tasks not yet `DONE`.
@@ -517,8 +553,26 @@ impl Shared {
 
     fn wake(&self, t: usize, kind: &WakeKind) {
         if self.wake_state(t, kind) {
-            lock(&self.sched).runq.push_back(t);
-            self.unpark_one_idler();
+            match self.owners.get(t) {
+                // A dedicated owner is its task's only run queue.
+                Some(owner) => owner.unparker.unpark(),
+                None => {
+                    lock(&self.sched).runq.push_back(t);
+                    self.unpark_one_idler();
+                }
+            }
+        }
+    }
+
+    /// Arm a deadline for task `t`: a tick (`Notify`) or the end of a stall
+    /// (`Unpark`). The pool inserts it into the shared timer wheel; a
+    /// dedicated owner records it as its task's own next deadline.
+    fn arm(&self, t: usize, deadline_ns: u64, kind: &WakeKind) {
+        match (self.owners.get(t), kind) {
+            (Some(owner), WakeKind::Notify) => lock(&owner.deadlines).tick_ns = deadline_ns,
+            (Some(owner), WakeKind::Unpark) => lock(&owner.deadlines).stall_ns = deadline_ns,
+            (None, WakeKind::Notify) => lock(&self.sched).timers.insert(deadline_ns, t),
+            (None, WakeKind::Unpark) => lock(&self.sched).timers.insert_unpark(deadline_ns, t),
         }
     }
 
@@ -550,10 +604,7 @@ fn publish_depth(depth: &AtomicUsize, len: usize) -> usize {
 /// Deepest downstream mailbox across every destination of every edge — the
 /// per-tuple signal of ingress watermark / in-flight-limit admission.
 fn max_downstream_depth(shared: &Shared, edges: &[OutEdge]) -> usize {
-    let dests = edges.iter().flat_map(|e| match &e.tx {
-        EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests) => dests,
-        EdgeTx::Channels(_) => unreachable!("pool tasks only have pool edges"),
-    });
+    let dests = edges.iter().flat_map(|e| e.tx.dests());
     dests.map(|&d| shared.depth(d)).max().unwrap_or(0)
 }
 
@@ -568,15 +619,8 @@ fn take_routed(tuples: &mut [Option<Tuple>], idx: u32) -> Packet {
 
 /// Append one Eof per downstream instance (all edges) to the outbox.
 fn queue_eofs(edges: &[OutEdge], outbox: &mut VecDeque<(usize, Packet)>) {
-    for edge in edges {
-        match &edge.tx {
-            EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests) => {
-                for &d in dests {
-                    outbox.push_back((d, Packet::Eof));
-                }
-            }
-            EdgeTx::Channels(_) => unreachable!("pool tasks only have pool edges"),
-        }
+    for &d in edges.iter().flat_map(|e| e.tx.dests()) {
+        outbox.push_back((d, Packet::Eof));
     }
 }
 
@@ -689,9 +733,7 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                     }
                     None => router.route_batch(batch_keys, targets),
                 }
-                let (EdgeTx::Tasks(dests) | EdgeTx::TaskRings(dests)) = &*tx else {
-                    unreachable!("pool tasks only have pool edges");
-                };
+                let dests = tx.dests();
                 for (d, run) in targets.runs() {
                     shared.push_run(dests[d], run, batch_tuples, outbox);
                 }
@@ -796,8 +838,7 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
             }
         }
         TaskKind::Bolt { bolt, eof_remaining, tick_period_ns, next_tick_ns } => {
-            // 1. Tick deadlines, catching up on every overdue period (the
-            //    legacy executor's deadline-first loop does the same).
+            // 1. Tick deadlines, catching up on every overdue period.
             if let Some(period) = *tick_period_ns {
                 let mut now_ns = shared.now_ns();
                 let mut fired = false;
@@ -821,8 +862,8 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                     now_ns = shared.now_ns();
                 }
                 if fired {
-                    // Re-arm the wheel for the advanced deadline.
-                    lock(&shared.sched).timers.insert(*next_tick_ns, tid);
+                    // Re-arm for the advanced deadline.
+                    shared.arm(tid, *next_tick_ns, &WakeKind::Notify);
                     if !deliver_outbox(shared, tid, outbox) {
                         return Outcome::Park;
                     }
@@ -991,7 +1032,7 @@ fn settle(shared: &Shared, tid: usize, outcome: &Outcome, requeue: impl Fn()) {
             // never fire against RUNNING and be consumed as a no-op.
             // ordering: SeqCst — store, not CAS: absorbs NOTIFIED by design (SC-only model)
             slot.state.store(PARKED, SeqCst);
-            lock(&shared.sched).timers.insert_unpark(*deadline_ns, tid);
+            shared.arm(tid, *deadline_ns, &WakeKind::Unpark);
         }
         Outcome::Done => unreachable!("Done is finalized by run_task, not settled"),
     }
@@ -1026,9 +1067,9 @@ fn run_task(shared: &Shared, tid: usize, wid: usize) {
         // ordering: SeqCst — QUEUED before the id is published to the queue (SC-only model)
         slot.state.store(QUEUED, SeqCst);
         if !shared.locals[wid].push(tid) {
-            // Deques are sized to the task count and a task id is queued at
-            // most once (state machine), so a full deque is unreachable —
-            // but the global injector is a safe overflow all the same.
+            // A task id is queued at most once (state machine) and deques
+            // are sized for that, so a full deque is unreachable — but the
+            // global injector is a safe overflow all the same.
             lock(&shared.sched).runq.push_back(tid);
         }
     };
@@ -1107,50 +1148,107 @@ fn worker_loop(shared: &Shared, wid: usize) {
     }
 }
 
-/// Execute `topology` on a cooperative pool of `workers` threads with a
-/// per-activation quantum of `batch` packets. With `spsc_rings` on,
-/// destinations fed by exactly one upstream sender instance get lock-free
-/// SPSC ring mailboxes instead of mutexed queues.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pool(
-    topology: &Topology,
-    channel_capacity: usize,
-    seed: u64,
-    workers: usize,
-    batch: usize,
-    capacities: &crate::runtime::InstanceCapacities,
-    spsc_rings: bool,
-    ingress: Option<&IngressOptions>,
-    load: Option<&crate::load::LoadSignalOptions>,
-) -> RunStats {
-    // Pool mailboxes are asynchronous queues with no rendezvous mode: a
+/// One pass of a dedicated owner over its task `tid` with the clock at
+/// `now_ns`: fire the task's due deadlines, then run one activation if the
+/// task is runnable. Returns how long the owner may park before its next
+/// pass (zero right after an activation, so the state it settled into is
+/// re-read before any park), or `None` once the task is DONE.
+fn owner_pass(shared: &Shared, tid: usize, now_ns: u64) -> Option<Duration> {
+    let slot = &shared.tasks[tid];
+    let next_ns = {
+        let mut guard = lock(&shared.owners[tid].deadlines);
+        let d = &mut *guard;
+        for (deadline, kind) in
+            [(&mut d.stall_ns, WakeKind::Unpark), (&mut d.tick_ns, WakeKind::Notify)]
+        {
+            if *deadline != 0 && *deadline <= now_ns {
+                *deadline = 0;
+                // The owner is the task's only queue: a wake that makes
+                // it QUEUED is run just below.
+                shared.wake_state(tid, &kind);
+            }
+        }
+        [d.stall_ns, d.tick_ns].into_iter().filter(|&ns| ns != 0).min()
+    };
+    // Runnable: requeued by its own last activation (onto this owner's
+    // deque), or woken by a producer, consumer or deadline (QUEUED).
+    // ordering: SeqCst — pairs with the waker's IDLE/PARKED→QUEUED CAS; a
+    // CAS after this read also unparks us, so the park below returns at
+    // once (SC-only model)
+    if shared.locals[tid].pop().is_some() || slot.state.load(SeqCst) == QUEUED {
+        run_task(shared, tid, tid);
+        return Some(Duration::ZERO);
+    }
+    // ordering: SeqCst — DONE is stored by this thread's own run_task (SC-only model)
+    if slot.state.load(SeqCst) == DONE {
+        return None;
+    }
+    Some(next_ns.map_or(MAX_IDLE_PARK, |d| Duration::from_nanos(d - now_ns).min(MAX_IDLE_PARK)))
+}
+
+/// A dedicated thread's whole life under the thread-per-instance schedule:
+/// pass over its one task until it is DONE, parking in between. Only that
+/// task's wakes unpark `parker`, so a full downstream mailbox blocks this
+/// thread until the consumer drains, as a blocking send would.
+fn owner_loop(shared: &Shared, tid: usize, parker: &Parker) {
+    while let Some(wait) = owner_pass(shared, tid, shared.now_ns()) {
+        if !wait.is_zero() {
+            parker.park_timeout(wait);
+        }
+    }
+}
+
+/// Execute `topology` under `opts`: build every task once, then drive them
+/// with the schedule `opts.executor` names — a pool of worker threads, or
+/// one dedicated thread per task. With `opts.spsc_rings` on, destinations
+/// fed by exactly one upstream sender instance get lock-free SPSC ring
+/// mailboxes instead of mutexed queues.
+pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
+    // Mailboxes are asynchronous queues with no rendezvous mode: a
     // capacity-0 mailbox could never accept a packet and every producer
-    // would park forever. The thread executor's capacity-0 channels are
-    // rendezvous channels; capacity 1 is the closest pool equivalent.
-    let mailbox_capacity = channel_capacity.max(1);
+    // would park forever, so capacity 0 clamps to 1.
+    let mailbox_capacity = opts.channel_capacity.max(1);
     let n_components = topology.components.len();
-    let out_edges = crate::runtime::build_out_edges(topology, seed);
+    let out_edges = crate::runtime::build_out_edges(topology, opts.seed);
     let upstream = crate::runtime::upstream_sender_counts(topology);
-    // Shared load signals per destination component — the same helper the
-    // thread executor uses, so both executors route on identical state.
+    // Shared load signals per destination component, so every sender of
+    // an edge routes on the same signal state.
     let parallelism: Vec<usize> = topology.components.iter().map(|c| c.parallelism).collect();
-    let component_shared = crate::load::component_signals(load, &out_edges, &parallelism);
+    let component_shared =
+        crate::load::component_signals(opts.load.as_ref(), &out_edges, &parallelism);
     let mut first_task = Vec::with_capacity(n_components);
     let mut total_instances = 0usize;
     for c in &topology.components {
         first_task.push(total_instances);
         total_instances += c.parallelism;
     }
+    // Dedicated threads pin worker `t` to task `t`: its deque only ever
+    // holds its own id.
+    let (parkers, workers, batch, deque_cap): (Vec<Parker>, _, _, _) = match opts.executor {
+        ExecutorMode::ThreadPerInstance => {
+            ((0..total_instances).map(|_| Parker::new()).collect(), total_instances, 0, 1)
+        }
+        ExecutorMode::Pool { workers, batch } => {
+            let workers = if workers == 0 {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            } else {
+                workers
+            };
+            // Each task id is queued at most once across all queues (the
+            // QUEUED state is exclusive), so `total + 1` slots never fill.
+            (Vec::new(), workers, batch, total_instances + 1)
+        }
+    };
 
     // A destination whose in-edges carry exactly one upstream sender
     // instance in total is single-producer: its mailbox can be a lock-free
     // SPSC ring (the task state machine serializes that sender's
     // activations, so the discipline holds across worker migration).
-    let use_ring = |ci: usize| spsc_rings && upstream[ci] == 1;
+    let use_ring = |ci: usize| opts.spsc_rings && upstream[ci] == 1;
 
     let epoch = Instant::now();
     let mut tasks = Vec::with_capacity(total_instances);
-    let mut timers = TimerWheel::new();
+    let mut first_ticks = Vec::new();
     let mut runq = VecDeque::new();
     for (ci, c) in topology.components.iter().enumerate() {
         for i in 0..c.parallelism {
@@ -1176,13 +1274,10 @@ pub(crate) fn run_pool(
                             EdgeTx::Tasks(dests)
                         }
                     },
-                    // Gauges are the thread executor's depth signal; the
-                    // pool reads mailbox lengths via `Shared::depth`.
-                    depths: Vec::new(),
-                    hedge: match ingress {
-                        // Same sender id derivation as the thread executor,
-                        // so hedge tags are executor-independent.
-                        Some(opts) if is_spout => opts
+                    hedge: match &opts.ingress {
+                        // The sender id derives from (component, instance)
+                        // only, so hedge tags are schedule-independent.
+                        Some(ingress) if is_spout => ingress
                             .hedge_depth_budget
                             .map(|budget| HedgeState::new(budget, (ci as u64) << 16 | i as u64)),
                         _ => None,
@@ -1192,8 +1287,10 @@ pub(crate) fn run_pool(
                 .collect();
             let (kind, mailbox, initial_state) = match &c.kind {
                 ComponentKind::Spout(factory) => {
-                    runq.push_back(tid);
-                    let ing = ingress.map(|opts| SpoutIngress::new(opts, i));
+                    if parkers.is_empty() {
+                        runq.push_back(tid);
+                    }
+                    let ing = opts.ingress.as_ref().map(|ingress| SpoutIngress::new(ingress, i));
                     (
                         TaskKind::Spout { spout: factory(i), exhausted: false, ingress: ing },
                         None,
@@ -1205,7 +1302,7 @@ pub(crate) fn run_pool(
                     let next_tick_ns = match period_ns {
                         Some(p) => {
                             let deadline = (epoch.elapsed().as_nanos() as u64).max(1) + p;
-                            timers.insert(deadline, tid);
+                            first_ticks.push((tid, deadline));
                             deadline
                         }
                         None => u64::MAX,
@@ -1240,7 +1337,7 @@ pub(crate) fn run_pool(
                     i,
                     kind,
                     edges,
-                    capacities.stall_scale(&c.name, i),
+                    opts.capacities.stall_scale(&c.name, i),
                     component_shared[ci].clone(),
                 )))),
             });
@@ -1249,21 +1346,32 @@ pub(crate) fn run_pool(
 
     let shared = Shared {
         tasks,
-        sched: Mutex::new(Sched { runq, timers }),
-        // Each task id is queued at most once across all queues (the QUEUED
-        // state is exclusive), so `total + 1` slots can never fill.
-        locals: (0..workers).map(|_| WorkStealingDeque::new(total_instances + 1)).collect(),
+        sched: Mutex::new(Sched { runq, timers: TimerWheel::new() }),
+        locals: (0..workers).map(|_| WorkStealingDeque::new(deque_cap)).collect(),
+        owners: parkers
+            .iter()
+            .map(|p| Owner { unparker: p.unparker(), deadlines: Mutex::default() })
+            .collect(),
         idlers: Mutex::new(Vec::new()),
         remaining: AtomicUsize::new(total_instances),
         epoch,
-        batch,
+        batch: if batch == 0 { DEFAULT_BATCH } else { batch },
         stats: Mutex::new(Vec::with_capacity(total_instances)),
     };
+    for (tid, deadline) in first_ticks {
+        shared.arm(tid, deadline, &WakeKind::Notify);
+    }
 
     std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let shared = &shared;
-            scope.spawn(move || worker_loop(shared, wid));
+        let shared = &shared;
+        if parkers.is_empty() {
+            for wid in 0..workers {
+                scope.spawn(move || worker_loop(shared, wid));
+            }
+        } else {
+            for (tid, parker) in parkers.into_iter().enumerate() {
+                scope.spawn(move || owner_loop(shared, tid, &parker));
+            }
         }
     });
 

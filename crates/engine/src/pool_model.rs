@@ -30,11 +30,18 @@
 //!    never queued twice, never stranded, and a resume ahead of the
 //!    deadline re-checks it instead of emitting
 //!    ([`deferred_spout_survives_early_release_and_timer_race`]).
+//! 7. **Dedicated-owner wakes** (the thread-per-instance schedule) — a
+//!    producer's `try_push` + wake racing the owner's activation, its
+//!    `settle(Idle)` and its park never strands a packet
+//!    ([`dedicated_owner_never_loses_a_wake`]), and a data wake racing a
+//!    stall neither cuts the stall short nor is lost once the owner's own
+//!    deadline fires ([`dedicated_stall_survives_a_racing_data_wake`]).
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
 //! the PR 4 stall bug, an unconditional-IDLE variant of the idle
-//! transition, and a spout resume that skips the deadline re-check, and
-//! assert the checker *finds* the violating schedule.
+//! transition, a spout resume that skips the deadline re-check, and an
+//! owner that parks without re-reading the state its activation settled
+//! into, and assert the checker *finds* the violating schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
 // to police fixture code.
@@ -64,6 +71,7 @@ fn mini_shared(n_tasks: usize, cap: usize) -> Shared {
             .collect(),
         sched: Mutex::new(Sched { runq: VecDeque::new(), timers: TimerWheel::new() }),
         locals: vec![WorkStealingDeque::new(8)],
+        owners: Vec::new(),
         idlers: Mutex::new(Vec::new()),
         remaining: AtomicUsize::new(n_tasks),
         epoch: Instant::now(),
@@ -282,7 +290,6 @@ fn deferral_fixture(due: Arc<StdMutex<bool>>) -> Shared {
     let edges = vec![OutEdge {
         router: Router::new(&Grouping::Key, 1, 7, 0),
         tx: EdgeTx::Tasks(vec![1]),
-        depths: Vec::new(),
         hedge: None,
         signals: None,
     }];
@@ -453,7 +460,6 @@ fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> S
     let spout_edges = vec![OutEdge {
         router: Router::new(&Grouping::Key, 1, 7, 0),
         tx,
-        depths: Vec::new(),
         hedge: None,
         signals: None,
     }];
@@ -490,6 +496,7 @@ fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> S
         ],
         sched: Mutex::new(Sched { runq: VecDeque::from([0]), timers: TimerWheel::new() }),
         locals: (0..workers).map(|_| WorkStealingDeque::new(8)).collect(),
+        owners: Vec::new(),
         idlers: Mutex::new(Vec::new()),
         remaining: AtomicUsize::new(2),
         epoch: Instant::now(),
@@ -626,5 +633,134 @@ fn model_ring_spsc_fifo_across_interleavings() {
             Some(1) => assert_eq!(rest, vec![2]),
             other => panic!("consumer observed out-of-order first value {other:?}"),
         }
+    });
+}
+
+/// Task 0 of a one-task `Shared` under the dedicated-thread schedule: an
+/// [`OrderBolt`] sink (one upstream sender) whose owner parks on the
+/// returned parker.
+fn owned_sink(seen: Arc<StdMutex<Vec<i64>>>) -> (Shared, Parker) {
+    let parker = Parker::new();
+    let mut shared = mini_shared(1, 4);
+    shared.owners = vec![Owner { unparker: parker.unparker(), deadlines: Mutex::default() }];
+    let kind = TaskKind::Bolt {
+        bolt: Box::new(OrderBolt { seen }),
+        eof_remaining: 1,
+        tick_period_ns: None,
+        next_tick_ns: u64::MAX,
+    };
+    *lock(&shared.tasks[0].body) = Some(Box::new(blank_body("sink", kind, Vec::new())));
+    (shared, parker)
+}
+
+/// A producer pushes one tuple and the Eof into an idle owned sink while
+/// `owner` drives it; in every interleaving the sink must see the tuple
+/// and reach DONE. Under the model a park never times out, so an owner
+/// that misses a wake is reported as a deadlock.
+fn check_owner(
+    owner: fn(&Shared, usize, &Parker),
+) -> Result<pkg_model::Report, pkg_model::Violation> {
+    pkg_model::Builder::new().preemption_bound(2).check(move || {
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let (shared, parker) = owned_sink(Arc::clone(&seen));
+        let shared = Arc::new(shared);
+        let producer = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || {
+                assert!(shared.try_push(0, Packet::Tuple(Tuple::new(*b"k", 1))).is_ok());
+                assert!(shared.try_push(0, Packet::Eof).is_ok());
+            })
+        };
+        let driver = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || owner(&shared, 0, &parker))
+        };
+        producer.join();
+        driver.join();
+        // ordering: SeqCst — quiescent post-join read (SC-only model)
+        assert_eq!(shared.tasks[0].state.load(SeqCst), DONE);
+        assert_eq!(*seen.lock().expect("order log"), vec![1]);
+    })
+}
+
+/// Invariant 7a, through the real [`owner_loop`] and [`run_task`]: wakes
+/// that land mid-activation (NOTIFIED → a requeue onto the owner's own
+/// deque) and wakes that land after `settle(Idle)` (IDLE → QUEUED + unpark)
+/// both reach the owner.
+#[test]
+fn dedicated_owner_never_loses_a_wake() {
+    let report = check_owner(owner_loop).expect("no schedule may strand the owned task");
+    assert!(
+        report.iterations >= 100,
+        "expected a real interleaving space, got {} schedules",
+        report.iterations
+    );
+}
+
+/// Detection power for invariant 7a: an owner that, after an activation,
+/// parks unless its task is DONE — without re-reading whether the
+/// activation settled back into QUEUED — must be caught: a wake latched
+/// mid-activation requeues without an unpark, so that park never returns.
+#[test]
+fn mutation_owner_parks_without_rereading_its_state_is_caught() {
+    fn parks_after_settle(shared: &Shared, tid: usize, parker: &Parker) {
+        let slot = &shared.tasks[tid];
+        loop {
+            // ordering: SeqCst — as in owner_pass (SC-only model)
+            if shared.locals[tid].pop().is_some() || slot.state.load(SeqCst) == QUEUED {
+                run_task(shared, tid, tid);
+            }
+            // ordering: SeqCst — as in owner_pass (SC-only model)
+            if slot.state.load(SeqCst) == DONE {
+                return;
+            }
+            // BUG (deliberate): parks even when the activation just
+            // settled into QUEUED.
+            parker.park();
+        }
+    }
+    let violation = check_owner(parks_after_settle)
+        .expect_err("an owner that parks without re-reading its state must be caught");
+    assert!(violation.message.contains("deadlock"), "got: {violation}");
+}
+
+/// Invariant 7b: the owned sink settles `Outcome::Stall` while a producer's
+/// data wake races it. The stall holds until the owner's own deadline —
+/// a pass just before it runs nothing — and once the deadline fires the
+/// tuple is processed exactly once, wherever the push landed.
+#[test]
+fn dedicated_stall_survives_a_racing_data_wake() {
+    pkg_model::Builder::new().preemption_bound(2).model(|| {
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let (shared, _parker) = owned_sink(Arc::clone(&seen));
+        let shared = Arc::new(shared);
+        // ordering: SeqCst — fixture set-up before any thread is spawned (SC-only model)
+        shared.tasks[0].state.store(RUNNING, SeqCst);
+        let producer = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || {
+                assert!(shared.try_push(0, Packet::Tuple(Tuple::new(*b"k", 1))).is_ok());
+            })
+        };
+        let owner = {
+            let shared = Arc::clone(&shared);
+            let seen = Arc::clone(&seen);
+            pkg_model::thread::spawn(move || {
+                settle(&shared, 0, &Outcome::Stall(STALL_DEADLINE_NS), || {
+                    unreachable!("a stall settle must never requeue");
+                });
+                let wait = owner_pass(&shared, 0, STALL_DEADLINE_NS - 1);
+                assert!(seen.lock().expect("order log").is_empty(), "stall skipped");
+                assert_eq!(wait, Some(Duration::from_nanos(1)), "parks until its own deadline");
+                owner_pass(&shared, 0, STALL_DEADLINE_NS);
+            })
+        };
+        producer.join();
+        owner.join();
+        // Time moves on; the owner keeps passing while it has work.
+        while owner_pass(&shared, 0, 2 * STALL_DEADLINE_NS) == Some(Duration::ZERO) {}
+        assert_eq!(*seen.lock().expect("order log"), vec![1], "lost wake: tuple never processed");
+        // ordering: SeqCst — quiescent post-join read (SC-only model)
+        assert_eq!(shared.tasks[0].state.load(SeqCst), IDLE);
     });
 }

@@ -1,7 +1,7 @@
-//! Bounded single-producer/single-consumer ring for pool-executor edges.
+//! Bounded single-producer/single-consumer ring mailbox.
 //!
-//! Selected at `build_out_edges` time for destinations with **exactly one
-//! upstream sender instance** (the executor's task state machine serializes
+//! Selected at `run_pool` build time for destinations with **exactly one
+//! upstream sender instance** (the runtime's task state machine serializes
 //! that sender's activations, so the single-producer discipline holds even
 //! as the task migrates across workers; the destination task itself is the
 //! single consumer). MPSC destinations keep the mutexed mailbox.

@@ -1,36 +1,37 @@
-//! Topology execution: either one OS thread per instance with bounded
-//! channels per edge (the original engine, kept as a differential-testing
-//! oracle), or a cooperative worker-pool scheduler (`crate::pool`) that
-//! runs hundred-instance topologies in one process. Both share the same
-//! edge-seed derivation and Eof-counting shutdown, so a topology routes
-//! byte-identically under either executor.
+//! Topology execution: the public knobs ([`RuntimeOptions`],
+//! [`ExecutorMode`]) and the edge-seed derivation every sender routes by.
+//!
+//! There is one instance runtime (`crate::pool`): every instance is a task
+//! with a bounded mailbox, driven by one activation loop. [`ExecutorMode`]
+//! picks only its *schedule* — one dedicated OS thread per instance, or a
+//! cooperative worker pool that runs hundred-instance topologies in one
+//! process — so a topology routes byte-identically under either.
 
-use std::time::Instant;
-
-use crossbeam::channel::{bounded, Sender};
 use pkg_hash::murmur3::fmix64;
 
-use crate::bolt::{EdgeTx, OutEdge};
-use crate::executor::{run_bolt, run_spout};
-use crate::grouping::{Grouping, Router};
-use crate::ingress::{DepthGauge, HedgeState, IngressOptions, SpoutIngress};
-use crate::metrics::{InstanceStats, RunStats};
-use crate::sync::Arc;
-use crate::topology::{ComponentKind, Topology};
-use crate::tuple::Packet;
+use crate::grouping::Grouping;
+use crate::ingress::IngressOptions;
+use crate::metrics::RunStats;
+use crate::topology::Topology;
 
-/// Which executor drives a topology's instances.
+/// Which schedule drives a topology's instances. Both run the same tasks,
+/// mailboxes and activation loop; they differ only in which thread runs an
+/// activation, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorMode {
-    /// One OS thread per processing element instance, blocking bounded
-    /// channels per edge. Faithful to the paper's one-executor-per-PEI
-    /// deployment, but collapses into scheduler thrash beyond ~100
-    /// instances; kept as the differential-testing oracle for the pool.
+    /// One dedicated OS thread per processing element instance — the
+    /// paper's one-executor-per-PEI deployment. Each thread activates only
+    /// its own task: it loops while the task has input, and parks on its
+    /// own parker when the task idles, waits on a full downstream mailbox
+    /// (so backpressure blocks the producer's thread until the consumer
+    /// drains), or waits for its own next tick or stall deadline.
+    /// Collapses into scheduler thrash beyond ~100 instances; kept as the
+    /// second schedule the parity suite compares the pool against.
     ThreadPerInstance,
     /// Cooperative worker-pool scheduler: a fixed pool of worker threads
-    /// drives every instance as a task with its own mailbox, batching
-    /// packets per activation and parking on backpressure instead of
-    /// blocking OS threads. Hundreds of instances fit one process.
+    /// drives every instance's task, batching packets per activation and
+    /// parking a task on backpressure instead of blocking a worker thread.
+    /// Hundreds of instances fit one process.
     Pool {
         /// Worker threads; `0` = `std::thread::available_parallelism()`.
         workers: usize,
@@ -65,8 +66,8 @@ impl ExecutorMode {
 /// keyed by component name. A weight of `0.5` makes that instance
 /// half-speed: every [`crate::bolt::Emitter::stall`] it charges (directly
 /// or through `pkg_agg::ServiceDelay`) is scaled by `1/capacity`, so the
-/// same per-tuple work takes twice as long — inline under the
-/// thread-per-instance executor, on the timer wheel under the pool.
+/// same per-tuple work takes twice as long on the instance's virtual
+/// service clock, under either schedule.
 ///
 /// Instances not covered (unlisted components, or indices past the weight
 /// vector) run at capacity 1.0.
@@ -114,9 +115,10 @@ impl InstanceCapacities {
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
-    /// Capacity of each instance's input queue. Small values propagate
+    /// Capacity of each instance's input mailbox. Small values propagate
     /// backpressure quickly (an overloaded worker stalls its sources — the
-    /// phenomenon Q4 measures); large values decouple components.
+    /// phenomenon Q4 measures); large values decouple components. Mailboxes
+    /// have no rendezvous mode, so `0` clamps to 1 under either schedule.
     pub channel_capacity: usize,
     /// Seed for edge hash functions.
     pub seed: u64,
@@ -125,13 +127,13 @@ pub struct RuntimeOptions {
     /// [`ExecutorMode::ThreadPerInstance`]), so the executor under test is
     /// switchable process-wide.
     pub executor: ExecutorMode,
-    /// Per-instance capacity weights (heterogeneous hardware emulation);
-    /// both executors apply them by scaling emulated service time.
+    /// Per-instance capacity weights (heterogeneous hardware emulation),
+    /// applied by scaling emulated service time.
     pub capacities: InstanceCapacities,
-    /// Pool executor only: give destinations fed by exactly one upstream
-    /// sender instance a lock-free SPSC ring mailbox instead of a mutexed
-    /// queue (on by default; `false` forces every mailbox onto the mutexed
-    /// path, which the parity suite uses as a differential oracle).
+    /// Give destinations fed by exactly one upstream sender instance a
+    /// lock-free SPSC ring mailbox instead of a mutexed queue (on by
+    /// default; `false` forces every mailbox onto the mutexed path, which
+    /// the parity suite uses as a differential oracle).
     pub spsc_rings: bool,
     /// Ingress layer between spouts and the routing layer: admission
     /// control, load shedding, and hedged dispatch (see
@@ -171,7 +173,7 @@ pub fn edge_seed(runtime_seed: u64, from: usize, to: usize) -> u64 {
 }
 
 /// Outgoing edges of each component: `(to, grouping, edge_seed)` in input
-/// declaration order. Shared by both executors so routing is identical.
+/// declaration order.
 pub(crate) fn build_out_edges(topology: &Topology, seed: u64) -> Vec<Vec<(usize, Grouping, u64)>> {
     let mut out_edges: Vec<Vec<(usize, Grouping, u64)>> =
         vec![Vec::new(); topology.components.len()];
@@ -215,190 +217,7 @@ impl Runtime {
     /// drained) and return the collected statistics.
     pub fn run(&self, topology: Topology) -> RunStats {
         topology.validate();
-        match self.opts.executor {
-            ExecutorMode::ThreadPerInstance => self.run_thread_per_instance(topology),
-            ExecutorMode::Pool { workers, batch } => crate::pool::run_pool(
-                &topology,
-                self.opts.channel_capacity,
-                self.opts.seed,
-                if workers == 0 {
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                } else {
-                    workers
-                },
-                if batch == 0 { crate::pool::DEFAULT_BATCH } else { batch },
-                &self.opts.capacities,
-                self.opts.spsc_rings,
-                self.opts.ingress.as_ref(),
-                self.opts.load.as_ref(),
-            ),
-        }
-    }
-
-    /// The original executor: spawn one OS thread per instance.
-    fn run_thread_per_instance(&self, topology: Topology) -> RunStats {
-        let n_components = topology.components.len();
-
-        // Input channels: one per bolt instance. Spouts have none.
-        let mut txs: Vec<Vec<Option<Sender<Packet>>>> = Vec::with_capacity(n_components);
-        let mut rxs: Vec<Vec<Option<crossbeam::channel::Receiver<Packet>>>> =
-            Vec::with_capacity(n_components);
-        for c in &topology.components {
-            match c.kind {
-                ComponentKind::Spout(_) => {
-                    txs.push(vec![None; 0]);
-                    rxs.push(Vec::new());
-                }
-                ComponentKind::Bolt(_) => {
-                    let mut ct = Vec::with_capacity(c.parallelism);
-                    let mut cr = Vec::with_capacity(c.parallelism);
-                    for _ in 0..c.parallelism {
-                        let (tx, rx) = bounded(self.opts.channel_capacity);
-                        ct.push(Some(tx));
-                        cr.push(Some(rx));
-                    }
-                    txs.push(ct);
-                    rxs.push(cr);
-                }
-            }
-        }
-
-        // Reverse adjacency with stable per-edge seeds, and upstream
-        // sender counts for Eof bookkeeping — both shared with the pool
-        // executor so the two route identically.
-        let out_edges = build_out_edges(&topology, self.opts.seed);
-        let upstream_senders = upstream_sender_counts(&topology);
-
-        // Shared load signals per destination component (None everywhere
-        // unless `RuntimeOptions::load` selects a non-default signal); the
-        // same helper feeds the pool executor, so the two executors route
-        // on identical signal state.
-        let parallelism: Vec<usize> = topology.components.iter().map(|c| c.parallelism).collect();
-        let component_shared =
-            crate::load::component_signals(self.opts.load.as_ref(), &out_edges, &parallelism);
-
-        // One depth gauge per bolt instance: every upstream sender
-        // increments on delivery, the owning bolt decrements on receipt.
-        // Always on — they feed `InstanceStats::max_depth` and, when the
-        // ingress layer is enabled, the shed watermark and hedge budget.
-        let gauges: Vec<Vec<Arc<DepthGauge>>> = topology
-            .components
-            .iter()
-            .map(|c| match c.kind {
-                ComponentKind::Spout(_) => Vec::new(),
-                ComponentKind::Bolt(_) => {
-                    (0..c.parallelism).map(|_| Arc::new(DepthGauge::new())).collect()
-                }
-            })
-            .collect();
-
-        let epoch = Instant::now();
-        let (stats_tx, stats_rx) = crossbeam::channel::unbounded::<InstanceStats>();
-        let mut handles = Vec::new();
-        let mut total_instances = 0usize;
-
-        for (ci, c) in topology.components.iter().enumerate() {
-            // An index loop is clearer here: `i` names the instance and is
-            // threaded into routers, receivers and executor identities.
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..c.parallelism {
-                total_instances += 1;
-                let is_spout = matches!(c.kind, ComponentKind::Spout(_));
-                // Build this instance's outgoing edges.
-                let edges: Vec<OutEdge> = out_edges[ci]
-                    .iter()
-                    .map(|(to, grouping, edge_seed)| OutEdge {
-                        router: Router::with_shared(
-                            grouping,
-                            topology.components[*to].parallelism,
-                            *edge_seed,
-                            i,
-                            component_shared[*to].as_ref(),
-                        ),
-                        tx: EdgeTx::Channels(
-                            txs[*to]
-                                .iter()
-                                .map(|t| match t.as_ref() {
-                                    Some(tx) => tx.clone(),
-                                    None => unreachable!("bolt txs live until spawn"),
-                                })
-                                .collect(),
-                        ),
-                        depths: gauges[*to].clone(),
-                        hedge: match &self.opts.ingress {
-                            Some(opts) if is_spout => opts.hedge_depth_budget.map(|budget| {
-                                HedgeState::new(budget, (ci as u64) << 16 | i as u64)
-                            }),
-                            _ => None,
-                        },
-                        signals: component_shared[*to].clone(),
-                    })
-                    .collect();
-                let name = c.name.clone();
-                let stats_tx = stats_tx.clone();
-                let stall_scale = self.opts.capacities.stall_scale(&c.name, i);
-                match &c.kind {
-                    ComponentKind::Spout(factory) => {
-                        let spout = factory(i);
-                        let ingress =
-                            self.opts.ingress.as_ref().map(|opts| SpoutIngress::new(opts, i));
-                        handles.push(std::thread::spawn(move || {
-                            let s = run_spout(name, i, spout, edges, epoch, stall_scale, ingress);
-                            if stats_tx.send(s).is_err() {
-                                unreachable!("stats channel outlives executors");
-                            }
-                        }));
-                    }
-                    ComponentKind::Bolt(factory) => {
-                        let bolt = factory(i);
-                        let Some(rx) = rxs[ci][i].take() else {
-                            unreachable!("each bolt receiver taken once");
-                        };
-                        let eof = upstream_senders[ci];
-                        let tick = c.tick_every;
-                        let gauge = Some(Arc::clone(&gauges[ci][i]));
-                        let own_signals = component_shared[ci].clone();
-                        handles.push(std::thread::spawn(move || {
-                            let s = run_bolt(
-                                name,
-                                i,
-                                bolt,
-                                rx,
-                                edges,
-                                eof,
-                                tick,
-                                epoch,
-                                stall_scale,
-                                gauge,
-                                own_signals,
-                            );
-                            if stats_tx.send(s).is_err() {
-                                unreachable!("stats channel outlives executors");
-                            }
-                        }));
-                    }
-                }
-            }
-        }
-        // Drop the runtime's own sender copies so only executors hold them.
-        drop(txs);
-        drop(stats_tx);
-
-        let mut instances = Vec::with_capacity(total_instances);
-        for _ in 0..total_instances {
-            match stats_rx.recv() {
-                Ok(s) => instances.push(s),
-                Err(_) => panic!("an executor exited without reporting (did a bolt panic?)"),
-            }
-        }
-        for h in handles {
-            if h.join().is_err() {
-                panic!("an executor thread panicked");
-            }
-        }
-        let wall = epoch.elapsed();
-        instances.sort_by(|a, b| a.component.cmp(&b.component).then(a.instance.cmp(&b.instance)));
-        RunStats { wall, instances }
+        crate::pool::run_pool(&topology, &self.opts)
     }
 }
 
@@ -753,8 +572,7 @@ mod tests {
 
     #[test]
     fn pool_zero_capacity_clamps_to_one_and_completes() {
-        // The thread executor's capacity-0 channels are rendezvous
-        // channels; pool mailboxes have no rendezvous mode and clamp to 1
+        // Mailboxes have no rendezvous mode: capacity 0 clamps to 1
         // instead of deadlocking every producer.
         let mut t = Topology::new();
         let s = t.add_spout("src", 1, |_| spout_from_iter(word_stream(500, 7)));

@@ -12,10 +12,11 @@ pub trait Spout: Send {
     fn next(&mut self) -> Option<Tuple>;
 
     /// How long until the next tuple is due; `None` (the default) means
-    /// now. Executors ask before every [`Spout::next`]. On `Some(wait)` the
-    /// pool ends the spout's quantum, delivers what it produced and re-arms
-    /// the task on the timer wheel, holding no worker; the thread executor
-    /// sleeps. Either may ask again early: answer from the source's clock.
+    /// now. The runtime asks before every [`Spout::next`]. On `Some(wait)`
+    /// it ends the spout's quantum, delivers what it produced and parks the
+    /// task until the deadline — on the timer wheel under the pool, holding
+    /// no worker; on its own thread under thread-per-instance. It may ask
+    /// again early: answer from the source's clock.
     fn not_before(&mut self) -> Option<Duration> {
         None
     }

@@ -1,4 +1,4 @@
-//! Facade over the concurrency primitives the pool executor is built on.
+//! Facade over the concurrency primitives the instance runtime is built on.
 //!
 //! Normal builds re-export the `std::sync` / vendored-crossbeam types
 //! unchanged — a pure renaming with identical codegen. With the `pkg_model`

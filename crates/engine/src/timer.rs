@@ -1,11 +1,10 @@
-//! Central timer wheel for the pool executor's tick deadlines.
+//! Central timer wheel for the pool schedule's tick and stall deadlines.
 //!
-//! The thread-per-instance executor realizes tick deadlines with a
-//! `recv_timeout` per bolt thread — every ticking instance costs one blocked
-//! OS thread and one kernel timer. The pool executor replaces all of them
-//! with this single hashed wheel: tasks register `(deadline, task)` entries,
-//! and the workers' scheduling loop calls [`TimerWheel::fire`] to collect
-//! everything due, waking those tasks for a tick activation.
+//! A dedicated thread per instance can sleep until its own next deadline;
+//! the pool's shared workers cannot. They replace all those per-instance
+//! timers with this single hashed wheel: tasks register `(deadline, task)`
+//! entries, and the workers' scheduling loop calls [`TimerWheel::fire`] to
+//! collect everything due, waking those tasks.
 //!
 //! Layout: 256 slots of ~1 ms granules (`GRANULE_NS` is a power of two so
 //! the slot index is a shift, not a division), giving a ~268 ms horizon.

@@ -311,8 +311,8 @@ impl Tuple {
     }
 }
 
-/// What travels on a channel: data, periodic ticks are generated locally by
-/// executors, so only tuples and end-of-stream markers cross threads.
+/// What travels through a mailbox: ticks are generated locally by each
+/// task, so only tuples and end-of-stream markers cross tasks.
 #[derive(Debug)]
 pub enum Packet {
     /// A data tuple.
@@ -325,14 +325,13 @@ pub enum Packet {
 /// A reusable batch of packets drained from a mailbox in one lock
 /// acquisition.
 ///
-/// The pool executor's hot path amortizes synchronization over the batch
-/// quantum: instead of locking the mailbox once per packet (the
-/// channel-`recv` cost structure of the thread-per-instance executor), a
-/// task activation moves up to `B` packets here under a single lock and
+/// The runtime's hot path amortizes synchronization over the batch
+/// quantum: instead of locking the mailbox once per packet, a task
+/// activation moves up to `B` packets here under a single lock and
 /// processes them lock-free. Packets left over when an activation suspends
 /// (downstream backpressure) stay in the batch and are consumed first on
 /// the next activation, preserving per-sender FIFO order — which is what
-/// keeps Eof counting and byte-identical routing intact across executors.
+/// keeps Eof counting and byte-identical routing intact across schedules.
 #[derive(Debug, Default)]
 pub(crate) struct PacketBatch {
     items: std::collections::VecDeque<Packet>,

@@ -11,7 +11,8 @@
 //! |-----------|-------------------------------|-----------------------------------------------|
 //! | `facade`  | engine `pool.rs`, `timer.rs`, | no `std::sync` / `std::thread::sleep` /       |
 //! |           | `elastic.rs`, `ring.rs`,      | `std::time::Instant` outside `crate::sync` —  |
-//! |           | `ingress.rs`;                 | what makes the code model-checkable at all    |
+//! |           | `ingress.rs`, `load.rs`,      | what makes the code model-checkable at all    |
+//! |           | `bolt.rs`, `runtime.rs`;      |                                               |
 //! |           | crossbeam `deque.rs`          |                                               |
 //! | `ordering`| whole workspace               | every memory-ordering token (`SeqCst`, …)     |
 //! |           |                               | carries a `// ordering:` justification within |
@@ -24,6 +25,9 @@
 //! |           |                               | defined in `metrics/src/capacity.rs`)         |
 //! | `ordered_`| `pkg-core` non-test code      | no `BTreeMap` / `BTreeSet` — per-message      |
 //! | `map`     |                               | routing state stays O(1)                      |
+//! | `driver`  | `pkg-engine` non-test code    | `.execute(` / `.not_before(` only in          |
+//! |           |                               | `pool.rs` — one instance loop drives bolts    |
+//! |           |                               | and spouts, under every schedule              |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -47,13 +51,17 @@ const PANIC_RULE_EXEMPT: [&str; 2] =
 /// The engine's ingress wiring shares types with the pool (depth gauges
 /// flow into shed decisions), so it is held to the same facade; likewise
 /// the load-signal wiring (`load.rs`), whose shared state is read and fed
-/// inside pool activations.
-const FACADE_FILES: [&str; 7] = [
+/// inside pool activations. The emitter (`bolt.rs`) and the runtime entry
+/// point (`runtime.rs`) complete the instance path: every engine file an
+/// activation runs through is model-checkable.
+const FACADE_FILES: [&str; 9] = [
+    "crates/engine/src/bolt.rs",
     "crates/engine/src/elastic.rs",
     "crates/engine/src/ingress.rs",
     "crates/engine/src/load.rs",
     "crates/engine/src/pool.rs",
     "crates/engine/src/ring.rs",
+    "crates/engine/src/runtime.rs",
     "crates/engine/src/timer.rs",
     "vendor/crossbeam/src/deque.rs",
 ];
@@ -73,6 +81,15 @@ const ARGMIN_FILES: [&str; 2] = ["crates/metrics/src/capacity.rs", "crates/core/
 /// their O(log n) updates on the per-message path are what the head
 /// tracker's stream-summary replaced.
 const ORDERED_MAPS: [&str; 2] = ["BTreeMap", "BTreeSet"];
+
+/// Files the `driver` rule skips: `pool.rs`, whose `activate` is the only
+/// caller of `Bolt::execute` and `Spout::not_before` whichever schedule
+/// runs it, and its test-only model suite (compiled as a child of `pool`).
+/// A caller anywhere else would be a second instance loop.
+const DRIVER_FILES: [&str; 2] = ["crates/engine/src/pool.rs", "crates/engine/src/pool_model.rs"];
+
+/// Calls only the instance driver may make (`driver` rule).
+const DRIVER_CALLS: [&str; 2] = [".execute(", ".not_before("];
 
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
@@ -160,6 +177,9 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     }
     if rel.starts_with("crates/core/src/") {
         rule_ordered_map(rel, &code, &in_test, &mut out);
+    }
+    if rel.starts_with("crates/engine/src/") && !DRIVER_FILES.contains(&rel) {
+        rule_driver(rel, &code, &in_test, &mut out);
     }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
@@ -260,6 +280,20 @@ fn rule_ordered_map(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<
                 out.push(format!(
                     "{rel}:{}: [ordered_map] `{map}` in pkg-core \
                      (per-message routing state must stay O(1))",
+                    i + 1
+                ));
+            }
+        }
+    }
+}
+
+fn rule_driver(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    for (i, line) in code.iter().enumerate() {
+        for call in DRIVER_CALLS {
+            if !in_test[i] && line.contains(call) {
+                out.push(format!(
+                    "{rel}:{}: [driver] `{call}` outside pool.rs \
+                     (instances are driven only by `activate`, the one instance loop)",
                     i + 1
                 ));
             }
@@ -740,6 +774,36 @@ mod tests {
         assert!(lint("crates/core/src/head_tracker.rs", &gated).is_empty());
         let mention = "// replaced a BTreeMap<u64, FxHashSet<u64>>\nfn f() {}\n";
         assert!(lint("crates/core/src/head_tracker.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_second_instance_loop_is_caught() {
+        let src = "fn run_bolt(mut bolt: Box<dyn Bolt>, rx: Receiver<Packet>, edges: &mut [OutEdge]) {\n    \
+                   while let Ok(Packet::Tuple(t)) = rx.recv() {\n        \
+                   let mut em = Emitter::detached(edges);\n        \
+                   bolt.execute(t, &mut em);\n    }\n}\n\
+                   fn run_spout(spout: &mut dyn Spout) {\n    \
+                   while let Some(wait) = spout.not_before() {\n        \
+                   std::thread::sleep(wait);\n    }\n}\n";
+        let v = lint("crates/engine/src/executor.rs", src);
+        assert!(v.iter().any(|v| v.contains("[driver]") && v.contains("executor.rs:4")), "{v:?}");
+        assert!(v.iter().any(|v| v.contains("[driver]") && v.contains("executor.rs:8")), "{v:?}");
+        // The one loop is where it belongs; engine tests, other crates and a
+        // mention in a comment are not a second driver.
+        assert!(!lint("crates/engine/src/pool.rs", src).iter().any(|v| v.contains("[driver]")));
+        assert!(lint("crates/agg/src/bolts.rs", src).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/engine/src/runtime.rs", &gated).is_empty());
+        let mention = "// activate calls bolt.execute(t, &mut em)\nfn f() {}\n";
+        assert!(lint("crates/engine/src/bolt.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn instance_path_files_are_facade_covered() {
+        let src = "use std::sync::Arc;\nfn f() {}\n";
+        for rel in ["crates/engine/src/bolt.rs", "crates/engine/src/runtime.rs"] {
+            assert!(lint(rel, src).iter().any(|v| v.contains("[facade]")), "{rel}");
+        }
     }
 
     /// The tree this binary ships in must itself be clean — the same scan

@@ -4,7 +4,9 @@
 //! processing order under both executors, so representative topologies must
 //! produce **identical** per-instance loads, processed/emitted counts, and
 //! (for the two-phase pipelines) byte-identical merged summaries — no
-//! tolerance, no statistics.
+//! tolerance, no statistics. Both schedules run the same instance runtime,
+//! so their agreement alone cannot vouch for routing: one test compares
+//! every mode against a bare-`Router` replay instead.
 
 use std::time::Duration;
 
@@ -369,6 +371,77 @@ fn adaptive_choice_groupings_identical_across_executors() {
         let loads = baseline.expect("ran at least one mode").loads;
         let max = *loads.iter().max().expect("non-empty");
         assert!(max < 10_000, "{name}: loads {loads:?} suggest the hot key never widened");
+    }
+}
+
+/// Source `i`'s deterministic skewed stream: three in ten tuples carry the
+/// source's own hot key, the rest a 400-word tail drawn by a xorshift seeded
+/// per source, so no two sources offer the same sequence.
+fn skewed_stream(i: usize, n: u64) -> impl Iterator<Item = Tuple> {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ (i as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    (0..n).map(move |_| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let word = if x % 10 < 3 { format!("hot{i}") } else { format!("w{}", (x >> 8) % 400) };
+        Tuple::new(word.into_bytes(), 1)
+    })
+}
+
+/// Executor-free oracle: 3 sources feed a 10-instance counter, and the
+/// expected per-instance loads come from replaying each source's stream
+/// through a bare `Router` built with the runtime's own `edge_seed`. Every
+/// executor mode and transport must equal that replay exactly — so a
+/// routing bug shared by all executors cannot hide behind their agreement.
+#[test]
+fn loads_equal_a_bare_router_replay_in_every_mode() {
+    use partial_key_grouping::engine::edge_seed;
+    use partial_key_grouping::engine::grouping::{Router, Target};
+    const SOURCES: usize = 3;
+    const COUNTERS: usize = 10;
+    const PER_SOURCE: u64 = 5_000;
+    const SEED: u64 = 29;
+    for grouping in [
+        Grouping::Key,
+        Grouping::Shuffle,
+        Grouping::Partial { d: 2 },
+        Grouping::d_choices(),
+        Grouping::w_choices(),
+        Grouping::Global,
+    ] {
+        let mut replay = vec![0u64; COUNTERS];
+        for sender in 0..SOURCES {
+            let mut router = Router::new(&grouping, COUNTERS, edge_seed(SEED, 0, 1), sender);
+            for tuple in skewed_stream(sender, PER_SOURCE) {
+                match router.route(tuple.key_id()) {
+                    Target::One(w) => replay[w] += 1,
+                    Target::All => unreachable!("no broadcast grouping in this sweep"),
+                }
+            }
+        }
+        assert_eq!(replay.iter().sum::<u64>(), SOURCES as u64 * PER_SOURCE);
+        let build = || {
+            let mut topo = Topology::new();
+            let s =
+                topo.add_spout("src", SOURCES, |i| spout_from_iter(skewed_stream(i, PER_SOURCE)));
+            let _ = topo
+                .add_bolt("count", COUNTERS, |_| Box::new(CountingBolt::default()))
+                .input(s, grouping.clone());
+            topo
+        };
+        let legs = MODES.iter().map(|&(label, mode)| (label, opts(mode, SEED, 32))).chain(
+            RING_MODES
+                .iter()
+                .map(|&(label, mode, rings)| (label, ring_opts((mode, rings), SEED, 32))),
+        );
+        for (label, options) in legs {
+            let stats = Runtime::with_options(options).run(build());
+            assert_eq!(
+                stats.loads("count"),
+                replay,
+                "{label}/{grouping:?} diverged from the replay"
+            );
+        }
     }
 }
 

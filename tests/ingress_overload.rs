@@ -1,15 +1,14 @@
-//! Queue-depth signals and overload behavior across executors and
+//! Queue-depth signals and overload behavior across schedules and
 //! transports.
 //!
 //! The ingress layer's shed/hedge decisions key off one signal — "tuples
-//! queued downstream" — which each executor produces differently: the
-//! thread-per-instance executor keeps a shared `DepthGauge` per bolt
-//! instance (senders increment, the bolt decrements), while the pool
-//! executor records a producer-side high-water mark per mailbox, for both
-//! its transports (mutexed queue and SPSC ring). These tests pin that the
-//! three signals are *comparable*: bounded by the channel capacity,
-//! saturating under a slow consumer, and — for the executor-independent
-//! token-bucket arm — yielding byte-identical admit/shed sequences.
+//! queued downstream" — read from the destination mailboxes' lengths, with
+//! a producer-side high-water mark per mailbox, under both schedules
+//! (thread-per-instance and the worker pool) and both transports (mutexed
+//! queue and SPSC ring). These tests pin that the signal behaves the same
+//! everywhere: bounded by the channel capacity, saturating under a slow
+//! consumer, and — for the schedule-independent token-bucket arm —
+//! yielding byte-identical admit/shed sequences.
 
 use std::time::Duration;
 
