@@ -195,7 +195,6 @@ fn main() {
             Box::new(SketchDegrade::new(64)) as Box<dyn pkg_ingress::ShedPolicy>
         })),
         hedge_depth_budget: Some(8),
-        ..IngressOptions::default()
     };
     let (shed_run, shed_stats) = engine_run(overload_rounds, Some(protected), 1_024, delay);
     let dups = pkg_ingress::hedge::audit::duplicates() - dups_before;

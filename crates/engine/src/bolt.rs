@@ -1,9 +1,14 @@
-//! Stream operators.
+//! Stream operators, and the one way a tuple leaves an instance: the
+//! [`Emitter`] stages it, and one flush routes and delivers what is staged,
+//! with every opt-in layer (load signals, Elastic cuts, Broadcast and extra
+//! edges, hedging) composed at that one point.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
-use crate::grouping::{Router, Target};
+use crate::grouping::{Router, TargetBatch};
 use crate::ingress::HedgeState;
+use crate::pool::{deliver_outbox, Shared};
 use crate::tuple::{Packet, Tuple};
 use pkg_core::SharedLoads;
 use pkg_hash::FxHashMap;
@@ -40,9 +45,14 @@ pub trait Bolt: Send {
 /// Borrowed mutably into [`Bolt::execute`]; the `born_ns` of emitted tuples
 /// is inherited from the input tuple currently being processed (so latency
 /// is end-to-end), or stamped fresh for tick/finish emissions.
+///
+/// Emissions are delivered at flush time, not by `emit`: when a batch
+/// quantum is staged, at the end of every callback, and after every tuple
+/// where a decision reads queue depths or two out-edges share instances.
 pub struct Emitter<'a> {
-    pub(crate) edges: &'a mut [OutEdge],
-    pub(crate) sink: Sink<'a>,
+    /// The runtime and the running instance's outgoing side; `None` for
+    /// [`Emitter::drop_sink`].
+    pub(crate) outlet: Option<(&'a Shared, &'a mut Outlet)>,
     /// Birth timestamp to inherit (0 = stamp with `now_ns`).
     pub(crate) inherit_born_ns: u64,
     pub(crate) now_ns: u64,
@@ -51,12 +61,12 @@ pub struct Emitter<'a> {
     /// (`1/capacity`): a half-speed instance stalls twice as long per
     /// charged tuple. 1.0 on homogeneous topologies.
     pub(crate) stall_scale: f64,
-    /// Capacity-scaled service time charged through [`Emitter::stall`] so
-    /// far in this emitter's scope. The instance driver realizes it on its
-    /// virtual service clock after `execute` returns and accumulates it
-    /// into [`crate::metrics::InstanceStats::stalled_ns`]. Deterministic in
-    /// the requested durations (not wall-clock), so it is comparable
-    /// across executors.
+    /// Capacity-scaled service time charged through [`Emitter::stall`] in
+    /// the current callback. The instance driver realizes it on its virtual
+    /// service clock after `execute` returns and accumulates it into
+    /// [`crate::metrics::InstanceStats::stalled_ns`]. Deterministic in the
+    /// requested durations (not wall-clock), so it is comparable across
+    /// executors.
     pub(crate) stalled_ns: u64,
 }
 
@@ -71,7 +81,7 @@ pub(crate) struct OutEdge {
     /// [`crate::load::LoadSignalOptions`] attached any. The router inside
     /// this edge then carries [`pkg_core::Estimate::Global`] handles onto
     /// the same vector, so every sender minimizes the same pluggable
-    /// signal; counts and in-flight dispatches are recorded here at emit
+    /// signal; counts and in-flight dispatches are recorded here at routing
     /// time (global estimates make `Estimate::record` a no-op).
     pub(crate) signals: Option<SharedLoads>,
 }
@@ -109,130 +119,184 @@ impl EdgeTx {
     }
 }
 
-/// Delivery discipline of an [`Emitter`].
-pub(crate) enum Sink<'a> {
-    /// Non-blocking try-push into downstream mailboxes; on a full mailbox
-    /// the packet spills into the task's outbox and the task parks at the
-    /// end of its activation (under either schedule, the producer's thread
-    /// then waits until the consumer drains).
-    Pool {
-        shared: &'a crate::pool::Shared,
-        outbox: &'a mut std::collections::VecDeque<(usize, Packet)>,
-    },
-    /// No outgoing edges ([`Emitter::drop_sink`]): nothing is delivered.
-    Detached,
+/// A running instance's outgoing side: its out-edges, the emissions staged
+/// for the next flush (scratch retained across flushes), and the deliveries
+/// that spilled on a full mailbox, in emission order.
+#[derive(Default)]
+pub(crate) struct Outlet {
+    pub(crate) edges: Vec<OutEdge>,
+    pub(crate) outbox: VecDeque<(usize, Packet)>,
+    /// The staged routing keys and tuples, in emission order; a tuple
+    /// leaves its slot on its last delivery.
+    keys: Vec<u64>,
+    tuples: Vec<Option<Tuple>>,
+    targets: TargetBatch,
+    /// Flush after every emission instead of per quantum.
+    flush_each: bool,
 }
 
-impl Sink<'_> {
-    /// Deliver one routed packet to `tx`'s destination `dest`.
-    fn deliver(&mut self, tx: &EdgeTx, dest: usize, packet: Packet) {
-        let Sink::Pool { shared, outbox } = self else {
-            unreachable!("a detached emitter has no edges to deliver on");
-        };
-        let task = tx.dests()[dest];
-        // Once anything spilled, everything spills: per-destination FIFO
-        // must survive the detour through the outbox.
-        if outbox.is_empty() {
-            match shared.try_push(task, packet) {
-                Ok(()) => {}
-                Err(packet) => outbox.push_back((task, packet)),
-            }
-        } else {
-            outbox.push_back((task, packet));
-        }
+impl Outlet {
+    /// The outgoing side over `edges`; `reads_depth` when the instance's
+    /// ingress admits by downstream queue depth.
+    pub(crate) fn new(edges: Vec<OutEdge>, reads_depth: bool) -> Self {
+        // Flush per tuple where a decision reads queue depths (an admission,
+        // a hedge), which must reflect every earlier delivery, and where two
+        // edges feed the same instances, whose deliveries and shared loads
+        // must interleave per tuple, not per edge.
+        let shared_dests = (1..edges.len())
+            .any(|i| edges[..i].iter().any(|e| e.tx.dests() == edges[i].tx.dests()));
+        let flush_each = reads_depth || shared_dests || edges.iter().any(|e| e.hedge.is_some());
+        Self { edges, flush_each, ..Self::default() }
     }
 
-    /// Queue depth of `tx`'s destination `w`: its mailbox length, a
-    /// lock-free read.
-    fn depth(&self, tx: &EdgeTx, w: usize) -> usize {
-        match self {
-            Sink::Pool { shared, .. } => shared.depth(tx.dests()[w]),
-            Sink::Detached => 0,
+    /// Route every staged tuple (there is at least one) on every out-edge
+    /// and deliver each destination's run with one `push_run` — the only
+    /// place a tuple leaves an instance. Decisions stay per tuple, in stream
+    /// order; only delivery is grouped.
+    fn flush(&mut self, shared: &Shared, now_ns: u64) {
+        let Self { edges, outbox, keys, tuples, targets, .. } = self;
+        let last_edge = edges.len() - 1;
+        for (e, OutEdge { router, tx, hedge, signals }) in edges.iter_mut().enumerate() {
+            let dests = tx.dests();
+            let mut start = 0;
+            while start < keys.len() {
+                // Elastic: each epoch entered is announced to every instance
+                // ahead of the tuples routed under it (markers are control
+                // traffic, not emissions), and the flush is cut at the next
+                // threshold.
+                while let Some(epoch) = router.advance_epoch() {
+                    let marker = crate::elastic::epoch_marker(epoch, now_ns);
+                    for &d in dests {
+                        shared.push_run(d, [Packet::Tuple(marker.clone())], outbox);
+                    }
+                }
+                let end = keys.len().min(start.saturating_add(router.until_epoch()));
+                let cut = &keys[start..end];
+                // Hedge candidates are read before `route` observes the key;
+                // a payload-carrying tuple is never hedged (the tag rides in
+                // the payload).
+                let plain = tuples[start].as_ref().is_some_and(|t| t.payload.is_empty());
+                let hedge_cands =
+                    if hedge.is_some() && plain { router.head_candidates(cut[0]) } else { None };
+                match signals {
+                    Some(loads) => {
+                        router.route_batch_with(cut, targets, |w| note_dispatch(loads, w));
+                    }
+                    None => router.route_batch(cut, targets),
+                }
+                // Hedging, between route and delivery (a hedging edge flushes
+                // per tuple): past its queue budget the chosen instance shares
+                // the tuple with the next candidate, both copies tagged so the
+                // aggregation stage keeps one.
+                if let (Some(state), Some(cands)) = (hedge.as_mut(), hedge_cands) {
+                    let w = targets.dest(0);
+                    let alt = cands.iter().copied().find(|&c| c != w);
+                    if let Some(alt) = alt.filter(|_| shared.depth(dests[w]) > state.budget) {
+                        let mut tagged = staged(tuples, start, e == last_edge);
+                        tagged.payload = pkg_ingress::hedge::encode_tag(state.next_id());
+                        if let Some(loads) = signals {
+                            note_dispatch(loads, alt);
+                        }
+                        shared.push_run(dests[alt], [Packet::Tuple(tagged.clone())], outbox);
+                        shared.push_run(dests[w], [Packet::Tuple(tagged)], outbox);
+                        start = end;
+                        continue;
+                    }
+                }
+                // A tuple moves on its last delivery (the last edge's run for
+                // it; under a broadcast, whose runs all span the cut, the last
+                // run) and is cloned before — two instantiations, so the
+                // moving one carries no clone path.
+                let runs = targets.runs().count();
+                for (r, (w, run)) in targets.runs().enumerate() {
+                    let idx = run.iter().map(|&i| start + i as usize);
+                    if e == last_edge && (r + 1 == runs || run.len() < cut.len()) {
+                        let packets = idx.map(|i| Packet::Tuple(staged(tuples, i, true)));
+                        shared.push_run(dests[w], packets, outbox);
+                    } else {
+                        let packets = idx.map(|i| Packet::Tuple(staged(tuples, i, false)));
+                        shared.push_run(dests[w], packets, outbox);
+                    }
+                }
+                start = end;
+            }
         }
+        keys.clear();
+        tuples.clear();
     }
+}
+
+/// Staged tuple `i` for one delivery: moved out on its last, cloned before.
+fn staged(tuples: &mut [Option<Tuple>], i: usize, last: bool) -> Tuple {
+    let tuple = if last { tuples[i].take() } else { tuples[i].clone() };
+    tuple.unwrap_or_else(|| unreachable!("staged tuple {i} delivered after its last use"))
 }
 
 impl Emitter<'_> {
-    /// Emit a tuple on every outgoing edge.
+    /// Emit a tuple on every outgoing edge, for delivery at the next flush.
     ///
-    /// The common single-edge case moves `tuple` straight through to
-    /// delivery with zero clones; only a genuine fan-out (several out-edges,
-    /// or a broadcast grouping) pays for copies — and then exactly
-    /// `fan-out − 1` of them, the last destination taking ownership.
-    pub fn emit(&mut self, mut tuple: Tuple) {
-        tuple.born_ns = if self.inherit_born_ns != 0 { self.inherit_born_ns } else { self.now_ns };
-        *self.emitted += 1;
-        let key_id = tuple.key_id();
-        let Some((last, rest)) = self.edges.split_last_mut() else {
-            return;
-        };
-        for edge in rest {
-            Self::emit_on(edge, &mut self.sink, self.now_ns, key_id, tuple.clone());
-        }
-        Self::emit_on(last, &mut self.sink, self.now_ns, key_id, tuple);
+    /// The common single-edge case moves `tuple` through to delivery with
+    /// zero clones; only a genuine fan-out (several out-edges, or a
+    /// broadcast grouping) pays for copies — and then exactly `fan-out − 1`
+    /// of them, the last destination taking ownership.
+    #[inline]
+    pub fn emit(&mut self, tuple: Tuple) {
+        self.emit_keyed(tuple.key_id(), tuple);
     }
 
-    /// Route and deliver one owned tuple on one edge.
-    fn emit_on(edge: &mut OutEdge, sink: &mut Sink<'_>, now_ns: u64, key_id: u64, tuple: Tuple) {
-        let OutEdge { router, tx, hedge, signals } = edge;
-        // No-op on edges without attached signals.
-        let note = |signals: &Option<SharedLoads>, w: usize| {
-            if let Some(loads) = signals {
-                note_dispatch(loads, w);
-            }
-        };
-        // Elastic edges: if this tuple crosses a membership threshold,
-        // announce the new epoch in-band to every downstream instance
-        // *before* routing it under the new live set. Markers are control
-        // traffic — they bypass the router and do not count as emissions.
-        while let Some(epoch) = router.advance_epoch() {
-            let marker = crate::elastic::epoch_marker(epoch, now_ns);
-            for w in 0..tx.dests().len() {
-                sink.deliver(tx, w, Packet::Tuple(marker.clone()));
-            }
+    /// [`Emitter::emit`] of a tuple whose routing key is already computed;
+    /// `false` when the flush it triggered spilled (downstream full).
+    #[inline]
+    pub(crate) fn emit_keyed(&mut self, key_id: u64, mut tuple: Tuple) -> bool {
+        tuple.born_ns = if self.inherit_born_ns != 0 { self.inherit_born_ns } else { self.now_ns };
+        *self.emitted += 1;
+        let Some((shared, outlet)) = &mut self.outlet else { return true };
+        if outlet.edges.is_empty() {
+            return true;
         }
-        // Hedging applies to head keys only, and their candidate set must
-        // be read *before* `route` (which observes the key and can flip the
-        // head prediction for the next message). Payload-carrying tuples
-        // are never hedged — the hedge tag rides in the payload.
-        let hedge_cands = match hedge {
-            Some(_) if tuple.payload.is_empty() => router.head_candidates(key_id),
-            _ => None,
-        };
-        match router.route(key_id) {
-            Target::One(w) => {
-                if let (Some(state), Some(cands)) = (hedge.as_mut(), hedge_cands) {
-                    if sink.depth(tx, w) > state.budget {
-                        if let Some(&alt) = cands.iter().find(|&&c| c != w) {
-                            // The chosen instance is over its latency
-                            // budget: issue the tuple to both it and the
-                            // next candidate, tagged so the aggregation
-                            // stage drops whichever copy arrives second.
-                            let mut tagged = tuple;
-                            tagged.payload = pkg_ingress::hedge::encode_tag(state.next_id());
-                            note(signals, alt);
-                            sink.deliver(tx, alt, Packet::Tuple(tagged.clone()));
-                            note(signals, w);
-                            sink.deliver(tx, w, Packet::Tuple(tagged));
-                            return;
-                        }
-                    }
-                }
-                note(signals, w);
-                sink.deliver(tx, w, Packet::Tuple(tuple));
-            }
-            Target::All => {
-                let n = tx.dests().len();
-                for w in 1..n {
-                    note(signals, w);
-                    sink.deliver(tx, w, Packet::Tuple(tuple.clone()));
-                }
-                if n > 0 {
-                    note(signals, 0);
-                    sink.deliver(tx, 0, Packet::Tuple(tuple));
-                }
-            }
+        outlet.keys.push(key_id);
+        outlet.tuples.push(Some(tuple));
+        if outlet.flush_each || outlet.keys.len() >= shared.batch {
+            outlet.flush(shared, self.now_ns);
+            return outlet.outbox.is_empty();
         }
+        true
+    }
+
+    /// Flush the staged emissions (the end of a callback). Inlined: most
+    /// callbacks stage nothing.
+    #[inline]
+    pub(crate) fn flush(&mut self) {
+        match &mut self.outlet {
+            Some((shared, outlet)) if !outlet.keys.is_empty() => outlet.flush(shared, self.now_ns),
+            _ => {}
+        }
+    }
+
+    /// Flush, then retry the spilled deliveries in order; `false` means a
+    /// downstream mailbox is full and task `tid` waits for its release wake.
+    #[inline]
+    pub(crate) fn deliver(&mut self, tid: usize) -> bool {
+        self.flush();
+        let Some((shared, outlet)) = &mut self.outlet else { return true };
+        outlet.outbox.is_empty() || deliver_outbox(shared, tid, &mut outlet.outbox)
+    }
+
+    /// Flush, then queue one Eof per downstream instance behind it all.
+    pub(crate) fn close(&mut self) {
+        self.flush();
+        if let Some((_, outlet)) = &mut self.outlet {
+            let dests = outlet.edges.iter().flat_map(|e| e.tx.dests());
+            outlet.outbox.extend(dests.map(|&d| (d, Packet::Eof)));
+        }
+    }
+
+    /// Deepest downstream mailbox across every edge: watermark admission's
+    /// signal.
+    pub(crate) fn max_depth(&self) -> usize {
+        let Some((shared, outlet)) = &self.outlet else { return 0 };
+        let dests = outlet.edges.iter().flat_map(|e| e.tx.dests());
+        dests.map(|&d| shared.depth(d)).max().unwrap_or(0)
     }
 
     /// Number of tuples emitted by this instance so far.
@@ -268,8 +332,8 @@ impl Emitter<'_> {
         self.stalled_ns = self.stalled_ns.saturating_add(ns);
     }
 
-    /// Service time charged through [`Emitter::stall`] in this emitter's
-    /// scope so far, in nanoseconds (capacity-scaled).
+    /// Service time charged through [`Emitter::stall`] in the current
+    /// callback so far, in nanoseconds (capacity-scaled).
     pub fn stalled_ns(&self) -> u64 {
         self.stalled_ns
     }
@@ -278,8 +342,7 @@ impl Emitter<'_> {
     /// dropped. For unit-testing bolts outside a running topology.
     pub fn drop_sink(emitted: &mut u64) -> Emitter<'_> {
         Emitter {
-            edges: &mut [],
-            sink: Sink::Detached,
+            outlet: None,
             inherit_born_ns: 0,
             now_ns: 1,
             emitted,

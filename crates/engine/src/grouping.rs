@@ -92,10 +92,13 @@ pub enum Target {
 /// counting sort), so the executor can deliver each destination's run with
 /// one lock/wake instead of one per tuple.
 ///
+/// Under [`Grouping::Broadcast`] every tuple goes to every destination:
+/// each run is the whole batch, and there is no per-tuple destination.
+///
 /// Buffers are retained across batches — steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct TargetBatch {
-    /// Destination of tuple `i`, in stream order.
+    /// Destination of tuple `i`, in stream order (empty for a broadcast).
     dests: Vec<u32>,
     /// Tuple indices stably sorted by destination.
     order: Vec<u32>,
@@ -145,19 +148,20 @@ impl TargetBatch {
         }
     }
 
-    /// Destination of tuple `i`, in stream order.
+    /// Destination of tuple `i`, in stream order. Panics on a broadcast
+    /// batch, whose tuples go to every destination.
     pub fn dest(&self, i: usize) -> usize {
         self.dests[i] as usize
     }
 
     /// Number of routed tuples in the batch.
     pub fn len(&self) -> usize {
-        self.dests.len()
+        self.order.len()
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.dests.is_empty()
+        self.order.is_empty()
     }
 
     /// Per-destination runs: `(dest, tuple indices in stream order)`.
@@ -308,12 +312,12 @@ impl Router {
 
     /// Advance this sender's membership epoch by one if its routed-tuple
     /// count has crossed the next plan threshold, switching routing onto the
-    /// new live set and returning the epoch just entered. The emitter calls
-    /// this before routing each tuple (looping, in case thresholds are a
-    /// single tuple apart) and broadcasts an in-band marker per epoch
-    /// returned — so on every FIFO channel the marker separates old-epoch
-    /// from new-epoch traffic. `None` for non-elastic groupings and between
-    /// thresholds.
+    /// new live set and returning the epoch just entered. The engine's flush
+    /// calls this before routing each cut of its batch (looping, in case
+    /// thresholds are a single tuple apart) and broadcasts an in-band marker
+    /// per epoch returned — so on every FIFO channel the marker separates
+    /// old-epoch from new-epoch traffic. `None` for non-elastic groupings
+    /// and between thresholds.
     pub fn advance_epoch(&mut self) -> Option<u32> {
         match &mut self.kind {
             RouterKind::Greedy { pkg, elastic: Some(replay) } => {
@@ -331,20 +335,33 @@ impl Router {
         }
     }
 
+    /// Keys this sender may route before its next membership epoch is due,
+    /// where the engine's flush cuts an elastic batch (`usize::MAX` on every
+    /// other grouping and past the plan's last step).
+    pub(crate) fn until_epoch(&self) -> usize {
+        match &self.kind {
+            RouterKind::Greedy {
+                elastic: Some(PlanReplay { plan, routed, next_epoch }), ..
+            } if *next_epoch < plan.epochs() => {
+                plan.threshold(*next_epoch).saturating_sub(*routed) as usize
+            }
+            _ => usize::MAX,
+        }
+    }
+
     /// Downstream instance count.
     pub fn n(&self) -> usize {
         self.n
     }
 
-    /// Whether [`Router::route_batch`] may be used for this edge.
-    ///
-    /// Two groupings opt out: `Broadcast` (no single destination to group
-    /// by) and `Elastic` (epoch markers must interleave with the tuples
-    /// that crossed each membership threshold, which only the per-tuple
-    /// path can do). Every greedy scheme is batchable *by the paper's own
+    /// Whether any batch of keys may go through [`Router::route_batch`] as
+    /// is, each tuple landing in exactly one run. Not so for `Elastic` (a
+    /// batch must stop at the next membership threshold, with
+    /// [`Router::advance_epoch`] between cuts) or `Broadcast` (every run
+    /// spans the batch). Every greedy scheme is batchable *by the paper's own
     /// argument*: between two argmin evaluations the loads move by at most
-    /// the batch size, so deferring delivery (not the decision — decisions
-    /// stay per-tuple, in stream order) changes nothing.
+    /// the batch size, so deferring delivery (not the decision) changes
+    /// nothing.
     pub fn is_batchable(&self) -> bool {
         !matches!(self.kind, RouterKind::Greedy { elastic: Some(_), .. } | RouterKind::Broadcast)
     }
@@ -355,24 +372,25 @@ impl Router {
     /// Decisions are made per key **in stream order** with exactly the same
     /// state updates as [`Router::route`], so the chosen destinations are
     /// byte-identical to the one-at-a-time path (pinned by proptest); only
-    /// the *delivery* is grouped. Callers must check
-    /// [`Router::is_batchable`] first.
+    /// the *delivery* is grouped. Unless [`Router::is_batchable`], the
+    /// caller cuts elastic batches at thresholds and expects runs to overlap.
     pub fn route_batch(&mut self, keys: &[u64], out: &mut TargetBatch) {
         self.route_batch_with(keys, out, |_| {});
     }
 
     /// [`Router::route_batch`] with a per-decision hook: `on_route(w)` runs
-    /// after each key is routed to `w` and **before the next key is
-    /// routed**. A sender on a signal-bearing edge records the delivery
-    /// there, so the next argmin sees it (the per-tuple emitter's order) and
-    /// a batch cannot pile onto one stale argmin. Monomorphised: the no-op
-    /// closure of `route_batch` compiles away.
+    /// after each key is routed to `w` (to every `w`, under a broadcast)
+    /// and **before the next key is routed**. A sender on a signal-bearing
+    /// edge records the delivery there, so the next argmin sees it (the
+    /// one-at-a-time order) and a batch cannot pile onto one stale argmin.
+    /// Monomorphised: the no-op closure of `route_batch` compiles away.
     pub fn route_batch_with(
         &mut self,
         keys: &[u64],
         out: &mut TargetBatch,
-        on_route: impl FnMut(usize),
+        mut on_route: impl FnMut(usize),
     ) {
+        debug_assert!(keys.len() <= self.until_epoch(), "an elastic batch crosses a threshold");
         out.begin(keys.len());
         let n = self.n;
         match &mut self.kind {
@@ -386,12 +404,19 @@ impl Router {
                 let seed = *seed;
                 route_each(keys, out, on_route, |k| (k.hash_seeded(seed) % n as u64) as usize);
             }
-            RouterKind::Greedy { pkg, elastic: None } => {
+            RouterKind::Greedy { pkg, elastic } => {
+                if let Some(replay) = elastic {
+                    replay.routed += keys.len() as u64;
+                }
                 route_each(keys, out, on_route, |k| pkg.route(k, 0));
             }
             RouterKind::Global => route_each(keys, out, on_route, |_| 0),
-            RouterKind::Greedy { elastic: Some(_), .. } | RouterKind::Broadcast => {
-                unreachable!("caller checks is_batchable before routing a batch")
+            RouterKind::Broadcast => {
+                keys.iter().for_each(|_| (0..n).for_each(&mut on_route));
+                let len = keys.len() as u32;
+                out.order.extend(0..len);
+                out.runs.extend((0..n as u32).map(|d| (d, 0, len)));
+                return;
             }
         }
         out.group(n);
@@ -566,7 +591,7 @@ mod tests {
             }
             // Signal-bearing routers: every sender minimizes shared state, so
             // the batch must interleave `route → record → dispatch` exactly
-            // like the per-tuple emitter. Decisions, recorded counts and the
+            // like routing one key at a time. Decisions, recorded counts and the
             // signal (pending, latency, capacity scale) agree after each
             // chunk; completions land between chunks so the signals move.
             let n = 12;

@@ -38,9 +38,6 @@ pub struct IngressOptions {
     pub rate_per_sec: Option<u64>,
     /// Token-bucket burst capacity (tokens); clamped to at least 1.
     pub burst: u64,
-    /// Maximum tuples in flight downstream of one spout instance before
-    /// admission refuses; `None` disables the limit.
-    pub inflight_limit: Option<usize>,
     /// Downstream queue-depth watermark: when the deepest downstream
     /// mailbox reaches this many queued tuples, new tuples are shed until
     /// it recedes. `None` disables watermark shedding.
@@ -64,7 +61,6 @@ impl Default for IngressOptions {
         Self {
             rate_per_sec: None,
             burst: 1,
-            inflight_limit: None,
             watermark: None,
             policy: None,
             hedge_depth_budget: None,
@@ -78,7 +74,6 @@ impl fmt::Debug for IngressOptions {
         f.debug_struct("IngressOptions")
             .field("rate_per_sec", &self.rate_per_sec)
             .field("burst", &self.burst)
-            .field("inflight_limit", &self.inflight_limit)
             .field("watermark", &self.watermark)
             .field("policy", &self.policy.as_ref().map(|_| "<factory>"))
             .field("hedge_depth_budget", &self.hedge_depth_budget)
@@ -93,7 +88,6 @@ impl fmt::Debug for IngressOptions {
 /// policy retained.
 pub(crate) struct SpoutIngress {
     bucket: Option<TokenBucket>,
-    inflight_limit: Option<usize>,
     watermark: Option<usize>,
     policy: Box<dyn ShedPolicy>,
     logical_step_ns: Option<u64>,
@@ -108,7 +102,6 @@ impl SpoutIngress {
     pub(crate) fn new(options: &IngressOptions, instance: usize) -> Self {
         Self {
             bucket: options.rate_per_sec.map(|r| TokenBucket::new(r, options.burst)),
-            inflight_limit: options.inflight_limit,
             watermark: options.watermark,
             policy: match &options.policy {
                 Some(factory) => factory(instance),
@@ -123,11 +116,12 @@ impl SpoutIngress {
         }
     }
 
-    /// Whether [`Self::offer`] reads `depth`: true iff a watermark or an
-    /// in-flight limit is set. When false, the spout skips the downstream
-    /// depth scan and admits on its batched path.
+    /// Whether [`Self::offer`] reads `depth`: true iff a watermark is set.
+    /// When false, the spout skips the downstream depth scan and its
+    /// emissions flush per quantum; when true, they flush per tuple, so
+    /// each admission reads the queues as the tuple before left them.
     pub(crate) fn needs_depth(&self) -> bool {
-        self.watermark.is_some() || self.inflight_limit.is_some()
+        self.watermark.is_some()
     }
 
     /// Whether [`Self::offer`] reads `wall_now_ns`: a bucket with no logical
@@ -157,13 +151,12 @@ impl SpoutIngress {
             }
             None => wall_now_ns,
         };
-        let over_inflight = self.inflight_limit.is_some_and(|limit| depth >= limit);
         let over_watermark = self.watermark.is_some_and(|mark| depth >= mark);
         let denied_by_bucket = match &mut self.bucket {
             Some(bucket) => !bucket.admit(now_ns),
             None => false,
         };
-        if !(over_inflight || over_watermark || denied_by_bucket) {
+        if !(over_watermark || denied_by_bucket) {
             return true;
         }
         match self.policy.shed(key.as_bytes(), key_id, value) {

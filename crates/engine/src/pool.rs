@@ -3,13 +3,16 @@
 //! Every processing-element instance is a schedulable *task* driven by the
 //! one activation loop ([`activate`]):
 //!
-//! * Each bolt task owns a bounded **mailbox**; producers `try_push` into
-//!   it and never block inside an activation.
+//! * Each bolt task owns a bounded **mailbox**; producers push into it and
+//!   never block inside an activation.
 //! * A task activation drains up to a **batch quantum** of packets
-//!   ([`DEFAULT_BATCH`]), amortizing mailbox locking and emitter setup,
-//!   then yields.
-//! * **Backpressure parks instead of blocking**: when an emission finds a
-//!   downstream mailbox full, the packet spills into the task's outbox, the
+//!   ([`DEFAULT_BATCH`]), amortizing mailbox locking, then yields.
+//! * **One emit seam**: everything an activation emits — a spout quantum, a
+//!   bolt's `execute` / `tick` / `finish` output, the ingress drain — is
+//!   staged on its one [`Emitter`] and delivered at flush time, one run per
+//!   destination ([`Shared::push_run`]).
+//! * **Backpressure parks instead of blocking**: when a run finds a
+//!   downstream mailbox full, the rest spills into the task's outbox, the
 //!   task parks, and the *consumer* wakes it after draining (a
 //!   backpressure-release edge, not a timeout).
 //!
@@ -71,8 +74,8 @@ use crossbeam::deque::{Steal, WorkStealingDeque};
 use pkg_core::SharedLoads;
 use pkg_metrics::LatencyHistogram;
 
-use crate::bolt::{note_dispatch, Bolt, EdgeTx, Emitter, OutEdge, Sink};
-use crate::grouping::{Router, TargetBatch};
+use crate::bolt::{Bolt, EdgeTx, Emitter, OutEdge, Outlet};
+use crate::grouping::Router;
 use crate::ingress::{HedgeState, SpoutIngress};
 use crate::metrics::{InstanceStats, RunStats, StateSampler};
 use crate::ring::SpscRing;
@@ -82,7 +85,7 @@ use crate::sync::atomic::{AtomicU8, AtomicUsize, Ordering::SeqCst};
 use crate::sync::{lock, Instant, Mutex, Parker, Unparker};
 use crate::timer::TimerWheel;
 use crate::topology::{ComponentKind, Topology};
-use crate::tuple::{Packet, PacketBatch, Tuple};
+use crate::tuple::{Packet, PacketBatch};
 
 /// Default batch quantum: packets drained per task activation.
 pub const DEFAULT_BATCH: usize = 256;
@@ -155,21 +158,10 @@ struct TaskBody {
     component: String,
     instance: usize,
     kind: TaskKind,
-    edges: Vec<OutEdge>,
-    /// Spilled emissions awaiting delivery: `(dest task, packet)` in
-    /// emission order (per-destination FIFO is what Eof counting needs).
-    outbox: VecDeque<(usize, Packet)>,
+    /// Out-edges, staged emissions and spilled deliveries.
+    outlet: Outlet,
     /// Packets drained from the mailbox but not yet processed.
     inbox: PacketBatch,
-    /// Scratch for the batched spout path (`route_batch`): routing keys of
-    /// the tuples generated this activation. Retained across activations so
-    /// steady state allocates nothing.
-    batch_keys: Vec<u64>,
-    /// Scratch: the generated tuples, taken (`Option::take`) one by one as
-    /// per-destination runs are delivered.
-    batch_tuples: Vec<Option<Tuple>>,
-    /// Scratch: destinations grouped by the batch router.
-    targets: TargetBatch,
     processed: u64,
     emitted: u64,
     ticks: u64,
@@ -202,16 +194,14 @@ impl TaskBody {
         stall_scale: f64,
         signals: Option<SharedLoads>,
     ) -> Self {
+        let reads_depth =
+            matches!(&kind, TaskKind::Spout { ingress: Some(ing), .. } if ing.needs_depth());
         Self {
             component,
             instance,
             kind,
-            edges,
-            outbox: VecDeque::new(),
+            outlet: Outlet::new(edges, reads_depth),
             inbox: PacketBatch::default(),
-            batch_keys: Vec::new(),
-            batch_tuples: Vec::new(),
-            targets: TargetBatch::new(),
             processed: 0,
             emitted: 0,
             ticks: 0,
@@ -232,7 +222,8 @@ impl TaskBody {
             TaskKind::Spout { ingress: Some(ing), .. } => (ing.dropped(), ing.degraded()),
             _ => (0, 0),
         };
-        let hedges = self.edges.iter().map(|e| e.hedge.as_ref().map_or(0, |h| h.issued)).sum();
+        let edges = self.outlet.edges.iter();
+        let hedges = edges.map(|e| e.hedge.as_ref().map_or(0, |h| h.issued)).sum();
         InstanceStats {
             component: self.component,
             instance: self.instance,
@@ -314,8 +305,8 @@ struct Deadlines {
     stall_ns: u64,
 }
 
-/// Shared runtime state; [`Emitter`] reaches it through [`Sink::Pool`] to
-/// deliver emissions without blocking.
+/// Shared runtime state; an [`Emitter`] delivers through it without
+/// blocking.
 pub(crate) struct Shared {
     tasks: Vec<TaskSlot>,
     sched: Mutex<Sched>,
@@ -333,7 +324,8 @@ pub(crate) struct Shared {
     /// Tasks not yet `DONE`.
     remaining: AtomicUsize,
     epoch: Instant,
-    batch: usize,
+    /// The quantum: packets per drain, offers per spout run, staged emissions.
+    pub(crate) batch: usize,
     stats: Mutex<Vec<InstanceStats>>,
 }
 
@@ -379,32 +371,10 @@ impl Shared {
         }
     }
 
-    /// Emitter fast path: non-blocking push into `dest`'s mailbox. On
-    /// `Err` the caller spills to its outbox and parks at activation end.
-    pub(crate) fn try_push(&self, dest: usize, packet: Packet) -> Result<(), Packet> {
-        let depth = match self.mailbox(dest) {
-            Mailbox::Mutexed { cap, inner, depth } => {
-                let mut inner = lock(inner);
-                if inner.queue.len() >= *cap {
-                    return Err(packet);
-                }
-                inner.queue.push_back(packet);
-                publish_depth(depth, inner.queue.len())
-            }
-            Mailbox::Ring(ring) => {
-                ring.try_push(packet)?;
-                ring.len()
-            }
-        };
-        self.note_depth(dest, depth);
-        self.wake(dest, &WakeKind::Notify);
-        Ok(())
-    }
-
-    /// Delivery path: like [`Shared::try_push`], but on full registers
-    /// `waiter` for a backpressure-release wake — for the mutexed mailbox
-    /// under the same lock as the capacity check, for the ring via its
-    /// announce→re-check protocol — so the release can never be missed.
+    /// Spill delivery: push one packet into `dest`'s mailbox, or on full
+    /// register `waiter` for a backpressure-release wake — for the mutexed
+    /// mailbox under the same lock as the capacity check, for the ring via
+    /// its announce→re-check protocol — so the release can never be missed.
     fn push_or_park(&self, dest: usize, packet: Packet, waiter: usize) -> Result<(), Packet> {
         let depth = match self.mailbox(dest) {
             Mailbox::Mutexed { cap, inner, depth } => {
@@ -434,47 +404,40 @@ impl Shared {
         Ok(())
     }
 
-    /// Batched delivery of one destination's routed run: take each indexed
-    /// tuple out of `tuples` and push it to `dest` — one lock acquisition
-    /// and at most one wake for the whole run, instead of one per tuple.
-    /// Tuples that do not fit (or follow one that spilled, anywhere) go to
-    /// `outbox` in order, preserving the all-or-spill FIFO discipline of
-    /// [`Sink::Pool`].
-    fn push_run(
+    /// Every emission's delivery: push one destination's run of `packets`
+    /// into `dest`'s mailbox with one lock (or ring publication) and at most
+    /// one wake. What does not fit spills to `outbox` in order — and so does
+    /// the whole run while an earlier spill waits there, so per-destination
+    /// FIFO (which Eof counting relies on) survives the detour.
+    pub(crate) fn push_run(
         &self,
         dest: usize,
-        run: &[u32],
-        tuples: &mut [Option<Tuple>],
+        packets: impl IntoIterator<Item = Packet>,
         outbox: &mut VecDeque<(usize, Packet)>,
     ) {
-        // How many of `run` landed in the mailbox, and the mailbox depth
+        let mut packets = packets.into_iter();
+        // How many packets landed in the mailbox, and the mailbox depth
         // right after — read under the same hold as the push.
         let (mut accepted, mut depth_after) = (0usize, 0usize);
         if outbox.is_empty() {
             match self.mailbox(dest) {
                 Mailbox::Mutexed { cap, inner, depth } => {
                     let mut inner = lock(inner);
-                    while accepted < run.len() && inner.queue.len() < *cap {
-                        inner.queue.push_back(take_routed(tuples, run[accepted]));
+                    while inner.queue.len() < *cap {
+                        let Some(packet) = packets.next() else { break };
+                        inner.queue.push_back(packet);
                         accepted += 1;
                     }
                     depth_after = publish_depth(depth, inner.queue.len());
                 }
                 Mailbox::Ring(ring) => {
-                    // One tail publication for the whole run (the batch
-                    // analogue of the mutexed arm's single lock hold).
-                    let mut supply = run.iter().map(|&idx| take_routed(tuples, idx));
-                    accepted = ring.push_batch(&mut supply);
+                    accepted = ring.push_batch(&mut packets);
                     depth_after = ring.len();
                 }
             }
         }
-        for &idx in &run[accepted..] {
-            outbox.push_back((dest, take_routed(tuples, idx)));
-        }
+        outbox.extend(packets.map(|packet| (dest, packet)));
         if accepted > 0 {
-            // One high-water fold per run (the batch analogue of the
-            // per-push updates in `try_push`/`push_or_park`).
             self.note_depth(dest, depth_after);
             self.wake(dest, &WakeKind::Notify);
         }
@@ -601,32 +564,13 @@ fn publish_depth(depth: &AtomicUsize, len: usize) -> usize {
     len
 }
 
-/// Deepest downstream mailbox across every destination of every edge — the
-/// per-tuple signal of ingress watermark / in-flight-limit admission.
-fn max_downstream_depth(shared: &Shared, edges: &[OutEdge]) -> usize {
-    let dests = edges.iter().flat_map(|e| e.tx.dests());
-    dests.map(|&d| shared.depth(d)).max().unwrap_or(0)
-}
-
-/// Take tuple `idx` out of the batch scratch (each routed tuple is
-/// delivered exactly once).
-fn take_routed(tuples: &mut [Option<Tuple>], idx: u32) -> Packet {
-    let Some(tuple) = tuples[idx as usize].take() else {
-        unreachable!("routed tuple index {idx} already taken");
-    };
-    Packet::Tuple(tuple)
-}
-
-/// Append one Eof per downstream instance (all edges) to the outbox.
-fn queue_eofs(edges: &[OutEdge], outbox: &mut VecDeque<(usize, Packet)>) {
-    for &d in edges.iter().flat_map(|e| e.tx.dests()) {
-        outbox.push_back((d, Packet::Eof));
-    }
-}
-
 /// Deliver spilled emissions in order; `false` means a downstream mailbox
 /// is full and `tid` is registered for its release wake.
-fn deliver_outbox(shared: &Shared, tid: usize, outbox: &mut VecDeque<(usize, Packet)>) -> bool {
+pub(crate) fn deliver_outbox(
+    shared: &Shared,
+    tid: usize,
+    outbox: &mut VecDeque<(usize, Packet)>,
+) -> bool {
     while let Some((dest, packet)) = outbox.pop_front() {
         if let Err(packet) = shared.push_or_park(dest, packet, tid) {
             outbox.push_front((dest, packet));
@@ -638,10 +582,10 @@ fn deliver_outbox(shared: &Shared, tid: usize, outbox: &mut VecDeque<(usize, Pac
 
 fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
     body.activations += 1;
-    if !deliver_outbox(shared, tid, &mut body.outbox) {
+    if !deliver_outbox(shared, tid, &mut body.outlet.outbox) {
         return Outcome::Park;
     }
-    if is_complete(body) {
+    if finished(&body.kind) {
         // The Eof protocol finished on an earlier activation, but the task
         // parked on its trailing deliveries; the outbox just drained.
         return Outcome::Done;
@@ -649,12 +593,8 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
     let TaskBody {
         instance,
         kind,
-        edges,
-        outbox,
+        outlet,
         inbox,
-        batch_keys,
-        batch_tuples,
-        targets,
         processed,
         emitted,
         ticks,
@@ -667,195 +607,96 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
         signals,
         ..
     } = body;
-    let stall_scale = *stall_scale;
+    // Every tuple this activation sends leaves through this one emitter.
+    let mut out = Emitter {
+        outlet: Some((shared, outlet)),
+        inherit_born_ns: 0,
+        now_ns: shared.now_ns(),
+        emitted,
+        stall_scale: *stall_scale,
+        stalled_ns: 0,
+    };
     match kind {
         TaskKind::Spout { spout, exhausted, ingress } => {
-            // Batched hot path: generate (and admit) up to a quantum of
-            // tuples, route them in one `route_batch` pass, and deliver each
-            // destination's run with one lock acquisition and one wake —
-            // instead of per-tuple emitter setup, routing, and mailbox
-            // locking. The opt-in layers ride the same seam: ingress admits
-            // inside the generation loop (a shed tuple counts as processed
-            // but never enters the batch), and on a signal-bearing edge the
-            // `route_batch_with` hook records each decision before the next
-            // key is routed. Per sender, decisions are byte-identical to the
-            // per-tuple path (pinned by `grouping.rs` tests,
-            // `engine_executor_parity.rs` and `engine_optin_batched.rs`).
-            //
-            // The per-tuple emitter below keeps: multi-edge fan-out and
-            // Broadcast (no single destination run per tuple); Elastic (epoch
-            // markers interleave with the tuples); and a watermark, in-flight
-            // limit or hedge budget (a queue depth fresh for *that* tuple).
-            //
-            // Either loop ends early when the source answers "not yet"
-            // (`Spout::not_before`); what it generated is still delivered.
+            // One generation loop: up to a quantum of *offered* tuples (an
+            // activation stays bounded however much is shed), from the source
+            // and then the ingress drain, each admitted one staged on the
+            // emitter. It ends early when the source answers "not yet"
+            // (`Spout::not_before`) or a delivery spilled (downstream full:
+            // park). Tuples of one quantum share a birth stamp.
             let mut defer = None;
-            if !*exhausted
-                && edges.len() == 1
-                && edges[0].router.is_batchable()
-                && edges[0].hedge.is_none()
-                && !ingress.as_ref().is_some_and(SpoutIngress::needs_depth)
-            {
-                // Tuples of one quantum share a birth stamp.
-                let now_ns = shared.now_ns();
-                batch_keys.clear();
-                batch_tuples.clear();
-                // The quantum counts *offered* tuples, so an activation stays
-                // bounded however much of the input is shed.
-                for _ in 0..shared.batch {
+            for _ in 0..shared.batch {
+                let (key_id, tuple) = if *exhausted {
+                    // Drain phase: re-inject retained summaries as ordinary
+                    // tuples ahead of Eof. Restartable — if a delivery spills
+                    // mid-drain the task parks here, and `finished` holds
+                    // the Eof protocol open until the queue runs dry.
+                    let Some(tuple) = ingress.as_mut().and_then(SpoutIngress::next_drained) else {
+                        break;
+                    };
+                    (tuple.key_id(), tuple)
+                } else {
                     defer = spout.not_before();
                     if defer.is_some() {
                         break;
                     }
-                    let Some(mut tuple) = spout.next() else {
+                    let Some(tuple) = spout.next() else {
                         *exhausted = true;
-                        break;
+                        if let Some(ing) = ingress.as_mut() {
+                            ing.start_drain();
+                        }
+                        continue;
                     };
                     *processed += 1;
                     let key_id = tuple.key_id();
                     if let Some(ing) = ingress.as_mut() {
-                        // A wall-clock bucket refills per offer, as on the
-                        // per-tuple path; a logical clock ignores the reading.
-                        let clock = if ing.needs_wall_clock() { shared.now_ns() } else { now_ns };
-                        if !ing.offer(&tuple.key, key_id, tuple.value, 0, clock) {
+                        // A wall-clock bucket refills per offer, and a
+                        // depth-reading admission delivers per tuple: both
+                        // stamp each tuple with its own clock reading (a
+                        // logical clock ignores it).
+                        if ing.needs_wall_clock() || ing.needs_depth() {
+                            out.now_ns = shared.now_ns();
+                        }
+                        let depth = if ing.needs_depth() { out.max_depth() } else { 0 };
+                        if !ing.offer(&tuple.key, key_id, tuple.value, depth, out.now_ns) {
                             continue;
                         }
                     }
-                    tuple.born_ns = now_ns;
-                    batch_keys.push(key_id);
-                    batch_tuples.push(Some(tuple));
-                }
-                *emitted += batch_keys.len() as u64;
-                let OutEdge { router, tx, signals, .. } = &mut edges[0];
-                match signals {
-                    Some(loads) => {
-                        router.route_batch_with(batch_keys, targets, |w| note_dispatch(loads, w));
-                    }
-                    None => router.route_batch(batch_keys, targets),
-                }
-                let dests = tx.dests();
-                for (d, run) in targets.runs() {
-                    shared.push_run(dests[d], run, batch_tuples, outbox);
-                }
-                if *exhausted && ingress.is_none() {
-                    queue_eofs(edges, outbox);
-                }
-            } else if !*exhausted {
-                for _ in 0..shared.batch {
-                    defer = spout.not_before();
-                    if defer.is_some() {
-                        break;
-                    }
-                    match spout.next() {
-                        Some(tuple) => {
-                            *processed += 1;
-                            let now_ns = shared.now_ns();
-                            if let Some(ing) = ingress.as_mut() {
-                                let depth = if ing.needs_depth() {
-                                    max_downstream_depth(shared, edges)
-                                } else {
-                                    0
-                                };
-                                let admit = ing.offer(
-                                    &tuple.key,
-                                    tuple.key_id(),
-                                    tuple.value,
-                                    depth,
-                                    now_ns,
-                                );
-                                if !admit {
-                                    continue;
-                                }
-                            }
-                            let mut em = Emitter {
-                                edges,
-                                sink: Sink::Pool { shared, outbox },
-                                inherit_born_ns: 0,
-                                now_ns,
-                                emitted,
-                                stall_scale,
-                                stalled_ns: 0,
-                            };
-                            em.emit(tuple);
-                            if !outbox.is_empty() {
-                                // Downstream full: stop producing, park.
-                                break;
-                            }
-                        }
-                        None => {
-                            *exhausted = true;
-                            if ingress.is_none() {
-                                queue_eofs(edges, outbox);
-                            }
-                            break;
-                        }
-                    }
+                    (key_id, tuple)
+                };
+                if !out.emit_keyed(key_id, tuple) {
+                    break;
                 }
             }
-            if *exhausted {
-                if let Some(ing) = ingress.as_mut() {
-                    // Drain phase: re-inject retained summaries as ordinary
-                    // tuples ahead of Eof. Restartable — if the outbox fills
-                    // mid-drain the task parks here, and `is_complete` holds
-                    // the Eof protocol open until the queue runs dry.
-                    ing.start_drain();
-                    while outbox.is_empty() {
-                        let Some(tuple) = ing.next_drained() else { break };
-                        let now_ns = shared.now_ns();
-                        let mut em = Emitter {
-                            edges,
-                            sink: Sink::Pool { shared, outbox },
-                            inherit_born_ns: 0,
-                            now_ns,
-                            emitted,
-                            stall_scale,
-                            stalled_ns: 0,
-                        };
-                        em.emit(tuple);
-                    }
-                    // Queued at most once: after this activation,
-                    // `is_complete` short-circuits the arm to `Done`.
-                    if ing.drain_complete() {
-                        queue_eofs(edges, outbox);
-                    }
-                }
+            // Reached at most once: afterwards `finished` short-circuits the
+            // activation to `Done`.
+            let complete = finished(kind);
+            if complete {
+                out.close();
             }
-            if !deliver_outbox(shared, tid, outbox) {
-                return Outcome::Park;
-            }
-            if let Some(wait) = defer {
-                return Outcome::Stall(shared.now_ns() + wait.as_nanos() as u64);
-            }
-            let drain_complete = match ingress {
-                Some(ing) => ing.drain_complete(),
-                None => true,
-            };
-            if *exhausted && drain_complete {
-                Outcome::Done
-            } else {
+            match (out.deliver(tid), defer) {
+                (false, _) => Outcome::Park,
+                (true, Some(wait)) => Outcome::Stall(shared.now_ns() + wait.as_nanos() as u64),
+                (true, None) if complete => Outcome::Done,
                 // Input left, or retained summaries still draining.
-                Outcome::Yield
+                (true, None) => Outcome::Yield,
             }
         }
         TaskKind::Bolt { bolt, eof_remaining, tick_period_ns, next_tick_ns } => {
+            // One clock read per tick and per mailbox refill, not per tuple:
+            // tuples drained together share a timestamp (skew bounded by one
+            // quantum, far below what the latency histogram resolves).
+            let mut now_ns = out.now_ns;
             // 1. Tick deadlines, catching up on every overdue period.
             if let Some(period) = *tick_period_ns {
-                let mut now_ns = shared.now_ns();
                 let mut fired = false;
                 while now_ns >= *next_tick_ns {
                     // Sample state at its peak, before the tick flushes it.
                     sampler.sample(bolt.state_size());
-                    let mut em = Emitter {
-                        edges,
-                        sink: Sink::Pool { shared, outbox },
-                        inherit_born_ns: 0,
-                        now_ns,
-                        emitted,
-                        stall_scale,
-                        stalled_ns: 0,
-                    };
-                    bolt.tick(&mut em);
-                    *stalled_ns += em.stalled_ns;
+                    out.now_ns = now_ns;
+                    bolt.tick(&mut out);
+                    out.flush();
+                    *stalled_ns += std::mem::take(&mut out.stalled_ns);
                     *ticks += 1;
                     *next_tick_ns += period;
                     fired = true;
@@ -864,19 +705,13 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                 if fired {
                     // Re-arm for the advanced deadline.
                     shared.arm(tid, *next_tick_ns, &WakeKind::Notify);
-                    if !deliver_outbox(shared, tid, outbox) {
+                    if !out.deliver(tid) {
                         return Outcome::Park;
                     }
                 }
             }
-            // 2. Input packets, up to the batch quantum. One clock read per
-            //    mailbox refill instead of per tuple: tuples drained
-            //    together share a timestamp, with skew bounded by one drain
-            //    quantum — far below the scheduling granularity the latency
-            //    histogram resolves — while saving a `clock_gettime` on
-            //    every packet.
+            // 2. Input packets, up to the batch quantum.
             let mut budget = shared.batch;
-            let mut now_ns = shared.now_ns();
             if *busy_until > now_ns {
                 // Resumed early (backpressure release, stale timer entry).
                 return Outcome::Stall(*busy_until);
@@ -895,17 +730,11 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                 match packet {
                     Packet::Tuple(tuple) => {
                         latency.record(now_ns.saturating_sub(tuple.born_ns));
-                        let mut em = Emitter {
-                            edges,
-                            sink: Sink::Pool { shared, outbox },
-                            inherit_born_ns: tuple.born_ns,
-                            now_ns,
-                            emitted,
-                            stall_scale,
-                            stalled_ns: 0,
-                        };
-                        bolt.execute(tuple, &mut em);
-                        let charged = em.stalled_ns;
+                        out.now_ns = now_ns;
+                        out.inherit_born_ns = tuple.born_ns;
+                        bolt.execute(tuple, &mut out);
+                        let blocked = !out.deliver(tid);
+                        let charged = std::mem::take(&mut out.stalled_ns);
                         // Feed the load signals: one in-flight tuple done,
                         // its capacity-scaled service time is the latency
                         // sample for Peak-EWMA and the capacity estimator.
@@ -914,7 +743,6 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                         }
                         *stalled_ns += charged;
                         *processed += 1;
-                        let blocked = !outbox.is_empty() && !deliver_outbox(shared, tid, outbox);
                         if charged > 0 {
                             // Service starts when the previous tuple's ended.
                             // Behind the wall clock (a late timer): keep
@@ -944,23 +772,12 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                             debug_assert!(inbox.is_empty(), "packets after final Eof");
                             sampler.sample(bolt.state_size());
                             *final_state = bolt.state_size();
-                            let now_ns = shared.now_ns();
-                            let mut em = Emitter {
-                                edges,
-                                sink: Sink::Pool { shared, outbox },
-                                inherit_born_ns: 0,
-                                now_ns,
-                                emitted,
-                                stall_scale,
-                                stalled_ns: 0,
-                            };
-                            bolt.finish(&mut em);
-                            *stalled_ns += em.stalled_ns;
-                            queue_eofs(edges, outbox);
-                            if !deliver_outbox(shared, tid, outbox) {
-                                return Outcome::Park;
-                            }
-                            return Outcome::Done;
+                            out.now_ns = shared.now_ns();
+                            out.inherit_born_ns = 0;
+                            bolt.finish(&mut out);
+                            *stalled_ns += out.stalled_ns;
+                            out.close();
+                            return if out.deliver(tid) { Outcome::Done } else { Outcome::Park };
                         }
                     }
                 }
@@ -979,20 +796,14 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
     }
 }
 
-/// Is the Eof protocol complete for this body? (Outbox drained and, for
-/// bolts, the final Eof processed.) A parked task can be `Done`-pending:
-/// it finishes on a later activation once its outbox drains.
-fn is_complete(body: &TaskBody) -> bool {
-    if !body.outbox.is_empty() {
-        return false;
-    }
-    match &body.kind {
-        TaskKind::Spout { exhausted, ingress, .. } => match ingress {
-            // A spout with ingress is complete only once the retained
-            // summaries have all been re-injected (see the drain phase).
-            Some(ing) => *exhausted && ing.drain_complete(),
-            None => *exhausted,
-        },
+/// Has the task sent its last tuple — a source exhausted with, under
+/// ingress, every retained summary re-injected; a bolt past its final Eof?
+/// It is done once its outbox drains too, possibly on a later activation.
+fn finished(kind: &TaskKind) -> bool {
+    match kind {
+        TaskKind::Spout { exhausted, ingress, .. } => {
+            *exhausted && ingress.as_ref().is_none_or(SpoutIngress::drain_complete)
+        }
         TaskKind::Bolt { eof_remaining, .. } => *eof_remaining == 0,
     }
 }

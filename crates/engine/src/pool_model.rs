@@ -31,17 +31,22 @@
 //!    deadline re-checks it instead of emitting
 //!    ([`deferred_spout_survives_early_release_and_timer_race`]).
 //! 7. **Dedicated-owner wakes** (the thread-per-instance schedule) — a
-//!    producer's `try_push` + wake racing the owner's activation, its
+//!    producer's `push_run` + wake racing the owner's activation, its
 //!    `settle(Idle)` and its park never strands a packet
 //!    ([`dedicated_owner_never_loses_a_wake`]), and a data wake racing a
 //!    stall neither cuts the stall short nor is lost once the owner's own
 //!    deadline fires ([`dedicated_stall_survives_a_racing_data_wake`]).
+//! 8. **Flushes queue behind a spill** — runs flushed while an earlier
+//!    spill still waits in the outbox join it instead of overtaking it, so
+//!    a consumer draining concurrently sees per-destination FIFO with the
+//!    Eof last ([`flush_behind_a_spill_preserves_order`]).
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
 //! the PR 4 stall bug, an unconditional-IDLE variant of the idle
-//! transition, a spout resume that skips the deadline re-check, and an
-//! owner that parks without re-reading the state its activation settled
-//! into, and assert the checker *finds* the violating schedule.
+//! transition, a spout resume that skips the deadline re-check, an owner
+//! that parks without re-reading the state its activation settled into,
+//! and a flush that pushes past a non-empty outbox, and assert the checker
+//! *finds* the violating schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
 // to police fixture code.
@@ -88,8 +93,17 @@ fn mailbox_len(shared: &Shared, tid: usize) -> usize {
     }
 }
 
+/// A producer's one-packet flush through the real delivery path
+/// ([`Shared::push_run`] with nothing spilled before it); `true` when the
+/// packet landed in the mailbox rather than spilling.
+fn push(shared: &Shared, dest: usize, packet: Packet) -> bool {
+    let mut outbox = VecDeque::new();
+    shared.push_run(dest, [packet], &mut outbox);
+    outbox.is_empty()
+}
+
 /// Invariant 1: across *every* interleaving of a producer's
-/// `try_push`+wake with the worker's "mailbox empty → settle(Idle)"
+/// `push_run`+wake with the worker's "mailbox empty → settle(Idle)"
 /// epilogue, a queued packet always leaves the task runnable (QUEUED) —
 /// the NOTIFIED latch plus the CAS-failure requeue close the race window.
 #[test]
@@ -100,8 +114,8 @@ fn no_lost_wake_between_empty_check_and_idle() {
         let producer = {
             let shared = Arc::clone(&shared);
             pkg_model::thread::spawn(move || {
-                let pushed = shared.try_push(0, Packet::Eof);
-                assert!(pushed.is_ok(), "capacity 4 mailbox never fills here");
+                let pushed = push(&shared, 0, Packet::Eof);
+                assert!(pushed, "capacity 4 mailbox never fills here");
             })
         };
         let worker = {
@@ -145,7 +159,7 @@ fn mutation_unconditional_idle_store_is_caught() {
             let producer = {
                 let shared = Arc::clone(&shared);
                 pkg_model::thread::spawn(move || {
-                    let _ = shared.try_push(0, Packet::Eof);
+                    let _ = push(&shared, 0, Packet::Eof);
                 })
             };
             let worker = {
@@ -190,7 +204,7 @@ fn stall_never_skipped_by_concurrent_data_wake() {
         let producer = {
             let shared = Arc::clone(&shared);
             pkg_model::thread::spawn(move || {
-                let _ = shared.try_push(0, Packet::Tuple(Tuple::new(*b"k", 1)));
+                let _ = push(&shared, 0, Packet::Tuple(Tuple::new(*b"k", 1)));
             })
         };
         let worker = {
@@ -224,7 +238,7 @@ fn mutation_pr4_conditional_stall_park_is_caught() {
             let producer = {
                 let shared = Arc::clone(&shared);
                 pkg_model::thread::spawn(move || {
-                    let _ = shared.try_push(0, Packet::Tuple(Tuple::new(*b"k", 1)));
+                    let _ = push(&shared, 0, Packet::Tuple(Tuple::new(*b"k", 1)));
                 })
             };
             let worker = {
@@ -667,8 +681,8 @@ fn check_owner(
         let producer = {
             let shared = Arc::clone(&shared);
             pkg_model::thread::spawn(move || {
-                assert!(shared.try_push(0, Packet::Tuple(Tuple::new(*b"k", 1))).is_ok());
-                assert!(shared.try_push(0, Packet::Eof).is_ok());
+                assert!(push(&shared, 0, Packet::Tuple(Tuple::new(*b"k", 1))));
+                assert!(push(&shared, 0, Packet::Eof));
             })
         };
         let driver = {
@@ -739,7 +753,7 @@ fn dedicated_stall_survives_a_racing_data_wake() {
         let producer = {
             let shared = Arc::clone(&shared);
             pkg_model::thread::spawn(move || {
-                assert!(shared.try_push(0, Packet::Tuple(Tuple::new(*b"k", 1))).is_ok());
+                assert!(push(&shared, 0, Packet::Tuple(Tuple::new(*b"k", 1))));
             })
         };
         let owner = {
@@ -763,4 +777,76 @@ fn dedicated_stall_survives_a_racing_data_wake() {
         // ordering: SeqCst — quiescent post-join read (SC-only model)
         assert_eq!(shared.tasks[0].state.load(SeqCst), IDLE);
     });
+}
+
+/// How a fixture producer flushes one single-packet run: the real
+/// [`Shared::push_run`], or a mutation of it.
+type Flush = fn(&Shared, usize, Packet, &mut VecDeque<(usize, Packet)>);
+
+/// A producer flushes tuples 1, 2, 3 and then its Eof, one run each, into a
+/// capacity-1 mailbox (task 0) through `flush`, while the consumer drains
+/// once concurrently; after the join the producer (task 1) retries its
+/// spill as `activate` does ([`deliver_outbox`]) until everything landed.
+/// The consumer must see 1, 2, 3, Eof in that order.
+fn check_flush_order(flush: Flush) -> Result<pkg_model::Report, pkg_model::Violation> {
+    fn take_values(inbox: &mut PacketBatch, seen: &mut Vec<i64>) {
+        while let Some(p) = inbox.pop() {
+            seen.push(ring_value(p));
+        }
+    }
+    pkg_model::Builder::new().preemption_bound(2).check(move || {
+        let shared = Arc::new(mini_shared(2, 1));
+        let consumer = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || {
+                let (mut inbox, mut seen) = (PacketBatch::default(), Vec::new());
+                shared.refill_inbox(0, &mut inbox, 64);
+                take_values(&mut inbox, &mut seen);
+                seen
+            })
+        };
+        let mut outbox = VecDeque::new();
+        for v in 1..=3 {
+            flush(&shared, 0, ring_tuple(v), &mut outbox);
+        }
+        flush(&shared, 0, Packet::Eof, &mut outbox);
+        let mut seen = consumer.join();
+        let mut inbox = PacketBatch::default();
+        while !outbox.is_empty() || mailbox_len(&shared, 0) > 0 {
+            deliver_outbox(&shared, 1, &mut outbox);
+            shared.refill_inbox(0, &mut inbox, 64);
+            take_values(&mut inbox, &mut seen);
+        }
+        assert_eq!(seen, vec![1, 2, 3, -1], "flush order: per-destination FIFO, Eof last");
+    })
+}
+
+/// Invariant 8: in every interleaving, a run flushed behind a spill queues
+/// in the outbox after it, whatever space the consumer frees meanwhile.
+#[test]
+fn flush_behind_a_spill_preserves_order() {
+    let report = check_flush_order(|shared, dest, packet, outbox| {
+        shared.push_run(dest, [packet], outbox);
+    })
+    .expect("no schedule may let a flush overtake an earlier spill");
+    assert!(
+        report.iterations >= 10,
+        "expected a real interleaving space, got {} schedules",
+        report.iterations
+    );
+}
+
+/// Detection power for invariant 8: a flush that pushes its run as if
+/// nothing had spilled before it must be caught — once the consumer frees
+/// the slot, the run lands ahead of the spilled tuple.
+#[test]
+fn mutation_flush_bypasses_a_nonempty_outbox_is_caught() {
+    let violation = check_flush_order(|shared, dest, packet, outbox| {
+        // BUG (deliberate): ignores the earlier spill waiting in `outbox`.
+        let mut fresh = VecDeque::new();
+        shared.push_run(dest, [packet], &mut fresh);
+        outbox.extend(fresh);
+    })
+    .expect_err("a flush that overtakes an earlier spill must be caught");
+    assert!(violation.message.contains("flush order"), "got: {violation}");
 }

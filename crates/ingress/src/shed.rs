@@ -1,8 +1,8 @@
 //! Load-shedding policies: what happens to a tuple the ingress layer
 //! refuses to admit.
 //!
-//! The engine decides *when* to shed (token bucket empty, in-flight limit
-//! hit, downstream depth over the watermark); the policy decides *what
+//! The engine decides *when* to shed (token bucket empty, downstream depth
+//! at the watermark); the policy decides *what
 //! happens to the refused tuple*. [`HardDrop`] discards it — cheapest,
 //! loses information. The *degrade* policy (in `pkg-agg`, which owns the
 //! sketch types) absorbs the tuple into a Space-Saving summary and returns

@@ -28,6 +28,9 @@
 //! | `driver`  | `pkg-engine` non-test code    | `.execute(` / `.not_before(` only in          |
 //! |           |                               | `pool.rs` — one instance loop drives bolts    |
 //! |           |                               | and spouts, under every schedule              |
+//! | `emit_`   | `pkg-engine` non-test code    | `push_run(` called only in the emitter's      |
+//! | `seam`    |                               | `flush`; `Emitter {` built once in `activate` |
+//! |           |                               | (and in `drop_sink`) — one way out            |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -90,6 +93,18 @@ const DRIVER_FILES: [&str; 2] = ["crates/engine/src/pool.rs", "crates/engine/src
 
 /// Calls only the instance driver may make (`driver` rule).
 const DRIVER_CALLS: [&str; 2] = [".execute(", ".not_before("];
+
+/// Where the `emit_seam` rule lets each delivery token appear in pkg-engine
+/// non-test code: `(token, file, enclosing fn, most occurrences there)`.
+/// Every tuple leaves an instance through the one flush, and the one
+/// emitter an activation builds is the only way to reach it; a second call
+/// site or literal would be a second delivery loop. (The model suite, a
+/// test-only child of `pool`, is exempt like it is from `driver`.)
+const EMIT_SEAM: [(&str, &str, &str, usize); 3] = [
+    ("push_run(", "crates/engine/src/bolt.rs", "flush", usize::MAX),
+    ("Emitter {", "crates/engine/src/pool.rs", "activate", 1),
+    ("Emitter {", "crates/engine/src/bolt.rs", "drop_sink", 1),
+];
 
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
@@ -180,6 +195,9 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     }
     if rel.starts_with("crates/engine/src/") && !DRIVER_FILES.contains(&rel) {
         rule_driver(rel, &code, &in_test, &mut out);
+    }
+    if rel.starts_with("crates/engine/src/") && rel != "crates/engine/src/pool_model.rs" {
+        rule_emit_seam(rel, &code, &in_test, &mut out);
     }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
@@ -299,6 +317,83 @@ fn rule_driver(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<Strin
             }
         }
     }
+}
+
+fn rule_emit_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    let fns = enclosing_fns(code);
+    let mut seen = [0usize; EMIT_SEAM.len()];
+    for (i, line) in code.iter().enumerate() {
+        if in_test[i] {
+            continue;
+        }
+        let within = fns[i].as_deref().unwrap_or("");
+        for token in ["push_run(", "Emitter {"] {
+            // The definition `fn push_run(` is not a call.
+            let hits = line.matches(token).count() - line.matches(&format!("fn {token}")).count();
+            for _ in 0..hits {
+                let site = EMIT_SEAM
+                    .iter()
+                    .position(|&(t, file, f, _)| (t, file, f) == (token, rel, within));
+                match site {
+                    Some(k) if seen[k] < EMIT_SEAM[k].3 => seen[k] += 1,
+                    _ => out.push(format!(
+                        "{rel}:{}: [emit_seam] `{token}` in `{within}` \
+                         (tuples leave an instance only through the emitter's one flush)",
+                        i + 1
+                    )),
+                }
+            }
+        }
+    }
+}
+
+/// The innermost `fn` whose body each line sits in (`None` outside every
+/// function), by tracking `fn name` headers and brace depth over the blanked
+/// code. A header ended by `;` (a bodiless trait method) opens nothing.
+fn enclosing_fns(code: &[String]) -> Vec<Option<String>> {
+    let mut stack: Vec<(String, i64)> = Vec::new();
+    let mut pending: Option<String> = None;
+    let mut depth = 0i64;
+    let mut out = Vec::with_capacity(code.len());
+    for line in code {
+        let bytes = line.as_bytes();
+        let mut k = 0;
+        while k < bytes.len() {
+            match bytes[k] {
+                b'f' if line[k..].starts_with("fn ")
+                    && (k == 0 || !is_ident_byte(bytes[k - 1])) =>
+                {
+                    let name: String = line[k + 3..]
+                        .trim_start()
+                        .chars()
+                        .take_while(|&c| is_ident_byte(c as u8) && c.is_ascii())
+                        .collect();
+                    if !name.is_empty() {
+                        pending = Some(name);
+                    }
+                    k += 3;
+                    continue;
+                }
+                b'{' => {
+                    if let Some(name) = pending.take() {
+                        stack.push((name, depth));
+                    }
+                    depth += 1;
+                }
+                b'}' => {
+                    depth -= 1;
+                    if stack.last().is_some_and(|&(_, d)| d == depth) {
+                        stack.pop();
+                    }
+                }
+                b';' => pending = None,
+                _ => {}
+            }
+            k += 1;
+        }
+        out.push(stack.last().map(|(name, _)| name.clone()));
+    }
+    out
 }
 
 /// Is this trimmed code line the start of a `use` declaration (possibly
@@ -796,6 +891,33 @@ mod tests {
         assert!(lint("crates/engine/src/runtime.rs", &gated).is_empty());
         let mention = "// activate calls bolt.execute(t, &mut em)\nfn f() {}\n";
         assert!(lint("crates/engine/src/bolt.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_second_delivery_loop_is_caught() {
+        let src =
+            "fn deliver_all(shared: &Shared, targets: &TargetBatch, outbox: &mut Outbox) {\n    \
+                   for (d, run) in targets.runs() {\n        \
+                   shared.push_run(d, run.iter().map(packet), outbox);\n    }\n}\n";
+        let v = lint("crates/engine/src/pool.rs", src);
+        assert!(v.iter().any(|v| v.contains("[emit_seam]") && v.contains("pool.rs:3")), "{v:?}");
+        // The one flush is where delivery belongs; the definition, engine
+        // tests and a mention in a comment are not a second loop.
+        let flush = src.replace("fn deliver_all", "fn flush");
+        assert!(lint("crates/engine/src/bolt.rs", &flush).is_empty());
+        let def = "pub(crate) fn push_run(&self, dest: usize) {\n    let _ = dest;\n}\n";
+        assert!(lint("crates/engine/src/pool.rs", def).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/engine/src/pool.rs", &gated).is_empty());
+        let mention = "// the flush calls shared.push_run(d, run, outbox)\nfn f() {}\n";
+        assert!(lint("crates/engine/src/pool.rs", mention).is_empty());
+        // One emitter per activation: a second literal is a second way out.
+        let literal = "Emitter { outlet: None, emitted, now_ns: 0 }";
+        let twice =
+            format!("fn activate() {{\n    let a = {literal};\n    let b = {literal};\n}}\n");
+        let v = lint("crates/engine/src/pool.rs", &twice);
+        assert!(v.iter().any(|v| v.contains("[emit_seam]") && v.contains("pool.rs:3")), "{v:?}");
+        assert!(!v.iter().any(|v| v.contains("pool.rs:2")), "{v:?}");
     }
 
     #[test]

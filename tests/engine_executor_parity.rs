@@ -445,6 +445,281 @@ fn loads_equal_a_bare_router_replay_in_every_mode() {
     }
 }
 
+/// One arrival at a recording bolt: the tuple's key and value.
+type Arrival = (Vec<u8>, i64);
+
+/// Per-instance arrival logs of one recording component, shared with the
+/// bolts that fill them.
+#[derive(Clone)]
+struct Arrivals(std::sync::Arc<std::sync::Mutex<Vec<Vec<Arrival>>>>);
+
+impl Arrivals {
+    fn new(instances: usize) -> Self {
+        Self(std::sync::Arc::new(std::sync::Mutex::new(vec![Vec::new(); instances])))
+    }
+
+    fn bolt(&self, instance: usize) -> Box<dyn Bolt> {
+        Box::new(Recorder { log: self.clone(), instance })
+    }
+
+    fn logs(&self) -> Vec<Vec<Arrival>> {
+        self.0.lock().expect("arrival log").clone()
+    }
+}
+
+/// Logs every tuple it receives, epoch markers included, in arrival order.
+struct Recorder {
+    log: Arrivals,
+    instance: usize,
+}
+
+impl Bolt for Recorder {
+    fn execute(&mut self, t: Tuple, _out: &mut Emitter<'_>) {
+        self.log.0.lock().expect("arrival log")[self.instance].push(arrival(&t));
+    }
+}
+
+fn arrival(t: &Tuple) -> Arrival {
+    (t.key.as_bytes().to_vec(), t.value)
+}
+
+/// Sender `sender`'s stream for the arrival oracle: the skewed stream with
+/// each value set to `sender << 32 | seq`, so a recorder's log splits back
+/// into per-sender subsequences (epoch markers carry a small epoch number
+/// and so attribute to sender 0 — the elastic leg has one sender).
+fn tagged_stream(sender: usize, n: u64) -> Vec<Tuple> {
+    skewed_stream(sender, n)
+        .zip(0i64..)
+        .map(|(mut t, seq)| {
+            t.value = (sender as i64) << 32 | seq;
+            t
+        })
+        .collect()
+}
+
+fn sender_of(a: &Arrival) -> usize {
+    (a.1 >> 32) as usize
+}
+
+/// One spout out-edge of an arrival-oracle leg: its grouping and the
+/// recording component (index into the leg's recorders) it feeds.
+struct OracleEdge {
+    grouping: Grouping,
+    rec: usize,
+}
+
+/// What each recorder instance must receive from one sender: the stream
+/// replayed tuple by tuple through one bare `Router` per out-edge, in edge
+/// order, each elastic epoch marker broadcast before the tuple that crosses
+/// its threshold — the emitter's contract, with no engine involved.
+/// `from` is the sending component's index; recorder `r` is component
+/// `r + 1 + from`.
+fn replay_arrivals(
+    stream: &[Tuple],
+    sender: usize,
+    from: usize,
+    edges: &[OracleEdge],
+    recorders: &[usize],
+    seed: u64,
+) -> Vec<Vec<Vec<Arrival>>> {
+    use partial_key_grouping::engine::edge_seed;
+    use partial_key_grouping::engine::grouping::{Router, Target};
+    use partial_key_grouping::engine::EPOCH_MARKER_KEY;
+    let mut routers: Vec<Router> = edges
+        .iter()
+        .map(|e| {
+            let to = e.rec + 1 + from;
+            Router::new(&e.grouping, recorders[e.rec], edge_seed(seed, from, to), sender)
+        })
+        .collect();
+    let mut want: Vec<Vec<Vec<Arrival>>> = recorders.iter().map(|&n| vec![Vec::new(); n]).collect();
+    for t in stream {
+        for (e, router) in edges.iter().zip(&mut routers) {
+            let log = &mut want[e.rec];
+            while let Some(epoch) = router.advance_epoch() {
+                for w in log.iter_mut() {
+                    w.push((EPOCH_MARKER_KEY.to_vec(), i64::from(epoch)));
+                }
+            }
+            match router.route(t.key_id()) {
+                Target::One(w) => log[w].push(arrival(t)),
+                Target::All => log.iter_mut().for_each(|w| w.push(arrival(t))),
+            }
+        }
+    }
+    want
+}
+
+/// Forwards each input twice (a primed copy, then the tuple) on `execute`,
+/// announces every tick with `("tick<i>", executed so far)`, and signs off
+/// with `("fin", executed)` — emissions from all three callbacks.
+#[derive(Default)]
+struct Relay {
+    executed: i64,
+    ticks: u64,
+}
+
+impl Bolt for Relay {
+    fn execute(&mut self, t: Tuple, out: &mut Emitter<'_>) {
+        self.executed += 1;
+        out.emit(primed(&t));
+        out.emit(t);
+    }
+
+    fn tick(&mut self, out: &mut Emitter<'_>) {
+        out.emit(Tuple::new(format!("tick{}", self.ticks).into_bytes(), self.executed));
+        self.ticks += 1;
+    }
+
+    fn finish(&mut self, out: &mut Emitter<'_>) {
+        out.emit(Tuple::new(b"fin".to_vec(), self.executed));
+    }
+}
+
+fn primed(t: &Tuple) -> Tuple {
+    let mut key = t.key.as_bytes().to_vec();
+    key.push(b'\'');
+    Tuple::new(key, t.value)
+}
+
+/// The relay's emission stream, rebuilt from where its tick announcements
+/// landed: ticks fire on the wall clock, but each carries how many inputs
+/// the relay had executed, which pins its place among the deterministic
+/// `execute` emissions.
+fn relay_emissions(input: &[Tuple], logs: &[Vec<Arrival>]) -> Vec<Tuple> {
+    let mut ticks: Vec<(u64, i64)> = logs
+        .iter()
+        .flatten()
+        .filter_map(|(key, executed)| {
+            let idx = std::str::from_utf8(key).ok()?.strip_prefix("tick")?.parse().ok()?;
+            Some((idx, *executed))
+        })
+        .collect();
+    ticks.sort_unstable();
+    assert!(ticks.iter().zip(0u64..).all(|(&(idx, _), i)| idx == i), "tick ids are 0..n");
+    let mut ticks = ticks.into_iter().peekable();
+    let mut out = Vec::new();
+    for (executed, t) in (0i64..).zip(input.iter().map(Some).chain([None])) {
+        while let Some((idx, _)) = ticks.next_if(|&(_, at)| at == executed) {
+            out.push(Tuple::new(format!("tick{idx}").into_bytes(), executed));
+        }
+        match t {
+            Some(t) => out.extend([primed(t), t.clone()]),
+            None => out.push(Tuple::new(b"fin".to_vec(), executed)),
+        }
+    }
+    assert!(ticks.next().is_none(), "every tick landed between executes");
+    out
+}
+
+/// Executor-free arrival oracle: recording bolts log each instance's full
+/// arrival sequence, epoch markers included, and every sender's subsequence
+/// must equal a bare-`Router` replay of its stream — in every mode and
+/// transport, with capacity-1 and capacity-32 mailboxes. Unlike the load
+/// oracle above, this sees a reordering, not just a miscount. Legs:
+/// Broadcast; one spout with two out-edges (PKG and Key); one component
+/// subscribed twice to the same spout, so two edges share destination tasks
+/// and their per-tuple interleaving must survive; Elastic over a two-step
+/// plan; and a relay bolt emitting from `execute`, `tick` and `finish`.
+#[test]
+fn arrivals_equal_a_bare_router_replay_in_every_mode() {
+    use partial_key_grouping::elastic::{Change, MembershipPlan};
+    const PER_SOURCE: u64 = 600;
+    const SEED: u64 = 31;
+    let plan = MembershipPlan::new(4)
+        .with_step(150, [Change::Remove(3)])
+        .with_step(400, [Change::Insert(3), Change::Remove(0)]);
+    // (leg, senders, spout out-edges in engine order, recorder sizes)
+    let spout_legs: Vec<(&str, usize, Vec<OracleEdge>, Vec<usize>)> = vec![
+        ("broadcast", 2, vec![OracleEdge { grouping: Grouping::Broadcast, rec: 0 }], vec![3]),
+        (
+            "two-out-edges",
+            2,
+            vec![
+                OracleEdge { grouping: Grouping::partial_key(), rec: 0 },
+                OracleEdge { grouping: Grouping::Key, rec: 1 },
+            ],
+            vec![4, 3],
+        ),
+        (
+            "subscribed-twice",
+            2,
+            vec![
+                OracleEdge { grouping: Grouping::partial_key(), rec: 0 },
+                OracleEdge { grouping: Grouping::Shuffle, rec: 0 },
+            ],
+            vec![3],
+        ),
+        ("elastic", 1, vec![OracleEdge { grouping: Grouping::elastic(plan), rec: 0 }], vec![4]),
+    ];
+    let legs = MODES
+        .iter()
+        .map(|&(label, mode)| (label, (mode, true)))
+        .chain(RING_MODES.iter().map(|&(label, mode, rings)| (label, (mode, rings))));
+    for (label, mode) in legs {
+        for cap in [1, 32] {
+            for (leg, senders, edges, sizes) in &spout_legs {
+                let recorders: Vec<Arrivals> = sizes.iter().map(|&n| Arrivals::new(n)).collect();
+                let mut topo = Topology::new();
+                let s = topo
+                    .add_spout("src", *senders, |i| spout_from_iter(tagged_stream(i, PER_SOURCE)));
+                for (r, rec) in recorders.iter().enumerate() {
+                    let rec = rec.clone();
+                    let mut bolt =
+                        topo.add_bolt(&format!("rec{r}"), sizes[r], move |i| rec.bolt(i));
+                    for e in edges.iter().filter(|e| e.rec == r) {
+                        bolt = bolt.input(s, e.grouping.clone());
+                    }
+                }
+                let _ = Runtime::with_options(ring_opts(mode, SEED, cap)).run(topo);
+                for sender in 0..*senders {
+                    let stream = tagged_stream(sender, PER_SOURCE);
+                    let want = replay_arrivals(&stream, sender, 0, edges, sizes, SEED);
+                    for (r, rec) in recorders.iter().enumerate() {
+                        for (w, log) in rec.logs().iter().enumerate() {
+                            let got: Vec<Arrival> =
+                                log.iter().filter(|a| sender_of(a) == sender).cloned().collect();
+                            assert!(
+                                got == want[r][w],
+                                "{label}/cap {cap}/{leg}: rec{r}[{w}] from sender {sender} \
+                                 diverged from the replay ({} arrivals, {} expected)",
+                                got.len(),
+                                want[r][w].len()
+                            );
+                        }
+                    }
+                }
+            }
+            // Relay leg: spout → relay (one instance) → 4 recorders via PKG.
+            let recorder = Arrivals::new(4);
+            let mut topo = Topology::new();
+            let s = topo.add_spout("src", 1, |i| spout_from_iter(tagged_stream(i, PER_SOURCE)));
+            let relay = topo
+                .add_bolt("relay", 1, |_| Box::new(Relay::default()))
+                .input(s, Grouping::Global)
+                .tick_every(Duration::from_micros(500))
+                .id();
+            let rec = recorder.clone();
+            let _ =
+                topo.add_bolt("rec", 4, move |i| rec.bolt(i)).input(relay, Grouping::partial_key());
+            let _ = Runtime::with_options(ring_opts(mode, SEED, cap)).run(topo);
+            let logs = recorder.logs();
+            let emitted = relay_emissions(&tagged_stream(0, PER_SOURCE), &logs);
+            let edge = [OracleEdge { grouping: Grouping::partial_key(), rec: 0 }];
+            let want = replay_arrivals(&emitted, 0, 1, &edge, &[4], SEED);
+            for (w, log) in logs.iter().enumerate() {
+                assert!(
+                    *log == want[0][w],
+                    "{label}/cap {cap}/relay: rec[{w}] diverged from the replay \
+                     ({} arrivals, {} expected)",
+                    log.len(),
+                    want[0][w].len()
+                );
+            }
+        }
+    }
+}
+
 /// Backpressure regime: capacity-1 mailboxes through a chain. The pool must
 /// park/unpark its way through while preserving the exact same counts.
 #[test]
