@@ -2,8 +2,8 @@
 //! aggregation that survives runtime membership changes via key-space
 //! migration.
 //!
-//! An [`ElasticWorkerBolt`] sits downstream of a
-//! `pkg_engine::Grouping::Elastic` edge. Senders on that edge announce each
+//! An [`ElasticWorkerBolt`] sits downstream of an elastic edge
+//! (`pkg_engine::Grouping::elastic(plan)`). Senders on that edge announce each
 //! membership epoch with an in-band marker tuple (see `pkg_engine::elastic`)
 //! broadcast on every FIFO channel, so a receiving instance knows precisely
 //! when its old-epoch inbound traffic has drained: once it holds one marker

@@ -3,9 +3,9 @@
 //! PKG splits every key over (at most) two workers, so any per-key state is
 //! *partial* by construction and a second phase must combine the pieces
 //! (§V-D of the paper measures exactly this overhead). An accumulator that
-//! implements `PartialAgg` is a commutative monoid — [`identity`]
-//! (`PartialAgg::identity`), [`insert`](PartialAgg::insert) to fold one
-//! observation, and an associative, commutative [`merge`](PartialAgg::merge)
+//! implements `PartialAgg` is a commutative monoid —
+//! [`identity`](PartialAgg::identity), [`insert`](PartialAgg::insert) to fold
+//! one observation, and an associative, commutative [`merge`](PartialAgg::merge)
 //! — plus [`encode`](PartialAgg::encode) / [`decode`](PartialAgg::decode) so
 //! partial states can travel across an engine edge as tuple payloads.
 //!

@@ -84,8 +84,7 @@ fn sim_leg(messages: u64, out: &mut String, tsv: &mut String) -> bool {
         &spec,
         &SimConfig::new(WORKERS, SOURCES, SchemeSpec::pkg(EstimateKind::Local))
             .with_seed(seed())
-            .with_load_metric(LoadMetricKind::peak_ewma())
-            .with_estimator(2_048)
+            .with_load(LoadSignalOptions::adaptive())
             .with_service_profile(profile),
     );
 
@@ -144,8 +143,7 @@ fn sim_leg(messages: u64, out: &mut String, tsv: &mut String) -> bool {
         &spec,
         &SimConfig::new(WORKERS, SOURCES, SchemeSpec::pkg(EstimateKind::Global))
             .with_seed(seed())
-            .with_load_metric(LoadMetricKind::peak_ewma())
-            .with_estimator(2_048)
+            .with_load(LoadSignalOptions::adaptive())
             .with_service_profile(ServiceProfile::new(
                 BASE_SERVICE_NS,
                 SpeedDrift::uniform(WORKERS),

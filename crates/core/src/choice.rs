@@ -78,7 +78,7 @@ impl Default for ChoiceConfig {
     }
 }
 
-/// D-Choices / W-Choices are [`PartialKeyGrouping`] under a
+/// D-Choices / W-Choices are [`crate::PartialKeyGrouping`] under a
 /// [`crate::CandidatePolicy::Head`] policy; the name survives for
 /// `AdaptiveChoices::d_choices(..)` / `::w_choices(..)` call sites.
 pub type AdaptiveChoices = crate::pkg::PartialKeyGrouping;

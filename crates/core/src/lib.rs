@@ -77,4 +77,4 @@ pub use pinned::PinnedGreedy;
 pub use pkg::{CandidatePolicy, HeadCap, PartialKeyGrouping};
 pub use replication::ReplicationTracker;
 pub use shuffle::ShuffleGrouping;
-pub use signals::SharedSignals;
+pub use signals::{LoadSignalOptions, SharedSignals};

@@ -1,12 +1,16 @@
 //! Shared load-*signal* state behind [`crate::SharedLoads`].
 //!
-//! The paper's load is a tuple count; [`pkg_metrics::LoadMetric`] makes the
-//! minimized quantity pluggable, and this module holds the extra shared
+//! The paper's load is a tuple count; [`pkg_metrics::LoadMetricKind`] makes
+//! the minimized quantity pluggable, and this module holds the extra shared
 //! state the non-default metrics need: per-worker in-flight (pending)
 //! counters, per-worker Peak-EWMA service-latency estimates, the global
 //! latency peak (the pessimistic prior for workers never observed), and an
 //! optional online [`CapacityEstimator`] that rescales every signal by the
 //! worker's *measured* relative speed.
+//!
+//! [`LoadSignalOptions`] is how a run asks for that state — the simulator's
+//! `SimConfig::load` and the engine's `RuntimeOptions::load` carry the same
+//! type, and [`LoadSignalOptions::attach`] is the one place either builds it.
 //!
 //! ## The collapse rule
 //!
@@ -29,7 +33,48 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pkg_metrics::{peak_ewma_step, CapacityEstimator, LoadMetricKind, LoadObservation};
+use pkg_metrics::{
+    peak_ewma_step, CapacityEstimator, LoadMetricKind, LoadObservation, DEFAULT_ESTIMATOR_WINDOW,
+};
+
+use crate::estimator::SharedLoads;
+
+/// Which load signal the load-consulting schemes minimize, plus the
+/// optional online capacity re-estimation window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoadSignalOptions {
+    /// The minimized signal (see [`LoadMetricKind`]).
+    pub metric: LoadMetricKind,
+    /// Attach a [`CapacityEstimator`] rotating every this many completion
+    /// observations. `None` = static capacities only.
+    pub estimator_window: Option<u64>,
+}
+
+impl LoadSignalOptions {
+    /// Minimize `metric`, no online capacity re-estimation.
+    pub fn metric(metric: LoadMetricKind) -> Self {
+        Self { metric, estimator_window: None }
+    }
+
+    /// The full adaptive stack: Peak-EWMA latency signal plus online
+    /// capacity re-estimation on the default window.
+    pub fn adaptive() -> Self {
+        Self {
+            metric: LoadMetricKind::peak_ewma(),
+            estimator_window: Some(DEFAULT_ESTIMATOR_WINDOW),
+        }
+    }
+
+    /// `loads` with this signal state attached: the metric, and a fresh
+    /// estimator over `loads.n()` workers at the configured window. The
+    /// default configuration (`TupleCount`, no estimator) attaches nothing
+    /// — see [`SharedSignals::attach`].
+    pub fn attach(&self, loads: SharedLoads) -> SharedLoads {
+        let estimator =
+            self.estimator_window.map(|w| Arc::new(CapacityEstimator::new(loads.n(), w)));
+        loads.with_signals(self.metric, estimator)
+    }
+}
 
 /// Shared per-worker signal state for the non-default load metrics.
 #[derive(Debug)]
@@ -77,11 +122,6 @@ impl SharedSignals {
     /// The attached capacity estimator, if any.
     pub fn estimator(&self) -> Option<&Arc<CapacityEstimator>> {
         self.estimator.as_ref()
-    }
-
-    /// Number of workers covered.
-    pub fn n(&self) -> usize {
-        self.pending.len()
     }
 
     /// A tuple was dispatched toward worker `w` (not yet completed).
@@ -152,7 +192,7 @@ impl SharedSignals {
             // ordering: Relaxed — see `observe`.
             fallback_ns: self.peak_ns.load(Ordering::Relaxed),
         };
-        let raw = self.kind.metric().signal(obs);
+        let raw = self.kind.signal(obs);
         match &self.estimator {
             Some(e) => e.scale(w, raw),
             None => raw,

@@ -16,38 +16,22 @@ pub enum Grouping {
     Shuffle,
     /// Hash on the key (Storm's fields grouping / the paper's KG).
     Key,
-    /// PARTIAL KEY GROUPING: `d` hash choices, pick the one with the lowest
-    /// locally-estimated load (§III; `d = 2` in the paper).
-    Partial {
-        /// Number of candidate workers per key.
-        d: usize,
-    },
-    /// D-CHOICES (the journal follow-up's adaptive scheme): keys whose
-    /// locally-estimated frequency crosses `θ = 2(1+ε)/n` get
-    /// `⌈p̂·n/(1+ε)⌉` candidates from their hash sequence; tail keys route
-    /// exactly like [`Grouping::Partial`] with `d = 2`. Use when the
-    /// downstream parallelism exceeds `O(1/p1)`.
-    DChoices {
-        /// Relative imbalance target `ε`.
-        epsilon: f64,
-    },
-    /// W-CHOICES: like [`Grouping::DChoices`] but head keys may go to
-    /// *every* downstream instance (lowest replication-vs-balance latency,
-    /// highest aggregation cost).
-    WChoices {
-        /// Relative imbalance target `ε`.
-        epsilon: f64,
-    },
-    /// Elastic PKG: [`Grouping::Partial`] routing confined to the live
-    /// worker set of a [`MembershipPlan`]. Each sender replays the plan
-    /// against its own routed-tuple count; on crossing a threshold it
-    /// broadcasts an in-band epoch marker (see [`crate::elastic`]) to every
-    /// downstream instance, then routes new tuples over the new live set.
-    Elastic {
-        /// Number of candidate workers per key (`2` = the paper's PKG).
-        d: usize,
+    /// The greedy family: each tuple goes to the candidate with the lowest
+    /// estimated load, locally estimated per sender (§III-B). `policy` says
+    /// how many members of its hash sequence a key gets — PARTIAL KEY
+    /// GROUPING's `Fixed(2)`, or D-/W-CHOICES' head-key widening (use those
+    /// when the downstream parallelism exceeds `O(1/p1)`).
+    ///
+    /// With a `plan`, routing is confined to the live worker set of a
+    /// [`MembershipPlan`]: each sender replays the plan against its own
+    /// routed-tuple count; on crossing a threshold it broadcasts an in-band
+    /// epoch marker (see [`crate::elastic`]) to every downstream instance,
+    /// then routes new tuples over the new live set.
+    Greedy {
+        /// Candidate count per key.
+        policy: CandidatePolicy,
         /// The scripted membership schedule, shared by every sender.
-        plan: Arc<MembershipPlan>,
+        plan: Option<Arc<MembershipPlan>>,
     },
     /// Everything to instance 0 (Storm's global grouping; used for final
     /// aggregators).
@@ -57,24 +41,33 @@ pub enum Grouping {
 }
 
 impl Grouping {
+    /// PKG with `d` hash choices (`1 ≤ d ≤ 16`).
+    pub fn partial(d: usize) -> Self {
+        Grouping::Greedy { policy: CandidatePolicy::Fixed(d), plan: None }
+    }
+
     /// The paper's PKG with two choices.
     pub fn partial_key() -> Self {
-        Grouping::Partial { d: 2 }
+        Self::partial(2)
     }
 
-    /// D-Choices with the default imbalance target.
+    /// D-Choices with the default imbalance target: a head key gets
+    /// `⌈p̂·n/(1+ε)⌉` candidates, tail keys two.
     pub fn d_choices() -> Self {
-        Grouping::DChoices { epsilon: DEFAULT_EPSILON }
+        let policy = CandidatePolicy::Head { epsilon: DEFAULT_EPSILON, cap: HeadCap::PerFrequency };
+        Grouping::Greedy { policy, plan: None }
     }
 
-    /// W-Choices with the default imbalance target.
+    /// W-Choices with the default imbalance target: a head key may go to
+    /// every downstream instance, tail keys to two.
     pub fn w_choices() -> Self {
-        Grouping::WChoices { epsilon: DEFAULT_EPSILON }
+        let policy = CandidatePolicy::Head { epsilon: DEFAULT_EPSILON, cap: HeadCap::All };
+        Grouping::Greedy { policy, plan: None }
     }
 
     /// Elastic PKG (two choices) following `plan`.
     pub fn elastic(plan: MembershipPlan) -> Self {
-        Grouping::Elastic { d: 2, plan: Arc::new(plan) }
+        Grouping::Greedy { policy: CandidatePolicy::Fixed(2), plan: Some(Arc::new(plan)) }
     }
 }
 
@@ -172,7 +165,7 @@ impl TargetBatch {
 
 /// Per-sender routing state for one outgoing edge.
 ///
-/// Every upstream instance owns its own `Router` — for `Partial` this is
+/// Every upstream instance owns its own `Router` — for `Greedy` this is
 /// what makes load estimation *local*: the router's estimate counts only the
 /// tuples this sender routed, per §III-B.
 #[derive(Debug)]
@@ -192,9 +185,8 @@ enum RouterKind {
     Key {
         seed: u64,
     },
-    /// Every load-consulting grouping: one greedy partitioner, configured
-    /// by its candidate policy; `elastic` is the plan replay state of an
-    /// [`Grouping::Elastic`] edge.
+    /// [`Grouping::Greedy`]: one greedy partitioner, configured by its
+    /// candidate policy; `elastic` is the replay state of its plan.
     Greedy {
         pkg: PartialKeyGrouping,
         elastic: Option<PlanReplay>,
@@ -222,11 +214,12 @@ impl Router {
         Self::with_shared(grouping, n, seed, sender_index, None)
     }
 
-    /// Like [`Router::new`], but when `shared` is given the load-consulting
-    /// groupings minimize its pluggable load *signal* instead of a local
-    /// tuple count. Pending/latency signals are shared feedback by nature,
-    /// so adaptive metrics imply global estimation; `None` keeps the
-    /// paper's local estimation byte-identically.
+    /// Like [`Router::new`], but when `shared` is given a greedy grouping
+    /// without a plan minimizes its pluggable load *signal* instead of a
+    /// local tuple count. Pending/latency signals are shared feedback by
+    /// nature, so adaptive metrics imply global estimation; `None` keeps the
+    /// paper's local estimation byte-identically. A plan always estimates
+    /// locally (its epoch replay is defined over the sender's own count).
     pub fn with_shared(
         grouping: &Grouping,
         n: usize,
@@ -235,34 +228,28 @@ impl Router {
         shared: Option<&SharedLoads>,
     ) -> Self {
         assert!(n > 0, "edges need at least one downstream instance");
-        let estimate = || match shared {
-            Some(s) => {
-                assert_eq!(s.n(), n, "shared loads must cover every downstream instance");
-                Estimate::global(s.clone())
-            }
-            None => Estimate::local(n),
-        };
-        let greedy = |policy| RouterKind::Greedy {
-            pkg: PartialKeyGrouping::over(LoadView::new(n, estimate()), policy, seed),
-            elastic: None,
-        };
-        let head = |epsilon: &f64, cap| CandidatePolicy::Head { epsilon: *epsilon, cap };
         let kind = match grouping {
             Grouping::Shuffle => RouterKind::Shuffle { next: sender_index % n },
             Grouping::Key => RouterKind::Key { seed },
-            Grouping::Partial { d } => greedy(CandidatePolicy::Fixed(*d)),
-            Grouping::DChoices { epsilon } => greedy(head(epsilon, HeadCap::PerFrequency)),
-            Grouping::WChoices { epsilon } => greedy(head(epsilon, HeadCap::All)),
-            Grouping::Elastic { d, plan } => {
-                assert_eq!(
-                    plan.capacity(),
-                    n,
-                    "membership plan id space must match the downstream instance count"
-                );
-                let mut pkg = PartialKeyGrouping::new(n, *d, Estimate::local(n), seed);
-                pkg.apply_membership(plan.live(0));
-                let replay = PlanReplay { plan: Arc::clone(plan), routed: 0, next_epoch: 1 };
-                RouterKind::Greedy { pkg, elastic: Some(replay) }
+            Grouping::Greedy { policy, plan } => {
+                let estimate = match (plan, shared) {
+                    (None, Some(s)) => {
+                        assert_eq!(s.n(), n, "shared loads must cover every downstream instance");
+                        Estimate::global(s.clone())
+                    }
+                    _ => Estimate::local(n),
+                };
+                let mut pkg = PartialKeyGrouping::over(LoadView::new(n, estimate), *policy, seed);
+                let elastic = plan.as_ref().map(|plan| {
+                    assert_eq!(
+                        plan.capacity(),
+                        n,
+                        "membership plan id space must match the downstream instance count"
+                    );
+                    pkg.apply_membership(plan.live(0));
+                    PlanReplay { plan: Arc::clone(plan), routed: 0, next_epoch: 1 }
+                });
+                RouterKind::Greedy { pkg, elastic }
             }
             Grouping::Global => RouterKind::Global,
             Grouping::Broadcast => RouterKind::Broadcast,
@@ -355,8 +342,8 @@ impl Router {
     }
 
     /// Whether any batch of keys may go through [`Router::route_batch`] as
-    /// is, each tuple landing in exactly one run. Not so for `Elastic` (a
-    /// batch must stop at the next membership threshold, with
+    /// is, each tuple landing in exactly one run. Not so for a greedy edge
+    /// with a plan (a batch must stop at the next membership threshold, with
     /// [`Router::advance_epoch`] between cuts) or `Broadcast` (every run
     /// spans the batch). Every greedy scheme is batchable *by the paper's own
     /// argument*: between two argmin evaluations the loads move by at most
@@ -555,7 +542,7 @@ mod tests {
     #[test]
     fn elastic_senders_agree_on_candidates_with_static_partial() {
         // An elastic edge whose plan never changes routes exactly like
-        // Partial — markers aside, the schemes are byte-identical.
+        // plain PKG — markers aside, the schemes are byte-identical.
         use pkg_elastic::MembershipPlan;
         let mut a = Router::new(&Grouping::elastic(MembershipPlan::new(8)), 8, 3, 0);
         let mut b = Router::new(&Grouping::partial_key(), 8, 3, 0);

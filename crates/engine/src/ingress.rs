@@ -2,10 +2,10 @@
 //! state backing hedged dispatch.
 //!
 //! The mechanisms (token bucket, shed policies, hedge tag codec) live in
-//! `pkg-ingress`; this module owns the *placement*: a [`SpoutIngress`] sits
+//! `pkg-ingress`; this module owns the *placement*: a `SpoutIngress` sits
 //! between each spout and its emitter and decides, tuple by tuple, whether
 //! the tuple enters the topology. Refused tuples go to the configured
-//! [`ShedPolicy`](pkg_ingress::ShedPolicy); whatever the policy retains is
+//! [`ShedPolicy`]; whatever the policy retains is
 //! re-injected at end-of-stream via the drain phase, ahead of EOF, so
 //! downstream bolts see degraded summaries as ordinary tuples.
 //!

@@ -11,7 +11,7 @@
 //! backpressure on its sources (exactly the mechanism that makes load
 //! imbalance destroy throughput), and stream partitioning is pluggable
 //! per edge via [`grouping::Grouping`] — including
-//! [`grouping::Grouping::Partial`], the paper's contribution, implemented on
+//! [`grouping::Grouping::partial_key`], the paper's contribution, implemented on
 //! top of `pkg_core::PartialKeyGrouping` with per-sender **local** load
 //! estimation, just as the reference Storm `CustomStreamGrouping` does.
 //!

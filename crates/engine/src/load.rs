@@ -1,12 +1,13 @@
 //! Engine-side wiring of the pluggable load signals.
 //!
-//! [`LoadSignalOptions`] selects which load *signal* the load-consulting
-//! groupings (`Partial`, `DChoices`, `WChoices`) minimize,
-//! and whether an online [`CapacityEstimator`] re-derives per-instance
-//! capacity weights from observed service times. When set, every component
-//! that is the destination of at least one load-consulting edge gets one
-//! shared [`SharedLoads`] — all senders route on the same signal, fed by
-//! real observations: dispatches from the emitters, completions (with the
+//! [`LoadSignalOptions`] (defined in `pkg-core`, shared with the simulator)
+//! selects which load *signal* the load-consulting groupings — every
+//! [`Grouping::Greedy`] edge without a membership plan — minimize, and
+//! whether an online capacity estimator re-derives per-instance capacity
+//! weights from observed service times. When set, every component that is
+//! the destination of at least one load-consulting edge gets one shared
+//! [`SharedLoads`] — all senders route on the same signal, fed by real
+//! observations: dispatches from the emitters, completions (with the
 //! tuple's capacity-scaled `stalled_ns` as the service-time sample) from
 //! the activation loop, under either schedule identically.
 //!
@@ -14,53 +15,17 @@
 //! nothing: the builders below return `None` per component and every
 //! routing path stays byte-identical to an engine without this module.
 
+pub use pkg_core::LoadSignalOptions;
 use pkg_core::SharedLoads;
-use pkg_metrics::{CapacityEstimator, LoadMetricKind, DEFAULT_ESTIMATOR_WINDOW};
 
 use crate::grouping::Grouping;
-use crate::sync::Arc;
 
-/// Which load signal the engine's load-consulting edges minimize, plus the
-/// optional online capacity re-estimation window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadSignalOptions {
-    /// The minimized signal (see [`LoadMetricKind`]).
-    pub metric: LoadMetricKind,
-    /// Attach a [`CapacityEstimator`] rotating every this many completion
-    /// observations (per destination component). `None` = static only.
-    pub estimator_window: Option<u64>,
-}
-
-impl LoadSignalOptions {
-    /// Minimize `metric`, no online capacity re-estimation.
-    pub fn metric(metric: LoadMetricKind) -> Self {
-        Self { metric, estimator_window: None }
-    }
-
-    /// The full adaptive stack: Peak-EWMA latency signal plus online
-    /// capacity re-estimation on the default window.
-    pub fn adaptive() -> Self {
-        Self {
-            metric: LoadMetricKind::peak_ewma(),
-            estimator_window: Some(DEFAULT_ESTIMATOR_WINDOW),
-        }
-    }
-
-    /// Builder: attach the online capacity estimator.
-    pub fn with_estimator(mut self, window: u64) -> Self {
-        self.estimator_window = Some(window.max(1));
-        self
-    }
-}
-
-/// Whether a grouping consults downstream load when routing. (`Elastic`
-/// deliberately stays on per-sender local estimation: its epoch replay is
-/// defined over the sender's own routed count.)
+/// Whether a grouping consults downstream load when routing: a greedy edge
+/// without a membership plan. (An elastic edge deliberately stays on
+/// per-sender local estimation: its epoch replay is defined over the
+/// sender's own routed count.)
 pub(crate) fn consults_load(grouping: &Grouping) -> bool {
-    matches!(
-        grouping,
-        Grouping::Partial { .. } | Grouping::DChoices { .. } | Grouping::WChoices { .. }
-    )
+    matches!(grouping, Grouping::Greedy { plan: None, .. })
 }
 
 /// One shared load-signal handle per destination component: `Some` exactly
@@ -76,19 +41,12 @@ pub(crate) fn component_signals(
     let Some(opts) = load else {
         return shared;
     };
-    for edges in out_edges {
-        for (to, grouping, _) in edges {
-            if consults_load(grouping) && shared[*to].is_none() {
-                let estimator = opts
-                    .estimator_window
-                    .map(|w| Arc::new(CapacityEstimator::new(parallelism[*to], w)));
-                let sl = SharedLoads::new(parallelism[*to]).with_signals(opts.metric, estimator);
-                // The default configuration collapses to no signal state;
-                // leave the component on the pre-existing local path then.
-                if sl.signals().is_some() {
-                    shared[*to] = Some(sl);
-                }
-            }
+    for (to, grouping, _) in out_edges.iter().flatten() {
+        if consults_load(grouping) && shared[*to].is_none() {
+            // The default configuration collapses to no signal state; leave
+            // the component on the pre-existing local path then.
+            shared[*to] = Some(opts.attach(SharedLoads::new(parallelism[*to])))
+                .filter(|sl| sl.signals().is_some());
         }
     }
     shared
@@ -115,8 +73,7 @@ mod tests {
         let edges = vec![vec![(1usize, Grouping::partial_key(), 7u64)]];
         let none = component_signals(None, &edges, &[1, 4]);
         assert!(none.iter().all(Option::is_none));
-        let count =
-            LoadSignalOptions { metric: LoadMetricKind::TupleCount, estimator_window: None };
+        let count = LoadSignalOptions::metric(pkg_metrics::LoadMetricKind::TupleCount);
         let collapsed = component_signals(Some(&count), &edges, &[1, 4]);
         assert!(collapsed.iter().all(Option::is_none), "TupleCount collapses per contract");
     }

@@ -36,7 +36,7 @@ pub enum ExecutorMode {
         /// Worker threads; `0` = `std::thread::available_parallelism()`.
         workers: usize,
         /// Packets drained per task activation; `0` = the default quantum
-        /// ([`crate::pool::DEFAULT_BATCH`]).
+        /// of 256 packets.
         batch: usize,
     },
 }

@@ -31,6 +31,9 @@
 //! | `emit_`   | `pkg-engine` non-test code    | `push_run(` called only in the emitter's      |
 //! | `seam`    |                               | `flush`; `Emitter {` built once in `activate` |
 //! |           |                               | (and in `drop_sink`) — one way out            |
+//! | `load_`   | whole workspace               | `.with_signals(` only under `pkg-core` — the  |
+//! | `seam`    |                               | simulator and the engine attach signal state  |
+//! |           |                               | through `LoadSignalOptions::attach`           |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -105,6 +108,11 @@ const EMIT_SEAM: [(&str, &str, &str, usize); 3] = [
     ("Emitter {", "crates/engine/src/pool.rs", "activate", 1),
     ("Emitter {", "crates/engine/src/bolt.rs", "drop_sink", 1),
 ];
+
+/// The only directory whose non-test code may call `.with_signals(`
+/// (`load_seam` rule): the simulator and the engine share one options type,
+/// so signal state is built in one place, `LoadSignalOptions::attach`.
+const LOAD_SEAM_DIR: &str = "crates/core/src/";
 
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
@@ -198,6 +206,9 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     }
     if rel.starts_with("crates/engine/src/") && rel != "crates/engine/src/pool_model.rs" {
         rule_emit_seam(rel, &code, &in_test, &mut out);
+    }
+    if !rel.starts_with(LOAD_SEAM_DIR) {
+        rule_load_seam(rel, &code, &in_test, &mut out);
     }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
@@ -343,6 +354,18 @@ fn rule_emit_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<St
                     )),
                 }
             }
+        }
+    }
+}
+
+fn rule_load_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    for (i, line) in code.iter().enumerate() {
+        if !in_test[i] && line.contains(".with_signals(") {
+            out.push(format!(
+                "{rel}:{}: [load_seam] `.with_signals(` outside pkg-core \
+                 (attach signal state through `LoadSignalOptions::attach`)",
+                i + 1
+            ));
         }
     }
 }
@@ -918,6 +941,23 @@ mod tests {
         let v = lint("crates/engine/src/pool.rs", &twice);
         assert!(v.iter().any(|v| v.contains("[emit_seam]") && v.contains("pool.rs:3")), "{v:?}");
         assert!(!v.iter().any(|v| v.contains("pool.rs:2")), "{v:?}");
+    }
+
+    #[test]
+    fn pasted_signal_state_outside_core_is_caught() {
+        let src = "fn component(opts: &LoadSignalOptions, n: usize) -> SharedLoads {\n    \
+                   let estimator = opts.estimator_window.map(|w| CapacityEstimator::new(n, w));\n    \
+                   SharedLoads::new(n).with_signals(opts.metric, estimator.map(Arc::new))\n}\n";
+        let v = lint("crates/engine/src/load.rs", src);
+        assert!(v.iter().any(|v| v.contains("[load_seam]") && v.contains("load.rs:3")), "{v:?}");
+        let v = lint("crates/sim/src/simulation.rs", src);
+        assert!(v.iter().any(|v| v.contains("[load_seam]")), "{v:?}");
+        // pkg-core builds it; tests and a mention in a comment are fine.
+        assert!(lint("crates/core/src/signals.rs", src).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/engine/src/load.rs", &gated).is_empty());
+        let mention = "// attach calls loads.with_signals(metric, estimator)\nfn f() {}\n";
+        assert!(lint("crates/sim/src/simulation.rs", mention).is_empty());
     }
 
     #[test]

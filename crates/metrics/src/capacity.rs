@@ -90,15 +90,6 @@ impl Capacities {
     pub fn normalized(&self, load: u64, w: usize) -> f64 {
         load as f64 / self.weights[w]
     }
-
-    /// The capacity weights restricted to a membership subset,
-    /// renormalized to mean 1 over the survivors (same collapse rule as
-    /// [`Self::heterogeneous`]). Used for epoch-scoped weighted imbalance.
-    pub fn subset(&self, live: &[usize]) -> Option<Self> {
-        assert!(!live.is_empty(), "need at least one live worker");
-        let w: Vec<f64> = live.iter().map(|&i| self.weights[i]).collect();
-        Self::heterogeneous(&w)
-    }
 }
 
 /// The shared greedy-argmin step of every capacity-aware scheme: `true`
@@ -214,15 +205,5 @@ mod tests {
     #[should_panic(expected = "finite and positive")]
     fn non_positive_weight_panics() {
         let _ = Capacities::heterogeneous(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn subset_renormalizes_over_survivors() {
-        let caps = Capacities::heterogeneous(&[4.0, 1.0, 1.0]).expect("het");
-        let sub = caps.subset(&[0, 1]).expect("still heterogeneous");
-        assert_eq!(sub.len(), 2);
-        assert!((sub.weight(0) / sub.weight(1) - 4.0).abs() < 1e-12);
-        // A subset of equal-speed workers is uniform.
-        assert!(caps.subset(&[1, 2]).is_none());
     }
 }

@@ -48,8 +48,8 @@ pub struct CapacityEstimator {
     uniform: AtomicU64,
     /// Completed window rotations.
     rotations: AtomicU64,
-    /// Serializes rotation; also guards `history`.
-    rotate_lock: Mutex<Option<Vec<Vec<f64>>>>,
+    /// Serializes rotation.
+    rotate_lock: Mutex<()>,
 }
 
 impl CapacityEstimator {
@@ -63,19 +63,8 @@ impl CapacityEstimator {
             weights: (0..n).map(|_| AtomicU64::new(1.0f64.to_bits())).collect(),
             uniform: AtomicU64::new(1),
             rotations: AtomicU64::new(0),
-            rotate_lock: Mutex::new(None),
+            rotate_lock: Mutex::new(()),
         }
-    }
-
-    /// Like [`CapacityEstimator::new`], additionally retaining the weight
-    /// vector of every completed window (for reports).
-    pub fn with_history(n: usize, window: u64) -> Self {
-        let e = Self::new(n, window);
-        // The lock is freshly constructed; a panic here is impossible.
-        if let Ok(mut h) = e.rotate_lock.lock() {
-            *h = Some(Vec::new());
-        }
-        e
     }
 
     /// Number of workers tracked.
@@ -133,19 +122,10 @@ impl CapacityEstimator {
         self.rotations.load(Ordering::Relaxed)
     }
 
-    /// Weight vectors of every completed window, oldest first (only with
-    /// [`CapacityEstimator::with_history`]).
-    pub fn history(&self) -> Vec<Vec<f64>> {
-        match self.rotate_lock.lock() {
-            Ok(h) => h.clone().unwrap_or_default(),
-            Err(_) => Vec::new(),
-        }
-    }
-
     /// Close the current window: derive per-worker service rates, update
     /// weights, and zero the accumulators.
     fn rotate(&self) {
-        let Ok(mut history) = self.rotate_lock.lock() else {
+        let Ok(_rotating) = self.rotate_lock.lock() else {
             return;
         };
         let n = self.n();
@@ -210,9 +190,6 @@ impl CapacityEstimator {
         }
         // ordering: Relaxed — reporting counter.
         self.rotations.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = history.as_mut() {
-            h.push(self.weights());
-        }
     }
 }
 
@@ -292,16 +269,6 @@ mod tests {
         }
         assert_eq!(e.scale(0, 1000), 1000, "recovered cluster is identity again");
         assert_eq!(e.scale(1, 1000), 1000);
-    }
-
-    #[test]
-    fn history_records_each_window() {
-        let e = CapacityEstimator::with_history(2, 10);
-        for i in 0..30u64 {
-            e.observe((i % 2) as usize, 10_000);
-        }
-        assert_eq!(e.history().len(), 3);
-        assert!(CapacityEstimator::new(2, 10).history().is_empty());
     }
 
     #[test]

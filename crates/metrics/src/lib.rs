@@ -10,10 +10,9 @@
 //!   [`load::LoadVector`] and [`mod@imbalance`].
 //! * **Time series** (Fig. 3): imbalance sampled through (simulated) time.
 //!   See [`timeseries::TimeSeries`].
-//! * **Throughput / latency / memory** (Fig. 5): end-to-end engine metrics.
-//!   See [`throughput::ThroughputMeter`] and [`histogram::LatencyHistogram`]
-//!   (a log-bucketed histogram, since per-message latencies span orders of
-//!   magnitude).
+//! * **Latency** (Fig. 5): end-to-end engine latencies. See
+//!   [`histogram::LatencyHistogram`] (a log-bucketed histogram, since
+//!   per-message latencies span orders of magnitude).
 //!
 //! [`welford::Welford`] provides numerically stable running mean/variance
 //! used by several experiment drivers.
@@ -24,7 +23,7 @@
 //! uniform capacities every weighted quantity degenerates exactly to its
 //! unweighted counterpart.
 //!
-//! [`load_metric::LoadMetric`] makes the *minimized signal itself*
+//! [`load_metric::LoadMetricKind`] makes the *minimized signal itself*
 //! pluggable (tuple count, in-flight depth, Peak-EWMA latency), and
 //! [`capacity_estimator::CapacityEstimator`] re-derives capacity weights
 //! online from observed service rates — see the module docs for the
@@ -38,7 +37,6 @@ pub mod histogram;
 pub mod imbalance;
 pub mod load;
 pub mod load_metric;
-pub mod throughput;
 pub mod timeseries;
 pub mod welford;
 
@@ -47,9 +45,6 @@ pub use capacity_estimator::{CapacityEstimator, DEFAULT_ESTIMATOR_WINDOW};
 pub use histogram::LatencyHistogram;
 pub use imbalance::{imbalance, imbalance_fraction, worst_case_imbalance};
 pub use load::LoadVector;
-pub use load_metric::{
-    peak_ewma_step, LoadMetric, LoadMetricKind, LoadObservation, DEFAULT_PEAK_EWMA_WINDOW,
-};
-pub use throughput::ThroughputMeter;
+pub use load_metric::{peak_ewma_step, LoadMetricKind, LoadObservation, DEFAULT_PEAK_EWMA_WINDOW};
 pub use timeseries::TimeSeries;
 pub use welford::Welford;

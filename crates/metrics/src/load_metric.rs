@@ -20,11 +20,10 @@
 //!   worker that just exhibited a slowdown looks expensive for a full
 //!   window even if its next samples are fast.
 //!
-//! The trait deliberately consumes a flattened [`LoadObservation`] rather
-//! than referencing any shared state: pure `signal(obs) -> u64` functions
-//! keep every consumer (core estimators, the simulator, both engine
-//! executors) comparing the *same units* — the audit counterpart of the
-//! `LoadVector` accessor rule.
+//! [`LoadMetricKind::signal`] is a pure function of a flattened
+//! [`LoadObservation`] rather than of any shared state, so every consumer
+//! (the core estimators, the simulator and the engine) compares the *same
+//! units* — the audit counterpart of the `LoadVector` accessor rule.
 
 /// Default decay window (in observations) for [`LoadMetricKind::PeakEwma`].
 ///
@@ -33,8 +32,8 @@
 /// dominates the signal within one estimation window.
 pub const DEFAULT_PEAK_EWMA_WINDOW: u32 = 64;
 
-/// Everything a [`LoadMetric`] may consult about one worker, flattened to
-/// plain integers so implementations stay pure and unit-testable.
+/// Everything [`LoadMetricKind::signal`] may consult about one worker,
+/// flattened to plain integers so the signal stays pure and unit-testable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadObservation {
     /// Tuples routed to the worker so far (the paper's load).
@@ -50,21 +49,12 @@ pub struct LoadObservation {
     pub fallback_ns: u64,
 }
 
-/// A pluggable definition of per-worker load.
+/// A definition of per-worker load: the quantity every greedy argmin in the
+/// repo minimizes.
 ///
-/// Implementations must be monotone in genuine load (more outstanding work
-/// on a slower worker never *decreases* the signal) so that every greedy
-/// argmin in the repo remains meaningful regardless of which metric is
-/// active.
-pub trait LoadMetric: Send + Sync {
-    /// Stable short label (reports, bench JSON records, TSV columns).
-    fn label(&self) -> &'static str;
-
-    /// The scalar the partitioner minimizes for this worker.
-    fn signal(&self, obs: LoadObservation) -> u64;
-}
-
-/// Selector for the built-in metrics; the form configs and env vars carry.
+/// Every metric is monotone in genuine load (more outstanding work on a
+/// slower worker never *decreases* the signal), so each argmin stays
+/// meaningful whichever metric is active.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LoadMetricKind {
     /// Routed-tuple count — the paper's signal, and the default.
@@ -73,6 +63,13 @@ pub enum LoadMetricKind {
     /// In-flight (dispatched − completed) tuples.
     PendingRequests,
     /// Peak-decayed service latency × outstanding work.
+    ///
+    /// Unobserved workers inherit the *global* peak as a pessimistic prior.
+    /// This choice is what pins the zero-latency collapse: with no latency
+    /// observed anywhere (`fallback_ns == 0`) the signal degenerates to the
+    /// exact tuple count, and with *uniform* observed latency `B` every
+    /// worker's signal is exactly `B × count` — the same argmin (including
+    /// tie patterns) as [`LoadMetricKind::TupleCount`].
     PeakEwma {
         /// Decay window in observations (see [`DEFAULT_PEAK_EWMA_WINDOW`]).
         window: u32,
@@ -85,9 +82,28 @@ impl LoadMetricKind {
         LoadMetricKind::PeakEwma { window: DEFAULT_PEAK_EWMA_WINDOW }
     }
 
-    /// Stable short label (mirrors [`LoadMetric::label`]).
+    /// Stable short label (reports, bench JSON records, TSV columns).
     pub fn label(&self) -> &'static str {
-        self.metric().label()
+        match self {
+            LoadMetricKind::TupleCount => "count",
+            LoadMetricKind::PendingRequests => "pending",
+            LoadMetricKind::PeakEwma { .. } => "peak_ewma",
+        }
+    }
+
+    /// The scalar the partitioner minimizes for the observed worker.
+    #[inline]
+    pub fn signal(&self, obs: LoadObservation) -> u64 {
+        match self {
+            LoadMetricKind::TupleCount => obs.count,
+            LoadMetricKind::PendingRequests => obs.pending,
+            LoadMetricKind::PeakEwma { .. } if obs.fallback_ns == 0 => obs.count,
+            LoadMetricKind::PeakEwma { .. } => {
+                let per_tuple =
+                    if obs.peak_ewma_ns == 0 { obs.fallback_ns } else { obs.peak_ewma_ns };
+                per_tuple.max(1).saturating_mul(obs.count.saturating_add(obs.pending))
+            }
+        }
     }
 
     /// The EWMA decay window this kind implies (1 ⇒ no memory).
@@ -96,82 +112,6 @@ impl LoadMetricKind {
             LoadMetricKind::PeakEwma { window } => (*window).max(1),
             _ => DEFAULT_PEAK_EWMA_WINDOW,
         }
-    }
-
-    /// Parse the config/env form: `count`, `pending`, `peak_ewma`, or
-    /// `peak_ewma:<window>`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim() {
-            "count" => Some(LoadMetricKind::TupleCount),
-            "pending" => Some(LoadMetricKind::PendingRequests),
-            "peak_ewma" => Some(LoadMetricKind::peak_ewma()),
-            other => {
-                let window = other.strip_prefix("peak_ewma:")?.parse::<u32>().ok()?;
-                (window > 0).then_some(LoadMetricKind::PeakEwma { window })
-            }
-        }
-    }
-
-    /// The metric implementation behind this selector.
-    pub fn metric(&self) -> &'static dyn LoadMetric {
-        match self {
-            LoadMetricKind::TupleCount => &TupleCount,
-            LoadMetricKind::PendingRequests => &PendingRequests,
-            LoadMetricKind::PeakEwma { .. } => &PeakEwma,
-        }
-    }
-}
-
-/// The paper's signal: load = routed-tuple count.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TupleCount;
-
-impl LoadMetric for TupleCount {
-    fn label(&self) -> &'static str {
-        "count"
-    }
-
-    fn signal(&self, obs: LoadObservation) -> u64 {
-        obs.count
-    }
-}
-
-/// In-flight penalty: load = dispatched − completed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PendingRequests;
-
-impl LoadMetric for PendingRequests {
-    fn label(&self) -> &'static str {
-        "pending"
-    }
-
-    fn signal(&self, obs: LoadObservation) -> u64 {
-        obs.pending
-    }
-}
-
-/// Peak-decayed latency × outstanding work, in the tower-load idiom.
-///
-/// Unobserved workers inherit the *global* peak as a pessimistic prior.
-/// This choice is what pins the zero-latency collapse: with no latency
-/// observed anywhere (`fallback_ns == 0`) the signal degenerates to the
-/// exact tuple count, and with *uniform* observed latency `B` every
-/// worker's signal is exactly `B × count` — the same argmin (including tie
-/// patterns) as [`TupleCount`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeakEwma;
-
-impl LoadMetric for PeakEwma {
-    fn label(&self) -> &'static str {
-        "peak_ewma"
-    }
-
-    fn signal(&self, obs: LoadObservation) -> u64 {
-        if obs.fallback_ns == 0 {
-            return obs.count;
-        }
-        let per_tuple = if obs.peak_ewma_ns == 0 { obs.fallback_ns } else { obs.peak_ewma_ns };
-        per_tuple.max(1).saturating_mul(obs.count.saturating_add(obs.pending))
     }
 }
 
@@ -195,22 +135,9 @@ pub fn peak_ewma_step(prev: u64, sample: u64, window: u32) -> u64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn labels_and_parse_round_trip() {
-        for kind in [
-            LoadMetricKind::TupleCount,
-            LoadMetricKind::PendingRequests,
-            LoadMetricKind::peak_ewma(),
-        ] {
-            assert_eq!(LoadMetricKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(
-            LoadMetricKind::parse("peak_ewma:128"),
-            Some(LoadMetricKind::PeakEwma { window: 128 })
-        );
-        assert_eq!(LoadMetricKind::parse("peak_ewma:0"), None);
-        assert_eq!(LoadMetricKind::parse("bogus"), None);
-    }
+    use LoadMetricKind::{PendingRequests, TupleCount};
+
+    const PEAK_EWMA: LoadMetricKind = LoadMetricKind::PeakEwma { window: DEFAULT_PEAK_EWMA_WINDOW };
 
     #[test]
     fn tuple_count_is_the_raw_count() {
@@ -228,7 +155,7 @@ mod tests {
     fn peak_ewma_with_no_latency_anywhere_is_the_tuple_count() {
         for count in [0u64, 1, 5, 1000] {
             let obs = LoadObservation { count, pending: 3, peak_ewma_ns: 0, fallback_ns: 0 };
-            assert_eq!(PeakEwma.signal(obs), count, "zero-latency collapse");
+            assert_eq!(PEAK_EWMA.signal(obs), count, "zero-latency collapse");
         }
     }
 
@@ -236,7 +163,7 @@ mod tests {
     fn peak_ewma_uniform_latency_preserves_count_order_and_ties() {
         let b = 7_000u64;
         let sig = |count| {
-            PeakEwma.signal(LoadObservation { count, pending: 0, peak_ewma_ns: b, fallback_ns: b })
+            PEAK_EWMA.signal(LoadObservation { count, pending: 0, peak_ewma_ns: b, fallback_ns: b })
         };
         assert_eq!(sig(10), sig(10), "ties preserved");
         assert!(sig(9) < sig(10), "strict order preserved");
@@ -246,7 +173,7 @@ mod tests {
     #[test]
     fn peak_ewma_unobserved_worker_uses_the_global_peak() {
         let obs = LoadObservation { count: 4, pending: 1, peak_ewma_ns: 0, fallback_ns: 9_000 };
-        assert_eq!(PeakEwma.signal(obs), 9_000 * 5);
+        assert_eq!(PEAK_EWMA.signal(obs), 9_000 * 5);
     }
 
     #[test]
@@ -255,7 +182,7 @@ mod tests {
             LoadObservation { count: 10, pending: 0, peak_ewma_ns: 40_000, fallback_ns: 40_000 };
         let fast =
             LoadObservation { count: 10, pending: 0, peak_ewma_ns: 10_000, fallback_ns: 40_000 };
-        assert!(PeakEwma.signal(slow) > PeakEwma.signal(fast));
+        assert!(PEAK_EWMA.signal(slow) > PEAK_EWMA.signal(fast));
     }
 
     #[test]

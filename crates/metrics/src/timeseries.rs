@@ -51,11 +51,6 @@ impl TimeSeries {
         &self.points
     }
 
-    /// Number of points offered (not retained).
-    pub fn offered(&self) -> u64 {
-        self.seen
-    }
-
     /// Mean of the retained values (used for "average imbalance" summaries).
     pub fn mean_value(&self) -> f64 {
         if self.points.is_empty() {
@@ -91,7 +86,6 @@ mod tests {
             ts.push(i as f64, i as f64);
         }
         assert!(ts.points().len() <= 64);
-        assert_eq!(ts.offered(), 10_000);
         // Still spans the whole range.
         let first = ts.points().first().expect("non-empty").0;
         let last = ts.points().last().expect("non-empty").0;

@@ -1,13 +1,14 @@
 //! The simulation loop: play a stream through sources and a partitioning
 //! scheme, tracking worker loads and imbalance.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use pkg_core::{KeyFrequencies, Partitioner, ReplicationTracker, SchemeSpec, SharedLoads};
+use pkg_core::{
+    KeyFrequencies, LoadSignalOptions, Partitioner, ReplicationTracker, SchemeSpec, SharedLoads,
+};
 use pkg_datagen::{SpeedDrift, StreamSpec};
 use pkg_elastic::MembershipPlan;
-use pkg_metrics::{CapacityEstimator, LoadMetricKind, LoadVector, TimeSeries, Welford};
+use pkg_metrics::{LoadVector, TimeSeries, Welford};
 
 use crate::aggregation::AggregationSim;
 use crate::report::{DriftStats, EpochStats, PhaseStats, ReplicationStats, SimReport};
@@ -85,14 +86,13 @@ pub struct SimConfig {
     /// [`EpochStats`]; the scheme must be
     /// [`Partitioner::resizable`] (Off-Greedy is not).
     pub membership_plan: Option<MembershipPlan>,
-    /// The load signal the schemes minimize. The default,
-    /// [`LoadMetricKind::TupleCount`], attaches no signal state and routes
-    /// byte-identically to every pre-metric revision.
-    pub load_metric: LoadMetricKind,
-    /// Attach an online [`CapacityEstimator`] with this window (total
-    /// observations per rotation). Requires a [`Self::service_profile`] to
-    /// have anything to observe.
-    pub estimator_window: Option<u64>,
+    /// The load signal the schemes minimize and the online capacity
+    /// estimator's window (total observations per rotation; the estimator
+    /// needs a [`Self::service_profile`] to have anything to observe). The
+    /// default, `None` — like `TupleCount` without an estimator — attaches
+    /// no signal state and routes byte-identically to every pre-metric
+    /// revision.
+    pub load: Option<LoadSignalOptions>,
     /// Emulated per-worker service times (feeds latency observations and
     /// the estimator; also turns on per-phase load accounting in the
     /// report).
@@ -116,21 +116,14 @@ impl SimConfig {
             capacities: None,
             capacity_blind_routing: false,
             membership_plan: None,
-            load_metric: LoadMetricKind::TupleCount,
-            estimator_window: None,
+            load: None,
             service_profile: None,
         }
     }
 
-    /// Builder: select the minimized load signal.
-    pub fn with_load_metric(mut self, metric: LoadMetricKind) -> Self {
-        self.load_metric = metric;
-        self
-    }
-
-    /// Builder: attach an online capacity estimator with the given window.
-    pub fn with_estimator(mut self, window: u64) -> Self {
-        self.estimator_window = Some(window.max(1));
+    /// Builder: select the minimized load signal (see [`Self::load`]).
+    pub fn with_load(mut self, load: LoadSignalOptions) -> Self {
+        self.load = Some(load);
         self
     }
 
@@ -209,17 +202,17 @@ pub fn run(spec: &StreamSpec, cfg: &SimConfig) -> SimReport {
     // Routing sees the capacity weights through SharedLoads (every scheme
     // built from it routes by normalized load) unless the config asks for
     // the capacity-blind baseline.
-    let estimator =
-        cfg.estimator_window.map(|w| Arc::new(CapacityEstimator::with_history(cfg.workers, w)));
-    // The default metric with no estimator attaches no signal state at all
-    // (`SharedLoads::with_signals` collapses to the plain structure), so
-    // the default configuration routes byte-identically to earlier
-    // revisions.
     let shared = match (&cfg.capacities, cfg.capacity_blind_routing) {
         (Some(caps), false) => SharedLoads::new(cfg.workers).with_capacities(caps),
         _ => SharedLoads::new(cfg.workers),
-    }
-    .with_signals(cfg.load_metric, estimator.clone());
+    };
+    // The default metric with no estimator attaches no signal state at all,
+    // so the default configuration routes byte-identically to earlier
+    // revisions.
+    let shared = match &cfg.load {
+        Some(load) => load.attach(shared),
+        None => shared,
+    };
     let signals = shared.signals().cloned();
     let freqs = if cfg.scheme.needs_frequencies() {
         Some(frequencies(spec, cfg.stream_seed))
@@ -404,6 +397,7 @@ pub fn run(spec: &StreamSpec, cfg: &SimConfig) -> SimReport {
         snapshot(&loads, spec.duration_ms() as f64 / 3_600_000.0);
     }
 
+    let estimator = signals.as_ref().and_then(|s| s.estimator());
     let drift = cfg.service_profile.as_ref().map(|p| DriftStats {
         phases: phase_loads
             .into_iter()
@@ -416,8 +410,8 @@ pub fn run(spec: &StreamSpec, cfg: &SimConfig) -> SimReport {
                 speeds: p.drift.speeds_of_phase(i).to_vec(),
             })
             .collect(),
-        estimator_rotations: estimator.as_ref().map_or(0, |e| e.rotations()),
-        estimator_weights: estimator.as_ref().map(|e| e.weights()).unwrap_or_default(),
+        estimator_rotations: estimator.map_or(0, |e| e.rotations()),
+        estimator_weights: estimator.map(|e| e.weights()).unwrap_or_default(),
     });
 
     let messages = loads.total();
@@ -768,8 +762,7 @@ mod tests {
         let adaptive = run(
             &spec,
             &SimConfig::new(8, 3, SchemeSpec::pkg(EstimateKind::Global))
-                .with_load_metric(LoadMetricKind::peak_ewma())
-                .with_estimator(2_048)
+                .with_load(LoadSignalOptions::adaptive())
                 .with_service_profile(profile),
         );
         assert_eq!(adaptive.load_metric, "peak_ewma");
@@ -809,8 +802,7 @@ mod tests {
         let adaptive = run(
             &spec,
             &SimConfig::new(w, 3, SchemeSpec::pkg(EstimateKind::Local))
-                .with_load_metric(LoadMetricKind::peak_ewma())
-                .with_estimator(2_048)
+                .with_load(LoadSignalOptions::adaptive())
                 .with_service_profile(profile),
         );
         let s = &static_arm.drift.expect("profile set").phases[1];

@@ -404,7 +404,7 @@ fn loads_equal_a_bare_router_replay_in_every_mode() {
     for grouping in [
         Grouping::Key,
         Grouping::Shuffle,
-        Grouping::Partial { d: 2 },
+        Grouping::partial(2),
         Grouping::d_choices(),
         Grouping::w_choices(),
         Grouping::Global,

@@ -7,7 +7,9 @@ use partial_key_grouping::prelude::*;
 use pkg_elastic::{Change, MembershipPlan};
 use pkg_hash::murmur3::{murmur3_128, murmur3_64_u64};
 use pkg_hash::HashFamily;
-use pkg_metrics::{imbalance, worst_case_imbalance, CapacityEstimator, LoadMetricKind, LoadVector};
+use pkg_metrics::{
+    imbalance, worst_case_imbalance, CapacityEstimator, LoadMetricKind, LoadObservation, LoadVector,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -905,6 +907,42 @@ proptest! {
         }
         for w in 0..n {
             prop_assert_eq!(ewma.signal(w), ewma.load(w), "signal must equal raw count");
+        }
+    }
+}
+
+// The metric contract every greedy argmin relies on: more outstanding work
+// never lowers a worker's signal, whichever metric is active.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn every_load_metric_is_monotone_in_count_and_pending(
+        count in 0u64..1 << 32,
+        pending in 0u64..1 << 16,
+        more_count in 0u64..1 << 16,
+        more_pending in 0u64..1 << 16,
+        peak_ewma_ns in 0u64..1 << 24,
+        fallback_ns in 0u64..1 << 24,
+        window in 1u32..256,
+    ) {
+        let base = LoadObservation { count, pending, peak_ewma_ns, fallback_ns };
+        let grown = [
+            LoadObservation { count: count + more_count, ..base },
+            LoadObservation { pending: pending + more_pending, ..base },
+            LoadObservation { count: count + more_count, pending: pending + more_pending, ..base },
+        ];
+        for kind in [
+            LoadMetricKind::TupleCount,
+            LoadMetricKind::PendingRequests,
+            LoadMetricKind::PeakEwma { window },
+        ] {
+            for more in grown {
+                prop_assert!(
+                    kind.signal(more) >= kind.signal(base),
+                    "{} decreased from {:?} to {:?}", kind.label(), base, more
+                );
+            }
         }
     }
 }

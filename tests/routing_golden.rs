@@ -201,7 +201,7 @@ fn groupings(n: usize) -> Vec<(&'static str, Grouping)> {
         ("Shuffle", Grouping::Shuffle),
         ("Key", Grouping::Key),
         ("Partial2", Grouping::partial_key()),
-        ("Partial3", Grouping::Partial { d: 3 }),
+        ("Partial3", Grouping::partial(3)),
         ("DChoices", Grouping::d_choices()),
         ("WChoices", Grouping::w_choices()),
         ("Elastic", Grouping::elastic(plan(n))),
