@@ -9,7 +9,9 @@
 //! It also reports the key-replication cost of larger `d` — the *memory*
 //! side of the trade-off, which is the reason the paper stops at 2.
 
-use pkg_bench::{scaled, seed, threads, TextTable};
+use std::fmt::Write as _;
+
+use pkg_bench::{scaled, seed, threads, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_sim::sweep::{run_parallel, Job};
@@ -40,22 +42,24 @@ fn main() {
     }
     let reports = run_parallel(jobs, threads());
 
-    let mut out =
-        String::from("# Ablation: PKG with d choices (imbalance fraction and replication)\n");
-    out.push_str(&format!("# scale={} seed={} S=5\n", pkg_bench::scale(), seed()));
+    let mut r = Report::start(
+        "ablation_d",
+        "Ablation: PKG with d choices (imbalance fraction and replication)",
+    );
+    let _ = writeln!(r, "# scale={} seed={} S=5", pkg_bench::scale(), seed());
     let mut table = TextTable::new();
     table.row(["dataset", "W", "d", "final_fraction", "avg_replication", "key_worker_pairs"]);
-    for ((ds_name, w, d), r) in meta.iter().zip(&reports) {
-        let rep = r.replication.as_ref().expect("replication tracked");
+    for ((ds_name, w, d), report) in meta.iter().zip(&reports) {
+        let rep = report.replication.as_ref().expect("replication tracked");
         table.row([
             ds_name.clone(),
             format!("{w}"),
             format!("{d}"),
-            format!("{:.3e}", r.final_fraction),
+            format!("{:.3e}", report.final_fraction),
             format!("{:.3}", rep.avg),
             format!("{}", rep.total_pairs),
         ]);
     }
-    out.push_str(&table.render());
-    pkg_bench::emit("ablation_d.tsv", &out);
+    r.push_str(&table.render());
+    r.finish("");
 }

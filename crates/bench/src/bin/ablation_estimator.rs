@@ -11,7 +11,9 @@
 //! the global oracle (G), local estimation with `S ∈ {1..20}` sources, and
 //! probing at periods from 15 s to 60 min.
 
-use pkg_bench::{scaled, seed, threads, TextTable};
+use std::fmt::Write as _;
+
+use pkg_bench::{scaled, seed, threads, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_sim::sweep::{run_parallel, Job};
@@ -50,22 +52,23 @@ fn main() {
     }
     let reports = run_parallel(jobs, threads());
 
-    let mut out = String::from(
-        "# Ablation: estimator strategies for PKG (W=10): oracle vs local vs probing\n",
+    let mut r = Report::start(
+        "ablation_estimator",
+        "Ablation: estimator strategies for PKG (W=10): oracle vs local vs probing",
     );
-    out.push_str(&format!("# scale={} seed={}\n", pkg_bench::scale(), seed()));
+    let _ = writeln!(r, "# scale={} seed={}", pkg_bench::scale(), seed());
     let mut table = TextTable::new();
     table.row(["dataset", "estimator", "final_imbalance", "final_fraction"]);
-    for ((ds, label), r) in meta.iter().zip(&reports) {
+    for ((ds, label), rep) in meta.iter().zip(&reports) {
         table.row([
             ds.clone(),
             label.clone(),
-            format!("{:.1}", r.final_imbalance),
-            format!("{:.3e}", r.final_fraction),
+            format!("{:.1}", rep.final_imbalance),
+            format!("{:.3e}", rep.final_fraction),
         ]);
     }
-    out.push_str(&table.render());
-    out.push_str("\n# expectation: every L/LP row is within one order of magnitude of G;\n");
-    out.push_str("# probing frequency does not matter (the paper's Q2 conclusion).\n");
-    pkg_bench::emit("ablation_estimator.tsv", &out);
+    r.push_str(&table.render());
+    r.push_str("\n# expectation: every L/LP row is within one order of magnitude of G;\n");
+    r.push_str("# probing frequency does not matter (the paper's Q2 conclusion).\n");
+    r.finish("");
 }

@@ -25,9 +25,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use pkg_apps::wordcount::{wordcount_topology, WordCountConfig, WordCountVariant};
-use pkg_bench::{seed, TextTable};
+use pkg_bench::{seed, Report, TextTable};
 use pkg_engine::tuple::audit;
-use pkg_engine::{ExecutorMode, LoadSignalOptions, Runtime, RuntimeOptions};
+use pkg_engine::{ExecutorMode, Runtime, RuntimeOptions};
 
 /// One sweep point: a word-count topology with `instances` total PEIs
 /// (sources + counters + 1 aggregator) fed `messages` tuples in total.
@@ -45,32 +45,19 @@ struct Measurement {
     p99_ns: u64,
 }
 
-fn config_for(p: &Point, total_messages: u64) -> WordCountConfig {
+fn config_for(p: &Point) -> WordCountConfig {
     let sources = (p.instances / 10).max(1);
     let counters = p.instances - sources - 1;
     WordCountConfig {
         variant: WordCountVariant::PartialKeyGrouping,
         sources,
         counters,
-        messages_per_source: total_messages / sources as u64,
+        messages_per_source: p.messages / sources as u64,
         vocabulary: 10_000,
         aggregation_period: None,
         seed: seed(),
         ..WordCountConfig::default()
     }
-}
-
-/// Load-signal configuration this sweep routes under (`None` = the default
-/// tuple-count local estimation). Its metric label rides in every
-/// trajectory record so throughput history stays comparable if a future
-/// sweep switches signals.
-fn active_load() -> Option<LoadSignalOptions> {
-    None
-}
-
-/// Label of the load metric in effect, for the trajectory log.
-fn metric_label() -> &'static str {
-    active_load().map_or("count", |l| l.metric.label())
 }
 
 fn run_point(cfg: &WordCountConfig, mode: ExecutorMode) -> Result<Measurement, String> {
@@ -81,7 +68,6 @@ fn run_point(cfg: &WordCountConfig, mode: ExecutorMode) -> Result<Measurement, S
         channel_capacity: 1_024,
         seed: seed(),
         executor: mode,
-        load: active_load(),
         ..RuntimeOptions::default()
     })
     .run(topo);
@@ -119,16 +105,10 @@ fn run_point(cfg: &WordCountConfig, mode: ExecutorMode) -> Result<Measurement, S
     })
 }
 
-fn mode_label(mode: ExecutorMode) -> &'static str {
-    match mode {
-        ExecutorMode::ThreadPerInstance => "threads",
-        ExecutorMode::Pool { .. } => "pool",
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let points: Vec<Point> = if smoke {
+    let mut r =
+        Report::start("engine_scale", "engine_scale: executor throughput vs total instance count");
+    let points: Vec<Point> = if r.smoke() {
         vec![Point { instances: 50, messages: 40_000 }]
     } else {
         vec![
@@ -137,14 +117,13 @@ fn main() {
             Point { instances: 800, messages: 400_000 },
         ]
     };
-    let modes = [ExecutorMode::ThreadPerInstance, ExecutorMode::pool()];
+    let modes = [("threads", ExecutorMode::ThreadPerInstance), ("pool", ExecutorMode::pool())];
 
-    let mut out = String::from("# engine_scale: executor throughput vs total instance count\n");
     let _ = writeln!(
-        out,
+        r,
         "# wordcount/PKG, sources=instances/10, counters=rest, aggregator=1, seed={}{}",
         seed(),
-        if smoke { " (smoke)" } else { "" },
+        r.smoke_tag(),
     );
     let mut table = TextTable::new();
     table.row([
@@ -160,12 +139,10 @@ fn main() {
         "instances\tmode\tmessages\twall_s\tcounter_tput_msg_s\tactivations\tp99_ms\n",
     );
 
-    let mut ok = true;
     let mut results: Vec<(usize, &'static str, Measurement)> = Vec::new();
     for p in &points {
-        let cfg = config_for(p, p.messages);
-        for mode in modes {
-            let label = mode_label(mode);
+        let cfg = config_for(p);
+        for (label, mode) in modes {
             match run_point(&cfg, mode) {
                 Ok(m) => {
                     table.row([
@@ -191,175 +168,36 @@ fn main() {
                     results.push((p.instances, label, m));
                 }
                 Err(e) => {
-                    ok = false;
-                    let _ = writeln!(out, "FAIL {label} @ {} instances: {e}", p.instances);
+                    r.check(format_args!("{label} @ {} instances: {e}", p.instances), false);
                 }
             }
         }
     }
-    out.push_str(&table.render());
+    r.push_str(&table.render());
 
-    let tput = |instances: usize, label: &str| {
-        results
-            .iter()
-            .find(|(i, l, _)| *i == instances && *l == label)
-            .map(|(_, _, m)| m.counter_tput)
+    let find = |instances: usize, label: &str| {
+        results.iter().find(|(i, l, _)| *i == instances && *l == label).map(|(_, _, m)| m)
     };
-    if smoke {
+    let (small, big) = (points[0].instances, points[points.len() - 1].instances);
+    if r.smoke() {
         // Deterministic cross-executor check: identical per-instance loads
         // (byte-identical routing), not timing.
-        let find = |label: &str| {
-            results.iter().find(|(_, l, _)| *l == label).map(|(_, _, m)| m.loads.clone())
-        };
-        match (find("threads"), find("pool")) {
-            (Some(a), Some(b)) if a == b => {
-                let _ = writeln!(out, "check: per-instance loads identical across executors .. OK");
-            }
-            (Some(_), Some(_)) => {
-                ok = false;
-                let _ =
-                    writeln!(out, "check: per-instance loads diverged across executors .. FAIL");
-            }
-            _ => ok = false,
-        }
-    } else if let (Some(t_small), Some(p_small), Some(t_big), Some(p_big)) = (
-        tput(points[0].instances, "threads"),
-        tput(points[0].instances, "pool"),
-        tput(points[points.len() - 1].instances, "threads"),
-        tput(points[points.len() - 1].instances, "pool"),
-    ) {
+        let loads = |label| find(small, label).map(|m| &m.loads);
+        let identical = loads("threads").is_some() && loads("threads") == loads("pool");
+        r.check("per-instance loads identical across executors", identical);
+    } else if let (Some(t_small), Some(p_small), Some(t_big), Some(p_big)) =
+        (find(small, "threads"), find(small, "pool"), find(big, "threads"), find(big, "pool"))
+    {
+        let (small_ratio, big_ratio) =
+            (p_small.counter_tput / t_small.counter_tput, p_big.counter_tput / t_big.counter_tput);
         let _ = writeln!(
-            out,
-            "pool/threads throughput ratio: {:.2}x @ {} instances, {:.2}x @ {} instances",
-            p_small / t_small,
-            points[0].instances,
-            p_big / t_big,
-            points[points.len() - 1].instances,
+            r,
+            "pool/threads throughput ratio: {small_ratio:.2}x @ {small} instances, \
+             {big_ratio:.2}x @ {big} instances",
         );
-        if p_big < 2.0 * t_big {
-            ok = false;
-            let _ = writeln!(
-                out,
-                "check: pool ≥ 2x threads at {} instances .. FAIL",
-                points[points.len() - 1].instances
-            );
-        } else {
-            let _ = writeln!(out, "check: pool ≥ 2x threads at the largest size .. OK");
-        }
+        r.check("pool ≥ 2x threads at the largest size", big_ratio >= 2.0);
         // "No worse" at small scale, with a noise allowance.
-        if p_small < 0.85 * t_small {
-            ok = false;
-            let _ = writeln!(out, "check: pool no worse at the smallest size .. FAIL");
-        } else {
-            let _ = writeln!(out, "check: pool no worse at the smallest size .. OK");
-        }
-    } else {
-        ok = false;
+        r.check("pool no worse at the smallest size", small_ratio >= 0.85);
     }
-
-    // Regression gate: compare pool throughput against the most recent
-    // trajectory record of the same kind (smoke vs full — their message
-    // volumes differ, so rates are only comparable within a kind). A
-    // point matching on instance count that lost more than 25% fails the
-    // run; a missing baseline is reported but never fails (first run on a
-    // fresh log, or first smoke record).
-    let baseline = baseline_pool_tputs(smoke);
-    if baseline.is_empty() {
-        let _ = writeln!(out, "regression gate: no prior smoke={smoke} record; skipped");
-    }
-    for (instances, base) in &baseline {
-        let Some(cur) = tput(*instances, "pool") else { continue };
-        let verdict = if cur < 0.75 * base {
-            ok = false;
-            "FAIL (>25% regression)"
-        } else {
-            "OK"
-        };
-        let _ = writeln!(
-            out,
-            "regression gate: pool @ {instances} instances {:.2}x of last record \
-             ({:.0} vs {:.0} tuples/s) .. {verdict}",
-            cur / base,
-            cur,
-            base,
-        );
-    }
-
-    out.push('\n');
-    out.push_str(&tsv);
-    pkg_bench::emit("engine_scale.tsv", &out);
-    if ok {
-        append_trajectory(smoke, &results);
-    } else {
-        eprintln!("engine_scale: checks FAILED");
-        std::process::exit(1);
-    }
-}
-
-/// Pool throughput per instance count from the most recent trajectory
-/// record whose `smoke` flag matches, or empty when the log has none.
-/// The log is machine-appended one-record-per-line JSON (see
-/// [`append_trajectory`]), so a string scan is enough — no JSON parser in
-/// the workspace, and none needed.
-fn baseline_pool_tputs(smoke: bool) -> Vec<(usize, f64)> {
-    let path = std::env::var("PKG_BENCH_LOG").unwrap_or_else(|_| "BENCH_engine.json".into());
-    let Ok(text) = std::fs::read_to_string(&path) else { return Vec::new() };
-    let want = format!("\"smoke\": {smoke}");
-    let Some(line) = text.lines().rev().find(|l| l.contains(&want)) else { return Vec::new() };
-    let mut points = Vec::new();
-    for frag in line.split("{\"instances\":").skip(1) {
-        let frag = frag.split('}').next().unwrap_or("");
-        if !frag.contains("\"mode\": \"pool\"") {
-            continue;
-        }
-        let instances = frag.split(',').next().and_then(|s| s.trim().parse::<usize>().ok());
-        // Stop at the next comma so fields appended after `tuples_per_sec`
-        // in future schema revisions cannot break the number parse.
-        let tput = frag
-            .split("\"tuples_per_sec\":")
-            .nth(1)
-            .and_then(|s| s.split(',').next())
-            .and_then(|s| s.trim().parse::<f64>().ok());
-        if let (Some(instances), Some(tput)) = (instances, tput) {
-            points.push((instances, tput));
-        }
-    }
-    points
-}
-
-/// Append this run's tuples/sec to the in-repo perf-trajectory log
-/// (`BENCH_engine.json` at the workspace root, overridable with
-/// `PKG_BENCH_LOG`), so throughput history is tracked commit over commit.
-fn append_trajectory(smoke: bool, results: &[(usize, &'static str, Measurement)]) {
-    let path = std::env::var("PKG_BENCH_LOG").unwrap_or_else(|_| "BENCH_engine.json".into());
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    // `metric` records the load signal routing minimized (see
-    // `active_load`); the tolerant string-scan readers ignore it, so
-    // records with and without the field coexist in one log.
-    let mut rec = format!(
-        "{{\"unix_time\": {unix}, \"seed\": {}, \"smoke\": {smoke}, \"metric\": \"{}\", \
-         \"points\": [",
-        seed(),
-        metric_label()
-    );
-    for (i, (instances, label, m)) in results.iter().enumerate() {
-        if i > 0 {
-            rec.push_str(", ");
-        }
-        // `p99_ns` rides in each point record; the tolerant string-scan
-        // readers (above) ignore fields they do not ask for, so records
-        // from before this field and after it coexist in one log.
-        let _ = write!(
-            rec,
-            "{{\"instances\": {instances}, \"mode\": \"{label}\", \"tuples_per_sec\": {:.0}, \
-             \"p99_ns\": {}}}",
-            m.counter_tput, m.p99_ns
-        );
-    }
-    rec.push_str("]}");
-    let path = std::path::PathBuf::from(path);
-    pkg_bench::append_json_record(&path, &rec);
-    eprintln!("[appended to {}]", path.display());
+    r.finish(&tsv);
 }

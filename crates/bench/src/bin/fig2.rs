@@ -14,7 +14,9 @@
 //! techniques collapse to the same high imbalance once `W` exceeds the
 //! `O(1/p1)` limit of §IV (visible for WP at `W = 50,100`, CT at 50).
 
-use pkg_bench::{scaled, seed, threads, TextTable, SOURCE_GRID, WORKER_GRID};
+use std::fmt::Write as _;
+
+use pkg_bench::{scaled, seed, sim_tsv, threads, Report, TextTable, SOURCE_GRID, WORKER_GRID};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_sim::sweep::{run_parallel, Job};
@@ -47,10 +49,11 @@ fn main() {
     }
     let reports = run_parallel(jobs, threads());
 
-    let mut out = String::from(
-        "# Figure 2: fraction of average imbalance vs workers, per dataset and technique\n",
+    let mut r = Report::start(
+        "fig2",
+        "Figure 2: fraction of average imbalance vs workers, per dataset and technique",
     );
-    out.push_str(&format!("# scale={} seed={}\n", pkg_bench::scale(), seed()));
+    let _ = writeln!(r, "# scale={} seed={}", pkg_bench::scale(), seed());
     let mut table = TextTable::new();
     table.row(["dataset", "technique", "W=5", "W=10", "W=50", "W=100"]);
     for chunk_start in (0..reports.len()).step_by(WORKER_GRID.len()) {
@@ -61,13 +64,6 @@ fn main() {
         }
         table.row(row);
     }
-    out.push_str(&table.render());
-    out.push('\n');
-    out.push_str(pkg_sim::SimReport::tsv_header());
-    out.push('\n');
-    for r in &reports {
-        out.push_str(&r.tsv_row());
-        out.push('\n');
-    }
-    pkg_bench::emit("fig2.tsv", &out);
+    r.push_str(&table.render());
+    r.finish(&sim_tsv(&reports));
 }

@@ -13,7 +13,9 @@
 //! high imbalance (past the O(1/p1) limit); CT shows drift-induced spikes
 //! that all techniques absorb.
 
-use pkg_bench::{scaled, seed, threads};
+use std::fmt::Write as _;
+
+use pkg_bench::{scaled, seed, threads, Report};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_sim::sweep::{run_parallel, Job};
@@ -51,25 +53,26 @@ fn main() {
     }
     let reports = run_parallel(jobs, threads());
 
-    let mut out = String::from(
-        "# Figure 3: fraction of imbalance through time; long format: dataset\ttechnique\tworkers\thours\tfraction\n",
+    let mut r = Report::start(
+        "fig3",
+        "Figure 3: fraction of imbalance through time; long format: dataset\ttechnique\tworkers\thours\tfraction",
     );
-    out.push_str(&format!("# scale={} seed={} sources={}\n", pkg_bench::scale(), seed(), sources));
-    out.push_str("dataset\ttechnique\tworkers\thours\tfraction\n");
-    for ((ds, w, label), r) in meta.iter().zip(&reports) {
-        for &(hours, frac) in r.series.points() {
-            out.push_str(&format!("{ds}\t{label}\t{w}\t{hours:.3}\t{frac:.4e}\n"));
+    let _ = writeln!(r, "# scale={} seed={} sources={}", pkg_bench::scale(), seed(), sources);
+    r.push_str("dataset\ttechnique\tworkers\thours\tfraction\n");
+    for ((ds, w, label), rep) in meta.iter().zip(&reports) {
+        for &(hours, frac) in rep.series.points() {
+            let _ = writeln!(r, "{ds}\t{label}\t{w}\t{hours:.3}\t{frac:.4e}");
         }
     }
     // Compact summary for the terminal: mean fraction per series.
-    let mut summary = String::from("\n# summary: mean fraction over time\n");
-    for ((ds, w, label), r) in meta.iter().zip(&reports) {
-        summary.push_str(&format!(
-            "# {ds} W={w} {label}: mean={:.3e} final={:.3e}\n",
-            r.series.mean_value(),
-            r.final_fraction
-        ));
+    r.push_str("\n# summary: mean fraction over time\n");
+    for ((ds, w, label), rep) in meta.iter().zip(&reports) {
+        let _ = writeln!(
+            r,
+            "# {ds} W={w} {label}: mean={:.3e} final={:.3e}",
+            rep.series.mean_value(),
+            rep.final_fraction
+        );
     }
-    out.push_str(&summary);
-    pkg_bench::emit("fig3.tsv", &out);
+    r.finish("");
 }

@@ -14,7 +14,9 @@
 //! robust to sources forwarding uneven shares of the stream. We also run
 //! the SL1/SL2 graphs (the paper omits their plots as "similar to LJ").
 
-use pkg_bench::{scaled, seed, threads, TextTable, SOURCE_GRID, WORKER_GRID};
+use std::fmt::Write as _;
+
+use pkg_bench::{scaled, seed, threads, Report, TextTable, SOURCE_GRID, WORKER_GRID};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_sim::source::SourceAssignment;
@@ -50,10 +52,11 @@ fn main() {
     }
     let reports = run_parallel(jobs, threads());
 
-    let mut out = String::from(
-        "# Figure 4: PKG imbalance fraction with uniform vs skewed source assignment (graph streams)\n",
+    let mut r = Report::start(
+        "fig4",
+        "Figure 4: PKG imbalance fraction with uniform vs skewed source assignment (graph streams)",
     );
-    out.push_str(&format!("# scale={} seed={}\n", pkg_bench::scale(), seed()));
+    let _ = writeln!(r, "# scale={} seed={}", pkg_bench::scale(), seed());
     let mut table = TextTable::new();
     table.row(["dataset", "assignment", "S", "W=5", "W=10", "W=50", "W=100"]);
     for chunk in (0..reports.len()).step_by(WORKER_GRID.len()) {
@@ -64,12 +67,10 @@ fn main() {
         }
         table.row(row);
     }
-    out.push_str(&table.render());
-    out.push('\n');
-    out.push_str(pkg_sim::SimReport::tsv_header());
-    out.push('\n');
-    for ((_, alabel, _, _), r) in meta.iter().zip(&reports) {
-        out.push_str(&format!("{}\t{}\n", r.tsv_row(), alabel));
+    r.push_str(&table.render());
+    let mut tsv = format!("{}\n", pkg_sim::SimReport::tsv_header());
+    for ((_, alabel, _, _), rep) in meta.iter().zip(&reports) {
+        let _ = writeln!(tsv, "{}\t{alabel}", rep.tsv_row());
     }
-    pkg_bench::emit("fig4.tsv", &out);
+    r.finish(&tsv);
 }

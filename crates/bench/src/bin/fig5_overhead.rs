@@ -34,13 +34,13 @@ use std::time::Duration;
 use pkg_agg::PartialAgg;
 use pkg_apps::heavy_hitters::{heavy_hitters_topology, single_phase_summary, HeavyHittersConfig};
 use pkg_apps::wordcount::{exact_counts, wordcount_topology, WordCountConfig, WordCountVariant};
-use pkg_bench::{scaled, seed, TextTable};
+use pkg_bench::{scaled, seed, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_engine::{Grouping, Runtime, RuntimeOptions};
 use pkg_sim::{run as run_sim, SimConfig};
 
-fn sim_sweep(out: &mut String, tsv: &mut String) -> bool {
+fn sim_sweep(r: &mut Report, tsv: &mut String) {
     let spec = scaled(DatasetProfile::lognormal2()).build(seed());
     let duration = spec.duration_ms();
     // Nested period grid — each literally divides the next (base, 4·base,
@@ -72,8 +72,8 @@ fn sim_sweep(out: &mut String, tsv: &mut String) -> bool {
         for &period in &periods {
             let cfg =
                 SimConfig::new(10, 5, scheme.clone()).with_seed(seed()).with_aggregation(period);
-            let r = run_sim(&spec, &cfg);
-            let a = r.aggregation.as_ref().expect("aggregation modeled");
+            let rep = run_sim(&spec, &cfg);
+            let a = rep.aggregation.as_ref().expect("aggregation modeled");
             table.row([
                 label.to_string(),
                 period.to_string(),
@@ -83,12 +83,12 @@ fn sim_sweep(out: &mut String, tsv: &mut String) -> bool {
                 format!("{:.1}", a.avg_aggregator_state),
                 format!("{:.1}", a.avg_staleness_ms),
             ]);
-            tsv.push_str(&r.tsv_row());
+            tsv.push_str(&rep.tsv_row());
             tsv.push('\n');
             if let Some(p) = prev {
                 if a.merge_messages > p {
                     let _ = writeln!(
-                        out,
+                        r,
                         "VIOLATION: {label} merge messages rose {p} -> {} at T={period}",
                         a.merge_messages
                     );
@@ -98,20 +98,15 @@ fn sim_sweep(out: &mut String, tsv: &mut String) -> bool {
             prev = Some(a.merge_messages);
         }
     }
-    out.push_str(&table.render());
-    let _ = writeln!(
-        out,
-        "check: merge-message overhead decreases as T grows for every scheme .. {}",
-        if ok { "OK" } else { "FAIL" }
-    );
-    ok
+    r.push_str(&table.render());
+    r.check("merge-message overhead decreases as T grows for every scheme", ok);
 }
 
 /// The adaptive-choice overhead sweep: merge messages per scheme over the
 /// nested period grid, on a Zipf z=2.0 stream at `W = 50` where head keys
 /// exist (the LN2 profile of the primary sweep has no key past
 /// `θ = 2(1+ε)/10` at `W = 10`, so D/W-Choices degenerate to PKG there).
-fn choice_sweep(out: &mut String, tsv: &mut String) -> bool {
+fn choice_sweep(r: &mut Report, tsv: &mut String) {
     let workers = 50;
     let spec = scaled(DatasetProfile::zipf_exponent(10_000, 2.0, 2_000_000)).build(seed());
     let duration = spec.duration_ms();
@@ -136,8 +131,8 @@ fn choice_sweep(out: &mut String, tsv: &mut String) -> bool {
             let cfg = SimConfig::new(workers, 5, scheme.clone())
                 .with_seed(seed())
                 .with_aggregation(period);
-            let r = run_sim(&spec, &cfg);
-            let a = r.aggregation.as_ref().expect("aggregation modeled");
+            let rep = run_sim(&spec, &cfg);
+            let a = rep.aggregation.as_ref().expect("aggregation modeled");
             table.row([
                 label.to_string(),
                 period.to_string(),
@@ -146,13 +141,13 @@ fn choice_sweep(out: &mut String, tsv: &mut String) -> bool {
                 format!("{:.1}", a.avg_worker_state),
                 format!("{:.1}", a.avg_aggregator_state),
             ]);
-            tsv.push_str(&r.tsv_row());
+            tsv.push_str(&rep.tsv_row());
             tsv.push('\n');
             if let Some(p) = prev {
                 if a.merge_messages > p {
                     ok = false;
                     let _ = writeln!(
-                        out,
+                        r,
                         "VIOLATION: {label} merge messages rose {p} -> {} at T={period}",
                         a.merge_messages
                     );
@@ -163,7 +158,7 @@ fn choice_sweep(out: &mut String, tsv: &mut String) -> bool {
         }
         merges.push(row);
     }
-    out.push_str(&table.render());
+    r.push_str(&table.render());
 
     // Candidate-count ordering at every period: PKG ≤ DC ≤ WC ≤ SG.
     let mut ordered = true;
@@ -172,7 +167,7 @@ fn choice_sweep(out: &mut String, tsv: &mut String) -> bool {
         if !(pkg <= dc && dc <= wc && wc <= sg) {
             ordered = false;
             let _ = writeln!(
-                out,
+                r,
                 "VIOLATION: merge ordering PKG {pkg} ≤ DC {dc} ≤ WC {wc} ≤ SG {sg} broken at \
                  T={period}"
             );
@@ -183,30 +178,21 @@ fn choice_sweep(out: &mut String, tsv: &mut String) -> bool {
     if !(sum(0) < sum(1) && sum(1) < sum(2)) {
         ordered = false;
         let _ = writeln!(
-            out,
+            r,
             "VIOLATION: total merges not strictly increasing PKG {} / DC {} / WC {}",
             sum(0),
             sum(1),
             sum(2)
         );
     }
-    let _ = writeln!(
-        out,
-        "check: adaptive-choice merge overhead ordered PKG ≤ DC ≤ WC ≤ SG (strict totals) .. {}",
-        if ordered { "OK" } else { "FAIL" }
-    );
-    let _ = writeln!(
-        out,
-        "check: merge-message overhead decreases as T grows for D/W-Choices .. {}",
-        if ok { "OK" } else { "FAIL" }
-    );
-    ok && ordered
+    r.check("adaptive-choice merge overhead ordered PKG ≤ DC ≤ WC ≤ SG (strict totals)", ordered);
+    r.check("merge-message overhead decreases as T grows for D/W-Choices", ok);
 }
 
 /// Word count on the live engine: the two-phase totals must equal the
 /// ground truth of the seeded stream byte-for-byte (what the pre-refactor
 /// single-phase counters produced).
-fn wordcount_parity(out: &mut String, variant: WordCountVariant) -> bool {
+fn wordcount_parity(r: &mut Report, variant: WordCountVariant) {
     let cfg = WordCountConfig {
         variant,
         messages_per_source: 20_000,
@@ -237,18 +223,17 @@ fn wordcount_parity(out: &mut String, variant: WordCountVariant) -> bool {
     got.sort_unstable();
     let mut want: Vec<(String, i64)> = exact_counts(&cfg).into_iter().collect();
     want.sort_unstable();
-    let ok = render(&got) == render(&want);
-    let _ = writeln!(
-        out,
-        "check: wordcount/{} two-phase totals byte-identical to single-phase .. {}",
-        cfg.variant.label(),
-        if ok { "OK" } else { "FAIL" }
+    r.check(
+        format_args!(
+            "wordcount/{} two-phase totals byte-identical to single-phase",
+            cfg.variant.label()
+        ),
+        render(&got) == render(&want),
     );
-    ok
 }
 
 /// Heavy hitters on the live engine vs. the single-phase oracle.
-fn heavy_hitters_parity(out: &mut String) -> bool {
+fn heavy_hitters_parity(r: &mut Report) {
     let cfg = HeavyHittersConfig {
         workers: 8,
         profile: DatasetProfile::cashtags().with_messages(50_000),
@@ -264,35 +249,26 @@ fn heavy_hitters_parity(out: &mut String) -> bool {
     .run(topo);
     let engine = pkg_apps::heavy_hitters::final_summary(&collector).expect("summary collected");
     let oracle = single_phase_summary(&cfg);
-    let ok = engine.encoded() == oracle.encoded();
-    let _ = writeln!(
-        out,
-        "check: heavy-hitters merged summary byte-identical to single-phase .. {}",
-        if ok { "OK" } else { "FAIL" }
+    r.check(
+        "heavy-hitters merged summary byte-identical to single-phase",
+        engine.encoded() == oracle.encoded(),
     );
-    ok
 }
 
 fn main() {
-    let mut out = String::from(
-        "# Fig. 5 overhead: aggregation period T vs merge messages / memory / staleness\n",
+    let mut r = Report::start(
+        "fig5_overhead",
+        "Fig. 5 overhead: aggregation period T vs merge messages / memory / staleness",
     );
-    let _ = writeln!(out, "# workers=10 sources=5 seed={} (sim: lognormal2 profile)", seed());
+    let _ = writeln!(r, "# workers=10 sources=5 seed={} (sim: lognormal2 profile)", seed());
     let mut tsv = String::from(pkg_sim::SimReport::tsv_header());
     tsv.push('\n');
 
-    let mut ok = sim_sweep(&mut out, &mut tsv);
-    out.push_str("\n# Adaptive-choice overhead (Zipf z=2.0, workers=50, sources=5)\n");
-    ok &= choice_sweep(&mut out, &mut tsv);
-    ok &= wordcount_parity(&mut out, WordCountVariant::PartialKeyGrouping);
-    ok &= wordcount_parity(&mut out, WordCountVariant::ShuffleGrouping);
-    ok &= heavy_hitters_parity(&mut out);
-
-    out.push('\n');
-    out.push_str(&tsv);
-    pkg_bench::emit("fig5_overhead.tsv", &out);
-    if !ok {
-        eprintln!("fig5_overhead: checks FAILED");
-        std::process::exit(1);
-    }
+    sim_sweep(&mut r, &mut tsv);
+    r.push_str("\n# Adaptive-choice overhead (Zipf z=2.0, workers=50, sources=5)\n");
+    choice_sweep(&mut r, &mut tsv);
+    wordcount_parity(&mut r, WordCountVariant::PartialKeyGrouping);
+    wordcount_parity(&mut r, WordCountVariant::ShuffleGrouping);
+    heavy_hitters_parity(&mut r);
+    r.finish(&tsv);
 }

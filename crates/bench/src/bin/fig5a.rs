@@ -21,13 +21,19 @@
 //! least PKG's. Each variant's row is the least disturbed of five runs (a
 //! busy host only ever adds latency). Non-zero exit otherwise.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use pkg_apps::wordcount::{wordcount_topology, WordCountConfig, WordCountVariant};
-use pkg_bench::{seed, TextTable};
+use pkg_bench::{scaled_messages, seed, Report, TextTable};
 use pkg_engine::Runtime;
 
-/// Throttled variant: wraps the word spout with a rate limiter.
+/// Messages per configuration before `PKG_SCALE`: ~1–6 s each at 9
+/// counters.
+const MESSAGES: u64 = 20_000;
+
+/// One run of the word-count topology `cfg` describes (paced by its
+/// `source_rate`).
 fn run_config(cfg: &WordCountConfig) -> pkg_engine::RunStats {
     let (topo, _, _, _) = wordcount_topology(cfg);
     Runtime::new().run(topo)
@@ -39,18 +45,16 @@ fn main() {
         WordCountVariant::ShuffleGrouping,
         WordCountVariant::KeyGrouping,
     ];
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut r =
+        Report::start("fig5a", "Figure 5(a): throughput vs CPU delay (1 source, 9 counters)");
     // The paper's 0.1–1 ms sweep.
-    let delays_us: &[u64] = if smoke { &[100] } else { &[100, 200, 400, 700, 1000] };
-    // Sized for ~1–6 s per configuration at 9 counters.
-    let messages: u64 =
-        std::env::var("PKG_FIG5_MESSAGES").ok().and_then(|s| s.parse().ok()).unwrap_or(20_000);
+    let delays_us: &[u64] = if r.smoke() { &[100] } else { &[100, 200, 400, 700, 1000] };
+    let messages = scaled_messages(MESSAGES);
     // External stream rate: unsaturated at low delays, saturated at high
     // ones (the paper's regime transition).
     let rate = 30_000.0;
 
-    let mut out = String::from("# Figure 5(a): throughput vs CPU delay (1 source, 9 counters)\n");
-    out.push_str(&format!("# messages={messages} seed={}\n", seed()));
+    let _ = writeln!(r, "# messages={messages} seed={}", seed());
     let mut table = TextTable::new();
     table.row([
         "variant",
@@ -81,7 +85,7 @@ fn main() {
                 seed: seed(),
                 source_rate: Some(rate),
             };
-            let stats = (0..if smoke { 5 } else { 1 })
+            let stats = (0..if r.smoke() { 5 } else { 1 })
                 .map(|_| run_config(&cfg))
                 .min_by(|a, b| a.latency("counter").mean().total_cmp(&b.latency("counter").mean()))
                 .expect("at least one run");
@@ -112,22 +116,17 @@ fn main() {
             ));
         }
     }
-    out.push_str(&table.render());
+    r.push_str(&table.render());
     let [pkg_ms, _sg_ms, kg_ms] = unsaturated_mean_ms[..] else {
         unreachable!("the 0.1 ms point runs the three variants");
     };
-    let ok = pkg_ms < 2.0 && kg_ms >= pkg_ms;
-    if smoke {
-        out.push_str(&format!(
-            "check: at 0.1 ms PKG mean latency {pkg_ms:.3} ms < 2 ms and KG {kg_ms:.3} ms >= PKG .. {}\n",
-            if ok { "OK" } else { "FAIL" }
-        ));
+    if r.smoke() {
+        r.check(
+            format_args!(
+                "at 0.1 ms PKG mean latency {pkg_ms:.3} ms < 2 ms and KG {kg_ms:.3} ms >= PKG"
+            ),
+            pkg_ms < 2.0 && kg_ms >= pkg_ms,
+        );
     }
-    out.push('\n');
-    out.push_str(&tsv);
-    pkg_bench::emit("fig5a.tsv", &out);
-    if smoke && !ok {
-        eprintln!("fig5a: checks FAILED");
-        std::process::exit(1);
-    }
+    r.finish(&tsv);
 }

@@ -13,25 +13,30 @@
 //! SG's, both bracketed by KG) is preserved. Memory is the engine's
 //! pre-flush average of live counters across counter instances.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use pkg_apps::wordcount::{wordcount_topology, WordCountConfig, WordCountVariant};
-use pkg_bench::{seed, TextTable};
+use pkg_bench::{scaled_messages, seed, Report, TextTable};
 use pkg_engine::Runtime;
+
+/// Messages per configuration before `PKG_SCALE`.
+const MESSAGES: u64 = 15_000;
 
 fn main() {
     let delay = Duration::from_micros(400);
     let periods_ms: [u64; 5] = [100, 300, 600, 3_000, 6_000];
-    let messages: u64 =
-        std::env::var("PKG_FIG5_MESSAGES").ok().and_then(|s| s.parse().ok()).unwrap_or(15_000);
+    let messages = scaled_messages(MESSAGES);
 
-    let mut out = String::from(
-        "# Figure 5(b): throughput vs average memory (counters) for aggregation periods\n",
+    let mut r = Report::start(
+        "fig5b",
+        "Figure 5(b): throughput vs average memory (counters) for aggregation periods",
     );
-    out.push_str(&format!(
-        "# delay=0.4ms messages={messages} seed={} (periods scaled ~100x down from the paper's 10-600s)\n",
+    let _ = writeln!(
+        r,
+        "# delay=0.4ms messages={messages} seed={} (periods scaled ~100x down from the paper's 10-600s)",
         seed()
-    ));
+    );
     let mut table = TextTable::new();
     table.row([
         "variant",
@@ -92,8 +97,6 @@ fn main() {
             }
         }
     }
-    out.push_str(&table.render());
-    out.push('\n');
-    out.push_str(&tsv);
-    pkg_bench::emit("fig5b.tsv", &out);
+    r.push_str(&table.render());
+    r.finish(&tsv);
 }

@@ -22,8 +22,8 @@
 //!    average imbalance over the final message count
 //!    (`avg_imbalance_over_final`, the quantity this gate was calibrated
 //!    against; the paper's per-snapshot `avg_fraction` is additionally
-//!    reported in the table) stays ≤ `PKG_DCHOICES_EPS` (default 0.01),
-//!    while PKG's exceeds it.
+//!    reported in the table) stays ≤ `EPS_GATE` (0.01), while PKG's
+//!    exceeds it.
 //! 3. **Replication economy** — D-Choices average key replication is
 //!    strictly below W-Choices' at every point (the whole point of
 //!    adapting `d` instead of using all workers).
@@ -35,7 +35,7 @@
 
 use std::fmt::Write as _;
 
-use pkg_bench::{scaled, seed, threads, TextTable};
+use pkg_bench::{scaled, seed, sim_tsv, threads, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec, SharedLoads};
 use pkg_datagen::DatasetProfile;
 use pkg_sim::sweep::{run_parallel, Job};
@@ -48,9 +48,9 @@ const KEYS: u64 = 10_000;
 /// Source PEIs (each with its own head tracker and load estimate).
 const SOURCES: usize = 5;
 
-fn eps_gate() -> f64 {
-    std::env::var("PKG_DCHOICES_EPS").ok().and_then(|s| s.parse().ok()).unwrap_or(0.01)
-}
+/// Gate 2's bound on D-Choices' average imbalance over the final message
+/// count at `z = 2.0, W = 100`.
+const EPS_GATE: f64 = 0.01;
 
 struct Point {
     z: f64,
@@ -105,7 +105,7 @@ fn sweep(zs: &[f64], ws: &[usize], messages: u64) -> Vec<Point> {
 }
 
 /// Gate 4: byte-identical PKG degeneration on a uniform stream.
-fn uniform_parity(out: &mut String) -> bool {
+fn uniform_parity(r: &mut Report) {
     let n = 50;
     let shared = SharedLoads::new(n);
     let mut pkg = SchemeSpec::pkg(EstimateKind::Local).build(n, seed(), 0, &shared, None);
@@ -118,62 +118,49 @@ fn uniform_parity(out: &mut String) -> bool {
         let expect = pkg.route(key, i);
         if dc.route(key, i) != expect || wc.route(key, i) != expect {
             ok = false;
-            let _ = writeln!(out, "VIOLATION: adaptive route diverged from PKG at t={i}");
+            let _ = writeln!(r, "VIOLATION: adaptive route diverged from PKG at t={i}");
             break;
         }
     }
-    let _ = writeln!(
-        out,
-        "check: D/W-Choices byte-identical to PKG on uniform keys .. {}",
-        if ok { "OK" } else { "FAIL" }
-    );
-    ok
+    r.check("D/W-Choices byte-identical to PKG on uniform keys", ok);
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (zs, ws, messages): (Vec<f64>, Vec<usize>, u64) = if smoke {
+    let mut r = Report::start(
+        "fig_dchoices",
+        "fig_dchoices: D-Choices/W-Choices vs PKG across Zipf skew z and workers W",
+    );
+    let (zs, ws, messages): (Vec<f64>, Vec<usize>, u64) = if r.smoke() {
         (vec![2.0], vec![50, 100], 60_000)
     } else {
         (vec![1.4, 1.8, 2.0, 2.2], vec![50, 100, 500], MESSAGES)
     };
-    let eps = eps_gate();
-
-    let mut out = String::from(
-        "# fig_dchoices: D-Choices/W-Choices vs PKG across Zipf skew z and workers W\n",
-    );
     let _ = writeln!(
-        out,
-        "# keys={KEYS} sources={SOURCES} seed={} eps_gate={eps}{}",
+        r,
+        "# keys={KEYS} sources={SOURCES} seed={} eps_gate={EPS_GATE}{}",
         seed(),
-        if smoke { " (smoke)" } else { "" },
+        r.smoke_tag(),
     );
 
     let points = sweep(&zs, &ws, messages);
 
     let mut table = TextTable::new();
     table.row(["z", "W", "scheme", "avg_frac", "avg_imb/m", "final_frac", "rep_avg", "rep_max"]);
-    let mut tsv = String::from(SimReport::tsv_header());
-    tsv.push('\n');
     for p in &points {
-        for r in [&p.pkg, &p.dc, &p.wc] {
+        for rep in [&p.pkg, &p.dc, &p.wc] {
             table.row([
                 format!("{:.1}", p.z),
                 p.w.to_string(),
-                r.scheme.clone(),
-                format!("{:.5}", r.avg_fraction),
-                format!("{:.5}", r.avg_imbalance_over_final),
-                format!("{:.5}", r.final_fraction),
-                format!("{:.3}", rep_avg(r)),
-                rep_max(r).to_string(),
+                rep.scheme.clone(),
+                format!("{:.5}", rep.avg_fraction),
+                format!("{:.5}", rep.avg_imbalance_over_final),
+                format!("{:.5}", rep.final_fraction),
+                format!("{:.3}", rep_avg(rep)),
+                rep_max(rep).to_string(),
             ]);
-            tsv.push_str(&r.tsv_row());
-            tsv.push('\n');
         }
     }
-    out.push_str(&table.render());
-
-    let mut ok = true;
+    r.push_str(&table.render());
 
     // Gate 1: dominance at every grid point.
     let mut dominance = true;
@@ -181,34 +168,26 @@ fn main() {
         if p.dc.avg_imbalance > p.pkg.avg_imbalance + 1e-6 {
             dominance = false;
             let _ = writeln!(
-                out,
+                r,
                 "VIOLATION: D-Choices imbalance {} > PKG {} at z={} W={}",
                 p.dc.avg_imbalance, p.pkg.avg_imbalance, p.z, p.w
             );
         }
     }
-    let _ = writeln!(
-        out,
-        "check: D-Choices imbalance ≤ PKG at every grid point .. {}",
-        if dominance { "OK" } else { "FAIL" }
-    );
-    ok &= dominance;
+    r.check("D-Choices imbalance ≤ PKG at every grid point", dominance);
 
     // Gate 2: bounded imbalance at the point where PKG provably blows up.
     let blowup = points
         .iter()
         .find(|p| (p.z - 2.0).abs() < 1e-9 && p.w == 100)
         .expect("grid contains z=2.0, W=100");
-    let bounded =
-        blowup.dc.avg_imbalance_over_final <= eps && blowup.pkg.avg_imbalance_over_final > eps;
-    let _ = writeln!(
-        out,
-        "check: at z=2.0 W=100, D-Choices avg_imbalance/m {:.5} ≤ {eps} < PKG {:.5} .. {}",
-        blowup.dc.avg_imbalance_over_final,
-        blowup.pkg.avg_imbalance_over_final,
-        if bounded { "OK" } else { "FAIL" }
+    let (dc, pkg) = (blowup.dc.avg_imbalance_over_final, blowup.pkg.avg_imbalance_over_final);
+    r.check(
+        format_args!(
+            "at z=2.0 W=100, D-Choices avg_imbalance/m {dc:.5} ≤ {EPS_GATE} < PKG {pkg:.5}"
+        ),
+        dc <= EPS_GATE && pkg > EPS_GATE,
     );
-    ok &= bounded;
 
     // Gate 3: replication economy at every grid point.
     let mut economy = true;
@@ -216,7 +195,7 @@ fn main() {
         if rep_avg(&p.dc) >= rep_avg(&p.wc) {
             economy = false;
             let _ = writeln!(
-                out,
+                r,
                 "VIOLATION: D-Choices replication {} ≥ W-Choices {} at z={} W={}",
                 rep_avg(&p.dc),
                 rep_avg(&p.wc),
@@ -225,21 +204,9 @@ fn main() {
             );
         }
     }
-    let _ = writeln!(
-        out,
-        "check: D-Choices avg replication < W-Choices at every grid point .. {}",
-        if economy { "OK" } else { "FAIL" }
-    );
-    ok &= economy;
+    r.check("D-Choices avg replication < W-Choices at every grid point", economy);
 
     // Gate 4: PKG degeneration on uniform input.
-    ok &= uniform_parity(&mut out);
-
-    out.push('\n');
-    out.push_str(&tsv);
-    pkg_bench::emit("fig_dchoices.tsv", &out);
-    if !ok {
-        eprintln!("fig_dchoices: checks FAILED");
-        std::process::exit(1);
-    }
+    uniform_parity(&mut r);
+    r.finish(&sim_tsv(points.iter().flat_map(|p| [&p.pkg, &p.dc, &p.wc])));
 }

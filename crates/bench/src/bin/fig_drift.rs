@@ -44,12 +44,12 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use pkg_bench::{scaled, seed, TextTable};
+use pkg_bench::{scaled, seed, sim_tsv, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::{DatasetProfile, SpeedDrift};
 use pkg_engine::prelude::*;
 use pkg_metrics::{weighted_imbalance, Capacities, LoadMetricKind};
-use pkg_sim::{run, ServiceProfile, SimConfig, SimReport};
+use pkg_sim::{run, ServiceProfile, SimConfig};
 
 /// Simulated workers.
 const WORKERS: usize = 8;
@@ -66,8 +66,8 @@ fn spec(messages: u64) -> pkg_datagen::StreamSpec {
     scaled(DatasetProfile::lognormal2().with_messages(messages)).build(seed())
 }
 
-/// Gates 1–2: the simulator leg.
-fn sim_leg(messages: u64, out: &mut String, tsv: &mut String) -> bool {
+/// Gates 1–2: the simulator leg; returns its TSV block.
+fn sim_leg(messages: u64, r: &mut Report) -> String {
     let spec = spec(messages);
     let mut slowed = vec![1.0; WORKERS];
     slowed[0] = SLOW_FACTOR;
@@ -90,24 +90,20 @@ fn sim_leg(messages: u64, out: &mut String, tsv: &mut String) -> bool {
 
     let mut table = TextTable::new();
     table.row(["arm", "metric", "phase", "messages", "wimbalance", "slow_worker_load"]);
-    for (arm, r) in [("static", &static_arm), ("adaptive", &adaptive)] {
-        let d = r.drift.as_ref().expect("service profile produces drift stats");
+    for (arm, rep) in [("static", &static_arm), ("adaptive", &adaptive)] {
+        let d = rep.drift.as_ref().expect("service profile produces drift stats");
         for p in &d.phases {
             table.row([
                 arm.into(),
-                r.load_metric.clone(),
+                rep.load_metric.clone(),
                 p.phase.to_string(),
                 p.messages.to_string(),
                 format!("{:.1}", p.weighted_imbalance()),
                 p.loads[0].to_string(),
             ]);
         }
-        tsv.push_str(&r.tsv_row());
-        tsv.push('\n');
     }
-    out.push_str(&table.render());
-
-    let mut ok = true;
+    r.push_str(&table.render());
 
     // Gate 1: post-change dominance on the true post-change speeds.
     let sd = static_arm.drift.as_ref().expect("profile set");
@@ -118,17 +114,17 @@ fn sim_leg(messages: u64, out: &mut String, tsv: &mut String) -> bool {
         && a1.weighted_imbalance() < s1.weighted_imbalance()
         && a1.loads[0] < s1.loads[0]
         && ad.estimator_rotations >= 1;
-    let _ = writeln!(
-        out,
-        "check: adaptive post-change weighted imbalance {:.1} < static {:.1} \
-         (estimator rotations: {}, final weights: {:?}) .. {}",
-        a1.weighted_imbalance(),
-        s1.weighted_imbalance(),
-        ad.estimator_rotations,
-        ad.estimator_weights.iter().map(|w| (w * 100.0).round() / 100.0).collect::<Vec<_>>(),
-        if dominance { "OK" } else { "FAIL" }
+    r.check(
+        format_args!(
+            "adaptive post-change weighted imbalance {:.1} < static {:.1} \
+             (estimator rotations: {}, final weights: {:?})",
+            a1.weighted_imbalance(),
+            s1.weighted_imbalance(),
+            ad.estimator_rotations,
+            ad.estimator_weights.iter().map(|w| (w * 100.0).round() / 100.0).collect::<Vec<_>>(),
+        ),
+        dominance,
     );
-    ok &= dominance;
 
     // Gate 2: uniform speeds — the adaptive stack is a routing no-op.
     // Attached signals share one global load vector, so the honest
@@ -153,17 +149,8 @@ fn sim_leg(messages: u64, out: &mut String, tsv: &mut String) -> bool {
         && uniform_adaptive.avg_imbalance == baseline.avg_imbalance
         && uniform_adaptive.avg_fraction == baseline.avg_fraction
         && uniform_adaptive.final_imbalance == baseline.final_imbalance;
-    let _ = writeln!(
-        out,
-        "check: uniform-speed peak-ewma routing is byte-identical to tuple-count .. {}",
-        if identical { "OK" } else { "FAIL" }
-    );
-    ok &= identical;
-    for r in [&baseline, &uniform_adaptive] {
-        tsv.push_str(&r.tsv_row());
-        tsv.push('\n');
-    }
-    ok
+    r.check("uniform-speed peak-ewma routing is byte-identical to tuple-count", identical);
+    sim_tsv([&static_arm, &adaptive, &baseline, &uniform_adaptive])
 }
 
 /// A stalling bolt for the engine leg: instance 0 switches to `4×` the
@@ -185,7 +172,7 @@ impl Bolt for DriftBolt {
 
 /// Gates 3–4: the engine leg, under whichever executor
 /// `PKG_ENGINE_EXECUTOR` selects.
-fn engine_leg(tuples: u64, out: &mut String) -> bool {
+fn engine_leg(tuples: u64, r: &mut Report) {
     let instances = 4usize;
     // Instance 0 slows after a quarter of its fair share: most of the run
     // happens under the drifted speeds.
@@ -220,8 +207,6 @@ fn engine_leg(tuples: u64, out: &mut String) -> bool {
         .run(build(drift))
     };
 
-    let mut ok = true;
-
     // Gate 3: adaptive dominance under the mid-run slowdown, scored as
     // weighted imbalance of the final loads against the post-change
     // capacities (the honest score for "did routing track the drift").
@@ -235,57 +220,40 @@ fn engine_leg(tuples: u64, out: &mut String) -> bool {
     let (sw, aw) = (wimb(&static_arm), wimb(&adaptive));
     let (sl, al) = (static_arm.loads("stall"), adaptive.loads("stall"));
     let conserved = sl.iter().sum::<u64>() == tuples && al.iter().sum::<u64>() == tuples;
-    let dominance = conserved && aw < sw && al[0] < sl[0];
-    let _ = writeln!(
-        out,
-        "check: engine adaptive weighted imbalance {aw:.1} < static {sw:.1} \
-         (slowed-instance loads {} vs {}) .. {}",
-        al[0],
-        sl[0],
-        if dominance { "OK" } else { "FAIL" }
+    r.check(
+        format_args!(
+            "engine adaptive weighted imbalance {aw:.1} < static {sw:.1} \
+             (slowed-instance loads {} vs {})",
+            al[0], sl[0],
+        ),
+        conserved && aw < sw && al[0] < sl[0],
     );
-    ok &= dominance;
 
     // Gate 4: the degenerate configuration collapses to the exact
     // baseline routing.
     let base = run_engine(false, None);
     let collapsed = run_engine(false, Some(LoadSignalOptions::metric(LoadMetricKind::TupleCount)));
-    let identical = collapsed.loads("stall") == base.loads("stall");
-    let _ = writeln!(
-        out,
-        "check: TupleCount-without-estimator engine routing is byte-identical \
-         to no load options .. {}",
-        if identical { "OK" } else { "FAIL" }
+    r.check(
+        "TupleCount-without-estimator engine routing is byte-identical to no load options",
+        collapsed.loads("stall") == base.loads("stall"),
     );
-    ok &= identical;
-    ok
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (messages, tuples) = if smoke { (60_000, 3_000) } else { (MESSAGES, 8_000) };
-
-    let mut out = String::from(
-        "# fig_drift: Peak-EWMA + online capacity re-estimation vs count-greedy \
-         PKG under mid-run speed drift\n",
+    let mut r = Report::start(
+        "fig_drift",
+        "fig_drift: Peak-EWMA + online capacity re-estimation vs count-greedy \
+         PKG under mid-run speed drift",
     );
+    let (messages, tuples) = if r.smoke() { (60_000, 3_000) } else { (MESSAGES, 8_000) };
     let _ = writeln!(
-        out,
+        r,
         "# workers={WORKERS} sources={SOURCES} slow_factor={SLOW_FACTOR} seed={}{}",
         seed(),
-        if smoke { " (smoke)" } else { "" },
+        r.smoke_tag(),
     );
-    let mut tsv = String::from(SimReport::tsv_header());
-    tsv.push('\n');
 
-    let mut ok = sim_leg(messages, &mut out, &mut tsv);
-    ok &= engine_leg(tuples, &mut out);
-
-    out.push('\n');
-    out.push_str(&tsv);
-    pkg_bench::emit("fig_drift.tsv", &out);
-    if !ok {
-        eprintln!("fig_drift: checks FAILED");
-        std::process::exit(1);
-    }
+    let tsv = sim_leg(messages, &mut r);
+    engine_leg(tuples, &mut r);
+    r.finish(&tsv);
 }

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pkg_agg::{AggregatorBolt, Collector, ElasticWorkerBolt, Sum, WindowedWorkerBolt};
-use pkg_bench::{seed, TextTable};
+use pkg_bench::{seed, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_elastic::{Change, MembershipPlan};
@@ -143,20 +143,18 @@ fn engine_run(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let per_source: u64 = if smoke { 5_000 } else { 30_000 };
-    let sim_messages: u64 = if smoke { 45_000 } else { 120_000 };
-
-    let mut out = String::from(
-        "# fig_elastic: halve-then-double worker membership with key-space migration\n",
+    let mut r = Report::start(
+        "fig_elastic",
+        "fig_elastic: halve-then-double worker membership with key-space migration",
     );
+    let per_source: u64 = if r.smoke() { 5_000 } else { 30_000 };
+    let sim_messages: u64 = if r.smoke() { 45_000 } else { 120_000 };
     let _ = writeln!(
-        out,
+        r,
         "# W={W} S={S} seed={} engine_per_source={per_source} sim_messages={sim_messages}{}",
         seed(),
-        if smoke { " (smoke)" } else { "" },
+        r.smoke_tag(),
     );
-    let mut ok = true;
 
     // ---- Engine arm: migration protocol under real concurrency ----------
     let engine_plan = plan(per_source / 3, 2 * per_source / 3);
@@ -174,31 +172,24 @@ fn main() {
         && oracle_stats.processed("worker") == spout_total
         && sent == received
         && sent > 0;
-    let _ = writeln!(
-        out,
-        "check: conservation — worker processed {} == {spout_total} tuples + {markers} markers; \
-         bus sent {sent} == received {received} .. {}",
-        elastic_stats.processed("worker"),
-        if conserved { "OK" } else { "FAIL" }
+    r.check(
+        format_args!(
+            "conservation — worker processed {} == {spout_total} tuples + {markers} markers; \
+             bus sent {sent} == received {received}",
+            elastic_stats.processed("worker"),
+        ),
+        conserved,
     );
-    ok &= conserved;
 
     // Gate 2: byte-identity of the merged output to the static-W oracle.
     let (et, ot) = (triples(&elastic), triples(&oracle));
-    let identical = et == ot && !et.is_empty();
-    let _ = writeln!(
-        out,
-        "check: elastic merged output byte-identical to static-W oracle \
-         ({} keys) .. {}",
-        et.len(),
-        if identical { "OK" } else { "FAIL" }
-    );
-    if !identical {
+    let label =
+        format!("elastic merged output byte-identical to static-W oracle ({} keys)", et.len());
+    if !r.check(label, et == ot && !et.is_empty()) {
         for (a, b) in et.iter().zip(&ot).filter(|(a, b)| a != b).take(5) {
-            let _ = writeln!(out, "  diverged: elastic {a:?} vs oracle {b:?}");
+            let _ = writeln!(r, "  diverged: elastic {a:?} vs oracle {b:?}");
         }
     }
-    ok &= identical;
 
     // ---- Sim arm: re-convergence measurement over the same schedule ------
     // The paper's LN2 profile: skewed enough that the rejoin catch-up
@@ -228,7 +219,7 @@ fn main() {
             e.converged_after.map_or("-".into(), |m| m.to_string()),
         ]);
     }
-    out.push_str(&table.render());
+    r.push_str(&table.render());
 
     // Gate 3: every post-change epoch re-enters the pre-change band within
     // the epoch, and ends inside it.
@@ -237,17 +228,9 @@ fn main() {
         && stats.iter().map(|e| e.messages).sum::<u64>() == sim_messages;
     let reconverged = conserved_sim
         && stats[1..].iter().all(|e| e.converged_after.is_some() && e.final_fraction <= e.band);
-    let _ = writeln!(
-        out,
-        "check: imbalance re-converges into the pre-change band after every \
-         membership change .. {}",
-        if reconverged { "OK" } else { "FAIL" }
+    r.check(
+        "imbalance re-converges into the pre-change band after every membership change",
+        reconverged,
     );
-    ok &= reconverged;
-
-    pkg_bench::emit("fig_elastic.tsv", &out);
-    if !ok {
-        eprintln!("fig_elastic: checks FAILED");
-        std::process::exit(1);
-    }
+    r.finish("");
 }

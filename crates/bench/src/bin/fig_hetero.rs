@@ -51,7 +51,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use pkg_bench::{scaled, seed, threads, TextTable};
+use pkg_bench::{scaled, seed, sim_tsv, threads, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_engine::prelude::*;
@@ -125,7 +125,7 @@ fn sweep(ratios: &[f64], ws: &[usize], zs: &[f64], messages: u64) -> Vec<Point> 
 }
 
 /// Gate 4: the engine charges capacity-scaled service time exactly.
-fn engine_capacity_check(out: &mut String) -> bool {
+fn engine_capacity_check(r: &mut Report) {
     let tuples = 64u64;
     let per_tuple = Duration::from_millis(1);
     struct StallBolt(Duration);
@@ -153,63 +153,56 @@ fn engine_capacity_check(out: &mut String) -> bool {
     .run(topo);
     let stalled = stats.stalled_ns("stall");
     let per_instance = tuples / 2 * per_tuple.as_nanos() as u64;
-    let ok = stats.processed("stall") == tuples
-        && stalled[0] == per_instance
-        && stalled[1] == 4 * per_instance;
-    let _ = writeln!(
-        out,
-        "check: engine charges 4x service time on the quarter-speed instance \
-         (stalled_ns = {stalled:?}) .. {}",
-        if ok { "OK" } else { "FAIL" }
+    r.check(
+        format_args!(
+            "engine charges 4x service time on the quarter-speed instance \
+             (stalled_ns = {stalled:?})"
+        ),
+        stats.processed("stall") == tuples
+            && stalled[0] == per_instance
+            && stalled[1] == 4 * per_instance,
     );
-    ok
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (ratios, ws, zs, messages): (Vec<f64>, Vec<usize>, Vec<f64>, u64) = if smoke {
+    let mut r = Report::start(
+        "fig_hetero",
+        "fig_hetero: capacity-weighted vs capacity-blind PKG on heterogeneous workers",
+    );
+    let (ratios, ws, zs, messages): (Vec<f64>, Vec<usize>, Vec<f64>, u64) = if r.smoke() {
         (vec![1.0, 4.0], vec![10], vec![0.0, 2.0], 60_000)
     } else {
         (vec![1.0, 2.0, 4.0], vec![10, 50], vec![0.0, 2.0], MESSAGES)
     };
 
-    let mut out = String::from(
-        "# fig_hetero: capacity-weighted vs capacity-blind PKG on heterogeneous workers\n",
-    );
     let _ = writeln!(
-        out,
+        r,
         "# keys={KEYS} sources={SOURCES} seed={} metric=weighted_imbalance (max L_i/c_i - m/W){}",
         seed(),
-        if smoke { " (smoke)" } else { "" },
+        r.smoke_tag(),
     );
 
     let points = sweep(&ratios, &ws, &zs, messages);
 
     let mut table = TextTable::new();
     table.row(["ratio", "W", "z", "arm", "avg_wimb", "avg_wfrac", "final_wfrac", "fast/slow"]);
-    let mut tsv = String::from(SimReport::tsv_header());
-    tsv.push('\n');
     for p in &points {
-        for (arm, r) in [("weighted", &p.weighted), ("blind", &p.blind)] {
-            let fast = r.load_sum(0..p.w / 2);
-            let slow = r.load_sum(p.w / 2..p.w);
+        for (arm, rep) in [("weighted", &p.weighted), ("blind", &p.blind)] {
+            let fast = rep.load_sum(0..p.w / 2);
+            let slow = rep.load_sum(p.w / 2..p.w);
             table.row([
                 format!("{}:1", p.ratio),
                 p.w.to_string(),
                 format!("{:.1}", p.z),
                 arm.into(),
-                format!("{:.1}", r.avg_weighted_imbalance),
-                format!("{:.2e}", r.avg_weighted_fraction),
-                format!("{:.2e}", r.final_weighted_fraction),
+                format!("{:.1}", rep.avg_weighted_imbalance),
+                format!("{:.2e}", rep.avg_weighted_fraction),
+                format!("{:.2e}", rep.final_weighted_fraction),
                 format!("{:.2}", fast as f64 / slow.max(1) as f64),
             ]);
-            tsv.push_str(&r.tsv_row());
-            tsv.push('\n');
         }
     }
-    out.push_str(&table.render());
-
-    let mut ok = true;
+    r.push_str(&table.render());
 
     // Gate 1: weighted routing strictly beats blind routing (on the
     // normalized metric) at every heterogeneous grid point.
@@ -218,7 +211,7 @@ fn main() {
         if p.weighted.avg_weighted_imbalance >= p.blind.avg_weighted_imbalance {
             dominance = false;
             let _ = writeln!(
-                out,
+                r,
                 "VIOLATION: weighted imbalance {} !< blind {} at r={} W={} z={}",
                 p.weighted.avg_weighted_imbalance,
                 p.blind.avg_weighted_imbalance,
@@ -228,47 +221,40 @@ fn main() {
             );
         }
     }
-    let _ = writeln!(
-        out,
-        "check: weighted-PKG normalized imbalance < blind PKG at every skewed-capacity point .. {}",
-        if dominance { "OK" } else { "FAIL" }
+    r.check(
+        "weighted-PKG normalized imbalance < blind PKG at every skewed-capacity point",
+        dominance,
     );
-    ok &= dominance;
 
     // Gate 2: uniform capacities reproduce the capacity-free run exactly.
     let mut degeneration = true;
     for p in points.iter().filter(|p| p.ratio == 1.0) {
         let plain = p.plain.as_ref().expect("1:1 points carry the capacity-free oracle");
-        for (arm, r) in [("weighted", &p.weighted), ("blind", &p.blind)] {
-            let exact = r.worker_loads == plain.worker_loads
-                && r.avg_imbalance == plain.avg_imbalance
-                && r.avg_fraction == plain.avg_fraction
-                && r.avg_weighted_imbalance == plain.avg_imbalance
-                && r.final_weighted_fraction == plain.final_fraction;
+        for (arm, rep) in [("weighted", &p.weighted), ("blind", &p.blind)] {
+            let exact = rep.worker_loads == plain.worker_loads
+                && rep.avg_imbalance == plain.avg_imbalance
+                && rep.avg_fraction == plain.avg_fraction
+                && rep.avg_weighted_imbalance == plain.avg_imbalance
+                && rep.final_weighted_fraction == plain.final_fraction;
             if !exact {
                 degeneration = false;
                 let _ = writeln!(
-                    out,
+                    r,
                     "VIOLATION: {arm} arm diverged from the capacity-free run at W={} z={}",
                     p.w, p.z
                 );
             }
         }
     }
-    let _ = writeln!(
-        out,
-        "check: 1:1 capacities reproduce capacity-free numbers byte-identically .. {}",
-        if degeneration { "OK" } else { "FAIL" }
-    );
-    ok &= degeneration;
+    r.check("1:1 capacities reproduce capacity-free numbers byte-identically", degeneration);
 
     // Gate 3: fair-share routing at 4:1 — the weighted arm water-fills by
     // capacity while the blind arm equalizes raw loads.
     let mut fair = true;
     for p in points.iter().filter(|p| p.ratio == 4.0) {
-        let split = |r: &SimReport| {
-            let fast = r.load_sum(0..p.w / 2);
-            let slow = r.load_sum(p.w / 2..p.w);
+        let split = |rep: &SimReport| {
+            let fast = rep.load_sum(0..p.w / 2);
+            let slow = rep.load_sum(p.w / 2..p.w);
             fast as f64 / slow.max(1) as f64
         };
         let (wf, bf) = (split(&p.weighted), split(&p.blind));
@@ -285,29 +271,20 @@ fn main() {
         if !proportional || wf <= bf {
             fair = false;
             let _ = writeln!(
-                out,
+                r,
                 "VIOLATION: weighted fast/slow load ratio {wf:.2} \
                  (blind {bf:.2}, capacity ratio {ideal:.2}) at W={} z={}",
                 p.w, p.z
             );
         }
     }
-    let _ = writeln!(
-        out,
-        "check: at 4:1 the weighted arm routes more mass to the fast half \
-         (capacity-proportional at z=0) .. {}",
-        if fair { "OK" } else { "FAIL" }
+    r.check(
+        "at 4:1 the weighted arm routes more mass to the fast half \
+         (capacity-proportional at z=0)",
+        fair,
     );
-    ok &= fair;
 
     // Gate 4: engine-side capacity scaling.
-    ok &= engine_capacity_check(&mut out);
-
-    out.push('\n');
-    out.push_str(&tsv);
-    pkg_bench::emit("fig_hetero.tsv", &out);
-    if !ok {
-        eprintln!("fig_hetero: checks FAILED");
-        std::process::exit(1);
-    }
+    engine_capacity_check(&mut r);
+    r.finish(&sim_tsv(points.iter().flat_map(|p| [&p.weighted, &p.blind])));
 }

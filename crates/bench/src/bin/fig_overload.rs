@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pkg_agg::{AggregatorBolt, Collector, SketchDegrade, Sum, WindowedWorkerBolt};
-use pkg_bench::{seed, TextTable};
+use pkg_bench::{seed, Report, TextTable};
 use pkg_engine::prelude::*;
 
 /// Worker (phase-one) parallelism.
@@ -127,23 +127,21 @@ fn top10(c: &Collector) -> Vec<Box<[u8]>> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let parity_rounds: u64 = if smoke { 100 } else { 400 };
-    let overload_rounds: u64 = if smoke { 120 } else { 600 };
-    let baseline_rounds: [u64; 3] = if smoke { [20, 40, 80] } else { [80, 160, 320] };
-    let delay = Duration::from_micros(5);
-
-    let mut out = String::from(
-        "# fig_overload: admission control, load shedding, and hedged dispatch at 2x load\n",
+    let mut r = Report::start(
+        "fig_overload",
+        "fig_overload: admission control, load shedding, and hedged dispatch at 2x load",
     );
+    let parity_rounds: u64 = if r.smoke() { 100 } else { 400 };
+    let overload_rounds: u64 = if r.smoke() { 120 } else { 600 };
+    let baseline_rounds: [u64; 3] = if r.smoke() { [20, 40, 80] } else { [80, 160, 320] };
+    let delay = Duration::from_micros(5);
     let _ = writeln!(
-        out,
+        r,
         "# W={W} seed={} round_len={ROUND_LEN} parity_rounds={parity_rounds} \
          overload_rounds={overload_rounds}{}",
         seed(),
-        if smoke { " (smoke)" } else { "" },
+        r.smoke_tag(),
     );
-    let mut ok = true;
 
     // ---- Gate 1: transparency at <= 1x load -----------------------------
     // Logical offered rate 1M tuples/s (1 µs per tuple), bucket refilling
@@ -161,17 +159,16 @@ fn main() {
     let untouched = wi_stats.shed_dropped("src") == 0
         && wi_stats.shed_degraded("src") == 0
         && wi_stats.hedges("src") == 0;
-    let transparent = wt == ot && !wt.is_empty() && untouched;
-    let _ = writeln!(
-        out,
-        "check: at <=1x load ingress output is byte-identical to the no-ingress run \
-         ({} keys, 0 shed, 0 hedged) .. {}",
-        wt.len(),
-        if transparent { "OK" } else { "FAIL" }
+    r.check(
+        format_args!(
+            "at <=1x load ingress output is byte-identical to the no-ingress run \
+             ({} keys, 0 shed, 0 hedged)",
+            wt.len(),
+        ),
+        wt == ot && !wt.is_empty() && untouched,
     );
-    ok &= transparent;
     let _ = writeln!(
-        out,
+        r,
         "  parity arm: processed src={} worker={} (no-ingress {} / {})",
         wi_stats.processed("src"),
         wi_stats.processed("worker"),
@@ -222,25 +219,22 @@ fn main() {
     // mailbox capacity, so queue wait stays near capacity x service time
     // (~5 ms) — 250 ms is a hard ceiling with a wide scheduling allowance.
     let p99_bound_ns = 250_000_000u64;
-    let bounded = p99 > 0 && p99 <= p99_bound_ns;
-    let _ = writeln!(
-        out,
-        "check: protected worker p99 {:.3} ms <= {:.0} ms under 2x overload .. {}",
-        p99 as f64 / 1e6,
-        p99_bound_ns as f64 / 1e6,
-        if bounded { "OK" } else { "FAIL" }
+    r.check(
+        format_args!(
+            "protected worker p99 {:.3} ms <= {:.0} ms under 2x overload",
+            p99 as f64 / 1e6,
+            p99_bound_ns as f64 / 1e6,
+        ),
+        p99 > 0 && p99 <= p99_bound_ns,
     );
-    ok &= bounded;
 
     // The degrade policy absorbs; nothing may be hard-dropped.
-    let absorbed = degraded > 0 && dropped == 0;
-    let _ = writeln!(
-        out,
-        "check: overload sheds degrade into the sketch ({degraded} absorbed, \
-         {dropped} dropped) .. {}",
-        if absorbed { "OK" } else { "FAIL" }
+    r.check(
+        format_args!(
+            "overload sheds degrade into the sketch ({degraded} absorbed, {dropped} dropped)"
+        ),
+        degraded > 0 && dropped == 0,
     );
-    ok &= absorbed;
 
     // Accuracy floor: the true top-10 set is known by construction.
     let mut truth: Vec<Vec<u8>> = vec![b"hot".to_vec()];
@@ -250,22 +244,16 @@ fn main() {
         as f64
         / 10.0;
     let floor = 0.7;
-    let recalled = recall >= floor;
-    let _ = writeln!(
-        out,
-        "check: top-10 recall under shedding {recall:.2} >= {floor:.2} .. {}",
-        if recalled { "OK" } else { "FAIL" }
+    r.check(
+        format_args!("top-10 recall under shedding {recall:.2} >= {floor:.2}"),
+        recall >= floor,
     );
-    ok &= recalled;
 
     // Hedge conservation: exactly one of each duplicated pair is dropped.
-    let conserved = hedges > 0 && dups == hedges;
-    let _ = writeln!(
-        out,
-        "check: hedges issued {hedges} == duplicates deduplicated {dups} (and > 0) .. {}",
-        if conserved { "OK" } else { "FAIL" }
+    r.check(
+        format_args!("hedges issued {hedges} == duplicates deduplicated {dups} (and > 0)"),
+        hedges > 0 && dups == hedges,
     );
-    ok &= conserved;
 
     // ---- Gate 4: the unprotected baseline degrades ----------------------
     // No ingress, effectively unbounded mailboxes: peak worker queue depth
@@ -291,18 +279,10 @@ fn main() {
         ]);
         depths.push(depth);
     }
-    out.push_str(&table.render());
-    let monotone = depths.windows(2).all(|w| w[1] > w[0]) && depths[0] > 0;
-    let _ = writeln!(
-        out,
-        "check: unprotected peak queue depth grows strictly with volume {depths:?} .. {}",
-        if monotone { "OK" } else { "FAIL" }
+    r.push_str(&table.render());
+    r.check(
+        format_args!("unprotected peak queue depth grows strictly with volume {depths:?}"),
+        depths.windows(2).all(|w| w[1] > w[0]) && depths[0] > 0,
     );
-    ok &= monotone;
-
-    pkg_bench::emit("fig_overload.tsv", &out);
-    if !ok {
-        eprintln!("fig_overload: checks FAILED");
-        std::process::exit(1);
-    }
+    r.finish("");
 }

@@ -12,7 +12,9 @@
 //! the claim that the two schemes balance equally despite disagreeing on
 //! destinations about half the time.
 
-use pkg_bench::{scaled, seed, TextTable};
+use std::fmt::Write as _;
+
+use pkg_bench::{scaled, seed, Report, TextTable};
 use pkg_core::{Estimate, PartialKeyGrouping, Partitioner, SharedLoads};
 use pkg_datagen::DatasetProfile;
 use pkg_hash::{FxHashMap, FxHashSet};
@@ -26,11 +28,9 @@ fn main() {
     ];
     let (workers, sources) = (10usize, 5usize);
 
-    let mut out = String::from("# Q2: agreement between PKG-G and PKG-L on message destinations\n");
-    out.push_str(&format!(
-        "# W={workers} S={sources} seed={} (paper: 47% Jaccard overlap)\n",
-        seed()
-    ));
+    let mut r =
+        Report::start("jaccard", "Q2: agreement between PKG-G and PKG-L on message destinations");
+    let _ = writeln!(r, "# W={workers} S={sources} seed={} (paper: 47% Jaccard overlap)", seed());
     let mut table = TextTable::new();
     table.row(["dataset", "msg_agreement", "jaccard", "I(G)", "I(L)"]);
 
@@ -96,8 +96,8 @@ fn main() {
             format!("{:.1}", imbalance(&loads_l)),
         ]);
     }
-    out.push_str(&table.render());
-    out.push_str("\n# expectation: agreement well below 100% while both imbalances stay tiny\n");
-    out.push_str("# (local estimation finds a different but equally good minimum).\n");
-    pkg_bench::emit("jaccard.tsv", &out);
+    r.push_str(&table.render());
+    r.push_str("\n# expectation: agreement well below 100% while both imbalances stay tiny\n");
+    r.push_str("# (local estimation finds a different but equally good minimum).\n");
+    r.finish("");
 }

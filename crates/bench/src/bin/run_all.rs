@@ -1,32 +1,16 @@
-//! Run every experiment driver in sequence, writing all outputs under
-//! `results/`. Honors `PKG_SCALE` / `PKG_SEED` / `PKG_THREADS`.
+//! Run every experiment driver ([`pkg_bench::DRIVERS`]) in sequence,
+//! writing all outputs under `results/`. Honors `PKG_SCALE` / `PKG_SEED` /
+//! `PKG_THREADS`.
 //!
 //! ```text
 //! cargo run --release -p pkg-bench --bin run_all
 //! ```
 
-use std::process::Command;
+use std::process::{Command, ExitCode};
 
-const DRIVERS: [&str; 16] = [
-    "table1",
-    "table2",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5a",
-    "fig5b",
-    "fig5_overhead",
-    "fig_dchoices",
-    "fig_drift",
-    "fig_hetero",
-    "fig_overload",
-    "theory_bounds",
-    "ablation_d",
-    "ablation_estimator",
-    "jaccard",
-];
+use pkg_bench::DRIVERS;
 
-fn main() {
+fn main() -> ExitCode {
     // Sibling binaries live next to this one.
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("exe has a parent dir").to_path_buf();
@@ -49,8 +33,9 @@ fn main() {
     }
     if failed.is_empty() {
         eprintln!("all drivers completed; outputs in results/");
+        ExitCode::SUCCESS
     } else {
         eprintln!("failed drivers: {failed:?}");
-        std::process::exit(1);
+        ExitCode::FAILURE
     }
 }

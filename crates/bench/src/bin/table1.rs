@@ -22,7 +22,9 @@
 //! graph profiles have emergent p1 (the paper's values are one draw from
 //! the same generative family).
 
-use pkg_bench::{scaled, seed, TextTable};
+use std::fmt::Write as _;
+
+use pkg_bench::{scaled, seed, Report, TextTable};
 use pkg_datagen::DatasetProfile;
 use pkg_hash::FxHashMap;
 
@@ -99,8 +101,8 @@ fn main() {
             format!("{p1:.2}"),
         ]);
     }
-    let mut out = String::from("# Table I: dataset summary, paper vs synthesized\n");
-    out.push_str(&format!("# scale={} seed={}\n", pkg_bench::scale(), seed()));
-    out.push_str(&table.render());
-    pkg_bench::emit("table1.tsv", &out);
+    let mut r = Report::start("table1", "Table I: dataset summary, paper vs synthesized");
+    let _ = writeln!(r, "# scale={} seed={}", pkg_bench::scale(), seed());
+    r.push_str(&table.render());
+    r.finish("");
 }

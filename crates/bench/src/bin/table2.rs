@@ -20,7 +20,9 @@
 //! and PKG beating even the offline greedy at moderate W thanks to key
 //! splitting.
 
-use pkg_bench::{paper_num, scaled, seed, threads, TextTable, WORKER_GRID};
+use std::fmt::Write as _;
+
+use pkg_bench::{paper_num, scaled, seed, sim_tsv, threads, Report, TextTable, WORKER_GRID};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_sim::sweep::{run_parallel, Job};
@@ -52,14 +54,13 @@ fn main() {
     }
     let reports = run_parallel(jobs, threads());
 
-    let mut out = String::new();
-    out.push_str("# Table II: average imbalance varying workers (WP, TW)\n");
-    out.push_str("# Metric: imbalance at end of stream, I(m). The paper calls its metric\n");
-    out.push_str("# \"average imbalance measured throughout the simulation\", but its values\n");
-    out.push_str("# (e.g. Off-Greedy 0.8 on 22M messages) are only consistent with the\n");
-    out.push_str("# end-of-stream imbalance of a static assignment; the time-average of the\n");
-    out.push_str("# cumulative imbalance is reported in the TSV rows below as avg_imbalance.\n");
-    out.push_str(&format!("# scale={} seed={}\n", pkg_bench::scale(), seed()));
+    let mut r = Report::start("table2", "Table II: average imbalance varying workers (WP, TW)");
+    r.push_str("# Metric: imbalance at end of stream, I(m). The paper calls its metric\n");
+    r.push_str("# \"average imbalance measured throughout the simulation\", but its values\n");
+    r.push_str("# (e.g. Off-Greedy 0.8 on 22M messages) are only consistent with the\n");
+    r.push_str("# end-of-stream imbalance of a static assignment; the time-average of the\n");
+    r.push_str("# cumulative imbalance is reported in the TSV rows below as avg_imbalance.\n");
+    let _ = writeln!(r, "# scale={} seed={}", pkg_bench::scale(), seed());
     let mut table = TextTable::new();
     let mut header = vec!["Dataset".to_string()];
     for ds in &datasets {
@@ -75,20 +76,11 @@ fn main() {
         let mut row = vec![name.to_string()];
         for di in 0..datasets.len() {
             for wi in 0..per {
-                let r = &reports[di * per_ds + si * per + wi];
-                row.push(paper_num(r.final_imbalance));
+                row.push(paper_num(reports[di * per_ds + si * per + wi].final_imbalance));
             }
         }
         table.row(row);
     }
-    out.push_str(&table.render());
-
-    out.push('\n');
-    out.push_str(pkg_sim::SimReport::tsv_header());
-    out.push('\n');
-    for r in &reports {
-        out.push_str(&r.tsv_row());
-        out.push('\n');
-    }
-    pkg_bench::emit("table2.tsv", &out);
+    r.push_str(&table.render());
+    r.finish(&sim_tsv(&reports));
 }

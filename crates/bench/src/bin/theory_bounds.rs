@@ -11,7 +11,7 @@
 //! `I(m)·n/m`. For `d ≥ 2` that ratio should stay ~constant in `n`; for
 //! `d = 1` it should grow like `ln n / ln ln n`.
 
-use pkg_bench::{seed, threads, TextTable};
+use pkg_bench::{seed, threads, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::profiles::ProfileKind;
 use pkg_datagen::DatasetProfile;
@@ -49,8 +49,9 @@ fn main() {
     }
     let reports = run_parallel(jobs, threads());
 
-    let mut out = String::from(
-        "# Theorem 4.1/4.2: normalized imbalance I(m)*n/m on the uniform(5n) lower-bound construction, m = 40n^2\n",
+    let mut r = Report::start(
+        "theory_bounds",
+        "Theorem 4.1/4.2: normalized imbalance I(m)*n/m on the uniform(5n) lower-bound construction, m = 40n^2",
     );
     let mut table = TextTable::new();
     table.row(["n", "m", "d=1: I*n/m", "d=2: I*n/m", "d=3: I*n/m", "ln n/ln ln n"]);
@@ -58,15 +59,15 @@ fn main() {
         let m = meta[i * ds.len()].2;
         let mut row = vec![format!("{n}"), format!("{m}")];
         for di in 0..ds.len() {
-            let r = &reports[i * ds.len() + di];
-            row.push(format!("{:.3}", r.final_imbalance * n as f64 / m as f64));
+            let imbalance = reports[i * ds.len() + di].final_imbalance;
+            row.push(format!("{:.3}", imbalance * n as f64 / m as f64));
         }
         let lnn = (n as f64).ln();
         row.push(format!("{:.3}", lnn / lnn.ln()));
         table.row(row);
     }
-    out.push_str(&table.render());
-    out.push_str("\n# expectation: the d=1 column grows with n (tracking ln n/ln ln n);\n");
-    out.push_str("# the d>=2 columns stay bounded by a constant.\n");
-    pkg_bench::emit("theory_bounds.tsv", &out);
+    r.push_str(&table.render());
+    r.push_str("\n# expectation: the d=1 column grows with n (tracking ln n/ln ln n);\n");
+    r.push_str("# the d>=2 columns stay bounded by a constant.\n");
+    r.finish("");
 }
