@@ -122,10 +122,9 @@ impl SharedLoads {
     /// count when no signals are attached.
     #[inline]
     pub fn signal(&self, w: usize) -> u64 {
-        let count = self.load(w);
         match &self.signals {
-            Some(s) => s.signal(w, count),
-            None => count,
+            Some(s) => s.signal(w, || self.load(w)),
+            None => self.load(w),
         }
     }
 
@@ -155,7 +154,7 @@ impl EstimateKind {
     /// Instantiate for `n` workers against the given true loads.
     ///
     /// When `shared` carries attached load signals, *every* kind builds a
-    /// [`Estimate::Global`]: pending counters and latency EWMAs are shared
+    /// [`Estimate::Global`]: completion tallies and latency EWMAs are shared
     /// feedback by nature — a per-source local count cannot represent them
     /// — so adaptive metrics imply the oracle ("G") estimation mode. The
     /// default (no signals) path dispatches exactly as before.
@@ -375,13 +374,13 @@ mod tests {
         let s = SharedLoads::new(2).with_signals(LoadMetricKind::PendingRequests, None);
         let sig = s.signals().expect("attached").clone();
         let mut e = Estimate::global(s.clone());
-        s.record(0); // counts don't move the pending metric
         assert_eq!(e.load(0, 0), 0);
-        sig.dispatch(0);
-        sig.dispatch(0);
-        assert_eq!(e.load(0, 0), 2);
+        s.record(0);
+        s.record(0);
+        assert_eq!(e.load(0, 0), 2, "routed, not yet completed");
         sig.complete(0, 0);
         assert_eq!(e.load(0, 0), 1);
+        assert_eq!(s.load(0), 2, "the raw count keeps completed tuples");
     }
 
     #[test]

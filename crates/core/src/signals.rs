@@ -2,11 +2,11 @@
 //!
 //! The paper's load is a tuple count; [`pkg_metrics::LoadMetricKind`] makes
 //! the minimized quantity pluggable, and this module holds the extra shared
-//! state the non-default metrics need: per-worker in-flight (pending)
-//! counters, per-worker Peak-EWMA service-latency estimates, the global
-//! latency peak (the pessimistic prior for workers never observed), and an
-//! optional online [`CapacityEstimator`] that rescales every signal by the
-//! worker's *measured* relative speed.
+//! state the non-default metrics need: per-worker completion tallies,
+//! per-worker Peak-EWMA service-latency estimates, the global latency peak
+//! (the pessimistic prior for workers never observed), and an optional
+//! online [`CapacityEstimator`] that rescales every signal by the worker's
+//! *measured* relative speed.
 //!
 //! [`LoadSignalOptions`] is how a run asks for that state — the simulator's
 //! `SimConfig::load` and the engine's `RuntimeOptions::load` carry the same
@@ -16,19 +16,21 @@
 //!
 //! [`SharedSignals::attach`] returns `None` for the default configuration
 //! (`TupleCount` metric, no estimator). A `SharedLoads` without signals is
-//! byte-for-byte the pre-existing structure — no pending counters, no
+//! byte-for-byte the pre-existing structure — no completion tallies, no
 //! floats, no extra atomics on the routing path — which is what pins
 //! "`TupleCount` + static capacities routes identically to today".
 //!
 //! ## Writer discipline
 //!
-//! `dispatch` is called by routing threads (senders); `complete`/`observe`
-//! by the owning worker. The EWMA cell of worker `w` is written only from
-//! `w`'s completions — under the engine executors each instance's
-//! completions are processed serially, so the read-modify-write in
-//! `observe` has a single writer and Relaxed suffices; racing readers see
-//! a slightly stale (monotone-decaying) value, which only delays
-//! adaptation by one sample.
+//! A routed tuple's one write is its count ([`SharedLoads::record`]), which
+//! is also its dispatch: in-flight is `count − completed`, a saturating
+//! difference (a Relaxed reader may see a completion before its count).
+//! Each per-worker cell here is written only by that worker's completions,
+//! serial per engine instance, so [`SharedSignals::complete`] is a Relaxed
+//! load and store on a cache-padded cell, never a read-modify-write; racing
+//! readers see a slightly stale value, which only delays adaptation by one
+//! sample. The global peak, raised by every worker, is raised only when
+//! exceeded.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,12 +78,19 @@ impl LoadSignalOptions {
     }
 }
 
+/// One worker's completion tally, alone on its cache lines (128 bytes: a
+/// line and the neighbour that adjacent-line prefetch pulls with it).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct CompletionCell(AtomicU64);
+
 /// Shared per-worker signal state for the non-default load metrics.
 #[derive(Debug)]
 pub struct SharedSignals {
     kind: LoadMetricKind,
-    /// In-flight tuples per worker (dispatched − completed).
-    pending: Vec<AtomicU64>,
+    /// Tuples completed per worker, written only by that worker; its
+    /// in-flight depth is the routed count minus this.
+    completed: Vec<CompletionCell>,
     /// Peak-EWMA of observed service latency per worker, ns (0 = never
     /// observed).
     ewma_ns: Vec<AtomicU64>,
@@ -106,7 +115,7 @@ impl SharedSignals {
         }
         Some(Arc::new(Self {
             kind,
-            pending: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            completed: (0..n).map(|_| CompletionCell::default()).collect(),
             ewma_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
             peak_ns: AtomicU64::new(0),
             window: kind.window(),
@@ -124,35 +133,20 @@ impl SharedSignals {
         self.estimator.as_ref()
     }
 
-    /// A tuple was dispatched toward worker `w` (not yet completed).
+    /// A no-op: the routed count ([`SharedLoads::record`]) is the dispatch
+    /// tally. Kept only for the benchmark's `core.signals_dispatch_complete_ns`.
     #[inline]
-    pub fn dispatch(&self, w: usize) {
-        if let Some(p) = self.pending.get(w) {
-            // ordering: Relaxed — independent per-worker tally; the signal
-            // read is advisory (routing hints, not synchronization).
-            p.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    pub fn dispatch(&self, _w: usize) {}
 
     /// Worker `w` completed one tuple; `service_ns` is its observed service
-    /// time (0 = completion known but duration unmeasured — the pending
-    /// counter still balances, the latency estimate is untouched).
+    /// time (0 = duration unmeasured: the latency estimate is untouched).
+    /// Only `w`'s own completions may call this (see the module docs).
     #[inline]
     pub fn complete(&self, w: usize, service_ns: u64) {
-        if let Some(p) = self.pending.get(w) {
-            // Saturating decrement: completions the signals never saw
-            // dispatched (e.g. pre-attach traffic) must not underflow.
-            // ordering: Relaxed — per-worker tally, see `dispatch`.
-            let mut cur = p.load(Ordering::Relaxed);
-            while cur > 0 {
-                // ordering: Relaxed — single-location CAS; no other memory
-                // is published by a pending decrement.
-                match p.compare_exchange_weak(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(now) => cur = now,
-                }
-            }
-        }
+        let done = &self.completed[w].0;
+        // ordering: Relaxed — single writer, so load + store is the
+        // increment; the tally publishes no other memory.
+        done.store(done.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         if service_ns > 0 {
             self.observe(w, service_ns);
         }
@@ -160,18 +154,17 @@ impl SharedSignals {
 
     /// Feed one observed service time for worker `w` into the latency
     /// estimate (and the capacity estimator, when attached).
-    pub fn observe(&self, w: usize, service_ns: u64) {
-        if let Some(cell) = self.ewma_ns.get(w) {
-            // Single-writer read-modify-write: only worker `w`'s own
-            // completion path writes this cell (see module docs).
-            // ordering: Relaxed — racing readers may see the pre-update
-            // value; the signal is advisory.
-            let prev = cell.load(Ordering::Relaxed);
-            let next = peak_ewma_step(prev, service_ns, self.window);
+    fn observe(&self, w: usize, service_ns: u64) {
+        let cell = &self.ewma_ns[w];
+        // ordering: Relaxed — single writer (see module docs); racing
+        // readers may see the pre-update value, the signal is advisory.
+        let next = peak_ewma_step(cell.load(Ordering::Relaxed), service_ns, self.window);
+        // ordering: Relaxed — see above.
+        cell.store(next, Ordering::Relaxed);
+        // ordering: Relaxed — monotone max; readers only need *some* recent
+        // peak as the unobserved-worker prior. Read first: RMW only on a rise.
+        if next > self.peak_ns.load(Ordering::Relaxed) {
             // ordering: Relaxed — see above.
-            cell.store(next, Ordering::Relaxed);
-            // ordering: Relaxed — monotone max; readers only need *some*
-            // recent peak as the unobserved-worker prior.
             self.peak_ns.fetch_max(next, Ordering::Relaxed);
         }
         if let Some(e) = &self.estimator {
@@ -179,20 +172,33 @@ impl SharedSignals {
         }
     }
 
-    /// The signal the partitioners minimize for worker `w`, given the
-    /// worker's routed-tuple count (maintained by [`crate::SharedLoads`]).
+    /// The signal the partitioners minimize for worker `w`; `count` reads
+    /// its routed-tuple count ([`SharedLoads`]). Only what the metric needs
+    /// is read: Peak-EWMA reads the global peak first and, while it is 0,
+    /// only the count ([`LoadMetricKind::signal`]'s zero-latency collapse).
+    /// The completion tally is read before the count.
     #[inline]
-    pub fn signal(&self, w: usize, count: u64) -> u64 {
-        let obs = LoadObservation {
-            count,
-            // ordering: Relaxed — advisory reads, see `dispatch`.
-            pending: self.pending.get(w).map_or(0, |p| p.load(Ordering::Relaxed)),
-            // ordering: Relaxed — see `observe`.
-            peak_ewma_ns: self.ewma_ns.get(w).map_or(0, |c| c.load(Ordering::Relaxed)),
-            // ordering: Relaxed — see `observe`.
-            fallback_ns: self.peak_ns.load(Ordering::Relaxed),
+    pub fn signal(&self, w: usize, count: impl FnOnce() -> u64) -> u64 {
+        let raw = match self.kind {
+            LoadMetricKind::TupleCount => count(),
+            LoadMetricKind::PendingRequests => {
+                // ordering: Relaxed — advisory read, see module docs.
+                let done = self.completed[w].0.load(Ordering::Relaxed);
+                count().saturating_sub(done)
+            }
+            // ordering: Relaxed — advisory read, see `observe`.
+            LoadMetricKind::PeakEwma { .. } => match self.peak_ns.load(Ordering::Relaxed) {
+                0 => count(),
+                fallback_ns => {
+                    // ordering: Relaxed — advisory reads, see module docs.
+                    let done = self.completed[w].0.load(Ordering::Relaxed);
+                    let count = count();
+                    let peak_ewma_ns = self.ewma_ns[w].load(Ordering::Relaxed);
+                    let pending = count.saturating_sub(done);
+                    self.kind.signal(LoadObservation { count, pending, peak_ewma_ns, fallback_ns })
+                }
+            },
         };
-        let raw = self.kind.signal(obs);
         match &self.estimator {
             Some(e) => e.scale(w, raw),
             None => raw,
@@ -213,19 +219,25 @@ mod tests {
         assert!(SharedSignals::attach(4, LoadMetricKind::TupleCount, Some(est)).is_some());
     }
 
+    fn loads(n: usize, kind: LoadMetricKind) -> (SharedLoads, Arc<SharedSignals>) {
+        let loads = SharedLoads::new(n).with_signals(kind, None);
+        let signals = Arc::clone(loads.signals().expect("non-default metric attaches"));
+        (loads, signals)
+    }
+
     #[test]
-    fn pending_tracks_dispatch_minus_complete_and_never_underflows() {
-        let s = SharedSignals::attach(2, LoadMetricKind::PendingRequests, None)
-            .expect("non-default metric attaches");
-        s.dispatch(0);
-        s.dispatch(0);
-        s.dispatch(1);
-        assert_eq!(s.signal(0, 99), 2, "pending metric ignores the count");
+    fn pending_is_count_minus_completed_and_never_underflows() {
+        let (loads, s) = loads(2, LoadMetricKind::PendingRequests);
+        loads.record(0);
+        loads.record(0);
+        loads.record(1);
+        assert_eq!(loads.signal(0), 2);
         s.complete(0, 0);
-        assert_eq!(s.signal(0, 99), 1);
+        assert_eq!(loads.signal(0), 1);
         s.complete(0, 0);
-        s.complete(0, 0); // one more completion than dispatches
-        assert_eq!(s.signal(0, 99), 0, "saturates at zero");
+        s.complete(0, 0); // one more completion than routed tuples
+        assert_eq!(loads.signal(0), 0, "saturates at zero");
+        assert_eq!(loads.signal(1), 1, "tallies are per worker");
     }
 
     #[test]
@@ -233,29 +245,31 @@ mod tests {
         let s = SharedSignals::attach(2, LoadMetricKind::peak_ewma(), None)
             .expect("non-default metric attaches");
         // No latency observed anywhere: signal is the raw count.
-        assert_eq!(s.signal(0, 7), 7);
+        assert_eq!(s.signal(0, || 7), 7);
         for _ in 0..8 {
-            s.observe(0, 40_000); // slow
-            s.observe(1, 10_000); // fast
+            s.complete(0, 40_000); // slow
+            s.complete(1, 10_000); // fast
         }
         assert!(
-            s.signal(0, 10) > s.signal(1, 10),
+            s.signal(0, || 10) > s.signal(1, || 10),
             "equal counts, the slow worker must signal higher"
         );
     }
 
     #[test]
     fn uniform_latency_is_an_exact_constant_multiple_of_count() {
-        let s = SharedSignals::attach(3, LoadMetricKind::peak_ewma(), None)
-            .expect("non-default metric attaches");
-        for w in 0..3 {
-            for _ in 0..4 {
-                s.observe(w, 5_000);
-            }
-        }
-        for count in [0u64, 1, 9, 120] {
+        // Worker 3 is never routed to: count 0 under the global-peak prior.
+        let (loads, s) = loads(4, LoadMetricKind::peak_ewma());
+        for target in [1u64, 9, 120] {
             for w in 0..3 {
-                assert_eq!(s.signal(w, count), 5_000 * count, "exact multiple preserves argmins");
+                while loads.load(w) < target {
+                    loads.record(w);
+                    s.complete(w, 5_000);
+                }
+            }
+            for w in 0..4 {
+                let count = loads.load(w);
+                assert_eq!(loads.signal(w), 5_000 * count, "exact multiple preserves argmins");
             }
         }
     }
@@ -267,12 +281,54 @@ mod tests {
             .expect("estimator forces signals on");
         for i in 0..16u64 {
             let w = (i % 2) as usize;
-            s.observe(w, if w == 0 { 40_000 } else { 10_000 });
+            s.complete(w, if w == 0 { 40_000 } else { 10_000 });
         }
         assert_eq!(est.rotations(), 1);
         assert!(
-            s.signal(0, 100) > s.signal(1, 100),
+            s.signal(0, || 100) > s.signal(1, || 100),
             "slow worker's count is inflated by the estimator"
         );
+    }
+
+    #[test]
+    fn concurrent_senders_and_owners_keep_in_flight_exact() {
+        // Four senders route into eight workers; each worker's owner thread
+        // completes what reaches its mailbox (a channel, which orders the
+        // routed count before the completion, as the engine's mailbox does).
+        const SENDERS: usize = 4;
+        const WORKERS: usize = 8;
+        const PER_SENDER: usize = 20_000;
+        let route = |s: usize, i: usize| (s * 7 + i * (i % 3 + 1)) % WORKERS;
+        let (loads, signals) = loads(WORKERS, LoadMetricKind::PendingRequests);
+        let (txs, rxs): (Vec<_>, Vec<_>) =
+            (0..WORKERS).map(|_| std::sync::mpsc::channel::<()>()).unzip();
+        std::thread::scope(|scope| {
+            for (w, rx) in rxs.into_iter().enumerate() {
+                let signals = &signals;
+                scope.spawn(move || rx.iter().for_each(|()| signals.complete(w, 0)));
+            }
+            for s in 0..SENDERS {
+                let (loads, txs) = (&loads, txs.clone());
+                scope.spawn(move || {
+                    for i in 0..PER_SENDER {
+                        let w = route(s, i);
+                        loads.record(w);
+                        txs[w].send(()).expect("owner alive");
+                        let v = (i * 5 + s) % WORKERS;
+                        let pending = loads.signal(v);
+                        assert!(pending <= loads.load(v), "worker {v}: pending exceeds count");
+                    }
+                });
+            }
+            drop(txs);
+        });
+        let mut expected = [0u64; WORKERS];
+        for s in 0..SENDERS {
+            (0..PER_SENDER).for_each(|i| expected[route(s, i)] += 1);
+        }
+        assert_eq!(loads.snapshot(), expected, "routed counts are exact");
+        for w in 0..WORKERS {
+            assert_eq!(loads.signal(w), 0, "worker {w}: every routed tuple completed");
+        }
     }
 }

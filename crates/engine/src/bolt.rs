@@ -81,20 +81,10 @@ pub(crate) struct OutEdge {
     /// [`crate::load::LoadSignalOptions`] attached any. The router inside
     /// this edge then carries [`pkg_core::Estimate::Global`] handles onto
     /// the same vector, so every sender minimizes the same pluggable
-    /// signal; counts and in-flight dispatches are recorded here at routing
-    /// time (global estimates make `Estimate::record` a no-op).
+    /// signal; each routed delivery is counted here before the next decision
+    /// (`route_batch_with`'s hook), and that count is also its dispatch
+    /// (global estimates make `Estimate::record` a no-op).
     pub(crate) signals: Option<SharedLoads>,
-}
-
-/// Count + in-flight bookkeeping for one routed delivery to `w` on a
-/// signal-bearing edge, mirroring the simulator's `record` ordering: after
-/// the route decision, before the next one (`route_batch_with`'s hook).
-#[inline]
-pub(crate) fn note_dispatch(loads: &SharedLoads, w: usize) {
-    loads.record(w);
-    if let Some(s) = loads.signals() {
-        s.dispatch(w);
-    }
 }
 
 /// Where an edge's packets physically go: the destinations' task ids, plus
@@ -180,7 +170,7 @@ impl Outlet {
                     if hedge.is_some() && plain { router.head_candidates(cut[0]) } else { None };
                 match signals {
                     Some(loads) => {
-                        router.route_batch_with(cut, targets, |w| note_dispatch(loads, w));
+                        router.route_batch_with(cut, targets, |w| loads.record(w));
                     }
                     None => router.route_batch(cut, targets),
                 }
@@ -195,7 +185,7 @@ impl Outlet {
                         let mut tagged = staged(tuples, start, e == last_edge);
                         tagged.payload = pkg_ingress::hedge::encode_tag(state.next_id());
                         if let Some(loads) = signals {
-                            note_dispatch(loads, alt);
+                            loads.record(alt);
                         }
                         shared.push_run(dests[alt], [Packet::Tuple(tagged.clone())], outbox);
                         shared.push_run(dests[w], [Packet::Tuple(tagged)], outbox);

@@ -428,7 +428,6 @@ fn route_each(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bolt::note_dispatch;
     use pkg_metrics::{CapacityEstimator, LoadMetricKind};
 
     #[test]
@@ -577,8 +576,8 @@ mod tests {
                 }
             }
             // Signal-bearing routers: every sender minimizes shared state, so
-            // the batch must interleave `route → record → dispatch` exactly
-            // like routing one key at a time. Decisions, recorded counts and the
+            // the batch must interleave `route → record` exactly like
+            // routing one key at a time. Decisions, recorded counts and the
             // signal (pending, latency, capacity scale) agree after each
             // chunk; completions land between chunks so the signals move.
             let n = 12;
@@ -596,12 +595,12 @@ mod tests {
                 let mut batched = Router::with_shared(&g, n, 11, 2, Some(&batch_loads));
                 let label = batch_loads.metric_label();
                 for (c, chunk) in keys.chunks(64).enumerate() {
-                    batched.route_batch_with(chunk, &mut out, |w| note_dispatch(&batch_loads, w));
+                    batched.route_batch_with(chunk, &mut out, |w| batch_loads.record(w));
                     for (i, &k) in chunk.iter().enumerate() {
                         let Target::One(w) = one.route(k) else {
                             panic!("{g:?} is batchable, so it routes to one instance");
                         };
-                        note_dispatch(&scalar_loads, w);
+                        scalar_loads.record(w);
                         assert_eq!(w, out.dest(i), "{g:?}/{label} diverged at key {k}");
                     }
                     assert_eq!(batch_loads.snapshot(), scalar_loads.snapshot(), "{g:?}/{label}");
@@ -633,7 +632,7 @@ mod tests {
             let mut r = Router::with_shared(&Grouping::partial_key(), 8, 3, 0, Some(&loads));
             let mut out = TargetBatch::new();
             if hook {
-                r.route_batch_with(&keys, &mut out, |w| note_dispatch(&loads, w));
+                r.route_batch_with(&keys, &mut out, |w| loads.record(w));
             } else {
                 r.route_batch(&keys, &mut out);
             }

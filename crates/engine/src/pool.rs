@@ -735,8 +735,9 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                         bolt.execute(tuple, &mut out);
                         let blocked = !out.deliver(tid);
                         let charged = std::mem::take(&mut out.stalled_ns);
-                        // Feed the load signals: one in-flight tuple done,
-                        // its capacity-scaled service time is the latency
+                        // Feed the load signals: one routed tuple done (this
+                        // instance is its tally's only writer), its
+                        // capacity-scaled service time is the latency
                         // sample for Peak-EWMA and the capacity estimator.
                         if let Some(s) = signals.as_ref().and_then(SharedLoads::signals) {
                             s.complete(*instance, charged);

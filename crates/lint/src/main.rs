@@ -34,6 +34,9 @@
 //! | `load_`   | whole workspace               | `.with_signals(` only under `pkg-core` — the  |
 //! | `seam`    |                               | simulator and the engine attach signal state  |
 //! |           |                               | through `LoadSignalOptions::attach`           |
+//! | `signal_` | whole workspace               | `.dispatch(` only under `pkg-core` — a routed |
+//! | `seam`    |                               | tuple's one shared write is its count         |
+//! |           |                               | (`SharedLoads::record`)                       |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -109,10 +112,20 @@ const EMIT_SEAM: [(&str, &str, &str, usize); 3] = [
     ("Emitter {", "crates/engine/src/bolt.rs", "drop_sink", 1),
 ];
 
-/// The only directory whose non-test code may call `.with_signals(`
-/// (`load_seam` rule): the simulator and the engine share one options type,
-/// so signal state is built in one place, `LoadSignalOptions::attach`.
-const LOAD_SEAM_DIR: &str = "crates/core/src/";
+/// The only directory whose non-test code may make the calls in
+/// `CORE_SEAMS`.
+const CORE_SEAM_DIR: &str = "crates/core/src/";
+
+/// Load-signal calls kept inside pkg-core: `(token, rule, remedy)`.
+/// `load_seam`: the simulator and the engine share one options type, so
+/// signal state is built in one place, `LoadSignalOptions::attach`.
+/// `signal_seam`: in-flight is derived from the routed count, so a routed
+/// tuple's one shared write is `SharedLoads::record` and no sender outside
+/// pkg-core calls `SharedSignals::dispatch`.
+const CORE_SEAMS: [(&str, &str, &str); 2] = [
+    (".with_signals(", "load_seam", "attach signal state through `LoadSignalOptions::attach`"),
+    (".dispatch(", "signal_seam", "the routed count `SharedLoads::record` is the dispatch tally"),
+];
 
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
@@ -207,8 +220,8 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     if rel.starts_with("crates/engine/src/") && rel != "crates/engine/src/pool_model.rs" {
         rule_emit_seam(rel, &code, &in_test, &mut out);
     }
-    if !rel.starts_with(LOAD_SEAM_DIR) {
-        rule_load_seam(rel, &code, &in_test, &mut out);
+    if !rel.starts_with(CORE_SEAM_DIR) {
+        rule_core_seams(rel, &code, &in_test, &mut out);
     }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
@@ -358,14 +371,15 @@ fn rule_emit_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<St
     }
 }
 
-fn rule_load_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+fn rule_core_seams(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
     for (i, line) in code.iter().enumerate() {
-        if !in_test[i] && line.contains(".with_signals(") {
-            out.push(format!(
-                "{rel}:{}: [load_seam] `.with_signals(` outside pkg-core \
-                 (attach signal state through `LoadSignalOptions::attach`)",
-                i + 1
-            ));
+        for (token, rule, remedy) in CORE_SEAMS {
+            if !in_test[i] && line.contains(token) {
+                out.push(format!(
+                    "{rel}:{}: [{rule}] `{token}` outside pkg-core ({remedy})",
+                    i + 1
+                ));
+            }
         }
     }
 }
@@ -958,6 +972,24 @@ mod tests {
         assert!(lint("crates/engine/src/load.rs", &gated).is_empty());
         let mention = "// attach calls loads.with_signals(metric, estimator)\nfn f() {}\n";
         assert!(lint("crates/sim/src/simulation.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_second_dispatch_write_is_caught() {
+        let src = "fn note(loads: &SharedLoads, w: usize) {\n    \
+                   loads.record(w);\n    \
+                   if let Some(signals) = loads.signals() {\n        \
+                   signals.dispatch(w);\n    }\n}\n";
+        let v = lint("crates/engine/src/bolt.rs", src);
+        assert!(v.iter().any(|v| v.contains("[signal_seam]") && v.contains("bolt.rs:4")), "{v:?}");
+        let v = lint("crates/sim/src/simulation.rs", src);
+        assert!(v.iter().any(|v| v.contains("[signal_seam]")), "{v:?}");
+        // pkg-core defines it; tests and a mention in a comment are fine.
+        assert!(lint("crates/core/src/signals.rs", src).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/engine/src/bolt.rs", &gated).is_empty());
+        let mention = "// the count replaced signals.dispatch(w)\nfn f() {}\n";
+        assert!(lint("crates/engine/src/bolt.rs", mention).is_empty());
     }
 
     #[test]

@@ -330,13 +330,12 @@ pub fn run(spec: &StreamSpec, cfg: &SimConfig) -> SimReport {
         debug_assert!(w < cfg.workers);
         shared.record(w);
         loads.record(w, 1);
+        if let Some(sig) = &signals {
+            // In the sim a tuple completes the instant it is routed (in-flight
+            // stays 0); a profiled service time is the latency sample.
+            sig.complete(w, cfg.service_profile.as_ref().map_or(0, |p| p.service_ns(w, msg.ts_ms)));
+        }
         if let Some(profile) = &cfg.service_profile {
-            // In the sim a tuple completes the instant it is routed: no
-            // pending window — only the service-time observation feeds the
-            // latency EWMA and the capacity estimator.
-            if let Some(sig) = &signals {
-                sig.observe(w, profile.service_ns(w, msg.ts_ms));
-            }
             let phase = profile.drift.phase_at(msg.ts_ms);
             phase_loads[phase][w] += 1;
             phase_msgs[phase] += 1;

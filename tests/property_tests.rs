@@ -8,7 +8,8 @@ use pkg_elastic::{Change, MembershipPlan};
 use pkg_hash::murmur3::{murmur3_128, murmur3_64_u64};
 use pkg_hash::HashFamily;
 use pkg_metrics::{
-    imbalance, worst_case_imbalance, CapacityEstimator, LoadMetricKind, LoadObservation, LoadVector,
+    imbalance, peak_ewma_step, worst_case_imbalance, CapacityEstimator, LoadMetricKind,
+    LoadObservation, LoadVector,
 };
 
 proptest! {
@@ -883,10 +884,11 @@ proptest! {
         window in 1u32..256,
         keys in prop::collection::vec(0u64..500, 50..400),
     ) {
-        // Before any latency observation arrives the Peak-EWMA signal is
-        // `1 × (count + pending)`; with nothing in flight that is exactly
-        // the tuple count, so every argmin — and every tie-break — must
-        // agree with plain count routing, whatever the EWMA window.
+        // Before any latency observation arrives the Peak-EWMA signal
+        // collapses to the tuple count (nothing completes here, so every
+        // routed tuple is in flight and the collapse is what ignores it):
+        // every argmin — and every tie-break — must agree with plain count
+        // routing, whatever the EWMA window.
         let plain = pkg_core::SharedLoads::new(n);
         let ewma = pkg_core::SharedLoads::new(n)
             .with_signals(LoadMetricKind::PeakEwma { window }, None);
@@ -942,6 +944,57 @@ proptest! {
                     kind.signal(more) >= kind.signal(base),
                     "{} decreased from {:?} to {:?}", kind.label(), base, more
                 );
+            }
+        }
+    }
+}
+
+// In-flight is derived from the routed count: the shared signal state must
+// agree with a plain model of counts, completions and the Peak-EWMA
+// recurrence after every step of any interleaving — including more
+// completions than routed tuples, where in-flight saturates at 0.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn signals_equal_the_metric_over_routed_minus_completed(
+        n in 1usize..8,
+        window in 1u32..128,
+        ops in prop::collection::vec((0usize..8, 0u8..2, 0u64..50_000), 0..300),
+    ) {
+        let kind = LoadMetricKind::PeakEwma { window };
+        let pending = pkg_core::SharedLoads::new(n)
+            .with_signals(LoadMetricKind::PendingRequests, None);
+        let ewma = pkg_core::SharedLoads::new(n).with_signals(kind, None);
+        let (mut records, mut completes) = (vec![0u64; n], vec![0u64; n]);
+        let (mut ewma_ns, mut peak_ns) = (vec![0u64; n], 0u64);
+        for (w, op, service_ns) in ops {
+            let w = w % n;
+            for loads in [&pending, &ewma] {
+                match op {
+                    0 => loads.record(w),
+                    _ => loads.signals().expect("attached").complete(w, service_ns),
+                }
+            }
+            if op == 0 {
+                records[w] += 1;
+            } else {
+                completes[w] += 1;
+                if service_ns > 0 {
+                    ewma_ns[w] = peak_ewma_step(ewma_ns[w], service_ns, window);
+                    peak_ns = peak_ns.max(ewma_ns[w]);
+                }
+            }
+            for v in 0..n {
+                let in_flight = records[v].saturating_sub(completes[v]);
+                prop_assert_eq!(pending.signal(v), in_flight, "worker {} pending", v);
+                let obs = LoadObservation {
+                    count: records[v],
+                    pending: in_flight,
+                    peak_ewma_ns: ewma_ns[v],
+                    fallback_ns: peak_ns,
+                };
+                prop_assert_eq!(ewma.signal(v), kind.signal(obs), "worker {} peak_ewma", v);
             }
         }
     }

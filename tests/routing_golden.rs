@@ -113,8 +113,9 @@ fn shared_loads(n: usize, variant: Variant) -> SharedLoads {
 }
 
 /// What the simulator and the engine do after a routing decision: count the
-/// tuple, note it in flight, and — 48 deliveries later — complete it with a
-/// service time that depends on the worker, so the latency signals differ.
+/// tuple (the count is also its dispatch: in-flight is count − completed)
+/// and — 48 deliveries later — complete it with a service time that depends
+/// on the worker, so the latency signals differ.
 struct Feedback {
     shared: SharedLoads,
     in_flight: VecDeque<usize>,
@@ -129,7 +130,6 @@ impl Feedback {
     fn delivered(&mut self, w: usize) {
         self.shared.record(w);
         let Some(signals) = self.shared.signals() else { return };
-        signals.dispatch(w);
         self.in_flight.push_back(w);
         if self.in_flight.len() > 48 {
             let done = self.in_flight.pop_front().expect("non-empty");
