@@ -53,6 +53,9 @@ pub struct Emitter<'a> {
     /// The runtime and the running instance's outgoing side; `None` for
     /// [`Emitter::drop_sink`].
     pub(crate) outlet: Option<(&'a Shared, &'a mut Outlet)>,
+    /// The worker running this activation: the data wakes its deliveries
+    /// raise queue on that worker's own deque.
+    pub(crate) wid: Option<usize>,
     /// Birth timestamp to inherit (0 = stamp with `now_ns`).
     pub(crate) inherit_born_ns: u64,
     pub(crate) now_ns: u64,
@@ -143,7 +146,7 @@ impl Outlet {
     /// and deliver each destination's run with one `push_run` — the only
     /// place a tuple leaves an instance. Decisions stay per tuple, in stream
     /// order; only delivery is grouped.
-    fn flush(&mut self, shared: &Shared, now_ns: u64) {
+    fn flush(&mut self, shared: &Shared, now_ns: u64, wid: Option<usize>) {
         let Self { edges, outbox, keys, tuples, targets, .. } = self;
         let last_edge = edges.len() - 1;
         for (e, OutEdge { router, tx, hedge, signals }) in edges.iter_mut().enumerate() {
@@ -157,7 +160,7 @@ impl Outlet {
                 while let Some(epoch) = router.advance_epoch() {
                     let marker = crate::elastic::epoch_marker(epoch, now_ns);
                     for &d in dests {
-                        shared.push_run(d, [Packet::Tuple(marker.clone())], outbox);
+                        shared.push_run(d, [Packet::Tuple(marker.clone())], outbox, wid);
                     }
                 }
                 let end = keys.len().min(start.saturating_add(router.until_epoch()));
@@ -187,8 +190,8 @@ impl Outlet {
                         if let Some(loads) = signals {
                             loads.record(alt);
                         }
-                        shared.push_run(dests[alt], [Packet::Tuple(tagged.clone())], outbox);
-                        shared.push_run(dests[w], [Packet::Tuple(tagged)], outbox);
+                        shared.push_run(dests[alt], [Packet::Tuple(tagged.clone())], outbox, wid);
+                        shared.push_run(dests[w], [Packet::Tuple(tagged)], outbox, wid);
                         start = end;
                         continue;
                     }
@@ -202,10 +205,10 @@ impl Outlet {
                     let idx = run.iter().map(|&i| start + i as usize);
                     if e == last_edge && (r + 1 == runs || run.len() < cut.len()) {
                         let packets = idx.map(|i| Packet::Tuple(staged(tuples, i, true)));
-                        shared.push_run(dests[w], packets, outbox);
+                        shared.push_run(dests[w], packets, outbox, wid);
                     } else {
                         let packets = idx.map(|i| Packet::Tuple(staged(tuples, i, false)));
-                        shared.push_run(dests[w], packets, outbox);
+                        shared.push_run(dests[w], packets, outbox, wid);
                     }
                 }
                 start = end;
@@ -247,7 +250,7 @@ impl Emitter<'_> {
         outlet.keys.push(key_id);
         outlet.tuples.push(Some(tuple));
         if outlet.flush_each || outlet.keys.len() >= shared.batch {
-            outlet.flush(shared, self.now_ns);
+            outlet.flush(shared, self.now_ns, self.wid);
             return outlet.outbox.is_empty();
         }
         true
@@ -258,7 +261,9 @@ impl Emitter<'_> {
     #[inline]
     pub(crate) fn flush(&mut self) {
         match &mut self.outlet {
-            Some((shared, outlet)) if !outlet.keys.is_empty() => outlet.flush(shared, self.now_ns),
+            Some((shared, outlet)) if !outlet.keys.is_empty() => {
+                outlet.flush(shared, self.now_ns, self.wid);
+            }
             _ => {}
         }
     }
@@ -269,7 +274,7 @@ impl Emitter<'_> {
     pub(crate) fn deliver(&mut self, tid: usize) -> bool {
         self.flush();
         let Some((shared, outlet)) = &mut self.outlet else { return true };
-        outlet.outbox.is_empty() || deliver_outbox(shared, tid, &mut outlet.outbox)
+        outlet.outbox.is_empty() || deliver_outbox(shared, tid, &mut outlet.outbox, self.wid)
     }
 
     /// Flush, then queue one Eof per downstream instance behind it all.
@@ -333,6 +338,7 @@ impl Emitter<'_> {
     pub fn drop_sink(emitted: &mut u64) -> Emitter<'_> {
         Emitter {
             outlet: None,
+            wid: None,
             inherit_born_ns: 0,
             now_ns: 1,
             emitted,

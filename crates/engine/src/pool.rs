@@ -19,9 +19,16 @@
 //! Two schedules decide only *who calls [`run_task`] and when*:
 //!
 //! * **Pool** ([`worker_loop`]): a fixed set of worker threads pick tasks
-//!   from a global injector, their own Chase–Lev deques and each other's;
-//!   tick and stall deadlines live in one central
-//!   [`TimerWheel`](crate::timer) that the workers fire.
+//!   from their own Chase–Lev deques, then each other's, then a global
+//!   injector; tick and stall deadlines live in one central
+//!   [`TimerWheel`](crate::timer) that the workers fire when they visit
+//!   the injector. A data wake stays on the worker that raised it: the
+//!   woken consumer is pushed onto the waker's own deque, lock-free, so
+//!   its window table and inbox stay warm on the core that just filled
+//!   them. The injector carries only what starts a cascade — the initial
+//!   sources, a source's requeue, backpressure releases and timer fires —
+//!   so every local cascade is bounded by what one source quantum or one
+//!   deadline produced, and picking local work first cannot starve them.
 //! * **Dedicated threads** ([`owner_loop`], `ExecutorMode::ThreadPerInstance`
 //!   — the paper's one executor per instance): one thread per task runs that
 //!   task only. A wake unparks the owner instead of queueing the task, and
@@ -310,17 +317,22 @@ struct Deadlines {
 pub(crate) struct Shared {
     tasks: Vec<TaskSlot>,
     sched: Mutex<Sched>,
-    /// Per-worker run queues for self-requeues; idle workers steal. Each is
-    /// a Chase–Lev deque: worker `w` alone pushes/pops queue `w` (LIFO,
-    /// cache-hot), siblings steal the oldest entry by CAS — no lock on the
-    /// requeue path. Under dedicated threads, queue `t` belongs to task
-    /// `t`'s owner and holds at most its own id; nothing steals.
+    /// Per-worker run queues: the data wakes a worker's activations raise
+    /// and its bolts' requeues. Each is a Chase–Lev deque: worker `w` alone
+    /// pushes onto queue `w` (no lock), and every worker — `w` included —
+    /// takes the oldest entry by CAS, so a worker runs its own queue in
+    /// wake order. Under dedicated threads, queue `t` belongs to task `t`'s
+    /// owner and holds at most its own id; nothing steals.
     locals: Vec<WorkStealingDeque>,
     /// One owner per task under the thread-per-instance schedule, indexed
     /// by task id; empty under the pool.
     owners: Vec<Owner>,
     /// Idle workers awaiting work, newest last.
     idlers: Mutex<Vec<(usize, Unparker)>>,
+    /// Workers between their idle registration and its removal. Every wake
+    /// reads it lock-free and takes the `idlers` lock only when it is
+    /// non-zero, so a data wake while every worker is busy takes no lock.
+    idle: AtomicUsize,
     /// Tasks not yet `DONE`.
     remaining: AtomicUsize,
     epoch: Instant,
@@ -375,7 +387,13 @@ impl Shared {
     /// register `waiter` for a backpressure-release wake — for the mutexed
     /// mailbox under the same lock as the capacity check, for the ring via
     /// its announce→re-check protocol — so the release can never be missed.
-    fn push_or_park(&self, dest: usize, packet: Packet, waiter: usize) -> Result<(), Packet> {
+    fn push_or_park(
+        &self,
+        dest: usize,
+        packet: Packet,
+        waiter: usize,
+        wid: Option<usize>,
+    ) -> Result<(), Packet> {
         let depth = match self.mailbox(dest) {
             Mailbox::Mutexed { cap, inner, depth } => {
                 let mut inner = lock(inner);
@@ -400,7 +418,7 @@ impl Shared {
             }
         };
         self.note_depth(dest, depth);
-        self.wake(dest, &WakeKind::Notify);
+        self.wake(dest, &WakeKind::Notify, wid);
         Ok(())
     }
 
@@ -408,12 +426,14 @@ impl Shared {
     /// into `dest`'s mailbox with one lock (or ring publication) and at most
     /// one wake. What does not fit spills to `outbox` in order — and so does
     /// the whole run while an earlier spill waits there, so per-destination
-    /// FIFO (which Eof counting relies on) survives the detour.
+    /// FIFO (which Eof counting relies on) survives the detour. `wid` is
+    /// the worker running the sending activation (see [`Shared::wake`]).
     pub(crate) fn push_run(
         &self,
         dest: usize,
         packets: impl IntoIterator<Item = Packet>,
         outbox: &mut VecDeque<(usize, Packet)>,
+        wid: Option<usize>,
     ) {
         let mut packets = packets.into_iter();
         // How many packets landed in the mailbox, and the mailbox depth
@@ -439,12 +459,14 @@ impl Shared {
         outbox.extend(packets.map(|packet| (dest, packet)));
         if accepted > 0 {
             self.note_depth(dest, depth_after);
-            self.wake(dest, &WakeKind::Notify);
+            self.wake(dest, &WakeKind::Notify, wid);
         }
     }
 
     /// Drain up to `max` packets of `tid`'s own mailbox into `inbox`,
     /// waking any producers that were parked on the mailbox being full.
+    /// Those are `Unpark` wakes, which queue on the injector whoever raises
+    /// them, so the draining worker's id is not needed here.
     fn refill_inbox(&self, tid: usize, inbox: &mut PacketBatch, max: usize) -> usize {
         match self.mailbox(tid) {
             Mailbox::Mutexed { inner, depth, .. } => {
@@ -460,7 +482,7 @@ impl Shared {
                     (moved, waiters)
                 };
                 for w in waiters {
-                    self.wake(w, &WakeKind::Unpark);
+                    self.wake(w, &WakeKind::Unpark, None);
                 }
                 moved
             }
@@ -470,7 +492,7 @@ impl Shared {
                 let moved = ring.pop_batch(max, &mut |p| inbox.push(p));
                 if moved > 0 {
                     for w in ring.take_waiters() {
-                        self.wake(w, &WakeKind::Unpark);
+                        self.wake(w, &WakeKind::Unpark, None);
                     }
                 }
                 moved
@@ -514,16 +536,39 @@ impl Shared {
         }
     }
 
-    fn wake(&self, t: usize, kind: &WakeKind) {
-        if self.wake_state(t, kind) {
-            match self.owners.get(t) {
-                // A dedicated owner is its task's only run queue.
-                Some(owner) => owner.unparker.unpark(),
-                None => {
-                    lock(&self.sched).runq.push_back(t);
-                    self.unpark_one_idler();
-                }
-            }
+    /// Wake task `t`; `wid` is the worker whose activation raises the
+    /// wake, `None` from outside one. Where the task queues is fixed by the
+    /// wake alone:
+    ///
+    /// | wake | queue |
+    /// |------|-------|
+    /// | any, under dedicated threads | none: the owner is unparked |
+    /// | `Notify` from worker `w` | `locals[w]`, lock-free |
+    /// | `Unpark` (a release), or from no worker | the injector |
+    fn wake(&self, t: usize, kind: &WakeKind, wid: Option<usize>) {
+        if !self.wake_state(t, kind) {
+            return;
+        }
+        if let Some(owner) = self.owners.get(t) {
+            // A dedicated owner is its task's only run queue.
+            owner.unparker.unpark();
+            return;
+        }
+        match (kind, wid) {
+            (WakeKind::Notify, Some(w)) => self.push_local(w, t),
+            _ => lock(&self.sched).runq.push_back(t),
+        }
+        self.unpark_one_idler();
+    }
+
+    /// Queue `t` on worker `w`'s deque. Only worker `w`'s own thread calls
+    /// this (the deque's single-pusher contract).
+    fn push_local(&self, w: usize, t: usize) {
+        if !self.locals[w].push(t) {
+            // A task id is queued at most once (state machine) and deques
+            // are sized for that, so a full deque is unreachable — but the
+            // global injector is a safe overflow all the same.
+            lock(&self.sched).runq.push_back(t);
         }
     }
 
@@ -540,6 +585,12 @@ impl Shared {
     }
 
     fn unpark_one_idler(&self) {
+        // ordering: SeqCst — the caller's queue push precedes this read, and
+        // an idler's increment precedes its re-check of every queue: one of
+        // the two sees the other (SC-only model)
+        if self.idle.load(SeqCst) == 0 {
+            return;
+        }
         let popped = lock(&self.idlers).pop();
         if let Some((_, u)) = popped {
             u.unpark();
@@ -564,15 +615,17 @@ fn publish_depth(depth: &AtomicUsize, len: usize) -> usize {
     len
 }
 
-/// Deliver spilled emissions in order; `false` means a downstream mailbox
-/// is full and `tid` is registered for its release wake.
+/// Deliver spilled emissions in order from task `tid`'s activation on
+/// worker `wid`; `false` means a downstream mailbox is full and `tid` is
+/// registered for its release wake.
 pub(crate) fn deliver_outbox(
     shared: &Shared,
     tid: usize,
     outbox: &mut VecDeque<(usize, Packet)>,
+    wid: Option<usize>,
 ) -> bool {
     while let Some((dest, packet)) = outbox.pop_front() {
-        if let Err(packet) = shared.push_or_park(dest, packet, tid) {
+        if let Err(packet) = shared.push_or_park(dest, packet, tid, wid) {
             outbox.push_front((dest, packet));
             return false;
         }
@@ -580,9 +633,9 @@ pub(crate) fn deliver_outbox(
     true
 }
 
-fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
+fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Outcome {
     body.activations += 1;
-    if !deliver_outbox(shared, tid, &mut body.outlet.outbox) {
+    if !deliver_outbox(shared, tid, &mut body.outlet.outbox, Some(wid)) {
         return Outcome::Park;
     }
     if finished(&body.kind) {
@@ -610,6 +663,7 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
     // Every tuple this activation sends leaves through this one emitter.
     let mut out = Emitter {
         outlet: Some((shared, outlet)),
+        wid: Some(wid),
         inherit_born_ns: 0,
         now_ns: shared.now_ns(),
         emitted,
@@ -810,10 +864,10 @@ fn finished(kind: &TaskKind) -> bool {
 }
 
 /// Settle a task's scheduling state after a non-`Done` activation.
-/// `requeue` is how the caller re-queues the task (the worker pushes onto
-/// its local queue; the model suite substitutes its own). Split from
-/// [`run_task`] so the model checker can race exactly this transition
-/// against concurrent wakes (`pool_model.rs`).
+/// `requeue` is how the caller re-queues the task ([`run_task`]: a bolt
+/// onto its worker's deque, a source onto the injector; the model suite
+/// substitutes its own). Split from [`run_task`] so the model checker can
+/// race exactly this transition against concurrent wakes (`pool_model.rs`).
 fn settle(shared: &Shared, tid: usize, outcome: &Outcome, requeue: impl Fn()) {
     let slot = &shared.tasks[tid];
     match outcome {
@@ -858,7 +912,8 @@ fn run_task(shared: &Shared, tid: usize, wid: usize) {
     let Some(mut body) = lock(&slot.body).take() else {
         unreachable!("queued task owns a body");
     };
-    let outcome = activate(shared, tid, &mut body);
+    let source = matches!(body.kind, TaskKind::Spout { .. });
+    let outcome = activate(shared, tid, wid, &mut body);
     if matches!(outcome, Outcome::Done) {
         // Every sender's Eof was its last send, so the high-water mark is
         // final by the time the task completes.
@@ -878,19 +933,23 @@ fn run_task(shared: &Shared, tid: usize, wid: usize) {
     let requeue = || {
         // ordering: SeqCst — QUEUED before the id is published to the queue (SC-only model)
         slot.state.store(QUEUED, SeqCst);
-        if !shared.locals[wid].push(tid) {
-            // A task id is queued at most once (state machine) and deques
-            // are sized for that, so a full deque is unreachable — but the
-            // global injector is a safe overflow all the same.
+        if source && shared.owners.is_empty() {
+            // A pool source queues behind the consumers it just woke onto
+            // this worker's deque, and re-enters only through the injector.
             lock(&shared.sched).runq.push_back(tid);
+        } else {
+            shared.push_local(wid, tid);
         }
     };
     settle(shared, tid, &outcome, requeue);
 }
 
+/// Take the oldest task of worker `wid`'s own deque, else steal the oldest
+/// of a sibling's. Oldest first on the own deque too: a woken consumer
+/// runs in wake order, behind the tasks woken before it.
 fn steal(shared: &Shared, wid: usize) -> Option<usize> {
     let n = shared.locals.len();
-    for k in 1..n {
+    for k in 0..n {
         let victim = (wid + k) % n;
         loop {
             match shared.locals[victim].steal() {
@@ -905,59 +964,68 @@ fn steal(shared: &Shared, wid: usize) -> Option<usize> {
     None
 }
 
+/// Fire the timer wheel's due deadlines onto the injector, then pop the
+/// injector's oldest task.
+fn inject(shared: &Shared, due: &mut Vec<(usize, bool)>) -> Option<usize> {
+    let mut s = lock(&shared.sched);
+    due.clear();
+    s.timers.fire(shared.now_ns(), due);
+    for &(t, unpark) in due.iter() {
+        let kind = if unpark { WakeKind::Unpark } else { WakeKind::Notify };
+        if shared.wake_state(t, &kind) {
+            s.runq.push_back(t);
+        }
+    }
+    s.runq.pop_front()
+}
+
 fn worker_loop(shared: &Shared, wid: usize) {
     let parker = Parker::new();
     let mut due: Vec<(usize, bool)> = Vec::new();
     loop {
-        // Pick order: global injector (also firing due timers) → own local
-        // queue → steal from a sibling. Global-first keeps freshly woken
-        // tasks from starving behind a self-requeueing task.
-        let task = {
-            let mut s = lock(&shared.sched);
-            due.clear();
-            s.timers.fire(shared.now_ns(), &mut due);
-            for &(t, unpark) in &due {
-                let kind = if unpark { WakeKind::Unpark } else { WakeKind::Notify };
-                if shared.wake_state(t, &kind) {
-                    s.runq.push_back(t);
-                }
+        // Pick order: own deque (oldest first) → a sibling's → the injector
+        // and due timers. Sources and deadlines enter only through the
+        // injector, so the deques drain between two visits to it.
+        match steal(shared, wid).or_else(|| inject(shared, &mut due)) {
+            Some(tid) => run_task(shared, tid, wid),
+            // ordering: SeqCst — exit check pairs with run_task's final
+            // decrement (SC-only model)
+            None if shared.remaining.load(SeqCst) == 0 => {
+                shared.unpark_all_idlers();
+                return;
             }
-            s.runq.pop_front()
-        };
-        let task = task.or_else(|| shared.locals[wid].pop()).or_else(|| steal(shared, wid));
-        match task {
-            Some(tid) => {
-                run_task(shared, tid, wid);
-            }
-            None => {
-                // ordering: SeqCst — exit check pairs with run_task's final
-                // decrement (SC-only model)
-                if shared.remaining.load(SeqCst) == 0 {
-                    shared.unpark_all_idlers();
-                    return;
-                }
-                // Register as idle *before* re-checking the queue: a
-                // producer that enqueues after our check will pop our
-                // unparker, and a pre-park unpark makes park return
-                // immediately (no lost wake).
-                lock(&shared.idlers).push((wid, parker.unparker()));
-                let (empty, next_deadline) = {
-                    let s = lock(&shared.sched);
-                    (s.runq.is_empty(), s.timers.next_deadline_ns())
-                };
-                // ordering: SeqCst — re-check under idler registration (SC-only model)
-                if empty && shared.remaining.load(SeqCst) != 0 {
-                    let sleep = next_deadline
-                        .map_or(MAX_IDLE_PARK, |d| {
-                            Duration::from_nanos(d.saturating_sub(shared.now_ns()))
-                        })
-                        .clamp(Duration::from_micros(50), MAX_IDLE_PARK);
-                    parker.park_timeout(sleep);
-                }
-                lock(&shared.idlers).retain(|(w, _)| *w != wid);
-            }
+            None => idle_wait(shared, wid, &parker),
         }
     }
+}
+
+/// Park worker `wid` until a wake, its next timer deadline or the backstop.
+/// It registers as idle *before* re-checking every queue: a waker that
+/// pushes after the re-check reads the raised idle count and pops our
+/// unparker, and a pre-park unpark makes park return immediately (no lost
+/// wake). The re-check covers the siblings' deques too, so a local wake
+/// that raced the registration is stolen now instead of after the backstop.
+fn idle_wait(shared: &Shared, wid: usize, parker: &Parker) {
+    lock(&shared.idlers).push((wid, parker.unparker()));
+    // ordering: SeqCst — the raise precedes the re-check below; pairs with
+    // the waker's push-then-read in unpark_one_idler (SC-only model)
+    shared.idle.fetch_add(1, SeqCst);
+    let (empty, next_deadline) = {
+        let s = lock(&shared.sched);
+        (s.runq.is_empty(), s.timers.next_deadline_ns())
+    };
+    let empty = empty && shared.locals.iter().all(WorkStealingDeque::is_empty);
+    // ordering: SeqCst — re-check under idler registration (SC-only model)
+    if empty && shared.remaining.load(SeqCst) != 0 {
+        let sleep = next_deadline
+            .map_or(MAX_IDLE_PARK, |d| Duration::from_nanos(d.saturating_sub(shared.now_ns())))
+            .clamp(Duration::from_micros(50), MAX_IDLE_PARK);
+        parker.park_timeout(sleep);
+    }
+    lock(&shared.idlers).retain(|(w, _)| *w != wid);
+    // ordering: SeqCst — lowered only after the registration is gone
+    // (SC-only model)
+    shared.idle.fetch_sub(1, SeqCst);
 }
 
 /// One pass of a dedicated owner over its task `tid` with the clock at
@@ -1165,6 +1233,7 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
             .map(|p| Owner { unparker: p.unparker(), deadlines: Mutex::default() })
             .collect(),
         idlers: Mutex::new(Vec::new()),
+        idle: AtomicUsize::new(0),
         remaining: AtomicUsize::new(total_instances),
         epoch,
         batch: if batch == 0 { DEFAULT_BATCH } else { batch },
@@ -1194,6 +1263,119 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
     assert_eq!(instances.len(), total_instances, "every task reports stats");
     instances.sort_by(|a, b| a.component.cmp(&b.component).then(a.instance.cmp(&b.instance)));
     RunStats { wall, instances }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bolt::CountingBolt;
+    use crate::spout::spout_from_iter;
+    use crate::tuple::Tuple;
+
+    /// A `Shared` with `n_tasks` bolt-like slots (mailbox capacity `cap`) and
+    /// one worker-local queue; enough to race producers against settlement.
+    pub(super) fn mini_shared(n_tasks: usize, cap: usize) -> Shared {
+        Shared {
+            tasks: (0..n_tasks)
+                .map(|_| TaskSlot {
+                    state: AtomicU8::new(IDLE),
+                    mailbox: Some(Mailbox::Mutexed {
+                        cap,
+                        inner: Mutex::default(),
+                        depth: AtomicUsize::new(0),
+                    }),
+                    body: Mutex::new(None),
+                    depth_high: AtomicUsize::new(0),
+                })
+                .collect(),
+            sched: Mutex::new(Sched { runq: VecDeque::new(), timers: TimerWheel::new() }),
+            locals: vec![WorkStealingDeque::new(8)],
+            owners: Vec::new(),
+            idlers: Mutex::new(Vec::new()),
+            idle: AtomicUsize::new(0),
+            remaining: AtomicUsize::new(n_tasks),
+            epoch: Instant::now(),
+            batch: DEFAULT_BATCH,
+            stats: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Take every queued id of `deque`, oldest first.
+    fn drain(deque: &WorkStealingDeque) -> Vec<usize> {
+        std::iter::from_fn(|| match deque.steal() {
+            Steal::Success(t) => Some(t),
+            Steal::Empty | Steal::Retry => None,
+        })
+        .collect()
+    }
+
+    fn drain_runq(shared: &Shared) -> Vec<usize> {
+        lock(&shared.sched).runq.drain(..).collect()
+    }
+
+    /// Where each kind of wake and requeue queues its task — the pool's
+    /// whole wake rule, one row at a time.
+    #[test]
+    fn wakes_queue_on_the_wakers_worker_and_releases_on_the_injector() {
+        let mut shared = mini_shared(4, 4);
+        shared.locals = (0..2).map(|_| WorkStealingDeque::new(8)).collect();
+        shared.batch = 1;
+
+        // A data wake from worker 1: worker 1's deque, the injector untouched.
+        shared.wake(0, &WakeKind::Notify, Some(1));
+        assert_eq!(drain(&shared.locals[1]), [0]);
+        assert!(shared.locals[0].is_empty());
+        assert!(drain_runq(&shared).is_empty());
+
+        // A release, even from a worker, and any wake from outside a worker:
+        // the injector.
+        // ordering: SeqCst — single-threaded fixture set-up (SC-only model)
+        shared.tasks[1].state.store(PARKED, SeqCst);
+        shared.wake(1, &WakeKind::Unpark, Some(1));
+        shared.wake(2, &WakeKind::Notify, None);
+        assert_eq!(drain_runq(&shared), [1, 2]);
+        assert!(shared.locals.iter().all(WorkStealingDeque::is_empty));
+
+        // A source's yield (a quantum of 1, two tuples left): the injector.
+        let tuples = (0..3).map(|v| Tuple::new(*b"k", v));
+        let source =
+            TaskKind::Spout { spout: spout_from_iter(tuples), exhausted: false, ingress: None };
+        *lock(&shared.tasks[3].body) =
+            Some(Box::new(TaskBody::new("src".into(), 0, source, Vec::new(), 1.0, None)));
+        // ordering: SeqCst — as above (SC-only model)
+        shared.tasks[3].state.store(QUEUED, SeqCst);
+        run_task(&shared, 3, 1);
+        assert_eq!(drain_runq(&shared), [3]);
+        assert!(shared.locals.iter().all(WorkStealingDeque::is_empty));
+
+        // A bolt's yield: the back of its worker's deque, behind task 2.
+        let bolt = TaskKind::Bolt {
+            bolt: Box::new(CountingBolt::default()),
+            eof_remaining: 1,
+            tick_period_ns: None,
+            next_tick_ns: u64::MAX,
+        };
+        *lock(&shared.tasks[0].body) =
+            Some(Box::new(TaskBody::new("bolt".into(), 0, bolt, Vec::new(), 1.0, None)));
+        // ordering: SeqCst — as above; the first row left task 0 QUEUED
+        shared.tasks[0].state.store(IDLE, SeqCst);
+        let two = (0..2).map(|v| Packet::Tuple(Tuple::new(*b"k", v)));
+        shared.push_run(0, two, &mut VecDeque::new(), None);
+        assert_eq!(drain_runq(&shared), [0], "the push woke the bolt from no worker");
+        shared.push_local(1, 2);
+        run_task(&shared, 0, 1);
+        assert_eq!(drain(&shared.locals[1]), [2, 0]);
+        assert!(drain_runq(&shared).is_empty());
+
+        // Under dedicated threads every wake unparks the task's owner.
+        let parker = Parker::new();
+        let mut shared = mini_shared(1, 4);
+        shared.owners = vec![Owner { unparker: parker.unparker(), deadlines: Mutex::default() }];
+        shared.wake(0, &WakeKind::Notify, Some(0));
+        assert!(parker.park_timeout(Duration::ZERO), "the owner was unparked");
+        assert!(shared.locals[0].is_empty());
+        assert!(drain_runq(&shared).is_empty());
+    }
 }
 
 #[cfg(all(test, feature = "pkg_model"))]

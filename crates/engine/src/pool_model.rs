@@ -40,50 +40,30 @@
 //!    spill still waits in the outbox join it instead of overtaking it, so
 //!    a consumer draining concurrently sees per-destination FIFO with the
 //!    Eof last ([`flush_behind_a_spill_preserves_order`]).
+//! 9. **Local wakes reach an idling sibling** — worker 0's activation wakes
+//!    a bolt onto its own deque and stays busy while worker 1 registers as
+//!    idle: the bolt runs exactly once, on worker 1, and nothing strands
+//!    ([`local_wake_is_stolen_by_an_idling_sibling`]).
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
 //! the PR 4 stall bug, an unconditional-IDLE variant of the idle
 //! transition, a spout resume that skips the deadline re-check, an owner
 //! that parks without re-reading the state its activation settled into,
-//! and a flush that pushes past a non-empty outbox, and assert the checker
-//! *finds* the violating schedule.
+//! a flush that pushes past a non-empty outbox, an idler that raises the
+//! idle count only after its re-check, and an idle re-check blind to the
+//! siblings' deques, and assert the checker *finds* the violating
+//! schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
 // to police fixture code.
 #![allow(clippy::pedantic)]
 
+use super::tests::mini_shared;
 use super::*;
 use crate::grouping::Grouping;
 use crate::spout::{spout_from_iter, Spout};
 use crate::tuple::Tuple;
 use std::sync::{Arc, Mutex as StdMutex};
-
-/// A `Shared` with `n_tasks` bolt-like slots (mailbox capacity `cap`) and
-/// one worker-local queue; enough to race producers against settlement.
-fn mini_shared(n_tasks: usize, cap: usize) -> Shared {
-    Shared {
-        tasks: (0..n_tasks)
-            .map(|_| TaskSlot {
-                state: AtomicU8::new(IDLE),
-                mailbox: Some(Mailbox::Mutexed {
-                    cap,
-                    inner: Mutex::default(),
-                    depth: AtomicUsize::new(0),
-                }),
-                body: Mutex::new(None),
-                depth_high: AtomicUsize::new(0),
-            })
-            .collect(),
-        sched: Mutex::new(Sched { runq: VecDeque::new(), timers: TimerWheel::new() }),
-        locals: vec![WorkStealingDeque::new(8)],
-        owners: Vec::new(),
-        idlers: Mutex::new(Vec::new()),
-        remaining: AtomicUsize::new(n_tasks),
-        epoch: Instant::now(),
-        batch: DEFAULT_BATCH,
-        stats: Mutex::new(Vec::new()),
-    }
-}
 
 fn mailbox_len(shared: &Shared, tid: usize) -> usize {
     match shared.tasks[tid].mailbox.as_ref() {
@@ -98,7 +78,7 @@ fn mailbox_len(shared: &Shared, tid: usize) -> usize {
 /// packet landed in the mailbox rather than spilling.
 fn push(shared: &Shared, dest: usize, packet: Packet) -> bool {
     let mut outbox = VecDeque::new();
-    shared.push_run(dest, [packet], &mut outbox);
+    shared.push_run(dest, [packet], &mut outbox, None);
     outbox.is_empty()
 }
 
@@ -512,6 +492,7 @@ fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> S
         locals: (0..workers).map(|_| WorkStealingDeque::new(8)).collect(),
         owners: Vec::new(),
         idlers: Mutex::new(Vec::new()),
+        idle: AtomicUsize::new(0),
         remaining: AtomicUsize::new(2),
         epoch: Instant::now(),
         batch: 2,
@@ -813,7 +794,7 @@ fn check_flush_order(flush: Flush) -> Result<pkg_model::Report, pkg_model::Viola
         let mut seen = consumer.join();
         let mut inbox = PacketBatch::default();
         while !outbox.is_empty() || mailbox_len(&shared, 0) > 0 {
-            deliver_outbox(&shared, 1, &mut outbox);
+            deliver_outbox(&shared, 1, &mut outbox, None);
             shared.refill_inbox(0, &mut inbox, 64);
             take_values(&mut inbox, &mut seen);
         }
@@ -826,7 +807,7 @@ fn check_flush_order(flush: Flush) -> Result<pkg_model::Report, pkg_model::Viola
 #[test]
 fn flush_behind_a_spill_preserves_order() {
     let report = check_flush_order(|shared, dest, packet, outbox| {
-        shared.push_run(dest, [packet], outbox);
+        shared.push_run(dest, [packet], outbox, None);
     })
     .expect("no schedule may let a flush overtake an earlier spill");
     assert!(
@@ -844,9 +825,132 @@ fn mutation_flush_bypasses_a_nonempty_outbox_is_caught() {
     let violation = check_flush_order(|shared, dest, packet, outbox| {
         // BUG (deliberate): ignores the earlier spill waiting in `outbox`.
         let mut fresh = VecDeque::new();
-        shared.push_run(dest, [packet], &mut fresh);
+        shared.push_run(dest, [packet], &mut fresh, None);
         outbox.extend(fresh);
     })
     .expect_err("a flush that overtakes an earlier spill must be caught");
     assert!(violation.message.contains("flush order"), "got: {violation}");
+}
+
+/// A worker's idle step: [`idle_wait`], or a mutation of it.
+type Idle = fn(&Shared, usize, &Parker);
+
+/// [`worker_loop`] with its idle step replaced by `idle`.
+fn worker_loop_idling(shared: &Shared, wid: usize, idle: Idle) {
+    let parker = Parker::new();
+    let mut due = Vec::new();
+    loop {
+        match steal(shared, wid).or_else(|| inject(shared, &mut due)) {
+            Some(tid) => run_task(shared, tid, wid),
+            // ordering: SeqCst — as in worker_loop (SC-only model)
+            None if shared.remaining.load(SeqCst) == 0 => return,
+            None => idle(shared, wid, &parker),
+        }
+    }
+}
+
+/// Worker 0's activation delivers a tuple and the Eof to an idle sink (task
+/// 0, two worker deques) as one run: one `Notify` wake, onto deque 0. Then
+/// worker 0 stays busy for the rest of the run — its thread ends — while
+/// worker 1 runs `worker`. The sink must see the tuple in exactly one
+/// activation and every thread must finish: under the model a park never
+/// times out, so a wake that reaches no worker is reported as a deadlock.
+fn check_local_wake(worker: fn(&Shared, usize)) -> Result<pkg_model::Report, pkg_model::Violation> {
+    pkg_model::Builder::new().preemption_bound(2).check(move || {
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let mut shared = mini_shared(1, 4);
+        shared.locals = (0..2).map(|_| WorkStealingDeque::new(8)).collect();
+        let kind = TaskKind::Bolt {
+            bolt: Box::new(OrderBolt { seen: Arc::clone(&seen) }),
+            eof_remaining: 1,
+            tick_period_ns: None,
+            next_tick_ns: u64::MAX,
+        };
+        *lock(&shared.tasks[0].body) = Some(Box::new(blank_body("sink", kind, Vec::new())));
+        let shared = Arc::new(shared);
+        let waker = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || {
+                let mut outbox = VecDeque::new();
+                shared.push_run(0, [ring_tuple(1), Packet::Eof], &mut outbox, Some(0));
+                assert!(outbox.is_empty(), "capacity 4 mailbox never fills here");
+            })
+        };
+        let idler = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || worker(&shared, 1))
+        };
+        waker.join();
+        idler.join();
+        assert_eq!(*seen.lock().expect("order log"), vec![1], "the tuple, once");
+        // ordering: SeqCst — quiescent post-join read (SC-only model)
+        assert_eq!(shared.tasks[0].state.load(SeqCst), DONE);
+        let stats = lock(&shared.stats);
+        assert_eq!(stats[0].activations, 1, "the woken bolt ran exactly once");
+    })
+}
+
+/// Invariant 9, through the real [`worker_loop`]: however worker 1's idle
+/// registration interleaves with worker 0's local push, either the waker
+/// reads the raised idle count and unparks worker 1, or worker 1's re-check
+/// sees deque 0 non-empty and steals the bolt without parking.
+#[test]
+fn local_wake_is_stolen_by_an_idling_sibling() {
+    let report = check_local_wake(worker_loop).expect("no schedule may strand a local wake");
+    assert!(
+        report.iterations >= 100,
+        "expected a real interleaving space, got {} schedules",
+        report.iterations
+    );
+}
+
+/// Detection power for invariant 9: an idler that raises the idle count
+/// only after its re-check must be caught — the waker can push after the
+/// re-check yet read the count as zero, and nobody unparks the idler.
+#[test]
+fn mutation_idle_count_raised_after_recheck_is_caught() {
+    fn raises_after_recheck(shared: &Shared, wid: usize, parker: &Parker) {
+        lock(&shared.idlers).push((wid, parker.unparker()));
+        let empty = lock(&shared.sched).runq.is_empty()
+            && shared.locals.iter().all(WorkStealingDeque::is_empty);
+        // BUG (deliberate): the count rises after the re-check, so a push
+        // in between is seen by neither side.
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        shared.idle.fetch_add(1, SeqCst);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        if empty && shared.remaining.load(SeqCst) != 0 {
+            parker.park();
+        }
+        lock(&shared.idlers).retain(|(w, _)| *w != wid);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        shared.idle.fetch_sub(1, SeqCst);
+    }
+    let violation =
+        check_local_wake(|shared, wid| worker_loop_idling(shared, wid, raises_after_recheck))
+            .expect_err("an idle count raised after the re-check must be caught");
+    assert!(violation.message.contains("deadlock"), "got: {violation}");
+}
+
+/// Detection power for invariant 9's re-check: an idler that re-checks only
+/// the injector must be caught — a local wake pushed before the count rose
+/// sends no unpark, and the idler parks with the bolt on deque 0.
+#[test]
+fn mutation_recheck_blind_to_sibling_deques_is_caught() {
+    fn ignores_deques(shared: &Shared, wid: usize, parker: &Parker) {
+        lock(&shared.idlers).push((wid, parker.unparker()));
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        shared.idle.fetch_add(1, SeqCst);
+        // BUG (deliberate): the siblings' deques are not re-checked.
+        let empty = lock(&shared.sched).runq.is_empty();
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        if empty && shared.remaining.load(SeqCst) != 0 {
+            parker.park();
+        }
+        lock(&shared.idlers).retain(|(w, _)| *w != wid);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        shared.idle.fetch_sub(1, SeqCst);
+    }
+    let violation = check_local_wake(|shared, wid| worker_loop_idling(shared, wid, ignores_deques))
+        .expect_err("an idle re-check blind to the siblings' deques must be caught");
+    assert!(violation.message.contains("deadlock"), "got: {violation}");
 }

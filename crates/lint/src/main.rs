@@ -10,9 +10,9 @@
 //! | rule      | scope                         | invariant                                     |
 //! |-----------|-------------------------------|-----------------------------------------------|
 //! | `facade`  | engine `pool.rs`, `timer.rs`, | no `std::sync` / `std::thread::sleep` /       |
-//! |           | `elastic.rs`, `ring.rs`,      | `std::time::Instant` outside `crate::sync` —  |
-//! |           | `ingress.rs`, `load.rs`,      | what makes the code model-checkable at all    |
-//! |           | `bolt.rs`, `runtime.rs`;      |                                               |
+//! |           | `elastic.rs`, `ring.rs`,      | `std::time::Instant` outside `crate::sync`,   |
+//! |           | `ingress.rs`, `load.rs`,      | and no `thread_local!` — what makes the code  |
+//! |           | `bolt.rs`, `runtime.rs`;      | model-checkable at all                        |
 //! |           | crossbeam `deque.rs`          |                                               |
 //! | `ordering`| whole workspace               | every memory-ordering token (`SeqCst`, …)     |
 //! |           |                               | carries a `// ordering:` justification within |
@@ -77,8 +77,11 @@ const FACADE_FILES: [&str; 9] = [
 
 /// Tokens banned by the `facade` rule. `std::thread::scope` stays legal
 /// (pool spawn-and-join structure is not a sync primitive), as does
-/// `std::time::Duration` (a value type, not a clock).
-const FACADE_BANNED: [&str; 3] = ["std::sync", "std::thread::sleep", "std::time::Instant"];
+/// `std::time::Duration` (a value type, not a clock). `thread_local!` is
+/// banned because per-thread state is an input the model checker cannot
+/// see: which worker raised a wake, say, is passed as an argument instead.
+const FACADE_BANNED: [&str; 4] =
+    ["std::sync", "std::thread::sleep", "std::time::Instant", "thread_local!"];
 
 /// The only files that may spell `prefers(`: its definition and the one
 /// argmin loop of the greedy family. A second loop elsewhere would bring
@@ -990,6 +993,19 @@ mod tests {
         assert!(lint("crates/engine/src/bolt.rs", &gated).is_empty());
         let mention = "// the count replaced signals.dispatch(w)\nfn f() {}\n";
         assert!(lint("crates/engine/src/bolt.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_thread_local_in_the_pool_is_caught() {
+        let src = "thread_local! {\n    static WORKER: Cell<Option<usize>> = Cell::new(None);\n}\n\
+                   fn wake(shared: &Shared, t: usize) {\n    let _ = (shared, t);\n}\n";
+        let v = lint("crates/engine/src/pool.rs", src);
+        assert!(v.iter().any(|v| v.contains("[facade]") && v.contains("pool.rs:1")), "{v:?}");
+        // Tests and a mention in a comment are fine.
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/engine/src/pool.rs", &gated).is_empty());
+        let mention = "// the worker id is an argument, not a thread_local! cell\nfn f() {}\n";
+        assert!(lint("crates/engine/src/pool.rs", mention).is_empty());
     }
 
     #[test]

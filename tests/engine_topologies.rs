@@ -209,3 +209,60 @@ fn slow_stream_still_ticks() {
     let inst = stats.instances.iter().find(|i| i.component == "ticker").expect("ticker");
     assert!(inst.ticks >= 5, "only {} ticks during ~80ms of slow stream", inst.ticks);
 }
+
+/// Ticks keep firing on a 2-worker pool while a saturated source keeps both
+/// workers busy. Local work cannot starve the timer wheel: a source
+/// re-enters only through the injector, and every visit to the injector
+/// also fires the due deadlines. Only ticks fired inside the saturated
+/// window count (a tick's catch-up after the source ended does not).
+#[test]
+fn saturated_stream_still_ticks_on_the_pool() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    const PERIOD: Duration = Duration::from_millis(5);
+    const WINDOW: Duration = Duration::from_millis(300);
+    struct WindowTicks {
+        until: Instant,
+        ticks: Arc<AtomicU64>,
+    }
+    impl Bolt for WindowTicks {
+        fn execute(&mut self, _t: Tuple, _out: &mut Emitter<'_>) {}
+        fn tick(&mut self, _out: &mut Emitter<'_>) {
+            if Instant::now() < self.until {
+                self.ticks.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+    let until = Instant::now() + WINDOW;
+    let mut topo = Topology::new();
+    let src = topo.add_spout("src", 2, move |_| {
+        let mut n = 0u64;
+        spout_from_fn(move || {
+            n += 1;
+            (Instant::now() < until).then(|| Tuple::new(format!("k{}", n % 64).into_bytes(), 1))
+        })
+    });
+    // The counters emit nothing, so the ticker's only input is their Eofs:
+    // its ticks during the window come from the timer wheel alone.
+    let counter = topo
+        .add_bolt("counter", 4, |_| Box::new(CountingBolt::default()))
+        .input(src, Grouping::Key)
+        .id();
+    let ticks = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&ticks);
+    let _ticker = topo
+        .add_bolt("ticker", 1, move |_| Box::new(WindowTicks { until, ticks: Arc::clone(&seen) }))
+        .input(counter, Grouping::Global)
+        .tick_every(PERIOD)
+        .id();
+    let opts = RuntimeOptions {
+        executor: ExecutorMode::Pool { workers: 2, batch: 0 },
+        ..RuntimeOptions::default()
+    };
+    let stats = Runtime::with_options(opts).run(topo);
+    assert_eq!(stats.processed("counter"), stats.processed("src"));
+    let fired = ticks.load(Ordering::Relaxed);
+    let due = (WINDOW.as_nanos() / PERIOD.as_nanos()) as u64;
+    assert!(fired >= due / 2, "{fired} of {due} ticks fired while the source saturated the pool");
+}
