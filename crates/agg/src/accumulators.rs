@@ -11,11 +11,12 @@
 use pkg_metrics::Welford;
 
 use crate::histogram_sketch::{BhHistogram, Bin};
-use crate::partial::codec::{put_f64, put_i64, put_u64, Reader};
+use crate::partial::codec::{put_f64, put_i64, put_u64, Reader, MAX_COUNT};
 use crate::partial::PartialAgg;
 use crate::spacesaving::{Counter, SpaceSaving};
 
-/// Number of observations (`insert` ignores both arguments).
+/// Number of observations (`insert` ignores both arguments), counted
+/// modulo 2⁶⁴ so that every encoded state is a valid one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Count {
     n: u64,
@@ -37,11 +38,11 @@ impl PartialAgg for Count {
     }
 
     fn insert(&mut self, _key_id: u64, _value: i64) {
-        self.n += 1;
+        self.n = self.n.wrapping_add(1);
     }
 
     fn merge(&mut self, other: &Self) {
-        self.n += other.n;
+        self.n = self.n.wrapping_add(other.n);
     }
 
     fn emit(&self) -> i64 {
@@ -60,7 +61,8 @@ impl PartialAgg for Count {
 }
 
 /// Sum of tuple values — the word-count accumulator (tuples carry unit or
-/// batched counts in `value`).
+/// batched counts in `value`). Sums modulo 2⁶⁴, like a release build's
+/// `+`, so the monoid laws hold exactly and every encoded state is valid.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Sum {
     total: i64,
@@ -82,11 +84,11 @@ impl PartialAgg for Sum {
     }
 
     fn insert(&mut self, _key_id: u64, value: i64) {
-        self.total += value;
+        self.total = self.total.wrapping_add(value);
     }
 
     fn merge(&mut self, other: &Self) {
-        self.total += other.total;
+        self.total = self.total.wrapping_add(other.total);
     }
 
     fn emit(&self) -> i64 {
@@ -212,7 +214,8 @@ impl PartialAgg for Mean {
     fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let (n, mean, m2, min, max) = (r.u64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-        r.done().then_some(Self { w: Welford::from_parts(n, mean, m2, min, max) })
+        // A larger count would overflow the observation count on merge.
+        (r.done() && n <= MAX_COUNT).then(|| Self { w: Welford::from_parts(n, mean, m2, min, max) })
     }
 }
 
@@ -279,6 +282,10 @@ impl<const K: usize> PartialAgg for TopK<K> {
         while !r.done() {
             let (key, count, error) = (r.u64()?, r.u64()?, r.u64()?);
             counters.push(Counter { key, count, error });
+        }
+        // Larger counts would overflow on merge or offer.
+        if total > MAX_COUNT || counters.iter().any(|c| c.count > MAX_COUNT) {
+            return None;
         }
         Some(Self { ss: SpaceSaving::from_parts(K, total, &counters)? })
     }
@@ -349,7 +356,16 @@ impl<const B: usize> PartialAgg for Distinct<B> {
         let mut bins = Vec::new();
         while !r.done() {
             let (p, m) = (r.f64()?, r.f64()?);
+            // Centroids are means of points in [0, 1) (rounding may reach
+            // 1); masses count points. Anything else could overflow a
+            // compaction into a NaN centroid.
+            if !(0.0..=1.0).contains(&p) || m.fract() != 0.0 {
+                return None;
+            }
             bins.push(Bin { p, m });
+        }
+        if bins.iter().map(|b| b.m).sum::<f64>() > MAX_COUNT as f64 {
+            return None;
         }
         Some(Self { hist: BhHistogram::from_parts(B, &bins)? })
     }

@@ -48,15 +48,17 @@ impl BhHistogram {
     }
 
     /// Rebuild a histogram from its parts (the [`crate::PartialAgg`] codec
-    /// path). `bins` must be sorted by centroid with positive masses;
-    /// returns `None` when the parts are malformed or exceed `capacity`.
+    /// path). `bins` must be sorted by finite centroid with finite positive
+    /// masses; returns `None` when the parts are malformed or exceed
+    /// `capacity`.
     pub fn from_parts(capacity: usize, bins: &[Bin]) -> Option<Self> {
         if capacity < 2 || bins.len() > capacity {
             return None;
         }
         let mut total = 0.0;
         for (i, b) in bins.iter().enumerate() {
-            if !b.p.is_finite() || b.m.is_nan() || b.m <= 0.0 || (i > 0 && bins[i - 1].p >= b.p) {
+            let mass_ok = b.m > 0.0 && b.m.is_finite();
+            if !b.p.is_finite() || !mass_ok || (i > 0 && bins[i - 1].p >= b.p) {
                 return None;
             }
             total += b.m;

@@ -16,14 +16,15 @@
 //!   combination, §VI-C), [`Distinct`] (BH-histogram sketch).
 //! * [`window`] — [`TumblingWindow`] / [`SlidingWindow`] managers keyed by
 //!   stream key, with per-pane staleness bookkeeping.
-//! * [`bolts`] — the generic two-phase pair for `pkg-engine`:
-//!   [`WindowedWorkerBolt`] (phase one) and [`AggregatorBolt`] (phase two),
-//!   plus a [`Collector`] sink for reading results out of a run.
 //!
 //! The sketch substrates themselves — [`spacesaving`] and
-//! [`histogram_sketch`] — live here too (moved from `pkg-apps`, which
-//! re-exports them), because the aggregation layer is what makes them
-//! *mergeable summaries* in the sense of Berinde et al. [TODS'10].
+//! [`histogram_sketch`] — live here too, because the aggregation layer is
+//! what makes them *mergeable summaries* in the sense of Berinde et al.
+//! [TODS'10].
+//!
+//! The crate is a leaf over `pkg-hash` and `pkg-metrics`: it knows nothing
+//! of the engine. The two-phase bolts that run this algebra inside a
+//! topology live in `pkg-apps`, beside the topologies that wire them.
 //!
 //! ```
 //! use pkg_agg::{PartialAgg, Sum, TumblingWindow};
@@ -42,22 +43,13 @@
 #![forbid(unsafe_code)]
 
 pub mod accumulators;
-pub mod bolts;
-pub mod elastic;
 pub mod histogram_sketch;
 pub mod partial;
-pub mod shed;
 pub mod spacesaving;
 pub mod window;
 
 pub use accumulators::{Count, Distinct, Max, Mean, Sum, TopK};
-pub use bolts::{
-    AggScope, AggregatorBolt, Collector, CollectorBolt, ServiceDelay, WindowedWorkerBolt,
-    GLOBAL_KEY,
-};
-pub use elastic::ElasticWorkerBolt;
 pub use histogram_sketch::BhHistogram;
 pub use partial::{canonical_merge, PartialAgg};
-pub use shed::SketchDegrade;
 pub use spacesaving::SpaceSaving;
 pub use window::{Pane, SlidingWindow, TumblingWindow};

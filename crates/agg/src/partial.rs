@@ -57,7 +57,7 @@ pub trait PartialAgg: Send + Sized + 'static {
     fn emit(&self) -> i64;
 
     /// State entries held (counters, sketch bins); feeds
-    /// [`pkg_engine::Bolt::state_size`] and the Fig. 5(b) memory metric.
+    /// the engine's `Bolt::state_size` and the Fig. 5(b) memory metric.
     fn entries(&self) -> usize {
         1
     }
@@ -69,7 +69,8 @@ pub trait PartialAgg: Send + Sized + 'static {
     fn encode(&self, buf: &mut Vec<u8>);
 
     /// Deserialize an accumulator encoded by [`encode`](Self::encode);
-    /// `None` on malformed input.
+    /// `None` on malformed input, including any state that a later
+    /// `insert`, `merge` or `emit` could not handle without panicking.
     fn decode(bytes: &[u8]) -> Option<Self>;
 
     /// Convenience: encode into a fresh buffer.
@@ -98,6 +99,11 @@ pub fn canonical_merge<A: PartialAgg>(parts: &[A]) -> A {
 
 /// Little-endian framing helpers shared by the accumulator codecs.
 pub mod codec {
+    /// Largest count or mass a decoder accepts: 2⁵³, the last integer an
+    /// `f64` holds exactly. Far beyond any reachable stream, and small
+    /// enough that merging two decoded partials cannot overflow.
+    pub(crate) const MAX_COUNT: u64 = 1 << 53;
+
     /// Append a `u64`.
     pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
         buf.extend_from_slice(&v.to_le_bytes());

@@ -37,8 +37,8 @@ pub struct Counter {
 /// This sketch keeps the heap because it takes *weighted* offers (an
 /// increment by `w` must search the bucket list instead of stepping to the
 /// next bucket), tracks a per-counter error, and must merge and encode —
-/// none of which the bucket list makes cheaper. Moving it onto the same
-/// summary is open work.
+/// none of which the bucket list makes cheaper. This crate is a leaf, so
+/// `pkg-core` may depend on it; moving both onto one summary is open work.
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: usize,

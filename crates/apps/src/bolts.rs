@@ -28,12 +28,10 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use pkg_agg::{canonical_merge, Pane, PartialAgg, TumblingWindow};
 use pkg_engine::bolt::{Bolt, Emitter};
 use pkg_engine::tuple::{Tuple, TupleKey};
 use pkg_hash::{FxHashMap, FxHashSet};
-
-use crate::partial::{canonical_merge, PartialAgg};
-use crate::window::TumblingWindow;
 
 /// Key under which [`AggScope::Global`] workers accumulate and emit: the
 /// empty byte string (allocation-free, routes consistently under `Key`
@@ -125,7 +123,7 @@ impl<A: PartialAgg> WindowedWorkerBolt<A> {
         self
     }
 
-    fn emit_pane(&mut self, pane: crate::window::Pane<TupleKey, A>, out: &mut Emitter<'_>) {
+    fn emit_pane(&mut self, pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {
         let mut buf = Vec::new();
         for (key, acc) in pane.accs {
             buf.clear();
@@ -383,7 +381,7 @@ impl Bolt for CollectorBolt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accumulators::{Sum, TopK};
+    use pkg_agg::{Sum, TopK};
     use pkg_engine::grouping::Grouping;
     use pkg_engine::runtime::Runtime;
     use pkg_engine::spout::spout_from_iter;

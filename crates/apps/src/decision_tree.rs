@@ -13,10 +13,9 @@
 //! histograms, two-way merges) while the load stays balanced even when
 //! feature popularity is skewed.
 
+use pkg_agg::BhHistogram;
 use pkg_core::{Partitioner, SchemeSpec, SharedLoads};
 use pkg_hash::FxHashMap;
-
-use crate::histogram_sketch::BhHistogram;
 
 /// SPDT hyper-parameters.
 #[derive(Debug, Clone)]

@@ -36,14 +36,12 @@
 
 use std::time::{Duration, Instant};
 
+use pkg_agg::{Pane, PartialAgg, TumblingWindow};
 use pkg_elastic::MembershipPlan;
 use pkg_engine::bolt::{Bolt, Emitter};
 use pkg_engine::elastic::{marker_epoch, MigrationBus, MigrationMsg};
 use pkg_engine::tuple::{Tuple, TupleKey};
 use pkg_hash::{FxHashMap, FxHashSet, HashFamily};
-
-use crate::partial::PartialAgg;
-use crate::window::TumblingWindow;
 
 use std::sync::Arc;
 
@@ -130,7 +128,7 @@ impl<A: PartialAgg> ElasticWorkerBolt<A> {
         !self.waiting.is_empty()
     }
 
-    fn emit_pane(&mut self, pane: crate::window::Pane<TupleKey, A>, out: &mut Emitter<'_>) {
+    fn emit_pane(&mut self, pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {
         let mut buf = Vec::new();
         for (key, acc) in pane.accs {
             buf.clear();
@@ -282,7 +280,7 @@ impl<A: PartialAgg> Bolt for ElasticWorkerBolt<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accumulators::Sum;
+    use pkg_agg::Sum;
     use pkg_elastic::Change;
     use pkg_engine::elastic::epoch_marker;
 

@@ -18,10 +18,12 @@
 
 use std::time::Duration;
 
-use pkg_agg::{canonical_merge, AggregatorBolt, Collector, PartialAgg, TopK, WindowedWorkerBolt};
+use pkg_agg::{canonical_merge, PartialAgg, TopK};
 use pkg_datagen::DatasetProfile;
 use pkg_engine::grouping::{Router, Target};
 use pkg_engine::prelude::*;
+
+use crate::bolts::{AggregatorBolt, Collector, WindowedWorkerBolt};
 
 /// Summary capacity used by the heavy-hitters pipeline (the example's
 /// historical `k = 256`).

@@ -2,7 +2,8 @@
 //! Space-Saving summary.
 //!
 //! `pkg-ingress` defines *when* to shed and the [`ShedPolicy`] contract;
-//! the sketch types live here, so the degrade policy does too. Instead of
+//! `pkg-agg` owns the sketch, and the degrade policy sits here, beside the
+//! topologies that install it. Instead of
 //! discarding a refused tuple ([`pkg_ingress::HardDrop`]), [`SketchDegrade`]
 //! absorbs its weight into a [`SpaceSaving`] summary of `k` counters, and
 //! surfaces the surviving heavy-hitter counts through
@@ -12,10 +13,9 @@
 //! skew model makes matter — even under overload where individual tuples
 //! could not be admitted.
 
+use pkg_agg::SpaceSaving;
 use pkg_hash::{FxHashMap, FxHashSet};
 use pkg_ingress::{Shed, ShedPolicy};
-
-use crate::spacesaving::SpaceSaving;
 
 /// Shed policy that absorbs refused tuples into a Space-Saving summary.
 pub struct SketchDegrade {

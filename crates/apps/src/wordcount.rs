@@ -26,7 +26,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pkg_agg::{Max, ServiceDelay, Sum, WindowedWorkerBolt};
+use pkg_agg::{Max, Sum};
 use pkg_datagen::text::{word_bytes_for_rank, word_for_rank, MAX_WORD_LEN};
 use pkg_datagen::zipf::ZipfTable;
 use pkg_engine::prelude::*;
@@ -34,6 +34,8 @@ use pkg_engine::topology::NodeId;
 use pkg_hash::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+use crate::bolts::{AggregatorBolt, ServiceDelay, WindowedWorkerBolt};
 
 /// Which stream partitioning the source → counter edge uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,71 +117,12 @@ impl Default for WordCountConfig {
     }
 }
 
-/// The word counter bolt (both running and partial flavors).
-///
-/// The partial flavor (SG/PKG) *is* the generic phase-one worker of
-/// `pkg-agg` — a [`WindowedWorkerBolt`] over [`Sum`] accumulators, flushing
-/// encoded partial counts every aggregation period. The running flavor (KG)
-/// keeps per-word running totals and flushes only its local top-k, which is
-/// key-grouping-specific logic, not partial aggregation, so it stays here.
-pub struct CounterBolt {
-    inner: CounterInner,
-}
-
-enum CounterInner {
-    Running(RunningTopKBolt),
-    Partial(WindowedWorkerBolt<Sum>),
-}
-
-impl CounterBolt {
-    /// A counter bolt: `running = true` for the KG variant (keeps state,
-    /// flushes its top-k), `false` for SG/PKG (flushes and clears all
-    /// partial counts).
-    pub fn new(running: bool, delay: Duration, top_k: usize) -> Self {
-        let inner = if running {
-            CounterInner::Running(RunningTopKBolt {
-                counts: FxHashMap::default(),
-                delay: ServiceDelay::new(delay),
-                top_k,
-            })
-        } else {
-            CounterInner::Partial(WindowedWorkerBolt::per_key().service_delay(delay))
-        };
-        Self { inner }
-    }
-}
-
-impl Bolt for CounterBolt {
-    fn execute(&mut self, tuple: Tuple, out: &mut Emitter<'_>) {
-        match &mut self.inner {
-            CounterInner::Running(b) => b.execute(tuple, out),
-            CounterInner::Partial(b) => b.execute(tuple, out),
-        }
-    }
-
-    fn tick(&mut self, out: &mut Emitter<'_>) {
-        match &mut self.inner {
-            CounterInner::Running(b) => b.tick(out),
-            CounterInner::Partial(b) => b.tick(out),
-        }
-    }
-
-    fn finish(&mut self, out: &mut Emitter<'_>) {
-        match &mut self.inner {
-            CounterInner::Running(b) => b.finish(out),
-            CounterInner::Partial(b) => b.finish(out),
-        }
-    }
-
-    fn state_size(&self) -> usize {
-        match &self.inner {
-            CounterInner::Running(b) => b.state_size(),
-            CounterInner::Partial(b) => b.state_size(),
-        }
-    }
-}
-
 /// The KG counter: running per-word totals, top-k flushes, state retained.
+///
+/// SG/PKG counters are the generic phase-one [`WindowedWorkerBolt`] over
+/// [`Sum`], flushing and clearing encoded partial counts every aggregation
+/// period. Keeping running totals and flushing only the local top-k is
+/// key-grouping-specific logic, not partial aggregation, so it stays here.
 struct RunningTopKBolt {
     counts: FxHashMap<TupleKey, i64>,
     delay: ServiceDelay,
@@ -213,54 +156,6 @@ impl Bolt for RunningTopKBolt {
 
     fn state_size(&self) -> usize {
         self.counts.len()
-    }
-}
-
-/// The top-k aggregator bolt: the generic `pkg-agg` phase-two aggregator,
-/// instantiated over [`Sum`] for partial inputs (SG/PKG) or [`Max`] for
-/// running inputs (KG, whose flushes re-state monotone running totals).
-pub struct AggregatorBolt {
-    inner: AggregatorInner,
-}
-
-enum AggregatorInner {
-    Running(pkg_agg::AggregatorBolt<Max>),
-    Partial(pkg_agg::AggregatorBolt<Sum>),
-}
-
-impl AggregatorBolt {
-    /// An aggregator: `running_inputs = true` merges running counts by
-    /// maximum (KG), `false` sums partial counts (SG/PKG).
-    pub fn new(running_inputs: bool) -> Self {
-        let inner = if running_inputs {
-            AggregatorInner::Running(pkg_agg::AggregatorBolt::new())
-        } else {
-            AggregatorInner::Partial(pkg_agg::AggregatorBolt::new())
-        };
-        Self { inner }
-    }
-}
-
-impl Bolt for AggregatorBolt {
-    fn execute(&mut self, tuple: Tuple, out: &mut Emitter<'_>) {
-        match &mut self.inner {
-            AggregatorInner::Running(b) => b.execute(tuple, out),
-            AggregatorInner::Partial(b) => b.execute(tuple, out),
-        }
-    }
-
-    fn finish(&mut self, out: &mut Emitter<'_>) {
-        match &mut self.inner {
-            AggregatorInner::Running(b) => b.finish(out),
-            AggregatorInner::Partial(b) => b.finish(out),
-        }
-    }
-
-    fn state_size(&self) -> usize {
-        match &self.inner {
-            AggregatorInner::Running(b) => b.state_size(),
-            AggregatorInner::Partial(b) => b.state_size(),
-        }
     }
 }
 
@@ -349,8 +244,13 @@ pub fn wordcount_topology(cfg: &WordCountConfig) -> (Topology, NodeId, NodeId, N
     let running = cfg.variant == WordCountVariant::KeyGrouping;
     let (delay, top_k) = (cfg.service_delay, cfg.top_k);
     let mut counter_handle = topo
-        .add_bolt("counter", cfg.counters, move |_| {
-            Box::new(CounterBolt::new(running, delay, top_k))
+        .add_bolt("counter", cfg.counters, move |_| -> Box<dyn Bolt> {
+            if running {
+                let counts = FxHashMap::default();
+                Box::new(RunningTopKBolt { counts, delay: ServiceDelay::new(delay), top_k })
+            } else {
+                Box::new(WindowedWorkerBolt::<Sum>::per_key().service_delay(delay))
+            }
         })
         .input(source, cfg.variant.grouping());
     if let Some(period) = cfg.aggregation_period {
@@ -359,9 +259,17 @@ pub fn wordcount_topology(cfg: &WordCountConfig) -> (Topology, NodeId, NodeId, N
     let counter = counter_handle.id();
 
     // Partials for the same word must meet: key grouping into the
-    // aggregator (a single instance here, as in the paper's topology).
+    // aggregator (a single instance here, as in the paper's topology). KG's
+    // flushes re-state monotone running totals, so they merge by maximum;
+    // SG/PKG partials sum.
     let aggregator = topo
-        .add_bolt("aggregator", 1, move |_| Box::new(AggregatorBolt::new(running)))
+        .add_bolt("aggregator", 1, move |_| -> Box<dyn Bolt> {
+            if running {
+                Box::new(AggregatorBolt::<Max>::new())
+            } else {
+                Box::new(AggregatorBolt::<Sum>::new())
+            }
+        })
         .input(counter, Grouping::Key)
         .id();
     (topo, source, counter, aggregator)

@@ -15,8 +15,9 @@
 //! `PKG ≤ D-Choices ≤ W-Choices ≤ SG` at every period (and strictly grow
 //! from PKG to D to W in total).
 //!
-//! It then validates the live two-phase engine pipelines that `pkg-agg`
-//! replaced the hand-rolled flush logic with:
+//! It then validates the live two-phase engine pipelines (`pkg-apps`'
+//! bolts over `pkg-agg` accumulators) that replaced the hand-rolled flush
+//! logic:
 //!
 //! * word count (PKG and SG): the aggregator's final totals must be
 //!   byte-identical to the ground-truth counts of the same seeded stream —
@@ -202,7 +203,7 @@ fn wordcount_parity(r: &mut Report, variant: WordCountVariant) {
         seed: seed(),
         ..WordCountConfig::default()
     };
-    let collector = pkg_agg::Collector::new();
+    let collector = pkg_apps::Collector::new();
     let (mut topo, _, _, aggregator) = wordcount_topology(&cfg);
     let c = collector.clone();
     let _sink =

@@ -6,7 +6,7 @@
 //! thresholds, the partitioners confine routing to the live set, and the
 //! engine migrates a departing instance's window state to the survivors
 //! over the migration bus (see `pkg_engine::elastic` /
-//! `pkg_agg::ElasticWorkerBolt`). This driver **halves then doubles** the
+//! `pkg_apps::ElasticWorkerBolt`). This binary **halves then doubles** the
 //! live worker set mid-stream and exits non-zero unless every gate holds:
 //!
 //! 1. **Tuple conservation** (engine) — every spout tuple is processed
@@ -38,7 +38,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pkg_agg::{AggregatorBolt, Collector, ElasticWorkerBolt, Sum, WindowedWorkerBolt};
+use pkg_agg::Sum;
+use pkg_apps::{AggregatorBolt, Collector, ElasticWorkerBolt, WindowedWorkerBolt};
 use pkg_bench::{seed, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;

@@ -33,7 +33,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pkg_agg::{AggregatorBolt, Collector, SketchDegrade, Sum, WindowedWorkerBolt};
+use pkg_agg::Sum;
+use pkg_apps::{AggregatorBolt, Collector, SketchDegrade, WindowedWorkerBolt};
 use pkg_bench::{seed, Report, TextTable};
 use pkg_engine::prelude::*;
 

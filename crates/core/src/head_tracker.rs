@@ -27,11 +27,11 @@
 //! sitting at the minimum (`min` vs 0) can differ, and such a key is never
 //! head after warm-up: `min ≤ total/capacity ≤ θ·total/8`.
 //!
-//! It is deliberately independent of `pkg-agg`'s `SpaceSaving` sketch (which
-//! carries per-counter error bounds, weighted offers, merge support and a
-//! codec for the aggregation phase): `pkg-core` stays dependency-free, and
-//! routing needs only the overestimated count, whose guarantee is what
-//! makes head classification *provably* conservative:
+//! It is independent of `pkg-agg`'s `SpaceSaving` sketch (which carries
+//! per-counter error bounds, weighted offers, merge support and a codec for
+//! the aggregation phase) because routing needs only the overestimated
+//! count, whose guarantee is what makes head classification *provably*
+//! conservative:
 //!
 //! * `count(k) ≥ occ(k)` — a genuinely hot key is never missed;
 //! * `count(k) ≤ occ(k) + total/capacity` — a key is overestimated by at

@@ -65,7 +65,7 @@ impl ExecutorMode {
 /// Per-instance relative capacity weights for heterogeneous deployments,
 /// keyed by component name. A weight of `0.5` makes that instance
 /// half-speed: every [`crate::bolt::Emitter::stall`] it charges (directly
-/// or through `pkg_agg::ServiceDelay`) is scaled by `1/capacity`, so the
+/// or through `pkg_apps::ServiceDelay`) is scaled by `1/capacity`, so the
 /// same per-tuple work takes twice as long on the instance's virtual
 /// service clock, under either schedule.
 ///

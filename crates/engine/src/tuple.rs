@@ -261,8 +261,8 @@ pub struct Tuple {
     /// Payload value (counts, deltas; applications interpret it).
     pub value: i64,
     /// Opaque application bytes riding along with the tuple — empty (and
-    /// allocation-free) for plain tuples. The aggregation subsystem
-    /// (`pkg-agg`) ships encoded partial aggregates here.
+    /// allocation-free) for plain tuples. The two-phase aggregation bolts
+    /// (`pkg-apps`) ship encoded `pkg-agg` partial aggregates here.
     pub payload: Box<[u8]>,
     /// Nanoseconds since the runtime epoch at which the tuple entered the
     /// topology (stamped by the spout executor; preserved across bolts so

@@ -41,7 +41,7 @@ pub fn decode_tag(payload: &[u8]) -> Option<u64> {
 
 /// Process-wide hedge-duplicate audit, in the style of
 /// `pkg_engine::tuple::audit`: the deduplicating aggregator lives in
-/// `pkg-agg` while hedge issue counts live in engine `InstanceStats`, so a
+/// `pkg-apps` while the hedges-sent counts live in engine `InstanceStats`, so a
 /// crate-neutral counter is the only place both sides can meet for the
 /// conservation check (duplicates dropped == hedges issued).
 pub mod audit {

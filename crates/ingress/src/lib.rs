@@ -9,7 +9,7 @@
 //! `tower-load-shed` / `tower-hedge` middleware stack. The *wiring* (where
 //! depth watermarks come from, which tuples get hedged) lives in
 //! `pkg-engine`'s ingress module; the *degrade* policy that absorbs shed
-//! tuples into a sketch lives in `pkg-agg` (it needs the sketch types).
+//! tuples into a sketch lives in `pkg-apps` (over `pkg-agg`'s sketches).
 //! This crate depends on nothing, so both can depend on it.
 //!
 //! Everything here is deterministic by construction: the token bucket is a

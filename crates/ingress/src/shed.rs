@@ -4,7 +4,7 @@
 //! The engine decides *when* to shed (token bucket empty, downstream depth
 //! at the watermark); the policy decides *what
 //! happens to the refused tuple*. [`HardDrop`] discards it — cheapest,
-//! loses information. The *degrade* policy (in `pkg-agg`, which owns the
+//! loses information. The *degrade* policy (in `pkg-apps`, over `pkg-agg`'s
 //! sketch types) absorbs the tuple into a Space-Saving summary and returns
 //! the surviving heavy-hitter counts through [`ShedPolicy::drain`] at
 //! end-of-stream, so aggregate answers keep sketch-level accuracy for the

@@ -926,7 +926,7 @@ mod tests {
         // The one loop is where it belongs; engine tests, other crates and a
         // mention in a comment are not a second driver.
         assert!(!lint("crates/engine/src/pool.rs", src).iter().any(|v| v.contains("[driver]")));
-        assert!(lint("crates/agg/src/bolts.rs", src).is_empty());
+        assert!(lint("crates/apps/src/bolts.rs", src).is_empty());
         let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(lint("crates/engine/src/runtime.rs", &gated).is_empty());
         let mention = "// activate calls bolt.execute(t, &mut em)\nfn f() {}\n";

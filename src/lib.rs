@@ -49,13 +49,13 @@
 //! |-----------|----------|
 //! | [`core`] (`pkg-core`) | PKG and the KG/SG/PoTC/greedy baselines, load estimators |
 //! | [`hash`] (`pkg-hash`) | Murmur3 (from scratch), seeded hash families, FxHash |
-//! | [`metrics`] (`pkg-metrics`) | imbalance, time series, latency histograms, throughput |
+//! | [`metrics`] (`pkg-metrics`) | imbalance, time series, latency histograms, capacity estimation |
 //! | [`datagen`] (`pkg-datagen`) | the paper's dataset profiles as synthetic generators |
 //! | [`sim`] (`pkg-sim`) | the multi-source simulation harness (Q1–Q3) |
 //! | [`elastic`] (`pkg-elastic`) | runtime worker membership: join/leave plans over a stable id space |
 //! | [`engine`] (`pkg-engine`) | the threaded mini-DSPE (Q4) |
-//! | [`agg`] (`pkg-agg`) | the second aggregation phase: `PartialAgg` accumulators, windows, two-phase bolts |
-//! | [`apps`] (`pkg-apps`) | word count, heavy hitters, naive Bayes, SPDT |
+//! | [`agg`] (`pkg-agg`) | the second aggregation phase: `PartialAgg` accumulators, windows, mergeable sketches |
+//! | [`apps`] (`pkg-apps`) | the two-phase bolts; word count, heavy hitters, naive Bayes, SPDT |
 
 #![forbid(unsafe_code)]
 
@@ -71,9 +71,8 @@ pub use pkg_sim as sim;
 
 /// The most common imports for working with PKG.
 pub mod prelude {
-    pub use pkg_agg::{
-        AggregatorBolt, Collector, Count, Mean, PartialAgg, Sum, TopK, WindowedWorkerBolt,
-    };
+    pub use pkg_agg::{Count, Mean, PartialAgg, Sum, TopK};
+    pub use pkg_apps::{AggregatorBolt, Collector, WindowedWorkerBolt};
     pub use pkg_core::{
         Estimate, EstimateKind, KeyGrouping, OfflineGreedy, PartialKeyGrouping, Partitioner,
         PinnedGreedy, SchemeSpec, ShuffleGrouping,

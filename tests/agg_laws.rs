@@ -4,7 +4,8 @@
 //! Exact accumulators (count/sum/max/mean) satisfy the laws bit-for-bit
 //! (float-tolerance for mean); sketch accumulators (top-k, distinct) are
 //! exactly commutative, deterministic under `canonical_merge`, and bounded
-//! against ground truth on split streams.
+//! against ground truth on split streams. Every decoder either rejects an
+//! arbitrary payload or yields a state the later operations handle.
 
 use proptest::prelude::*;
 
@@ -35,8 +36,78 @@ fn split_merge<A: PartialAgg>(stream: &[(u64, i64, usize)]) -> (A, A, A) {
     (whole, ab, ba)
 }
 
+/// `decode` either rejects `bytes` or yields a state that `insert`, `merge`
+/// (with a copy of itself and with the identity, both ways) and `emit` all
+/// handle, and whose re-encoding decodes back to the same bytes.
+fn decode_or_reject<A: PartialAgg + Clone>(bytes: &[u8]) {
+    let Some(a) = A::decode(bytes) else { return };
+    let enc = a.encoded();
+    let back = A::decode(&enc).unwrap_or_else(|| panic!("{} re-encoding decodes", A::NAME));
+    assert_eq!(back.encoded(), enc, "{} re-encoding is stable", A::NAME);
+    let mut inserted = a.clone();
+    for key in 0..16 {
+        inserted.insert(key, 1);
+    }
+    let mut doubled = a.clone();
+    doubled.merge(&a);
+    doubled.merge(&A::identity());
+    let mut from_identity = A::identity();
+    from_identity.merge(&a);
+    for x in [&a, &inserted, &doubled, &from_identity] {
+        x.emit();
+        x.entries();
+    }
+}
+
+/// Every shipped accumulator against one payload.
+fn decode_all_or_reject(bytes: &[u8]) {
+    decode_or_reject::<Count>(bytes);
+    decode_or_reject::<Sum>(bytes);
+    decode_or_reject::<Max>(bytes);
+    decode_or_reject::<Mean>(bytes);
+    decode_or_reject::<TopK<2>>(bytes);
+    decode_or_reject::<TopK<16>>(bytes);
+    decode_or_reject::<Distinct<2>>(bytes);
+    decode_or_reject::<Distinct<32>>(bytes);
+}
+
+fn words_to_bytes(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+#[test]
+fn payloads_that_used_to_panic_are_rejected() {
+    // A `Mean` of u64::MAX observations: its merge overflowed the count.
+    let mean = words_to_bytes(&[u64::MAX, 0, 0, 0, 0]);
+    assert!(Mean::decode(&mean).is_none());
+    decode_all_or_reject(&mean);
+    // A `Distinct` bin of infinite mass: compaction made a NaN centroid.
+    let bins = [0.1, f64::INFINITY, 0.2, 1.0].map(f64::to_bits);
+    let distinct = words_to_bytes(&bins);
+    assert!(Distinct::<2>::decode(&distinct).is_none());
+    decode_all_or_reject(&distinct);
+    // The identity still round-trips, ±∞ min/max included.
+    let empty = words_to_bytes(&[0, 0, 0, f64::INFINITY.to_bits(), f64::NEG_INFINITY.to_bits()]);
+    assert_eq!(Mean::decode(&empty).expect("empty mean decodes").encoded(), empty);
+    for acc in [Mean::identity().encoded(), Distinct::<2>::identity().encoded()] {
+        decode_all_or_reject(&acc);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn arbitrary_payloads_decode_or_reject_without_panicking(
+        words in prop::collection::vec(any::<u64>(), 0..12),
+        tag in 0u8..3,
+    ) {
+        // Word-aligned payloads reach the structured codecs; a leading tag
+        // byte reaches `Max`'s.
+        let bytes = words_to_bytes(&words);
+        decode_all_or_reject(&bytes);
+        decode_all_or_reject(&[&[tag][..], &bytes[..]].concat());
+    }
 
     #[test]
     fn exact_accumulators_split_equals_whole(

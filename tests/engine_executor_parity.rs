@@ -10,13 +10,14 @@
 
 use std::time::Duration;
 
-use partial_key_grouping::agg::{AggregatorBolt, Collector, PartialAgg, Sum, WindowedWorkerBolt};
+use partial_key_grouping::agg::{PartialAgg, Sum};
 use partial_key_grouping::apps::heavy_hitters::{
     final_summary, heavy_hitters_topology, single_phase_summary, HeavyHittersConfig,
 };
 use partial_key_grouping::apps::wordcount::{
     exact_counts, wordcount_topology, WordCountConfig, WordCountVariant,
 };
+use partial_key_grouping::apps::{AggregatorBolt, Collector, WindowedWorkerBolt};
 use partial_key_grouping::engine::prelude::*;
 use partial_key_grouping::engine::ExecutorMode;
 use pkg_datagen::DatasetProfile;

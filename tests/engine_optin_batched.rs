@@ -13,10 +13,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use partial_key_grouping::agg::{Collector, SketchDegrade};
 use partial_key_grouping::apps::wordcount::{
     wordcount_topology, WordCountConfig, WordCountVariant,
 };
+use partial_key_grouping::apps::{Collector, SketchDegrade};
 use partial_key_grouping::engine::prelude::*;
 use partial_key_grouping::engine::RunStats;
 

@@ -111,7 +111,7 @@ fn empty_stream_shuts_down() {
     assert_eq!(stats.processed("src"), 0);
 }
 
-/// Regression (Fig. 5(b) memory accounting): the pkg-agg aggregator bolts
+/// Regression (Fig. 5(b) memory accounting): the two-phase aggregator bolts
 /// must report their window-buffer entries through `Bolt::state_size`, so
 /// the phase-two state shows up in `final_state`/`max_state`. With no
 /// ticks, workers flush only on finish, which happens before their Eof —
@@ -119,7 +119,8 @@ fn empty_stream_shuts_down() {
 /// sample is taken.
 #[test]
 fn aggregator_state_size_counts_window_buffer() {
-    use partial_key_grouping::agg::{AggregatorBolt, Sum, WindowedWorkerBolt};
+    use partial_key_grouping::agg::Sum;
+    use partial_key_grouping::apps::{AggregatorBolt, WindowedWorkerBolt};
 
     let mut topo = Topology::new();
     let src = topo.add_spout("src", 1, |_| spout_from_iter(number_stream(2_000)));
@@ -149,7 +150,8 @@ fn aggregator_state_size_counts_window_buffer() {
 /// `state_size` must count their entries.
 #[test]
 fn aggregator_state_size_counts_buffered_partials() {
-    use partial_key_grouping::agg::{AggregatorBolt, TopK, WindowedWorkerBolt};
+    use partial_key_grouping::agg::TopK;
+    use partial_key_grouping::apps::{AggregatorBolt, WindowedWorkerBolt};
 
     let mut topo = Topology::new();
     let src = topo.add_spout("src", 1, |_| spout_from_iter(number_stream(2_000)));

@@ -4,14 +4,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use partial_key_grouping::apps::wordcount::{
-    exact_counts, top_k_of, AggregatorBolt, CounterBolt, WordCountConfig, WordCountVariant,
+    exact_counts, top_k_of, wordcount_topology, WordCountConfig, WordCountVariant,
 };
 use partial_key_grouping::engine::prelude::*;
-use pkg_datagen::text::word_for_rank;
-use pkg_datagen::zipf::ZipfTable;
 use pkg_hash::FxHashMap;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// A terminal bolt capturing everything it sees into a shared map.
 struct CollectBolt {
@@ -32,57 +28,21 @@ impl Bolt for CollectBolt {
     }
 }
 
-/// Build source → counter → aggregator → collector and return the
-/// collector's totals.
+/// Build the word-count topology with `wordcount_topology`, attach a
+/// collector to its counter node, and return the collector's totals.
+///
+/// The aggregator holds its totals internally, so the collector is fed by
+/// the *counter*: it sees the aggregator's inputs and reduces them with the
+/// same semantics (max for KG's running counts, sum for partials).
 fn run_collecting(cfg: &WordCountConfig) -> FxHashMap<String, i64> {
     let sink = Arc::new(Mutex::new(FxHashMap::default()));
     let running = cfg.variant == WordCountVariant::KeyGrouping;
-
-    let mut topo = Topology::new();
-    let c = cfg.clone();
-    let source = topo.add_spout("source", cfg.sources, move |i| {
-        let zipf = ZipfTable::with_p1(c.vocabulary, c.p1);
-        let mut rng = SmallRng::seed_from_u64(c.seed ^ (i as u64).wrapping_mul(0x9e37));
-        let mut left = c.messages_per_source;
-        spout_from_fn(move || {
-            if left == 0 {
-                return None;
-            }
-            left -= 1;
-            Some(Tuple::new(word_for_rank(zipf.sample(&mut rng)).into_bytes(), 1))
-        })
-    });
-    let grouping = match cfg.variant {
-        WordCountVariant::KeyGrouping => Grouping::Key,
-        WordCountVariant::ShuffleGrouping => Grouping::Shuffle,
-        WordCountVariant::PartialKeyGrouping => Grouping::partial_key(),
-    };
-    let (delay, top_k) = (cfg.service_delay, cfg.top_k);
-    let mut counter = topo
-        .add_bolt("counter", cfg.counters, move |_| {
-            Box::new(CounterBolt::new(running, delay, top_k))
-        })
-        .input(source, grouping);
-    if let Some(t) = cfg.aggregation_period {
-        counter = counter.tick_every(t);
-    }
-    let counter = counter.id();
-    let agg = topo
-        .add_bolt("aggregator", 1, move |_| Box::new(AggregatorBolt::new(running)))
-        .input(counter, Grouping::Key)
-        .id();
+    let (mut topo, _, counter, _) = wordcount_topology(cfg);
     let sink2 = Arc::clone(&sink);
-    // The aggregator holds totals internally; re-emit at finish via a thin
-    // adapter: a collector fed by the *counter* reproduces the aggregator's
-    // inputs, so collect those instead and reduce with the same semantics.
-    let _ = agg;
-    let sink3 = Arc::clone(&sink2);
-    let _collector = topo
-        .add_bolt("collector", 1, move |_| {
-            Box::new(CollectBolt { sink: Arc::clone(&sink3), merge_max: running })
-        })
-        .input(counter, Grouping::Global)
-        .id();
+    topo.add_bolt("collector", 1, move |_| {
+        Box::new(CollectBolt { sink: Arc::clone(&sink2), merge_max: running })
+    })
+    .input(counter, Grouping::Global);
     Runtime::new().run(topo);
     let result = sink.lock().expect("collector lock").clone();
     result
@@ -154,7 +114,7 @@ fn latency_and_throughput_are_measured() {
         counters: 3,
         ..WordCountConfig::default()
     };
-    let (topo, _, _, _) = partial_key_grouping::apps::wordcount::wordcount_topology(&cfg);
+    let (topo, _, _, _) = wordcount_topology(&cfg);
     let stats = Runtime::new().run(topo);
     assert_eq!(stats.processed("counter"), 10_000);
     assert!(stats.throughput("counter") > 0.0);
@@ -175,7 +135,7 @@ fn service_delay_reduces_throughput() {
     let tput = |delay_us: u64| {
         let cfg =
             WordCountConfig { service_delay: Duration::from_micros(delay_us), ..base.clone() };
-        let (topo, _, _, _) = partial_key_grouping::apps::wordcount::wordcount_topology(&cfg);
+        let (topo, _, _, _) = wordcount_topology(&cfg);
         Runtime::new().run(topo).throughput("counter")
     };
     let fast = tput(0);

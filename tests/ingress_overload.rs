@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use partial_key_grouping::agg::Collector;
+use partial_key_grouping::apps::Collector;
 use partial_key_grouping::engine::prelude::*;
 use partial_key_grouping::engine::ExecutorMode;
 

@@ -115,7 +115,7 @@ fn shuffle_imbalance_at_most_sources() {
 /// two error terms, regardless of the parallelism level W".
 #[test]
 fn heavy_hitter_error_two_terms() {
-    use partial_key_grouping::apps::SpaceSaving;
+    use partial_key_grouping::agg::SpaceSaving;
     let spec = DatasetProfile::cashtags().with_messages(200_000).build(7);
     let w = 12;
     let mut pkg = PartialKeyGrouping::new(w, 2, Estimate::local(w), 3);

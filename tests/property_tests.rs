@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use partial_key_grouping::apps::{BhHistogram, SpaceSaving};
+use partial_key_grouping::agg::{BhHistogram, SpaceSaving};
 use partial_key_grouping::prelude::*;
 use pkg_elastic::{Change, MembershipPlan};
 use pkg_hash::murmur3::{murmur3_128, murmur3_64_u64};
@@ -694,7 +694,7 @@ fn ingress_run(
     ingress: Option<IngressOptions>,
     keys: &[u64],
 ) -> (KeyTotals, partial_key_grouping::engine::RunStats) {
-    use partial_key_grouping::agg::Collector;
+    use partial_key_grouping::apps::Collector;
     struct Forward;
     impl Bolt for Forward {
         fn execute(&mut self, t: Tuple, out: &mut Emitter<'_>) {
