@@ -20,7 +20,9 @@
 //! The sketch substrates themselves — [`spacesaving`] and
 //! [`histogram_sketch`] — live here too, because the aggregation layer is
 //! what makes them *mergeable summaries* in the sense of Berinde et al.
-//! [TODS'10].
+//! [TODS'10]. [`SpaceSaving`] is also the summary `pkg-core`'s head
+//! tracker classifies routed keys over, which is why this crate stays a
+//! leaf.
 //!
 //! The crate is a leaf over `pkg-hash` and `pkg-metrics`: it knows nothing
 //! of the engine. The two-phase bolts that run this algebra inside a

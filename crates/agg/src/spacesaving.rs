@@ -13,8 +13,38 @@
 //! sub-stream and an aggregator merges. Under shuffle grouping an item's
 //! error is the sum of up to `W` per-summary errors; under PKG it is the sum
 //! of **two**, independent of the parallelism level.
+//!
+//! **Structure.** Metwally et al.'s *stream-summary*: a slab of counter
+//! slots, a doubly-linked list of count buckets in ascending order, each a
+//! FIFO of slots, and one hash map key → slot. A unit offer moves a slot to
+//! the bucket of `count + 1` (or bumps its bucket in place) — a constant
+//! number of link updates; a weighted one walks up to the bucket of
+//! `count + w`. Storage is sized at construction, so an offer never
+//! allocates. This one summary serves both [`crate::TopK`] and routing's
+//! `pkg_core::HeadTracker` (one unit offer per routed message).
+//!
+//! **Victim rule.** A new key in a full summary takes over the *oldest*
+//! slot of the minimum bucket (of the keys at the minimum count, the first
+//! to reach it) and inherits that count as its error. `merge` and
+//! `from_parts` lay counters out in one canonical order that depends only
+//! on the counter set. Counts, errors and the total saturate at 2⁵³, the
+//! bound [`crate::TopK`]'s decode enforces, so every reachable summary
+//! encodes to a payload its own decode accepts.
+
+use std::collections::hash_map::Entry;
 
 use pkg_hash::FxHashMap;
+
+use crate::partial::codec::MAX_COUNT;
+
+/// End of a slot FIFO or of the bucket list.
+const NIL: u32 = u32::MAX;
+
+/// `a + b`, saturated at 2⁵³.
+#[inline]
+fn add(a: u64, b: u64) -> u64 {
+    a.saturating_add(b).min(MAX_COUNT)
+}
 
 /// One monitored item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,25 +57,42 @@ pub struct Counter {
     pub error: u64,
 }
 
-/// A SPACESAVING stream summary with at most `k` counters.
-///
-/// Operations are `O(log k)` via an indexed binary min-heap on counts. The
-/// original paper's bucket list is `O(1)` per unit increment, and that is
-/// not immaterial: the routing core's `pkg_core::HeadTracker` is built on
-/// it, and the per-layer ledger's `core.head_tracker_observe_ns` is about a
-/// third of this sketch's `agg.spacesaving_offer_ns` (both on Zipf keys).
-/// This sketch keeps the heap because it takes *weighted* offers (an
-/// increment by `w` must search the bucket list instead of stepping to the
-/// next bucket), tracks a per-counter error, and must merge and encode —
-/// none of which the bucket list makes cheaper. This crate is a leaf, so
-/// `pkg-core` may depend on it; moving both onto one summary is open work.
+/// One counter: a monitored key, its error, its bucket, and its older
+/// (`prev`) and newer (`next`) neighbours in that bucket's FIFO.
+#[derive(Debug, Clone)]
+struct Slot {
+    key: u64,
+    error: u64,
+    bucket: u32,
+    prev: u32,
+    next: u32,
+}
+
+/// Every counter at one count, oldest first; `lower` / `higher` link the
+/// neighbouring counts' buckets (`higher` chains the free list when unused).
+#[derive(Debug, Clone)]
+struct Bucket {
+    count: u64,
+    oldest: u32,
+    newest: u32,
+    lower: u32,
+    higher: u32,
+}
+
+/// A SPACESAVING stream summary with at most `k` counters: `O(1)` per unit
+/// offer, `O(buckets passed)` per weighted one (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
+    /// Monitored key → its slot.
+    index: FxHashMap<u64, u32>,
+    /// Counter slots; one per monitored key, never released.
+    slots: Vec<Slot>,
+    buckets: Vec<Bucket>,
+    /// Minimum-count bucket (`NIL` while nothing is monitored).
+    first: u32,
+    /// Head of the free-bucket list.
+    free: u32,
     capacity: usize,
-    /// Heap of counter slots ordered by count (position 0 = minimum).
-    heap: Vec<Counter>,
-    /// key → heap position.
-    pos: FxHashMap<u64, usize>,
     /// Total items observed.
     total: u64,
 }
@@ -54,17 +101,31 @@ impl SpaceSaving {
     /// A summary with `k ≥ 1` counters.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "need at least one counter");
-        Self { capacity: k, heap: Vec::with_capacity(k), pos: FxHashMap::default(), total: 0 }
+        assert!(k < NIL as usize, "capacity must fit a u32 slot index");
+        // Live buckets never outnumber slots. The map holds one extra key
+        // mid-eviction and stays under a quarter full: evictions leave
+        // tombstones that lengthen probes until an in-place rehash, and a
+        // half-full table measured ~1.6× slower per offer on a Zipf stream
+        // that evicts every other message (2-core Xeon VM; EXPERIMENTS.md).
+        Self {
+            index: FxHashMap::with_capacity_and_hasher(4 * (k + 1), Default::default()),
+            slots: Vec::with_capacity(k),
+            buckets: Vec::with_capacity(k),
+            first: NIL,
+            free: NIL,
+            capacity: k,
+            total: 0,
+        }
     }
 
     /// Number of counters in use.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len()
     }
 
     /// `true` when no items have been observed.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.slots.is_empty()
     }
 
     /// Counter capacity `k`.
@@ -73,63 +134,191 @@ impl SpaceSaving {
     }
 
     /// Items observed.
+    #[inline]
     pub fn total(&self) -> u64 {
         self.total
     }
 
     /// Smallest monitored count (the global overestimation bound); 0 when
     /// not yet full.
+    #[inline]
     pub fn min_count(&self) -> u64 {
-        if self.heap.len() < self.capacity {
+        if self.slots.len() < self.capacity {
             0
         } else {
-            self.heap.first().map_or(0, |c| c.count)
+            self.min_tracked()
         }
     }
 
-    /// Observe `weight` occurrences of `key`.
-    pub fn offer(&mut self, key: u64, weight: u64) {
-        self.total += weight;
-        if let Some(&i) = self.pos.get(&key) {
-            self.heap[i].count += weight;
-            self.sift_down(i);
-        } else if self.heap.len() < self.capacity {
-            self.heap.push(Counter { key, count: weight, error: 0 });
-            let i = self.heap.len() - 1;
-            self.pos.insert(key, i);
-            self.sift_up(i);
-        } else {
-            // Replace the minimum counter (heap root).
-            let evicted = self.heap[0];
-            self.pos.remove(&evicted.key);
-            self.heap[0] = Counter { key, count: evicted.count + weight, error: evicted.count };
-            self.pos.insert(key, 0);
-            self.sift_down(0);
+    /// Smallest monitored count, full or not (0 while none is).
+    #[inline]
+    pub fn min_tracked(&self) -> u64 {
+        // `first` is `NIL`, past any bucket, only while nothing is monitored.
+        self.buckets.get(self.first as usize).map_or(0, |b| b.count)
+    }
+
+    /// Observe `weight` occurrences of `key`; returns its estimated count.
+    pub fn offer(&mut self, key: u64, weight: u64) -> u64 {
+        self.total = add(self.total, weight);
+        let s = match self.index.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) if self.slots.len() < self.capacity => {
+                let s = self.slots.len() as u32;
+                e.insert(s);
+                self.slots.push(Slot { key, error: 0, bucket: NIL, prev: NIL, next: NIL });
+                s
+            }
+            Entry::Vacant(e) => {
+                // Full: the victim slot changes hands, and its count
+                // becomes the new key's error.
+                let s = self.buckets[self.first as usize].oldest;
+                e.insert(s);
+                let slot = &mut self.slots[s as usize];
+                let victim = std::mem::replace(&mut slot.key, key);
+                slot.error = self.buckets[self.first as usize].count;
+                self.index.remove(&victim);
+                s
+            }
+        };
+        self.raise(s, weight)
+    }
+
+    /// Move slot `s` (in no bucket yet when new) to the bucket of its count
+    /// plus `weight`; returns that count.
+    #[inline]
+    fn raise(&mut self, s: u32, weight: u64) -> u64 {
+        let b = self.slots[s as usize].bucket;
+        let (count, mut lower, mut higher, alone) = match b {
+            NIL => (0, NIL, self.first, false),
+            _ => {
+                let k = &self.buckets[b as usize];
+                (k.count, b, k.higher, k.oldest == k.newest)
+            }
+        };
+        let target = add(count, weight);
+        if b != NIL && target == count {
+            return count;
         }
+        // A unit offer never passes a bucket: counts strictly ascend.
+        while higher != NIL && self.buckets[higher as usize].count < target {
+            (lower, higher) = (higher, self.buckets[higher as usize].higher);
+        }
+        let joins = higher != NIL && self.buckets[higher as usize].count == target;
+        if alone && lower == b && !joins {
+            self.buckets[b as usize].count = target;
+            return target;
+        }
+        if alone {
+            lower = if lower == b { self.buckets[b as usize].lower } else { lower };
+            self.release_bucket(b);
+        } else if b != NIL {
+            self.unlink_slot(s);
+        }
+        let t = if joins { higher } else { self.new_bucket(target, lower, higher) };
+        self.push_newest(t, s);
+        target
+    }
+
+    /// Append slot `s` to bucket `b`'s FIFO.
+    #[inline]
+    fn push_newest(&mut self, b: u32, s: u32) {
+        let last = self.buckets[b as usize].newest;
+        let slot = &mut self.slots[s as usize];
+        (slot.bucket, slot.prev, slot.next) = (b, last, NIL);
+        match last {
+            NIL => self.buckets[b as usize].oldest = s,
+            _ => self.slots[last as usize].next = s,
+        }
+        self.buckets[b as usize].newest = s;
+    }
+
+    /// Detach slot `s` from its bucket's FIFO.
+    #[inline]
+    fn unlink_slot(&mut self, s: u32) {
+        let Slot { bucket, prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.buckets[bucket as usize].oldest = next,
+            _ => self.slots[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.buckets[bucket as usize].newest = prev,
+            _ => self.slots[next as usize].prev = prev,
+        }
+    }
+
+    /// An empty bucket of `count`, linked between `lower` and `higher`.
+    #[inline]
+    fn new_bucket(&mut self, count: u64, lower: u32, higher: u32) -> u32 {
+        let bucket = Bucket { count, oldest: NIL, newest: NIL, lower, higher };
+        let b = match self.free {
+            NIL => {
+                self.buckets.push(bucket);
+                (self.buckets.len() - 1) as u32
+            }
+            b => {
+                self.free = self.buckets[b as usize].higher;
+                self.buckets[b as usize] = bucket;
+                b
+            }
+        };
+        self.link(lower, b);
+        self.link(b, higher);
+        b
+    }
+
+    /// Unlink bucket `b` from the bucket list onto the free list.
+    #[inline]
+    fn release_bucket(&mut self, b: u32) {
+        let Bucket { lower, higher, .. } = self.buckets[b as usize];
+        self.link(lower, higher);
+        self.buckets[b as usize].higher = self.free;
+        self.free = b;
+    }
+
+    /// Make `higher` follow `lower` in the bucket list (`NIL` `lower`:
+    /// `higher` becomes the first bucket; `NIL` `higher`: `lower` the last).
+    #[inline]
+    fn link(&mut self, lower: u32, higher: u32) {
+        match lower {
+            NIL => self.first = higher,
+            _ => self.buckets[lower as usize].higher = higher,
+        }
+        if higher != NIL {
+            self.buckets[higher as usize].lower = lower;
+        }
+    }
+
+    /// The counter in slot `s`.
+    #[inline]
+    fn counter(&self, s: &Slot) -> Counter {
+        Counter { key: s.key, count: self.buckets[s.bucket as usize].count, error: s.error }
+    }
+
+    /// The counter of `key`, if it is monitored.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<Counter> {
+        self.index.get(&key).map(|&s| self.counter(&self.slots[s as usize]))
     }
 
     /// Estimated count and error bound for `key`: returns `(count, error)`
     /// with `count − error ≤ f(key) ≤ count`. Unmonitored keys report
     /// `(min_count, min_count)`.
+    #[inline]
     pub fn estimate(&self, key: u64) -> (u64, u64) {
-        match self.pos.get(&key) {
-            Some(&i) => (self.heap[i].count, self.heap[i].error),
-            None => (self.min_count(), self.min_count()),
-        }
+        let min = self.min_count();
+        self.get(key).map_or((min, min), |c| (c.count, c.error))
     }
 
     /// All monitored counters, sorted by decreasing estimated count.
     pub fn counters(&self) -> Vec<Counter> {
-        let mut v = self.heap.clone();
+        let mut v: Vec<Counter> = self.slots.iter().map(|s| self.counter(s)).collect();
         v.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
         v
     }
 
     /// The top-`j` items by estimated count.
     pub fn top_k(&self, j: usize) -> Vec<Counter> {
-        let mut v = self.counters();
-        v.truncate(j);
-        v
+        self.counters().into_iter().take(j).collect()
     }
 
     /// Items *guaranteed* to exceed frequency `phi · total` (their lower
@@ -147,41 +336,19 @@ impl SpaceSaving {
     /// additional count *and* error (the tightest sound bound). The result
     /// keeps the top `k` of the union by estimated count.
     pub fn merge(&self, other: &Self) -> Self {
-        let mut entries: FxHashMap<u64, Counter> = FxHashMap::default();
-        let (min_a, min_b) = (self.min_count(), other.min_count());
-        for c in self.heap.iter() {
-            let (b_count, b_err) = match other.pos.get(&c.key) {
-                Some(&j) => {
-                    let o = other.heap[j];
-                    (o.count, o.error)
-                }
-                None => (min_b, min_b),
-            };
-            entries.insert(
-                c.key,
-                Counter { key: c.key, count: c.count + b_count, error: c.error + b_err },
-            );
-        }
-        for c in other.heap.iter() {
-            entries.entry(c.key).or_insert(Counter {
-                key: c.key,
-                count: c.count + min_a,
-                error: c.error + min_a,
-            });
-        }
-        let mut all: Vec<Counter> = entries.into_values().collect();
-        all.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
-        all.truncate(self.capacity.max(other.capacity));
-
-        let mut merged = SpaceSaving::new(self.capacity.max(other.capacity));
-        merged.total = self.total + other.total;
-        for c in all {
-            merged.heap.push(c);
-            let i = merged.heap.len() - 1;
-            merged.pos.insert(c.key, i);
-            merged.sift_up(i);
-        }
-        merged
+        // `estimate` of an unmonitored key is `(min_count, min_count)`.
+        let plus = |c: Counter, (count, error): (u64, u64)| Counter {
+            count: add(c.count, count),
+            error: add(c.error, error),
+            ..c
+        };
+        let mut all: Vec<Counter> =
+            self.slots.iter().map(|s| plus(self.counter(s), other.estimate(s.key))).collect();
+        let only_other = other.slots.iter().filter(|s| !self.index.contains_key(&s.key));
+        all.extend(only_other.map(|s| plus(other.counter(s), self.estimate(s.key))));
+        let capacity = self.capacity.max(other.capacity);
+        Self::laid_out(capacity, add(self.total, other.total), all)
+            .expect("merged counters have distinct keys and error ≤ count")
     }
 
     /// Rebuild a summary from its parts (the [`crate::PartialAgg`] codec
@@ -192,68 +359,69 @@ impl SpaceSaving {
         if capacity < 1 || counters.len() > capacity {
             return None;
         }
-        let mut ss = SpaceSaving::new(capacity);
+        Self::laid_out(capacity, total, counters.to_vec())
+    }
+
+    /// A summary of the top `capacity` of `counters` (by count, ties to the
+    /// smaller key), laid out in the canonical order — ascending count, then
+    /// descending key, so among equal counts the largest key is the oldest;
+    /// `None` when two share a key or an error exceeds its count.
+    fn laid_out(capacity: usize, total: u64, mut counters: Vec<Counter>) -> Option<Self> {
+        counters.sort_unstable_by_key(|c| (c.count, std::cmp::Reverse(c.key)));
+        let mut ss = Self::new(capacity);
         ss.total = total;
-        for &c in counters {
-            if c.error > c.count || ss.pos.contains_key(&c.key) {
+        let mut top = NIL;
+        for c in counters.iter().skip(counters.len().saturating_sub(capacity)) {
+            let s = ss.slots.len() as u32;
+            if c.error > c.count || ss.index.insert(c.key, s).is_some() {
                 return None;
             }
-            ss.heap.push(c);
-            let i = ss.heap.len() - 1;
-            ss.pos.insert(c.key, i);
-            ss.sift_up(i);
+            ss.slots.push(Slot { key: c.key, error: c.error, bucket: NIL, prev: NIL, next: NIL });
+            if top == NIL || ss.buckets[top as usize].count != c.count {
+                top = ss.new_bucket(c.count, top, NIL);
+            }
+            ss.push_newest(top, s);
         }
         Some(ss)
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].count < self.heap[parent].count {
-                self.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < self.heap.len() && self.heap[l].count < self.heap[smallest].count {
-                smallest = l;
-            }
-            if r < self.heap.len() && self.heap[r].count < self.heap[smallest].count {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.swap(i, smallest);
-            i = smallest;
-        }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos.insert(self.heap[a].key, a);
-        self.pos.insert(self.heap[b].key, b);
-    }
-
-    /// Verify the heap and index invariants (tests/debugging).
+    /// Panic unless the stream-summary is well formed: nonempty buckets in
+    /// strictly ascending count; each slot in one bucket FIFO, back-links
+    /// consistent, `error ≤ count`; the index a bijection onto the slots;
+    /// `len ≤ capacity`; no bucket lost from the slab (tests/debugging).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        assert_eq!(self.heap.len(), self.pos.len());
-        for (i, c) in self.heap.iter().enumerate() {
-            assert_eq!(self.pos[&c.key], i, "index out of sync for key {}", c.key);
-            if i > 0 {
-                let parent = (i - 1) / 2;
-                assert!(self.heap[parent].count <= c.count, "heap order violated at {i}");
-            }
-            assert!(c.error <= c.count, "error exceeds count");
+        assert!(self.slots.len() <= self.capacity, "more slots than counters");
+        assert_eq!(self.index.len(), self.slots.len(), "index and slots disagree in size");
+        for (&key, &s) in &self.index {
+            assert_eq!(self.slots[s as usize].key, key, "index entry {key} → wrong slot");
         }
+        let (mut seen, mut live) = (vec![false; self.slots.len()], 0usize);
+        let (mut b, mut lower) = (self.first, NIL);
+        while b != NIL {
+            let bucket = &self.buckets[b as usize];
+            if lower != NIL {
+                assert!(bucket.count > self.buckets[lower as usize].count, "counts must ascend");
+            }
+            assert_eq!(bucket.lower, lower, "bucket back-link broken");
+            assert_ne!(bucket.oldest, NIL, "empty bucket in the list");
+            let (mut s, mut prev) = (bucket.oldest, NIL);
+            while s != NIL {
+                let slot = &self.slots[s as usize];
+                assert!(!std::mem::replace(&mut seen[s as usize], true), "slot {s} listed twice");
+                assert_eq!(slot.bucket, b, "slot → bucket link broken");
+                assert_eq!(slot.prev, prev, "slot back-link broken");
+                assert!(slot.error <= bucket.count, "error exceeds count");
+                (prev, s) = (s, slot.next);
+            }
+            assert_eq!(bucket.newest, prev, "bucket newest is not its last slot");
+            (lower, live, b) = (b, live + 1, bucket.higher);
+        }
+        assert!(seen.iter().all(|&s| s), "a slot is in no bucket");
+        let link = |f: u32| Some(f).filter(|&f| f != NIL);
+        let free =
+            std::iter::successors(link(self.free), |&f| link(self.buckets[f as usize].higher));
+        assert_eq!(live + free.count(), self.buckets.len(), "bucket slab leaks");
     }
 }
 
@@ -394,5 +562,51 @@ mod tests {
         let (c, e) = ss.estimate(2);
         assert_eq!(c, e, "unmonitored estimate is all error");
         assert!(c >= 3, "min_count covers the evicted key");
+    }
+
+    #[test]
+    fn weighted_offers_saturate_instead_of_overflowing() {
+        // Weights past 2⁵³ saturate the count, the error and the total, so
+        // the summary stays well formed, merges with itself, and encodes to
+        // a payload its own decode accepts.
+        use crate::{PartialAgg, TopK};
+        fn round_trips<const K: usize>(t: TopK<K>) {
+            let mut both = t.clone();
+            both.merge(&t);
+            for t in [t, both] {
+                t.summary().check_invariants();
+                assert_eq!(t.emit(), MAX_COUNT as i64, "mass must saturate, not wrap");
+                let bytes = t.encoded();
+                let back = TopK::<K>::decode(&bytes).expect("own payload must decode");
+                assert_eq!(back.encoded(), bytes);
+            }
+        }
+        let mut one_key = TopK::<4>::identity();
+        for _ in 0..3 {
+            one_key.insert(7, i64::MAX);
+        }
+        round_trips(one_key);
+        let mut two_keys = TopK::<2>::identity();
+        two_keys.insert(1, i64::MAX);
+        two_keys.insert(2, 1);
+        round_trips(two_keys);
+
+        let mut ss = SpaceSaving::new(2);
+        ss.offer(1, u64::MAX);
+        ss.offer(2, 1);
+        ss.check_invariants();
+        assert_eq!(
+            (ss.total(), ss.estimate(1), ss.estimate(2)),
+            (MAX_COUNT, (MAX_COUNT, 0), (1, 0))
+        );
+        let merged = ss.merge(&ss);
+        merged.check_invariants();
+        assert_eq!(merged.total(), MAX_COUNT);
+        for s in [ss, merged] {
+            let back =
+                SpaceSaving::from_parts(2, s.total(), &s.counters()).expect("parts accepted");
+            back.check_invariants();
+            assert_eq!(back.counters(), s.counters());
+        }
     }
 }

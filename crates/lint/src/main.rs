@@ -23,8 +23,8 @@
 //! | `argmin`  | whole workspace               | `prefers(`, the greedy comparison, is called  |
 //! |           |                               | only by `LoadView`'s one argmin loop (and     |
 //! |           |                               | defined in `metrics/src/capacity.rs`)         |
-//! | `ordered_`| `pkg-core` non-test code      | no `BTreeMap` / `BTreeSet` — per-message      |
-//! | `map`     |                               | routing state stays O(1)                      |
+//! | `ordered_`| `pkg-core` and agg's          | no `BTreeMap` / `BTreeSet` — per-message      |
+//! | `map`     | `spacesaving.rs`, non-test    | routing state stays O(1)                      |
 //! | `driver`  | `pkg-engine` non-test code    | `.execute(` / `.not_before(` only in          |
 //! |           |                               | `pool.rs` — one instance loop drives bolts    |
 //! |           |                               | and spouts, under every schedule              |
@@ -93,6 +93,10 @@ const ARGMIN_FILES: [&str; 2] = ["crates/metrics/src/capacity.rs", "crates/core/
 /// their O(log n) updates on the per-message path are what the head
 /// tracker's stream-summary replaced.
 const ORDERED_MAPS: [&str; 2] = ["BTreeMap", "BTreeSet"];
+
+/// Where the `ordered_map` rule applies besides pkg-core: the Space-Saving
+/// summary every routed message of a head-key scheme updates.
+const ROUTING_SUMMARY: &str = "crates/agg/src/spacesaving.rs";
 
 /// Files the `driver` rule skips: `pool.rs`, whose `activate` is the only
 /// caller of `Bolt::execute` and `Spout::not_before` whichever schedule
@@ -214,7 +218,7 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     if !ARGMIN_FILES.contains(&rel) {
         rule_argmin(rel, &code, &in_test, &mut out);
     }
-    if rel.starts_with("crates/core/src/") {
+    if rel.starts_with("crates/core/src/") || rel == ROUTING_SUMMARY {
         rule_ordered_map(rel, &code, &in_test, &mut out);
     }
     if rel.starts_with("crates/engine/src/") && !DRIVER_FILES.contains(&rel) {
@@ -323,7 +327,7 @@ fn rule_ordered_map(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<
         for map in ORDERED_MAPS {
             if !in_test[i] && has_word(line, map) {
                 out.push(format!(
-                    "{rel}:{}: [ordered_map] `{map}` in pkg-core \
+                    "{rel}:{}: [ordered_map] `{map}` in routing state \
                      (per-message routing state must stay O(1))",
                     i + 1
                 ));
@@ -909,6 +913,19 @@ mod tests {
         assert!(lint("crates/core/src/head_tracker.rs", &gated).is_empty());
         let mention = "// replaced a BTreeMap<u64, FxHashSet<u64>>\nfn f() {}\n";
         assert!(lint("crates/core/src/head_tracker.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_btreeset_in_the_routing_summary_is_caught() {
+        // The head tracker's per-message state lives in agg's summary.
+        let src =
+            "pub struct SpaceSaving {\n    by_count: std::collections::BTreeSet<(u64, u64)>,\n}\n";
+        let v = lint("crates/agg/src/spacesaving.rs", src);
+        assert!(v.iter().any(|v| v.contains("[ordered_map]") && v.contains(".rs:2")), "{v:?}");
+        let map = "fn f() { let m = std::collections::BTreeMap::<u64, u32>::new(); }\n";
+        assert_eq!(lint("crates/agg/src/spacesaving.rs", map).len(), 1);
+        // The rest of pkg-agg may order its state.
+        assert!(lint("crates/agg/src/histogram_sketch.rs", src).is_empty());
     }
 
     #[test]

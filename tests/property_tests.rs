@@ -150,19 +150,22 @@ proptest! {
 
     #[test]
     fn spacesaving_bounds_always_bracket_truth(
-        stream in prop::collection::vec(0u64..50, 1..800),
+        stream in prop::collection::vec((0u64..50, 1u64..5), 1..800),
         k in 1usize..20,
     ) {
+        // Weighted offers: each walks the bucket list past any counts
+        // between its key's old and new count.
         let mut ss = SpaceSaving::new(k);
         let mut truth = std::collections::HashMap::new();
-        for &key in &stream {
-            ss.offer(key, 1);
-            *truth.entry(key).or_insert(0u64) += 1;
+        for &(key, weight) in &stream {
+            ss.offer(key, weight);
+            ss.check_invariants();
+            *truth.entry(key).or_insert(0u64) += weight;
         }
-        ss.check_invariants();
-        prop_assert_eq!(ss.total(), stream.len() as u64);
+        let m: u64 = stream.iter().map(|&(_, weight)| weight).sum();
+        prop_assert_eq!(ss.total(), m);
         // min_count <= m/k (the SpaceSaving guarantee).
-        prop_assert!(ss.min_count() <= stream.len() as u64 / k as u64 + 1);
+        prop_assert!(ss.min_count() <= m / k as u64 + 1);
         for c in ss.counters() {
             let f = truth.get(&c.key).copied().unwrap_or(0);
             prop_assert!(c.count >= f);
