@@ -8,8 +8,9 @@
 //! sample ranks from `Zipf(K, s)`.
 //!
 //! Two samplers are provided:
-//! * [`ZipfTable`] — inverse-CDF sampling over a precomputed table;
-//!   O(log K) per sample, 8 bytes/key. Used for `K` up to a few million.
+//! * [`ZipfTable`] — inverse-CDF sampling over a precomputed table with a
+//!   guide table into it; O(1) expected per sample, 12 bytes/key. Used
+//!   for `K` up to a few million.
 //! * [`ZipfRejection`] — Hörmann & Derflinger rejection-inversion;
 //!   O(1) memory and amortized O(1) time, for the full-scale Twitter
 //!   profile (`K = 31M`).
@@ -60,9 +61,14 @@ pub fn fit_exponent(k: u64, p1: f64) -> f64 {
     assert!(p1 > 1.0 / k as f64 && p1 < 1.0, "p1 = {p1} not attainable with k = {k} keys");
     // p1(s) = 1/H_{k,s} is strictly increasing in s: at s=0, H=k (p1=1/k);
     // as s→∞, H→1 (p1→1).
+    // Once `mid` rounds onto an end of the bracket, every further step
+    // re-tests the same point and leaves `0.5 * (lo + hi) == mid`.
     let (mut lo, mut hi) = (0.0f64, 16.0f64);
     for _ in 0..80 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            break;
+        }
         if 1.0 / harmonic(k, mid) < p1 {
             lo = mid;
         } else {
@@ -73,28 +79,61 @@ pub fn fit_exponent(k: u64, p1: f64) -> f64 {
 }
 
 /// Inverse-CDF Zipf sampler over ranks `0..k`.
+///
+/// A draw `u ∈ [0, 1)` maps to the rank `#{i : cdf[i] ≤ u}`, the index
+/// of the first entry of the monotone CDF above `u`. A guide table
+/// (Chen & Asau's indexed search) finds it in O(1) expected steps:
+/// `guide[j]` is the number of CDF entries `≤ j/k`, for `k` equal-width
+/// buckets. A draw starts at `guide[⌊u·k⌋]`, steps back while the entry
+/// before it is above `u`, then forward while its own entry is at most
+/// `u`.
+///
+/// The rank is exact whatever the start: on a monotone CDF the backward
+/// step stops at or before the answer, and the forward step stops exactly
+/// at it. So float rounding in `⌊u·k⌋` or in `j/k` can change the number
+/// of steps, never the rank, and a draw is bit-for-bit the binary search
+/// over the same CDF.
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
     s: f64,
 }
 
 impl ZipfTable {
-    /// Build the CDF table for `Zipf(k, s)`.
+    /// Build the CDF and guide tables for `Zipf(k, s)`.
+    ///
+    /// # Panics
+    /// Panics if `k` is 0 or does not fit the `u32` guide.
     pub fn new(k: u64, s: f64) -> Self {
         assert!(k >= 1);
+        assert!(k <= u32::MAX as u64, "k = {k} keys overflow the u32 guide table");
         let h = harmonic(k, s);
         let mut cdf = Vec::with_capacity(k as usize);
         let mut acc = 0.0;
         for i in 1..=k {
             acc += (i as f64).powf(-s) / h;
-            cdf.push(acc);
+            // Accumulated rounding can overshoot 1.0 before the tail;
+            // clamping each entry keeps the CDF monotone.
+            cdf.push(acc.min(1.0));
         }
         // Guard against accumulated rounding: the last entry must cover 1.0.
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf, s }
+        // guide[j] = #{i : cdf[i] ≤ j/m}. Every floor is below the last
+        // entry, 1.0, so the sweep stays inside the table.
+        let m = cdf.len();
+        let mut guide = Vec::with_capacity(m);
+        let mut i = 0;
+        for j in 0..m {
+            let floor = j as f64 / m as f64;
+            while cdf[i] <= floor {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Self { cdf, guide, s }
     }
 
     /// Build by fitting the exponent to a target head probability. A `p1`
@@ -137,8 +176,22 @@ impl ZipfTable {
     /// Sample a rank in `0..k`.
     #[inline]
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
-        let u: f64 = rng.random();
-        self.cdf.partition_point(|&c| c <= u) as u64
+        self.rank_of(rng.random()) as u64
+    }
+
+    /// The rank `#{i : cdf[i] ≤ u}` of a draw `u ∈ [0, 1)`, by the guide
+    /// table (see [`ZipfTable`]).
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let m = self.guide.len();
+        let mut i = self.guide[((u * m as f64) as usize).min(m - 1)] as usize;
+        while i > 0 && self.cdf[i - 1] > u {
+            i -= 1;
+        }
+        while self.cdf[i] <= u {
+            i += 1;
+        }
+        i
     }
 }
 
@@ -236,7 +289,130 @@ fn helper2(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The binary search the guide table replaced: the oracle for `rank_of`.
+    fn bisect(t: &ZipfTable, u: f64) -> usize {
+        t.cdf.partition_point(|&c| c <= u)
+    }
+
+    /// The draws at which a rank or a start bucket changes: every CDF
+    /// entry and every bucket floor `j/k` with their float neighbours,
+    /// plus both ends of `[0, 1)`. A draw walks its bucket from the start,
+    /// so drawing at every entry of a bucket of `n` entries costs O(n²);
+    /// the dense tail bucket of a steep table (62 k of 100 000 entries at
+    /// s = 2) is drawn at its first and last 64 entries and every 64th.
+    fn boundary_draws(t: &ZipfTable) -> Vec<f64> {
+        let m = t.guide.len();
+        let mut draws = vec![0.0, 1.0f64.next_down()];
+        for (j, &start) in t.guide.iter().enumerate() {
+            let (start, end) = (start as usize, t.guide.get(j + 1).map_or(m, |&g| g as usize));
+            let n = end - start;
+            for (p, &c) in t.cdf[start..end].iter().enumerate() {
+                if n <= 128 || p < 64 || p >= n - 64 || p % 64 == 0 {
+                    draws.extend([c, c.next_down(), c.next_up()]);
+                }
+            }
+            let floor = j as f64 / m as f64;
+            draws.extend([floor, floor.next_down(), floor.next_up()]);
+        }
+        draws.retain(|u| (0.0..1.0).contains(u));
+        draws
+    }
+
+    const GRID_K: [u64; 4] = [1, 2, 1_000, 100_000];
+    const GRID_S: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 3.0];
+
+    #[test]
+    fn rank_of_is_the_binary_search_at_cdf_and_bucket_boundaries() {
+        for k in GRID_K {
+            for s in GRID_S {
+                let t = ZipfTable::new(k, s);
+                for u in boundary_draws(&t) {
+                    assert_eq!(t.rank_of(u), bisect(&t, u), "k={k} s={s} u={u:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn guide_counts_the_entries_at_or_below_each_bucket_floor() {
+        for k in GRID_K {
+            for s in GRID_S {
+                let t = ZipfTable::new(k, s);
+                let m = t.guide.len();
+                assert_eq!(m, t.cdf.len());
+                for (j, &g) in t.guide.iter().enumerate() {
+                    let floor = j as f64 / m as f64;
+                    assert_eq!(g as usize, bisect(&t, floor), "k={k} s={s} j={j}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn rank_of_matches_the_binary_search(
+            k in 1u64..5_000,
+            s in 0.0f64..4.0,
+            us in prop::collection::vec(0.0f64..1.0, 1..64),
+        ) {
+            let t = ZipfTable::new(k, s);
+            for u in us {
+                prop_assert_eq!(t.rank_of(u), bisect(&t, u));
+            }
+        }
+    }
+
+    #[test]
+    fn cdf_is_monotone_and_probabilities_are_non_negative() {
+        let t = ZipfTable::new(100_000, 3.0);
+        let probs = t.probabilities();
+        if let Some((rank, p)) = probs.iter().enumerate().find(|(_, &p)| p < 0.0) {
+            panic!("rank {rank} has negative probability {p:e}");
+        }
+        assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(t.cdf.windows(2).all(|w| w[0] <= w[1]), "CDF must be monotone");
+    }
+
+    #[test]
+    fn fit_exponent_is_bit_equal_to_the_full_bisection() {
+        fn full_bisection(k: u64, p1: f64) -> f64 {
+            let (mut lo, mut hi) = (0.0f64, 16.0f64);
+            for _ in 0..80 {
+                let mid = 0.5 * (lo + hi);
+                if 1.0 / harmonic(k, mid) < p1 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        }
+        // The last case sits past the bracket: p1 needs s > 16 with two
+        // keys, so the fit pins to the 16.0 upper edge.
+        let cases = [
+            (2, 0.51),
+            (2, 0.9),
+            (10, 0.1000001),
+            (10, 0.5),
+            (1_000, 0.0015),
+            (1_000, 0.1),
+            (1_000, 0.9),
+            (10_000, 0.01),
+            (10_000, 0.0932),
+            (10_000, 0.99),
+            (2, 1.0 - 1e-9),
+        ];
+        for (k, p1) in cases {
+            let (fast, full) = (fit_exponent(k, p1), full_bisection(k, p1));
+            assert_eq!(fast.to_bits(), full.to_bits(), "k={k} p1={p1}: {fast} vs {full}");
+        }
+        assert_eq!(fit_exponent(2, 1.0 - 1e-9), 16.0);
+    }
 
     #[test]
     fn harmonic_known_values() {
