@@ -84,6 +84,9 @@ impl ServiceDelay {
 pub struct WindowedWorkerBolt<A: PartialAgg> {
     window: TumblingWindow<TupleKey, A>,
     scope: AggScope,
+    /// [`GLOBAL_KEY`], fingerprinted once: `AggScope::Global` clones it per
+    /// tuple instead of hashing it again.
+    global_key: TupleKey,
     /// Logical clock: engine ticks fired so far.
     ticks: u64,
     delay: ServiceDelay,
@@ -105,6 +108,7 @@ impl<A: PartialAgg> WindowedWorkerBolt<A> {
         Self {
             window: TumblingWindow::new(1),
             scope,
+            global_key: TupleKey::from_slice(GLOBAL_KEY),
             ticks: 0,
             delay: ServiceDelay::new(Duration::ZERO),
         }
@@ -147,7 +151,7 @@ impl<A: PartialAgg> Bolt for WindowedWorkerBolt<A> {
         let key_id = tuple.key_id();
         let (key, value) = match self.scope {
             AggScope::PerKey => (tuple.key, tuple.value),
-            AggScope::Global => (TupleKey::from_slice(GLOBAL_KEY), tuple.value),
+            AggScope::Global => (self.global_key.clone(), tuple.value),
         };
         // The logical clock only moves on ticks, so inserts never close a
         // pane mid-stream; `tick` drains instead.
@@ -473,7 +477,7 @@ mod tests {
             &mut out,
         );
         assert_eq!(agg.state_size(), 1, "raw inserts and exact partials merge eagerly");
-        let slot = agg.slots.remove(b"k".as_slice()).expect("slot exists");
+        let slot = agg.slots.remove(&TupleKey::from_slice(b"k")).expect("slot exists");
         assert_eq!(slot.finalize().emit(), 42);
         assert_eq!(agg.decode_failures(), 0);
     }

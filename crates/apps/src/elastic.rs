@@ -333,7 +333,7 @@ mod tests {
         survivor.execute(Tuple::new(b"k".to_vec(), 1), &mut out);
         assert!(!survivor.gated());
         let pane = survivor.window.flush().expect("state merged and replayed");
-        let acc = pane.accs.get(b"k".as_slice()).expect("key present");
+        let acc = pane.accs.get(&TupleKey::from_slice(b"k")).expect("key present");
         assert_eq!(acc.emit(), 5 + 2 + 1, "migrated 5 + buffered 2 + live 1");
     }
 

@@ -69,7 +69,7 @@ impl Default for HeavyHittersConfig {
 /// The fingerprint under which item `key` is summarized (the routing
 /// `key_id` of its tuple).
 pub fn item_id(key: u64) -> u64 {
-    Tuple::new(key.to_le_bytes().to_vec(), 0).key_id()
+    TupleKey::from_slice(&key.to_le_bytes()).key_id()
 }
 
 /// Build `source → workers → aggregator → collector`; the collector ends up
@@ -143,6 +143,22 @@ mod tests {
             workers: 4,
             profile: DatasetProfile::cashtags().with_messages(20_000),
             ..HeavyHittersConfig::default()
+        }
+    }
+
+    #[test]
+    fn item_id_is_the_routing_fingerprint_of_the_key_bytes() {
+        use pkg_hash::StreamKey;
+        let pinned = [
+            (0, 0xb2aa_0d37_327a_6c35),
+            (1, 0x871c_70f3_7735_437b),
+            (42, 0xfb8f_9ca3_0fad_2ceb),
+            (u64::MAX, 0x3c3a_1d56_5338_e3ae),
+        ];
+        for (key, id) in pinned {
+            assert_eq!(item_id(key), id, "item {key}");
+            assert_eq!(item_id(key), key.to_le_bytes().as_slice().key_id());
+            assert_eq!(item_id(key), Tuple::new(key.to_le_bytes(), 0).key_id());
         }
     }
 

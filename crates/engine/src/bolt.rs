@@ -359,7 +359,7 @@ pub struct CountingBolt {
 impl CountingBolt {
     /// Current count for a key.
     pub fn count(&self, key: &[u8]) -> i64 {
-        self.counts.get(key).copied().unwrap_or(0)
+        self.counts.get(&crate::tuple::TupleKey::from_slice(key)).copied().unwrap_or(0)
     }
 }
 

@@ -6,10 +6,21 @@
 //! ids and URLs' hot prefixes all fit), longer keys spill to a boxed slice.
 //! The [`audit`] module counts the spills and tuple clones so drivers can
 //! assert the flagship path stays allocation-free per message.
+//!
+//! A key is hashed once. Every constructor computes the key's 64-bit
+//! fingerprint ([`TupleKey::key_id`], murmur3 under the workspace's fixed
+//! key seed — the value routing has always used) and stores it beside the
+//! bytes. Routing, the counters' pane maps and the aggregator's slot map
+//! all read that field instead of re-hashing the bytes: `Hash` writes only
+//! the fingerprint, and `Eq` compares fingerprints first, then bytes, so a
+//! fingerprint collision never merges two keys. Because a key's hash is no
+//! longer the hash of its bytes, `TupleKey` does not implement
+//! `Borrow<[u8]>`; look a byte string up as `TupleKey::from_slice(bytes)`.
 
-use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
+
+use pkg_hash::StreamKey;
 
 /// Allocation-audit counters for the tuple hot path.
 ///
@@ -53,18 +64,34 @@ pub mod audit {
 }
 
 /// Longest key that lives inline in a [`TupleKey`] (bytes). Chosen so the
-/// whole enum is 24 bytes — one byte of discriminant, one of length, 22 of
-/// payload — only 8 bytes over `Box<[u8]>`'s two words.
+/// byte representation is 24 bytes — one byte of discriminant, one of
+/// length, 22 of payload — only 8 bytes over `Box<[u8]>`'s two words; the
+/// fingerprint makes the whole key 32 bytes.
 pub const INLINE_KEY_CAP: usize = 22;
 
-/// A tuple's routing key with small-size optimization.
+/// A tuple's routing key: small-size-optimized bytes plus their fingerprint.
 ///
-/// Behaves like an immutable `[u8]` everywhere (`Deref`, `AsRef`, `Borrow`,
-/// byte-wise `Eq`/`Ord`/`Hash`), so maps keyed by `TupleKey` support
-/// `&[u8]` lookups exactly like maps keyed by `Box<[u8]>` did.
+/// Reads like an immutable `[u8]` (`Deref`, `AsRef`) and orders
+/// byte-wise. It carries its fingerprint, computed once at construction
+/// and read by [`TupleKey::key_id`], so hashing a key is one word:
+///
+/// - `Hash` writes only the fingerprint;
+/// - `Eq` compares fingerprints, then bytes — equal keys hash equal, and
+///   keys whose fingerprints collide stay distinct in every table;
+/// - `Ord` is byte order, which agrees with `Eq` because equal bytes have
+///   equal fingerprints.
+///
+/// There is no `Borrow<[u8]>`: its contract (a key hashes like its bytes)
+/// does not hold. Look byte strings up with [`TupleKey::from_slice`].
 pub struct TupleKey {
+    /// `murmur3_64(bytes, KEY_ID_SEED)`, i.e. `bytes.key_id()`.
+    id: u64,
     repr: Repr,
 }
+
+// A key is half a cache line and a tuple a whole one.
+const _: () = assert!(std::mem::size_of::<TupleKey>() == 32);
+const _: () = assert!(std::mem::size_of::<Tuple>() == 64);
 
 enum Repr {
     /// Up to [`INLINE_KEY_CAP`] bytes stored in the tuple itself.
@@ -76,20 +103,35 @@ enum Repr {
 impl TupleKey {
     /// The empty key (allocation-free; routes consistently — used by
     /// stream-global accumulators).
-    pub const fn empty() -> Self {
-        Self { repr: Repr::Inline { len: 0, buf: [0; INLINE_KEY_CAP] } }
+    pub fn empty() -> Self {
+        Self::from_slice(&[])
     }
 
     /// Copy `bytes` into a key, inlining when it fits.
     pub fn from_slice(bytes: &[u8]) -> Self {
+        let id = bytes.key_id();
         if bytes.len() <= INLINE_KEY_CAP {
             let mut buf = [0u8; INLINE_KEY_CAP];
             buf[..bytes.len()].copy_from_slice(bytes);
-            Self { repr: Repr::Inline { len: bytes.len() as u8, buf } }
+            Self { id, repr: Repr::Inline { len: bytes.len() as u8, buf } }
         } else {
             audit::note_heap_key();
-            Self { repr: Repr::Heap(bytes.into()) }
+            Self { id, repr: Repr::Heap(bytes.into()) }
         }
+    }
+
+    /// Take ownership of a boxed key without copying it.
+    fn from_heap(bytes: Box<[u8]>) -> Self {
+        Self { id: bytes.key_id(), repr: Repr::Heap(bytes) }
+    }
+
+    /// The key's 64-bit fingerprint, used for every routing decision and
+    /// every keyed table: `murmur3_64` of the bytes under the fixed key
+    /// seed, equal to `self.as_bytes().key_id()` (`pkg_hash::StreamKey`).
+    /// Computed once, at construction; reading it is a field load.
+    #[inline]
+    pub fn key_id(&self) -> u64 {
+        self.id
     }
 
     /// The key bytes.
@@ -134,10 +176,12 @@ impl TupleKey {
 impl Clone for TupleKey {
     fn clone(&self) -> Self {
         match &self.repr {
-            Repr::Inline { len, buf } => Self { repr: Repr::Inline { len: *len, buf: *buf } },
+            Repr::Inline { len, buf } => {
+                Self { id: self.id, repr: Repr::Inline { len: *len, buf: *buf } }
+            }
             Repr::Heap(b) => {
                 audit::note_heap_key();
-                Self { repr: Repr::Heap(b.clone()) }
+                Self { id: self.id, repr: Repr::Heap(b.clone()) }
             }
         }
     }
@@ -165,25 +209,20 @@ impl AsRef<[u8]> for TupleKey {
     }
 }
 
-impl Borrow<[u8]> for TupleKey {
-    #[inline]
-    fn borrow(&self) -> &[u8] {
-        self.as_bytes()
-    }
-}
-
 impl Hash for TupleKey {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Delegate to the slice hash so `Borrow<[u8]>` map lookups agree.
-        self.as_bytes().hash(state);
+        // The fingerprint stands for the bytes: one word, whatever the length.
+        state.write_u64(self.id);
     }
 }
 
 impl PartialEq for TupleKey {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
+        // Fingerprints reject almost every unequal pair in one compare; the
+        // bytes decide the rest, so colliding fingerprints never merge keys.
+        self.id == other.id && self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -225,7 +264,7 @@ impl From<Vec<u8>> for TupleKey {
         } else {
             // The vec's buffer moves into the box; shrink-to-fit may copy
             // but the key itself introduces no extra allocation.
-            Self { repr: Repr::Heap(bytes.into_boxed_slice()) }
+            Self::from_heap(bytes.into_boxed_slice())
         }
     }
 }
@@ -235,7 +274,7 @@ impl From<Box<[u8]>> for TupleKey {
         if bytes.len() <= INLINE_KEY_CAP {
             Self::from_slice(&bytes)
         } else {
-            Self { repr: Repr::Heap(bytes) }
+            Self::from_heap(bytes)
         }
     }
 }
@@ -303,11 +342,12 @@ impl Tuple {
         std::str::from_utf8(&self.key).ok()
     }
 
-    /// The 64-bit key fingerprint used for routing decisions.
+    /// The 64-bit key fingerprint used for routing decisions: the one
+    /// [`TupleKey::key_id`] computed when the key was built, not a fresh
+    /// hash of the bytes.
     #[inline]
     pub fn key_id(&self) -> u64 {
-        use pkg_hash::StreamKey;
-        self.key.as_bytes().key_id()
+        self.key.key_id()
     }
 }
 
@@ -368,6 +408,7 @@ impl PacketBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn packet_batch_refill_preserves_fifo_and_caps_at_max() {
@@ -414,13 +455,18 @@ mod tests {
         assert_eq!(big.len(), INLINE_KEY_CAP + 1);
     }
 
+    fn fx_hash(k: &TupleKey) -> u64 {
+        let mut h = pkg_hash::FxHasher::default();
+        k.hash(&mut h);
+        h.finish()
+    }
+
     #[test]
     fn key_representation_is_transparent_to_eq_ord_hash() {
         use std::collections::hash_map::DefaultHasher;
         let inline = TupleKey::from_slice(b"same-bytes");
-        // Force a heap representation of identical bytes via into_boxed on
-        // a long key then truncation is impossible — build directly instead.
-        let heap = TupleKey { repr: Repr::Heap(b"same-bytes".to_vec().into_boxed_slice()) };
+        // A short key never spills on its own; build the heap form directly.
+        let heap = TupleKey::from_heap(b"same-bytes".to_vec().into_boxed_slice());
         assert!(!heap.is_inline());
         assert_eq!(inline, heap);
         assert_eq!(inline.cmp(&heap), std::cmp::Ordering::Equal);
@@ -430,10 +476,67 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash(&inline), hash(&heap));
-        // Borrow<[u8]> lookups work for inline keys in hash maps.
+        assert_eq!(fx_hash(&inline), fx_hash(&heap));
+    }
+
+    /// A key whose stored fingerprint is `id` instead of its bytes' hash.
+    fn forged(bytes: &[u8], id: u64) -> TupleKey {
+        TupleKey { id, ..TupleKey::from_slice(bytes) }
+    }
+
+    #[test]
+    fn colliding_fingerprints_never_merge_keys() {
+        let a = forged(b"alpha", 7);
+        let b = forged(b"omega", 7);
+        assert_eq!(a.key_id(), b.key_id());
+        assert_eq!(fx_hash(&a), fx_hash(&b), "the hash is the fingerprint alone");
+        assert_ne!(a, b);
+        assert_eq!(a.cmp(&b), std::cmp::Ordering::Less, "Ord agrees with Eq: bytes decide");
+        assert_eq!(b.cmp(&a), std::cmp::Ordering::Greater);
         let mut m: pkg_hash::FxHashMap<TupleKey, i64> = pkg_hash::FxHashMap::default();
-        m.insert(inline, 1);
-        assert_eq!(m.get(b"same-bytes".as_slice()), Some(&1));
+        *m.entry(a.clone()).or_default() += 1;
+        *m.entry(b.clone()).or_default() += 10;
+        *m.entry(a.clone()).or_default() += 1;
+        assert_eq!(m.len(), 2, "both keys survive in one table");
+        assert_eq!(m.get(&a), Some(&2));
+        assert_eq!(m.get(&b), Some(&10));
+    }
+
+    #[test]
+    fn every_constructor_stores_the_bytes_fingerprint() {
+        for bytes in [&b""[..], b"w", &[3u8; INLINE_KEY_CAP], &[4u8; INLINE_KEY_CAP + 1]] {
+            let want = bytes.key_id();
+            assert_eq!(TupleKey::from_slice(bytes).key_id(), want);
+            assert_eq!(TupleKey::from(bytes.to_vec()).key_id(), want);
+            assert_eq!(TupleKey::from(Box::<[u8]>::from(bytes)).key_id(), want);
+            assert_eq!(TupleKey::from_slice(bytes).clone().key_id(), want);
+            assert_eq!(Tuple::new(bytes, 0).key_id(), want);
+        }
+        assert_eq!(TupleKey::empty().key_id(), b"".key_id());
+        assert_eq!(TupleKey::default(), TupleKey::empty());
+        assert_eq!(TupleKey::from(*b"four").key_id(), b"four".key_id());
+    }
+
+    proptest! {
+        /// Lengths 0..=40 cross `INLINE_KEY_CAP`, so inline and heap keys
+        /// are compared with each other as well as among themselves.
+        #[test]
+        fn fingerprint_contract_holds_inline_and_heap(
+            a in prop::collection::vec(0u8..4, 0..41),
+            b in prop::collection::vec(0u8..4, 0..41),
+        ) {
+            let (ka, kb) = (TupleKey::from_slice(&a), TupleKey::from_slice(&b));
+            // Routing pins: the stored fingerprint is the bytes' key id.
+            prop_assert_eq!(ka.key_id(), a.as_slice().key_id());
+            prop_assert_eq!(kb.key_id(), b.as_slice().key_id());
+            prop_assert_eq!(a == b, ka == kb);
+            prop_assert_eq!(a.cmp(&b), ka.cmp(&kb));
+            // The same bytes as a heap key, the other representation whenever
+            // they fit inline: equal, and hash equal.
+            let heap = TupleKey::from_heap(a.clone().into_boxed_slice());
+            prop_assert!(heap == ka);
+            prop_assert_eq!(fx_hash(&heap), fx_hash(&ka));
+        }
     }
 
     #[test]

@@ -37,6 +37,9 @@
 //! | `signal_` | whole workspace               | `.dispatch(` only under `pkg-core` — a routed |
 //! | `seam`    |                               | tuple's one shared write is its count         |
 //! |           |                               | (`SharedLoads::record`)                       |
+//! | `key_`    | whole workspace but engine    | no `.as_bytes().key_id(` — a key is hashed    |
+//! | `seam`    | `tuple.rs`, non-test          | once, when its `TupleKey` is built, and read  |
+//! |           |                               | as `TupleKey::key_id` after that              |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -134,6 +137,12 @@ const CORE_SEAMS: [(&str, &str, &str); 2] = [
     (".dispatch(", "signal_seam", "the routed count `SharedLoads::record` is the dispatch tally"),
 ];
 
+/// The one file whose non-test code may fingerprint a key's bytes, and the
+/// call that does it. `key_seam`: `TupleKey`'s constructors hash a key once
+/// and store the result; everything downstream reads the stored fingerprint.
+const KEY_SEAM_FILE: &str = "crates/engine/src/tuple.rs";
+const KEY_SEAM_TOKEN: &str = ".as_bytes().key_id(";
+
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
 
@@ -229,6 +238,9 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     }
     if !rel.starts_with(CORE_SEAM_DIR) {
         rule_core_seams(rel, &code, &in_test, &mut out);
+    }
+    if rel != KEY_SEAM_FILE {
+        rule_key_seam(rel, &code, &in_test, &mut out);
     }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
@@ -387,6 +399,18 @@ fn rule_core_seams(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<S
                     i + 1
                 ));
             }
+        }
+    }
+}
+
+fn rule_key_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    for (i, line) in code.iter().enumerate() {
+        if !in_test[i] && line.contains(KEY_SEAM_TOKEN) {
+            out.push(format!(
+                "{rel}:{}: [key_seam] `{KEY_SEAM_TOKEN}` re-hashes key bytes \
+                 (read the fingerprint the key carries: `TupleKey::key_id`)",
+                i + 1
+            ));
         }
     }
 }
@@ -1010,6 +1034,25 @@ mod tests {
         assert!(lint("crates/engine/src/bolt.rs", &gated).is_empty());
         let mention = "// the count replaced signals.dispatch(w)\nfn f() {}\n";
         assert!(lint("crates/engine/src/bolt.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_second_key_hash_is_caught() {
+        let src = "fn execute(&mut self, tuple: Tuple) {\n    \
+                   use pkg_hash::StreamKey;\n    \
+                   let key_id = tuple.key.as_bytes().key_id();\n    \
+                   self.window.insert(tuple.key, key_id, tuple.value, self.ticks);\n}\n";
+        let v = lint("crates/apps/src/bolts.rs", src);
+        assert!(v.iter().any(|v| v.contains("[key_seam]") && v.contains("bolts.rs:3")), "{v:?}");
+        let v = lint("crates/engine/src/grouping.rs", src);
+        assert!(v.iter().any(|v| v.contains("[key_seam]")), "{v:?}");
+        // The key type itself hashes its bytes; tests and a mention in a
+        // comment are fine.
+        assert!(lint("crates/engine/src/tuple.rs", src).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/apps/src/bolts.rs", &gated).is_empty());
+        let mention = "// the counter used to call key.as_bytes().key_id()\nfn f() {}\n";
+        assert!(lint("crates/apps/src/bolts.rs", mention).is_empty());
     }
 
     #[test]
