@@ -49,6 +49,11 @@ impl PartialAgg for Count {
         self.n as i64
     }
 
+    /// One observation (of any value) exactly when `n = 1`.
+    fn as_observation(&self) -> Option<i64> {
+        (self.n == 1).then_some(1)
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.n);
     }
@@ -93,6 +98,11 @@ impl PartialAgg for Sum {
 
     fn emit(&self) -> i64 {
         self.total
+    }
+
+    /// Every sum is the single observation of its total.
+    fn as_observation(&self) -> Option<i64> {
+        Some(self.total)
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -143,6 +153,11 @@ impl PartialAgg for Max {
     /// in every shipped pipeline).
     fn emit(&self) -> i64 {
         self.m.unwrap_or(0)
+    }
+
+    /// A set maximum is the single observation of its value.
+    fn as_observation(&self) -> Option<i64> {
+        self.m
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {

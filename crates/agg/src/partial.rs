@@ -7,7 +7,10 @@
 //! [`identity`](PartialAgg::identity), [`insert`](PartialAgg::insert) to fold
 //! one observation, and an associative, commutative [`merge`](PartialAgg::merge)
 //! — plus [`encode`](PartialAgg::encode) / [`decode`](PartialAgg::decode) so
-//! partial states can travel across an engine edge as tuple payloads.
+//! partial states can travel across an engine edge as tuple payloads. A
+//! state that is one observation ([`as_observation`](PartialAgg::as_observation))
+//! needs no payload: it travels as that observation's value, and the
+//! receiver folds it with `insert`.
 //!
 //! Exact accumulators (count, sum, max, mean) satisfy the monoid laws
 //! bit-for-bit; sketch-backed ones (SpaceSaving top-k, BH-histogram
@@ -30,6 +33,8 @@
 ///   several partials and merging equals inserting the whole stream into
 ///   one.
 /// * codec: `decode(encode(a)) ≡ a`.
+/// * observation: `a.as_observation() == Some(v)` implies that
+///   `identity()` after `insert(k, v)` encodes equal to `a`, for every `k`.
 pub trait PartialAgg: Send + Sized + 'static {
     /// Short label for reports and bench ids (`"count"`, `"topk"`, …).
     const NAME: &'static str;
@@ -72,6 +77,16 @@ pub trait PartialAgg: Send + Sized + 'static {
     /// `None` on malformed input, including any state that a later
     /// `insert`, `merge` or `emit` could not handle without panicking.
     fn decode(bytes: &[u8]) -> Option<Self>;
+
+    /// The single observation this state is, if it is one: `Some(v)` only
+    /// when `identity()` after `insert(k, v)` reproduces `self` for every
+    /// key fingerprint `k`. A phase-one flush ships such a partial as a
+    /// plain tuple of value `v` with no payload, and the aggregator folds it
+    /// with `insert` — no codec, no allocation. `None` (the default) ships
+    /// the encoded state.
+    fn as_observation(&self) -> Option<i64> {
+        None
+    }
 
     /// Convenience: encode into a fresh buffer.
     fn encoded(&self) -> Vec<u8> {

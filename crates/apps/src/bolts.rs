@@ -2,9 +2,12 @@
 //!
 //! Phase one is a [`WindowedWorkerBolt`]: it folds its share of the stream
 //! into per-key [`PartialAgg`] accumulators inside a tick-driven
-//! [`TumblingWindow`], and on every pane close emits one tuple per key whose
-//! payload is the *encoded partial state* — the aggregation messages whose
-//! rate the paper's Fig. 5 trades against memory via the period `T`.
+//! [`TumblingWindow`], and on every pane close emits one tuple per key — the
+//! aggregation messages whose rate the paper's Fig. 5 trades against memory
+//! via the period `T`. [`emit_partials`] picks each partial's wire form: a
+//! partial that is a single observation ([`PartialAgg::as_observation`]:
+//! every `Sum`, a set `Max`, a `Count` of one) travels as that value with an
+//! empty payload; any other carries its *encoded state* as the payload.
 //!
 //! Tick delivery is executor-neutral: the bolts count *logical* ticks, so
 //! they work identically whether the engine realizes deadlines with
@@ -15,8 +18,9 @@
 //!
 //! Phase two is an [`AggregatorBolt`]: partials for the same key meet there
 //! (route the edge with `Grouping::Key`, or `Grouping::Global` for
-//! stream-global accumulators) and are combined with `PartialAgg::merge`.
-//! Exact accumulators merge eagerly; sketches are buffered and folded with
+//! stream-global accumulators). An empty-payload tuple is folded with
+//! `PartialAgg::insert`, an encoded partial with `PartialAgg::merge`. Exact
+//! accumulators merge eagerly; sketches are buffered and folded with
 //! [`canonical_merge`] at emission so the result is independent of thread
 //! arrival order. The aggregator's [`Bolt::state_size`] reports its window
 //! buffer — phase-two state is part of the Fig. 5(b) memory bill.
@@ -25,6 +29,7 @@
 //! terminal bolt that snapshots whatever reaches it behind an
 //! `Arc<Mutex<…>>` handle the caller keeps.
 
+use std::collections::hash_map::Entry;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -126,15 +131,6 @@ impl<A: PartialAgg> WindowedWorkerBolt<A> {
         self.delay = ServiceDelay::new(delay);
         self
     }
-
-    fn emit_pane(&mut self, pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {
-        let mut buf = Vec::new();
-        for (key, acc) in pane.accs {
-            buf.clear();
-            acc.encode(&mut buf);
-            out.emit(Tuple::with_payload(key, acc.emit(), buf.as_slice()));
-        }
-    }
 }
 
 impl<A: PartialAgg> Bolt for WindowedWorkerBolt<A> {
@@ -162,13 +158,13 @@ impl<A: PartialAgg> Bolt for WindowedWorkerBolt<A> {
     fn tick(&mut self, out: &mut Emitter<'_>) {
         self.ticks += 1;
         if let Some(pane) = self.window.advance_to(self.ticks) {
-            self.emit_pane(pane, out);
+            emit_partials(pane, out);
         }
     }
 
     fn finish(&mut self, out: &mut Emitter<'_>) {
         if let Some(pane) = self.window.flush() {
-            self.emit_pane(pane, out);
+            emit_partials(pane, out);
         }
     }
 
@@ -177,41 +173,33 @@ impl<A: PartialAgg> Bolt for WindowedWorkerBolt<A> {
     }
 }
 
-/// Per-key aggregator state: an eagerly-merged accumulator for raw inserts
-/// and exact partials, plus a buffer of inexact partials awaiting a
-/// canonical fold.
-struct Slot<A> {
-    local: Option<A>,
-    buffered: Vec<A>,
-}
-
-impl<A: PartialAgg> Slot<A> {
-    fn new() -> Self {
-        Self { local: None, buffered: Vec::new() }
-    }
-
-    fn entries(&self) -> usize {
-        self.local.as_ref().map_or(0, A::entries)
-            + self.buffered.iter().map(A::entries).sum::<usize>()
-    }
-
-    /// Resolve into one accumulator; order-insensitive by construction.
-    fn finalize(self) -> A {
-        let mut parts = self.buffered;
-        parts.extend(self.local);
-        match parts.len() {
-            0 => A::identity(),
-            // The single-partial fast path skips the codec roundtrip, which
-            // also keeps eagerly-merged float state (Mean) bit-exact.
-            1 => parts.into_iter().next().expect("len checked"),
-            _ => canonical_merge(&parts),
+/// Emit a closed phase-one pane downstream, one tuple per key: the wire
+/// form of a partial. A partial that is a single observation
+/// ([`PartialAgg::as_observation`]) ships as `Tuple::new(key, v)` with an
+/// empty payload, which the [`AggregatorBolt`] folds with `insert` — no
+/// codec and no payload allocation per partial. Any other ships with value
+/// [`PartialAgg::emit`] and its encoded state as the payload. Every phase-one
+/// bolt flushes through here (`pkg-lint`'s `partial_seam` rule).
+pub fn emit_partials<A: PartialAgg>(pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {
+    let mut buf = Vec::new();
+    for (key, acc) in pane.accs {
+        match acc.as_observation() {
+            Some(value) => out.emit(Tuple::new(key, value)),
+            None => {
+                buf.clear();
+                acc.encode(&mut buf);
+                out.emit(Tuple::with_payload(key, acc.emit(), buf.as_slice()));
+            }
         }
     }
 }
 
 /// Phase two: merges partial aggregates per key.
 pub struct AggregatorBolt<A: PartialAgg> {
-    slots: FxHashMap<TupleKey, Slot<A>>,
+    /// Eagerly merged state per key: raw observations and exact partials.
+    merged: FxHashMap<TupleKey, A>,
+    /// Inexact partials per key, awaiting a canonical fold at emission.
+    buffered: FxHashMap<TupleKey, Vec<A>>,
     /// Emit-and-clear on every tick (windowed aggregation) instead of only
     /// at end of stream.
     windowed: bool,
@@ -234,16 +222,17 @@ impl<A: PartialAgg> AggregatorBolt<A> {
     /// emits one tuple per key — value [`PartialAgg::emit`], payload the
     /// encoded merged accumulator — in sorted key order.
     ///
-    /// Memory note: exact accumulators merge eagerly, so this mode holds
-    /// one accumulator per key regardless of stream length. Inexact
-    /// (sketch) accumulators are *buffered* until emission to keep the
-    /// canonical fold deterministic — with periodic upstream flushes that
-    /// buffer grows by one partial per worker per pane, so unbounded
-    /// streams over sketches should use [`Self::windowed`] (emit-and-clear
-    /// per tick) instead.
+    /// Memory note: exact accumulators merge eagerly into one map entry
+    /// per key — the key and the accumulator, nothing else — regardless of
+    /// stream length. Inexact (sketch) partials are *buffered* in a second
+    /// map until emission to keep the canonical fold deterministic — with
+    /// periodic upstream flushes that buffer grows by one partial per
+    /// worker per pane, so unbounded streams over sketches should use
+    /// [`Self::windowed`] (emit-and-clear per tick) instead.
     pub fn new() -> Self {
         Self {
-            slots: FxHashMap::default(),
+            merged: FxHashMap::default(),
+            buffered: FxHashMap::default(),
             windowed: false,
             decode_failures: 0,
             hedge_seen: FxHashSet::default(),
@@ -261,11 +250,27 @@ impl<A: PartialAgg> AggregatorBolt<A> {
         self.decode_failures
     }
 
+    /// Fold raw observations into `key`'s merged state.
+    fn observe(&mut self, key: TupleKey, key_id: u64, value: i64) {
+        self.merged.entry(key).or_insert_with(A::identity).insert(key_id, value);
+    }
+
     fn emit_all(&mut self, out: &mut Emitter<'_>) {
-        let mut slots: Vec<(TupleKey, Slot<A>)> = self.slots.drain().collect();
-        slots.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (key, slot) in slots {
-            let acc = slot.finalize();
+        let mut finals: Vec<(TupleKey, A)> =
+            Vec::with_capacity(self.merged.len() + self.buffered.len());
+        for (key, mut parts) in self.buffered.drain() {
+            parts.extend(self.merged.remove(&key));
+            // Order-insensitive by construction. A lone partial skips the
+            // codec roundtrip.
+            let acc = match parts.len() {
+                1 => parts.pop().expect("len checked"),
+                _ => canonical_merge(&parts),
+            };
+            finals.push((key, acc));
+        }
+        finals.extend(self.merged.drain());
+        finals.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (key, acc) in finals {
             let payload = acc.encoded();
             out.emit(Tuple::with_payload(key, acc.emit(), payload));
         }
@@ -279,29 +284,30 @@ impl<A: PartialAgg> Bolt for AggregatorBolt<A> {
             if self.hedge_seen.insert(id) {
                 // First copy to arrive wins: count it as one raw
                 // observation of its key.
-                let slot = self.slots.entry(tuple.key).or_insert_with(Slot::new);
-                slot.local.get_or_insert_with(A::identity).insert(key_id, tuple.value);
+                self.observe(tuple.key, key_id, tuple.value);
             } else {
                 pkg_ingress::hedge::audit::record_duplicate();
             }
             return;
         }
-        let slot = self.slots.entry(tuple.key).or_insert_with(Slot::new);
         if tuple.payload.is_empty() {
-            // A raw observation (single-phase inputs, e.g. running counters
-            // flushed as plain values).
-            slot.local.get_or_insert_with(A::identity).insert(key_id, tuple.value);
-        } else {
-            match A::decode(&tuple.payload) {
-                Some(part) if A::EXACT => match &mut slot.local {
-                    Some(local) => local.merge(&part),
-                    None => slot.local = Some(part),
-                },
-                Some(part) => slot.buffered.push(part),
-                None => {
-                    debug_assert!(false, "undecodable {} payload", A::NAME);
-                    self.decode_failures += 1;
+            // A raw observation: a single-observation partial
+            // (`emit_partials`) or a single-phase input, e.g. running
+            // counters flushed as plain values.
+            self.observe(tuple.key, key_id, tuple.value);
+            return;
+        }
+        match A::decode(&tuple.payload) {
+            Some(part) if A::EXACT => match self.merged.entry(tuple.key) {
+                Entry::Occupied(mut merged) => merged.get_mut().merge(&part),
+                Entry::Vacant(slot) => {
+                    slot.insert(part);
                 }
+            },
+            Some(part) => self.buffered.entry(tuple.key).or_default().push(part),
+            None => {
+                debug_assert!(false, "undecodable {} payload", A::NAME);
+                self.decode_failures += 1;
             }
         }
     }
@@ -319,7 +325,8 @@ impl<A: PartialAgg> Bolt for AggregatorBolt<A> {
     /// Window-buffer entries (merged state plus buffered partials) — the
     /// phase-two contribution to the Fig. 5(b) memory metric.
     fn state_size(&self) -> usize {
-        self.slots.values().map(Slot::entries).sum()
+        self.merged.values().map(A::entries).sum::<usize>()
+            + self.buffered.values().flatten().map(A::entries).sum::<usize>()
     }
 }
 
@@ -385,7 +392,7 @@ impl Bolt for CollectorBolt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pkg_agg::{Sum, TopK};
+    use pkg_agg::{Count, Sum, TopK};
     use pkg_engine::grouping::Grouping;
     use pkg_engine::runtime::Runtime;
     use pkg_engine::spout::spout_from_iter;
@@ -477,8 +484,73 @@ mod tests {
             &mut out,
         );
         assert_eq!(agg.state_size(), 1, "raw inserts and exact partials merge eagerly");
-        let slot = agg.slots.remove(&TupleKey::from_slice(b"k")).expect("slot exists");
-        assert_eq!(slot.finalize().emit(), 42);
+        assert!(agg.buffered.is_empty(), "exact partials are never buffered");
+        let merged = agg.merged.remove(&TupleKey::from_slice(b"k")).expect("key merged");
+        assert_eq!(merged.emit(), 42);
         assert_eq!(agg.decode_failures(), 0);
+    }
+
+    /// Everything a single phase-one `worker` instance emits for `stream`,
+    /// flushed once at end of stream.
+    fn phase_one_output<A: PartialAgg>(
+        worker: fn() -> WindowedWorkerBolt<A>,
+        stream: Vec<Tuple>,
+    ) -> Vec<Tuple> {
+        let collector = Collector::new();
+        let mut topo = Topology::new();
+        let src = topo.add_spout("src", 1, move |_| spout_from_iter(stream.clone()));
+        let worker = topo
+            .add_bolt("worker", 1, move |_| Box::new(worker()))
+            .input(src, Grouping::Shuffle)
+            .id();
+        let c = collector.clone();
+        let _ = topo.add_bolt("sink", 1, move |_| c.bolt()).input(worker, Grouping::Global);
+        Runtime::new().run(topo);
+        collector.tuples()
+    }
+
+    #[test]
+    fn sum_partials_ship_as_plain_values() {
+        let collector = Collector::new();
+        let mut topo = Topology::new();
+        let src = topo.add_spout("src", 2, |_| spout_from_iter(word_stream(3_000, 11)));
+        let worker = topo
+            .add_bolt("worker", 4, |_| Box::new(WindowedWorkerBolt::<Sum>::per_key()))
+            .input(src, Grouping::partial_key())
+            .tick_every(Duration::from_millis(1))
+            .id();
+        let c = collector.clone();
+        let _ = topo.add_bolt("sink", 1, move |_| c.bolt()).input(worker, Grouping::Global);
+        Runtime::new().run(topo);
+        let partials = collector.tuples();
+        assert!(!partials.is_empty());
+        assert!(partials.iter().all(|t| t.payload.is_empty()), "no Sum partial carries a payload");
+        assert_eq!(
+            partials.iter().map(|t| t.value).sum::<i64>(),
+            6_000,
+            "values sum to the stream"
+        );
+    }
+
+    #[test]
+    fn counts_above_one_and_sketches_keep_their_payloads() {
+        // "solo" occurs once; every other word 30 times.
+        let mut stream = word_stream(300, 10);
+        stream.push(Tuple::new(b"solo".to_vec(), 1));
+        let counts = phase_one_output(WindowedWorkerBolt::<Count>::per_key, stream.clone());
+        assert_eq!(counts.len(), 11);
+        for t in &counts {
+            if t.key.as_bytes() == b"solo" {
+                assert!(t.payload.is_empty(), "a count of one ships as its value");
+                assert_eq!(t.value, 1);
+            } else {
+                let part = Count::decode(&t.payload).expect("a count above one ships its state");
+                assert_eq!((part.count(), t.value), (30, 30));
+            }
+        }
+        let sketches = phase_one_output(WindowedWorkerBolt::<TopK<4>>::global, stream);
+        assert_eq!(sketches.len(), 1, "one global summary");
+        let part = TopK::<4>::decode(&sketches[0].payload).expect("a sketch ships its state");
+        assert_eq!((part.emit(), sketches[0].value), (301, 301));
     }
 }

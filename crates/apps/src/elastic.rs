@@ -36,7 +36,7 @@
 
 use std::time::{Duration, Instant};
 
-use pkg_agg::{Pane, PartialAgg, TumblingWindow};
+use pkg_agg::{PartialAgg, TumblingWindow};
 use pkg_elastic::MembershipPlan;
 use pkg_engine::bolt::{Bolt, Emitter};
 use pkg_engine::elastic::{marker_epoch, MigrationBus, MigrationMsg};
@@ -44,6 +44,8 @@ use pkg_engine::tuple::{Tuple, TupleKey};
 use pkg_hash::{FxHashMap, FxHashSet, HashFamily};
 
 use std::sync::Arc;
+
+use crate::bolts::emit_partials;
 
 /// How long [`Bolt::finish`] will poll the migration bus for outstanding
 /// `Done` messages before giving up (a departer stuck before its seal would
@@ -128,15 +130,6 @@ impl<A: PartialAgg> ElasticWorkerBolt<A> {
         !self.waiting.is_empty()
     }
 
-    fn emit_pane(&mut self, pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {
-        let mut buf = Vec::new();
-        for (key, acc) in pane.accs {
-            buf.clear();
-            acc.encode(&mut buf);
-            out.emit(Tuple::with_payload(key, acc.emit(), buf.as_slice()));
-        }
-    }
-
     /// Drain this instance's migration-bus queue: fold `State` into the open
     /// pane, record `Done`s (possibly releasing the gate).
     fn absorb_bus(&mut self, out: &mut Emitter<'_>) {
@@ -148,7 +141,7 @@ impl<A: PartialAgg> ElasticWorkerBolt<A> {
                         // arrival so window lookups stay allocation-free.
                         let key = TupleKey::from(key);
                         if let Some(pane) = self.window.merge_partial(key, &part, self.ticks) {
-                            self.emit_pane(pane, out);
+                            emit_partials(pane, out);
                         }
                     }
                     None => panic!(
@@ -246,7 +239,7 @@ impl<A: PartialAgg> Bolt for ElasticWorkerBolt<A> {
         // before it can flush.
         if self.waiting.is_empty() {
             if let Some(pane) = self.window.advance_to(self.ticks) {
-                self.emit_pane(pane, out);
+                emit_partials(pane, out);
             }
         }
     }
@@ -268,7 +261,7 @@ impl<A: PartialAgg> Bolt for ElasticWorkerBolt<A> {
             self.fold(t);
         }
         if let Some(pane) = self.window.flush() {
-            self.emit_pane(pane, out);
+            emit_partials(pane, out);
         }
     }
 

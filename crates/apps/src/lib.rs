@@ -24,10 +24,11 @@
 //!
 //! Key splitting needs a second aggregation phase (§V-D). `pkg-agg` holds
 //! its algebra; the bolts that run it on the engine live here: [`bolts`]
-//! (the generic [`WindowedWorkerBolt`] / [`AggregatorBolt`] pair and a
-//! [`Collector`] sink), [`elastic`] ([`ElasticWorkerBolt`], phase one
-//! across membership changes) and [`shed`] ([`SketchDegrade`], a shed
-//! policy that folds refused tuples into a Space-Saving summary).
+//! (the generic [`WindowedWorkerBolt`] / [`AggregatorBolt`] pair, the one
+//! phase-one flush [`bolts::emit_partials`], and a [`Collector`] sink),
+//! [`elastic`] ([`ElasticWorkerBolt`], phase one across membership
+//! changes) and [`shed`] ([`SketchDegrade`], a shed policy that folds
+//! refused tuples into a Space-Saving summary).
 
 #![forbid(unsafe_code)]
 

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pkg_agg::{Max, Sum};
-use pkg_datagen::text::{word_bytes_for_rank, word_for_rank, MAX_WORD_LEN};
+use pkg_datagen::text::{word_bytes_for_rank, word_for_rank};
 use pkg_datagen::zipf::ZipfTable;
 use pkg_engine::prelude::*;
 use pkg_engine::topology::NodeId;
@@ -120,8 +120,9 @@ impl Default for WordCountConfig {
 /// The KG counter: running per-word totals, top-k flushes, state retained.
 ///
 /// SG/PKG counters are the generic phase-one [`WindowedWorkerBolt`] over
-/// [`Sum`], flushing and clearing encoded partial counts every aggregation
-/// period. Keeping running totals and flushing only the local top-k is
+/// [`Sum`], flushing and clearing partial counts every aggregation period
+/// (each as a plain count tuple: a sum is a single observation). Keeping
+/// running totals and flushing only the local top-k is
 /// key-grouping-specific logic, not partial aggregation, so it stays here.
 struct RunningTopKBolt {
     counts: FxHashMap<TupleKey, i64>,
@@ -184,8 +185,9 @@ impl Spout for Paced {
     }
 }
 
-/// Precomputed rank→word table: fixed-width word bytes plus actual length.
-type Lexicon = Vec<([u8; MAX_WORD_LEN], u8)>;
+/// Precomputed rank→word table of finished keys: each word's bytes and
+/// fingerprint, so emitting a word is a 32-byte copy, not a murmur3.
+type Lexicon = Vec<TupleKey>;
 
 /// Build the three-stage topology: `source → counter → aggregator`.
 ///
@@ -200,16 +202,17 @@ pub fn wordcount_topology(cfg: &WordCountConfig) -> (Topology, NodeId, NodeId, N
     // that was 1 s of setup, dwarfing the benchmark's execution time.
     // Streams are unchanged: only the per-instance RNG seed differs.
     let shared_zipf = Arc::new(ZipfTable::with_p1(cfg.vocabulary, cfg.p1));
-    // Rank→word synthesis costs a base-70 division chain per tuple; for
-    // realistic vocabularies the whole lexicon is precomputed (10k words
-    // ≈ 230 KiB) so the hot loop is a table lookup. Streams are
+    // Rank→word synthesis costs a base-70 division chain per tuple, and
+    // building a key a murmur3 over its bytes; for realistic vocabularies
+    // the whole lexicon is precomputed as finished keys (10k words
+    // ≈ 312 KiB) so the hot loop is a table lookup and a copy. Streams are
     // byte-identical either way.
     let shared_words: Option<Arc<Lexicon>> = (cfg.vocabulary <= 1 << 16).then(|| {
         Arc::new(
             (0..cfg.vocabulary)
                 .map(|r| {
                     let (word, len) = word_bytes_for_rank(r);
-                    (word, len as u8)
+                    TupleKey::from_slice(&word[..len])
                 })
                 .collect(),
         )
@@ -228,8 +231,7 @@ pub fn wordcount_topology(cfg: &WordCountConfig) -> (Topology, NodeId, NodeId, N
             // Stack/table-buffered word bytes: every word fits the tuple
             // key's inline capacity, so the source emits without allocating.
             if let Some(words) = &words {
-                let (word, len) = &words[rank as usize];
-                Some(Tuple::new(&word[..usize::from(*len)], 1))
+                Some(Tuple::new(words[rank as usize].clone(), 1))
             } else {
                 let (word, len) = word_bytes_for_rank(rank);
                 Some(Tuple::new(&word[..len], 1))

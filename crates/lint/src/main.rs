@@ -40,6 +40,9 @@
 //! | `key_`    | whole workspace but engine    | no `.as_bytes().key_id(` — a key is hashed    |
 //! | `seam`    | `tuple.rs`, non-test          | once, when its `TupleKey` is built, and read  |
 //! |           |                               | as `TupleKey::key_id` after that              |
+//! | `partial_`| `pkg-apps` non-test code but  | no `Tuple::with_payload(` — phase-one bolts   |
+//! | `seam`    | `bolts.rs`                    | flush through `emit_partials`, which picks a  |
+//! |           |                               | partial's wire form (value or encoded state)  |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -143,6 +146,15 @@ const CORE_SEAMS: [(&str, &str, &str); 2] = [
 const KEY_SEAM_FILE: &str = "crates/engine/src/tuple.rs";
 const KEY_SEAM_TOKEN: &str = ".as_bytes().key_id(";
 
+/// Where the `partial_seam` rule applies, the one file there that may build
+/// payload tuples, and the call. Every phase-one bolt flushes a pane through
+/// `emit_partials` in `bolts.rs`, which ships a single-observation partial as
+/// its value and anything else as its encoded state; a bolt that built its
+/// own payload tuples would bypass that choice.
+const PARTIAL_SEAM_DIR: &str = "crates/apps/src/";
+const PARTIAL_SEAM_FILE: &str = "crates/apps/src/bolts.rs";
+const PARTIAL_SEAM_TOKEN: &str = "Tuple::with_payload(";
+
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
 
@@ -241,6 +253,9 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     }
     if rel != KEY_SEAM_FILE {
         rule_key_seam(rel, &code, &in_test, &mut out);
+    }
+    if rel.starts_with(PARTIAL_SEAM_DIR) && rel != PARTIAL_SEAM_FILE {
+        rule_partial_seam(rel, &code, &in_test, &mut out);
     }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
@@ -409,6 +424,18 @@ fn rule_key_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<Str
             out.push(format!(
                 "{rel}:{}: [key_seam] `{KEY_SEAM_TOKEN}` re-hashes key bytes \
                  (read the fingerprint the key carries: `TupleKey::key_id`)",
+                i + 1
+            ));
+        }
+    }
+}
+
+fn rule_partial_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    for (i, line) in code.iter().enumerate() {
+        if !in_test[i] && line.contains(PARTIAL_SEAM_TOKEN) {
+            out.push(format!(
+                "{rel}:{}: [partial_seam] `{PARTIAL_SEAM_TOKEN}` outside `bolts.rs` \
+                 (flush partials through `pkg_apps::bolts::emit_partials`)",
                 i + 1
             ));
         }
@@ -1053,6 +1080,29 @@ mod tests {
         assert!(lint("crates/apps/src/bolts.rs", &gated).is_empty());
         let mention = "// the counter used to call key.as_bytes().key_id()\nfn f() {}\n";
         assert!(lint("crates/apps/src/bolts.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_partial_flush_outside_bolts_is_caught() {
+        let src = "fn emit_pane(&mut self, pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {\n    \
+                   for (key, acc) in pane.accs {\n        \
+                   out.emit(Tuple::with_payload(key, acc.emit(), acc.encoded()));\n    }\n}\n";
+        let v = lint("crates/apps/src/elastic.rs", src);
+        assert!(
+            v.iter().any(|v| v.contains("[partial_seam]") && v.contains("elastic.rs:3")),
+            "{v:?}"
+        );
+        let v = lint("crates/apps/src/wordcount.rs", src);
+        assert!(v.iter().any(|v| v.contains("[partial_seam]")), "{v:?}");
+        // The helper's file, other crates, tests and a mention in a comment
+        // are fine.
+        assert!(lint("crates/apps/src/bolts.rs", src).is_empty());
+        assert!(lint("crates/bench/src/bin/fig_elastic.rs", src).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/apps/src/elastic.rs", &gated).is_empty());
+        let mention =
+            "// the pane used to go out as Tuple::with_payload(key, v, bytes)\nfn f() {}\n";
+        assert!(lint("crates/apps/src/elastic.rs", mention).is_empty());
     }
 
     #[test]

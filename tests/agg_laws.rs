@@ -5,7 +5,9 @@
 //! (float-tolerance for mean); sketch accumulators (top-k, distinct) are
 //! exactly commutative, deterministic under `canonical_merge`, and bounded
 //! against ground truth on split streams. Every decoder either rejects an
-//! arbitrary payload or yields a state the later operations handle.
+//! arbitrary payload or yields a state the later operations handle. A
+//! state that claims to be a single observation (`as_observation`) is
+//! exactly that observation inserted into the identity.
 
 use proptest::prelude::*;
 
@@ -71,6 +73,35 @@ fn decode_all_or_reject(bytes: &[u8]) {
     decode_or_reject::<Distinct<32>>(bytes);
 }
 
+/// The observation law for one state: `as_observation() == Some(v)` implies
+/// that `identity()` after `insert(k, v)` encodes equal to `state`.
+fn observation_law<A: PartialAgg>(state: &A, k: u64) {
+    if let Some(v) = state.as_observation() {
+        let mut one = A::identity();
+        one.insert(k, v);
+        assert_eq!(one.encoded(), state.encoded(), "{} claims to be the observation {v}", A::NAME);
+    }
+}
+
+/// The observation law for every shipped accumulator, over the state
+/// `stream` folds into and over whatever `bytes` decodes to.
+fn observation_law_all(stream: &[(u64, i64, usize)], bytes: &[u8], k: u64) {
+    fn check<A: PartialAgg>(stream: &[(u64, i64, usize)], bytes: &[u8], k: u64) {
+        observation_law(&fold::<A>(stream, None), k);
+        if let Some(decoded) = A::decode(bytes) {
+            observation_law(&decoded, k);
+        }
+    }
+    check::<Count>(stream, bytes, k);
+    check::<Sum>(stream, bytes, k);
+    check::<Max>(stream, bytes, k);
+    check::<Mean>(stream, bytes, k);
+    check::<TopK<2>>(stream, bytes, k);
+    check::<TopK<16>>(stream, bytes, k);
+    check::<Distinct<2>>(stream, bytes, k);
+    check::<Distinct<32>>(stream, bytes, k);
+}
+
 fn words_to_bytes(words: &[u64]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
@@ -94,8 +125,54 @@ fn payloads_that_used_to_panic_are_rejected() {
     }
 }
 
+#[test]
+fn single_observations_are_recognised_where_exact() {
+    let one = |v: i64| -> [Option<i64>; 6] {
+        fn single<A: PartialAgg>(v: i64) -> Option<i64> {
+            let mut a = A::identity();
+            a.insert(9, v);
+            a.as_observation()
+        }
+        [
+            single::<Count>(v),
+            single::<Sum>(v),
+            single::<Max>(v),
+            single::<Mean>(v),
+            single::<TopK<4>>(v),
+            single::<Distinct<4>>(v),
+        ]
+    };
+    assert_eq!(one(7), [Some(1), Some(7), Some(7), None, None, None]);
+    assert_eq!(one(-3), [Some(1), Some(-3), Some(-3), None, None, None]);
+    // Empty states and counts above one are no single observation.
+    assert_eq!(Count::identity().as_observation(), None);
+    assert_eq!(Max::identity().as_observation(), None);
+    let mut two = Count::identity();
+    two.insert(1, 1);
+    two.insert(2, 1);
+    assert_eq!(two.as_observation(), None);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn observation_form_is_the_state_it_replaces(
+        stream in prop::collection::vec((0u64..50, -100i64..100, 0usize..1), 0..4),
+        words in prop::collection::vec((0u64..3, any::<u64>(), 0u8..2), 0..4),
+        tag in 0u8..3,
+        k in any::<u64>(),
+    ) {
+        // Short streams reach the one-observation states (a `Count` of 1)
+        // and their neighbours (0, 2, 3). Decoded payloads reach states no
+        // short stream builds — small words half the time, so a decoded
+        // `Count` is often 0, 1 or 2 — and a leading tag byte `Max`'s.
+        let words: Vec<u64> =
+            words.iter().map(|&(small, big, pick)| if pick == 0 { small } else { big }).collect();
+        let bytes = words_to_bytes(&words);
+        observation_law_all(&stream, &bytes, k);
+        observation_law_all(&stream, &[&[tag][..], &bytes[..]].concat(), k);
+    }
 
     #[test]
     fn arbitrary_payloads_decode_or_reject_without_panicking(
