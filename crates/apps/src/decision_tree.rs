@@ -300,7 +300,7 @@ impl SpdtAggregator {
 pub struct Spdt {
     aggregator: SpdtAggregator,
     workers: Vec<SpdtWorker>,
-    partitioner: Box<dyn Partitioner>,
+    partitioner: Partitioner,
     grow_every: u64,
     seen: u64,
 }

@@ -112,7 +112,7 @@ impl NaiveBayes {
 /// Naive Bayes distributed over `w` workers by a partitioning scheme.
 pub struct PartitionedNb {
     workers: Vec<NaiveBayes>,
-    partitioner: Box<dyn Partitioner>,
+    partitioner: Partitioner,
     /// Class priors are tracked at the source (each example counted once).
     class_examples: FxHashMap<u8, u64>,
     examples: u64,

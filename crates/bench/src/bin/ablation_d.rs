@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use pkg_bench::{scaled, seed, threads, Report, TextTable};
-use pkg_core::{EstimateKind, SchemeSpec};
+use pkg_core::{CandidatePolicy, EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_sim::sweep::{run_parallel, Job};
 use pkg_sim::SimConfig;
@@ -32,9 +32,9 @@ fn main() {
         for &w in &workers {
             for &d in &ds {
                 meta.push((profile.name.clone(), w, d));
-                let mut cfg =
-                    SimConfig::new(w, 5, SchemeSpec::Pkg { d, estimate: EstimateKind::Local })
-                        .with_seed(seed());
+                let policy = CandidatePolicy::Fixed(d);
+                let scheme = SchemeSpec::Greedy { policy, estimate: EstimateKind::Local };
+                let mut cfg = SimConfig::new(w, 5, scheme).with_seed(seed());
                 cfg.track_replication = true;
                 jobs.push(Job { spec: spec.clone(), cfg });
             }

@@ -45,8 +45,7 @@ fn main() {
             meta.push((profile.name.clone(), label.clone()));
             jobs.push(Job {
                 spec: spec.clone(),
-                cfg: SimConfig::new(w, *sources, SchemeSpec::Pkg { d: 2, estimate: *estimate })
-                    .with_seed(seed()),
+                cfg: SimConfig::new(w, *sources, SchemeSpec::pkg(*estimate)).with_seed(seed()),
             });
         }
     }

@@ -26,7 +26,7 @@ fn main() {
     let techniques: Vec<(&str, SchemeSpec)> = vec![
         ("G", SchemeSpec::pkg(EstimateKind::Global)),
         ("L5", SchemeSpec::pkg(EstimateKind::Local)),
-        ("L5P1", SchemeSpec::Pkg { d: 2, estimate: EstimateKind::Probing { period_ms: 60_000 } }),
+        ("L5P1", SchemeSpec::pkg(EstimateKind::Probing { period_ms: 60_000 })),
     ];
     let datasets = [
         scaled(DatasetProfile::twitter()),

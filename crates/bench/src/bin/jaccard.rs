@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 
 use pkg_bench::{scaled, seed, Report, TextTable};
-use pkg_core::{Estimate, PartialKeyGrouping, Partitioner, SharedLoads};
+use pkg_core::{Estimate, PartialKeyGrouping, SharedLoads};
 use pkg_datagen::DatasetProfile;
 use pkg_hash::{FxHashMap, FxHashSet};
 use pkg_metrics::imbalance;

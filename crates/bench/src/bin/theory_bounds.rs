@@ -12,7 +12,7 @@
 //! `d = 1` it should grow like `ln n / ln ln n`.
 
 use pkg_bench::{seed, threads, Report, TextTable};
-use pkg_core::{EstimateKind, SchemeSpec};
+use pkg_core::{CandidatePolicy, EstimateKind, SchemeSpec};
 use pkg_datagen::profiles::ProfileKind;
 use pkg_datagen::DatasetProfile;
 use pkg_sim::sweep::{run_parallel, Job};
@@ -40,10 +40,11 @@ fn main() {
         let spec = profile.build(seed());
         for &d in &ds {
             meta.push((n, d, m));
+            let policy = CandidatePolicy::Fixed(d);
+            let scheme = SchemeSpec::Greedy { policy, estimate: EstimateKind::Global };
             jobs.push(Job {
                 spec: spec.clone(),
-                cfg: SimConfig::new(n, 1, SchemeSpec::Pkg { d, estimate: EstimateKind::Global })
-                    .with_seed(seed()),
+                cfg: SimConfig::new(n, 1, scheme).with_seed(seed()),
             });
         }
     }

@@ -87,11 +87,10 @@ pub type AdaptiveChoices = crate::pkg::PartialKeyGrouping;
 mod tests {
     use super::*;
     use crate::estimator::Estimate;
-    use crate::partitioner::Partitioner;
     use crate::pkg::PartialKeyGrouping;
     use pkg_metrics::imbalance;
 
-    fn skewed_loads(p: &mut dyn Partitioner, n: usize, m: u64, hot_share: f64) -> Vec<u64> {
+    fn skewed_loads(p: &mut PartialKeyGrouping, n: usize, m: u64, hot_share: f64) -> Vec<u64> {
         let mut loads = vec![0u64; n];
         let hot_every = (1.0 / hot_share) as u64;
         for i in 0..m {

@@ -11,10 +11,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use pkg_hash::{FxHashMap, HashFamily};
+use pkg_hash::FxHashMap;
 use pkg_metrics::Capacities;
 
-use crate::partitioner::Partitioner;
+use crate::key_grouping::KeyGrouping;
 
 /// A key-frequency histogram (key id → occurrence count), the input to
 /// Off-Greedy.
@@ -66,18 +66,18 @@ impl KeyFrequencies {
 /// Off-Greedy: LPT assignment of keys to workers from a full histogram.
 #[derive(Debug, Clone)]
 pub struct OfflineGreedy {
-    n: usize,
     table: FxHashMap<u64, u32>,
-    fallback: HashFamily,
+    /// Where a key absent from the histogram goes (also the worker count).
+    fallback: KeyGrouping,
 }
 
 impl OfflineGreedy {
     /// Assign all keys of `freqs` by decreasing frequency, each to the
     /// worker with the smallest accumulated expected load. Keys absent from
     /// the histogram (possible when a scheme is evaluated on a different
-    /// sample than it was fitted on) fall back to hashing.
+    /// sample than it was fitted on) fall back to key grouping.
     pub fn new(n: usize, freqs: &KeyFrequencies, seed: u64) -> Self {
-        assert!(n > 0, "need at least one worker");
+        let fallback = KeyGrouping::new(n, seed);
         let mut table = FxHashMap::default();
         table.reserve(freqs.distinct());
         // Min-heap of (accumulated load, worker).
@@ -88,7 +88,7 @@ impl OfflineGreedy {
             table.insert(key, w);
             heap.push(Reverse((load + count, w)));
         }
-        Self { n, table, fallback: HashFamily::new(1, seed) }
+        Self { table, fallback }
     }
 
     /// Heterogeneous LPT: each key (by decreasing frequency) goes to the
@@ -104,7 +104,7 @@ impl OfflineGreedy {
         let Some(caps) = capacities else {
             return Self::new(n, freqs, seed);
         };
-        assert!(n > 0, "need at least one worker");
+        let fallback = KeyGrouping::new(n, seed);
         assert_eq!(caps.len(), n, "one capacity per worker");
         let mut table = FxHashMap::default();
         table.reserve(freqs.distinct());
@@ -124,12 +124,12 @@ impl OfflineGreedy {
             table.insert(key, best as u32);
             loads[best] += count;
         }
-        Self { n, table, fallback: HashFamily::new(1, seed) }
+        Self { table, fallback }
     }
 
     /// The planned (expected) per-worker loads of the assignment.
     pub fn planned_loads(&self, freqs: &KeyFrequencies) -> Vec<u64> {
-        let mut loads = vec![0u64; self.n];
+        let mut loads = vec![0u64; self.n()];
         for (key, count) in freqs.sorted_desc() {
             if let Some(&w) = self.table.get(&key) {
                 loads[w as usize] += count;
@@ -137,29 +137,29 @@ impl OfflineGreedy {
         }
         loads
     }
-}
 
-impl Partitioner for OfflineGreedy {
+    /// The planned worker of `key`.
     #[inline]
-    fn route(&mut self, key: u64, _ts_ms: u64) -> usize {
+    pub fn route(&mut self, key: u64, ts_ms: u64) -> usize {
         match self.table.get(&key) {
             Some(&w) => w as usize,
-            None => self.fallback.choice(0, &key, self.n),
+            None => self.fallback.route(key, ts_ms),
         }
     }
 
-    fn n(&self) -> usize {
-        self.n
+    pub fn n(&self) -> usize {
+        self.fallback.n()
     }
 
-    fn name(&self) -> String {
+    pub fn name(&self) -> String {
         "OfflineGreedy".into()
     }
 
-    fn candidates(&self, key: u64) -> Vec<usize> {
+    /// The one worker `key` goes to.
+    pub fn candidates(&self, key: u64) -> Vec<usize> {
         match self.table.get(&key) {
             Some(&w) => vec![w as usize],
-            None => vec![self.fallback.choice(0, &key, self.n)],
+            None => self.fallback.candidates(key),
         }
     }
 }
@@ -167,6 +167,7 @@ impl Partitioner for OfflineGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partitioner::Partitioner;
 
     #[test]
     fn frequencies_sorted_desc() {
@@ -179,7 +180,7 @@ mod tests {
     #[test]
     fn offline_greedy_membership_is_unsupported() {
         let f = KeyFrequencies::from_keys([1, 2, 3]);
-        let g = OfflineGreedy::new(4, &f, 0);
+        let g = Partitioner::OfflineGreedy(OfflineGreedy::new(4, &f, 0));
         assert!(!g.resizable());
     }
 
@@ -187,7 +188,7 @@ mod tests {
     #[should_panic(expected = "does not support membership changes")]
     fn offline_greedy_apply_membership_panics() {
         let f = KeyFrequencies::from_keys([1, 2, 3]);
-        let mut g = OfflineGreedy::new(4, &f, 0);
+        let mut g = Partitioner::OfflineGreedy(OfflineGreedy::new(4, &f, 0));
         g.apply_membership(&[0, 1]);
     }
 
@@ -251,7 +252,6 @@ mod tests {
 
     #[test]
     fn offline_beats_hashing_on_skew() {
-        use crate::key_grouping::KeyGrouping;
         use pkg_metrics::imbalance;
         // Zipf-ish: key k has frequency ~ 1000/(k+1).
         let mut f = KeyFrequencies::new();

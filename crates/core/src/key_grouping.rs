@@ -6,14 +6,16 @@
 //! sub-streams is determined by `P_t(k) = H1(k) mod W`" (§III). We use the
 //! 64-bit Murmur hash, as the paper's experiments do.
 
-use pkg_hash::HashFamily;
+use pkg_hash::{member_seed, StreamKey};
 
-use crate::partitioner::{check_membership, Partitioner};
+use crate::load_view::reduce;
+use crate::partitioner::check_membership;
 
 /// Single-choice hash partitioner (`KG`).
 #[derive(Debug, Clone)]
 pub struct KeyGrouping {
-    family: HashFamily,
+    /// Seed of the one hash function `H_1`.
+    hash_seed: u64,
     n: usize,
     /// Live membership subset of `0..n` (pkg-elastic); `None` is the
     /// untouched fixed-`W` fast path.
@@ -21,45 +23,46 @@ pub struct KeyGrouping {
 }
 
 impl KeyGrouping {
-    /// Key grouping over `n` workers with hash functions derived from
-    /// `seed`.
+    /// Key grouping over `n` workers hashing with member 0 of `seed`'s hash
+    /// sequence — PKG's first candidate under the same seed (the
+    /// simulator's convention).
     pub fn new(n: usize, seed: u64) -> Self {
+        Self::with_hash_seed(n, member_seed(seed, 0))
+    }
+
+    /// Key grouping over `n` workers hashing with `hash_seed` itself (the
+    /// engine's convention: an edge's seed is the hash seed).
+    pub fn with_hash_seed(n: usize, hash_seed: u64) -> Self {
         assert!(n > 0, "need at least one worker");
-        Self { family: HashFamily::new(1, seed), n, live: None }
+        Self { hash_seed, n, live: None }
+    }
+
+    /// Route `key`: the same worker for every message of the key.
+    #[inline]
+    pub fn route(&mut self, key: u64, _ts_ms: u64) -> usize {
+        self.pick(key)
     }
 
     #[inline]
     fn pick(&self, key: u64) -> usize {
-        match &self.live {
-            None => self.family.choice(0, &key, self.n),
-            Some(live) => self.family.choice_in(0, &key, live),
-        }
-    }
-}
-
-impl Partitioner for KeyGrouping {
-    #[inline]
-    fn route(&mut self, key: u64, _ts_ms: u64) -> usize {
-        self.pick(key)
+        reduce(self.n, self.live.as_deref(), key.hash_seeded(self.hash_seed))
     }
 
-    fn n(&self) -> usize {
+    pub fn n(&self) -> usize {
         self.n
     }
 
-    fn name(&self) -> String {
+    pub fn name(&self) -> String {
         "KeyGrouping".into()
     }
 
-    fn candidates(&self, key: u64) -> Vec<usize> {
+    /// The one worker `key` goes to.
+    pub fn candidates(&self, key: u64) -> Vec<usize> {
         vec![self.pick(key)]
     }
 
-    fn resizable(&self) -> bool {
-        true
-    }
-
-    fn apply_membership(&mut self, live: &[usize]) {
+    /// Reduce the hash onto the live subset `live` of `0..n`.
+    pub fn apply_membership(&mut self, live: &[usize]) {
         check_membership(live, self.n);
         self.live = Some(live.to_vec());
     }
@@ -77,6 +80,17 @@ mod tests {
             assert_eq!(kg.route(99, t), w);
         }
         assert_eq!(kg.candidates(99), vec![w]);
+    }
+
+    #[test]
+    fn seed_conventions_differ_only_by_the_member_seed() {
+        for s in [0u64, 7, 42] {
+            let mut sim = KeyGrouping::new(13, s);
+            let mut raw = KeyGrouping::with_hash_seed(13, member_seed(s, 0));
+            for k in 0..500u64 {
+                assert_eq!(sim.route(k, 0), raw.route(k, 0));
+            }
+        }
     }
 
     #[test]

@@ -29,14 +29,16 @@
 //! [`KeyGrouping`] (KG / hashing "H", §II-A — what `Fixed(1)` must equal),
 //! [`ShuffleGrouping`] (SG, §II-A) and [`OfflineGreedy`] (Off-Greedy, §V).
 //!
-//! All partitioners implement the [`Partitioner`] trait over 64-bit key
-//! identifiers (byte-string keys are fingerprinted via
-//! [`pkg_hash::StreamKey::key_id`]; the engine crate does this at its edge).
+//! Every partitioner routes 64-bit key identifiers (byte-string keys are
+//! fingerprinted via [`pkg_hash::StreamKey::key_id`]; the engine crate does
+//! this at its edge). [`Partitioner`] is the one router over all five, one
+//! enum arm each: the simulator's sources ([`SchemeSpec::build`]) and every
+//! keyed engine edge route through it.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use pkg_core::{Partitioner, PartialKeyGrouping, estimator::Estimate};
+//! use pkg_core::{PartialKeyGrouping, estimator::Estimate};
 //!
 //! let workers = 8;
 //! // PKG with d = 2 choices and local load estimation — the paper's setup.

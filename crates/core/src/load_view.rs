@@ -139,7 +139,7 @@ impl LoadView {
 }
 
 #[inline]
-fn reduce(n: usize, live: Option<&[usize]>, hash: u64) -> usize {
+pub(crate) fn reduce(n: usize, live: Option<&[usize]>, hash: u64) -> usize {
     match live {
         None => (hash % n as u64) as usize,
         Some(live) => live[(hash % live.len() as u64) as usize],

@@ -1,4 +1,5 @@
-//! The [`Partitioner`] trait and buildable scheme specifications.
+//! The [`Partitioner`] — one router over every scheme — and buildable
+//! scheme specifications.
 
 use crate::choice::DEFAULT_EPSILON;
 use crate::estimator::{EstimateKind, SharedLoads};
@@ -9,71 +10,97 @@ use crate::pinned::PinnedGreedy;
 use crate::pkg::{CandidatePolicy, HeadCap, PartialKeyGrouping};
 use crate::shuffle::ShuffleGrouping;
 
-/// A stream partitioning function `P_t : K → [n]` (§II of the paper).
+/// A stream partitioning function `P_t : K → [n]` (§II of the paper): one
+/// arm per partitioner of this crate, built by [`SchemeSpec::build`] in the
+/// simulator and held by every keyed edge of the engine.
 ///
 /// `route` may depend on the partitioner's mutable state (load estimates,
 /// routing tables, round-robin counters) and on the stream time `ts_ms`
-/// (probing estimators); decisions are irrevocable.
-pub trait Partitioner: Send {
+/// (probing estimates); decisions are irrevocable.
+#[derive(Debug, Clone)]
+pub enum Partitioner {
+    /// [`KeyGrouping`]: one hash, no load (KG, "H").
+    KeyGrouping(KeyGrouping),
+    /// [`ShuffleGrouping`]: round-robin (SG).
+    ShuffleGrouping(ShuffleGrouping),
+    /// [`PartialKeyGrouping`]: the greedy family with key splitting (PKG,
+    /// Greedy-`d`, D-Choices, W-Choices).
+    PartialKeyGrouping(PartialKeyGrouping),
+    /// [`PinnedGreedy`]: the greedy family with a routing table (static
+    /// PoTC, On-Greedy).
+    PinnedGreedy(PinnedGreedy),
+    /// [`OfflineGreedy`]: an assignment frozen from the whole histogram.
+    OfflineGreedy(OfflineGreedy),
+}
+
+/// `$body` evaluated on the partitioner of whichever arm `$self` is.
+macro_rules! each {
+    ($self:expr, $p:ident => $body:expr) => {
+        match $self {
+            Partitioner::KeyGrouping($p) => $body,
+            Partitioner::ShuffleGrouping($p) => $body,
+            Partitioner::PartialKeyGrouping($p) => $body,
+            Partitioner::PinnedGreedy($p) => $body,
+            Partitioner::OfflineGreedy($p) => $body,
+        }
+    };
+}
+
+impl Partitioner {
     /// Route a message with key `key` arriving at stream time `ts_ms`;
     /// returns the worker index in `[0, n)`.
-    fn route(&mut self, key: u64, ts_ms: u64) -> usize;
-
-    /// Route a whole batch of keys arriving at stream time `ts_ms`,
-    /// appending one worker index per key to `out` (cleared first).
-    ///
-    /// Decisions are made per key **in stream order** with exactly the same
-    /// state updates as [`Self::route`] — batching amortizes the dispatch,
-    /// never changes a choice. The theory is indifferent: between two
-    /// argmin evaluations the load vector moves by at most the batch size,
-    /// so the greedy process is unchanged (pinned by the `route_batch`
-    /// property test for every [`SchemeSpec`]).
-    fn route_batch(&mut self, keys: &[u64], ts_ms: u64, out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(keys.len());
-        out.extend(keys.iter().map(|&k| self.route(k, ts_ms)));
+    #[inline]
+    pub fn route(&mut self, key: u64, ts_ms: u64) -> usize {
+        each!(self, p => p.route(key, ts_ms))
     }
 
     /// Number of downstream workers.
-    fn n(&self) -> usize;
-
-    /// Human-readable name for experiment output.
-    fn name(&self) -> String;
-
-    /// The workers that may ever receive this key (used by applications for
-    /// query routing: PKG probes exactly two workers, KG one, SG all).
-    fn candidates(&self, key: u64) -> Vec<usize> {
-        let _ = key;
-        (0..self.n()).collect()
+    pub fn n(&self) -> usize {
+        each!(self, p => p.n())
     }
 
-    /// Whether this partitioner supports runtime membership changes via
-    /// [`Self::apply_membership`]. Schemes whose assignment is frozen up
-    /// front (Off-Greedy) stay `false`.
-    fn resizable(&self) -> bool {
-        false
+    /// Human-readable name for experiment output.
+    pub fn name(&self) -> String {
+        each!(self, p => p.name())
+    }
+
+    /// The workers that may receive this key's next message (used by
+    /// applications for query routing: PKG probes exactly two workers, KG
+    /// one, SG all).
+    pub fn candidates(&self, key: u64) -> Vec<usize> {
+        each!(self, p => p.candidates(key))
+    }
+
+    /// Whether [`Self::apply_membership`] is supported: every scheme but
+    /// Off-Greedy, whose assignment is frozen up front.
+    pub fn resizable(&self) -> bool {
+        !matches!(self, Self::OfflineGreedy(_))
     }
 
     /// Restrict routing to the live subset `live` of the fixed id space
     /// `0..n` (pkg-elastic's stable-id invariant: `n` never changes, only
-    /// which indices are live). Hash-based schemes rebuild their candidate
-    /// derivation over `live`; table-based schemes additionally evict
-    /// entries pointing at dead workers. Applying the full set `0..n` must
-    /// route byte-identically to a never-resized partitioner.
+    /// which indices are live). Hash-based schemes reduce their hashes onto
+    /// `live`; table-based schemes additionally evict entries pointing at
+    /// dead workers. Applying the full set `0..n` routes byte-identically
+    /// to a never-resized partitioner.
     ///
     /// # Panics
-    /// The default implementation panics: the scheme does not support
-    /// membership changes. Implementations panic on an invalid `live` set
-    /// (empty, unsorted, duplicate, or out-of-range indices).
-    fn apply_membership(&mut self, live: &[usize]) {
-        let _ = live;
-        panic!("{} does not support membership changes", self.name());
+    /// Panics on Off-Greedy (see [`Self::resizable`]) and on an invalid
+    /// `live` set (empty, unsorted, duplicate, or out-of-range indices).
+    pub fn apply_membership(&mut self, live: &[usize]) {
+        match self {
+            Self::KeyGrouping(p) => p.apply_membership(live),
+            Self::ShuffleGrouping(p) => p.apply_membership(live),
+            Self::PartialKeyGrouping(p) => p.apply_membership(live),
+            Self::PinnedGreedy(p) => p.apply_membership(live),
+            Self::OfflineGreedy(p) => panic!("{} does not support membership changes", p.name()),
+        }
     }
 }
 
 /// Validate a membership set against the fixed id space `0..n`: non-empty,
 /// strictly increasing, all indices below `n`. Shared by every
-/// [`Partitioner::apply_membership`] implementation.
+/// [`Partitioner::apply_membership`] arm.
 pub(crate) fn check_membership(live: &[usize], n: usize) {
     assert!(!live.is_empty(), "membership must keep at least one worker live");
     for pair in live.windows(2) {
@@ -93,10 +120,15 @@ pub enum SchemeSpec {
     KeyGrouping,
     /// Round-robin shuffle grouping (SG).
     ShuffleGrouping,
-    /// Partial key grouping: the Greedy-`d` process with key splitting.
-    Pkg {
-        /// Number of hash choices (the paper studies and recommends 2).
-        d: usize,
+    /// The greedy family with key splitting: PKG / Greedy-`d` under
+    /// [`CandidatePolicy::Fixed`] (the paper studies and recommends
+    /// `d = 2`), D-Choices / W-Choices under [`CandidatePolicy::Head`] —
+    /// head keys, estimated frequency past `θ = 2(1+ε)/W`, get
+    /// `⌈p̂·W/(1+ε)⌉` or all candidates of their hash sequence; tail keys
+    /// route like plain PKG.
+    Greedy {
+        /// Candidate count per key.
+        policy: CandidatePolicy,
         /// Load estimation strategy.
         estimate: EstimateKind,
     },
@@ -112,40 +144,25 @@ pub enum SchemeSpec {
     },
     /// Off-Greedy: offline LPT assignment from full key frequencies.
     OffGreedy,
-    /// D-Choices (journal follow-up): head keys — estimated frequency past
-    /// `θ = 2(1+ε)/W` — get `⌈p̂·W/(1+ε)⌉` candidates from their hash
-    /// sequence; tail keys route like plain PKG.
-    DChoices {
-        /// Load estimation strategy.
-        estimate: EstimateKind,
-        /// Relative imbalance target `ε`.
-        epsilon: f64,
-    },
-    /// W-Choices (journal follow-up): head keys may go to *all* workers;
-    /// tail keys route like plain PKG.
-    WChoices {
-        /// Load estimation strategy.
-        estimate: EstimateKind,
-        /// Relative imbalance target `ε`.
-        epsilon: f64,
-    },
 }
 
 impl SchemeSpec {
     /// PKG with two choices and the given estimation strategy — the paper's
     /// recommended configuration.
     pub fn pkg(estimate: EstimateKind) -> Self {
-        SchemeSpec::Pkg { d: 2, estimate }
+        SchemeSpec::Greedy { policy: CandidatePolicy::Fixed(2), estimate }
     }
 
     /// D-Choices with the default imbalance target.
     pub fn d_choices(estimate: EstimateKind) -> Self {
-        SchemeSpec::DChoices { estimate, epsilon: DEFAULT_EPSILON }
+        let policy = CandidatePolicy::Head { epsilon: DEFAULT_EPSILON, cap: HeadCap::PerFrequency };
+        SchemeSpec::Greedy { policy, estimate }
     }
 
     /// W-Choices with the default imbalance target.
     pub fn w_choices(estimate: EstimateKind) -> Self {
-        SchemeSpec::WChoices { estimate, epsilon: DEFAULT_EPSILON }
+        let policy = CandidatePolicy::Head { epsilon: DEFAULT_EPSILON, cap: HeadCap::All };
+        SchemeSpec::Greedy { policy, estimate }
     }
 
     /// Whether this scheme needs the full key-frequency histogram
@@ -159,13 +176,18 @@ impl SchemeSpec {
         match self {
             SchemeSpec::KeyGrouping => "H".into(),
             SchemeSpec::ShuffleGrouping => "SG".into(),
-            SchemeSpec::Pkg { d: 2, estimate } => format!("PKG-{}", estimate.label()),
-            SchemeSpec::Pkg { d, estimate } => format!("PKG{}-{}", d, estimate.label()),
+            SchemeSpec::Greedy { policy, estimate } => {
+                let e = estimate.label();
+                match policy {
+                    CandidatePolicy::Fixed(2) => format!("PKG-{e}"),
+                    CandidatePolicy::Fixed(d) => format!("PKG{d}-{e}"),
+                    CandidatePolicy::Head { cap: HeadCap::PerFrequency, .. } => format!("DC-{e}"),
+                    CandidatePolicy::Head { cap: HeadCap::All, .. } => format!("WC-{e}"),
+                }
+            }
             SchemeSpec::StaticPotc { .. } => "PoTC".into(),
             SchemeSpec::OnGreedy { .. } => "On-Greedy".into(),
             SchemeSpec::OffGreedy => "Off-Greedy".into(),
-            SchemeSpec::DChoices { estimate, .. } => format!("DC-{}", estimate.label()),
-            SchemeSpec::WChoices { estimate, .. } => format!("WC-{}", estimate.label()),
         }
     }
 
@@ -189,34 +211,30 @@ impl SchemeSpec {
         source_index: usize,
         shared: &SharedLoads,
         freqs: Option<&KeyFrequencies>,
-    ) -> Box<dyn Partitioner> {
+    ) -> Partitioner {
         // What every load-consulting scheme routes on.
         let view = |estimate: &EstimateKind| {
             LoadView::new(n, estimate.build(n, shared))
                 .with_capacities(shared.capacities().cloned())
         };
         match self {
-            SchemeSpec::KeyGrouping => Box::new(KeyGrouping::new(n, seed)),
-            SchemeSpec::ShuffleGrouping => Box::new(ShuffleGrouping::with_offset(n, source_index)),
-            SchemeSpec::Pkg { d, estimate } => {
-                Box::new(PartialKeyGrouping::over(view(estimate), CandidatePolicy::Fixed(*d), seed))
+            SchemeSpec::KeyGrouping => Partitioner::KeyGrouping(KeyGrouping::new(n, seed)),
+            SchemeSpec::ShuffleGrouping => {
+                Partitioner::ShuffleGrouping(ShuffleGrouping::with_offset(n, source_index))
             }
+            SchemeSpec::Greedy { policy, estimate } => Partitioner::PartialKeyGrouping(
+                PartialKeyGrouping::over(view(estimate), *policy, seed),
+            ),
             SchemeSpec::StaticPotc { estimate } => {
-                Box::new(PinnedGreedy::potc(view(estimate), seed))
+                Partitioner::PinnedGreedy(PinnedGreedy::potc(view(estimate), seed))
             }
-            SchemeSpec::OnGreedy { estimate } => Box::new(PinnedGreedy::on_greedy(view(estimate))),
+            SchemeSpec::OnGreedy { estimate } => {
+                Partitioner::PinnedGreedy(PinnedGreedy::on_greedy(view(estimate)))
+            }
             SchemeSpec::OffGreedy => {
                 let freqs = freqs.expect("Off-Greedy requires key frequencies");
-                Box::new(OfflineGreedy::weighted(n, freqs, seed, shared.capacities()))
-            }
-            SchemeSpec::DChoices { estimate, epsilon }
-            | SchemeSpec::WChoices { estimate, epsilon } => {
-                let cap = match self {
-                    SchemeSpec::DChoices { .. } => HeadCap::PerFrequency,
-                    _ => HeadCap::All,
-                };
-                let policy = CandidatePolicy::Head { epsilon: *epsilon, cap };
-                Box::new(PartialKeyGrouping::over(view(estimate), policy, seed))
+                let g = OfflineGreedy::weighted(n, freqs, seed, shared.capacities());
+                Partitioner::OfflineGreedy(g)
             }
         }
     }
@@ -230,7 +248,11 @@ mod tests {
     fn labels() {
         assert_eq!(SchemeSpec::KeyGrouping.label(), "H");
         assert_eq!(SchemeSpec::pkg(EstimateKind::Local).label(), "PKG-L");
-        assert_eq!(SchemeSpec::Pkg { d: 5, estimate: EstimateKind::Global }.label(), "PKG5-G");
+        let pkg5 = SchemeSpec::Greedy {
+            policy: CandidatePolicy::Fixed(5),
+            estimate: EstimateKind::Global,
+        };
+        assert_eq!(pkg5.label(), "PKG5-G");
         assert_eq!(SchemeSpec::OffGreedy.label(), "Off-Greedy");
         assert_eq!(SchemeSpec::d_choices(EstimateKind::Local).label(), "DC-L");
         assert_eq!(SchemeSpec::w_choices(EstimateKind::Global).label(), "WC-G");
@@ -250,6 +272,7 @@ mod tests {
             SchemeSpec::w_choices(EstimateKind::Local),
         ] {
             let mut p = spec.build(4, 7, 0, &shared, None);
+            assert!(p.resizable(), "{} must support membership", spec.label());
             for k in 0..100u64 {
                 let w = p.route(k, 0);
                 assert!(w < 4, "{} routed out of range", spec.label());

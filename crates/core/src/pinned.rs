@@ -19,7 +19,6 @@
 use pkg_hash::{member_seed, FxHashMap, StreamKey};
 
 use crate::load_view::LoadView;
-use crate::partitioner::Partitioner;
 
 /// Routing-table greedy (the "PoTC" and "On-Greedy" rows of Table II).
 #[derive(Debug, Clone)]
@@ -50,10 +49,9 @@ impl PinnedGreedy {
     pub fn table_entries(&self) -> usize {
         self.table.len()
     }
-}
 
-impl Partitioner for PinnedGreedy {
-    fn route(&mut self, key: u64, ts_ms: u64) -> usize {
+    /// Route `key` to its pinned worker, pinning it on first sight.
+    pub fn route(&mut self, key: u64, ts_ms: u64) -> usize {
         let w = match self.table.get(&key) {
             Some(&w) => w as usize,
             None => {
@@ -71,15 +69,16 @@ impl Partitioner for PinnedGreedy {
         w
     }
 
-    fn n(&self) -> usize {
+    pub fn n(&self) -> usize {
         self.view.n()
     }
 
-    fn name(&self) -> String {
+    pub fn name(&self) -> String {
         if self.seeds.is_empty() { "OnlineGreedy" } else { "StaticPoTC" }.into()
     }
 
-    fn candidates(&self, key: u64) -> Vec<usize> {
+    /// The workers `key`'s next message may go to.
+    pub fn candidates(&self, key: u64) -> Vec<usize> {
         if self.seeds.is_empty() {
             return (0..self.view.n()).collect();
         }
@@ -91,14 +90,11 @@ impl Partitioner for PinnedGreedy {
         }
     }
 
-    fn resizable(&self) -> bool {
-        true
-    }
-
-    /// Evicts routing-table entries pinned to dead workers — those keys are
-    /// re-placed (among their live candidates) on next sight, which is the
-    /// table-based analogue of key migration.
-    fn apply_membership(&mut self, live: &[usize]) {
+    /// Route over the live subset `live` of `0..n`, evicting routing-table
+    /// entries pinned to dead workers — those keys are re-placed (among
+    /// their live candidates) on next sight, which is the table-based
+    /// analogue of key migration.
+    pub fn apply_membership(&mut self, live: &[usize]) {
         self.view.set_live(live);
         self.table.retain(|_, w| live.binary_search(&(*w as usize)).is_ok());
     }

@@ -28,7 +28,6 @@ use crate::choice::ChoiceConfig;
 use crate::estimator::Estimate;
 use crate::head_tracker::{is_head_at, HeadTracker};
 use crate::load_view::LoadView;
-use crate::partitioner::Partitioner;
 
 /// How many members of its hash sequence a key may be routed among.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,7 +127,7 @@ impl PartialKeyGrouping {
 
     /// Whether the *next* message of `key` routes as a head key (never,
     /// under a fixed policy). Uses the same prediction as
-    /// [`Partitioner::route`], so it must be consulted *before* routing
+    /// [`Self::route`], so it must be consulted *before* routing
     /// that message (`route` observes the key and can flip the prediction
     /// for the one after).
     pub fn is_head(&self, key: u64) -> bool {
@@ -185,11 +184,13 @@ fn members(d: Option<usize>, w: usize) -> Option<usize> {
     }
 }
 
-impl Partitioner for PartialKeyGrouping {
+impl PartialKeyGrouping {
+    /// Route a message of `key` at stream time `ts_ms` to the least-loaded
+    /// of its candidates and account it.
     // Not `#[inline]`: a downstream crate's own copy of this body measured
     // ~1.5× slower than a direct call to this crate's (the hash and the
     // estimate read stop being inlined into it).
-    fn route(&mut self, key: u64, ts_ms: u64) -> usize {
+    pub fn route(&mut self, key: u64, ts_ms: u64) -> usize {
         // Ties break toward the earlier member, so with no head keys a head
         // policy is PKG, byte for byte. A head policy probes its tracker
         // once: `observe`, then classify from what it returned.
@@ -212,11 +213,11 @@ impl Partitioner for PartialKeyGrouping {
         w
     }
 
-    fn n(&self) -> usize {
+    pub fn n(&self) -> usize {
         self.view.n()
     }
 
-    fn name(&self) -> String {
+    pub fn name(&self) -> String {
         match &self.head {
             None => format!("PartialKeyGrouping(d={})", self.seeds.len()),
             Some(Head { config, cap: HeadCap::PerFrequency, .. }) => {
@@ -233,22 +234,19 @@ impl Partitioner for PartialKeyGrouping {
     /// head). Computed with the same prediction the router uses, so
     /// `candidates(k)` immediately followed by `route(k, _)` always
     /// contains the routed worker.
-    fn candidates(&self, key: u64) -> Vec<usize> {
+    pub fn candidates(&self, key: u64) -> Vec<usize> {
         match self.next_count(key) {
             Some(d) => (0..d).map(|i| self.choice(i, key)).collect(),
             None => self.view.live_workers(),
         }
     }
 
-    fn resizable(&self) -> bool {
-        true
-    }
-
-    /// Under a head policy this also re-derives the head threshold
+    /// Route over the live subset `live` of `0..n`. Under a head policy
+    /// this also re-derives the head threshold
     /// `θ = 2(1+ε)/|live|`. The head tracker is kept: it was sized for
     /// `θ_n ≤ θ_live` (live sets only shrink below `n`), so it already
     /// tracks every key that can be head under the new membership.
-    fn apply_membership(&mut self, live: &[usize]) {
+    pub fn apply_membership(&mut self, live: &[usize]) {
         self.view.set_live(live);
         if let Some(head) = &mut self.head {
             head.theta = head.config.theta(live.len());
@@ -381,7 +379,6 @@ mod tests {
         let mut a = pkg(12, 2, 8);
         let mut b = pkg(12, 2, 8);
         b.apply_membership(&(0..12).collect::<Vec<_>>());
-        assert!(b.resizable());
         for t in 0..5_000u64 {
             let key = t % 200;
             assert_eq!(a.route(key, t), b.route(key, t), "diverged at t={t}");

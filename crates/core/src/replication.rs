@@ -101,7 +101,6 @@ mod tests {
     use super::*;
     use crate::estimator::Estimate;
     use crate::key_grouping::KeyGrouping;
-    use crate::partitioner::Partitioner;
     use crate::pkg::PartialKeyGrouping;
     use crate::shuffle::ShuffleGrouping;
 

@@ -6,7 +6,7 @@
 //! of the key space" (§II-A). Its imbalance is at most one message per
 //! source; its cost is `O(W·K)` state for stateful operators.
 
-use crate::partitioner::{check_membership, Partitioner};
+use crate::partitioner::check_membership;
 
 /// Round-robin partitioner (`SG`).
 #[derive(Debug, Clone)]
@@ -31,11 +31,10 @@ impl ShuffleGrouping {
         assert!(n > 0, "need at least one worker");
         Self { n, next: offset % n, live: None }
     }
-}
 
-impl Partitioner for ShuffleGrouping {
+    /// The next worker of the cycle.
     #[inline]
-    fn route(&mut self, _key: u64, _ts_ms: u64) -> usize {
+    pub fn route(&mut self, _key: u64, _ts_ms: u64) -> usize {
         let len = self.live.as_ref().map_or(self.n, Vec::len);
         let w = match &self.live {
             None => self.next,
@@ -48,26 +47,24 @@ impl Partitioner for ShuffleGrouping {
         w
     }
 
-    fn n(&self) -> usize {
+    pub fn n(&self) -> usize {
         self.n
     }
 
-    fn name(&self) -> String {
+    pub fn name(&self) -> String {
         "ShuffleGrouping".into()
     }
 
-    fn candidates(&self, _key: u64) -> Vec<usize> {
+    /// Every live worker.
+    pub fn candidates(&self, _key: u64) -> Vec<usize> {
         match &self.live {
             None => (0..self.n).collect(),
             Some(live) => live.clone(),
         }
     }
 
-    fn resizable(&self) -> bool {
-        true
-    }
-
-    fn apply_membership(&mut self, live: &[usize]) {
+    /// Cycle over the live subset `live` of `0..n`.
+    pub fn apply_membership(&mut self, live: &[usize]) {
         check_membership(live, self.n);
         // Keep the stagger but land inside the new cycle length.
         self.next %= live.len();

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use pkg_core::{
-    CandidatePolicy, Estimate, HeadCap, LoadView, PartialKeyGrouping, Partitioner as _,
-    SharedLoads, DEFAULT_EPSILON,
+    CandidatePolicy, Estimate, HeadCap, KeyGrouping, LoadView, PartialKeyGrouping, Partitioner,
+    SharedLoads, ShuffleGrouping, DEFAULT_EPSILON,
 };
 use pkg_elastic::MembershipPlan;
 
@@ -175,20 +175,14 @@ pub struct Router {
 }
 
 // A router is built once per (edge, sender) and routed through in place:
-// boxing the greedy arm would buy nothing but a pointer chase per tuple.
+// boxing the keyed arm would buy nothing but a pointer chase per tuple.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum RouterKind {
-    Shuffle {
-        next: usize,
-    },
-    Key {
-        seed: u64,
-    },
-    /// [`Grouping::Greedy`]: one greedy partitioner, configured by its
-    /// candidate policy; `elastic` is the replay state of its plan.
-    Greedy {
-        pkg: PartialKeyGrouping,
+    /// `Shuffle`, `Key` and `Greedy`: the sender's pkg-core partitioner;
+    /// `elastic` is the replay state of a greedy edge's plan.
+    Keyed {
+        scheme: Partitioner,
         elastic: Option<PlanReplay>,
     },
     Global,
@@ -208,8 +202,10 @@ impl Router {
     /// Build routing state for an edge with `n` downstream instances.
     ///
     /// `seed` must be shared by all senders on the edge (so they agree on
-    /// hash candidates); `sender_index` staggers shuffle's round-robin.
-    /// Load-consulting groupings estimate locally — the paper's default.
+    /// hash candidates; key grouping hashes with it directly, see
+    /// [`KeyGrouping::with_hash_seed`]); `sender_index` staggers shuffle's
+    /// round-robin. Load-consulting groupings estimate locally — the
+    /// paper's default.
     pub fn new(grouping: &Grouping, n: usize, seed: u64, sender_index: usize) -> Self {
         Self::with_shared(grouping, n, seed, sender_index, None)
     }
@@ -228,9 +224,12 @@ impl Router {
         shared: Option<&SharedLoads>,
     ) -> Self {
         assert!(n > 0, "edges need at least one downstream instance");
+        let keyed = |scheme| RouterKind::Keyed { scheme, elastic: None };
         let kind = match grouping {
-            Grouping::Shuffle => RouterKind::Shuffle { next: sender_index % n },
-            Grouping::Key => RouterKind::Key { seed },
+            Grouping::Shuffle => {
+                keyed(Partitioner::ShuffleGrouping(ShuffleGrouping::with_offset(n, sender_index)))
+            }
+            Grouping::Key => keyed(Partitioner::KeyGrouping(KeyGrouping::with_hash_seed(n, seed))),
             Grouping::Greedy { policy, plan } => {
                 let estimate = match (plan, shared) {
                     (None, Some(s)) => {
@@ -239,17 +238,18 @@ impl Router {
                     }
                     _ => Estimate::local(n),
                 };
-                let mut pkg = PartialKeyGrouping::over(LoadView::new(n, estimate), *policy, seed);
+                let pkg = PartialKeyGrouping::over(LoadView::new(n, estimate), *policy, seed);
+                let mut scheme = Partitioner::PartialKeyGrouping(pkg);
                 let elastic = plan.as_ref().map(|plan| {
                     assert_eq!(
                         plan.capacity(),
                         n,
                         "membership plan id space must match the downstream instance count"
                     );
-                    pkg.apply_membership(plan.live(0));
+                    scheme.apply_membership(plan.live(0));
                     PlanReplay { plan: Arc::clone(plan), routed: 0, next_epoch: 1 }
                 });
-                RouterKind::Greedy { pkg, elastic }
+                RouterKind::Keyed { scheme, elastic }
             }
             Grouping::Global => RouterKind::Global,
             Grouping::Broadcast => RouterKind::Broadcast,
@@ -261,23 +261,11 @@ impl Router {
     #[inline]
     pub fn route(&mut self, key_id: u64) -> Target {
         match &mut self.kind {
-            RouterKind::Shuffle { next } => {
-                let t = *next;
-                *next += 1;
-                if *next == self.n {
-                    *next = 0;
-                }
-                Target::One(t)
-            }
-            RouterKind::Key { seed } => {
-                use pkg_hash::StreamKey;
-                Target::One((key_id.hash_seeded(*seed) % self.n as u64) as usize)
-            }
-            RouterKind::Greedy { pkg, elastic } => {
+            RouterKind::Keyed { scheme, elastic } => {
                 if let Some(replay) = elastic {
                     replay.routed += 1;
                 }
-                Target::One(pkg.route(key_id, 0))
+                Target::One(scheme.route(key_id, 0))
             }
             RouterKind::Global => Target::One(0),
             RouterKind::Broadcast => Target::All,
@@ -292,7 +280,11 @@ impl Router {
     /// dispatcher uses this to pick the fallback instance.
     pub fn head_candidates(&self, key_id: u64) -> Option<Vec<usize>> {
         match &self.kind {
-            RouterKind::Greedy { pkg, .. } if pkg.is_head(key_id) => Some(pkg.candidates(key_id)),
+            RouterKind::Keyed { scheme: Partitioner::PartialKeyGrouping(pkg), .. }
+                if pkg.is_head(key_id) =>
+            {
+                Some(pkg.candidates(key_id))
+            }
             _ => None,
         }
     }
@@ -307,11 +299,11 @@ impl Router {
     /// and between thresholds.
     pub fn advance_epoch(&mut self) -> Option<u32> {
         match &mut self.kind {
-            RouterKind::Greedy { pkg, elastic: Some(replay) } => {
+            RouterKind::Keyed { scheme, elastic: Some(replay) } => {
                 let PlanReplay { plan, routed, next_epoch } = replay;
                 if *next_epoch < plan.epochs() && *routed >= plan.threshold(*next_epoch) {
                     let epoch = *next_epoch;
-                    pkg.apply_membership(plan.live(epoch));
+                    scheme.apply_membership(plan.live(epoch));
                     *next_epoch += 1;
                     Some(epoch)
                 } else {
@@ -327,7 +319,7 @@ impl Router {
     /// other grouping and past the plan's last step).
     pub(crate) fn until_epoch(&self) -> usize {
         match &self.kind {
-            RouterKind::Greedy {
+            RouterKind::Keyed {
                 elastic: Some(PlanReplay { plan, routed, next_epoch }), ..
             } if *next_epoch < plan.epochs() => {
                 plan.threshold(*next_epoch).saturating_sub(*routed) as usize
@@ -350,7 +342,7 @@ impl Router {
     /// the batch size, so deferring delivery (not the decision) changes
     /// nothing.
     pub fn is_batchable(&self) -> bool {
-        !matches!(self.kind, RouterKind::Greedy { elastic: Some(_), .. } | RouterKind::Broadcast)
+        !matches!(self.kind, RouterKind::Keyed { elastic: Some(_), .. } | RouterKind::Broadcast)
     }
 
     /// Route a whole batch of key fingerprints in one pass, grouping the
@@ -381,21 +373,11 @@ impl Router {
         out.begin(keys.len());
         let n = self.n;
         match &mut self.kind {
-            RouterKind::Shuffle { next } => route_each(keys, out, on_route, |_| {
-                let t = *next;
-                *next = if t + 1 == n { 0 } else { t + 1 };
-                t
-            }),
-            RouterKind::Key { seed } => {
-                use pkg_hash::StreamKey;
-                let seed = *seed;
-                route_each(keys, out, on_route, |k| (k.hash_seeded(seed) % n as u64) as usize);
-            }
-            RouterKind::Greedy { pkg, elastic } => {
+            RouterKind::Keyed { scheme, elastic } => {
                 if let Some(replay) = elastic {
                     replay.routed += keys.len() as u64;
                 }
-                route_each(keys, out, on_route, |k| pkg.route(k, 0));
+                route_each(keys, out, on_route, |k| scheme.route(k, 0));
             }
             RouterKind::Global => route_each(keys, out, on_route, |_| 0),
             RouterKind::Broadcast => {

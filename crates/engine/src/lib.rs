@@ -11,9 +11,12 @@
 //! backpressure on its sources (exactly the mechanism that makes load
 //! imbalance destroy throughput), and stream partitioning is pluggable
 //! per edge via [`grouping::Grouping`] — including
-//! [`grouping::Grouping::partial_key`], the paper's contribution, implemented on
-//! top of `pkg_core::PartialKeyGrouping` with per-sender **local** load
-//! estimation, just as the reference Storm `CustomStreamGrouping` does.
+//! [`grouping::Grouping::partial_key`], the paper's contribution. Every
+//! keyed edge (shuffle, key, and the greedy family) routes through the
+//! simulator's own router, one `pkg_core::Partitioner` per sender — PKG
+//! with per-sender **local** load estimation, just as the reference Storm
+//! `CustomStreamGrouping` does; the engine adds only global and broadcast
+//! delivery.
 //!
 //! ```
 //! use pkg_engine::prelude::*;

@@ -310,7 +310,6 @@ mod tests {
         let probe = crate::grouping::Router::new(&Grouping::partial_key(), 4, edge_seed, 0);
         let _ = probe; // candidates are internal; probe via a fresh PKG:
         let pkg = pkg_core::PartialKeyGrouping::new(4, 2, pkg_core::Estimate::local(4), edge_seed);
-        use pkg_core::Partitioner as _;
         let hot = (0u64..100)
             .map(|i| format!("hot{i}"))
             .find(|k| {

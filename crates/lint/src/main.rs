@@ -43,6 +43,9 @@
 //! | `partial_`| `pkg-apps` non-test code but  | no `Tuple::with_payload(` — phase-one bolts   |
 //! | `seam`    | `bolts.rs`                    | flush through `emit_partials`, which picks a  |
 //! |           |                               | partial's wire form (value or encoded state)  |
+//! | `route_`  | whole workspace but `pkg-hash`| no `.hash_seeded(` — a key is routed by a     |
+//! | `seam`    | and `pkg-core`, non-test      | `pkg_core::Partitioner`, never by a second    |
+//! |           |                               | hash-and-reduce of its own                    |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -136,15 +139,27 @@ const CORE_SEAM_DIR: &str = "crates/core/src/";
 /// tuple's one shared write is `SharedLoads::record` and no sender outside
 /// pkg-core calls `SharedSignals::dispatch`.
 const CORE_SEAMS: [(&str, &str, &str); 2] = [
-    (".with_signals(", "load_seam", "attach signal state through `LoadSignalOptions::attach`"),
-    (".dispatch(", "signal_seam", "the routed count `SharedLoads::record` is the dispatch tally"),
+    (
+        ".with_signals(",
+        "load_seam",
+        "outside pkg-core (attach signal state through `LoadSignalOptions::attach`)",
+    ),
+    (
+        ".dispatch(",
+        "signal_seam",
+        "outside pkg-core (the routed count `SharedLoads::record` is the dispatch tally)",
+    ),
 ];
 
 /// The one file whose non-test code may fingerprint a key's bytes, and the
 /// call that does it. `key_seam`: `TupleKey`'s constructors hash a key once
 /// and store the result; everything downstream reads the stored fingerprint.
 const KEY_SEAM_FILE: &str = "crates/engine/src/tuple.rs";
-const KEY_SEAM_TOKEN: &str = ".as_bytes().key_id(";
+const KEY_SEAM: (&str, &str, &str) = (
+    ".as_bytes().key_id(",
+    "key_seam",
+    "re-hashes key bytes (read the fingerprint the key carries: `TupleKey::key_id`)",
+);
 
 /// Where the `partial_seam` rule applies, the one file there that may build
 /// payload tuples, and the call. Every phase-one bolt flushes a pane through
@@ -153,7 +168,23 @@ const KEY_SEAM_TOKEN: &str = ".as_bytes().key_id(";
 /// own payload tuples would bypass that choice.
 const PARTIAL_SEAM_DIR: &str = "crates/apps/src/";
 const PARTIAL_SEAM_FILE: &str = "crates/apps/src/bolts.rs";
-const PARTIAL_SEAM_TOKEN: &str = "Tuple::with_payload(";
+const PARTIAL_SEAM: (&str, &str, &str) = (
+    "Tuple::with_payload(",
+    "partial_seam",
+    "outside `bolts.rs` (flush partials through `pkg_apps::bolts::emit_partials`)",
+);
+
+/// The crates whose non-test code may hash a key with a seed, and the call.
+/// `route_seam`: pkg-hash defines the seeded hashes and pkg-core's
+/// `Partitioner` is the one router over them, shared by the simulator and
+/// every keyed engine edge; a `.hash_seeded(` anywhere else would be a
+/// second router whose decisions no byte-identity gate compares.
+const ROUTE_SEAM_DIRS: [&str; 2] = ["crates/core/", "crates/hash/"];
+const ROUTE_SEAM: (&str, &str, &str) = (
+    ".hash_seeded(",
+    "route_seam",
+    "outside pkg-hash and pkg-core (route through a `pkg_core::Partitioner`)",
+);
 
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
@@ -249,13 +280,18 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
         rule_emit_seam(rel, &code, &in_test, &mut out);
     }
     if !rel.starts_with(CORE_SEAM_DIR) {
-        rule_core_seams(rel, &code, &in_test, &mut out);
+        for seam in CORE_SEAMS {
+            rule_token(rel, &code, &in_test, seam, &mut out);
+        }
     }
     if rel != KEY_SEAM_FILE {
-        rule_key_seam(rel, &code, &in_test, &mut out);
+        rule_token(rel, &code, &in_test, KEY_SEAM, &mut out);
     }
     if rel.starts_with(PARTIAL_SEAM_DIR) && rel != PARTIAL_SEAM_FILE {
-        rule_partial_seam(rel, &code, &in_test, &mut out);
+        rule_token(rel, &code, &in_test, PARTIAL_SEAM, &mut out);
+    }
+    if !ROUTE_SEAM_DIRS.iter().any(|dir| rel.starts_with(dir)) {
+        rule_token(rel, &code, &in_test, ROUTE_SEAM, &mut out);
     }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
@@ -405,39 +441,17 @@ fn rule_emit_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<St
     }
 }
 
-fn rule_core_seams(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+/// Flag every non-test line holding `token`: `[rule] `token` remedy`.
+fn rule_token(
+    rel: &str,
+    code: &[String],
+    in_test: &[bool],
+    (token, rule, remedy): (&str, &str, &str),
+    out: &mut Vec<String>,
+) {
     for (i, line) in code.iter().enumerate() {
-        for (token, rule, remedy) in CORE_SEAMS {
-            if !in_test[i] && line.contains(token) {
-                out.push(format!(
-                    "{rel}:{}: [{rule}] `{token}` outside pkg-core ({remedy})",
-                    i + 1
-                ));
-            }
-        }
-    }
-}
-
-fn rule_key_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
-    for (i, line) in code.iter().enumerate() {
-        if !in_test[i] && line.contains(KEY_SEAM_TOKEN) {
-            out.push(format!(
-                "{rel}:{}: [key_seam] `{KEY_SEAM_TOKEN}` re-hashes key bytes \
-                 (read the fingerprint the key carries: `TupleKey::key_id`)",
-                i + 1
-            ));
-        }
-    }
-}
-
-fn rule_partial_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
-    for (i, line) in code.iter().enumerate() {
-        if !in_test[i] && line.contains(PARTIAL_SEAM_TOKEN) {
-            out.push(format!(
-                "{rel}:{}: [partial_seam] `{PARTIAL_SEAM_TOKEN}` outside `bolts.rs` \
-                 (flush partials through `pkg_apps::bolts::emit_partials`)",
-                i + 1
-            ));
+        if !in_test[i] && line.contains(token) {
+            out.push(format!("{rel}:{}: [{rule}] `{token}` {remedy}", i + 1));
         }
     }
 }
@@ -1103,6 +1117,29 @@ mod tests {
         let mention =
             "// the pane used to go out as Tuple::with_payload(key, v, bytes)\nfn f() {}\n";
         assert!(lint("crates/apps/src/elastic.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_second_key_router_is_caught() {
+        let src = "fn route(&mut self, key_id: u64) -> Target {\n    \
+                   use pkg_hash::StreamKey;\n    \
+                   Target::One((key_id.hash_seeded(self.seed) % self.n as u64) as usize)\n}\n";
+        let v = lint("crates/engine/src/grouping.rs", src);
+        assert!(
+            v.iter().any(|v| v.contains("[route_seam]") && v.contains("grouping.rs:3")),
+            "{v:?}"
+        );
+        for rel in ["crates/apps/src/elastic.rs", "crates/sim/src/simulation.rs", "src/lib.rs"] {
+            assert!(lint(rel, src).iter().any(|v| v.contains("[route_seam]")), "{rel}");
+        }
+        // pkg-hash and pkg-core hash keys; tests and a mention in a comment
+        // are fine.
+        assert!(lint("crates/core/src/key_grouping.rs", src).is_empty());
+        assert!(lint("crates/hash/src/seeded.rs", src).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/engine/src/grouping.rs", &gated).is_empty());
+        let mention = "// KG was key_id.hash_seeded(seed) % n\nfn f() {}\n";
+        assert!(lint("crates/engine/src/grouping.rs", mention).is_empty());
     }
 
     #[test]

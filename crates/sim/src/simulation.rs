@@ -221,7 +221,7 @@ pub fn run(spec: &StreamSpec, cfg: &SimConfig) -> SimReport {
     };
     // All sources share hash seeds (they must agree on candidates) but own
     // their partitioner state.
-    let mut sources: Vec<Box<dyn Partitioner>> = (0..cfg.sources)
+    let mut sources: Vec<Partitioner> = (0..cfg.sources)
         .map(|s| cfg.scheme.build(cfg.workers, cfg.seed, s, &shared, freqs.as_ref()))
         .collect();
     let mut assigner = SourceAssigner::new(cfg.assignment, cfg.sources, cfg.seed);

@@ -78,7 +78,10 @@ fn probing_does_not_beat_local() {
         &SimConfig::new(
             10,
             5,
-            SchemeSpec::Pkg { d: 2, estimate: EstimateKind::Probing { period_ms: 60_000 } },
+            SchemeSpec::Greedy {
+                policy: pkg_core::CandidatePolicy::Fixed(2),
+                estimate: EstimateKind::Probing { period_ms: 60_000 },
+            },
         ),
     );
     // "Does not improve" = not better by more than trivial noise; allow it

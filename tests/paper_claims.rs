@@ -88,7 +88,14 @@ fn two_choices_suffice() {
     let imb = |d: usize| {
         pkg_sim::run(
             &spec,
-            &SimConfig::new(n, 1, SchemeSpec::Pkg { d, estimate: EstimateKind::Global }),
+            &SimConfig::new(
+                n,
+                1,
+                SchemeSpec::Greedy {
+                    policy: pkg_core::CandidatePolicy::Fixed(d),
+                    estimate: EstimateKind::Global,
+                },
+            ),
         )
         .final_imbalance
     };

@@ -60,45 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn route_batch_matches_per_key_route_for_every_scheme(
-        keys in prop::collection::vec(0u64..200, 1..400),
-        n in 1usize..32,
-        seed: u64,
-    ) {
-        let shared = pkg_core::SharedLoads::new(n);
-        let freqs = pkg_core::KeyFrequencies::from_keys(keys.iter().copied());
-        for scheme in [
-            SchemeSpec::KeyGrouping,
-            SchemeSpec::ShuffleGrouping,
-            SchemeSpec::pkg(EstimateKind::Local),
-            SchemeSpec::StaticPotc { estimate: EstimateKind::Local },
-            SchemeSpec::OnGreedy { estimate: EstimateKind::Local },
-            SchemeSpec::OffGreedy,
-            SchemeSpec::d_choices(EstimateKind::Local),
-            SchemeSpec::w_choices(EstimateKind::Local),
-        ] {
-            // Two partitioners with identical seeds: one routes key by key,
-            // the other in batches. The default `route_batch` must be a pure
-            // amortization — same decisions, same internal state evolution.
-            let mut one = scheme.build(n, seed, 0, &shared, Some(&freqs));
-            let mut batched = scheme.build(n, seed, 0, &shared, Some(&freqs));
-            let mut out = Vec::new();
-            for chunk in keys.chunks(64) {
-                batched.route_batch(chunk, 0, &mut out);
-                prop_assert_eq!(out.len(), chunk.len());
-                for (i, &k) in chunk.iter().enumerate() {
-                    let want = one.route(k, 0);
-                    prop_assert!(
-                        out[i] == want,
-                        "{} diverged at key {}: batch {} vs {}",
-                        scheme.label(), k, out[i], want
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pkg_never_leaves_candidates(
         keys in prop::collection::vec(0u64..100, 1..500),
         n in 2usize..32,

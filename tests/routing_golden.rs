@@ -14,7 +14,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use pkg_core::{EstimateKind, KeyFrequencies, Partitioner, SchemeSpec, SharedLoads};
+use pkg_core::{
+    CandidatePolicy, EstimateKind, KeyFrequencies, KeyGrouping, Partitioner, SchemeSpec,
+    SharedLoads,
+};
 use pkg_elastic::{Change, MembershipPlan};
 use pkg_engine::grouping::{Router, Target, TargetBatch};
 use pkg_engine::Grouping;
@@ -143,7 +146,7 @@ impl Feedback {
 fn scheme_run(spec: &SchemeSpec, n: usize, variant: Variant, keys: &[u64]) -> u64 {
     let shared = shared_loads(n, variant);
     let freqs = KeyFrequencies::from_keys(keys.iter().copied());
-    let mut sources: Vec<Box<dyn Partitioner>> =
+    let mut sources: Vec<Partitioner> =
         (0..SOURCES).map(|s| spec.build(n, SEED, s, &shared, Some(&freqs))).collect();
     let mut feedback = Feedback::new(shared);
     let mut digest = Digest::new();
@@ -177,7 +180,7 @@ fn families() -> Vec<(&'static str, Family)> {
         ("SG", |_| SchemeSpec::ShuffleGrouping),
         ("OffGreedy", |_| SchemeSpec::OffGreedy),
         ("PKG", SchemeSpec::pkg),
-        ("PKG3", |estimate| SchemeSpec::Pkg { d: 3, estimate }),
+        ("PKG3", |estimate| SchemeSpec::Greedy { policy: CandidatePolicy::Fixed(3), estimate }),
         ("PoTC", |estimate| SchemeSpec::StaticPotc { estimate }),
         ("OnGreedy", |estimate| SchemeSpec::OnGreedy { estimate }),
         ("DChoices", SchemeSpec::d_choices),
@@ -309,6 +312,42 @@ fn routing_decisions_match_the_recorded_digests() {
             .map(|((label, _), _)| label.as_str())
             .collect();
         panic!("routing digests moved: {moved:?}\nactual table:\n{table}");
+    }
+}
+
+/// The simulator and the engine route through one `Partitioner`: an engine
+/// sender and a `SchemeSpec`-built source with the same seed and index make
+/// the same decision on every message. Key grouping's seed convention is
+/// the one that differs (an engine edge hashes with its seed itself), so
+/// its oracle is built with `KeyGrouping::with_hash_seed`.
+#[test]
+fn engine_senders_route_like_simulator_sources() {
+    let keys = stream();
+    let local = EstimateKind::Local;
+    let pkg3 = SchemeSpec::Greedy { policy: CandidatePolicy::Fixed(3), estimate: local };
+    let pairs = [
+        (Grouping::Shuffle, Some(SchemeSpec::ShuffleGrouping)),
+        (Grouping::Key, None),
+        (Grouping::partial(2), Some(SchemeSpec::pkg(local))),
+        (Grouping::partial(3), Some(pkg3)),
+        (Grouping::d_choices(), Some(SchemeSpec::d_choices(local))),
+        (Grouping::w_choices(), Some(SchemeSpec::w_choices(local))),
+    ];
+    for n in WORKERS {
+        let shared = SharedLoads::new(n);
+        for (grouping, spec) in &pairs {
+            for s in 0..4 {
+                let mut engine = Router::new(grouping, n, SEED, s);
+                let mut sim = match spec {
+                    Some(spec) => spec.build(n, SEED, s, &shared, None),
+                    None => Partitioner::KeyGrouping(KeyGrouping::with_hash_seed(n, SEED)),
+                };
+                for (i, &k) in keys.iter().enumerate() {
+                    let want = Target::One(sim.route(k, 0));
+                    assert_eq!(engine.route(k), want, "{grouping:?} n={n} sender {s} message {i}");
+                }
+            }
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! set, and every routing decision lands inside `[0, workers)`.
 
 use partial_key_grouping::prelude::*;
-use pkg_core::KeyFrequencies;
+use pkg_core::{CandidatePolicy, HeadCap, KeyFrequencies};
 
 /// One spec per `SchemeSpec` variant, covering each estimator kind at
 /// least once.
@@ -14,18 +14,27 @@ fn all_specs() -> Vec<SchemeSpec> {
         SchemeSpec::KeyGrouping,
         SchemeSpec::ShuffleGrouping,
         SchemeSpec::pkg(EstimateKind::Local),
-        SchemeSpec::Pkg { d: 2, estimate: EstimateKind::Global },
-        SchemeSpec::Pkg { d: 2, estimate: EstimateKind::Probing { period_ms: 100 } },
-        SchemeSpec::Pkg { d: 4, estimate: EstimateKind::Local },
+        SchemeSpec::Greedy { policy: CandidatePolicy::Fixed(2), estimate: EstimateKind::Global },
+        SchemeSpec::Greedy {
+            policy: CandidatePolicy::Fixed(2),
+            estimate: EstimateKind::Probing { period_ms: 100 },
+        },
+        SchemeSpec::Greedy { policy: CandidatePolicy::Fixed(4), estimate: EstimateKind::Local },
         SchemeSpec::StaticPotc { estimate: EstimateKind::Local },
         SchemeSpec::StaticPotc { estimate: EstimateKind::Global },
         SchemeSpec::OnGreedy { estimate: EstimateKind::Local },
         SchemeSpec::OnGreedy { estimate: EstimateKind::Global },
         SchemeSpec::OffGreedy,
         SchemeSpec::d_choices(EstimateKind::Local),
-        SchemeSpec::DChoices { estimate: EstimateKind::Global, epsilon: 0.05 },
+        SchemeSpec::Greedy {
+            policy: CandidatePolicy::Head { epsilon: 0.05, cap: HeadCap::PerFrequency },
+            estimate: EstimateKind::Global,
+        },
         SchemeSpec::w_choices(EstimateKind::Local),
-        SchemeSpec::WChoices { estimate: EstimateKind::Global, epsilon: 0.05 },
+        SchemeSpec::Greedy {
+            policy: CandidatePolicy::Head { epsilon: 0.05, cap: HeadCap::All },
+            estimate: EstimateKind::Global,
+        },
     ]
 }
 
@@ -135,7 +144,13 @@ fn adaptive_schemes_respect_candidate_sets_and_tail_stays_at_two() {
         }
         let hot = &observed[&1_000_000];
         assert!(hot.len() > 2, "{}: head key stayed on {} workers", spec.label(), hot.len());
-        if matches!(spec, SchemeSpec::DChoices { .. }) {
+        if matches!(
+            spec,
+            SchemeSpec::Greedy {
+                policy: CandidatePolicy::Head { cap: HeadCap::PerFrequency, .. },
+                ..
+            }
+        ) {
             // D-Choices: d(0.1) = ⌈0.1·50/1.1⌉ = 5 candidates at the
             // converged estimate; transients may add a few more below the
             // final frequency's bound, never the full worker set.
