@@ -9,8 +9,8 @@
 //! topology (PKG variant) over total instance counts of roughly 50 / 200 /
 //! 800, under both [`ExecutorMode`]s, holding the total message volume
 //! fixed so every point does the same work. It prints a TSV (echoed into
-//! `results/engine_scale.tsv`) with wall clock, counter throughput, and
-//! pool activation counts, and **asserts message conservation at every
+//! `results/engine_scale.tsv`) with wall clock, counter throughput, pool
+//! activation counts and the counters' outbox spills, and **asserts message conservation at every
 //! point** (exit non-zero on any loss).
 //!
 //! Full mode additionally gates the scheduler's reason to exist: the pool
@@ -40,6 +40,9 @@ struct Measurement {
     wall_s: f64,
     counter_tput: f64,
     activations: u64,
+    /// Counter packets that found the aggregator's mailbox full (or an
+    /// earlier spill waiting) and queued in an outbox.
+    spilled: u64,
     loads: Vec<u64>,
     /// Counter-stage p99 tuple latency (birth → execute), nanoseconds.
     p99_ns: u64,
@@ -100,6 +103,7 @@ fn run_point(cfg: &WordCountConfig, mode: ExecutorMode) -> Result<Measurement, S
         wall_s,
         counter_tput: total as f64 / wall_s,
         activations: stats.activations("counter"),
+        spilled: stats.spilled("counter"),
         loads: stats.loads("counter"),
         p99_ns: stats.latency_percentiles("counter")[1],
     })
@@ -133,10 +137,11 @@ fn main() {
         "wall_s",
         "counter_tput_msg_s",
         "activations",
+        "spilled",
         "p99_ms",
     ]);
     let mut tsv = String::from(
-        "instances\tmode\tmessages\twall_s\tcounter_tput_msg_s\tactivations\tp99_ms\n",
+        "instances\tmode\tmessages\twall_s\tcounter_tput_msg_s\tactivations\tspilled\tp99_ms\n",
     );
 
     let mut results: Vec<(usize, &'static str, Measurement)> = Vec::new();
@@ -152,17 +157,19 @@ fn main() {
                         format!("{:.3}", m.wall_s),
                         format!("{:.0}", m.counter_tput),
                         m.activations.to_string(),
+                        m.spilled.to_string(),
                         format!("{:.3}", m.p99_ns as f64 / 1e6),
                     ]);
                     let _ = writeln!(
                         tsv,
-                        "{}\t{}\t{}\t{:.4}\t{:.0}\t{}\t{:.3}",
+                        "{}\t{}\t{}\t{:.4}\t{:.0}\t{}\t{}\t{:.3}",
                         p.instances,
                         label,
                         p.messages,
                         m.wall_s,
                         m.counter_tput,
                         m.activations,
+                        m.spilled,
                         m.p99_ns as f64 / 1e6,
                     );
                     results.push((p.instances, label, m));

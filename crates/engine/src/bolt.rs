@@ -119,6 +119,9 @@ impl EdgeTx {
 pub(crate) struct Outlet {
     pub(crate) edges: Vec<OutEdge>,
     pub(crate) outbox: VecDeque<(usize, Packet)>,
+    /// Packets a flush put into `outbox` instead of a mailbox, over the
+    /// run (`InstanceStats::spilled`).
+    pub(crate) spilled: u64,
     /// The staged routing keys and tuples, in emission order; a tuple
     /// leaves its slot on its last delivery.
     keys: Vec<u64>,
@@ -147,7 +150,9 @@ impl Outlet {
     /// place a tuple leaves an instance. Decisions stay per tuple, in stream
     /// order; only delivery is grouped.
     fn flush(&mut self, shared: &Shared, now_ns: u64, wid: Option<usize>) {
-        let Self { edges, outbox, keys, tuples, targets, .. } = self;
+        let Self { edges, outbox, spilled, keys, tuples, targets, .. } = self;
+        // A flush only ever appends to the outbox.
+        let queued = outbox.len();
         let last_edge = edges.len() - 1;
         for (e, OutEdge { router, tx, hedge, signals }) in edges.iter_mut().enumerate() {
             let dests = tx.dests();
@@ -214,6 +219,7 @@ impl Outlet {
                 start = end;
             }
         }
+        *spilled += (outbox.len() - queued) as u64;
         keys.clear();
         tuples.clear();
     }

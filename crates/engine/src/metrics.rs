@@ -51,6 +51,11 @@ pub struct InstanceStats {
     /// High-water mark of this instance's input queue depth (bolts only):
     /// the deepest its mailbox got at any point in the run.
     pub max_depth: u64,
+    /// Packets this instance's flushes could not hand to a downstream
+    /// mailbox (full, or an earlier spill still waiting) and queued in its
+    /// outbox for a later retry. The Eof markers, which always queue there,
+    /// are not counted.
+    pub spilled: u64,
 }
 
 /// Accumulates state-size samples (at every tick and at end of stream).
@@ -177,6 +182,12 @@ impl RunStats {
     /// Hedged dispatches a component issued.
     pub fn hedges(&self, component: &str) -> u64 {
         self.instances.iter().filter(|i| i.component == component).map(|i| i.hedges).sum()
+    }
+
+    /// Packets a component's flushes spilled into outboxes (see
+    /// [`InstanceStats::spilled`]).
+    pub fn spilled(&self, component: &str) -> u64 {
+        self.instances.iter().filter(|i| i.component == component).map(|i| i.spilled).sum()
     }
 
     /// Deepest input queue any instance of a component reached.

@@ -247,6 +247,7 @@ impl TaskBody {
             shed_degraded,
             hedges,
             max_depth: self.max_depth,
+            spilled: self.outlet.spilled,
         }
     }
 }
