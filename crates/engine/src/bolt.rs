@@ -283,6 +283,11 @@ impl Emitter<'_> {
         outlet.outbox.is_empty() || deliver_outbox(shared, tid, &mut outlet.outbox, self.wid)
     }
 
+    /// Deliveries waiting in the outbox for a retry.
+    pub(crate) fn backlog(&self) -> usize {
+        self.outlet.as_ref().map_or(0, |(_, outlet)| outlet.outbox.len())
+    }
+
     /// Flush, then queue one Eof per downstream instance behind it all.
     pub(crate) fn close(&mut self) {
         self.flush();

@@ -12,9 +12,15 @@
 //!   staged on its one [`Emitter`] and delivered at flush time, one run per
 //!   destination ([`Shared::push_run`]).
 //! * **Backpressure parks instead of blocking**: when a run finds a
-//!   downstream mailbox full, the rest spills into the task's outbox, the
-//!   task parks, and the *consumer* wakes it after draining (a
-//!   backpressure-release edge, not a timeout).
+//!   downstream mailbox full, the rest spills into the task's outbox, and
+//!   the *consumer* wakes the task after draining (a backpressure-release
+//!   edge, not a timeout). Every activation first retries that backlog,
+//!   one run per destination under one lock ([`deliver_outbox`]). A source,
+//!   or a bolt past its final Eof, parks while a backlog stays. Any other
+//!   bolt keeps reading its input around it: it parks only after a tuple
+//!   whose own output spilled or queued behind it, and then until the
+//!   outbox drains; a tick overdue behind a backlog waits for it to clear.
+//!   So an outbox holds at most one tick's flush and one tuple's output.
 //!
 //! Two schedules decide only *who calls [`run_task`] and when*:
 //!
@@ -167,6 +173,9 @@ struct TaskBody {
     kind: TaskKind,
     /// Out-edges, staged emissions and spilled deliveries.
     outlet: Outlet,
+    /// An executed tuple's own output waits in the outbox: the task parks
+    /// until the outbox drains instead of reading more input.
+    held: bool,
     /// Packets drained from the mailbox but not yet processed.
     inbox: PacketBatch,
     processed: u64,
@@ -208,6 +217,7 @@ impl TaskBody {
             instance,
             kind,
             outlet: Outlet::new(edges, reads_depth),
+            held: false,
             inbox: PacketBatch::default(),
             processed: 0,
             emitted: 0,
@@ -384,51 +394,79 @@ impl Shared {
         }
     }
 
-    /// Spill delivery: push one packet into `dest`'s mailbox, or on full
-    /// register `waiter` for a backpressure-release wake — for the mutexed
-    /// mailbox under the same lock as the capacity check, for the ring via
-    /// its announce→re-check protocol — so the release can never be missed.
-    fn push_or_park(
+    /// The one delivery loop per transport: move packets from `supply` into
+    /// `dest`'s mailbox while it has room, under one lock hold (the ring:
+    /// one tail publication per batch), then note the depth and wake `dest`
+    /// once if any landed. Returns the first packet that did not fit; the
+    /// rest of `supply` is left untouched. With `waiter`, that task is first
+    /// registered for `dest`'s backpressure-release wake — for the mutexed
+    /// mailbox under the same hold as the capacity check that failed, for
+    /// the ring through its announce→re-check protocol — so the release can
+    /// never be missed.
+    fn fill(
         &self,
         dest: usize,
-        packet: Packet,
-        waiter: usize,
+        supply: &mut impl Iterator<Item = Packet>,
+        waiter: Option<usize>,
         wid: Option<usize>,
-    ) -> Result<(), Packet> {
+    ) -> Option<Packet> {
+        let (mut accepted, mut left) = (0usize, None);
         let depth = match self.mailbox(dest) {
             Mailbox::Mutexed { cap, inner, depth } => {
                 let mut inner = lock(inner);
-                if inner.queue.len() >= *cap {
+                for packet in supply.by_ref() {
+                    if inner.queue.len() >= *cap {
+                        left = Some(packet);
+                        break;
+                    }
+                    inner.queue.push_back(packet);
+                    accepted += 1;
+                }
+                if let (Some(_), Some(w)) = (&left, waiter) {
                     debug_assert_ne!(
                         // ordering: SeqCst — debug-only sanity read (SC-only model)
                         self.tasks[dest].state.load(SeqCst),
                         DONE,
                         "a done task cannot still have senders (Eof protocol)"
                     );
-                    if !inner.waiters.contains(&waiter) {
-                        inner.waiters.push(waiter);
+                    if !inner.waiters.contains(&w) {
+                        inner.waiters.push(w);
                     }
-                    return Err(packet);
                 }
-                inner.queue.push_back(packet);
                 publish_depth(depth, inner.queue.len())
             }
             Mailbox::Ring(ring) => {
-                ring.push_or_park(packet, waiter)?;
+                loop {
+                    accepted += ring.push_batch(supply);
+                    let Some(packet) = supply.next() else { break };
+                    let Some(w) = waiter else {
+                        left = Some(packet);
+                        break;
+                    };
+                    // Full at the snapshot: park, unless the consumer made
+                    // room meanwhile — then go on with the run.
+                    if let Err(packet) = ring.push_or_park(packet, w) {
+                        left = Some(packet);
+                        break;
+                    }
+                    accepted += 1;
+                }
                 ring.len()
             }
         };
-        self.note_depth(dest, depth);
-        self.wake(dest, &WakeKind::Notify, wid);
-        Ok(())
+        if accepted > 0 {
+            self.note_depth(dest, depth);
+            self.wake(dest, &WakeKind::Notify, wid);
+        }
+        left
     }
 
     /// Every emission's delivery: push one destination's run of `packets`
-    /// into `dest`'s mailbox with one lock (or ring publication) and at most
-    /// one wake. What does not fit spills to `outbox` in order — and so does
-    /// the whole run while an earlier spill waits there, so per-destination
-    /// FIFO (which Eof counting relies on) survives the detour. `wid` is
-    /// the worker running the sending activation (see [`Shared::wake`]).
+    /// into `dest`'s mailbox ([`Shared::fill`]). What does not fit spills to
+    /// `outbox` in order — and so does the whole run while an earlier spill
+    /// waits there, so per-destination FIFO (which Eof counting relies on)
+    /// survives the detour. `wid` is the worker running the sending
+    /// activation (see [`Shared::wake`]).
     pub(crate) fn push_run(
         &self,
         dest: usize,
@@ -437,31 +475,8 @@ impl Shared {
         wid: Option<usize>,
     ) {
         let mut packets = packets.into_iter();
-        // How many packets landed in the mailbox, and the mailbox depth
-        // right after — read under the same hold as the push.
-        let (mut accepted, mut depth_after) = (0usize, 0usize);
-        if outbox.is_empty() {
-            match self.mailbox(dest) {
-                Mailbox::Mutexed { cap, inner, depth } => {
-                    let mut inner = lock(inner);
-                    while inner.queue.len() < *cap {
-                        let Some(packet) = packets.next() else { break };
-                        inner.queue.push_back(packet);
-                        accepted += 1;
-                    }
-                    depth_after = publish_depth(depth, inner.queue.len());
-                }
-                Mailbox::Ring(ring) => {
-                    accepted = ring.push_batch(&mut packets);
-                    depth_after = ring.len();
-                }
-            }
-        }
-        outbox.extend(packets.map(|packet| (dest, packet)));
-        if accepted > 0 {
-            self.note_depth(dest, depth_after);
-            self.wake(dest, &WakeKind::Notify, wid);
-        }
+        let left = if outbox.is_empty() { self.fill(dest, &mut packets, None, wid) } else { None };
+        outbox.extend(left.into_iter().chain(packets).map(|packet| (dest, packet)));
     }
 
     /// Drain up to `max` packets of `tid`'s own mailbox into `inbox`,
@@ -616,17 +631,26 @@ fn publish_depth(depth: &AtomicUsize, len: usize) -> usize {
     len
 }
 
-/// Deliver spilled emissions in order from task `tid`'s activation on
-/// worker `wid`; `false` means a downstream mailbox is full and `tid` is
-/// registered for its release wake.
+/// Retry task `tid`'s spilled deliveries in order, from its activation on
+/// worker `wid`: each leading run for one destination goes in with one
+/// [`Shared::fill`] — one lock hold, one depth note, at most one wake.
+/// `false` means a run did not fit: `tid` is registered for that
+/// destination's release wake, and the rest stays queued.
 pub(crate) fn deliver_outbox(
     shared: &Shared,
     tid: usize,
     outbox: &mut VecDeque<(usize, Packet)>,
     wid: Option<usize>,
 ) -> bool {
-    while let Some((dest, packet)) = outbox.pop_front() {
-        if let Err(packet) = shared.push_or_park(dest, packet, tid, wid) {
+    while let Some(&(dest, _)) = outbox.front() {
+        let mut run = std::iter::from_fn(|| {
+            if outbox.front()?.0 == dest {
+                outbox.pop_front().map(|(_, packet)| packet)
+            } else {
+                None
+            }
+        });
+        if let Some(packet) = shared.fill(dest, &mut run, Some(tid), wid) {
             outbox.push_front((dest, packet));
             return false;
         }
@@ -636,10 +660,17 @@ pub(crate) fn deliver_outbox(
 
 fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Outcome {
     body.activations += 1;
-    if !deliver_outbox(shared, tid, &mut body.outlet.outbox, Some(wid)) {
+    // What earlier activations spilled is retried first. A backlog left
+    // over (the retry registered this task for the release wake) parks a
+    // source, a bolt past its final Eof and a held bolt; any other bolt
+    // reads its input around it.
+    let mut backlog = !deliver_outbox(shared, tid, &mut body.outlet.outbox, Some(wid));
+    let done = finished(&body.kind);
+    if backlog && (body.held || done || matches!(body.kind, TaskKind::Spout { .. })) {
         return Outcome::Park;
     }
-    if finished(&body.kind) {
+    body.held = false;
+    if done {
         // The Eof protocol finished on an earlier activation, but the task
         // parked on its trailing deliveries; the outbox just drained.
         return Outcome::Done;
@@ -648,6 +679,7 @@ fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Out
         instance,
         kind,
         outlet,
+        held,
         inbox,
         processed,
         emitted,
@@ -742,30 +774,34 @@ fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Out
             // tuples drained together share a timestamp (skew bounded by one
             // quantum, far below what the latency histogram resolves).
             let mut now_ns = out.now_ns;
-            // 1. Tick deadlines, catching up on every overdue period.
+            // 1. Tick deadlines, catching up on every overdue period, each
+            //    into an empty outbox. What a tick's flush spills is a
+            //    backlog the input below works around; a tick overdue behind
+            //    a backlog is deferred, not dropped. The retry that found the
+            //    backlog registered this task for the release, and the first
+            //    activation with an empty outbox fires it — so a consumer
+            //    slower than the period never has two panes queued for it.
             if let Some(period) = *tick_period_ns {
                 let mut fired = false;
-                while now_ns >= *next_tick_ns {
+                while now_ns >= *next_tick_ns && !backlog {
                     // Sample state at its peak, before the tick flushes it.
                     sampler.sample(bolt.state_size());
                     out.now_ns = now_ns;
                     bolt.tick(&mut out);
-                    out.flush();
+                    backlog = !out.deliver(tid);
                     *stalled_ns += std::mem::take(&mut out.stalled_ns);
                     *ticks += 1;
                     *next_tick_ns += period;
                     fired = true;
                     now_ns = shared.now_ns();
                 }
-                if fired {
-                    // Re-arm for the advanced deadline.
+                if fired && *next_tick_ns > now_ns {
+                    // Re-arm for the advanced deadline (a deferred one waits
+                    // for the release instead).
                     shared.arm(tid, *next_tick_ns, &WakeKind::Notify);
-                    if !out.deliver(tid) {
-                        return Outcome::Park;
-                    }
                 }
             }
-            // 2. Input packets, up to the batch quantum.
+            // 2. Input packets, up to the batch quantum, backlog or not.
             let mut budget = shared.batch;
             if *busy_until > now_ns {
                 // Resumed early (backpressure release, stale timer entry).
@@ -787,8 +823,14 @@ fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Out
                         latency.record(now_ns.saturating_sub(tuple.born_ns));
                         out.now_ns = now_ns;
                         out.inherit_born_ns = tuple.born_ns;
+                        let queued = out.backlog();
                         bolt.execute(tuple, &mut out);
-                        let blocked = !out.deliver(tid);
+                        out.flush();
+                        // The tuple's own output spilled or queued behind
+                        // the backlog: retry it all, and on failure hold
+                        // until the outbox drains. So the outbox never holds
+                        // more than one tick's flush and one tuple's output.
+                        *held = out.backlog() > queued && !out.deliver(tid);
                         let charged = std::mem::take(&mut out.stalled_ns);
                         // Feed the load signals: one routed tuple done (this
                         // instance is its tally's only writer), its
@@ -805,8 +847,8 @@ fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Out
                             // draining to catch up. Ahead: emulated service
                             // time must not hold a worker; run_task parks the
                             // task, then arms the deadline (Outcome::Stall).
-                            // When `blocked` too, push_or_park's mailbox
-                            // waiter doubles as an earlier-release wake.
+                            // When `held` too, the retry's mailbox waiter
+                            // doubles as an earlier-release wake.
                             *busy_until =
                                 if *busy_until == 0 { now_ns } else { *busy_until } + charged;
                             if *busy_until > now_ns {
@@ -816,7 +858,7 @@ fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Out
                                 }
                             }
                         }
-                        if blocked {
+                        if *held {
                             return Outcome::Park;
                         }
                     }
@@ -840,7 +882,10 @@ fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Out
             }
             // budget > 0 here means the final refill found the mailbox
             // empty; any packet arriving after that flips us to NOTIFIED,
-            // so idling cannot lose a wake.
+            // so idling cannot lose a wake. Nor can a backlog strand: the
+            // retry that failed in this activation registered the task with
+            // the full mailbox, and its release (`Unpark`) queues an idle
+            // task as new input (`Notify`) does.
             if inbox.is_empty() && budget > 0 {
                 // Idleness is never banked as catch-up credit.
                 *busy_until = 0;
@@ -1376,6 +1421,119 @@ mod tests {
         assert!(parker.park_timeout(Duration::ZERO), "the owner was unparked");
         assert!(shared.locals[0].is_empty());
         assert!(drain_runq(&shared).is_empty());
+    }
+    /// A relay: every input tuple goes on downstream.
+    struct Relay;
+
+    impl Bolt for Relay {
+        fn execute(&mut self, tuple: Tuple, out: &mut Emitter<'_>) {
+            out.emit(tuple);
+        }
+    }
+
+    fn tuple(v: i64) -> Packet {
+        Packet::Tuple(Tuple::new(*b"k", v))
+    }
+
+    /// Task 1 of a two-task `mini_shared` (capacity 4): `bolt`, fed `input`
+    /// tuples and QUEUED, with one earlier delivery to task 0 spilled in its
+    /// outbox — a backlog, since task 0's mailbox is full. With `tick`, the
+    /// bolt ticks every second and its first tick is overdue.
+    fn backlogged(bolt: Box<dyn Bolt>, tick: bool, input: i64) -> Shared {
+        let shared = mini_shared(2, 4);
+        shared.push_run(0, (0..4).map(tuple), &mut VecDeque::new(), None);
+        let edge = OutEdge {
+            router: Router::new(&crate::grouping::Grouping::Key, 1, 7, 0),
+            tx: EdgeTx::Tasks(vec![0]),
+            hedge: None,
+            signals: None,
+        };
+        let kind = TaskKind::Bolt {
+            bolt,
+            eof_remaining: 1,
+            tick_period_ns: tick.then_some(1_000_000_000),
+            next_tick_ns: if tick { 1 } else { u64::MAX },
+        };
+        let mut body = TaskBody::new("bolt".into(), 0, kind, vec![edge], 1.0, None);
+        body.outlet.outbox.push_back((0, tuple(100)));
+        *lock(&shared.tasks[1].body) = Some(Box::new(body));
+        shared.push_run(1, (0..input).map(tuple), &mut VecDeque::new(), None);
+        drain_runq(&shared);
+        // ordering: SeqCst — single-threaded fixture set-up (SC-only model)
+        shared.tasks[1].state.store(QUEUED, SeqCst);
+        shared
+    }
+
+    /// Run task 1's body through `f` (between activations).
+    fn bolt_body<R>(shared: &Shared, f: impl FnOnce(&TaskBody) -> R) -> R {
+        let guard = lock(&shared.tasks[1].body);
+        let Some(body) = guard.as_deref() else { unreachable!("task 1 is not running") };
+        f(body)
+    }
+
+    fn state(shared: &Shared, tid: usize) -> u8 {
+        // ordering: SeqCst — single-threaded fixture read (SC-only model)
+        shared.tasks[tid].state.load(SeqCst)
+    }
+
+    fn waiters(shared: &Shared, tid: usize) -> Vec<usize> {
+        match shared.mailbox(tid) {
+            Mailbox::Mutexed { inner, .. } => lock(inner).waiters.clone(),
+            Mailbox::Ring(_) => unreachable!("mini_shared mailboxes are mutexed"),
+        }
+    }
+
+    /// Task 0 drains its mailbox, as its activation's refill would.
+    fn consumer_drains(shared: &Shared) {
+        shared.refill_inbox(0, &mut PacketBatch::default(), 64);
+    }
+
+    #[test]
+    fn a_backlogged_bolt_reads_its_input_and_idles_registered() {
+        let shared = backlogged(Box::new(CountingBolt::default()), false, 3);
+        run_task(&shared, 1, 0);
+        assert_eq!(bolt_body(&shared, |b| b.processed), 3, "the backlog did not stop the input");
+        assert_eq!(bolt_body(&shared, |b| b.outlet.outbox.len()), 1, "the backlog still waits");
+        assert_eq!(state(&shared, 1), IDLE, "a dry mailbox settles Idle, not Park");
+        assert_eq!(waiters(&shared, 0), [1], "the failed retry registered the waiter");
+        consumer_drains(&shared);
+        assert_eq!(drain_runq(&shared), [1], "the release queues the idle bolt");
+        run_task(&shared, 1, 0);
+        assert_eq!(bolt_body(&shared, |b| b.outlet.outbox.len()), 0, "the retry delivered");
+    }
+
+    #[test]
+    fn a_backlogged_bolt_parks_after_the_tuple_whose_output_joined_it() {
+        let shared = backlogged(Box::new(Relay), false, 3);
+        run_task(&shared, 1, 0);
+        assert_eq!(bolt_body(&shared, |b| b.processed), 1, "parked right after that tuple");
+        assert_eq!(bolt_body(&shared, |b| b.outlet.outbox.len()), 2, "one tuple's output joined");
+        assert_eq!(state(&shared, 1), PARKED);
+        assert_eq!(waiters(&shared, 0), [1]);
+        // Resumed with the consumer still full: held until the outbox drains.
+        // ordering: SeqCst — single-threaded fixture set-up (SC-only model)
+        shared.tasks[1].state.store(QUEUED, SeqCst);
+        run_task(&shared, 1, 0);
+        assert_eq!(bolt_body(&shared, |b| b.processed), 1, "a held bolt reads no input");
+        assert_eq!(state(&shared, 1), PARKED);
+        consumer_drains(&shared);
+        assert_eq!(drain_runq(&shared), [1], "the release queues the held bolt");
+        run_task(&shared, 1, 0);
+        assert_eq!(bolt_body(&shared, |b| b.processed), 3, "released, it reads the rest");
+    }
+
+    #[test]
+    fn an_overdue_tick_waits_for_the_backlog_to_clear() {
+        let shared = backlogged(Box::new(CountingBolt::default()), true, 0);
+        run_task(&shared, 1, 0);
+        assert_eq!(bolt_body(&shared, |b| b.ticks), 0, "deferred behind the backlog");
+        assert_eq!(state(&shared, 1), IDLE);
+        assert_eq!(waiters(&shared, 0), [1]);
+        consumer_drains(&shared);
+        assert_eq!(drain_runq(&shared), [1], "the release queues the bolt");
+        run_task(&shared, 1, 0);
+        assert_eq!(bolt_body(&shared, |b| b.ticks), 1, "fired once the outbox drained");
+        assert_eq!(bolt_body(&shared, |b| b.outlet.outbox.len()), 0);
     }
 }
 

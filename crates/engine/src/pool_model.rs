@@ -44,14 +44,21 @@
 //!    a bolt onto its own deque and stays busy while worker 1 registers as
 //!    idle: the bolt runs exactly once, on worker 1, and nothing strands
 //!    ([`local_wake_is_stolen_by_an_idling_sibling`]).
+//! 10. **A tick's backlog does not stop the input** — a ticking bolt
+//!     flushes into a capacity-1 mailbox and keeps draining its own input
+//!     while the consumer drains concurrently: every input is read, a
+//!     partial left in the outbox is always owed a release wake, and the
+//!     run completes with per-destination FIFO, the Eof last and every
+//!     task DONE ([`a_ticking_bolt_reads_its_input_around_its_backlog`]).
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
 //! the PR 4 stall bug, an unconditional-IDLE variant of the idle
 //! transition, a spout resume that skips the deadline re-check, an owner
 //! that parks without re-reading the state its activation settled into,
 //! a flush that pushes past a non-empty outbox, an idler that raises the
-//! idle count only after its re-check, and an idle re-check blind to the
-//! siblings' deques, and assert the checker *finds* the violating
+//! idle count only after its re-check, an idle re-check blind to the
+//! siblings' deques, and a backlogged bolt that settles `Idle` with no
+//! waiter registered, and assert the checker *finds* the violating
 //! schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
@@ -953,4 +960,151 @@ fn mutation_recheck_blind_to_sibling_deques_is_caught() {
     let violation = check_local_wake(|shared, wid| worker_loop_idling(shared, wid, ignores_deques))
         .expect_err("an idle re-check blind to the siblings' deques must be caught");
     assert!(violation.message.contains("deadlock"), "got: {violation}");
+}
+
+/// A phase-one bolt for invariant 10: it only reads its input, its tick
+/// flushes the partials 1 and 2, and its finish the partial 3.
+struct Ticker;
+
+impl Bolt for Ticker {
+    fn execute(&mut self, _tuple: Tuple, _out: &mut Emitter<'_>) {}
+
+    fn tick(&mut self, out: &mut Emitter<'_>) {
+        out.emit(Tuple::new(*b"k", 1));
+        out.emit(Tuple::new(*b"k", 2));
+    }
+
+    fn finish(&mut self, out: &mut Emitter<'_>) {
+        out.emit(Tuple::new(*b"k", 3));
+    }
+}
+
+/// How the ticking bolt (task 1) runs its one activation: [`run_task`] on
+/// worker 0, or a mutation of it.
+type Activation = fn(&Shared);
+
+/// Invariant 10's run. Task 1, a [`Ticker`] with an overdue tick and two
+/// input tuples, runs one activation through `activation`: its tick flushes
+/// two partials into the capacity-1 mailbox of task 0, an [`OrderBolt`]
+/// sink, while the sink's drain runs concurrently. After the join, the
+/// ticker must have read both inputs and, if a partial still waits in its
+/// outbox, be queued or registered for the sink's release. Then its Eof
+/// arrives and both tasks run to completion, one at a time: the sink must
+/// see 1, 2, 3, and both tasks reach DONE.
+fn check_ticking_backlog(
+    activation: Activation,
+) -> Result<pkg_model::Report, pkg_model::Violation> {
+    pkg_model::Builder::new().preemption_bound(2).check(move || {
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let mut shared = mini_shared(2, 1);
+        shared.tasks[1].mailbox =
+            Some(Mailbox::Mutexed { cap: 4, inner: Mutex::default(), depth: AtomicUsize::new(0) });
+        let sink = TaskKind::Bolt {
+            bolt: Box::new(OrderBolt { seen: Arc::clone(&seen) }),
+            eof_remaining: 1,
+            tick_period_ns: None,
+            next_tick_ns: u64::MAX,
+        };
+        *lock(&shared.tasks[0].body) = Some(Box::new(blank_body("sink", sink, Vec::new())));
+        let ticker = TaskKind::Bolt {
+            bolt: Box::new(Ticker),
+            eof_remaining: 1,
+            tick_period_ns: Some(1 << 40),
+            next_tick_ns: 1,
+        };
+        let edge = OutEdge {
+            router: Router::new(&Grouping::Key, 1, 7, 0),
+            tx: EdgeTx::Tasks(vec![0]),
+            hedge: None,
+            signals: None,
+        };
+        *lock(&shared.tasks[1].body) = Some(Box::new(blank_body("ticker", ticker, vec![edge])));
+        assert!(push(&shared, 1, ring_tuple(10)) && push(&shared, 1, ring_tuple(11)));
+        lock(&shared.sched).runq.clear();
+        let shared = Arc::new(shared);
+        let ticker = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || activation(&shared))
+        };
+        let consumer = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || {
+                let mut body = lock(&shared.tasks[0].body);
+                let Some(body) = body.as_mut() else { unreachable!("the sink is not running") };
+                shared.refill_inbox(0, &mut body.inbox, 64);
+            })
+        };
+        ticker.join();
+        consumer.join();
+        {
+            let body = lock(&shared.tasks[1].body);
+            let Some(body) = body.as_ref() else { unreachable!("the ticker is not running") };
+            assert_eq!(body.processed, 2, "the tick's backlog stopped the ticker's input");
+            if !body.outlet.outbox.is_empty() {
+                let registered = match shared.mailbox(0) {
+                    Mailbox::Mutexed { inner, .. } => lock(inner).waiters.contains(&1),
+                    Mailbox::Ring(_) => unreachable!("the sink's mailbox is mutexed"),
+                };
+                // ordering: SeqCst — quiescent post-join read (SC-only model)
+                let queued = shared.tasks[1].state.load(SeqCst) == QUEUED;
+                assert!(queued || registered, "stranded backlog: idle, and no release will come");
+            }
+        }
+        push(&shared, 1, Packet::Eof);
+        while let Some(t) = steal(&shared, 0).or_else(|| lock(&shared.sched).runq.pop_front()) {
+            run_task(&shared, t, 0);
+        }
+        assert_eq!(*seen.lock().expect("order log"), vec![1, 2, 3], "per-destination FIFO");
+        for slot in &shared.tasks {
+            // ordering: SeqCst — quiescent read, every thread joined (SC-only model)
+            assert_eq!(slot.state.load(SeqCst), DONE, "a task never finished");
+        }
+    })
+}
+
+/// Invariant 10, through the real [`run_task`]: in every interleaving of
+/// the tick's flush, its retry and the ticker's input with the sink's
+/// drain, the ticker reads all of its input, a partial left in its outbox
+/// is always owed a release (or already queued), and the run completes in
+/// order with the Eof last (`activate`'s packets-after-final-Eof check).
+#[test]
+fn a_ticking_bolt_reads_its_input_around_its_backlog() {
+    let report = check_ticking_backlog(|shared| run_task(shared, 1, 0))
+        .expect("no schedule may strand a backlog or reorder the flush");
+    assert!(
+        report.iterations >= 100,
+        "expected a real interleaving space, got {} schedules",
+        report.iterations
+    );
+}
+
+/// Detection power for invariant 10: a backlogged bolt that settles `Idle`
+/// without the registration its failed retry made must be caught — the
+/// sink's drain then releases nobody, and the backlog waits for input that
+/// may never come.
+#[test]
+fn mutation_backlogged_idle_without_a_registered_waiter_is_caught() {
+    fn idles_unregistered(shared: &Shared) {
+        let slot = &shared.tasks[1];
+        // ordering: SeqCst — as in run_task (SC-only model)
+        slot.state.swap(RUNNING, SeqCst);
+        let Some(mut body) = lock(&slot.body).take() else { unreachable!("queued") };
+        let outcome = activate(shared, 1, 0, &mut body);
+        if matches!(outcome, Outcome::Idle) && !body.outlet.outbox.is_empty() {
+            // BUG (deliberate): settles Idle as if no retry had registered
+            // the waiter.
+            if let Mailbox::Mutexed { inner, .. } = shared.mailbox(0) {
+                lock(inner).waiters.retain(|&w| w != 1);
+            }
+        }
+        *lock(&slot.body) = Some(body);
+        settle(shared, 1, &outcome, || {
+            // ordering: SeqCst — as in run_task (SC-only model)
+            slot.state.store(QUEUED, SeqCst);
+            shared.push_local(0, 1);
+        });
+    }
+    let violation = check_ticking_backlog(idles_unregistered)
+        .expect_err("an idle backlog with no registered waiter must be caught");
+    assert!(violation.message.contains("stranded backlog"), "got: {violation}");
 }

@@ -7,6 +7,7 @@ use partial_key_grouping::apps::wordcount::{
     exact_counts, top_k_of, wordcount_topology, WordCountConfig, WordCountVariant,
 };
 use partial_key_grouping::engine::prelude::*;
+use partial_key_grouping::engine::RunStats;
 use pkg_hash::FxHashMap;
 
 /// A terminal bolt capturing everything it sees into a shared map.
@@ -35,6 +36,14 @@ impl Bolt for CollectBolt {
 /// the *counter*: it sees the aggregator's inputs and reduces them with the
 /// same semantics (max for KG's running counts, sum for partials).
 fn run_collecting(cfg: &WordCountConfig) -> FxHashMap<String, i64> {
+    run_collecting_with(cfg, RuntimeOptions::default()).0
+}
+
+/// [`run_collecting`] under `opts`, with the run's statistics.
+fn run_collecting_with(
+    cfg: &WordCountConfig,
+    opts: RuntimeOptions,
+) -> (FxHashMap<String, i64>, RunStats) {
     let sink = Arc::new(Mutex::new(FxHashMap::default()));
     let running = cfg.variant == WordCountVariant::KeyGrouping;
     let (mut topo, _, counter, _) = wordcount_topology(cfg);
@@ -43,9 +52,52 @@ fn run_collecting(cfg: &WordCountConfig) -> FxHashMap<String, i64> {
         Box::new(CollectBolt { sink: Arc::clone(&sink2), merge_max: running })
     })
     .input(counter, Grouping::Global);
-    Runtime::new().run(topo);
+    let stats = Runtime::with_options(opts).run(topo);
     let result = sink.lock().expect("collector lock").clone();
-    result
+    (result, stats)
+}
+
+/// A ticking two-phase word count over 2-slot mailboxes: every 1 ms tick
+/// floods the aggregator, so counters spill and keep reading their input
+/// around the backlog. Under both schedules and both transports (with one
+/// counter, its flush edges are SPSC rings too) the partials must sum to
+/// the exact counts, and routing must give every leg the same loads.
+#[test]
+fn ticking_counts_are_exact_around_spilled_flushes() {
+    let legs = [
+        ("threads", ExecutorMode::ThreadPerInstance, true),
+        ("pool-ring", ExecutorMode::Pool { workers: 2, batch: 0 }, true),
+        ("pool-mutex", ExecutorMode::Pool { workers: 2, batch: 0 }, false),
+        ("threads-mutex", ExecutorMode::ThreadPerInstance, false),
+    ];
+    for variant in [WordCountVariant::PartialKeyGrouping, WordCountVariant::ShuffleGrouping] {
+        for counters in [1, 4] {
+            let cfg = WordCountConfig {
+                variant,
+                messages_per_source: 20_000,
+                vocabulary: 2_000,
+                counters,
+                aggregation_period: Some(Duration::from_millis(1)),
+                ..WordCountConfig::default()
+            };
+            let exact = exact_counts(&cfg);
+            let mut loads = Vec::new();
+            for (leg, executor, spsc_rings) in legs {
+                let opts = RuntimeOptions {
+                    channel_capacity: 2,
+                    executor,
+                    spsc_rings,
+                    ..RuntimeOptions::default()
+                };
+                let (collected, stats) = run_collecting_with(&cfg, opts);
+                let what = format!("{} × {counters} counters, {leg}", variant.label());
+                assert_eq!(collected, exact, "{what}: totals");
+                assert!(stats.spilled("counter") > 0, "{what}: no flush spilled");
+                loads.push(stats.loads("counter"));
+            }
+            assert!(loads.windows(2).all(|w| w[0] == w[1]), "loads differ across legs: {loads:?}");
+        }
+    }
 }
 
 #[test]
