@@ -130,7 +130,8 @@ enum WakeKind {
 }
 
 enum Outcome {
-    /// Mailbox empty, nothing pending: wait for a wake.
+    /// Mailbox empty: wait for a wake — new input, or the release of the
+    /// mailbox a pending backlog is registered with.
     Idle,
     /// More input than the batch quantum: reschedule.
     Yield,
