@@ -72,7 +72,7 @@ impl BhHistogram {
     }
 
     /// Insert a weighted point.
-    pub fn update_weighted(&mut self, x: f64, w: f64) {
+    fn update_weighted(&mut self, x: f64, w: f64) {
         assert!(x.is_finite() && w > 0.0);
         self.total += w;
         match self.bins.binary_search_by(|b| b.p.partial_cmp(&x).expect("finite centroids")) {

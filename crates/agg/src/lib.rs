@@ -11,7 +11,7 @@
 //! * [`PartialAgg`] — the algebra: identity / `insert` / associative
 //!   `merge` / `emit`, plus an `encode`/`decode` codec so partial states
 //!   travel as tuple payloads.
-//! * [`accumulators`] — ready-made instances: [`Count`], [`Sum`], [`Max`],
+//! * Ready-made instances: [`Count`], [`Sum`], [`Max`],
 //!   [`Mean`] (Welford), [`TopK`] (SpaceSaving with mergeable-summary
 //!   combination, §VI-C), [`Distinct`] (BH-histogram sketch).
 //! * [`window`] — [`TumblingWindow`] / [`SlidingWindow`] managers keyed by
@@ -44,7 +44,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod accumulators;
+mod accumulators;
 pub mod histogram_sketch;
 pub mod partial;
 pub mod spacesaving;

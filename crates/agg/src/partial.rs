@@ -40,7 +40,7 @@ pub trait PartialAgg: Send + Sized + 'static {
     const NAME: &'static str;
 
     /// Whether `merge` is exactly associative (up to float rounding for
-    /// [`Mean`](crate::accumulators::Mean)). The aggregator merges exact
+    /// [`Mean`](crate::Mean)). The aggregator merges exact
     /// accumulators eagerly; inexact ones are buffered and folded with
     /// [`canonical_merge`] at emission time.
     const EXACT: bool;
@@ -58,7 +58,7 @@ pub trait PartialAgg: Send + Sized + 'static {
 
     /// Scalar summary of the aggregate (count, sum, rounded mean, total
     /// mass, distinct estimate). Richer results stay accessible on the
-    /// concrete type (e.g. [`TopK::summary`](crate::accumulators::TopK)).
+    /// concrete type (e.g. [`TopK::summary`](crate::TopK)).
     fn emit(&self) -> i64;
 
     /// State entries held (counters, sketch bins); feeds

@@ -41,11 +41,11 @@ use pkg_hash::{FxHashMap, FxHashSet};
 /// Key under which [`AggScope::Global`] workers accumulate and emit: the
 /// empty byte string (allocation-free, routes consistently under `Key`
 /// grouping).
-pub const GLOBAL_KEY: &[u8] = b"";
+const GLOBAL_KEY: &[u8] = b"";
 
 /// What a [`WindowedWorkerBolt`] keys its accumulators by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggScope {
+enum AggScope {
     /// One accumulator per distinct tuple key (word counts, per-key means).
     PerKey,
     /// One accumulator for the instance's whole sub-stream, fed the key
@@ -200,12 +200,6 @@ pub struct AggregatorBolt<A: PartialAgg> {
     merged: FxHashMap<TupleKey, A>,
     /// Inexact partials per key, awaiting a canonical fold at emission.
     buffered: FxHashMap<TupleKey, Vec<A>>,
-    /// Emit-and-clear on every tick (windowed aggregation) instead of only
-    /// at end of stream.
-    windowed: bool,
-    /// Payloads that failed to decode (wiring bugs; surfaced via
-    /// `debug_assert` in debug builds, counted and skipped in release).
-    decode_failures: u64,
     /// Hedge ids already observed; the second copy of a hedged tuple is
     /// dropped and counted in `pkg_ingress::hedge::audit`.
     hedge_seen: FxHashSet<u64>,
@@ -227,27 +221,16 @@ impl<A: PartialAgg> AggregatorBolt<A> {
     /// stream length. Inexact (sketch) partials are *buffered* in a second
     /// map until emission to keep the canonical fold deterministic — with
     /// periodic upstream flushes that buffer grows by one partial per
-    /// worker per pane, so unbounded streams over sketches should use
-    /// [`Self::windowed`] (emit-and-clear per tick) instead.
+    /// worker per pane until end of stream.
+    ///
+    /// A payload that fails to decode is a wiring bug: it trips a
+    /// `debug_assert` in debug builds and is skipped in release.
     pub fn new() -> Self {
         Self {
             merged: FxHashMap::default(),
             buffered: FxHashMap::default(),
-            windowed: false,
-            decode_failures: 0,
             hedge_seen: FxHashSet::default(),
         }
-    }
-
-    /// Builder: also emit-and-clear on every tick (per-window aggregates).
-    pub fn windowed(mut self) -> Self {
-        self.windowed = true;
-        self
-    }
-
-    /// Payloads that failed to decode so far.
-    pub fn decode_failures(&self) -> u64 {
-        self.decode_failures
     }
 
     /// Fold raw observations into `key`'s merged state.
@@ -305,16 +288,7 @@ impl<A: PartialAgg> Bolt for AggregatorBolt<A> {
                 }
             },
             Some(part) => self.buffered.entry(tuple.key).or_default().push(part),
-            None => {
-                debug_assert!(false, "undecodable {} payload", A::NAME);
-                self.decode_failures += 1;
-            }
-        }
-    }
-
-    fn tick(&mut self, out: &mut Emitter<'_>) {
-        if self.windowed {
-            self.emit_all(out);
+            None => debug_assert!(false, "undecodable {} payload", A::NAME),
         }
     }
 
@@ -330,7 +304,7 @@ impl<A: PartialAgg> Bolt for AggregatorBolt<A> {
     }
 }
 
-/// Shared handle to everything a [`CollectorBolt`] received.
+/// Shared handle to everything its [bolts](Collector::bolt) received.
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
     sink: Arc<Mutex<Vec<Tuple>>>,
@@ -379,7 +353,7 @@ impl Collector {
 }
 
 /// Terminal bolt pushing every input into its [`Collector`].
-pub struct CollectorBolt {
+struct CollectorBolt {
     sink: Arc<Mutex<Vec<Tuple>>>,
 }
 
@@ -487,7 +461,6 @@ mod tests {
         assert!(agg.buffered.is_empty(), "exact partials are never buffered");
         let merged = agg.merged.remove(&TupleKey::from_slice(b"k")).expect("key merged");
         assert_eq!(merged.emit(), 42);
-        assert_eq!(agg.decode_failures(), 0);
     }
 
     /// Everything a single phase-one `worker` instance emits for `stream`,

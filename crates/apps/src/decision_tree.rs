@@ -76,7 +76,7 @@ impl Tree {
     }
 
     /// Index of the leaf node that `x` reaches.
-    pub fn leaf_of(&self, x: &[f64]) -> usize {
+    fn leaf_of(&self, x: &[f64]) -> usize {
         let mut i = 0;
         loop {
             match &self.nodes[i] {
@@ -122,19 +122,19 @@ impl Tree {
 
 /// A worker's histogram state over its sub-stream.
 #[derive(Debug, Default)]
-pub struct SpdtWorker {
+struct SpdtWorker {
     hists: FxHashMap<(u32, u16, u16), BhHistogram>,
     bins: usize,
 }
 
 impl SpdtWorker {
     /// Worker with histogram capacity `bins`.
-    pub fn new(bins: usize) -> Self {
+    fn new(bins: usize) -> Self {
         Self { hists: FxHashMap::default(), bins }
     }
 
     /// Absorb one (leaf, feature, class, value) event.
-    pub fn observe(&mut self, leaf: u32, feature: u16, class: u16, value: f64) {
+    fn observe(&mut self, leaf: u32, feature: u16, class: u16, value: f64) {
         self.hists
             .entry((leaf, feature, class))
             .or_insert_with(|| BhHistogram::new(self.bins))
@@ -142,28 +142,28 @@ impl SpdtWorker {
     }
 
     /// Histogram for a triple, if present.
-    pub fn histogram(&self, leaf: u32, feature: u16, class: u16) -> Option<&BhHistogram> {
+    fn histogram(&self, leaf: u32, feature: u16, class: u16) -> Option<&BhHistogram> {
         self.hists.get(&(leaf, feature, class))
     }
 
     /// Number of histograms held (the §VI-B memory metric).
-    pub fn histogram_count(&self) -> usize {
+    fn histogram_count(&self) -> usize {
         self.hists.len()
     }
 
     /// Events absorbed.
-    pub fn events(&self) -> f64 {
+    fn events(&self) -> f64 {
         self.hists.values().map(|h| h.total()).sum()
     }
 
     /// Drop the histograms of a leaf that has been split.
-    pub fn clear_leaf(&mut self, leaf: u32) {
+    fn clear_leaf(&mut self, leaf: u32) {
         self.hists.retain(|&(l, _, _), _| l != leaf);
     }
 }
 
 /// The aggregator: owns the tree, merges worker histograms and grows.
-pub struct SpdtAggregator {
+struct SpdtAggregator {
     cfg: SpdtConfig,
     tree: Tree,
 }
@@ -185,20 +185,15 @@ fn entropy(counts: &[f64]) -> f64 {
 
 impl SpdtAggregator {
     /// Fresh single-leaf tree.
-    pub fn new(cfg: SpdtConfig) -> Self {
+    fn new(cfg: SpdtConfig) -> Self {
         let classes = cfg.classes;
         Self { cfg, tree: Tree::new(classes) }
-    }
-
-    /// The current model.
-    pub fn tree(&self) -> &Tree {
-        &self.tree
     }
 
     /// Merge worker histograms and attempt one round of splits; returns the
     /// number of leaves split. Workers' histograms for split leaves are
     /// cleared (children restart collection).
-    pub fn try_grow(
+    fn try_grow(
         &mut self,
         workers: &mut [SpdtWorker],
         candidates_of: &dyn Fn(u16) -> Vec<usize>,

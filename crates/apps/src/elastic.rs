@@ -125,11 +125,6 @@ impl<A: PartialAgg> ElasticWorkerBolt<A> {
         self.epoch
     }
 
-    /// Whether the instance is currently buffering tuples behind a gate.
-    pub fn gated(&self) -> bool {
-        !self.waiting.is_empty()
-    }
-
     /// Drain this instance's migration-bus queue: fold `State` into the open
     /// pane, record `Done`s (possibly releasing the gate).
     fn absorb_bus(&mut self, out: &mut Emitter<'_>) {
@@ -312,7 +307,7 @@ mod tests {
         let mut emitted = 0u64;
         let mut out = Emitter::drop_sink(&mut emitted);
         survivor.execute(epoch_marker(1, 1), &mut out);
-        assert!(survivor.gated(), "departer 1 has not posted Done yet");
+        assert!(!survivor.waiting.is_empty(), "departer 1 has not posted Done yet");
         survivor.execute(Tuple::new(b"k".to_vec(), 2), &mut out);
         assert_eq!(survivor.window.entries(), 0, "tuple buffered, not folded");
         // The departer's hand-off arrives: state + done.
@@ -324,7 +319,7 @@ mod tests {
         );
         bus.send(0, MigrationMsg::Done { epoch: 1, from: 1 });
         survivor.execute(Tuple::new(b"k".to_vec(), 1), &mut out);
-        assert!(!survivor.gated());
+        assert!(survivor.waiting.is_empty());
         let pane = survivor.window.flush().expect("state merged and replayed");
         let acc = pane.accs.get(&TupleKey::from_slice(b"k")).expect("key present");
         assert_eq!(acc.emit(), 5 + 2 + 1, "migrated 5 + buffered 2 + live 1");
@@ -340,7 +335,7 @@ mod tests {
         bus.send(0, MigrationMsg::Done { epoch: 1, from: 1 });
         survivor.execute(Tuple::new(b"x".to_vec(), 1), &mut out);
         survivor.execute(epoch_marker(1, 1), &mut out);
-        assert!(!survivor.gated(), "Done was already on the bus");
+        assert!(survivor.waiting.is_empty(), "Done was already on the bus");
     }
 
     #[test]

@@ -27,10 +27,10 @@ use crate::bolts::{AggregatorBolt, Collector, WindowedWorkerBolt};
 
 /// Summary capacity used by the heavy-hitters pipeline (the example's
 /// historical `k = 256`).
-pub const SUMMARY_K: usize = 256;
+const SUMMARY_K: usize = 256;
 
 /// The heavy-hitters accumulator: a SpaceSaving summary with
-/// [`SUMMARY_K`] counters over item fingerprints.
+/// `SUMMARY_K` (256) counters over item fingerprints.
 pub type HhSummary = TopK<SUMMARY_K>;
 
 /// Configuration of the heavy-hitters topology.

@@ -40,13 +40,9 @@ pub mod naive_bayes;
 pub mod shed;
 pub mod wordcount;
 
-pub use bolts::{
-    AggScope, AggregatorBolt, Collector, CollectorBolt, ServiceDelay, WindowedWorkerBolt,
-    GLOBAL_KEY,
-};
-pub use decision_tree::{SpdtAggregator, SpdtConfig, SpdtWorker};
+pub use bolts::{AggregatorBolt, Collector, ServiceDelay, WindowedWorkerBolt};
+pub use decision_tree::SpdtConfig;
 pub use elastic::ElasticWorkerBolt;
 pub use heavy_hitters::{heavy_hitters_topology, HeavyHittersConfig};
-pub use naive_bayes::{NaiveBayes, NbEvent};
 pub use shed::SketchDegrade;
 pub use wordcount::{wordcount_topology, WordCountConfig, WordCountVariant};

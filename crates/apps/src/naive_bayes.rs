@@ -17,19 +17,19 @@ use pkg_hash::FxHashMap;
 
 /// One vertical-parallelism training event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NbEvent {
+struct NbEvent {
     /// Feature identifier (the partitioning key).
-    pub feature: u32,
+    feature: u32,
     /// Discretized feature value.
-    pub value: u8,
+    value: u8,
     /// Class label.
-    pub class: u8,
+    class: u8,
 }
 
 /// Co-occurrence counts — both the single-machine model and each worker's
 /// partial state.
 #[derive(Debug, Clone, Default)]
-pub struct NaiveBayes {
+struct NaiveBayes {
     /// (feature, value, class) → count.
     counts: FxHashMap<(u32, u8, u8), u64>,
     /// class → count of *events* (feature observations).
@@ -38,34 +38,24 @@ pub struct NaiveBayes {
 
 impl NaiveBayes {
     /// Empty model.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Record one event.
-    pub fn observe(&mut self, e: NbEvent) {
+    fn observe(&mut self, e: NbEvent) {
         *self.counts.entry((e.feature, e.value, e.class)).or_insert(0) += 1;
         *self.class_events.entry(e.class).or_insert(0) += 1;
     }
 
     /// Count for a (feature, value, class) triple.
-    pub fn count(&self, feature: u32, value: u8, class: u8) -> u64 {
+    fn count(&self, feature: u32, value: u8, class: u8) -> u64 {
         self.counts.get(&(feature, value, class)).copied().unwrap_or(0)
     }
 
     /// Number of counters held (the memory metric).
-    pub fn counters(&self) -> usize {
+    fn counters(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Merge a partial model (counts add).
-    pub fn merge(&mut self, other: &Self) {
-        for (&k, &v) in &other.counts {
-            *self.counts.entry(k).or_insert(0) += v;
-        }
-        for (&c, &v) in &other.class_events {
-            *self.class_events.entry(c).or_insert(0) += v;
-        }
     }
 
     /// Log-likelihood of `class` given binary/discrete `features`, with
@@ -90,22 +80,6 @@ impl NaiveBayes {
             score += p.ln();
         }
         score
-    }
-
-    /// Predict the most likely class among those observed.
-    pub fn predict(&self, features: &[(u32, u8)]) -> Option<u8> {
-        let grand: u64 = self.class_events.values().sum();
-        let mut classes: Vec<u8> = self.class_events.keys().copied().collect();
-        classes.sort_unstable();
-        classes
-            .into_iter()
-            .map(|c| {
-                let total = self.class_events[&c];
-                let s = self.log_score(features, c, &|f, v, cl| self.count(f, v, cl), total, grand);
-                (c, s)
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-            .map(|(c, _)| c)
     }
 }
 
@@ -230,6 +204,27 @@ mod tests {
     use pkg_core::EstimateKind;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The centralized model's prediction: the oracle the partitioned one
+    /// is checked against.
+    impl NaiveBayes {
+        /// Predict the most likely class among those observed.
+        fn predict(&self, features: &[(u32, u8)]) -> Option<u8> {
+            let grand: u64 = self.class_events.values().sum();
+            let mut classes: Vec<u8> = self.class_events.keys().copied().collect();
+            classes.sort_unstable();
+            classes
+                .into_iter()
+                .map(|c| {
+                    let total = self.class_events[&c];
+                    let s =
+                        self.log_score(features, c, &|f, v, cl| self.count(f, v, cl), total, grand);
+                    (c, s)
+                })
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
+                .map(|(c, _)| c)
+        }
+    }
 
     fn train_partitioned(scheme: &SchemeSpec, n: usize) -> (PartitionedNb, NaiveBayes) {
         let mut rng = SmallRng::seed_from_u64(7);

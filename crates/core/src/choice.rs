@@ -78,11 +78,6 @@ impl Default for ChoiceConfig {
     }
 }
 
-/// D-Choices / W-Choices are [`crate::PartialKeyGrouping`] under a
-/// [`crate::CandidatePolicy::Head`] policy; the name survives for
-/// `AdaptiveChoices::d_choices(..)` / `::w_choices(..)` call sites.
-pub type AdaptiveChoices = crate::pkg::PartialKeyGrouping;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +114,8 @@ mod tests {
     fn tail_routing_is_byte_identical_to_pkg() {
         let n = 16;
         let seed = 9;
-        let mut dc = AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, seed);
-        let mut wc = AdaptiveChoices::w_choices(n, Estimate::local(n), 0.1, seed);
+        let mut dc = PartialKeyGrouping::d_choices(n, Estimate::local(n), 0.1, seed);
+        let mut wc = PartialKeyGrouping::w_choices(n, Estimate::local(n), 0.1, seed);
         let mut pkg = PartialKeyGrouping::new(n, 2, Estimate::local(n), seed);
         // Cycling uniform keys: none can reach θ = 2.2/16, so all three
         // partitioners make the same decision on every single message.
@@ -135,7 +130,7 @@ mod tests {
     #[test]
     fn head_key_spreads_past_two_candidates() {
         let n = 50;
-        let mut dc = AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, 3);
+        let mut dc = PartialKeyGrouping::d_choices(n, Estimate::local(n), 0.1, 3);
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..100_000u64 {
             let key = if i % 5 == 0 { 7 } else { i + 1_000 };
@@ -154,8 +149,8 @@ mod tests {
         let n = 50;
         let m = 200_000;
         let mut pkg = PartialKeyGrouping::new(n, 2, Estimate::local(n), 7);
-        let mut dc = AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, 7);
-        let mut wc = AdaptiveChoices::w_choices(n, Estimate::local(n), 0.1, 7);
+        let mut dc = PartialKeyGrouping::d_choices(n, Estimate::local(n), 0.1, 7);
+        let mut wc = PartialKeyGrouping::w_choices(n, Estimate::local(n), 0.1, 7);
         let i_pkg = imbalance(&skewed_loads(&mut pkg, n, m, 0.2));
         let i_dc = imbalance(&skewed_loads(&mut dc, n, m, 0.2));
         let i_wc = imbalance(&skewed_loads(&mut wc, n, m, 0.2));
@@ -167,7 +162,7 @@ mod tests {
     fn d_choices_replication_below_w_choices() {
         let n = 40;
         let m = 100_000;
-        let run = |mut p: AdaptiveChoices| {
+        let run = |mut p: PartialKeyGrouping| {
             let mut workers_of_hot = std::collections::BTreeSet::new();
             for i in 0..m {
                 let key = if i % 3 == 0 { 0 } else { i + 1 };
@@ -178,8 +173,8 @@ mod tests {
             }
             workers_of_hot.len()
         };
-        let dc = run(AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, 5));
-        let wc = run(AdaptiveChoices::w_choices(n, Estimate::local(n), 0.1, 5));
+        let dc = run(PartialKeyGrouping::d_choices(n, Estimate::local(n), 0.1, 5));
+        let wc = run(PartialKeyGrouping::w_choices(n, Estimate::local(n), 0.1, 5));
         assert!(dc < wc, "D-Choices hot-key spread {dc} not below W-Choices {wc}");
         assert_eq!(wc, n, "a 33% key under W-Choices reaches every worker");
     }
@@ -187,7 +182,7 @@ mod tests {
     #[test]
     fn candidates_predict_routing() {
         let n = 30;
-        let mut p = AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, 11);
+        let mut p = PartialKeyGrouping::d_choices(n, Estimate::local(n), 0.1, 11);
         for i in 0..50_000u64 {
             let key = if i % 4 == 0 { 1 } else { i };
             let cands = p.candidates(key);
@@ -198,7 +193,7 @@ mod tests {
 
     #[test]
     fn candidate_prefixes_are_nested() {
-        let p = AdaptiveChoices::d_choices(20, Estimate::local(20), 0.1, 2);
+        let p = PartialKeyGrouping::d_choices(20, Estimate::local(20), 0.1, 2);
         for key in 0..50u64 {
             let full: Vec<usize> = (0..20).map(|i| p.choice(i, key)).collect();
             for d in 2..20 {
@@ -210,8 +205,8 @@ mod tests {
     #[test]
     fn full_membership_is_byte_identical() {
         let n = 20;
-        let mut a = AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, 13);
-        let mut b = AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, 13);
+        let mut a = PartialKeyGrouping::d_choices(n, Estimate::local(n), 0.1, 13);
+        let mut b = PartialKeyGrouping::d_choices(n, Estimate::local(n), 0.1, 13);
         b.apply_membership(&(0..n).collect::<Vec<_>>());
         for i in 0..30_000u64 {
             let key = if i % 4 == 0 { 1 } else { i };
@@ -223,8 +218,8 @@ mod tests {
     fn membership_confines_head_and_tail_to_live_workers() {
         let n = 30;
         for p in [
-            AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, 17),
-            AdaptiveChoices::w_choices(n, Estimate::local(n), 0.1, 17),
+            PartialKeyGrouping::d_choices(n, Estimate::local(n), 0.1, 17),
+            PartialKeyGrouping::w_choices(n, Estimate::local(n), 0.1, 17),
         ] {
             let mut p = p;
             let live: Vec<usize> = (0..n).step_by(3).collect();
@@ -244,7 +239,7 @@ mod tests {
 
     #[test]
     fn single_worker_degenerates() {
-        let mut p = AdaptiveChoices::w_choices(1, Estimate::local(1), 0.1, 0);
+        let mut p = PartialKeyGrouping::w_choices(1, Estimate::local(1), 0.1, 0);
         for i in 0..100u64 {
             assert_eq!(p.route(i % 3, i), 0);
         }
@@ -253,6 +248,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "estimate must cover")]
     fn mismatched_estimate_panics() {
-        let _ = AdaptiveChoices::d_choices(4, Estimate::local(3), 0.1, 0);
+        let _ = PartialKeyGrouping::d_choices(4, Estimate::local(3), 0.1, 0);
     }
 }

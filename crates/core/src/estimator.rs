@@ -213,7 +213,7 @@ impl Estimate {
     }
 
     /// Local estimate probing the true loads every `period_ms`.
-    pub fn probing(shared: SharedLoads, period_ms: u64) -> Self {
+    fn probing(shared: SharedLoads, period_ms: u64) -> Self {
         assert!(period_ms > 0, "probe period must be positive");
         let n = shared.n();
         Estimate::Probing { local: vec![0; n], shared, period_ms, next_probe_ms: period_ms }

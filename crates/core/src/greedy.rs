@@ -45,7 +45,7 @@ impl KeyFrequencies {
     }
 
     /// Number of distinct keys.
-    pub fn distinct(&self) -> usize {
+    fn distinct(&self) -> usize {
         self.counts.len()
     }
 
@@ -127,17 +127,6 @@ impl OfflineGreedy {
         Self { table, fallback }
     }
 
-    /// The planned (expected) per-worker loads of the assignment.
-    pub fn planned_loads(&self, freqs: &KeyFrequencies) -> Vec<u64> {
-        let mut loads = vec![0u64; self.n()];
-        for (key, count) in freqs.sorted_desc() {
-            if let Some(&w) = self.table.get(&key) {
-                loads[w as usize] += count;
-            }
-        }
-        loads
-    }
-
     /// The planned worker of `key`.
     #[inline]
     pub fn route(&mut self, key: u64, ts_ms: u64) -> usize {
@@ -169,6 +158,17 @@ mod tests {
     use super::*;
     use crate::partitioner::Partitioner;
 
+    /// The planned (expected) per-worker loads of `g`'s assignment.
+    fn planned_loads(g: &OfflineGreedy, freqs: &KeyFrequencies) -> Vec<u64> {
+        let mut loads = vec![0u64; g.n()];
+        for (key, count) in freqs.sorted_desc() {
+            if let Some(&w) = g.table.get(&key) {
+                loads[w as usize] += count;
+            }
+        }
+        loads
+    }
+
     #[test]
     fn frequencies_sorted_desc() {
         let f = KeyFrequencies::from_keys([1, 2, 2, 3, 3, 3]);
@@ -197,7 +197,7 @@ mod tests {
         // 6 keys × 10 occurrences over 3 workers → perfectly balanced.
         let f = KeyFrequencies::from_keys((0..6).flat_map(|k| std::iter::repeat_n(k, 10)));
         let g = OfflineGreedy::new(3, &f, 0);
-        let loads = g.planned_loads(&f);
+        let loads = planned_loads(&g, &f);
         assert_eq!(loads, vec![20, 20, 20]);
     }
 
@@ -213,7 +213,7 @@ mod tests {
             }
         }
         let g = OfflineGreedy::new(2, &f, 0);
-        let mut loads = g.planned_loads(&f);
+        let mut loads = planned_loads(&g, &f);
         loads.sort_unstable();
         assert_eq!(loads, vec![8, 10]);
     }
@@ -235,7 +235,7 @@ mod tests {
         let caps = Capacities::heterogeneous(&[2.0, 1.0, 1.0]).expect("het");
         let f = KeyFrequencies::from_keys(0..120u64);
         let g = OfflineGreedy::weighted(3, &f, 0, Some(&caps));
-        let loads = g.planned_loads(&f);
+        let loads = planned_loads(&g, &f);
         assert_eq!(loads.iter().sum::<u64>(), 120);
         assert_eq!(loads[0], 60, "2× worker takes half the mass: {loads:?}");
         assert!(weighted_imbalance(&loads, Some(&caps)) < 1.0);

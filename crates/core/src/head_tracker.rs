@@ -87,12 +87,6 @@ impl HeadTracker {
         self.summary.estimate(key).0 + 1
     }
 
-    /// Estimated frequency `key` would have *after one more occurrence* —
-    /// what [`observe`](Self::observe)-then-classify will see.
-    pub fn next_frequency(&self, key: u64) -> f64 {
-        self.next_count(key) as f64 / (self.total() + 1) as f64
-    }
-
     /// Total observations so far.
     #[inline]
     pub fn total(&self) -> u64 {
@@ -183,18 +177,6 @@ mod tests {
             let head = is_head_at(t.next_count(key), t.total() + 1, theta);
             assert!(!head, "uniform key {key} classified head at t={i}");
             t.observe(key);
-        }
-    }
-
-    #[test]
-    fn next_frequency_predicts_observe() {
-        let mut t = HeadTracker::new(8);
-        for i in 0..5_000u64 {
-            let key = i % 21;
-            let predicted = t.next_frequency(key);
-            let c = t.observe(key);
-            let actual = c as f64 / t.total() as f64;
-            assert!((predicted - actual).abs() < 1e-12, "prediction drifted at {i}");
         }
     }
 

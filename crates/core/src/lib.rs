@@ -68,7 +68,7 @@ pub mod replication;
 pub mod shuffle;
 pub mod signals;
 
-pub use choice::{AdaptiveChoices, ChoiceConfig, DEFAULT_EPSILON};
+pub use choice::{ChoiceConfig, DEFAULT_EPSILON};
 pub use estimator::{Estimate, EstimateKind, SharedLoads};
 pub use greedy::{KeyFrequencies, OfflineGreedy};
 pub use head_tracker::HeadTracker;

@@ -16,12 +16,12 @@
 //! * the **live set** (pkg-elastic): `None` is the untouched fixed-`W` fast
 //!   path, byte-identical to the pre-elastic code by construction.
 //!
-//! It owns the single argmin loop ([`LoadView::argmin`]; ties go to the
-//! earlier candidate) and the single place a hash is reduced onto the live
-//! set ([`LoadView::reduce`]), so key splitting
-//! ([`crate::PartialKeyGrouping`]) and key pinning ([`crate::PinnedGreedy`])
-//! differ only in how they enumerate candidates and whether they remember
-//! the answer.
+//! It owns the single argmin loop (behind [`LoadView::argmin_hashed`] and
+//! [`LoadView::argmin_live`]; ties go to the earlier candidate) and the
+//! single place a hash is reduced onto the live set ([`LoadView::reduce`]),
+//! so key splitting ([`crate::PartialKeyGrouping`]) and key pinning
+//! ([`crate::PinnedGreedy`]) differ only in how they enumerate candidates
+//! and whether they remember the answer.
 
 use pkg_metrics::{prefers, Capacities};
 
@@ -102,18 +102,10 @@ impl LoadView {
     }
 
     /// The candidate with the smallest estimated (capacity-normalized, when
-    /// weights are attached) load at stream time `ts_ms`; ties break toward
-    /// the **earlier** candidate. Duplicates are harmless.
-    ///
-    /// # Panics
-    /// Panics if `candidates` is empty.
-    #[inline]
-    pub fn argmin(&mut self, candidates: impl Iterator<Item = usize>, ts_ms: u64) -> usize {
-        argmin(&mut self.estimate, self.capacities.as_ref(), candidates, ts_ms)
-    }
-
-    /// [`Self::argmin`] over the [reduction](Self::reduce) of each hash, in
-    /// order — the members of a key's hash sequence.
+    /// weights are attached) load at stream time `ts_ms` among the
+    /// [reductions](Self::reduce) of each hash, in order — the members of a
+    /// key's hash sequence; ties break toward the **earlier** candidate.
+    /// Duplicates are harmless.
     #[inline]
     pub fn argmin_hashed(&mut self, hashes: impl Iterator<Item = u64>, ts_ms: u64) -> usize {
         let Self { n, estimate, capacities, live } = self;
@@ -121,7 +113,8 @@ impl LoadView {
         argmin(estimate, capacities.as_ref(), hashes.map(|h| reduce(n, live, h)), ts_ms)
     }
 
-    /// [`Self::argmin`] over every live worker, ascending.
+    /// The least-loaded live worker, as [`Self::argmin_hashed`] ranks them;
+    /// ties break toward the lower index.
     #[inline]
     pub fn argmin_live(&mut self, ts_ms: u64) -> usize {
         let Self { n, estimate, capacities, live } = self;
@@ -176,9 +169,9 @@ mod tests {
     #[test]
     fn ties_go_to_the_earlier_candidate() {
         let mut v = LoadView::new(4, Estimate::local(4));
-        assert_eq!(v.argmin([2, 1, 3].into_iter(), 0), 2);
+        assert_eq!(argmin(&mut v.estimate, None, [2, 1, 3].into_iter(), 0), 2);
         v.record(2);
-        assert_eq!(v.argmin([2, 1, 3, 1].into_iter(), 0), 1);
+        assert_eq!(argmin(&mut v.estimate, None, [2, 1, 3, 1].into_iter(), 0), 1);
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl PinnedGreedy {
         Self { view, seeds: Vec::new(), table: FxHashMap::default() }
     }
 
-    /// Number of routing-table entries (the state the paper objects to:
-    /// one per distinct key seen).
-    pub fn table_entries(&self) -> usize {
-        self.table.len()
-    }
-
     /// Route `key` to its pinned worker, pinning it on first sight.
     pub fn route(&mut self, key: u64, ts_ms: u64) -> usize {
         let w = match self.table.get(&key) {
@@ -121,7 +115,7 @@ mod tests {
         for t in 1..100 {
             assert_eq!(p.route(42, t), w, "static PoTC must never move a key");
         }
-        assert_eq!(p.table_entries(), 1);
+        assert_eq!(p.table.len(), 1);
     }
 
     #[test]
@@ -166,10 +160,10 @@ mod tests {
         for k in 0..300u64 {
             p.route(k, 0);
         }
-        let before = p.table_entries();
+        let before = p.table.len();
         let live = [0usize, 2, 4];
         p.apply_membership(&live);
-        assert!(p.table_entries() < before, "some keys were pinned to dead workers");
+        assert!(p.table.len() < before, "some keys were pinned to dead workers");
         for k in 0..600u64 {
             let w = p.route(k, 1);
             assert!(live.contains(&w), "key {k} routed to dead worker {w}");
@@ -183,7 +177,7 @@ mod tests {
         for t in 0..1_000 {
             p.route(t % 50, t);
         }
-        assert_eq!(p.table_entries(), 50);
+        assert_eq!(p.table.len(), 50);
     }
 
     #[test]
@@ -193,7 +187,7 @@ mod tests {
         for t in 1..50 {
             assert_eq!(g.route(9, t), w);
         }
-        assert_eq!(g.table_entries(), 1);
+        assert_eq!(g.table.len(), 1);
     }
 
     #[test]
@@ -215,10 +209,10 @@ mod tests {
         for k in 0..200u64 {
             g.route(k, 0);
         }
-        let before = g.table_entries();
+        let before = g.table.len();
         let live = [1usize, 3];
         g.apply_membership(&live);
-        assert!(g.table_entries() < before);
+        assert!(g.table.len() < before);
         for k in 0..400u64 {
             assert!(live.contains(&g.route(k, 1)));
         }

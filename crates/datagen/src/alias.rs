@@ -12,7 +12,6 @@ use rand::Rng;
 pub struct AliasTable {
     prob: Vec<f64>,
     alias: Vec<u32>,
-    probabilities: Vec<f64>,
     p1: f64,
 }
 
@@ -63,17 +62,12 @@ impl AliasTable {
             prob[l as usize] = 1.0;
         }
 
-        Self { prob, alias, probabilities, p1 }
+        Self { prob, alias, p1 }
     }
 
     /// Number of categories.
     pub fn k(&self) -> usize {
         self.prob.len()
-    }
-
-    /// Normalized probabilities.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.probabilities
     }
 
     /// Probability of the most likely category.
@@ -138,12 +132,6 @@ mod tests {
         for _ in 0..10_000 {
             assert_ne!(t.sample(&mut rng), 1);
         }
-    }
-
-    #[test]
-    fn probabilities_sum_to_one() {
-        let t = AliasTable::new(&[3.0, 2.0, 1.0, 0.5]);
-        assert!((t.probabilities().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]

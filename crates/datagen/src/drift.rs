@@ -63,11 +63,6 @@ impl DriftState {
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
-
-    /// Key currently occupying `rank` (read-only; no epoch advance).
-    pub fn key_at_rank(&self, rank: u64) -> u64 {
-        u64::from(self.permutation[rank as usize])
-    }
 }
 
 /// Piecewise-constant per-worker *speed* drift over stream time.
@@ -146,14 +141,6 @@ impl SpeedDrift {
     pub fn speeds_of_phase(&self, i: usize) -> &[f64] {
         &self.phases[i.min(self.phases.len() - 1)].1
     }
-
-    /// Whether every phase runs every worker at the same speed (a uniform
-    /// schedule must leave runs byte-identical to no schedule at all).
-    pub fn is_uniform(&self) -> bool {
-        self.phases.iter().all(|(_, speeds)| {
-            speeds.windows(2).all(|p| (p[0] - p[1]).abs() <= f64::EPSILON * p[0].abs())
-        })
-    }
 }
 
 #[cfg(test)]
@@ -171,14 +158,6 @@ mod tests {
         assert_eq!(d.speed(0, 499), 1.0);
         assert_eq!(d.speed(0, 500), 0.25);
         assert_eq!(d.speed(1, 9_999), 1.0);
-        assert!(!d.is_uniform());
-    }
-
-    #[test]
-    fn uniform_schedule_is_flagged_uniform() {
-        assert!(SpeedDrift::uniform(8).is_uniform());
-        assert!(SpeedDrift::uniform(8).with_step(100, vec![2.0; 8]).is_uniform());
-        assert!(!SpeedDrift::new(vec![1.0, 2.0]).is_uniform());
     }
 
     #[test]
@@ -223,7 +202,7 @@ mod tests {
         let _ = d.map(0, 10_000, &mut rng); // many epochs
         let mut seen = vec![false; 500];
         for r in 0..500u64 {
-            let k = d.key_at_rank(r) as usize;
+            let k = d.permutation[r as usize] as usize;
             assert!(!seen[k], "key {k} appears twice");
             seen[k] = true;
         }

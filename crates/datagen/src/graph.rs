@@ -34,12 +34,12 @@ pub struct GraphParams {
 
 impl GraphParams {
     /// `gamma = 1 − alpha − beta`: P(preferential source → new target).
-    pub fn gamma(&self) -> f64 {
+    fn gamma(&self) -> f64 {
         1.0 - self.alpha - self.beta
     }
 
     /// Expected vertices created per edge (`alpha + gamma`).
-    pub fn vertices_per_edge(&self) -> f64 {
+    fn vertices_per_edge(&self) -> f64 {
         self.alpha + self.gamma()
     }
 

@@ -18,7 +18,7 @@ use crate::alias::AliasTable;
 /// live in `rand_distr`, which is outside our dependency budget — and the
 /// transform is four lines.)
 #[inline]
-pub fn standard_normal(rng: &mut SmallRng) -> f64 {
+fn standard_normal(rng: &mut SmallRng) -> f64 {
     // Avoid ln(0) by sampling u1 from (0, 1].
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random();
@@ -27,7 +27,7 @@ pub fn standard_normal(rng: &mut SmallRng) -> f64 {
 
 /// One sample of `LogNormal(mu, sigma)`.
 #[inline]
-pub fn log_normal(rng: &mut SmallRng, mu: f64, sigma: f64) -> f64 {
+fn log_normal(rng: &mut SmallRng, mu: f64, sigma: f64) -> f64 {
     (mu + sigma * standard_normal(rng)).exp()
 }
 

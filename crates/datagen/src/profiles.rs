@@ -15,7 +15,8 @@
 //! machine (the imbalance fractions studied are scale-free in the number of
 //! messages — Theorem 4.1 gives `I = Θ(m/n)` — so scaling `m` and `K`
 //! together preserves every qualitative result; `p1` is always preserved
-//! exactly). `*_paper_scale()` constructors carry the full Table I sizes.
+//! exactly). [`DatasetProfile::with_messages`] and
+//! [`DatasetProfile::with_keys`] restore the full Table I sizes;
 //! `SCALE` (see [`DatasetProfile::scale`]) adjusts sizes globally.
 
 use crate::drift::DriftState;
@@ -90,11 +91,6 @@ impl DatasetProfile {
         }
     }
 
-    /// WP at full Table I size.
-    pub fn wikipedia_paper_scale() -> Self {
-        Self { messages: 22_000_000, keys: 2_900_000, ..Self::wikipedia() }
-    }
-
     /// TW — Twitter word stream. Paper: 1.2G messages, 31M keys,
     /// p1 = 2.67%. Scaled default: 8M messages, 207k keys (the paper's
     /// 38.7 messages/key ratio).
@@ -107,11 +103,6 @@ impl DatasetProfile {
             duration_hours: 30.0,
             kind: ProfileKind::Zipf,
         }
-    }
-
-    /// TW at full Table I size (uses the O(1)-memory rejection sampler).
-    pub fn twitter_paper_scale() -> Self {
-        Self { messages: 1_200_000_000, keys: 31_000_000, ..Self::twitter() }
     }
 
     /// CT — Twitter cashtags with weekly popularity drift. Paper: 690k
@@ -165,11 +156,6 @@ impl DatasetProfile {
             duration_hours: 24.0,
             kind: ProfileKind::Graph(GraphParams { alpha: 0.05, beta: 0.929, uniform_mix: 0.4 }),
         }
-    }
-
-    /// LJ at full Table I size.
-    pub fn livejournal_paper_scale() -> Self {
-        Self { messages: 69_000_000, keys: 4_900_000, ..Self::livejournal() }
     }
 
     /// SL1 — Slashdot0811-like graph. Paper: 905k edges, 77k vertices,

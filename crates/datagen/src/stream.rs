@@ -94,18 +94,6 @@ impl StreamSpec {
         }
     }
 
-    /// Exact per-key probabilities when the backend knows them
-    /// (Zipf table / alias / drift); `None` for rejection and graph
-    /// backends. Used by the Off-Greedy baseline and by Table I.
-    pub fn exact_probabilities(&self) -> Option<Vec<f64>> {
-        match &self.sampler {
-            Sampler::ZipfTable(t) => Some(t.probabilities()),
-            Sampler::Drift { table, .. } => Some(table.probabilities()),
-            Sampler::Alias(a) => Some(a.probabilities().to_vec()),
-            Sampler::ZipfRejection(_) | Sampler::Graph(_) => None,
-        }
-    }
-
     /// Probability of the most frequent key, when known exactly.
     pub fn p1(&self) -> Option<f64> {
         match &self.sampler {

@@ -3,13 +3,8 @@
 //! The engine experiments route on *word strings* (as the paper's Storm
 //! deployment does), not on integer ids. [`word_for_rank`] maps a Zipf rank
 //! to a deterministic, unique, pronounceable pseudo-word — rank 0 is the
-//! "the" of the vocabulary — and [`SentenceGen`] emits sentences whose word
-//! frequencies follow the fitted Zipf law.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use crate::zipf::ZipfTable;
+//! "the" of the vocabulary. Sampling a rank from a fitted Zipf law and
+//! spelling it makes a word stream with the law's frequencies.
 
 const CONSONANTS: [char; 14] =
     ['b', 'd', 'f', 'g', 'k', 'l', 'm', 'n', 'p', 'r', 's', 't', 'v', 'z'];
@@ -17,7 +12,7 @@ const VOWELS: [char; 5] = ['a', 'e', 'i', 'o', 'u'];
 
 /// Longest pseudo-word in bytes: a `u64` rank is at most 11 base-70
 /// syllables of 2 ASCII bytes each.
-pub const MAX_WORD_LEN: usize = 22;
+const MAX_WORD_LEN: usize = 22;
 
 /// Deterministic unique pseudo-word for a vocabulary rank: the rank is
 /// written in base 70 where each "digit" is a consonant-vowel syllable.
@@ -48,47 +43,6 @@ pub fn word_bytes_for_rank(rank: u64) -> ([u8; MAX_WORD_LEN], usize) {
     (buf, len)
 }
 
-/// Zipf-distributed sentence generator.
-#[derive(Debug, Clone)]
-pub struct SentenceGen {
-    zipf: ZipfTable,
-    rng: SmallRng,
-    min_words: usize,
-    max_words: usize,
-}
-
-impl SentenceGen {
-    /// Vocabulary of `vocab` words with head probability `p1`, sentences of
-    /// `min_words..=max_words` words.
-    pub fn new(vocab: u64, p1: f64, min_words: usize, max_words: usize, seed: u64) -> Self {
-        assert!(min_words >= 1 && max_words >= min_words);
-        Self {
-            zipf: ZipfTable::with_p1(vocab, p1),
-            rng: SmallRng::seed_from_u64(seed ^ 0x243f_6a88_85a3_08d3),
-            min_words,
-            max_words,
-        }
-    }
-
-    /// Draw one word.
-    pub fn next_word(&mut self) -> String {
-        word_for_rank(self.zipf.sample(&mut self.rng))
-    }
-
-    /// Draw a sentence (space-separated words).
-    pub fn next_sentence(&mut self) -> String {
-        let n = self.rng.random_range(self.min_words..=self.max_words);
-        let mut s = String::new();
-        for i in 0..n {
-            if i > 0 {
-                s.push(' ');
-            }
-            s.push_str(&self.next_word());
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,24 +70,5 @@ mod tests {
             assert!(len <= MAX_WORD_LEN);
             assert_eq!(&buf[..len], word_for_rank(r).as_bytes());
         }
-    }
-
-    #[test]
-    fn sentences_respect_length_bounds() {
-        let mut g = SentenceGen::new(1_000, 0.1, 3, 8, 1);
-        for _ in 0..100 {
-            let s = g.next_sentence();
-            let n = s.split(' ').count();
-            assert!((3..=8).contains(&n), "sentence had {n} words");
-        }
-    }
-
-    #[test]
-    fn head_word_dominates() {
-        let mut g = SentenceGen::new(100, 0.3, 1, 1, 2);
-        let head = word_for_rank(0);
-        let hits = (0..10_000).filter(|_| g.next_sentence() == head).count();
-        let p = hits as f64 / 10_000.0;
-        assert!((p - 0.3).abs() < 0.03, "head frequency = {p}");
     }
 }

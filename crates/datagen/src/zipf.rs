@@ -97,7 +97,6 @@ pub fn fit_exponent(k: u64, p1: f64) -> f64 {
 pub struct ZipfTable {
     cdf: Vec<f64>,
     guide: Vec<u32>,
-    s: f64,
 }
 
 impl ZipfTable {
@@ -133,7 +132,7 @@ impl ZipfTable {
             }
             guide.push(i as u32);
         }
-        Self { cdf, guide, s }
+        Self { cdf, guide }
     }
 
     /// Build by fitting the exponent to a target head probability. A `p1`
@@ -145,11 +144,6 @@ impl ZipfTable {
             return Self::new(k, 0.0);
         }
         Self::new(k, fit_exponent(k, p1))
-    }
-
-    /// The exponent in use.
-    pub fn exponent(&self) -> f64 {
-        self.s
     }
 
     /// Number of keys.
@@ -218,11 +212,6 @@ impl ZipfRejection {
         let h_n = h_integral(k as f64 + 0.5, s);
         let threshold = 2.0 - h_integral_inverse(h_integral(2.5, s) - h(2.0, s), s);
         Self { k, s, h_x1, h_n, threshold }
-    }
-
-    /// The exponent in use.
-    pub fn exponent(&self) -> f64 {
-        self.s
     }
 
     /// Probability of the head key.

@@ -59,40 +59,6 @@ impl fmt::Display for Change {
     }
 }
 
-/// The live worker set of one epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Membership {
-    epoch: u32,
-    live: Vec<usize>,
-}
-
-impl Membership {
-    /// The epoch number (0 = initial full set).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// The live worker indices, sorted ascending.
-    pub fn live(&self) -> &[usize] {
-        &self.live
-    }
-
-    /// Number of live workers.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether the live set is empty (never true for plan epochs).
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    /// Is worker `i` live in this epoch?
-    pub fn contains(&self, i: usize) -> bool {
-        self.live.binary_search(&i).is_ok()
-    }
-}
-
 /// One scripted step: at `at` routed tuples, apply `changes`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Step {
@@ -172,11 +138,6 @@ impl MembershipPlan {
         self.steps.len() as u32 + 1
     }
 
-    /// Whether the plan never changes membership.
-    pub fn is_static(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// The live worker indices of `epoch`, sorted ascending.
     ///
     /// # Panics
@@ -189,11 +150,6 @@ impl MembershipPlan {
         }
     }
 
-    /// The live set of `epoch` as an owned [`Membership`].
-    pub fn membership(&self, epoch: u32) -> Membership {
-        Membership { epoch, live: self.live(epoch).to_vec() }
-    }
-
     /// The tuple-count threshold at which `epoch` comes into force
     /// (`epoch ≥ 1`).
     pub fn threshold(&self, epoch: u32) -> u64 {
@@ -202,7 +158,7 @@ impl MembershipPlan {
     }
 
     /// The changes applied entering `epoch` (`epoch ≥ 1`).
-    pub fn changes(&self, epoch: u32) -> &[Change] {
+    fn changes(&self, epoch: u32) -> &[Change] {
         assert!(epoch >= 1 && epoch < self.epochs(), "epoch {epoch} has no changes");
         &self.steps[epoch as usize - 1].changes
     }
@@ -215,17 +171,6 @@ impl MembershipPlan {
             .filter_map(|c| match c {
                 Change::Remove(i) => Some(*i),
                 Change::Insert(_) => None,
-            })
-            .collect()
-    }
-
-    /// Workers live in `epoch` but not in `epoch - 1`.
-    pub fn joiners(&self, epoch: u32) -> Vec<usize> {
-        self.changes(epoch)
-            .iter()
-            .filter_map(|c| match c {
-                Change::Insert(i) => Some(*i),
-                Change::Remove(_) => None,
             })
             .collect()
     }
@@ -258,9 +203,8 @@ mod tests {
     #[test]
     fn static_plan_has_one_full_epoch() {
         let p = MembershipPlan::new(5);
-        assert!(p.is_static());
         assert_eq!(p.epochs(), 1);
-        assert_eq!(p.membership(0).live(), &[0, 1, 2, 3, 4]);
+        assert_eq!(p.live(0), &[0, 1, 2, 3, 4]);
         assert_eq!(p.epoch_at(u64::MAX), 0);
     }
 
@@ -268,13 +212,11 @@ mod tests {
     fn halve_then_double_live_sets() {
         let p = halve_double();
         assert_eq!(p.epochs(), 3);
-        assert_eq!(p.membership(0).live(), &[0, 1, 2, 3]);
+        assert_eq!(p.live(0), &[0, 1, 2, 3]);
         assert_eq!(p.live(1), &[0, 1]);
         assert_eq!(p.live(2), &[0, 1, 2, 3]);
         assert_eq!(p.departers(1), vec![2, 3]);
-        assert_eq!(p.joiners(1), Vec::<usize>::new());
         assert_eq!(p.departers(2), Vec::<usize>::new());
-        assert_eq!(p.joiners(2), vec![2, 3]);
     }
 
     #[test]
@@ -286,16 +228,6 @@ mod tests {
         assert_eq!(p.epoch_at(1999), 1);
         assert_eq!(p.epoch_at(2000), 2);
         assert_eq!(p.epoch_at(5000), 2);
-    }
-
-    #[test]
-    fn membership_contains_is_by_index() {
-        let p = halve_double();
-        let m = p.membership(1);
-        assert_eq!(m.epoch(), 1);
-        assert_eq!(m.len(), 2);
-        assert!(m.contains(0) && m.contains(1));
-        assert!(!m.contains(2) && !m.contains(3));
     }
 
     #[test]

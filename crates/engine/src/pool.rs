@@ -6,7 +6,7 @@
 //! * Each bolt task owns a bounded **mailbox**; producers push into it and
 //!   never block inside an activation.
 //! * A task activation drains up to a **batch quantum** of packets
-//!   ([`DEFAULT_BATCH`]), amortizing mailbox locking, then yields.
+//!   (`DEFAULT_BATCH`, 256), amortizing mailbox locking, then yields.
 //! * **One emit seam**: everything an activation emits — a spout quantum, a
 //!   bolt's `execute` / `tick` / `finish` output, the ingress drain — is
 //!   staged on its one [`Emitter`] and delivered at flush time, one run per
@@ -101,7 +101,7 @@ use crate::topology::{ComponentKind, Topology};
 use crate::tuple::{Packet, PacketBatch};
 
 /// Default batch quantum: packets drained per task activation.
-pub const DEFAULT_BATCH: usize = 256;
+const DEFAULT_BATCH: usize = 256;
 
 /// Upper bound on an idle worker's (or dedicated owner's) sleep. A
 /// defensive backstop: all wakes are edge-triggered, so this only bounds

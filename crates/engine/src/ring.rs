@@ -71,7 +71,7 @@ impl SpscRing {
     }
 
     /// Producer: non-blocking push. `Err` returns the packet when full.
-    pub fn try_push(&self, packet: Packet) -> Result<(), Packet> {
+    pub(crate) fn try_push(&self, packet: Packet) -> Result<(), Packet> {
         // ordering: SeqCst — tail is producer-owned; the load pairs with our
         // own last store (SC-only model, see module doc)
         let tail = self.tail.0.load(SeqCst);
@@ -108,7 +108,7 @@ impl SpscRing {
 
     /// Producer: push as many packets from `supply` as currently fit,
     /// publishing `tail` **once** for the whole run — the batch analogue
-    /// of [`Self::try_push`]. Returns how many packets were accepted;
+    /// of a one-packet push. Returns how many packets were accepted;
     /// `supply` is only advanced that many times, so unaccepted packets
     /// stay with the caller.
     ///

@@ -11,9 +11,9 @@ use crate::spout::Spout;
 pub struct NodeId(pub(crate) usize);
 
 /// Factory creating the `i`-th instance of a spout component.
-pub type SpoutFactory = Box<dyn Fn(usize) -> Box<dyn Spout> + Send>;
+type SpoutFactory = Box<dyn Fn(usize) -> Box<dyn Spout> + Send>;
 /// Factory creating the `i`-th instance of a bolt component.
-pub type BoltFactory = Box<dyn Fn(usize) -> Box<dyn Bolt> + Send>;
+type BoltFactory = Box<dyn Fn(usize) -> Box<dyn Bolt> + Send>;
 
 pub(crate) enum ComponentKind {
     Spout(SpoutFactory),

@@ -1,7 +1,7 @@
 //! The unit of data flowing through a topology.
 //!
 //! Keys use a small-string-optimized representation ([`TupleKey`]): keys of
-//! up to [`INLINE_KEY_CAP`] bytes live inline in the tuple (no heap
+//! up to 22 bytes (`INLINE_KEY_CAP`) live inline in the tuple (no heap
 //! allocation anywhere on the hot path — wordcount vocabularies, feature
 //! ids and URLs' hot prefixes all fit), longer keys spill to a boxed slice.
 //! The [`audit`] module counts the spills and tuple clones so drivers can
@@ -67,7 +67,7 @@ pub mod audit {
 /// byte representation is 24 bytes — one byte of discriminant, one of
 /// length, 22 of payload — only 8 bytes over `Box<[u8]>`'s two words; the
 /// fingerprint makes the whole key 32 bytes.
-pub const INLINE_KEY_CAP: usize = 22;
+const INLINE_KEY_CAP: usize = 22;
 
 /// A tuple's routing key: small-size-optimized bytes plus their fingerprint.
 ///
@@ -153,11 +153,6 @@ impl TupleKey {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether the key is stored inline (no heap allocation).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.repr, Repr::Inline { .. })
     }
 
     /// Convert into a boxed slice (moves the existing allocation for heap
@@ -337,11 +332,6 @@ impl Tuple {
         Self { key: key.into(), value, payload: payload.into(), born_ns: 0 }
     }
 
-    /// Key as UTF-8, if it is (diagnostics/tests).
-    pub fn key_str(&self) -> Option<&str> {
-        std::str::from_utf8(&self.key).ok()
-    }
-
     /// The 64-bit key fingerprint used for routing decisions: the one
     /// [`TupleKey::key_id`] computed when the key was built, not a fresh
     /// hash of the bytes.
@@ -436,22 +426,21 @@ mod tests {
         assert_ne!(a.key_id(), c.key_id());
     }
 
-    #[test]
-    fn key_str_roundtrip() {
-        let t = Tuple::new(b"word".to_vec(), 0);
-        assert_eq!(t.key_str(), Some("word"));
+    /// Whether the key is stored inline (no heap allocation).
+    fn is_inline(key: &TupleKey) -> bool {
+        matches!(key.repr, Repr::Inline { .. })
     }
 
     #[test]
     fn small_keys_inline_and_large_keys_spill() {
         let small = TupleKey::from_slice(b"word");
-        assert!(small.is_inline());
+        assert!(is_inline(&small));
         assert_eq!(small.as_bytes(), b"word");
         let exact = TupleKey::from_slice(&[7u8; INLINE_KEY_CAP]);
-        assert!(exact.is_inline());
+        assert!(is_inline(&exact));
         assert_eq!(exact.len(), INLINE_KEY_CAP);
         let big = TupleKey::from_slice(&[7u8; INLINE_KEY_CAP + 1]);
-        assert!(!big.is_inline());
+        assert!(!is_inline(&big));
         assert_eq!(big.len(), INLINE_KEY_CAP + 1);
     }
 
@@ -467,7 +456,7 @@ mod tests {
         let inline = TupleKey::from_slice(b"same-bytes");
         // A short key never spills on its own; build the heap form directly.
         let heap = TupleKey::from_heap(b"same-bytes".to_vec().into_boxed_slice());
-        assert!(!heap.is_inline());
+        assert!(!is_inline(&heap));
         assert_eq!(inline, heap);
         assert_eq!(inline.cmp(&heap), std::cmp::Ordering::Equal);
         let hash = |k: &TupleKey| {

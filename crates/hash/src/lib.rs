@@ -12,10 +12,10 @@
 //!   functions over arbitrary keys, and the [`seeded::StreamKey`] trait that
 //!   lets partitioners hash `u64` key identifiers, strings and byte slices
 //!   uniformly.
-//! * [`fx`] — a fast non-cryptographic hasher (the `FxHash` algorithm used by
-//!   rustc) for *internal* hash maps on the hot path, where SipHash's HashDoS
-//!   protection is unnecessary; plus [`fx::FxHashMap`]/[`fx::FxHashSet`]
-//!   aliases.
+//! * [`FxHasher`] — a fast non-cryptographic hasher (the `FxHash` algorithm
+//!   used by rustc) for *internal* hash maps on the hot path, where
+//!   SipHash's HashDoS protection is unnecessary; plus the [`FxHashMap`] /
+//!   [`FxHashSet`] aliases.
 //!
 //! # Example
 //!
@@ -23,19 +23,20 @@
 //! use pkg_hash::seeded::HashFamily;
 //!
 //! let family = HashFamily::new(2, 42); // d = 2 choices, experiment seed 42
-//! let candidates = family.choices(&"barcelona", 10); // workers 0..10
+//! let mut buf = [0; 2];
+//! let candidates = family.choices_into(&"barcelona", 10, &mut buf).to_vec(); // workers 0..10
 //! assert_eq!(candidates.len(), 2);
 //! assert!(candidates.iter().all(|&w| w < 10));
 //! // Routing is deterministic: the same key always gets the same candidates.
-//! assert_eq!(candidates, family.choices(&"barcelona", 10));
+//! assert_eq!(candidates, family.choices_into(&"barcelona", 10, &mut buf));
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod fx;
+mod fx;
 pub mod murmur3;
 pub mod seeded;
 
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
-pub use murmur3::{murmur3_128, murmur3_32, murmur3_64};
+pub use murmur3::{murmur3_128, murmur3_64};
 pub use seeded::{member_seed, HashFamily, StreamKey};

@@ -1,16 +1,12 @@
 //! MurmurHash3, implemented from scratch.
 //!
-//! Two variants of Austin Appleby's public-domain MurmurHash3 are provided:
+//! [`murmur3_128`] is the x64 128-bit variant (`MurmurHash3_x64_128`) of
+//! Austin Appleby's public-domain MurmurHash3. It is the variant the PKG
+//! paper refers to as "a 64-bit Murmur hash function": implementations on
+//! the JVM (e.g. Guava, as used by the reference Storm implementation) take
+//! the low 64 bits of the 128-bit digest. [`murmur3_64`] does exactly that.
 //!
-//! * [`murmur3_128`] — the x64 128-bit variant (`MurmurHash3_x64_128`). This
-//!   is the variant the PKG paper refers to as "a 64-bit Murmur hash
-//!   function": implementations on the JVM (e.g. Guava, as used by the
-//!   reference Storm implementation) take the low 64 bits of the 128-bit
-//!   digest. [`murmur3_64`] does exactly that.
-//! * [`murmur3_32`] — the x86 32-bit variant, useful for compact
-//!   fingerprints and as an extra member of hash families.
-//!
-//! Both are verified against reference test vectors in the unit tests below.
+//! It is verified against reference test vectors in the unit tests below.
 
 /// Low 64 bits of [`murmur3_128`]; the "64-bit Murmur hash" of the paper.
 #[inline]
@@ -84,40 +80,6 @@ pub fn murmur3_128(data: &[u8], seed: u64) -> (u64, u64) {
     (h1, h2)
 }
 
-/// MurmurHash3 x86 32-bit digest of `data` with the given `seed`.
-pub fn murmur3_32(data: &[u8], seed: u32) -> u32 {
-    const C1: u32 = 0xcc9e_2d51;
-    const C2: u32 = 0x1b87_3593;
-
-    let len = data.len();
-    let mut h = seed;
-
-    for block in data.chunks_exact(4) {
-        let mut k = u32::from_le_bytes(block.try_into().expect("4-byte block"));
-        k = k.wrapping_mul(C1);
-        k = k.rotate_left(15);
-        k = k.wrapping_mul(C2);
-        h ^= k;
-        h = h.rotate_left(13);
-        h = h.wrapping_mul(5).wrapping_add(0xe654_6b64);
-    }
-
-    let tail = &data[len - len % 4..];
-    let mut k: u32 = 0;
-    for (i, &b) in tail.iter().enumerate() {
-        k ^= u32::from(b) << (8 * i);
-    }
-    if !tail.is_empty() {
-        k = k.wrapping_mul(C1);
-        k = k.rotate_left(15);
-        k = k.wrapping_mul(C2);
-        h ^= k;
-    }
-
-    h ^= len as u32;
-    fmix32(h)
-}
-
 /// 64-bit finalization mix: forces avalanche of all bits of a 64-bit block.
 #[inline]
 pub fn fmix64(mut k: u64) -> u64 {
@@ -127,17 +89,6 @@ pub fn fmix64(mut k: u64) -> u64 {
     k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     k ^= k >> 33;
     k
-}
-
-/// 32-bit finalization mix.
-#[inline]
-pub fn fmix32(mut h: u32) -> u32 {
-    h ^= h >> 16;
-    h = h.wrapping_mul(0x85eb_ca6b);
-    h ^= h >> 13;
-    h = h.wrapping_mul(0xc2b2_ae35);
-    h ^= h >> 16;
-    h
 }
 
 /// Hash a `u64` directly (little-endian bytes) with the x64 128 variant,
@@ -207,21 +158,6 @@ mod tests {
         assert_eq!(murmur3_64_u64(42, 7), 0xc871_2ab4_da49_0dbc);
         assert_eq!(murmur3_64_u64(u64::MAX, 123), 0xcfc7_e4ec_904a_043f);
         assert_eq!(murmur3_64_u64(0xdead_beef, u64::MAX), 0xbc5e_43d0_59be_110e);
-    }
-
-    #[test]
-    fn x86_32_reference_vectors() {
-        // From the SMHasher verification values / mmh3.hash(..., signed=False).
-        assert_eq!(murmur3_32(b"", 0), 0);
-        assert_eq!(murmur3_32(b"", 1), 0x514e_28b7);
-        assert_eq!(murmur3_32(b"", 0xffff_ffff), 0x81f1_6f39);
-        assert_eq!(murmur3_32(b"hello", 0), 0x248b_fa47);
-        assert_eq!(murmur3_32(b"hello, world", 0), 0x149b_bb7f);
-        assert_eq!(murmur3_32(b"The quick brown fox jumps over the lazy dog.", 0), 0xd5c4_8bfc);
-        assert_eq!(murmur3_32(b"aaaa", 0x9747_b28c), 0x5a97_808a);
-        assert_eq!(murmur3_32(b"aaa", 0x9747_b28c), 0x283e_0130);
-        assert_eq!(murmur3_32(b"aa", 0x9747_b28c), 0x5d21_1726);
-        assert_eq!(murmur3_32(b"a", 0x9747_b28c), 0x7fa0_9ea6);
     }
 
     #[test]

@@ -144,18 +144,13 @@ impl HashFamily {
         (key.hash_seeded(self.seeds[i]) % n as u64) as usize
     }
 
-    /// All `d` candidate workers for `key` among `n` workers.
+    /// Write all `d` candidate workers for `key` among `n` workers into
+    /// `out` (no allocation); returns the filled prefix. `out` must have
+    /// length ≥ `d`.
     ///
     /// Note that candidates may collide (two hash functions can pick the same
     /// worker); the paper's model allows this — a key with colliding choices
     /// simply behaves like a key-grouped key.
-    #[inline]
-    pub fn choices<K: StreamKey + ?Sized>(&self, key: &K, n: usize) -> Vec<usize> {
-        self.seeds.iter().map(|&s| (key.hash_seeded(s) % n as u64) as usize).collect()
-    }
-
-    /// Write all candidates into `out` (no allocation); returns the filled
-    /// prefix. `out` must have length ≥ `d`.
     #[inline]
     pub fn choices_into<'a, K: StreamKey + ?Sized>(
         &self,
@@ -194,6 +189,13 @@ impl HashFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HashFamily {
+        /// All `d` candidates of `key`, owned.
+        fn choices<K: StreamKey + ?Sized>(&self, key: &K, n: usize) -> Vec<usize> {
+            self.choices_into(key, n, &mut [0; MAX_CHOICES]).to_vec()
+        }
+    }
 
     #[test]
     fn choice_in_full_set_matches_choice() {
@@ -235,15 +237,6 @@ mod tests {
             let c = fam.choices(&key, 10);
             assert_eq!(c, fam.choices(&key, 10));
             assert!(c.iter().all(|&w| w < 10));
-        }
-    }
-
-    #[test]
-    fn choices_into_matches_choices() {
-        let fam = HashFamily::new(3, 9);
-        let mut buf = [0usize; MAX_CHOICES];
-        for key in 0u64..100 {
-            assert_eq!(fam.choices_into(&key, 7, &mut buf), fam.choices(&key, 7).as_slice());
         }
     }
 

@@ -14,7 +14,7 @@
 //! issued.
 
 /// Payload prefix marking a hedged tuple copy.
-pub const HEDGE_TAG: &[u8] = b"\x00pkg-ingress:hedge";
+const HEDGE_TAG: &[u8] = b"\x00pkg-ingress:hedge";
 
 /// Encode a hedge tag carrying `id` (the payload for both copies).
 pub fn encode_tag(id: u64) -> Box<[u8]> {

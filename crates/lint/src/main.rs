@@ -3,9 +3,11 @@
 //! A dependency-free, token-level scanner (comments and string/char
 //! literals are blanked before matching, `#[cfg(test)]`/`#[test]`-gated
 //! regions are skipped) that enforces the concurrency-hygiene rules the
-//! model-checked suite relies on. Scope: the shipped code under `crates/`,
-//! `vendor/`, and `src/` — integration tests, examples, and benches are
-//! deliberately out of scope.
+//! model-checked suite relies on. The per-file rules read the shipped code
+//! under `crates/`, `vendor/` and `src/`. The cross-file `orphan` rule also
+//! reads `examples/` and `benchmark/src/`, as users of the layer crates'
+//! API. Integration tests (`tests/`) are read by no rule: an item only a
+//! test names is an orphan unless it is allow-listed.
 //!
 //! | rule      | scope                         | invariant                                     |
 //! |-----------|-------------------------------|-----------------------------------------------|
@@ -46,12 +48,19 @@
 //! | `route_`  | whole workspace but `pkg-hash`| no `.hash_seeded(` — a key is routed by a     |
 //! | `seam`    | and `pkg-core`, non-test      | `pkg_core::Partitioner`, never by a second    |
 //! |           |                               | hash-and-reduce of its own                    |
+//! | `orphan`  | `pub` items of the layer      | each is named, as a whole word, in non-test   |
+//! |           | crates' `src/` (all but       | code of another file under `crates/`, `src/`, |
+//! |           | `pkg-lint`, `pkg-bench` and   | `examples/` or `benchmark/src/` — a `pub use` |
+//! |           | `pool_model.rs`), non-test    | or a same-named definition is no use — or is  |
+//! |           |                               | on `ORPHAN_ALLOW` with a reason; a stale      |
+//! |           |                               | allow-list entry is a violation too           |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
 
 #![forbid(unsafe_code)]
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -186,6 +195,37 @@ const ROUTE_SEAM: (&str, &str, &str) = (
     "outside pkg-hash and pkg-core (route through a `pkg_core::Partitioner`)",
 );
 
+/// Files whose code the `orphan` rule reads as no one's use: the lint
+/// itself, and the model suite, test-only code the scanner cannot see as
+/// such (its `#[cfg(all(test, …))]` gate sits at the `mod` in `pool.rs`).
+const ORPHAN_NON_USERS: [&str; 2] = ["crates/lint/src/main.rs", "crates/engine/src/pool_model.rs"];
+
+/// `pub` items of the layer crates that no other file names, kept on
+/// purpose: `(file, item, reason)`. Types that appear in a public
+/// signature, test-support API, and the oracles and bounds integration
+/// tests read.
+const ORPHAN_ALLOW: [(&str, &str, &str); 19] = [
+    ("crates/agg/src/accumulators.rs", "Distinct", "law-checked in tests/agg_laws.rs"),
+    ("crates/agg/src/spacesaving.rs", "min_count", "tests/property_tests.rs bounds it by m/k"),
+    ("crates/apps/src/decision_tree.rs", "Tree", "returned by `Spdt::tree`"),
+    ("crates/apps/src/heavy_hitters.rs", "HhSummary", "returned by `final_summary`"),
+    ("crates/core/src/greedy.rs", "sorted_desc", "tests/routing_golden.rs reads the head keys"),
+    ("crates/core/src/head_tracker.rs", "tracked", "tests/property_tests.rs naive oracle"),
+    ("crates/core/src/head_tracker.rs", "check_invariants", "tests/property_tests.rs"),
+    ("crates/core/src/partitioner.rs", "resizable", "tests/routing_golden.rs picks schemes by it"),
+    ("crates/datagen/src/stream.rs", "StreamIter", "returned by `StreamSpec::iter`"),
+    ("crates/elastic/src/lib.rs", "epoch_at", "tests/property_tests.rs epoch oracle"),
+    ("crates/engine/src/bolt.rs", "drop_sink", "test support: bolts run without a runtime"),
+    ("crates/engine/src/elastic.rs", "EPOCH_MARKER_KEY", "tests/engine_executor_parity.rs"),
+    ("crates/engine/src/grouping.rs", "is_batchable", "tests/routing_golden.rs batch replay"),
+    ("crates/engine/src/ingress.rs", "ShedPolicyFactory", "the type of `IngressOptions::policy`"),
+    ("crates/engine/src/topology.rs", "BoltHandle", "returned by `Topology::add_bolt`"),
+    ("crates/hash/src/fx.rs", "FxHasher", "the hasher of `FxHashMap` / `FxHashSet`"),
+    ("crates/hash/src/murmur3.rs", "murmur3_128", "tests/property_tests.rs u64 fast path"),
+    ("crates/metrics/src/imbalance.rs", "worst_case_imbalance", "tests/property_tests.rs bound"),
+    ("crates/metrics/src/welford.rs", "variance", "tests/agg_laws.rs merge law"),
+];
+
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
 
@@ -197,26 +237,9 @@ fn main() -> ExitCode {
         Some(p) => PathBuf::from(p),
         None => workspace_root(),
     };
-    let mut files = Vec::new();
-    for top in ["crates", "vendor", "src"] {
-        collect_rs_files(&root.join(top), &mut files);
-    }
-    files.sort();
-    let mut violations = Vec::new();
-    for path in &files {
-        let Ok(src) = std::fs::read_to_string(path) else {
-            violations.push(format!("{}: unreadable", path.display()));
-            continue;
-        };
-        let rel = path
-            .strip_prefix(&root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace(std::path::MAIN_SEPARATOR, "/");
-        violations.extend(lint_file(&rel, &src));
-    }
+    let (files, violations) = scan(&root);
     if violations.is_empty() {
-        println!("pkg-lint: clean ({} files)", files.len());
+        println!("pkg-lint: clean ({files} files)");
         ExitCode::SUCCESS
     } else {
         for v in &violations {
@@ -232,6 +255,39 @@ fn main() -> ExitCode {
 fn workspace_root() -> PathBuf {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     manifest.ancestors().nth(2).unwrap_or(manifest).to_path_buf()
+}
+
+/// Lint the tree under `root`: the per-file rules over `crates/`, `vendor/`
+/// and `src/`, then the cross-file `orphan` pass, whose users also include
+/// `examples/` and `benchmark/src/`. Returns the number of files read and
+/// the violations.
+fn scan(root: &Path) -> (usize, Vec<String>) {
+    let mut paths = Vec::new();
+    for top in ["crates", "vendor", "src", "examples", "benchmark/src"] {
+        collect_rs_files(&root.join(top), &mut paths);
+    }
+    paths.sort();
+    let mut violations = Vec::new();
+    let mut users = Vec::new();
+    for path in &paths {
+        let Ok(src) = std::fs::read_to_string(path) else {
+            violations.push(format!("{}: unreadable", path.display()));
+            continue;
+        };
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace(std::path::MAIN_SEPARATOR, "/");
+        if !rel.starts_with("examples/") && !rel.starts_with("benchmark/") {
+            violations.extend(lint_file(&rel, &src));
+        }
+        if !rel.starts_with("vendor/") {
+            users.push((rel, src));
+        }
+    }
+    violations.extend(rule_orphan(&users, &ORPHAN_ALLOW));
+    (paths.len(), violations)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -378,7 +434,7 @@ fn rule_argmin(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<Strin
         if !in_test[i] && line.contains("prefers(") {
             out.push(format!(
                 "{rel}:{}: [argmin] `prefers(` outside LoadView \
-                 (route through `LoadView::argmin`, the family's one argmin loop)",
+                 (route through `LoadView`, whose one argmin loop the family shares)",
                 i + 1
             ));
         }
@@ -454,6 +510,131 @@ fn rule_token(
             out.push(format!("{rel}:{}: [{rule}] `{token}` {remedy}", i + 1));
         }
     }
+}
+
+/// Does this file declare layer API for the `orphan` rule? Non-test code of
+/// the layer crates' `src/`; pkg-lint, pkg-bench (drivers, which nothing
+/// calls) and the `pkg_model`-only model suite are out of scope.
+fn declares_layer_api(rel: &str) -> bool {
+    rel.starts_with("crates/")
+        && rel.split('/').nth(2) == Some("src")
+        && !rel.starts_with("crates/lint/")
+        && !rel.starts_with("crates/bench/")
+        && !ORPHAN_NON_USERS.contains(&rel)
+}
+
+/// Keywords whose next word, after whitespace only, is a definition rather
+/// than a use of that name.
+const DEF_KEYWORDS: [&str; 9] =
+    ["fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union"];
+
+/// `orphan`: every `pub` item a layer file declares must be named, as a
+/// whole word, in non-test code of another file. A `pub use` re-export and
+/// a definition of the same name are not uses. `allow` lists the deliberate
+/// exceptions as `(file, name, reason)`; an entry whose item is gone, or is
+/// now named elsewhere, is reported too.
+fn rule_orphan(files: &[(String, String)], allow: &[(&str, &str, &str)]) -> Vec<String> {
+    let codes: Vec<Vec<String>> = files.iter().map(|(_, src)| blank_code(src)).collect();
+    let tests: Vec<Vec<bool>> = codes.iter().map(|code| test_lines(code)).collect();
+    let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (f, (rel, _)) in files.iter().enumerate() {
+        if ORPHAN_NON_USERS.contains(&rel.as_str()) {
+            continue;
+        }
+        let mut in_reexport = false;
+        for (line, &test) in codes[f].iter().zip(&tests[f]) {
+            let trimmed = line.trim();
+            in_reexport |= trimmed.starts_with("pub") && is_use_decl(trimmed);
+            let skip = test || in_reexport;
+            if in_reexport && trimmed.contains(';') {
+                in_reexport = false;
+            }
+            if skip {
+                continue;
+            }
+            for word in used_words(line) {
+                let users = named_in.entry(word).or_default();
+                if users.last() != Some(&f) {
+                    users.push(f);
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    let mut declared = vec![false; allow.len()];
+    for (f, (rel, _)) in files.iter().enumerate() {
+        if !declares_layer_api(rel) {
+            continue;
+        }
+        for (i, line) in codes[f].iter().enumerate() {
+            let Some(name) = pub_item(line.trim()).filter(|_| !tests[f][i]) else {
+                continue;
+            };
+            let elsewhere = named_in.get(name).and_then(|users| users.iter().find(|&&g| g != f));
+            match allow.iter().position(|&(file, item, _)| (file, item) == (rel, name)) {
+                Some(k) => {
+                    declared[k] = true;
+                    if let Some(&g) = elsewhere {
+                        out.push(format!(
+                            "{rel}:{}: [orphan] allow-list entry `{name}` ({}) is stale: \
+                             `{}` names it (drop the entry)",
+                            i + 1,
+                            allow[k].2,
+                            files[g].0
+                        ));
+                    }
+                }
+                None if elsewhere.is_none() => out.push(format!(
+                    "{rel}:{}: [orphan] `pub` item `{name}` is named in no other file \
+                     (delete it, narrow it, or allow-list it with a reason)",
+                    i + 1
+                )),
+                None => {}
+            }
+        }
+    }
+    for (&(file, name, reason), found) in allow.iter().zip(declared) {
+        if !found {
+            out.push(format!(
+                "{file}: [orphan] allow-list entry `{name}` ({reason}) is stale: \
+                 no `pub` item of that name (drop the entry)"
+            ));
+        }
+    }
+    out
+}
+
+/// The name a trimmed code line declares as a `pub` item (`pub fn`,
+/// `pub struct`, `pub const`, …), or `None`: `pub(crate)` and narrower, a
+/// `pub use`, a field.
+fn pub_item(trimmed: &str) -> Option<&str> {
+    let mut words = trimmed.strip_prefix("pub ")?.split_whitespace().peekable();
+    loop {
+        match words.next()? {
+            "unsafe" | "async" | "extern" => {}
+            "const" if matches!(words.peek(), Some(&("fn" | "unsafe"))) => {}
+            kw if DEF_KEYWORDS.contains(&kw) => {
+                let name = words.find(|&w| w != "mut")?;
+                let end = name.find(|c: char| !is_ident_byte(c as u8)).unwrap_or(name.len());
+                return Some(&name[..end]).filter(|n| !n.is_empty());
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// The identifiers on a code line, less each name a definition introduces
+/// (the word after `fn`, `struct`, … and whitespace).
+fn used_words(line: &str) -> impl Iterator<Item = &str> {
+    let (mut prev, mut gap_from) = ("", 0);
+    line.split(|c: char| !c.is_ascii() || !is_ident_byte(c as u8))
+        .filter(|word| !word.is_empty())
+        .filter(move |word| {
+            let start = word.as_ptr() as usize - line.as_ptr() as usize;
+            let defined = DEF_KEYWORDS.contains(&prev) && line[gap_from..start].trim().is_empty();
+            (prev, gap_from) = (word, start + word.len());
+            !defined
+        })
 }
 
 /// The innermost `fn` whose body each line sits in (`None` outside every
@@ -1163,26 +1344,97 @@ mod tests {
         }
     }
 
+    fn orphans(files: &[(&str, &str)], allow: &[(&str, &str, &str)]) -> Vec<String> {
+        let files: Vec<(String, String)> =
+            files.iter().map(|&(rel, src)| (rel.to_string(), src.to_string())).collect();
+        rule_orphan(&files, allow)
+    }
+
+    #[test]
+    fn pasted_orphan_is_caught() {
+        let decl = "pub fn used() {}\npub fn pasted(x: u8) -> u8 {\n    x\n}\n";
+        let user = "fn f() {\n    pkg_core::used();\n}\n";
+        let v = orphans(&[("crates/core/src/x.rs", decl), ("crates/sim/src/y.rs", user)], &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("[orphan]") && v[0].contains("x.rs:2") && v[0].contains("`pasted`"));
+        // Narrower visibility, fields, test code, drivers and the lint itself
+        // declare no layer API.
+        let quiet = "pub struct S {\n    pub field: u8,\n}\npub(crate) fn a() {}\n\
+                     #[cfg(test)]\nmod tests {\n    pub fn b() {}\n}\n";
+        let user = "fn f(s: S) {}\n";
+        assert!(orphans(&[("crates/core/src/x.rs", quiet), ("src/lib.rs", user)], &[]).is_empty());
+        for rel in ["crates/bench/src/bin/fig.rs", "crates/lint/src/main.rs", "src/lib.rs"] {
+            assert!(orphans(&[(rel, decl)], &[]).is_empty(), "{rel}");
+        }
+    }
+
+    #[test]
+    fn test_code_reexports_and_definitions_do_not_rescue_an_orphan() {
+        let decl = ("crates/core/src/x.rs", "pub fn lonely() {}\nfn g() {\n    lonely();\n}\n");
+        for user in [
+            "#[cfg(test)]\nmod tests {\n    fn t() {\n        crate::x::lonely();\n    }\n}\n",
+            "pub use x::lonely;\n",
+            "pub use x::{\n    g, lonely,\n};\n",
+            "fn lonely() {}\n",
+            "// lonely() is called by nothing\nfn f() {}\n",
+        ] {
+            let v = orphans(&[decl, ("crates/core/src/lib.rs", user)], &[]);
+            assert!(v.iter().any(|v| v.contains("`lonely`")), "{user:?} rescued it");
+        }
+        for user in ["use crate::x::lonely;\n", "fn f() {\n    x::lonely();\n}\n"] {
+            assert!(orphans(&[decl, ("crates/core/src/lib.rs", user)], &[]).is_empty(), "{user:?}");
+        }
+    }
+
+    #[test]
+    fn uses_in_examples_and_the_benchmark_rescue_an_item() {
+        let root = std::env::temp_dir().join(format!("pkg-lint-orphan-{}", std::process::id()));
+        let write = |rel: &str, src: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+            std::fs::write(path, src).expect("write");
+        };
+        let caught = |name: &str| {
+            let needle = format!("`{name}` is named in no other file");
+            scan(&root).1.iter().any(|v| v.contains(&needle))
+        };
+        write(
+            "crates/core/src/lib.rs",
+            "#![forbid(unsafe_code)]\npub fn shown() {}\npub fn benched() {}\n",
+        );
+        // Integration tests are not users.
+        write("tests/t.rs", "fn t() {\n    pkg_core::shown();\n    pkg_core::benched();\n}\n");
+        let before = (caught("shown"), caught("benched"));
+        write("examples/demo.rs", "fn main() {\n    pkg_core::shown();\n}\n");
+        write("benchmark/src/main.rs", "fn main() {\n    pkg_core::benched();\n}\n");
+        let after = (caught("shown"), caught("benched"));
+        std::fs::remove_dir_all(&root).expect("clean up");
+        assert_eq!(before, (true, true));
+        assert_eq!(after, (false, false));
+    }
+
+    #[test]
+    fn stale_allow_entries_are_reported() {
+        let decl = ("crates/core/src/x.rs", "pub fn kept() {}\npub fn called() {}\n");
+        let user = ("examples/e.rs", "fn main() {\n    called();\n}\n");
+        let allow = [
+            ("crates/core/src/x.rs", "kept", "deliberate"),
+            ("crates/core/src/x.rs", "called", "now used"),
+            ("crates/core/src/x.rs", "gone", "deleted"),
+        ];
+        let v = orphans(&[decl, user], &allow);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().any(|v| v.contains("`called`") && v.contains("examples/e.rs")), "{v:?}");
+        assert!(v.iter().any(|v| v.contains("`gone`") && v.contains("stale")), "{v:?}");
+        assert!(orphans(&[decl, user], &allow[..1]).is_empty());
+    }
+
     /// The tree this binary ships in must itself be clean — the same scan
     /// CI runs, as a plain test.
     #[test]
     fn repo_is_clean() {
-        let root = workspace_root();
-        let mut files = Vec::new();
-        for top in ["crates", "vendor", "src"] {
-            collect_rs_files(&root.join(top), &mut files);
-        }
-        assert!(files.len() > 20, "workspace scan found too few files");
-        let mut violations = Vec::new();
-        for path in &files {
-            let src = std::fs::read_to_string(path).expect("readable source");
-            let rel = path
-                .strip_prefix(&root)
-                .expect("file under root")
-                .to_string_lossy()
-                .replace(std::path::MAIN_SEPARATOR, "/");
-            violations.extend(lint_file(&rel, &src));
-        }
+        let (files, violations) = scan(&workspace_root());
+        assert!(files > 20, "workspace scan found too few files");
         assert!(violations.is_empty(), "workspace must lint clean:\n{}", violations.join("\n"));
     }
 }

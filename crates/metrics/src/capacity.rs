@@ -14,7 +14,7 @@
 //!   when every weight is equal, so callers keep the capacity-free integer
 //!   code path and routing stays byte-identical to the unweighted schemes
 //!   (the degeneration `tests/property_tests.rs` pins).
-//! * **Cross-multiplied comparisons**: [`Capacities::less`] compares
+//! * **Cross-multiplied comparisons**: [`prefers`] compares
 //!   `L_a / c_a < L_b / c_b` as `L_a · c_b < L_b · c_a` — no division, and
 //!   exact whenever the products are f64-representable.
 //!
@@ -81,7 +81,7 @@ impl Capacities {
     /// ties (and the uniform special case) behave exactly like the integer
     /// comparison `la < lb`.
     #[inline]
-    pub fn less(&self, la: u64, a: usize, lb: u64, b: usize) -> bool {
+    fn less(&self, la: u64, a: usize, lb: u64, b: usize) -> bool {
         (la as f64) * self.weights[b] < (lb as f64) * self.weights[a]
     }
 

@@ -9,12 +9,12 @@
 //!   of imbalance* (imbalance normalized by the number of messages). See
 //!   [`load::LoadVector`] and [`mod@imbalance`].
 //! * **Time series** (Fig. 3): imbalance sampled through (simulated) time.
-//!   See [`timeseries::TimeSeries`].
+//!   See [`TimeSeries`].
 //! * **Latency** (Fig. 5): end-to-end engine latencies. See
 //!   [`histogram::LatencyHistogram`] (a log-bucketed histogram, since
 //!   per-message latencies span orders of magnitude).
 //!
-//! [`welford::Welford`] provides numerically stable running mean/variance
+//! [`Welford`] provides numerically stable running mean/variance
 //! used by several experiment drivers.
 //!
 //! For heterogeneous clusters, [`capacity::Capacities`] carries per-worker
@@ -25,26 +25,26 @@
 //!
 //! [`load_metric::LoadMetricKind`] makes the *minimized signal itself*
 //! pluggable (tuple count, in-flight depth, Peak-EWMA latency), and
-//! [`capacity_estimator::CapacityEstimator`] re-derives capacity weights
+//! [`CapacityEstimator`] re-derives capacity weights
 //! online from observed service rates — see the module docs for the
 //! byte-identity contracts both uphold in their default/uniform regimes.
 
 #![forbid(unsafe_code)]
 
 pub mod capacity;
-pub mod capacity_estimator;
+mod capacity_estimator;
 pub mod histogram;
 pub mod imbalance;
 pub mod load;
 pub mod load_metric;
-pub mod timeseries;
-pub mod welford;
+mod timeseries;
+mod welford;
 
 pub use capacity::{prefers, weighted_imbalance, weighted_imbalance_fraction, Capacities};
 pub use capacity_estimator::{CapacityEstimator, DEFAULT_ESTIMATOR_WINDOW};
 pub use histogram::LatencyHistogram;
 pub use imbalance::{imbalance, imbalance_fraction, worst_case_imbalance};
 pub use load::LoadVector;
-pub use load_metric::{peak_ewma_step, LoadMetricKind, LoadObservation, DEFAULT_PEAK_EWMA_WINDOW};
+pub use load_metric::{peak_ewma_step, LoadMetricKind, LoadObservation};
 pub use timeseries::TimeSeries;
 pub use welford::Welford;

@@ -160,7 +160,7 @@ impl LoadVector {
     /// `max_{i∈live} L_i − avg_{i∈live} L_i`. With `live = 0..n` this is
     /// exactly [`Self::imbalance`]. Loads on non-live workers are ignored
     /// (their history is preserved, not forgotten).
-    pub fn imbalance_over(&self, live: &[usize]) -> f64 {
+    fn imbalance_over(&self, live: &[usize]) -> f64 {
         debug_assert!(!live.is_empty());
         let mut max = 0u64;
         let mut sum = 0u64;
@@ -172,8 +172,9 @@ impl LoadVector {
         max as f64 - sum as f64 / live.len() as f64
     }
 
-    /// [`Self::imbalance_over`] divided by the messages recorded on `live`
-    /// workers; 0 when they have seen none.
+    /// The imbalance of the membership subset `live`
+    /// (`max_{i∈live} L_i − avg_{i∈live} L_i`) divided by the messages
+    /// recorded on `live` workers; 0 when they have seen none.
     pub fn imbalance_fraction_over(&self, live: &[usize]) -> f64 {
         let sum: u64 = live.iter().map(|&w| self.loads[w]).sum();
         if sum == 0 {

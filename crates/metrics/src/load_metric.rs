@@ -30,7 +30,7 @@
 /// 64 samples ≈ the convergence window the elastic replay uses per worker;
 /// long enough to smooth jitter, short enough that a genuine 4× slowdown
 /// dominates the signal within one estimation window.
-pub const DEFAULT_PEAK_EWMA_WINDOW: u32 = 64;
+const DEFAULT_PEAK_EWMA_WINDOW: u32 = 64;
 
 /// Everything [`LoadMetricKind::signal`] may consult about one worker,
 /// flattened to plain integers so the signal stays pure and unit-testable.
@@ -71,7 +71,7 @@ pub enum LoadMetricKind {
     /// worker's signal is exactly `B × count` — the same argmin (including
     /// tie patterns) as [`LoadMetricKind::TupleCount`].
     PeakEwma {
-        /// Decay window in observations (see [`DEFAULT_PEAK_EWMA_WINDOW`]).
+        /// Decay window in observations (64 by default, `DEFAULT_PEAK_EWMA_WINDOW`).
         window: u32,
     },
 }

@@ -190,7 +190,7 @@ impl SimConfig {
 
 /// Compute the key-frequency histogram of a stream (one extra pass; needed
 /// only by Off-Greedy).
-pub fn frequencies(spec: &StreamSpec, stream_seed: u64) -> KeyFrequencies {
+fn frequencies(spec: &StreamSpec, stream_seed: u64) -> KeyFrequencies {
     KeyFrequencies::from_keys(spec.iter(stream_seed).map(|m| m.key))
 }
 

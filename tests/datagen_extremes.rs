@@ -68,7 +68,7 @@ fn two_key_stream_is_sane() {
 fn paper_scale_twitter_uses_rejection_sampler_without_blowup() {
     // 31M keys would need a 250MB CDF table; the profile must build with
     // O(1) memory and still match p1. Keep the message count tiny.
-    let spec = DatasetProfile::twitter_paper_scale().with_messages(200_000).build(1);
+    let spec = DatasetProfile::twitter().with_keys(31_000_000).with_messages(200_000).build(1);
     assert_eq!(spec.key_space(), 31_000_000);
     let p1 = spec.p1().expect("rejection sampler knows p1");
     assert!((p1 - 0.0267).abs() < 1e-3, "p1 = {p1}");
