@@ -200,6 +200,9 @@ pub struct AggregatorBolt<A: PartialAgg> {
     merged: FxHashMap<TupleKey, A>,
     /// Inexact partials per key, awaiting a canonical fold at emission.
     buffered: FxHashMap<TupleKey, Vec<A>>,
+    /// Payloads that failed to decode (wiring bugs; surfaced via
+    /// `debug_assert` in debug builds, counted and skipped in release).
+    decode_failures: u64,
     /// Hedge ids already observed; the second copy of a hedged tuple is
     /// dropped and counted in `pkg_ingress::hedge::audit`.
     hedge_seen: FxHashSet<u64>,
@@ -224,11 +227,12 @@ impl<A: PartialAgg> AggregatorBolt<A> {
     /// worker per pane until end of stream.
     ///
     /// A payload that fails to decode is a wiring bug: it trips a
-    /// `debug_assert` in debug builds and is skipped in release.
+    /// `debug_assert` in debug builds and is counted and skipped in release.
     pub fn new() -> Self {
         Self {
             merged: FxHashMap::default(),
             buffered: FxHashMap::default(),
+            decode_failures: 0,
             hedge_seen: FxHashSet::default(),
         }
     }
@@ -288,7 +292,10 @@ impl<A: PartialAgg> Bolt for AggregatorBolt<A> {
                 }
             },
             Some(part) => self.buffered.entry(tuple.key).or_default().push(part),
-            None => debug_assert!(false, "undecodable {} payload", A::NAME),
+            None => {
+                debug_assert!(false, "undecodable {} payload", A::NAME);
+                self.decode_failures += 1;
+            }
         }
     }
 
@@ -461,6 +468,7 @@ mod tests {
         assert!(agg.buffered.is_empty(), "exact partials are never buffered");
         let merged = agg.merged.remove(&TupleKey::from_slice(b"k")).expect("key merged");
         assert_eq!(merged.emit(), 42);
+        assert_eq!(agg.decode_failures, 0);
     }
 
     /// Everything a single phase-one `worker` instance emits for `stream`,

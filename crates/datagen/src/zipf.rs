@@ -156,17 +156,6 @@ impl ZipfTable {
         self.cdf[0]
     }
 
-    /// Exact per-rank probabilities.
-    pub fn probabilities(&self) -> Vec<f64> {
-        let mut probs = Vec::with_capacity(self.cdf.len());
-        let mut prev = 0.0;
-        for &c in &self.cdf {
-            probs.push(c - prev);
-            prev = c;
-        }
-        probs
-    }
-
     /// Sample a rank in `0..k`.
     #[inline]
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
@@ -280,6 +269,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    impl ZipfTable {
+        /// Exact per-rank probabilities.
+        fn probabilities(&self) -> Vec<f64> {
+            let mut prev = 0.0;
+            self.cdf
+                .iter()
+                .map(|&c| {
+                    let p = c - prev;
+                    prev = c;
+                    p
+                })
+                .collect()
+        }
+    }
 
     /// The binary search the guide table replaced: the oracle for `rank_of`.
     fn bisect(t: &ZipfTable, u: f64) -> usize {

@@ -241,6 +241,16 @@ mod tests {
     }
 
     #[test]
+    fn choices_into_matches_choices() {
+        let fam = HashFamily::new(3, 9);
+        let mut buf = [0usize; MAX_CHOICES];
+        for key in 0u64..100 {
+            let reference: Vec<usize> = (0..fam.d()).map(|i| fam.choice(i, &key, 7)).collect();
+            assert_eq!(fam.choices_into(&key, 7, &mut buf), reference.as_slice());
+        }
+    }
+
+    #[test]
     fn str_and_bytes_keys_agree() {
         let fam = HashFamily::new(2, 1);
         assert_eq!(fam.choices("word", 9), fam.choices("word".as_bytes(), 9));

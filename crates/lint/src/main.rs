@@ -6,8 +6,9 @@
 //! model-checked suite relies on. The per-file rules read the shipped code
 //! under `crates/`, `vendor/` and `src/`. The cross-file `orphan` rule also
 //! reads `examples/` and `benchmark/src/`, as users of the layer crates'
-//! API. Integration tests (`tests/`) are read by no rule: an item only a
-//! test names is an orphan unless it is allow-listed.
+//! API. Integration tests (`tests/`) are no users: an item only a test
+//! names is an orphan unless it is allow-listed, and the rule reads them
+//! only to check that an allow-list entry's cited test still names its item.
 //!
 //! | rule      | scope                         | invariant                                     |
 //! |-----------|-------------------------------|-----------------------------------------------|
@@ -48,12 +49,17 @@
 //! | `route_`  | whole workspace but `pkg-hash`| no `.hash_seeded(` — a key is routed by a     |
 //! | `seam`    | and `pkg-core`, non-test      | `pkg_core::Partitioner`, never by a second    |
 //! |           |                               | hash-and-reduce of its own                    |
-//! | `orphan`  | `pub` items of the layer      | each is named, as a whole word, in non-test   |
-//! |           | crates' `src/` (all but       | code of another file under `crates/`, `src/`, |
-//! |           | `pkg-lint`, `pkg-bench` and   | `examples/` or `benchmark/src/` — a `pub use` |
-//! |           | `pool_model.rs`), non-test    | or a same-named definition is no use — or is  |
-//! |           |                               | on `ORPHAN_ALLOW` with a reason; a stale      |
-//! |           |                               | allow-list entry is a violation too           |
+//! | `orphan`  | `pub` items of the layer      | each item's *name* appears, as a whole word,  |
+//! |           | crates' `src/` (all but       | in non-test code of another file under        |
+//! |           | `pkg-lint`, `pkg-bench` and   | `crates/`, `src/`, `examples/` or             |
+//! |           | `pool_model.rs`), non-test    | `benchmark/src/` — a `pub use` or a same-named|
+//! |           |                               | definition is no use — or the item is on      |
+//! |           |                               | `ORPHAN_ALLOW` with a reason. Names, not      |
+//! |           |                               | paths: an item whose name another file spells |
+//! |           |                               | for anything else (`new`, `len`) passes       |
+//! |           |                               | unchecked. A stale allow-list entry (item     |
+//! |           |                               | gone, named elsewhere, or no longer named by  |
+//! |           |                               | the `tests/` file its reason cites) fails too |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
 //! Usage: `cargo run -p pkg-lint [workspace-root]`.
@@ -203,7 +209,7 @@ const ORPHAN_NON_USERS: [&str; 2] = ["crates/lint/src/main.rs", "crates/engine/s
 /// `pub` items of the layer crates that no other file names, kept on
 /// purpose: `(file, item, reason)`. Types that appear in a public
 /// signature, test-support API, and the oracles and bounds integration
-/// tests read.
+/// tests read; a reason that cites a `tests/` file is checked against it.
 const ORPHAN_ALLOW: [(&str, &str, &str); 19] = [
     ("crates/agg/src/accumulators.rs", "Distinct", "law-checked in tests/agg_laws.rs"),
     ("crates/agg/src/spacesaving.rs", "min_count", "tests/property_tests.rs bounds it by m/k"),
@@ -259,11 +265,12 @@ fn workspace_root() -> PathBuf {
 
 /// Lint the tree under `root`: the per-file rules over `crates/`, `vendor/`
 /// and `src/`, then the cross-file `orphan` pass, whose users also include
-/// `examples/` and `benchmark/src/`. Returns the number of files read and
-/// the violations.
+/// `examples/` and `benchmark/src/` (and which reads `tests/` for the
+/// allow-list's cited tests). Returns the number of files read and the
+/// violations.
 fn scan(root: &Path) -> (usize, Vec<String>) {
     let mut paths = Vec::new();
-    for top in ["crates", "vendor", "src", "examples", "benchmark/src"] {
+    for top in ["crates", "vendor", "src", "examples", "benchmark/src", "tests"] {
         collect_rs_files(&root.join(top), &mut paths);
     }
     paths.sort();
@@ -279,7 +286,7 @@ fn scan(root: &Path) -> (usize, Vec<String>) {
             .unwrap_or(path)
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
-        if !rel.starts_with("examples/") && !rel.starts_with("benchmark/") {
+        if ["crates/", "vendor/", "src/"].iter().any(|top| rel.starts_with(top)) {
             violations.extend(lint_file(&rel, &src));
         }
         if !rel.starts_with("vendor/") {
@@ -528,16 +535,17 @@ const DEF_KEYWORDS: [&str; 9] =
     ["fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union"];
 
 /// `orphan`: every `pub` item a layer file declares must be named, as a
-/// whole word, in non-test code of another file. A `pub use` re-export and
-/// a definition of the same name are not uses. `allow` lists the deliberate
-/// exceptions as `(file, name, reason)`; an entry whose item is gone, or is
-/// now named elsewhere, is reported too.
+/// whole word, in non-test code of another file outside `tests/`. A
+/// `pub use` re-export and a definition of the same name are not uses.
+/// `allow` lists the deliberate exceptions as `(file, name, reason)`; an
+/// entry whose item is gone, is now named elsewhere, or is no longer named
+/// anywhere in the `tests/` file its reason cites, is reported too.
 fn rule_orphan(files: &[(String, String)], allow: &[(&str, &str, &str)]) -> Vec<String> {
     let codes: Vec<Vec<String>> = files.iter().map(|(_, src)| blank_code(src)).collect();
     let tests: Vec<Vec<bool>> = codes.iter().map(|code| test_lines(code)).collect();
     let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
     for (f, (rel, _)) in files.iter().enumerate() {
-        if ORPHAN_NON_USERS.contains(&rel.as_str()) {
+        if ORPHAN_NON_USERS.contains(&rel.as_str()) || rel.starts_with("tests/") {
             continue;
         }
         let mut in_reexport = false;
@@ -573,13 +581,26 @@ fn rule_orphan(files: &[(String, String)], allow: &[(&str, &str, &str)]) -> Vec<
             match allow.iter().position(|&(file, item, _)| (file, item) == (rel, name)) {
                 Some(k) => {
                     declared[k] = true;
+                    let reason = allow[k].2;
                     if let Some(&g) = elsewhere {
                         out.push(format!(
-                            "{rel}:{}: [orphan] allow-list entry `{name}` ({}) is stale: \
+                            "{rel}:{}: [orphan] allow-list entry `{name}` ({reason}) is stale: \
                              `{}` names it (drop the entry)",
                             i + 1,
-                            allow[k].2,
                             files[g].0
+                        ));
+                    }
+                    let cited = reason.split_whitespace().find(|w| w.starts_with("tests/"));
+                    let names_it = |test: &str| {
+                        files.iter().zip(&codes).any(|((r, _), code)| {
+                            r == test && code.iter().any(|l| used_words(l).any(|w| w == name))
+                        })
+                    };
+                    if let Some(test) = cited.filter(|test| !names_it(test)) {
+                        out.push(format!(
+                            "{rel}:{}: [orphan] allow-list entry `{name}` ({reason}) is stale: \
+                             `{test}` does not name it (delete, narrow, or re-justify)",
+                            i + 1
                         ));
                     }
                 }
@@ -1426,6 +1447,17 @@ mod tests {
         assert!(v.iter().any(|v| v.contains("`called`") && v.contains("examples/e.rs")), "{v:?}");
         assert!(v.iter().any(|v| v.contains("`gone`") && v.contains("stale")), "{v:?}");
         assert!(orphans(&[decl, user], &allow[..1]).is_empty());
+        // An entry whose reason cites an integration test holds only while
+        // that test names the item; another test naming it does not count.
+        let cites = [("crates/core/src/x.rs", "kept", "oracle in tests/t.rs")];
+        let test = |rel, src| [decl, user, (rel, src)];
+        let oracle = "#[test]\nfn t() {\n    pkg_core::kept();\n}\n";
+        assert!(orphans(&test("tests/t.rs", oracle), &cites).is_empty());
+        for (rel, src) in [("tests/t.rs", "#[test]\nfn t() {}\n"), ("tests/u.rs", oracle)] {
+            let v = orphans(&test(rel, src), &cites);
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].contains("`kept`") && v[0].contains("`tests/t.rs` does not name it"));
+        }
     }
 
     /// The tree this binary ships in must itself be clean — the same scan
