@@ -12,7 +12,7 @@
 //! only two workers for each feature, rather than having to broadcast it to
 //! all the workers"), SG all `W`.
 
-use pkg_core::{Estimate, Partitioner, SchemeSpec, SharedLoads};
+use pkg_core::{Partitioner, SchemeSpec, SharedLoads};
 use pkg_hash::FxHashMap;
 
 /// One vertical-parallelism training event.
@@ -63,7 +63,6 @@ impl NaiveBayes {
     /// — on a single machine this is [`Self::count`]; in the partitioned
     /// setting it sums the candidate workers' partials.
     fn log_score<F: Fn(u32, u8, u8) -> u64>(
-        &self,
         features: &[(u32, u8)],
         class: u8,
         lookup: &F,
@@ -98,9 +97,6 @@ impl PartitionedNb {
     pub fn new(w: usize, scheme: &SchemeSpec, feature_count: usize, seed: u64) -> Self {
         let shared = SharedLoads::new(w);
         let partitioner = scheme.build(w, seed, 0, &shared, None);
-        // The shared loads are only read by Global estimates; the default
-        // schemes used here (KG / PKG-L / SG) do not need them after build.
-        let _ = Estimate::local(w);
         Self {
             workers: (0..w).map(|_| NaiveBayes::new()).collect(),
             partitioner,
@@ -154,12 +150,11 @@ impl PartitionedNb {
         };
         let mut classes: Vec<u8> = self.class_examples.keys().copied().collect();
         classes.sort_unstable();
-        let helper = NaiveBayes::new();
         classes
             .into_iter()
             .map(|c| {
                 let total = self.class_examples[&c] * self.feature_count as u64;
-                let s = helper.log_score(features, c, &lookup, total, grand);
+                let s = NaiveBayes::log_score(features, c, &lookup, total, grand);
                 (c, s)
             })
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
@@ -217,8 +212,8 @@ mod tests {
                 .into_iter()
                 .map(|c| {
                     let total = self.class_events[&c];
-                    let s =
-                        self.log_score(features, c, &|f, v, cl| self.count(f, v, cl), total, grand);
+                    let count = |f, v, cl| self.count(f, v, cl);
+                    let s = Self::log_score(features, c, &count, total, grand);
                     (c, s)
                 })
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))

@@ -11,7 +11,9 @@
 //! fixed so every point does the same work. It prints a TSV (echoed into
 //! `results/engine_scale.tsv`) with wall clock, counter throughput, pool
 //! activation counts and the counters' outbox spills, and **asserts message conservation at every
-//! point** (exit non-zero on any loss).
+//! point** (exit non-zero on any loss). Under the pool it also prints each
+//! worker's scheduler counters: parks, spins, timers fired and their mean
+//! lateness.
 //!
 //! Full mode additionally gates the scheduler's reason to exist: the pool
 //! must sustain ≥ 2× the thread-per-instance throughput at the largest
@@ -27,7 +29,7 @@ use std::time::Instant;
 use pkg_apps::wordcount::{wordcount_topology, WordCountConfig, WordCountVariant};
 use pkg_bench::{seed, Report, TextTable};
 use pkg_engine::tuple::audit;
-use pkg_engine::{ExecutorMode, Runtime, RuntimeOptions};
+use pkg_engine::{ExecutorMode, Runtime, RuntimeOptions, WorkerStats};
 
 /// One sweep point: a word-count topology with `instances` total PEIs
 /// (sources + counters + 1 aggregator) fed `messages` tuples in total.
@@ -46,6 +48,8 @@ struct Measurement {
     loads: Vec<u64>,
     /// Counter-stage p99 tuple latency (birth → execute), nanoseconds.
     p99_ns: u64,
+    /// Per-worker scheduler counters (pool only).
+    workers: Vec<WorkerStats>,
 }
 
 fn config_for(p: &Point) -> WordCountConfig {
@@ -106,6 +110,7 @@ fn run_point(cfg: &WordCountConfig, mode: ExecutorMode) -> Result<Measurement, S
         spilled: stats.spilled("counter"),
         loads: stats.loads("counter"),
         p99_ns: stats.latency_percentiles("counter")[1],
+        workers: stats.workers,
     })
 }
 
@@ -181,6 +186,17 @@ fn main() {
         }
     }
     r.push_str(&table.render());
+    for (instances, label, m) in &results {
+        for (wid, w) in m.workers.iter().enumerate() {
+            let late_us = w.timer_late_ns as f64 / w.timers_fired.max(1) as f64 / 1e3;
+            let _ = writeln!(
+                r,
+                "{label} @ {instances} instances, worker {wid}: parks={} spins={} \
+                 timers_fired={} timer_late_mean_us={late_us:.1}",
+                w.parks, w.spins, w.timers_fired,
+            );
+        }
+    }
 
     let find = |instances: usize, label: &str| {
         results.iter().find(|(i, l, _)| *i == instances && *l == label).map(|(_, _, m)| m)

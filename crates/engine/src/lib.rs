@@ -73,7 +73,7 @@ pub use elastic::{MigrationBus, MigrationMsg, EPOCH_MARKER_KEY};
 pub use grouping::Grouping;
 pub use ingress::IngressOptions;
 pub use load::LoadSignalOptions;
-pub use metrics::{InstanceStats, RunStats};
+pub use metrics::{InstanceStats, RunStats, WorkerStats};
 pub use runtime::{edge_seed, ExecutorMode, InstanceCapacities, Runtime, RuntimeOptions};
 pub use spout::Spout;
 pub use topology::Topology;

@@ -58,6 +58,22 @@ pub struct InstanceStats {
     pub spilled: u64,
 }
 
+/// Scheduler counters of one pool worker, reported when the run ends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerStats {
+    /// Idle waits that parked the thread (`park_timeout`).
+    pub parks: u64,
+    /// Idle waits that spun toward a timer deadline instead of parking. An
+    /// idle wait whose re-check found every queue empty ends in exactly one
+    /// park or one spin.
+    pub spins: u64,
+    /// Timer-wheel entries (ticks and stall ends) this worker fired.
+    pub timers_fired: u64,
+    /// Σ(fire time − deadline) over those entries, in nanoseconds: how
+    /// late the wheel's deadlines were met.
+    pub timer_late_ns: u64,
+}
+
 /// Accumulates state-size samples (at every tick and at end of stream).
 #[derive(Debug, Default)]
 pub(crate) struct StateSampler {
@@ -89,6 +105,9 @@ pub struct RunStats {
     pub wall: Duration,
     /// All instance statistics.
     pub instances: Vec<InstanceStats>,
+    /// Per-worker scheduler counters, indexed by worker id (the pool
+    /// schedule only; empty under dedicated threads).
+    pub workers: Vec<WorkerStats>,
 }
 
 impl RunStats {

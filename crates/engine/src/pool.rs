@@ -90,12 +90,12 @@ use pkg_metrics::LatencyHistogram;
 use crate::bolt::{Bolt, EdgeTx, Emitter, OutEdge, Outlet};
 use crate::grouping::Router;
 use crate::ingress::{HedgeState, SpoutIngress};
-use crate::metrics::{InstanceStats, RunStats, StateSampler};
+use crate::metrics::{InstanceStats, RunStats, StateSampler, WorkerStats};
 use crate::ring::SpscRing;
 use crate::runtime::{ExecutorMode, RuntimeOptions};
 use crate::spout::Spout;
-use crate::sync::atomic::{AtomicU8, AtomicUsize, Ordering::SeqCst};
-use crate::sync::{lock, Instant, Mutex, Parker, Unparker};
+use crate::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::SeqCst};
+use crate::sync::{lock, spin_loop, Instant, Mutex, Parker, Unparker};
 use crate::timer::TimerWheel;
 use crate::topology::{ComponentKind, Topology};
 use crate::tuple::{Packet, PacketBatch};
@@ -107,6 +107,22 @@ const DEFAULT_BATCH: usize = 256;
 /// defensive backstop: all wakes are edge-triggered, so this only bounds
 /// recovery latency, it is not a correctness mechanism.
 const MAX_IDLE_PARK: Duration = Duration::from_millis(100);
+
+/// Shortest park of an idle worker; a nearer deadline is met by a spin, or
+/// by this park's overshoot when another worker holds the spinner slot.
+const MIN_IDLE_PARK: Duration = Duration::from_micros(50);
+
+/// How near the timer wheel's next deadline must be for an idle worker to
+/// spin toward it instead of parking. A park returns late: at least
+/// `MIN_IDLE_PARK`, and a `park_timeout` overshoots its timeout by ≈ 60 µs
+/// on a 2-core x86 host, more in the host's slow phases. Fixed, not tuned
+/// per run: a deadline nearer than this is one a park would miss.
+const SPIN_WINDOW_NS: u64 = 200_000;
+
+/// Spin polls before a spinner parks under the model, which does not
+/// virtualize time (see [`spin_until`]).
+#[cfg(feature = "pkg_model")]
+const MODEL_SPIN_ROUNDS: usize = 2;
 
 // Task scheduling states.
 const IDLE: u8 = 0;
@@ -347,10 +363,47 @@ pub(crate) struct Shared {
     idle: AtomicUsize,
     /// Tasks not yet `DONE`.
     remaining: AtomicUsize,
+    /// The spinner slot: 1 while an idle worker spins toward a near
+    /// deadline, claimed by CAS. The other idlers park, so at most one core
+    /// spins however many workers idle.
+    spinner: AtomicU8,
+    /// Per-worker scheduler counters, indexed by worker id; empty under
+    /// dedicated threads.
+    counters: Vec<WorkerCounters>,
     epoch: Instant,
     /// The quantum: packets per drain, offers per spout run, staged emissions.
     pub(crate) batch: usize,
     stats: Mutex<Vec<InstanceStats>>,
+}
+
+/// One pool worker's [`WorkerStats`] as they accrue: written by that worker
+/// alone, and on a cache line of its own so the writes never false-share.
+#[repr(align(64))]
+#[derive(Default)]
+struct WorkerCounters {
+    parks: AtomicU64,
+    spins: AtomicU64,
+    timers_fired: AtomicU64,
+    timer_late_ns: AtomicU64,
+}
+
+impl WorkerCounters {
+    fn bump(counter: &AtomicU64, by: u64) {
+        // ordering: SeqCst — statistics only, kept at the module policy
+        // ordering (SC-only model)
+        counter.fetch_add(by, SeqCst);
+    }
+
+    fn snapshot(&self) -> WorkerStats {
+        // ordering: SeqCst — read once every worker has joined (SC-only model)
+        let read = |counter: &AtomicU64| counter.load(SeqCst);
+        WorkerStats {
+            parks: read(&self.parks),
+            spins: read(&self.spins),
+            timers_fired: read(&self.timers_fired),
+            timer_late_ns: read(&self.timer_late_ns),
+        }
+    }
 }
 
 impl Shared {
@@ -1011,12 +1064,17 @@ fn steal(shared: &Shared, wid: usize) -> Option<usize> {
     None
 }
 
-/// Fire the timer wheel's due deadlines onto the injector, then pop the
-/// injector's oldest task.
-fn inject(shared: &Shared, due: &mut Vec<(usize, bool)>) -> Option<usize> {
+/// Fire the timer wheel's due deadlines onto the injector, counting them
+/// and their lateness on worker `wid`, then pop the injector's oldest task.
+fn inject(shared: &Shared, wid: usize, due: &mut Vec<(usize, bool)>) -> Option<usize> {
     let mut s = lock(&shared.sched);
     due.clear();
-    s.timers.fire(shared.now_ns(), due);
+    let late_ns = s.timers.fire(shared.now_ns(), due);
+    if !due.is_empty() {
+        let counters = &shared.counters[wid];
+        WorkerCounters::bump(&counters.timers_fired, due.len() as u64);
+        WorkerCounters::bump(&counters.timer_late_ns, late_ns);
+    }
     for &(t, unpark) in due.iter() {
         let kind = if unpark { WakeKind::Unpark } else { WakeKind::Notify };
         if shared.wake_state(t, &kind) {
@@ -1033,7 +1091,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
         // Pick order: own deque (oldest first) → a sibling's → the injector
         // and due timers. Sources and deadlines enter only through the
         // injector, so the deques drain between two visits to it.
-        match steal(shared, wid).or_else(|| inject(shared, &mut due)) {
+        match steal(shared, wid).or_else(|| inject(shared, wid, &mut due)) {
             Some(tid) => run_task(shared, tid, wid),
             // ordering: SeqCst — exit check pairs with run_task's final
             // decrement (SC-only model)
@@ -1046,12 +1104,19 @@ fn worker_loop(shared: &Shared, wid: usize) {
     }
 }
 
-/// Park worker `wid` until a wake, its next timer deadline or the backstop.
-/// It registers as idle *before* re-checking every queue: a waker that
-/// pushes after the re-check reads the raised idle count and pops our
+/// Wait, as worker `wid`, for a wake, the next timer deadline or the
+/// backstop. It registers as idle *before* re-checking every queue: a waker
+/// that pushes after the re-check reads the raised idle count and pops our
 /// unparker, and a pre-park unpark makes park return immediately (no lost
 /// wake). The re-check covers the siblings' deques too, so a local wake
 /// that raced the registration is stolen now instead of after the backstop.
+///
+/// A re-check that finds nothing ends in exactly one park or one spin. A
+/// park returns late (see `SPIN_WINDOW_NS`), so a worker whose next
+/// deadline is nearer than the window spins toward it instead, if it can
+/// claim the spinner slot; the others park as before. The spinner stays
+/// registered, so a wake reaches it through its token like any idler's, and
+/// it releases the slot only after its deregistration.
 fn idle_wait(shared: &Shared, wid: usize, parker: &Parker) {
     lock(&shared.idlers).push((wid, parker.unparker()));
     // ordering: SeqCst — the raise precedes the re-check below; pairs with
@@ -1062,17 +1127,67 @@ fn idle_wait(shared: &Shared, wid: usize, parker: &Parker) {
         (s.runq.is_empty(), s.timers.next_deadline_ns())
     };
     let empty = empty && shared.locals.iter().all(WorkStealingDeque::is_empty);
+    let mut spun = false;
     // ordering: SeqCst — re-check under idler registration (SC-only model)
     if empty && shared.remaining.load(SeqCst) != 0 {
-        let sleep = next_deadline
-            .map_or(MAX_IDLE_PARK, |d| Duration::from_nanos(d.saturating_sub(shared.now_ns())))
-            .clamp(Duration::from_micros(50), MAX_IDLE_PARK);
-        parker.park_timeout(sleep);
+        let counters = &shared.counters[wid];
+        let now = shared.now_ns();
+        let near = next_deadline.filter(|d| d.saturating_sub(now) < SPIN_WINDOW_NS);
+        // ordering: SeqCst — the slot claim; one total order with the
+        // other idlers' claims and the holder's release (SC-only model)
+        spun = near.is_some() && shared.spinner.compare_exchange(0, 1, SeqCst, SeqCst).is_ok();
+        match near {
+            Some(deadline) if spun => {
+                WorkerCounters::bump(&counters.spins, 1);
+                spin_until(shared, parker, deadline);
+            }
+            _ => {
+                WorkerCounters::bump(&counters.parks, 1);
+                let sleep = next_deadline
+                    .map_or(MAX_IDLE_PARK, |d| Duration::from_nanos(d.saturating_sub(now)))
+                    .clamp(MIN_IDLE_PARK, MAX_IDLE_PARK);
+                parker.park_timeout(sleep);
+            }
+        }
     }
     lock(&shared.idlers).retain(|(w, _)| *w != wid);
     // ordering: SeqCst — lowered only after the registration is gone
     // (SC-only model)
     shared.idle.fetch_sub(1, SeqCst);
+    if spun {
+        // ordering: SeqCst — released after the deregistration, so every
+        // registered idler that has spun holds the slot: what model
+        // invariant 11(b) observes (SC-only model)
+        shared.spinner.store(0, SeqCst);
+    }
+}
+
+/// Spin until `parker`'s token is set or the clock reaches `deadline_ns`.
+/// The exit test reads only the token and the clock: polling the siblings'
+/// deques too would only add cache traffic to a busy worker, since every
+/// wake that queues work also sets an idler's token.
+#[cfg(not(feature = "pkg_model"))]
+fn spin_until(shared: &Shared, parker: &Parker, deadline_ns: u64) {
+    while !parker.park_timeout(Duration::ZERO) && shared.now_ns() < deadline_ns {
+        spin_loop();
+    }
+}
+
+/// The model does not virtualize time, so the clock never ends a spin
+/// here: after `MODEL_SPIN_ROUNDS` polls the spinner parks until the
+/// deadline, and the model never times a park out. A wake that misses the
+/// spinner's token is then a reported deadlock, not a spin the deadline
+/// quietly rescues. Outside a model run the park does time out, so the
+/// ordinary tests still pass with the feature on.
+#[cfg(feature = "pkg_model")]
+fn spin_until(shared: &Shared, parker: &Parker, deadline_ns: u64) {
+    for _ in 0..MODEL_SPIN_ROUNDS {
+        if parker.park_timeout(Duration::ZERO) {
+            return;
+        }
+        spin_loop();
+    }
+    parker.park_timeout(Duration::from_nanos(deadline_ns.saturating_sub(shared.now_ns())));
 }
 
 /// One pass of a dedicated owner over its task `tid` with the clock at
@@ -1282,6 +1397,10 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
         idlers: Mutex::new(Vec::new()),
         idle: AtomicUsize::new(0),
         remaining: AtomicUsize::new(total_instances),
+        spinner: AtomicU8::new(0),
+        counters: (0..if parkers.is_empty() { workers } else { 0 })
+            .map(|_| WorkerCounters::default())
+            .collect(),
         epoch,
         batch: if batch == 0 { DEFAULT_BATCH } else { batch },
         stats: Mutex::new(Vec::with_capacity(total_instances)),
@@ -1309,7 +1428,8 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
     };
     assert_eq!(instances.len(), total_instances, "every task reports stats");
     instances.sort_by(|a, b| a.component.cmp(&b.component).then(a.instance.cmp(&b.instance)));
-    RunStats { wall, instances }
+    let workers = shared.counters.iter().map(WorkerCounters::snapshot).collect();
+    RunStats { wall, instances, workers }
 }
 
 #[cfg(test)]
@@ -1341,10 +1461,19 @@ mod tests {
             idlers: Mutex::new(Vec::new()),
             idle: AtomicUsize::new(0),
             remaining: AtomicUsize::new(n_tasks),
+            spinner: AtomicU8::new(0),
+            counters: vec![WorkerCounters::default()],
             epoch: Instant::now(),
             batch: DEFAULT_BATCH,
             stats: Mutex::new(Vec::new()),
         }
+    }
+
+    /// `shared` with `n` workers: a deque and a counter block each.
+    pub(super) fn with_workers(mut shared: Shared, n: usize) -> Shared {
+        shared.locals = (0..n).map(|_| WorkStealingDeque::new(8)).collect();
+        shared.counters = (0..n).map(|_| WorkerCounters::default()).collect();
+        shared
     }
 
     /// Take every queued id of `deque`, oldest first.
@@ -1364,8 +1493,7 @@ mod tests {
     /// whole wake rule, one row at a time.
     #[test]
     fn wakes_queue_on_the_wakers_worker_and_releases_on_the_injector() {
-        let mut shared = mini_shared(4, 4);
-        shared.locals = (0..2).map(|_| WorkStealingDeque::new(8)).collect();
+        let mut shared = with_workers(mini_shared(4, 4), 2);
         shared.batch = 1;
 
         // A data wake from worker 1: worker 1's deque, the injector untouched.
@@ -1423,6 +1551,85 @@ mod tests {
         assert!(shared.locals[0].is_empty());
         assert!(drain_runq(&shared).is_empty());
     }
+    /// Every `idle_wait` whose re-check finds every queue empty ends in
+    /// exactly one park or one spin, and one that finds work in neither:
+    /// the identity behind `WorkerStats::{parks, spins}`.
+    #[test]
+    fn an_idle_wait_that_finds_nothing_parks_or_spins_exactly_once() {
+        let shared = mini_shared(1, 4);
+        let parker = Parker::new();
+        let stats = |shared: &Shared| shared.counters[0].snapshot();
+        let waits = |parks, spins| WorkerStats { parks, spins, ..WorkerStats::default() };
+        let arm_in = |shared: &Shared, ns| {
+            let deadline = shared.now_ns() + ns;
+            lock(&shared.sched).timers.insert(deadline, 0);
+        };
+        // Nothing queued, no deadline: a park, which a pending unpark ends.
+        parker.unparker().unpark();
+        idle_wait(&shared, 0, &parker);
+        assert_eq!(stats(&shared), waits(1, 0));
+        // A deadline inside the spin window: a spin, ended by the clock.
+        arm_in(&shared, 2_000);
+        idle_wait(&shared, 0, &parker);
+        assert_eq!(stats(&shared), waits(1, 1));
+        // A deadline past the window: a park.
+        lock(&shared.sched).timers = TimerWheel::new();
+        arm_in(&shared, 10 * SPIN_WINDOW_NS);
+        parker.unparker().unpark();
+        idle_wait(&shared, 0, &parker);
+        assert_eq!(stats(&shared), waits(2, 1));
+        // A near deadline while another worker holds the spinner slot: a park.
+        lock(&shared.sched).timers = TimerWheel::new();
+        arm_in(&shared, SPIN_WINDOW_NS / 2);
+        // ordering: SeqCst — single-threaded fixture set-up (SC-only model)
+        shared.spinner.store(1, SeqCst);
+        parker.unparker().unpark();
+        idle_wait(&shared, 0, &parker);
+        assert_eq!(stats(&shared), waits(3, 1));
+        // ordering: SeqCst — as above
+        assert_eq!(shared.spinner.load(SeqCst), 1, "a parker leaves the slot alone");
+        // ordering: SeqCst — as above
+        shared.spinner.store(0, SeqCst);
+        // Work found by the re-check: neither.
+        lock(&shared.sched).runq.push_back(0);
+        idle_wait(&shared, 0, &parker);
+        assert_eq!(stats(&shared), waits(3, 1));
+        lock(&shared.sched).runq.clear();
+        // Every task done: neither.
+        // ordering: SeqCst — as above
+        shared.remaining.store(0, SeqCst);
+        idle_wait(&shared, 0, &parker);
+        assert_eq!(stats(&shared), waits(3, 1));
+        // ordering: SeqCst — as above
+        assert_eq!(shared.spinner.load(SeqCst), 0, "the spinner released its slot");
+        assert_eq!(shared.idle.load(SeqCst), 0, "every wait deregistered");
+    }
+
+    /// `inject` counts the deadlines it fires on the worker that fired them,
+    /// with their summed lateness.
+    #[test]
+    fn inject_counts_fired_timers_and_their_lateness() {
+        let mut shared = with_workers(mini_shared(2, 4), 2);
+        // The clock reads at least 1 ms.
+        let Some(epoch) = Instant::now().checked_sub(Duration::from_millis(1)) else {
+            return;
+        };
+        shared.epoch = epoch;
+        {
+            let mut s = lock(&shared.sched);
+            s.timers.insert(1_000, 0);
+            s.timers.insert_unpark(3_000, 1);
+            s.timers.insert(1_000_000_000_000, 1);
+        }
+        let mut due = Vec::new();
+        assert_eq!(inject(&shared, 1, &mut due), Some(0), "fired onto the injector");
+        let fired = shared.counters[1].snapshot();
+        assert_eq!(fired.timers_fired, 2, "the far deadline is not due");
+        let least = 2 * 1_000_000 - 1_000 - 3_000;
+        assert!(fired.timer_late_ns >= least, "Σ lateness: {}", fired.timer_late_ns);
+        assert_eq!(shared.counters[0].snapshot(), WorkerStats::default());
+    }
+
     /// A relay: every input tuple goes on downstream.
     struct Relay;
 

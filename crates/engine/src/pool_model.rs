@@ -50,6 +50,14 @@
 //!     partial left in the outbox is always owed a release wake, and the
 //!     run completes with per-destination FIFO, the Eof last and every
 //!     task DONE ([`a_ticking_bolt_reads_its_input_around_its_backlog`]).
+//! 11. **Spinning idlers** — an idler whose next deadline is near spins
+//!     instead of parking, and (a) a wake raised while it spins still
+//!     reaches it through its token, so nothing strands
+//!     ([`a_wake_raised_while_a_worker_spins_is_never_lost`]), and (b) two
+//!     idlers never spin at once: the slot claim makes the other park
+//!     ([`two_idlers_never_spin_at_once`]). The model does not virtualize
+//!     time, so a fixture freezes the clock short of a deadline, and a spin
+//!     under the model parks after a bounded number of polls.
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
 //! the PR 4 stall bug, an unconditional-IDLE variant of the idle
@@ -57,19 +65,21 @@
 //! that parks without re-reading the state its activation settled into,
 //! a flush that pushes past a non-empty outbox, an idler that raises the
 //! idle count only after its re-check, an idle re-check blind to the
-//! siblings' deques, and a backlogged bolt that settles `Idle` with no
-//! waiter registered, and assert the checker *finds* the violating
-//! schedule.
+//! siblings' deques, a backlogged bolt that settles `Idle` with no
+//! waiter registered, a spinner that deregisters before it spins, and an
+//! idler that spins without claiming the spinner slot, and assert the
+//! checker *finds* the violating schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
 // to police fixture code.
 #![allow(clippy::pedantic)]
 
-use super::tests::mini_shared;
+use super::tests::{mini_shared, with_workers};
 use super::*;
 use crate::grouping::Grouping;
 use crate::spout::{spout_from_iter, Spout};
 use crate::tuple::Tuple;
+use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering::SeqCst as StdSeqCst};
 use std::sync::{Arc, Mutex as StdMutex};
 
 fn mailbox_len(shared: &Shared, tid: usize) -> usize {
@@ -501,6 +511,8 @@ fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> S
         idlers: Mutex::new(Vec::new()),
         idle: AtomicUsize::new(0),
         remaining: AtomicUsize::new(2),
+        spinner: AtomicU8::new(0),
+        counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
         epoch: Instant::now(),
         batch: 2,
         stats: Mutex::new(Vec::new()),
@@ -847,7 +859,7 @@ fn worker_loop_idling(shared: &Shared, wid: usize, idle: Idle) {
     let parker = Parker::new();
     let mut due = Vec::new();
     loop {
-        match steal(shared, wid).or_else(|| inject(shared, &mut due)) {
+        match steal(shared, wid).or_else(|| inject(shared, wid, &mut due)) {
             Some(tid) => run_task(shared, tid, wid),
             // ordering: SeqCst — as in worker_loop (SC-only model)
             None if shared.remaining.load(SeqCst) == 0 => return,
@@ -862,11 +874,23 @@ fn worker_loop_idling(shared: &Shared, wid: usize, idle: Idle) {
 /// worker 1 runs `worker`. The sink must see the tuple in exactly one
 /// activation and every thread must finish: under the model a park never
 /// times out, so a wake that reaches no worker is reported as a deadlock.
-fn check_local_wake(worker: fn(&Shared, usize)) -> Result<pkg_model::Report, pkg_model::Violation> {
-    pkg_model::Builder::new().preemption_bound(2).check(move || {
+///
+/// With `near`, the clock is frozen just short of a deadline
+/// ([`freeze_near_a_deadline`]), so worker 1 spins wherever its re-check
+/// finds nothing; the returned count is the spins summed over every
+/// schedule explored.
+fn check_local_wake(
+    worker: fn(&Shared, usize),
+    near: bool,
+) -> (Result<pkg_model::Report, pkg_model::Violation>, u64) {
+    let spins = Arc::new(StdAtomicU64::new(0));
+    let total = Arc::clone(&spins);
+    let result = pkg_model::Builder::new().preemption_bound(2).check(move || {
         let seen = Arc::new(StdMutex::new(Vec::new()));
-        let mut shared = mini_shared(1, 4);
-        shared.locals = (0..2).map(|_| WorkStealingDeque::new(8)).collect();
+        let mut shared = with_workers(mini_shared(1, 4), 2);
+        if near {
+            freeze_near_a_deadline(&mut shared);
+        }
         let kind = TaskKind::Bolt {
             bolt: Box::new(OrderBolt { seen: Arc::clone(&seen) }),
             eof_remaining: 1,
@@ -894,7 +918,11 @@ fn check_local_wake(worker: fn(&Shared, usize)) -> Result<pkg_model::Report, pkg
         assert_eq!(shared.tasks[0].state.load(SeqCst), DONE);
         let stats = lock(&shared.stats);
         assert_eq!(stats[0].activations, 1, "the woken bolt ran exactly once");
-    })
+        // ordering: SeqCst — a tally across schedules, read after the last
+        total.fetch_add(shared.counters[1].snapshot().spins, StdSeqCst);
+    });
+    // ordering: SeqCst — read after every schedule has run (SC-only model)
+    (result, spins.load(StdSeqCst))
 }
 
 /// Invariant 9, through the real [`worker_loop`]: however worker 1's idle
@@ -903,7 +931,8 @@ fn check_local_wake(worker: fn(&Shared, usize)) -> Result<pkg_model::Report, pkg
 /// sees deque 0 non-empty and steals the bolt without parking.
 #[test]
 fn local_wake_is_stolen_by_an_idling_sibling() {
-    let report = check_local_wake(worker_loop).expect("no schedule may strand a local wake");
+    let report =
+        check_local_wake(worker_loop, false).0.expect("no schedule may strand a local wake");
     assert!(
         report.iterations >= 100,
         "expected a real interleaving space, got {} schedules",
@@ -932,9 +961,12 @@ fn mutation_idle_count_raised_after_recheck_is_caught() {
         // ordering: SeqCst — as in idle_wait (SC-only model)
         shared.idle.fetch_sub(1, SeqCst);
     }
-    let violation =
-        check_local_wake(|shared, wid| worker_loop_idling(shared, wid, raises_after_recheck))
-            .expect_err("an idle count raised after the re-check must be caught");
+    let violation = check_local_wake(
+        |shared, wid| worker_loop_idling(shared, wid, raises_after_recheck),
+        false,
+    )
+    .0
+    .expect_err("an idle count raised after the re-check must be caught");
     assert!(violation.message.contains("deadlock"), "got: {violation}");
 }
 
@@ -957,9 +989,151 @@ fn mutation_recheck_blind_to_sibling_deques_is_caught() {
         // ordering: SeqCst — as in idle_wait (SC-only model)
         shared.idle.fetch_sub(1, SeqCst);
     }
-    let violation = check_local_wake(|shared, wid| worker_loop_idling(shared, wid, ignores_deques))
-        .expect_err("an idle re-check blind to the siblings' deques must be caught");
+    let violation =
+        check_local_wake(|shared, wid| worker_loop_idling(shared, wid, ignores_deques), false)
+            .0
+            .expect_err("an idle re-check blind to the siblings' deques must be caught");
     assert!(violation.message.contains("deadlock"), "got: {violation}");
+}
+
+/// A deadline `NEAR_NS` after the frozen clock: inside the spin window, and
+/// never due.
+const NEAR_NS: u64 = SPIN_WINDOW_NS / 2;
+
+/// Freeze `shared`'s clock at 1 ns — its epoch lies in the future, and
+/// `Instant::elapsed` saturates at zero — and arm a tick for task 0 at
+/// [`NEAR_NS`]. Every idle wait whose re-check finds nothing then has a
+/// near deadline, whatever the wall clock does while the model runs, and
+/// no timer ever fires.
+fn freeze_near_a_deadline(shared: &mut Shared) {
+    shared.epoch = Instant::now() + Duration::from_secs(3_600);
+    lock(&shared.sched).timers.insert(NEAR_NS, 0);
+}
+
+/// Invariant 11(a), through the real [`worker_loop`]: worker 1 idles with a
+/// near deadline, so it spins instead of parking. A wake raised during the
+/// spin still reaches it: the spinner stays registered, the waker pops its
+/// unparker, and the token ends the spin. Under the model the spin parks
+/// after a bounded number of polls, so a wake that missed the token is a
+/// deadlock, not a spin the deadline rescues.
+#[test]
+fn a_wake_raised_while_a_worker_spins_is_never_lost() {
+    let (result, spins) = check_local_wake(worker_loop, true);
+    let report = result.expect("no schedule may strand a wake raised during a spin");
+    assert!(report.iterations >= 100, "expected a real interleaving space, got {report:?}");
+    assert!(spins > 0, "no explored schedule took the spin path");
+}
+
+/// Detection power for invariant 11(a): a spinner that deregisters before
+/// it spins must be caught — a wake pushed after its re-check reads the idle
+/// count as zero, and nothing sets the spinner's token.
+#[test]
+fn mutation_spinner_deregisters_before_spinning_is_caught() {
+    fn deregisters_first(shared: &Shared, wid: usize, parker: &Parker) {
+        lock(&shared.idlers).push((wid, parker.unparker()));
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        shared.idle.fetch_add(1, SeqCst);
+        let empty = lock(&shared.sched).runq.is_empty()
+            && shared.locals.iter().all(WorkStealingDeque::is_empty);
+        lock(&shared.idlers).retain(|(w, _)| *w != wid);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        shared.idle.fetch_sub(1, SeqCst);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        if empty && shared.remaining.load(SeqCst) != 0 {
+            // BUG (deliberate): the spin starts after the deregistration,
+            // so a wake raised during it unparks nobody.
+            spin_until(shared, parker, NEAR_NS);
+        }
+    }
+    let violation =
+        check_local_wake(|shared, wid| worker_loop_idling(shared, wid, deregisters_first), true)
+            .0
+            .expect_err("a spinner that deregisters before it spins must be caught");
+    assert!(violation.message.contains("deadlock"), "got: {violation}");
+}
+
+/// Workers 0 and 1 each run `idle` once on a pool with nothing queued and a
+/// near deadline, while an observer looks once at the registered idlers
+/// and then ends the run (every task done, every idler unparked). An idler
+/// spins only after it registered, and releases the slot only after its
+/// deregistration, so a registered idler that has spun holds the slot when
+/// the observer looks. The observer counts them. Returns the check and the
+/// spins summed over every schedule explored.
+fn check_one_spinner(idle: Idle) -> (Result<pkg_model::Report, pkg_model::Violation>, u64) {
+    let spins = Arc::new(StdAtomicU64::new(0));
+    let total = Arc::clone(&spins);
+    let result = pkg_model::Builder::new().preemption_bound(2).check(move || {
+        let mut shared = with_workers(mini_shared(1, 4), 2);
+        freeze_near_a_deadline(&mut shared);
+        let shared = Arc::new(shared);
+        let idlers: Vec<_> = (0..2)
+            .map(|wid| {
+                let shared = Arc::clone(&shared);
+                pkg_model::thread::spawn(move || idle(&shared, wid, &Parker::new()))
+            })
+            .collect();
+        let observer = {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || {
+                let registered = lock(&shared.idlers);
+                let spinning = registered
+                    .iter()
+                    .filter(|(w, _)| shared.counters[*w].snapshot().spins > 0)
+                    .count();
+                assert!(spinning <= 1, "two idlers spin at once");
+                drop(registered);
+                // ordering: SeqCst — as run_task's final decrement (SC-only model)
+                shared.remaining.store(0, SeqCst);
+                shared.unpark_all_idlers();
+            })
+        };
+        for idler in idlers {
+            idler.join();
+        }
+        observer.join();
+        let spun: u64 = shared.counters.iter().map(|c| c.snapshot().spins).sum();
+        // ordering: SeqCst — a tally across schedules, read after the last
+        total.fetch_add(spun, StdSeqCst);
+    });
+    // ordering: SeqCst — read after every schedule has run (SC-only model)
+    (result, spins.load(StdSeqCst))
+}
+
+/// Invariant 11(b), through the real [`idle_wait`]: however two idlers'
+/// re-checks and slot claims interleave, at most one of them spins at a
+/// time; the other parks as before.
+#[test]
+fn two_idlers_never_spin_at_once() {
+    let (result, spins) = check_one_spinner(idle_wait);
+    let report = result.expect("no schedule may have two idlers spinning at once");
+    assert!(report.iterations >= 100, "expected a real interleaving space, got {report:?}");
+    assert!(spins > 0, "no explored schedule took the spin path");
+}
+
+/// Detection power for invariant 11(b): an idler that spins without
+/// claiming the slot must be caught — two of them spin side by side.
+#[test]
+fn mutation_spin_without_the_slot_claim_is_caught() {
+    fn spins_unclaimed(shared: &Shared, wid: usize, parker: &Parker) {
+        lock(&shared.idlers).push((wid, parker.unparker()));
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        shared.idle.fetch_add(1, SeqCst);
+        let empty = lock(&shared.sched).runq.is_empty()
+            && shared.locals.iter().all(WorkStealingDeque::is_empty);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        if empty && shared.remaining.load(SeqCst) != 0 {
+            // BUG (deliberate): the spin never claims the spinner slot.
+            WorkerCounters::bump(&shared.counters[wid].spins, 1);
+            spin_until(shared, parker, NEAR_NS);
+        }
+        lock(&shared.idlers).retain(|(w, _)| *w != wid);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        shared.idle.fetch_sub(1, SeqCst);
+    }
+    let violation = check_one_spinner(spins_unclaimed)
+        .0
+        .expect_err("two idlers spinning at once must be caught");
+    assert!(violation.message.contains("spin at once"), "got: {violation}");
 }
 
 /// A phase-one bolt for invariant 10: it only reads its input, its tick

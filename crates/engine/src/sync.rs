@@ -21,7 +21,11 @@
 //!
 //! `Instant` is re-exported from `std::time` in both modes: the model does
 //! not virtualize time, and the model suite only exercises code paths whose
-//! scheduling decisions are time-independent.
+//! scheduling decisions are time-independent, or freezes the clock (an
+//! epoch in the future) where one is not: the pool's idle spin. A
+//! busy-wait's pause goes through [`spin_loop`], which under the model is a
+//! scheduling point, so a spinning thread cannot run ahead of the threads
+//! it waits for.
 
 #[cfg(not(feature = "pkg_model"))]
 pub(crate) use std::sync::{Mutex, MutexGuard};
@@ -40,12 +44,22 @@ pub(crate) use std::time::Instant;
 
 pub(crate) mod atomic {
     #[cfg(not(feature = "pkg_model"))]
-    pub(crate) use std::sync::atomic::{AtomicU8, AtomicUsize};
+    pub(crate) use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize};
 
     #[cfg(feature = "pkg_model")]
-    pub(crate) use pkg_model::sync::atomic::{AtomicU8, AtomicUsize};
+    pub(crate) use pkg_model::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize};
 
     pub(crate) use std::sync::atomic::Ordering;
+}
+
+/// One round of a busy-wait: `std::hint::spin_loop` in normal builds; under
+/// the model a pure scheduling point (`pkg_model::thread::yield_now`).
+#[inline]
+pub(crate) fn spin_loop() {
+    #[cfg(not(feature = "pkg_model"))]
+    std::hint::spin_loop();
+    #[cfg(feature = "pkg_model")]
+    pkg_model::thread::yield_now();
 }
 
 /// Lock a facade mutex. The engine's workers never panic while holding a

@@ -86,13 +86,15 @@ impl TimerWheel {
     }
 
     /// Collect every `(task, unpark)` whose deadline is `<= now_ns` into
-    /// `due` and advance the cursor.
-    pub(crate) fn fire(&mut self, now_ns: u64, due: &mut Vec<(usize, bool)>) {
+    /// `due` and advance the cursor. Returns how late they fire: the sum of
+    /// `now_ns - deadline` over the collected entries.
+    pub(crate) fn fire(&mut self, now_ns: u64, due: &mut Vec<(usize, bool)>) -> u64 {
+        let mut late_ns = 0;
         if self.len == 0 {
             // Keep the cursor tracking the clock so late inserts land in
             // live slots rather than a long-dead window.
             self.cursor = self.cursor.max(granule(now_ns));
-            return;
+            return late_ns;
         }
         let now_granule = granule(now_ns);
         while self.cursor <= now_granule {
@@ -106,6 +108,7 @@ impl TimerWheel {
                 // truly-due (the cursor granule itself may be mid-flight).
                 if granule(e.deadline_ns).max(cursor) == cursor && e.deadline_ns <= now_ns {
                     due.push((e.task, e.unpark));
+                    late_ns += now_ns - e.deadline_ns;
                     self.len -= 1;
                 } else {
                     slot[kept] = e;
@@ -133,6 +136,7 @@ impl TimerWheel {
                 }
             }
         }
+        late_ns
     }
 
     /// Earliest pending deadline, if any — the idle workers' sleep bound.
@@ -222,6 +226,18 @@ mod tests {
         w.fire(4 * GRANULE_NS, &mut due);
         due.sort_unstable();
         assert_eq!(due, vec![(1, false), (2, true)]);
+    }
+
+    #[test]
+    fn fire_reports_the_summed_lateness() {
+        let mut w = TimerWheel::new();
+        w.insert(100, 1);
+        w.insert_unpark(250, 2);
+        w.insert(5 * GRANULE_NS, 3);
+        let mut due = Vec::new();
+        assert_eq!(w.fire(300, &mut due), 200 + 50, "Σ(now − deadline) over the two due");
+        assert_eq!(due.len(), 2);
+        assert_eq!(w.fire(301, &mut Vec::new()), 0, "nothing due, nothing late");
     }
 
     #[test]

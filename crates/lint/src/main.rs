@@ -14,9 +14,10 @@
 //! |-----------|-------------------------------|-----------------------------------------------|
 //! | `facade`  | engine `pool.rs`, `timer.rs`, | no `std::sync` / `std::thread::sleep` /       |
 //! |           | `elastic.rs`, `ring.rs`,      | `std::time::Instant` outside `crate::sync`,   |
-//! |           | `ingress.rs`, `load.rs`,      | and no `thread_local!` — what makes the code  |
-//! |           | `bolt.rs`, `runtime.rs`;      | model-checkable at all                        |
-//! |           | crossbeam `deque.rs`          |                                               |
+//! |           | `ingress.rs`, `load.rs`,      | no `thread_local!`, and no direct             |
+//! |           | `bolt.rs`, `runtime.rs`;      | `std::hint::spin_loop` or                     |
+//! |           | crossbeam `deque.rs`          | `std::thread::yield_now` — what makes the     |
+//! |           |                               | code model-checkable at all                   |
 //! | `ordering`| whole workspace               | every memory-ordering token (`SeqCst`, …)     |
 //! |           |                               | carries a `// ordering:` justification within |
 //! |           |                               | 3 lines                                       |
@@ -104,8 +105,18 @@ const FACADE_FILES: [&str; 9] = [
 /// `std::time::Duration` (a value type, not a clock). `thread_local!` is
 /// banned because per-thread state is an input the model checker cannot
 /// see: which worker raised a wake, say, is passed as an argument instead.
-const FACADE_BANNED: [&str; 4] =
-    ["std::sync", "std::thread::sleep", "std::time::Instant", "thread_local!"];
+/// A busy-wait pauses through the facade's `spin_loop`, a scheduling point
+/// under the model; a direct `std::hint::spin_loop` or
+/// `std::thread::yield_now` would let a spinner run ahead of the threads it
+/// waits for.
+const FACADE_BANNED: [&str; 6] = [
+    "std::sync",
+    "std::thread::sleep",
+    "std::time::Instant",
+    "thread_local!",
+    "std::hint::spin_loop",
+    "std::thread::yield_now",
+];
 
 /// The only files that may spell `prefers(`: its definition and the one
 /// argmin loop of the greedy family. A second loop elsewhere would bring
@@ -1354,6 +1365,20 @@ mod tests {
         assert!(lint("crates/engine/src/pool.rs", &gated).is_empty());
         let mention = "// the worker id is an argument, not a thread_local! cell\nfn f() {}\n";
         assert!(lint("crates/engine/src/pool.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn pasted_direct_spin_or_yield_in_the_pool_is_caught() {
+        for call in ["std::hint::spin_loop()", "std::thread::yield_now()"] {
+            let src = format!(
+                "fn spin_until(parker: &Parker) {{\n    while !parker.park_timeout(Duration::ZERO) {{\n        {call};\n    }}\n}}\n"
+            );
+            let v = lint("crates/engine/src/pool.rs", &src);
+            assert!(v.iter().any(|v| v.contains("[facade]") && v.contains("pool.rs:3")), "{v:?}");
+            // The facade's own hint is the sanctioned spelling.
+            let facade = src.replace(call, "crate::sync::spin_loop()");
+            assert!(lint("crates/engine/src/pool.rs", &facade).is_empty(), "{call}");
+        }
     }
 
     #[test]

@@ -268,3 +268,37 @@ fn saturated_stream_still_ticks_on_the_pool() {
     let due = (WINDOW.as_nanos() / PERIOD.as_nanos()) as u64;
     assert!(fired >= due / 2, "{fired} of {due} ticks fired while the source saturated the pool");
 }
+
+/// Each pool worker reports its scheduler counters: a slow ticking stream
+/// leaves the workers idle between tuples (every idle wait parks or
+/// spins) and fires its ticks from the timer wheel. Dedicated threads keep
+/// no such counters.
+#[test]
+fn pool_workers_report_idle_waits_and_fired_timers() {
+    use std::time::Duration;
+    let run = |executor| {
+        let mut topo = Topology::new();
+        let src = topo.add_spout("src", 1, |_| {
+            let mut left = 10;
+            spout_from_fn(move || {
+                left -= 1;
+                std::thread::sleep(Duration::from_millis(2));
+                (left >= 0).then(|| Tuple::new(b"x".to_vec(), 1))
+            })
+        });
+        let _ticker = topo
+            .add_bolt("ticker", 1, |_| Box::new(CountingBolt::default()))
+            .input(src, Grouping::Global)
+            .tick_every(Duration::from_millis(1))
+            .id();
+        Runtime::with_options(RuntimeOptions { executor, ..RuntimeOptions::default() }).run(topo)
+    };
+    let stats = run(ExecutorMode::Pool { workers: 2, batch: 0 });
+    assert_eq!(stats.workers.len(), 2, "one counter block per worker");
+    let fired: u64 = stats.workers.iter().map(|w| w.timers_fired).sum();
+    let ticks: u64 = stats.instances.iter().map(|i| i.ticks).sum();
+    assert!(fired > 0 && ticks > 0, "{fired} timers fired for {ticks} ticks");
+    let waits: u64 = stats.workers.iter().map(|w| w.parks + w.spins).sum();
+    assert!(waits > 0, "a 20 ms trickle never left a worker idle");
+    assert!(run(ExecutorMode::ThreadPerInstance).workers.is_empty());
+}
