@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use crate::grouping::{Router, TargetBatch};
 use crate::ingress::HedgeState;
-use crate::pool::{deliver_outbox, Shared};
+use crate::schedule::Shared;
+use crate::transport::deliver_outbox;
 use crate::tuple::{Packet, Tuple};
 use pkg_core::SharedLoads;
 use pkg_hash::FxHashMap;

@@ -20,7 +20,7 @@
 //! know when the hand-off is complete and routing can un-gate. The bus
 //! counts sends and receipts so drivers can assert conservation.
 //!
-//! This module is covered by the `facade-isolation` lint rule: all
+//! This module is covered by the `facade` lint rule: all
 //! concurrency primitives come from `crate::sync`, keeping it eligible for
 //! the model-checked suite.
 

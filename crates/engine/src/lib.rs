@@ -49,10 +49,14 @@ pub mod metrics;
 pub(crate) mod pool;
 pub mod ring;
 pub mod runtime;
+pub(crate) mod schedule;
 pub mod spout;
 pub(crate) mod sync;
+pub(crate) mod task;
+pub(crate) mod threads;
 pub(crate) mod timer;
 pub mod topology;
+pub(crate) mod transport;
 pub mod tuple;
 
 /// Convenient glob import for building topologies.

@@ -1,8 +1,10 @@
-//! Model-checked concurrency suite for the pool executor (`--features
-//! pkg_model`). Compiled as a child of `pool` so fixtures can build [`Shared`]
-//! directly and drive the real `wake_state`/`settle`/`run_task`/`worker_loop`
-//! code paths under `pkg_model`'s controlled scheduler, which exhaustively
-//! enumerates thread interleavings (DFS, bounded preemption).
+//! Model-checked concurrency suite for the instance runtime (`--features
+//! pkg_model`). Compiled as a child of `pool` so fixtures can reach the pool
+//! schedule's private state, build [`Shared`] through the one unit-test
+//! builder (`pool::tests::mini_shared`) and drive the real
+//! `wake_state`/`settle`/`run_task`/`worker_loop`/`owner_loop` code paths
+//! under `pkg_model`'s controlled scheduler, which exhaustively enumerates
+//! thread interleavings (DFS, bounded preemption).
 //!
 //! Invariants pinned here:
 //! 1. **Lost-wake freedom** — a mailbox push racing the worker's
@@ -74,13 +76,22 @@
 // to police fixture code.
 #![allow(clippy::pedantic)]
 
-use super::tests::{mini_shared, with_workers};
+use super::tests::{mini_shared, pool, with_workers};
 use super::*;
-use crate::grouping::Grouping;
+use crate::bolt::{Bolt, EdgeTx, Emitter, OutEdge};
+use crate::grouping::{Grouping, Router};
+use crate::ring::SpscRing;
+use crate::schedule::Schedule;
 use crate::spout::{spout_from_iter, Spout};
-use crate::tuple::Tuple;
+use crate::task::{
+    activate, settle, Outcome, TaskBody, TaskKind, DONE, IDLE, PARKED, QUEUED, RUNNING,
+};
+use crate::threads::{owner_loop, owner_pass, Owner};
+use crate::transport::{deliver_outbox, Mailbox};
+use crate::tuple::{Packet, PacketBatch, Tuple};
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering::SeqCst as StdSeqCst};
 use std::sync::{Arc, Mutex as StdMutex};
+use std::time::Instant;
 
 fn mailbox_len(shared: &Shared, tid: usize) -> usize {
     match shared.tasks[tid].mailbox.as_ref() {
@@ -126,7 +137,7 @@ fn no_lost_wake_between_empty_check_and_idle() {
                 };
                 let requeue = || {
                     shared.tasks[0].state.store(QUEUED, SeqCst);
-                    lock(&shared.sched).runq.push_back(0);
+                    lock(&pool(&shared).sched).runq.push_back(0);
                 };
                 settle(&shared, 0, &outcome, requeue);
             })
@@ -169,7 +180,7 @@ fn mutation_unconditional_idle_store_is_caught() {
                         shared.tasks[0].state.store(IDLE, SeqCst);
                     } else {
                         shared.tasks[0].state.store(QUEUED, SeqCst);
-                        lock(&shared.sched).runq.push_back(0);
+                        lock(&pool(&shared).sched).runq.push_back(0);
                     }
                 })
             };
@@ -216,7 +227,7 @@ fn stall_never_skipped_by_concurrent_data_wake() {
         worker.join();
         assert_eq!(shared.tasks[0].state.load(SeqCst), PARKED, "stall skipped: task is not parked");
         let mut due = Vec::new();
-        lock(&shared.sched).timers.fire(STALL_DEADLINE_NS * 2, &mut due);
+        lock(&pool(&shared).sched).timers.fire(STALL_DEADLINE_NS * 2, &mut due);
         assert_eq!(due, vec![(0, true)], "stall deadline armed and fires as an Unpark");
     });
 }
@@ -246,10 +257,10 @@ fn mutation_pr4_conditional_stall_park_is_caught() {
                     // instant requeue, silently skipping the service time.
                     let slot = &shared.tasks[0];
                     if slot.state.compare_exchange(RUNNING, PARKED, SeqCst, SeqCst).is_ok() {
-                        lock(&shared.sched).timers.insert_unpark(STALL_DEADLINE_NS, 0);
+                        lock(&pool(&shared).sched).timers.insert_unpark(STALL_DEADLINE_NS, 0);
                     } else {
                         slot.state.store(QUEUED, SeqCst);
-                        lock(&shared.sched).runq.push_back(0);
+                        lock(&pool(&shared).sched).runq.push_back(0);
                     }
                 })
             };
@@ -327,7 +338,7 @@ fn deferral_fixture(due: Arc<StdMutex<bool>>) -> Shared {
 /// through `resume`, which the real suite binds to [`run_task`].
 fn worker_pass(shared: &Shared, now_ns: u64, resume: impl Fn(&Shared)) {
     let picked = {
-        let mut s = lock(&shared.sched);
+        let mut s = lock(&pool(shared).sched);
         let mut due = Vec::new();
         s.timers.fire(now_ns, &mut due);
         for (t, unpark) in due {
@@ -405,8 +416,10 @@ fn check_deferred_spout(resume: fn(&Shared)) -> Result<pkg_model::Report, pkg_mo
 /// again and parks it back on the wheel.
 #[test]
 fn deferred_spout_survives_early_release_and_timer_race() {
-    let report = check_deferred_spout(|shared| run_task(shared, 0, 0))
-        .expect("no schedule may strand, double-queue or prematurely resume a deferred spout");
+    let report = check_deferred_spout(|shared| {
+        run_task(shared, 0, 0);
+    })
+    .expect("no schedule may strand, double-queue or prematurely resume a deferred spout");
     assert!(
         report.iterations >= 100,
         "expected a real interleaving space, got {} schedules",
@@ -485,38 +498,18 @@ fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> S
         tick_period_ns: None,
         next_tick_ns: u64::MAX,
     };
-    let mailbox = if ring {
-        Mailbox::Ring(SpscRing::new(1))
-    } else {
-        Mailbox::Mutexed { cap: 1, inner: Mutex::default(), depth: AtomicUsize::new(0) }
-    };
-    Shared {
-        tasks: vec![
-            TaskSlot {
-                state: AtomicU8::new(QUEUED),
-                mailbox: None,
-                body: Mutex::new(Some(Box::new(blank_body("src", spout_kind, spout_edges)))),
-                depth_high: AtomicUsize::new(0),
-            },
-            TaskSlot {
-                state: AtomicU8::new(IDLE),
-                mailbox: Some(mailbox),
-                body: Mutex::new(Some(Box::new(blank_body("sink", bolt_kind, Vec::new())))),
-                depth_high: AtomicUsize::new(0),
-            },
-        ],
-        sched: Mutex::new(Sched { runq: VecDeque::from([0]), timers: TimerWheel::new() }),
-        locals: (0..workers).map(|_| WorkStealingDeque::new(8)).collect(),
-        owners: Vec::new(),
-        idlers: Mutex::new(Vec::new()),
-        idle: AtomicUsize::new(0),
-        remaining: AtomicUsize::new(2),
-        spinner: AtomicU8::new(0),
-        counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
-        epoch: Instant::now(),
-        batch: 2,
-        stats: Mutex::new(Vec::new()),
+    let mut shared = with_workers(mini_shared(2, 1), workers);
+    shared.tasks[0].mailbox = None;
+    if ring {
+        shared.tasks[1].mailbox = Some(Mailbox::Ring(SpscRing::new(1)));
     }
+    *lock(&shared.tasks[0].body) = Some(Box::new(blank_body("src", spout_kind, spout_edges)));
+    *lock(&shared.tasks[1].body) = Some(Box::new(blank_body("sink", bolt_kind, Vec::new())));
+    // ordering: SeqCst — fixture set-up before any thread is spawned (SC-only model)
+    shared.tasks[0].state.store(QUEUED, SeqCst);
+    shared.schedule.requeue(0, 0, true);
+    shared.batch = 2;
+    shared
 }
 
 /// Invariant 4, end to end through the real [`worker_loop`]: across every
@@ -535,7 +528,7 @@ fn check_spill_protocol(ring: bool) {
             let workers: Vec<_> = (0..2)
                 .map(|wid| {
                     let shared = Arc::clone(&shared);
-                    pkg_model::thread::spawn(move || worker_loop(&shared, wid))
+                    pkg_model::thread::spawn(move || worker_loop(&shared, pool(&shared), wid))
                 })
                 .collect();
             for w in workers {
@@ -548,7 +541,7 @@ fn check_spill_protocol(ring: bool) {
             );
             // ordering: SeqCst — post-join observations; every worker has
             // terminated, so these are quiescent reads (SC-only model)
-            assert_eq!(shared.remaining.load(SeqCst), 0, "all tasks retired");
+            assert_eq!(pool(&shared).remaining.load(SeqCst), 0, "all tasks retired");
             for slot in &shared.tasks {
                 // ordering: SeqCst — quiescent post-join read (SC-only model)
                 assert_eq!(slot.state.load(SeqCst), DONE);
@@ -651,12 +644,10 @@ fn model_ring_spsc_fifo_across_interleavings() {
 }
 
 /// Task 0 of a one-task `Shared` under the dedicated-thread schedule: an
-/// [`OrderBolt`] sink (one upstream sender) whose owner parks on the
-/// returned parker.
-fn owned_sink(seen: Arc<StdMutex<Vec<i64>>>) -> (Shared, Parker) {
-    let parker = Parker::new();
+/// [`OrderBolt`] sink (one upstream sender) and its owner ([`owner_of`]).
+fn owned_sink(seen: Arc<StdMutex<Vec<i64>>>) -> Shared {
     let mut shared = mini_shared(1, 4);
-    shared.owners = vec![Owner { unparker: parker.unparker(), deadlines: Mutex::default() }];
+    shared.schedule = Schedule::Threads(vec![Owner::new()]);
     let kind = TaskKind::Bolt {
         bolt: Box::new(OrderBolt { seen }),
         eof_remaining: 1,
@@ -664,7 +655,13 @@ fn owned_sink(seen: Arc<StdMutex<Vec<i64>>>) -> (Shared, Parker) {
         next_tick_ns: u64::MAX,
     };
     *lock(&shared.tasks[0].body) = Some(Box::new(blank_body("sink", kind, Vec::new())));
-    (shared, parker)
+    shared
+}
+
+/// The owner of task 0 in an [`owned_sink`].
+fn owner_of(shared: &Shared) -> &Owner {
+    let Schedule::Threads(owners) = &shared.schedule else { unreachable!("an owned sink") };
+    &owners[0]
 }
 
 /// A producer pushes one tuple and the Eof into an idle owned sink while
@@ -672,12 +669,11 @@ fn owned_sink(seen: Arc<StdMutex<Vec<i64>>>) -> (Shared, Parker) {
 /// and reach DONE. Under the model a park never times out, so an owner
 /// that misses a wake is reported as a deadlock.
 fn check_owner(
-    owner: fn(&Shared, usize, &Parker),
+    owner: fn(&Shared, &Owner, usize),
 ) -> Result<pkg_model::Report, pkg_model::Violation> {
     pkg_model::Builder::new().preemption_bound(2).check(move || {
         let seen = Arc::new(StdMutex::new(Vec::new()));
-        let (shared, parker) = owned_sink(Arc::clone(&seen));
-        let shared = Arc::new(shared);
+        let shared = Arc::new(owned_sink(Arc::clone(&seen)));
         let producer = {
             let shared = Arc::clone(&shared);
             pkg_model::thread::spawn(move || {
@@ -687,7 +683,7 @@ fn check_owner(
         };
         let driver = {
             let shared = Arc::clone(&shared);
-            pkg_model::thread::spawn(move || owner(&shared, 0, &parker))
+            pkg_model::thread::spawn(move || owner(&shared, owner_of(&shared), 0))
         };
         producer.join();
         driver.join();
@@ -698,9 +694,9 @@ fn check_owner(
 }
 
 /// Invariant 7a, through the real [`owner_loop`] and [`run_task`]: wakes
-/// that land mid-activation (NOTIFIED → a requeue onto the owner's own
-/// deque) and wakes that land after `settle(Idle)` (IDLE → QUEUED + unpark)
-/// both reach the owner.
+/// that land mid-activation (NOTIFIED → a requeue, which leaves the task
+/// QUEUED for the owner's next pass) and wakes that land after
+/// `settle(Idle)` (IDLE → QUEUED + unpark) both reach the owner.
 #[test]
 fn dedicated_owner_never_loses_a_wake() {
     let report = check_owner(owner_loop).expect("no schedule may strand the owned task");
@@ -717,11 +713,11 @@ fn dedicated_owner_never_loses_a_wake() {
 /// mid-activation requeues without an unpark, so that park never returns.
 #[test]
 fn mutation_owner_parks_without_rereading_its_state_is_caught() {
-    fn parks_after_settle(shared: &Shared, tid: usize, parker: &Parker) {
+    fn parks_after_settle(shared: &Shared, owner: &Owner, tid: usize) {
         let slot = &shared.tasks[tid];
         loop {
             // ordering: SeqCst — as in owner_pass (SC-only model)
-            if shared.locals[tid].pop().is_some() || slot.state.load(SeqCst) == QUEUED {
+            if slot.state.load(SeqCst) == QUEUED {
                 run_task(shared, tid, tid);
             }
             // ordering: SeqCst — as in owner_pass (SC-only model)
@@ -730,7 +726,7 @@ fn mutation_owner_parks_without_rereading_its_state_is_caught() {
             }
             // BUG (deliberate): parks even when the activation just
             // settled into QUEUED.
-            parker.park();
+            owner.parker.park();
         }
     }
     let violation = check_owner(parks_after_settle)
@@ -746,8 +742,7 @@ fn mutation_owner_parks_without_rereading_its_state_is_caught() {
 fn dedicated_stall_survives_a_racing_data_wake() {
     pkg_model::Builder::new().preemption_bound(2).model(|| {
         let seen = Arc::new(StdMutex::new(Vec::new()));
-        let (shared, _parker) = owned_sink(Arc::clone(&seen));
-        let shared = Arc::new(shared);
+        let shared = Arc::new(owned_sink(Arc::clone(&seen)));
         // ordering: SeqCst — fixture set-up before any thread is spawned (SC-only model)
         shared.tasks[0].state.store(RUNNING, SeqCst);
         let producer = {
@@ -763,16 +758,18 @@ fn dedicated_stall_survives_a_racing_data_wake() {
                 settle(&shared, 0, &Outcome::Stall(STALL_DEADLINE_NS), || {
                     unreachable!("a stall settle must never requeue");
                 });
-                let wait = owner_pass(&shared, 0, STALL_DEADLINE_NS - 1);
+                let wait = owner_pass(&shared, owner_of(&shared), 0, STALL_DEADLINE_NS - 1);
                 assert!(seen.lock().expect("order log").is_empty(), "stall skipped");
                 assert_eq!(wait, Some(Duration::from_nanos(1)), "parks until its own deadline");
-                owner_pass(&shared, 0, STALL_DEADLINE_NS);
+                owner_pass(&shared, owner_of(&shared), 0, STALL_DEADLINE_NS);
             })
         };
         producer.join();
         owner.join();
         // Time moves on; the owner keeps passing while it has work.
-        while owner_pass(&shared, 0, 2 * STALL_DEADLINE_NS) == Some(Duration::ZERO) {}
+        while owner_pass(&shared, owner_of(&shared), 0, 2 * STALL_DEADLINE_NS)
+            == Some(Duration::ZERO)
+        {}
         assert_eq!(*seen.lock().expect("order log"), vec![1], "lost wake: tuple never processed");
         // ordering: SeqCst — quiescent post-join read (SC-only model)
         assert_eq!(shared.tasks[0].state.load(SeqCst), IDLE);
@@ -852,18 +849,23 @@ fn mutation_flush_bypasses_a_nonempty_outbox_is_caught() {
 }
 
 /// A worker's idle step: [`idle_wait`], or a mutation of it.
-type Idle = fn(&Shared, usize, &Parker);
+type Idle = fn(&Shared, &Pool, usize, &Parker);
 
 /// [`worker_loop`] with its idle step replaced by `idle`.
-fn worker_loop_idling(shared: &Shared, wid: usize, idle: Idle) {
+fn worker_loop_idling(shared: &Shared, pool: &Pool, wid: usize, idle: Idle) {
     let parker = Parker::new();
     let mut due = Vec::new();
     loop {
-        match steal(shared, wid).or_else(|| inject(shared, wid, &mut due)) {
-            Some(tid) => run_task(shared, tid, wid),
+        match steal(pool, wid).or_else(|| inject(shared, pool, wid, &mut due)) {
+            Some(tid) => {
+                // ordering: SeqCst — as in worker_loop (SC-only model)
+                if run_task(shared, tid, wid) && pool.remaining.fetch_sub(1, SeqCst) == 1 {
+                    pool.unpark_all_idlers();
+                }
+            }
             // ordering: SeqCst — as in worker_loop (SC-only model)
-            None if shared.remaining.load(SeqCst) == 0 => return,
-            None => idle(shared, wid, &parker),
+            None if pool.remaining.load(SeqCst) == 0 => return,
+            None => idle(shared, pool, wid, &parker),
         }
     }
 }
@@ -880,7 +882,7 @@ fn worker_loop_idling(shared: &Shared, wid: usize, idle: Idle) {
 /// finds nothing; the returned count is the spins summed over every
 /// schedule explored.
 fn check_local_wake(
-    worker: fn(&Shared, usize),
+    worker: fn(&Shared, &Pool, usize),
     near: bool,
 ) -> (Result<pkg_model::Report, pkg_model::Violation>, u64) {
     let spins = Arc::new(StdAtomicU64::new(0));
@@ -909,7 +911,7 @@ fn check_local_wake(
         };
         let idler = {
             let shared = Arc::clone(&shared);
-            pkg_model::thread::spawn(move || worker(&shared, 1))
+            pkg_model::thread::spawn(move || worker(&shared, pool(&shared), 1))
         };
         waker.join();
         idler.join();
@@ -919,7 +921,7 @@ fn check_local_wake(
         let stats = lock(&shared.stats);
         assert_eq!(stats[0].activations, 1, "the woken bolt ran exactly once");
         // ordering: SeqCst — a tally across schedules, read after the last
-        total.fetch_add(shared.counters[1].snapshot().spins, StdSeqCst);
+        total.fetch_add(pool(&shared).counters[1].snapshot().spins, StdSeqCst);
     });
     // ordering: SeqCst — read after every schedule has run (SC-only model)
     (result, spins.load(StdSeqCst))
@@ -945,24 +947,24 @@ fn local_wake_is_stolen_by_an_idling_sibling() {
 /// re-check yet read the count as zero, and nobody unparks the idler.
 #[test]
 fn mutation_idle_count_raised_after_recheck_is_caught() {
-    fn raises_after_recheck(shared: &Shared, wid: usize, parker: &Parker) {
-        lock(&shared.idlers).push((wid, parker.unparker()));
-        let empty = lock(&shared.sched).runq.is_empty()
-            && shared.locals.iter().all(WorkStealingDeque::is_empty);
+    fn raises_after_recheck(_shared: &Shared, pool: &Pool, wid: usize, parker: &Parker) {
+        lock(&pool.idlers).push((wid, parker.unparker()));
+        let empty = lock(&pool.sched).runq.is_empty()
+            && pool.locals.iter().all(WorkStealingDeque::is_empty);
         // BUG (deliberate): the count rises after the re-check, so a push
         // in between is seen by neither side.
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        shared.idle.fetch_add(1, SeqCst);
+        pool.idle.fetch_add(1, SeqCst);
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        if empty && shared.remaining.load(SeqCst) != 0 {
+        if empty && pool.remaining.load(SeqCst) != 0 {
             parker.park();
         }
-        lock(&shared.idlers).retain(|(w, _)| *w != wid);
+        lock(&pool.idlers).retain(|(w, _)| *w != wid);
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        shared.idle.fetch_sub(1, SeqCst);
+        pool.idle.fetch_sub(1, SeqCst);
     }
     let violation = check_local_wake(
-        |shared, wid| worker_loop_idling(shared, wid, raises_after_recheck),
+        |shared, pool, wid| worker_loop_idling(shared, pool, wid, raises_after_recheck),
         false,
     )
     .0
@@ -975,24 +977,26 @@ fn mutation_idle_count_raised_after_recheck_is_caught() {
 /// sends no unpark, and the idler parks with the bolt on deque 0.
 #[test]
 fn mutation_recheck_blind_to_sibling_deques_is_caught() {
-    fn ignores_deques(shared: &Shared, wid: usize, parker: &Parker) {
-        lock(&shared.idlers).push((wid, parker.unparker()));
+    fn ignores_deques(_shared: &Shared, pool: &Pool, wid: usize, parker: &Parker) {
+        lock(&pool.idlers).push((wid, parker.unparker()));
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        shared.idle.fetch_add(1, SeqCst);
+        pool.idle.fetch_add(1, SeqCst);
         // BUG (deliberate): the siblings' deques are not re-checked.
-        let empty = lock(&shared.sched).runq.is_empty();
+        let empty = lock(&pool.sched).runq.is_empty();
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        if empty && shared.remaining.load(SeqCst) != 0 {
+        if empty && pool.remaining.load(SeqCst) != 0 {
             parker.park();
         }
-        lock(&shared.idlers).retain(|(w, _)| *w != wid);
+        lock(&pool.idlers).retain(|(w, _)| *w != wid);
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        shared.idle.fetch_sub(1, SeqCst);
+        pool.idle.fetch_sub(1, SeqCst);
     }
-    let violation =
-        check_local_wake(|shared, wid| worker_loop_idling(shared, wid, ignores_deques), false)
-            .0
-            .expect_err("an idle re-check blind to the siblings' deques must be caught");
+    let violation = check_local_wake(
+        |shared, pool, wid| worker_loop_idling(shared, pool, wid, ignores_deques),
+        false,
+    )
+    .0
+    .expect_err("an idle re-check blind to the siblings' deques must be caught");
     assert!(violation.message.contains("deadlock"), "got: {violation}");
 }
 
@@ -1007,7 +1011,7 @@ const NEAR_NS: u64 = SPIN_WINDOW_NS / 2;
 /// no timer ever fires.
 fn freeze_near_a_deadline(shared: &mut Shared) {
     shared.epoch = Instant::now() + Duration::from_secs(3_600);
-    lock(&shared.sched).timers.insert(NEAR_NS, 0);
+    lock(&pool(shared).sched).timers.insert(NEAR_NS, 0);
 }
 
 /// Invariant 11(a), through the real [`worker_loop`]: worker 1 idles with a
@@ -1029,26 +1033,28 @@ fn a_wake_raised_while_a_worker_spins_is_never_lost() {
 /// count as zero, and nothing sets the spinner's token.
 #[test]
 fn mutation_spinner_deregisters_before_spinning_is_caught() {
-    fn deregisters_first(shared: &Shared, wid: usize, parker: &Parker) {
-        lock(&shared.idlers).push((wid, parker.unparker()));
+    fn deregisters_first(shared: &Shared, pool: &Pool, wid: usize, parker: &Parker) {
+        lock(&pool.idlers).push((wid, parker.unparker()));
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        shared.idle.fetch_add(1, SeqCst);
-        let empty = lock(&shared.sched).runq.is_empty()
-            && shared.locals.iter().all(WorkStealingDeque::is_empty);
-        lock(&shared.idlers).retain(|(w, _)| *w != wid);
+        pool.idle.fetch_add(1, SeqCst);
+        let empty = lock(&pool.sched).runq.is_empty()
+            && pool.locals.iter().all(WorkStealingDeque::is_empty);
+        lock(&pool.idlers).retain(|(w, _)| *w != wid);
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        shared.idle.fetch_sub(1, SeqCst);
+        pool.idle.fetch_sub(1, SeqCst);
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        if empty && shared.remaining.load(SeqCst) != 0 {
+        if empty && pool.remaining.load(SeqCst) != 0 {
             // BUG (deliberate): the spin starts after the deregistration,
             // so a wake raised during it unparks nobody.
             spin_until(shared, parker, NEAR_NS);
         }
     }
-    let violation =
-        check_local_wake(|shared, wid| worker_loop_idling(shared, wid, deregisters_first), true)
-            .0
-            .expect_err("a spinner that deregisters before it spins must be caught");
+    let violation = check_local_wake(
+        |shared, pool, wid| worker_loop_idling(shared, pool, wid, deregisters_first),
+        true,
+    )
+    .0
+    .expect_err("a spinner that deregisters before it spins must be caught");
     assert!(violation.message.contains("deadlock"), "got: {violation}");
 }
 
@@ -1069,29 +1075,30 @@ fn check_one_spinner(idle: Idle) -> (Result<pkg_model::Report, pkg_model::Violat
         let idlers: Vec<_> = (0..2)
             .map(|wid| {
                 let shared = Arc::clone(&shared);
-                pkg_model::thread::spawn(move || idle(&shared, wid, &Parker::new()))
+                pkg_model::thread::spawn(move || idle(&shared, pool(&shared), wid, &Parker::new()))
             })
             .collect();
         let observer = {
             let shared = Arc::clone(&shared);
             pkg_model::thread::spawn(move || {
-                let registered = lock(&shared.idlers);
+                let pool = pool(&shared);
+                let registered = lock(&pool.idlers);
                 let spinning = registered
                     .iter()
-                    .filter(|(w, _)| shared.counters[*w].snapshot().spins > 0)
+                    .filter(|(w, _)| pool.counters[*w].snapshot().spins > 0)
                     .count();
                 assert!(spinning <= 1, "two idlers spin at once");
                 drop(registered);
                 // ordering: SeqCst — as run_task's final decrement (SC-only model)
-                shared.remaining.store(0, SeqCst);
-                shared.unpark_all_idlers();
+                pool.remaining.store(0, SeqCst);
+                pool.unpark_all_idlers();
             })
         };
         for idler in idlers {
             idler.join();
         }
         observer.join();
-        let spun: u64 = shared.counters.iter().map(|c| c.snapshot().spins).sum();
+        let spun: u64 = pool(&shared).counters.iter().map(|c| c.snapshot().spins).sum();
         // ordering: SeqCst — a tally across schedules, read after the last
         total.fetch_add(spun, StdSeqCst);
     });
@@ -1114,21 +1121,21 @@ fn two_idlers_never_spin_at_once() {
 /// claiming the slot must be caught — two of them spin side by side.
 #[test]
 fn mutation_spin_without_the_slot_claim_is_caught() {
-    fn spins_unclaimed(shared: &Shared, wid: usize, parker: &Parker) {
-        lock(&shared.idlers).push((wid, parker.unparker()));
+    fn spins_unclaimed(shared: &Shared, pool: &Pool, wid: usize, parker: &Parker) {
+        lock(&pool.idlers).push((wid, parker.unparker()));
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        shared.idle.fetch_add(1, SeqCst);
-        let empty = lock(&shared.sched).runq.is_empty()
-            && shared.locals.iter().all(WorkStealingDeque::is_empty);
+        pool.idle.fetch_add(1, SeqCst);
+        let empty = lock(&pool.sched).runq.is_empty()
+            && pool.locals.iter().all(WorkStealingDeque::is_empty);
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        if empty && shared.remaining.load(SeqCst) != 0 {
+        if empty && pool.remaining.load(SeqCst) != 0 {
             // BUG (deliberate): the spin never claims the spinner slot.
-            WorkerCounters::bump(&shared.counters[wid].spins, 1);
+            WorkerCounters::bump(&pool.counters[wid].spins, 1);
             spin_until(shared, parker, NEAR_NS);
         }
-        lock(&shared.idlers).retain(|(w, _)| *w != wid);
+        lock(&pool.idlers).retain(|(w, _)| *w != wid);
         // ordering: SeqCst — as in idle_wait (SC-only model)
-        shared.idle.fetch_sub(1, SeqCst);
+        pool.idle.fetch_sub(1, SeqCst);
     }
     let violation = check_one_spinner(spins_unclaimed)
         .0
@@ -1194,7 +1201,7 @@ fn check_ticking_backlog(
         };
         *lock(&shared.tasks[1].body) = Some(Box::new(blank_body("ticker", ticker, vec![edge])));
         assert!(push(&shared, 1, ring_tuple(10)) && push(&shared, 1, ring_tuple(11)));
-        lock(&shared.sched).runq.clear();
+        lock(&pool(&shared).sched).runq.clear();
         let shared = Arc::new(shared);
         let ticker = {
             let shared = Arc::clone(&shared);
@@ -1225,7 +1232,9 @@ fn check_ticking_backlog(
             }
         }
         push(&shared, 1, Packet::Eof);
-        while let Some(t) = steal(&shared, 0).or_else(|| lock(&shared.sched).runq.pop_front()) {
+        while let Some(t) =
+            steal(pool(&shared), 0).or_else(|| lock(&pool(&shared).sched).runq.pop_front())
+        {
             run_task(&shared, t, 0);
         }
         assert_eq!(*seen.lock().expect("order log"), vec![1, 2, 3], "per-destination FIFO");
@@ -1243,8 +1252,10 @@ fn check_ticking_backlog(
 /// order with the Eof last (`activate`'s packets-after-final-Eof check).
 #[test]
 fn a_ticking_bolt_reads_its_input_around_its_backlog() {
-    let report = check_ticking_backlog(|shared| run_task(shared, 1, 0))
-        .expect("no schedule may strand a backlog or reorder the flush");
+    let report = check_ticking_backlog(|shared| {
+        run_task(shared, 1, 0);
+    })
+    .expect("no schedule may strand a backlog or reorder the flush");
     assert!(
         report.iterations >= 100,
         "expected a real interleaving space, got {} schedules",
@@ -1275,7 +1286,7 @@ fn mutation_backlogged_idle_without_a_registered_waiter_is_caught() {
         settle(shared, 1, &outcome, || {
             // ordering: SeqCst — as in run_task (SC-only model)
             slot.state.store(QUEUED, SeqCst);
-            shared.push_local(0, 1);
+            pool(shared).push_local(0, 1);
         });
     }
     let violation = check_ticking_backlog(idles_unregistered)

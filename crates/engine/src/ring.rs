@@ -21,7 +21,7 @@
 //! checks `sleepers` after popping; sequential consistency makes the
 //! announce→re-check / pop→check pairs a total order in which a parked
 //! producer is always observed (model-checked in `pool_model.rs`; see the
-//! "Memory ordering policy" note in `pool.rs` — every atomic here is
+//! "Memory ordering policy" note in `schedule.rs` — every atomic here is
 //! `SeqCst` because the vendored checker explores SC interleavings only).
 
 use crate::sync::atomic::{AtomicUsize, Ordering::SeqCst};

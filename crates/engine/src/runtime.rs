@@ -1,7 +1,7 @@
 //! Topology execution: the public knobs ([`RuntimeOptions`],
 //! [`ExecutorMode`]) and the edge-seed derivation every sender routes by.
 //!
-//! There is one instance runtime (`crate::pool`): every instance is a task
+//! There is one instance runtime (`crate::schedule`): every instance is a task
 //! with a bounded mailbox, driven by one activation loop. [`ExecutorMode`]
 //! picks only its *schedule* — one dedicated OS thread per instance, or a
 //! cooperative worker pool that runs hundred-instance topologies in one
@@ -217,7 +217,7 @@ impl Runtime {
     /// drained) and return the collected statistics.
     pub fn run(&self, topology: Topology) -> RunStats {
         topology.validate();
-        crate::pool::run_pool(&topology, &self.opts)
+        crate::schedule::run_pool(&topology, &self.opts)
     }
 }
 

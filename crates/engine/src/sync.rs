@@ -8,9 +8,9 @@
 //! scheduler so lost wakes surface as detected deadlocks.
 //!
 //! ```text
-//!                pool.rs / timer.rs
+//!      task.rs / transport.rs / pool.rs / threads.rs / schedule.rs / …
 //!                        │ (only import concurrency types from here;
-//!                        │  enforced by pkg-lint rule `facade-isolation`)
+//!                        │  enforced by pkg-lint rule `facade`)
 //!                 crate::sync facade
 //!                ┌───────┴────────┐
 //!        default │                │ --features pkg_model
@@ -19,13 +19,14 @@
 //!                                 (via crossbeam's own `pkg_model` facade)
 //! ```
 //!
-//! `Instant` is re-exported from `std::time` in both modes: the model does
-//! not virtualize time, and the model suite only exercises code paths whose
-//! scheduling decisions are time-independent, or freezes the clock (an
-//! epoch in the future) where one is not: the pool's idle spin. A
-//! busy-wait's pause goes through [`spin_loop`], which under the model is a
-//! scheduling point, so a spinning thread cannot run ahead of the threads
-//! it waits for.
+//! The clock is not part of the facade: the model does not virtualize
+//! time, and the one file that reads it is the runtime's clock seam
+//! (`schedule.rs`, `pkg-lint` rule `clock`). The model suite only exercises
+//! code paths whose scheduling decisions are time-independent, or freezes
+//! the clock (an epoch in the future) where one is not: the pool's idle
+//! spin. A busy-wait's pause goes through [`spin_loop`], which under the
+//! model is a scheduling point, so a spinning thread cannot run ahead of the
+//! threads it waits for.
 
 #[cfg(not(feature = "pkg_model"))]
 pub(crate) use std::sync::{Mutex, MutexGuard};
@@ -39,8 +40,6 @@ pub(crate) use pkg_model::sync::{Mutex, MutexGuard};
 pub(crate) use std::sync::Arc;
 
 pub(crate) use crossbeam::sync::{Parker, Unparker};
-
-pub(crate) use std::time::Instant;
 
 pub(crate) mod atomic {
     #[cfg(not(feature = "pkg_model"))]

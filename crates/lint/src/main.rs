@@ -12,12 +12,16 @@
 //!
 //! | rule      | scope                         | invariant                                     |
 //! |-----------|-------------------------------|-----------------------------------------------|
-//! | `facade`  | engine `pool.rs`, `timer.rs`, | no `std::sync` / `std::thread::sleep` /       |
-//! |           | `elastic.rs`, `ring.rs`,      | `std::time::Instant` outside `crate::sync`,   |
-//! |           | `ingress.rs`, `load.rs`,      | no `thread_local!`, and no direct             |
-//! |           | `bolt.rs`, `runtime.rs`;      | `std::hint::spin_loop` or                     |
-//! |           | crossbeam `deque.rs`          | `std::thread::yield_now` — what makes the     |
+//! | `facade`  | every engine `src/*.rs` but   | no `std::sync` / `std::thread::sleep` /       |
+//! |           | `FACADE_EXEMPT` (each with a  | `std::time::Instant` outside `crate::sync`    |
+//! |           | reason); crossbeam `deque.rs` | (the clock file excepted for the last), no    |
+//! |           |                               | `thread_local!`, and no direct                |
+//! |           |                               | `std::hint::spin_loop` or                     |
+//! |           |                               | `std::thread::yield_now` — what makes the     |
 //! |           |                               | code model-checkable at all                   |
+//! | `clock`   | `pkg-engine` non-test code    | `Instant` only in `schedule.rs`, which defines|
+//! |           |                               | `now_ns`: one clock for a virtual one to      |
+//! |           |                               | replace                                       |
 //! | `ordering`| whole workspace               | every memory-ordering token (`SeqCst`, …)     |
 //! |           |                               | carries a `// ordering:` justification within |
 //! |           |                               | 3 lines                                       |
@@ -30,7 +34,7 @@
 //! | `ordered_`| `pkg-core` and agg's          | no `BTreeMap` / `BTreeSet` — per-message      |
 //! | `map`     | `spacesaving.rs`, non-test    | routing state stays O(1)                      |
 //! | `driver`  | `pkg-engine` non-test code    | `.execute(` / `.not_before(` only in          |
-//! |           |                               | `pool.rs` — one instance loop drives bolts    |
+//! |           |                               | `task.rs` — one instance loop drives bolts    |
 //! |           |                               | and spouts, under every schedule              |
 //! | `emit_`   | `pkg-engine` non-test code    | `push_run(` called only in the emitter's      |
 //! | `seam`    |                               | `flush`; `Emitter {` built once in `activate` |
@@ -78,27 +82,30 @@ use std::process::ExitCode;
 const PANIC_RULE_EXEMPT: [&str; 2] =
     ["crates/engine/src/sync.rs", "crates/engine/src/pool_model.rs"];
 
-/// Files the `facade` rule covers. The ring and the work-stealing deque
-/// joined with the pool's raw-speed hot path: both are model-checked, so
-/// both must reach `std` only through their crate's cfg-switched facade
-/// (`crate::sync` in the engine, `crate::atomic` in vendored crossbeam).
-/// The engine's ingress wiring shares types with the pool (depth gauges
-/// flow into shed decisions), so it is held to the same facade; likewise
-/// the load-signal wiring (`load.rs`), whose shared state is read and fed
-/// inside pool activations. The emitter (`bolt.rs`) and the runtime entry
-/// point (`runtime.rs`) complete the instance path: every engine file an
-/// activation runs through is model-checkable.
-const FACADE_FILES: [&str; 9] = [
-    "crates/engine/src/bolt.rs",
-    "crates/engine/src/elastic.rs",
-    "crates/engine/src/ingress.rs",
-    "crates/engine/src/load.rs",
-    "crates/engine/src/pool.rs",
-    "crates/engine/src/ring.rs",
-    "crates/engine/src/runtime.rs",
-    "crates/engine/src/timer.rs",
-    "vendor/crossbeam/src/deque.rs",
+/// The engine directory every file of which the `facade` rule covers,
+/// unless `FACADE_EXEMPT` names it: a file split out of the runtime, or
+/// added beside it, cannot fall outside the rule. Every engine file an
+/// activation runs through must reach `std` only through the cfg-switched
+/// `crate::sync` facade, so the model checker sees each of its locks and
+/// atomics.
+const FACADE_DIR: &str = "crates/engine/src/";
+
+/// Engine files the `facade` rule skips: `(file, reason)`.
+const FACADE_EXEMPT: [(&str, &str); 8] = [
+    ("crates/engine/src/sync.rs", "the facade itself: it re-exports `std::sync`"),
+    ("crates/engine/src/pool_model.rs", "test-only model suite: its fixtures record through std"),
+    ("crates/engine/src/grouping.rs", "groupings share an immutable plan through `std::sync::Arc`"),
+    ("crates/engine/src/metrics.rs", "statistics values, read after the run"),
+    ("crates/engine/src/spout.rs", "the `Spout` trait and its adapters: no shared state"),
+    ("crates/engine/src/topology.rs", "topology description, built before the run"),
+    ("crates/engine/src/tuple.rs", "allocation-audit counters, outside every wake protocol"),
+    ("crates/engine/src/lib.rs", "crate root: module declarations and re-exports"),
 ];
+
+/// Files outside the engine the `facade` rule covers: the work-stealing
+/// deque is model-checked with the pool, so it reaches `std` only through
+/// vendored crossbeam's own `crate::atomic` facade.
+const FACADE_EXTRA: [&str; 1] = ["vendor/crossbeam/src/deque.rs"];
 
 /// Tokens banned by the `facade` rule. `std::thread::scope` stays legal
 /// (pool spawn-and-join structure is not a sync primitive), as does
@@ -108,7 +115,8 @@ const FACADE_FILES: [&str; 9] = [
 /// A busy-wait pauses through the facade's `spin_loop`, a scheduling point
 /// under the model; a direct `std::hint::spin_loop` or
 /// `std::thread::yield_now` would let a spinner run ahead of the threads it
-/// waits for.
+/// waits for. `std::time::Instant` is legal in `CLOCK_FILE` alone, which the
+/// `clock` rule makes the engine's one reader of the clock.
 const FACADE_BANNED: [&str; 6] = [
     "std::sync",
     "std::thread::sleep",
@@ -133,11 +141,11 @@ const ORDERED_MAPS: [&str; 2] = ["BTreeMap", "BTreeSet"];
 /// summary every routed message of a head-key scheme updates.
 const ROUTING_SUMMARY: &str = "crates/agg/src/spacesaving.rs";
 
-/// Files the `driver` rule skips: `pool.rs`, whose `activate` is the only
+/// Files the `driver` rule skips: `task.rs`, whose `activate` is the only
 /// caller of `Bolt::execute` and `Spout::not_before` whichever schedule
-/// runs it, and its test-only model suite (compiled as a child of `pool`).
+/// runs it, and the test-only model suite (compiled as a child of `pool`).
 /// A caller anywhere else would be a second instance loop.
-const DRIVER_FILES: [&str; 2] = ["crates/engine/src/pool.rs", "crates/engine/src/pool_model.rs"];
+const DRIVER_FILES: [&str; 2] = ["crates/engine/src/task.rs", "crates/engine/src/pool_model.rs"];
 
 /// Calls only the instance driver may make (`driver` rule).
 const DRIVER_CALLS: [&str; 2] = [".execute(", ".not_before("];
@@ -150,7 +158,7 @@ const DRIVER_CALLS: [&str; 2] = [".execute(", ".not_before("];
 /// test-only child of `pool`, is exempt like it is from `driver`.)
 const EMIT_SEAM: [(&str, &str, &str, usize); 3] = [
     ("push_run(", "crates/engine/src/bolt.rs", "flush", usize::MAX),
-    ("Emitter {", "crates/engine/src/pool.rs", "activate", 1),
+    ("Emitter {", "crates/engine/src/task.rs", "activate", 1),
     ("Emitter {", "crates/engine/src/bolt.rs", "drop_sink", 1),
 ];
 
@@ -176,6 +184,13 @@ const CORE_SEAMS: [(&str, &str, &str); 2] = [
         "outside pkg-core (the routed count `SharedLoads::record` is the dispatch tally)",
     ),
 ];
+
+/// The one engine file whose non-test code may spell `Instant`: it defines
+/// `now_ns`, the runtime's clock. A virtual clock then has one source to
+/// replace. (The model suite, test-only, freezes the clock through the
+/// epoch and is exempt.)
+const CLOCK_FILE: &str = "crates/engine/src/schedule.rs";
+const CLOCK_EXEMPT: &str = "crates/engine/src/pool_model.rs";
 
 /// The one file whose non-test code may fingerprint a key's bytes, and the
 /// call that does it. `key_seam`: `TupleKey`'s constructors hash a key once
@@ -332,8 +347,13 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     let raw: Vec<&str> = src.lines().collect();
     let in_test = test_lines(&code);
 
-    if FACADE_FILES.contains(&rel) {
+    let engine = rel.starts_with(FACADE_DIR);
+    if engine && !FACADE_EXEMPT.iter().any(|&(file, _)| file == rel) || FACADE_EXTRA.contains(&rel)
+    {
         rule_facade(rel, &code, &in_test, &mut out);
+    }
+    if engine && rel != CLOCK_FILE && rel != CLOCK_EXEMPT {
+        rule_clock(rel, &code, &in_test, &mut out);
     }
     rule_ordering(rel, &code, &raw, &in_test, &mut out);
     if (rel.starts_with("crates/engine/src/") || rel.starts_with("crates/ingress/src/"))
@@ -383,13 +403,26 @@ fn rule_facade(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<Strin
             continue;
         }
         for banned in FACADE_BANNED {
-            if line.contains(banned) {
+            let clock = rel == CLOCK_FILE && banned == "std::time::Instant";
+            if line.contains(banned) && !clock {
                 out.push(format!(
                     "{rel}:{}: [facade] `{banned}` bypasses the crate::sync facade \
                      (the module must stay model-checkable)",
                     i + 1
                 ));
             }
+        }
+    }
+}
+
+fn rule_clock(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    for (i, line) in code.iter().enumerate() {
+        if !in_test[i] && has_word(line, "Instant") {
+            out.push(format!(
+                "{rel}:{}: [clock] `Instant` outside {CLOCK_FILE} \
+                 (read the runtime's one clock, `Shared::now_ns`)",
+                i + 1
+            ));
         }
     }
 }
@@ -478,7 +511,7 @@ fn rule_driver(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<Strin
         for call in DRIVER_CALLS {
             if !in_test[i] && line.contains(call) {
                 out.push(format!(
-                    "{rel}:{}: [driver] `{call}` outside pool.rs \
+                    "{rel}:{}: [driver] `{call}` outside task.rs \
                      (instances are driven only by `activate`, the one instance loop)",
                     i + 1
                 ));
@@ -1217,9 +1250,11 @@ mod tests {
         let v = lint("crates/engine/src/executor.rs", src);
         assert!(v.iter().any(|v| v.contains("[driver]") && v.contains("executor.rs:4")), "{v:?}");
         assert!(v.iter().any(|v| v.contains("[driver]") && v.contains("executor.rs:8")), "{v:?}");
-        // The one loop is where it belongs; engine tests, other crates and a
-        // mention in a comment are not a second driver.
-        assert!(!lint("crates/engine/src/pool.rs", src).iter().any(|v| v.contains("[driver]")));
+        // The one loop is where it belongs, and the pool schedule is not
+        // that place; engine tests, other crates and a mention in a comment
+        // are not a second driver.
+        assert!(!lint("crates/engine/src/task.rs", src).iter().any(|v| v.contains("[driver]")));
+        assert!(lint("crates/engine/src/pool.rs", src).iter().any(|v| v.contains("[driver]")));
         assert!(lint("crates/apps/src/bolts.rs", src).is_empty());
         let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(lint("crates/engine/src/runtime.rs", &gated).is_empty());
@@ -1249,9 +1284,9 @@ mod tests {
         let literal = "Emitter { outlet: None, emitted, now_ns: 0 }";
         let twice =
             format!("fn activate() {{\n    let a = {literal};\n    let b = {literal};\n}}\n");
-        let v = lint("crates/engine/src/pool.rs", &twice);
-        assert!(v.iter().any(|v| v.contains("[emit_seam]") && v.contains("pool.rs:3")), "{v:?}");
-        assert!(!v.iter().any(|v| v.contains("pool.rs:2")), "{v:?}");
+        let v = lint("crates/engine/src/task.rs", &twice);
+        assert!(v.iter().any(|v| v.contains("[emit_seam]") && v.contains("task.rs:3")), "{v:?}");
+        assert!(!v.iter().any(|v| v.contains("task.rs:2")), "{v:?}");
     }
 
     #[test]
@@ -1379,6 +1414,37 @@ mod tests {
             let facade = src.replace(call, "crate::sync::spin_loop()");
             assert!(lint("crates/engine/src/pool.rs", &facade).is_empty(), "{call}");
         }
+    }
+
+    #[test]
+    fn new_engine_files_are_facade_covered() {
+        let src = "use std::sync::atomic::AtomicBool;\nfn f() {}\n";
+        let v = lint("crates/engine/src/deterministic.rs", src);
+        assert!(v.iter().any(|v| v.contains("[facade]")), "{v:?}");
+        // Only the exempt list, each entry with its reason, escapes the rule.
+        for (rel, reason) in FACADE_EXEMPT {
+            assert!(!reason.is_empty(), "{rel}");
+            assert!(!lint(rel, src).iter().any(|v| v.contains("[facade]")), "{rel}");
+        }
+    }
+
+    #[test]
+    fn pasted_clock_read_outside_the_clock_seam_is_caught() {
+        let src = "fn stamp(out: &mut Emitter<'_>) {\n    \
+                   out.now_ns = std::time::Instant::now().elapsed().as_nanos() as u64;\n}\n";
+        let v = lint("crates/engine/src/task.rs", src);
+        assert!(v.iter().any(|v| v.contains("[clock]") && v.contains("task.rs:2")), "{v:?}");
+        let aliased = "use crate::sync::Instant;\nfn f() -> Instant {\n    Instant::now()\n}\n";
+        let v = lint("crates/engine/src/pool.rs", aliased);
+        assert_eq!(v.iter().filter(|v| v.contains("[clock]")).count(), 3, "{v:?}");
+        // The clock file, engine tests, other crates and a comment are fine.
+        let clock = "use std::time::Instant;\nfn epoch() -> Instant {\n    Instant::now()\n}\n";
+        assert!(lint(CLOCK_FILE, clock).is_empty(), "{:?}", lint(CLOCK_FILE, clock));
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/engine/src/task.rs", &gated).is_empty());
+        assert!(!lint("crates/sim/src/runner.rs", src).iter().any(|v| v.contains("[clock]")));
+        let mention = "// the epoch is an Instant\nfn f() {}\n";
+        assert!(lint("crates/engine/src/task.rs", mention).is_empty());
     }
 
     #[test]
