@@ -180,18 +180,20 @@ impl<A: PartialAgg> Bolt for WindowedWorkerBolt<A> {
 /// codec and no payload allocation per partial. Any other ships with value
 /// [`PartialAgg::emit`] and its encoded state as the payload. Every phase-one
 /// bolt flushes through here (`pkg-lint`'s `partial_seam` rule).
+///
+/// The pane goes out as a cursor ([`Emitter::emit_iter`]): each partial
+/// takes its wire form only when the engine pulls it into a free slot of
+/// the aggregator's mailbox, so a tick's flush never waits in an outbox.
 pub fn emit_partials<A: PartialAgg>(pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {
     let mut buf = Vec::new();
-    for (key, acc) in pane.accs {
-        match acc.as_observation() {
-            Some(value) => out.emit(Tuple::new(key, value)),
-            None => {
-                buf.clear();
-                acc.encode(&mut buf);
-                out.emit(Tuple::with_payload(key, acc.emit(), buf.as_slice()));
-            }
+    out.emit_iter(pane.accs.into_iter().map(move |(key, acc)| match acc.as_observation() {
+        Some(value) => Tuple::new(key, value),
+        None => {
+            buf.clear();
+            acc.encode(&mut buf);
+            Tuple::with_payload(key, acc.emit(), buf.as_slice())
         }
-    }
+    }));
 }
 
 /// Phase two: merges partial aggregates per key.

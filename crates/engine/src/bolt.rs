@@ -78,6 +78,9 @@ pub struct Emitter<'a> {
 pub(crate) struct OutEdge {
     pub(crate) router: Router,
     pub(crate) tx: EdgeTx,
+    /// Senders that may pull into a destination at once (its upstream
+    /// instances, one per pool worker at most): a pull takes one share.
+    pub(crate) share: usize,
     /// Hedged-dispatch state; `Some` only on spout out-edges when the
     /// ingress layer enables hedging.
     pub(crate) hedge: Option<HedgeState>,
@@ -120,6 +123,10 @@ impl EdgeTx {
 pub(crate) struct Outlet {
     pub(crate) edges: Vec<OutEdge>,
     pub(crate) outbox: VecDeque<(usize, Packet)>,
+    /// Emissions behind the outbox, not yet pulled ([`Emitter::emit_iter`]).
+    pub(crate) cursor: Option<Box<dyn Iterator<Item = Tuple> + Send>>,
+    /// `close` ran: the Eofs queue behind the cursor's last tuple.
+    closing: bool,
     /// Packets a flush put into `outbox` instead of a mailbox, over the
     /// run (`InstanceStats::spilled`).
     pub(crate) spilled: u64,
@@ -155,7 +162,7 @@ impl Outlet {
         // A flush only ever appends to the outbox.
         let queued = outbox.len();
         let last_edge = edges.len() - 1;
-        for (e, OutEdge { router, tx, hedge, signals }) in edges.iter_mut().enumerate() {
+        for (e, OutEdge { router, tx, hedge, signals, .. }) in edges.iter_mut().enumerate() {
             let dests = tx.dests();
             let mut start = 0;
             while start < keys.len() {
@@ -250,6 +257,31 @@ impl Emitter<'_> {
     pub(crate) fn emit_keyed(&mut self, key_id: u64, mut tuple: Tuple) -> bool {
         tuple.born_ns = if self.inherit_born_ns != 0 { self.inherit_born_ns } else { self.now_ns };
         *self.emitted += 1;
+        let Some((_, outlet)) = &mut self.outlet else { return true };
+        // An emission queues behind a pending cursor: the rest goes first.
+        for pending in outlet.cursor.take().into_iter().flatten() {
+            self.stage(pending.key_id(), pending);
+        }
+        self.stage(key_id, tuple)
+    }
+
+    /// Emit `tuples` in order, behind everything emitted so far, as a
+    /// cursor the engine pulls only into free downstream slots: a closed
+    /// pane is never copied into the outbox whole. Counted and born-stamped
+    /// now.
+    pub fn emit_iter(&mut self, tuples: impl ExactSizeIterator<Item = Tuple> + Send + 'static) {
+        let born_ns = if self.inherit_born_ns != 0 { self.inherit_born_ns } else { self.now_ns };
+        *self.emitted += tuples.len() as u64;
+        if let Some((_, outlet)) = self.outlet.as_mut().filter(|(_, o)| !o.edges.is_empty()) {
+            let pending = outlet.cursor.take().into_iter().flatten();
+            let stamped = tuples.map(move |tuple| Tuple { born_ns, ..tuple });
+            outlet.cursor = Some(Box::new(pending.chain(stamped)));
+        }
+    }
+
+    /// Stage one emission, flushing per quantum (or per tuple under
+    /// `flush_each`); `false` when that flush spilled.
+    fn stage(&mut self, key_id: u64, tuple: Tuple) -> bool {
         let Some((shared, outlet)) = &mut self.outlet else { return true };
         if outlet.edges.is_empty() {
             return true;
@@ -275,26 +307,46 @@ impl Emitter<'_> {
         }
     }
 
-    /// Flush, then retry the spilled deliveries in order; `false` means a
-    /// downstream mailbox is full and task `tid` waits for its release wake.
-    #[inline]
+    /// Flush, retry the spilled deliveries in order, then, while the outbox
+    /// stays empty, pull from the cursor this sender's share of the fullest
+    /// destination's free slots (one tuple, to spill and register for the
+    /// release, when none are free). `false`: task `tid` awaits a release.
     pub(crate) fn deliver(&mut self, tid: usize) -> bool {
-        self.flush();
-        let Some((shared, outlet)) = &mut self.outlet else { return true };
-        outlet.outbox.is_empty() || deliver_outbox(shared, tid, &mut outlet.outbox, self.wid)
+        loop {
+            self.flush();
+            let Some((shared, outlet)) = &mut self.outlet else { return true };
+            if !deliver_outbox(shared, tid, &mut outlet.outbox, self.wid) {
+                return false;
+            }
+            let Some(mut cursor) = outlet.cursor.take() else { return true };
+            let free = |d: &usize| shared.room(*d).min(shared.batch);
+            let share = |e: &OutEdge| e.tx.dests().iter().map(free).min().map(|f| f / e.share);
+            let want = outlet.edges.iter().filter_map(share).min().unwrap_or(0).max(1);
+            let pulled = cursor.by_ref().take(want).map(|t| self.stage(t.key_id(), t)).count();
+            let Some((_, outlet)) = &mut self.outlet else { return true };
+            if pulled == want {
+                outlet.cursor = Some(cursor);
+            } else if outlet.closing {
+                self.close();
+            }
+        }
     }
 
-    /// Deliveries waiting in the outbox for a retry.
+    /// Deliveries waiting for a retry: the outbox, and one for a cursor.
     pub(crate) fn backlog(&self) -> usize {
-        self.outlet.as_ref().map_or(0, |(_, outlet)| outlet.outbox.len())
+        self.outlet.as_ref().map_or(0, |(_, o)| o.outbox.len() + usize::from(o.cursor.is_some()))
     }
 
-    /// Flush, then queue one Eof per downstream instance behind it all.
+    /// Flush, then queue one Eof per downstream instance behind it all —
+    /// with a cursor pending, once the pull that drains it comes back here.
     pub(crate) fn close(&mut self) {
         self.flush();
         if let Some((_, outlet)) = &mut self.outlet {
-            let dests = outlet.edges.iter().flat_map(|e| e.tx.dests());
-            outlet.outbox.extend(dests.map(|&d| (d, Packet::Eof)));
+            outlet.closing = true;
+            if outlet.cursor.is_none() {
+                let dests = outlet.edges.iter().flat_map(|e| e.tx.dests());
+                outlet.outbox.extend(dests.map(|&d| (d, Packet::Eof)));
+            }
         }
     }
 

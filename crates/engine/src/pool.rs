@@ -572,11 +572,26 @@ mod tests {
     fn backlogged(bolt: Box<dyn Bolt>, tick: bool, input: i64) -> Shared {
         let shared = mini_shared(2, 4);
         shared.push_run(0, (0..4).map(tuple), &mut VecDeque::new(), None);
+        queue_bolt(&shared, bolt, tick, input, Some(tuple(100)));
+        shared
+    }
+
+    /// Install `bolt` as task 1 of `shared`, its one out-edge to task 0, fed
+    /// `input` tuples and QUEUED, with `spilled` in its outbox. With `tick`,
+    /// the bolt ticks every second and its first tick is overdue.
+    fn queue_bolt(
+        shared: &Shared,
+        bolt: Box<dyn Bolt>,
+        tick: bool,
+        input: i64,
+        spilled: Option<Packet>,
+    ) {
         let edge = OutEdge {
             router: Router::new(&crate::grouping::Grouping::Key, 1, 7, 0),
             tx: EdgeTx::Tasks(vec![0]),
             hedge: None,
             signals: None,
+            share: 1,
         };
         let kind = TaskKind::Bolt {
             bolt,
@@ -585,13 +600,12 @@ mod tests {
             next_tick_ns: if tick { 1 } else { u64::MAX },
         };
         let mut body = TaskBody::new("bolt".into(), 0, kind, vec![edge], 1.0, None);
-        body.outlet.outbox.push_back((0, tuple(100)));
+        body.outlet.outbox.extend(spilled.map(|p| (0, p)));
         *lock(&shared.tasks[1].body) = Some(Box::new(body));
         shared.push_run(1, (0..input).map(tuple), &mut VecDeque::new(), None);
-        drain_runq(&shared);
+        drain_runq(shared);
         // ordering: SeqCst — single-threaded fixture set-up (SC-only model)
         shared.tasks[1].state.store(QUEUED, SeqCst);
-        shared
     }
 
     /// Run task 1's body through `f` (between activations).
@@ -664,6 +678,57 @@ mod tests {
         run_task(&shared, 1, 0);
         assert_eq!(bolt_body(&shared, |b| b.ticks), 1, "fired once the outbox drained");
         assert_eq!(bolt_body(&shared, |b| b.outlet.outbox.len()), 0);
+    }
+
+    /// A phase-one bolt: its tick hands over the partials 0..10 as one
+    /// cursor, and it emits nothing per input tuple.
+    struct Pane;
+
+    impl Bolt for Pane {
+        fn execute(&mut self, _tuple: Tuple, _out: &mut Emitter<'_>) {}
+
+        fn tick(&mut self, out: &mut Emitter<'_>) {
+            out.emit_iter((0..10u8).map(|v| Tuple::new(*b"k", i64::from(v))));
+        }
+    }
+
+    /// Task 0 drains its mailbox; the values it read, in order.
+    fn consumer_reads(shared: &Shared) -> Vec<i64> {
+        let mut inbox = PacketBatch::default();
+        shared.refill_inbox(0, &mut inbox, 64);
+        std::iter::from_fn(|| match inbox.pop()? {
+            Packet::Tuple(t) => Some(t.value),
+            Packet::Eof => unreachable!("no Eof was sent"),
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_ticks_cursor_is_pulled_into_free_slots_and_spills_one_tuple() {
+        let shared = mini_shared(2, 4);
+        queue_bolt(&shared, Box::new(Pane), true, 3, None);
+        run_task(&shared, 1, 0);
+        assert_eq!(bolt_body(&shared, |b| b.ticks), 1);
+        assert_eq!(bolt_body(&shared, |b| b.processed), 3, "the cursor did not stop the input");
+        assert_eq!(
+            bolt_body(&shared, |b| b.outlet.outbox.len()),
+            1,
+            "4 pulled into 4 slots, 1 spilled"
+        );
+        assert_eq!(state(&shared, 1), IDLE);
+        assert_eq!(waiters(&shared, 0), [1], "the spill's retry registered the waiter");
+        let mut seen = Vec::new();
+        while bolt_body(&shared, |b| b.outlet.cursor.is_some() || !b.outlet.outbox.is_empty()) {
+            seen.extend(consumer_reads(&shared));
+            assert_eq!(drain_runq(&shared), [1], "the release queues the bolt");
+            run_task(&shared, 1, 0);
+            // The outbox never holds more than the one pulled tuple that met
+            // the full mailbox (this bolt's input emits nothing).
+            assert!(bolt_body(&shared, |b| b.outlet.outbox.len()) <= 1);
+        }
+        seen.extend(consumer_reads(&shared));
+        assert_eq!(seen, (0..10).collect::<Vec<_>>(), "every partial once, in order");
+        assert_eq!(bolt_body(&shared, |b| b.outlet.spilled), 2, "one spill per full mailbox met");
     }
 }
 

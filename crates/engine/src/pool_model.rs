@@ -60,6 +60,12 @@
 //!     ([`two_idlers_never_spin_at_once`]). The model does not virtualize
 //!     time, so a fixture freezes the clock short of a deadline, and a spin
 //!     under the model parks after a bounded number of polls.
+//! 12. **A pending cursor drains ahead of the Eof** — a tick's partials
+//!     handed over as a cursor are pulled into the capacity-1 mailbox
+//!     while the consumer drains concurrently: a cursor left pending is
+//!     always owed a release wake, and the partials arrive complete, in
+//!     order and ahead of the Eof
+//!     ([`a_pending_cursor_drains_ahead_of_the_eof`]).
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
 //! the PR 4 stall bug, an unconditional-IDLE variant of the idle
@@ -68,8 +74,9 @@
 //! a flush that pushes past a non-empty outbox, an idler that raises the
 //! idle count only after its re-check, an idle re-check blind to the
 //! siblings' deques, a backlogged bolt that settles `Idle` with no
-//! waiter registered, a spinner that deregisters before it spins, and an
-//! idler that spins without claiming the spinner slot, and assert the
+//! waiter registered, a spinner that deregisters before it spins, an
+//! idler that spins without claiming the spinner slot, and a cursor pull
+//! that stops short of the spill that registers its release, and assert the
 //! checker *finds* the violating schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
@@ -314,6 +321,7 @@ fn deferral_fixture(due: Arc<StdMutex<bool>>) -> Shared {
         tx: EdgeTx::Tasks(vec![1]),
         hedge: None,
         signals: None,
+        share: 1,
     }];
     let kind = TaskKind::Spout {
         spout: Box::new(GateSpout { due, left: 1 }),
@@ -486,6 +494,7 @@ fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> S
         tx,
         hedge: None,
         signals: None,
+        share: 1,
     }];
     let spout_kind = TaskKind::Spout {
         spout: spout_from_iter((1..=3).map(|v| Tuple::new(*b"k", v))),
@@ -1164,15 +1173,29 @@ impl Bolt for Ticker {
 /// worker 0, or a mutation of it.
 type Activation = fn(&Shared);
 
-/// Invariant 10's run. Task 1, a [`Ticker`] with an overdue tick and two
-/// input tuples, runs one activation through `activation`: its tick flushes
-/// two partials into the capacity-1 mailbox of task 0, an [`OrderBolt`]
-/// sink, while the sink's drain runs concurrently. After the join, the
-/// ticker must have read both inputs and, if a partial still waits in its
-/// outbox, be queued or registered for the sink's release. Then its Eof
-/// arrives and both tasks run to completion, one at a time: the sink must
-/// see 1, 2, 3, and both tasks reach DONE.
+/// A phase-one bolt for invariant 12: its tick hands over the partials 1,
+/// 2 and 3 as one cursor ([`Emitter::emit_iter`]).
+struct PaneTicker;
+
+impl Bolt for PaneTicker {
+    fn execute(&mut self, _tuple: Tuple, _out: &mut Emitter<'_>) {}
+
+    fn tick(&mut self, out: &mut Emitter<'_>) {
+        out.emit_iter([1, 2, 3].into_iter().map(|v| Tuple::new(*b"k", v)));
+    }
+}
+
+/// Invariants 10 and 12's run. Task 1, a `ticker` bolt ([`Ticker`] or
+/// [`PaneTicker`]) with an overdue tick and two input tuples, runs one
+/// activation through `activation`: its tick flushes partials into the
+/// capacity-1 mailbox of task 0, an [`OrderBolt`] sink, while the sink's
+/// drain runs concurrently. After the join, the ticker must have read both
+/// inputs and, if a partial still waits in its outbox or its cursor, be
+/// queued or registered for the sink's release. Then its Eof arrives and
+/// both tasks run to completion, one at a time: the sink must see 1, 2, 3,
+/// and both tasks reach DONE.
 fn check_ticking_backlog(
+    ticker: fn() -> Box<dyn Bolt>,
     activation: Activation,
 ) -> Result<pkg_model::Report, pkg_model::Violation> {
     pkg_model::Builder::new().preemption_bound(2).check(move || {
@@ -1188,7 +1211,7 @@ fn check_ticking_backlog(
         };
         *lock(&shared.tasks[0].body) = Some(Box::new(blank_body("sink", sink, Vec::new())));
         let ticker = TaskKind::Bolt {
-            bolt: Box::new(Ticker),
+            bolt: ticker(),
             eof_remaining: 1,
             tick_period_ns: Some(1 << 40),
             next_tick_ns: 1,
@@ -1198,6 +1221,7 @@ fn check_ticking_backlog(
             tx: EdgeTx::Tasks(vec![0]),
             hedge: None,
             signals: None,
+            share: 1,
         };
         *lock(&shared.tasks[1].body) = Some(Box::new(blank_body("ticker", ticker, vec![edge])));
         assert!(push(&shared, 1, ring_tuple(10)) && push(&shared, 1, ring_tuple(11)));
@@ -1221,7 +1245,7 @@ fn check_ticking_backlog(
             let body = lock(&shared.tasks[1].body);
             let Some(body) = body.as_ref() else { unreachable!("the ticker is not running") };
             assert_eq!(body.processed, 2, "the tick's backlog stopped the ticker's input");
-            if !body.outlet.outbox.is_empty() {
+            if !body.outlet.outbox.is_empty() || body.outlet.cursor.is_some() {
                 let registered = match shared.mailbox(0) {
                     Mailbox::Mutexed { inner, .. } => lock(inner).waiters.contains(&1),
                     Mailbox::Ring(_) => unreachable!("the sink's mailbox is mutexed"),
@@ -1252,9 +1276,12 @@ fn check_ticking_backlog(
 /// order with the Eof last (`activate`'s packets-after-final-Eof check).
 #[test]
 fn a_ticking_bolt_reads_its_input_around_its_backlog() {
-    let report = check_ticking_backlog(|shared| {
-        run_task(shared, 1, 0);
-    })
+    let report = check_ticking_backlog(
+        || Box::new(Ticker),
+        |shared| {
+            run_task(shared, 1, 0);
+        },
+    )
     .expect("no schedule may strand a backlog or reorder the flush");
     assert!(
         report.iterations >= 100,
@@ -1289,7 +1316,62 @@ fn mutation_backlogged_idle_without_a_registered_waiter_is_caught() {
             pool(shared).push_local(0, 1);
         });
     }
-    let violation = check_ticking_backlog(idles_unregistered)
+    let violation = check_ticking_backlog(|| Box::new(Ticker), idles_unregistered)
         .expect_err("an idle backlog with no registered waiter must be caught");
+    assert!(violation.message.contains("stranded backlog"), "got: {violation}");
+}
+
+/// Invariant 12, through the real [`run_task`]: in every interleaving of a
+/// tick's cursor pull, its retry and the ticker's input with the sink's
+/// drain, the cursor drains completely and in order, ahead of the Eof, and
+/// a cursor left pending is always owed a release (or already queued).
+#[test]
+fn a_pending_cursor_drains_ahead_of_the_eof() {
+    let report = check_ticking_backlog(
+        || Box::new(PaneTicker),
+        |shared| {
+            run_task(shared, 1, 0);
+        },
+    )
+    .expect("no schedule may strand a cursor or reorder its partials");
+    assert!(
+        report.iterations >= 100,
+        "expected a real interleaving space, got {} schedules",
+        report.iterations
+    );
+}
+
+/// Detection power for invariant 12: a pull that stops at the full mailbox
+/// with the cursor non-empty and the outbox empty — it never pulls the one
+/// tuple whose spill registers the release — and does not yield must be
+/// caught: the sink's drain then releases nobody.
+#[test]
+fn mutation_pull_that_stops_short_is_caught() {
+    fn stops_short(shared: &Shared) {
+        let slot = &shared.tasks[1];
+        // ordering: SeqCst — as in run_task (SC-only model)
+        slot.state.swap(RUNNING, SeqCst);
+        let Some(mut body) = lock(&slot.body).take() else { unreachable!("queued") };
+        let outcome = activate(shared, 1, 0, &mut body);
+        let outlet = &mut body.outlet;
+        if let (Some(rest), Some((_, Packet::Tuple(spilled)))) =
+            (outlet.cursor.take(), outlet.outbox.pop_back())
+        {
+            // BUG (deliberate): the pull stopped short of the tuple whose
+            // spill registered the waiter; it goes back to the cursor.
+            if let Mailbox::Mutexed { inner, .. } = shared.mailbox(0) {
+                lock(inner).waiters.retain(|&w| w != 1);
+            }
+            outlet.cursor = Some(Box::new(std::iter::once(spilled).chain(rest)));
+        }
+        *lock(&slot.body) = Some(body);
+        settle(shared, 1, &outcome, || {
+            // ordering: SeqCst — as in run_task (SC-only model)
+            slot.state.store(QUEUED, SeqCst);
+            pool(shared).push_local(0, 1);
+        });
+    }
+    let violation = check_ticking_backlog(|| Box::new(PaneTicker), stops_short)
+        .expect_err("a cursor stranded by a short pull must be caught");
     assert!(violation.message.contains("stranded backlog"), "got: {violation}");
 }

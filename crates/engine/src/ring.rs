@@ -37,7 +37,7 @@ struct CachePadded<T>(T);
 pub struct SpscRing {
     /// Logical capacity (exactly the configured mailbox capacity; the slot
     /// array is the next power of two for mask indexing).
-    cap: usize,
+    pub(crate) cap: usize,
     mask: usize,
     /// Consumer position: a free-running wrapping counter; slot index is
     /// `head & mask`.
@@ -217,8 +217,8 @@ impl SpscRing {
     }
 
     /// Packets currently queued (either endpoint may call; a racy estimate
-    /// anywhere else, exact from the consumer). Used by the unit and
-    /// model-checked suites; the hot path never needs a length.
+    /// anywhere else, exact from the consumer). Read by the depth signal;
+    /// the packet path never needs a length.
     pub fn len(&self) -> usize {
         // ordering: SeqCst — paired snapshot reads (SC-only model)
         let tail = self.tail.0.load(SeqCst);

@@ -158,9 +158,11 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
         first_task.push(total_instances);
         total_instances += c.parallelism;
     }
-    let (schedule, batch) = match opts.executor {
+    // `running`: how many tasks run at once.
+    let (schedule, batch, running) = match opts.executor {
         ExecutorMode::ThreadPerInstance => {
-            (Schedule::Threads((0..total_instances).map(|_| Owner::new()).collect()), 0)
+            let owners = (0..total_instances).map(|_| Owner::new()).collect();
+            (Schedule::Threads(owners), 0, total_instances)
         }
         ExecutorMode::Pool { workers, batch } => {
             let workers = if workers == 0 {
@@ -168,7 +170,7 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
             } else {
                 workers
             };
-            (Schedule::Pool(Pool::new(workers, total_instances)), batch)
+            (Schedule::Pool(Pool::new(workers, total_instances)), batch, workers)
         }
     };
 
@@ -215,6 +217,7 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
                         _ => None,
                     },
                     signals: component_shared[*to].clone(),
+                    share: upstream[*to].min(running).max(1),
                 })
                 .collect();
             let (kind, mailbox, initial_state) = match &c.kind {

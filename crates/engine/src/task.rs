@@ -12,13 +12,16 @@
 //! * **Backpressure parks instead of blocking**: when a run finds a
 //!   downstream mailbox full, the rest spills into the task's outbox, and
 //!   the *consumer* wakes the task after draining (a backpressure-release
-//!   edge, not a timeout). Every activation first retries that backlog,
-//!   one run per destination under one lock ([`deliver_outbox`]). A source,
-//!   or a bolt past its final Eof, parks while a backlog stays. Any other
-//!   bolt keeps reading its input around it: it parks only after a tuple
-//!   whose own output spilled or queued behind it, and then until the
-//!   outbox drains; a tick overdue behind a backlog waits for it to clear.
-//!   So an outbox holds at most one tick's flush and one tuple's output.
+//!   edge, not a timeout). A closed pane is not flushed but handed over as
+//!   a cursor, pulled only into free downstream slots while the outbox is
+//!   empty ([`Emitter::deliver`]). Every activation first retries the
+//!   outbox, then pulls. A source, or a bolt past its final Eof, parks while
+//!   a backlog (outbox or cursor) stays. Any other bolt reads its input
+//!   around it: it parks only after a tuple whose own output spilled or
+//!   queued behind it, until the outbox drains; a tick overdue behind a
+//!   backlog waits for it to clear. So an outbox holds at most one pull (a
+//!   single tuple, unless racing senders took its slots) and one tuple's
+//!   output, which stages what is left of a cursor ahead of it.
 //!
 //! Scheduling state per task is a small atomic state machine
 //! (idle / queued / running / running-notified / parked / done) that makes
@@ -54,7 +57,7 @@ use crate::schedule::Shared;
 use crate::spout::Spout;
 use crate::sync::atomic::{AtomicU8, AtomicUsize, Ordering::SeqCst};
 use crate::sync::{lock, Mutex};
-use crate::transport::{deliver_outbox, Mailbox};
+use crate::transport::Mailbox;
 use crate::tuple::{Packet, PacketBatch};
 
 // Task scheduling states.
@@ -275,21 +278,6 @@ impl Shared {
 #[allow(clippy::too_many_lines)] // one cohesive task state machine
 pub(crate) fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskBody) -> Outcome {
     body.activations += 1;
-    // What earlier activations spilled is retried first. A backlog left
-    // over (the retry registered this task for the release wake) parks a
-    // source, a bolt past its final Eof and a held bolt; any other bolt
-    // reads its input around it.
-    let mut backlog = !deliver_outbox(shared, tid, &mut body.outlet.outbox, Some(wid));
-    let done = finished(&body.kind);
-    if backlog && (body.held || done || matches!(body.kind, TaskKind::Spout { .. })) {
-        return Outcome::Park;
-    }
-    body.held = false;
-    if done {
-        // The Eof protocol finished on an earlier activation, but the task
-        // parked on its trailing deliveries; the outbox just drained.
-        return Outcome::Done;
-    }
     let TaskBody {
         instance,
         kind,
@@ -318,6 +306,21 @@ pub(crate) fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskB
         stall_scale: *stall_scale,
         stalled_ns: 0,
     };
+    // What earlier activations spilled is retried first, then the cursor
+    // pulled. A backlog left over (the retry registered this task for the
+    // release wake) parks a source, a bolt past its final Eof and a held
+    // bolt; any other bolt reads its input around it.
+    let mut backlog = !out.deliver(tid);
+    let done = finished(kind);
+    if backlog && (*held || done || matches!(kind, TaskKind::Spout { .. })) {
+        return Outcome::Park;
+    }
+    *held = false;
+    if done {
+        // The Eof protocol finished on an earlier activation, but the task
+        // parked on its trailing deliveries; they just went out.
+        return Outcome::Done;
+    }
     match kind {
         TaskKind::Spout { spout, exhausted, ingress } => {
             // One generation loop: up to a quantum of *offered* tuples (an
@@ -390,12 +393,12 @@ pub(crate) fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskB
             // quantum, far below what the latency histogram resolves).
             let mut now_ns = out.now_ns;
             // 1. Tick deadlines, catching up on every overdue period, each
-            //    into an empty outbox. What a tick's flush spills is a
+            //    behind an empty backlog. A tick's cursor (or spill) is a
             //    backlog the input below works around; a tick overdue behind
-            //    a backlog is deferred, not dropped. The retry that found the
-            //    backlog registered this task for the release, and the first
-            //    activation with an empty outbox fires it — so a consumer
-            //    slower than the period never has two panes queued for it.
+            //    one is deferred, not dropped. The pull or retry that left it
+            //    registered this task for the release, and the first
+            //    activation with no backlog fires it — so a consumer slower
+            //    than the period never has two panes queued for it.
             if let Some(period) = *tick_period_ns {
                 let mut fired = false;
                 while now_ns >= *next_tick_ns && !backlog {
@@ -441,10 +444,9 @@ pub(crate) fn activate(shared: &Shared, tid: usize, wid: usize, body: &mut TaskB
                         let queued = out.backlog();
                         bolt.execute(tuple, &mut out);
                         out.flush();
-                        // The tuple's own output spilled or queued behind
-                        // the backlog: retry it all, and on failure hold
-                        // until the outbox drains. So the outbox never holds
-                        // more than one tick's flush and one tuple's output.
+                        // The tuple's own output spilled, queued behind the
+                        // backlog or set a cursor: retry and pull it all, and
+                        // on failure hold until the outbox drains.
                         *held = out.backlog() > queued && !out.deliver(tid);
                         let charged = std::mem::take(&mut out.stalled_ns);
                         // Feed the load signals: one routed tuple done (this

@@ -61,6 +61,13 @@ impl Shared {
         }
     }
 
+    /// Free slots in `tid`'s mailbox: what a cursor pull may hand it.
+    pub(crate) fn room(&self, tid: usize) -> usize {
+        let (Mailbox::Mutexed { cap, .. } | Mailbox::Ring(SpscRing { cap, .. })) =
+            self.mailbox(tid);
+        cap.saturating_sub(self.depth(tid))
+    }
+
     /// Fold an observed mailbox depth into `tid`'s high-water mark. The
     /// model-switched `AtomicUsize` has no `fetch_max`, hence the CAS loop.
     fn note_depth(&self, tid: usize, depth: usize) {
@@ -163,17 +170,19 @@ impl Shared {
     }
 
     /// Drain up to `max` packets of `tid`'s own mailbox into `inbox`,
-    /// waking any producers that were parked on the mailbox being full.
-    /// Those are `Unpark` wakes, which the pool queues on its injector
-    /// whoever raises them, so the draining worker's id is not needed here.
+    /// waking any producers that were parked on the mailbox being full (a
+    /// mutexed one's once down to a quarter: room for a share each). Those
+    /// are `Unpark` wakes, which the pool queues on its injector whoever
+    /// raises them, so the draining worker's id is not needed here.
     pub(crate) fn refill_inbox(&self, tid: usize, inbox: &mut PacketBatch, max: usize) -> usize {
         match self.mailbox(tid) {
-            Mailbox::Mutexed { inner, depth, .. } => {
+            Mailbox::Mutexed { inner, depth, cap } => {
                 let (moved, waiters) = {
                     let mut inner = lock(inner);
                     let moved = inbox.refill(&mut inner.queue, max);
                     publish_depth(depth, inner.queue.len());
-                    let waiters = if moved > 0 && !inner.waiters.is_empty() {
+                    let low = inner.queue.len() <= cap / 4;
+                    let waiters = if moved > 0 && low && !inner.waiters.is_empty() {
                         std::mem::take(&mut inner.waiters)
                     } else {
                         Vec::new()

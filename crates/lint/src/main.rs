@@ -39,6 +39,11 @@
 //! | `emit_`   | `pkg-engine` non-test code    | `push_run(` called only in the emitter's      |
 //! | `seam`    |                               | `flush`; `Emitter {` built once in `activate` |
 //! |           |                               | (and in `drop_sink`) — one way out            |
+//! | `outbox_` | `pkg-engine` non-test code    | an outbox grows only in `push_run` (a run's   |
+//! | `seam`    |                               | spill) and in `close` (the Eofs); the retry   |
+//! |           |                               | puts back the one packet it took, in          |
+//! |           |                               | `deliver_outbox` — a cursor's partials reach  |
+//! |           |                               | it only by spilling                           |
 //! | `load_`   | whole workspace               | `.with_signals(` only under `pkg-core` — the  |
 //! | `seam`    |                               | simulator and the engine attach signal state  |
 //! |           |                               | through `LoadSignalOptions::attach`           |
@@ -160,6 +165,27 @@ const EMIT_SEAM: [(&str, &str, &str, usize); 3] = [
     ("push_run(", "crates/engine/src/bolt.rs", "flush", usize::MAX),
     ("Emitter {", "crates/engine/src/task.rs", "activate", 1),
     ("Emitter {", "crates/engine/src/bolt.rs", "drop_sink", 1),
+];
+
+/// Calls that grow an outbox (`outbox_seam` rule).
+const OUTBOX_GROWTH: [&str; 5] = [
+    "outbox.push_back(",
+    "outbox.push_front(",
+    "outbox.extend(",
+    "outbox.append(",
+    "outbox.insert(",
+];
+
+/// Where the `outbox_seam` rule lets an outbox grow in pkg-engine non-test
+/// code: `(call, file, enclosing fn)`. A spill enters through `push_run`
+/// alone and the Eofs through `close`; `deliver_outbox` puts back the one
+/// packet its retry took. A cursor pulled anywhere else into an outbox
+/// would copy a closed pane there whole, which is what the cursor is for
+/// not doing. (The model suite is exempt, as from `emit_seam`.)
+const OUTBOX_SEAM: [(&str, &str, &str); 3] = [
+    ("outbox.extend(", "crates/engine/src/transport.rs", "push_run"),
+    ("outbox.extend(", "crates/engine/src/bolt.rs", "close"),
+    ("outbox.push_front(", "crates/engine/src/transport.rs", "deliver_outbox"),
 ];
 
 /// The only directory whose non-test code may make the calls in
@@ -372,6 +398,7 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     }
     if rel.starts_with("crates/engine/src/") && rel != "crates/engine/src/pool_model.rs" {
         rule_emit_seam(rel, &code, &in_test, &mut out);
+        rule_outbox_seam(rel, &code, &in_test, &mut out);
     }
     if !rel.starts_with(CORE_SEAM_DIR) {
         for seam in CORE_SEAMS {
@@ -543,6 +570,22 @@ fn rule_emit_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<St
                         i + 1
                     )),
                 }
+            }
+        }
+    }
+}
+
+fn rule_outbox_seam(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    let fns = enclosing_fns(code);
+    for (i, line) in code.iter().enumerate() {
+        let within = fns[i].as_deref().unwrap_or("");
+        for call in OUTBOX_GROWTH {
+            if !in_test[i] && line.contains(call) && !OUTBOX_SEAM.contains(&(call, rel, within)) {
+                out.push(format!(
+                    "{rel}:{}: [outbox_seam] `{call}` in `{within}` (an outbox grows only by \
+                     a spill in `push_run` and the Eofs in `close`)",
+                    i + 1
+                ));
             }
         }
     }
@@ -1287,6 +1330,35 @@ mod tests {
         let v = lint("crates/engine/src/task.rs", &twice);
         assert!(v.iter().any(|v| v.contains("[emit_seam]") && v.contains("task.rs:3")), "{v:?}");
         assert!(!v.iter().any(|v| v.contains("task.rs:2")), "{v:?}");
+    }
+
+    #[test]
+    fn pasted_outbox_growth_outside_the_seam_is_caught() {
+        // A pull that copies a cursor into the outbox, skipping the mailbox.
+        let src = "fn pull(outlet: &mut Outlet, dest: usize) {\n    \
+                   for tuple in outlet.cursor.take().into_iter().flatten() {\n        \
+                   outlet.outbox.push_back((dest, Packet::Tuple(tuple)));\n    }\n}\n";
+        let v = lint("crates/engine/src/bolt.rs", src);
+        assert!(v.iter().any(|v| v.contains("[outbox_seam]") && v.contains("bolt.rs:3")), "{v:?}");
+        // The seams themselves, engine tests, the model suite and a mention
+        // in a comment are not a violation.
+        let spill = "fn push_run(outbox: &mut Outbox) {\n    outbox.extend(left);\n}\n";
+        assert!(lint("crates/engine/src/transport.rs", spill).is_empty());
+        assert!(
+            !lint("crates/engine/src/bolt.rs", spill).is_empty(),
+            "push_run lives in transport"
+        );
+        let eof = "fn close(&mut self) {\n    outlet.outbox.extend(eofs);\n}\n";
+        assert!(lint("crates/engine/src/bolt.rs", eof).is_empty());
+        let put_back = "fn deliver_outbox() {\n    outbox.push_front((dest, packet));\n}\n";
+        assert!(lint("crates/engine/src/transport.rs", put_back).is_empty());
+        let pushed = put_back.replace("push_front", "push_back");
+        assert!(!lint("crates/engine/src/transport.rs", &pushed).is_empty(), "only a put-back");
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/engine/src/bolt.rs", &gated).is_empty());
+        assert!(lint("crates/engine/src/pool_model.rs", src).is_empty());
+        let mention = "// a pull never calls outbox.push_back(p)\nfn f() {}\n";
+        assert!(lint("crates/engine/src/bolt.rs", mention).is_empty());
     }
 
     #[test]

@@ -100,6 +100,45 @@ fn ticking_counts_are_exact_around_spilled_flushes() {
     }
 }
 
+/// A ticking PKG word count shaped like the `wc_flush_pool` benchmark
+/// workload, scaled down: 8 counters flush a 60 k-word vocabulary every
+/// 20 ms into one aggregator over 1 024-slot mailboxes. A tick's flush is
+/// pulled into free mailbox slots, so under both schedules at most one
+/// partial in twenty spills to an outbox, and the aggregator's totals stay
+/// exact. The collector reads the aggregator's final totals, so a counter
+/// has one out-edge, as in the benchmark.
+#[test]
+fn flush_heavy_counts_pull_their_partials_into_free_slots() {
+    let cfg = WordCountConfig {
+        variant: WordCountVariant::PartialKeyGrouping,
+        sources: 2,
+        messages_per_source: 100_000,
+        vocabulary: 60_000,
+        p1: 0.01,
+        counters: 8,
+        aggregation_period: Some(Duration::from_millis(20)),
+        ..WordCountConfig::default()
+    };
+    let exact = exact_counts(&cfg);
+    for executor in [ExecutorMode::ThreadPerInstance, ExecutorMode::Pool { workers: 2, batch: 0 }] {
+        let sink = Arc::new(Mutex::new(FxHashMap::default()));
+        let (mut topo, _, _, aggregator) = wordcount_topology(&cfg);
+        let sink2 = Arc::clone(&sink);
+        topo.add_bolt("collector", 1, move |_| {
+            Box::new(CollectBolt { sink: Arc::clone(&sink2), merge_max: false })
+        })
+        .input(aggregator, Grouping::Global);
+        let opts =
+            RuntimeOptions { channel_capacity: 1_024, executor, ..RuntimeOptions::default() };
+        let stats = Runtime::with_options(opts).run(topo);
+        assert_eq!(*sink.lock().expect("collector lock"), exact, "{executor:?}: totals");
+        let (spilled, emitted) = (stats.spilled("counter"), stats.emitted("counter"));
+        let ticks = stats.instances.iter().filter(|i| i.component == "counter").map(|i| i.ticks);
+        assert!(ticks.sum::<u64>() > 8, "{executor:?}: the counters barely ticked");
+        assert!(20 * spilled <= emitted, "{executor:?}: {spilled} of {emitted} partials spilled");
+    }
+}
+
 #[test]
 fn pkg_aggregated_counts_are_exact() {
     let cfg = WordCountConfig {
