@@ -12,8 +12,10 @@
 //! `results/engine_scale.tsv`) with wall clock, counter throughput, pool
 //! activation counts and the counters' outbox spills, and **asserts message conservation at every
 //! point** (exit non-zero on any loss). Under the pool it also prints each
-//! worker's scheduler counters: parks, spins, timers fired and their mean
-//! lateness.
+//! worker's scheduler counters — activations run, steals, parks, spins,
+//! timers fired and their mean lateness — and checks two identities at every
+//! point: the workers' runs sum to the instances' activations exactly, and
+//! no worker steals more tasks than it runs.
 //!
 //! Full mode additionally gates the scheduler's reason to exist: the pool
 //! must sustain ≥ 2× the thread-per-instance throughput at the largest
@@ -41,7 +43,10 @@ struct Point {
 struct Measurement {
     wall_s: f64,
     counter_tput: f64,
+    /// The counters' activations.
     activations: u64,
+    /// Every instance's activations: what the pool workers' runs sum to.
+    all_activations: u64,
     /// Counter packets that found the aggregator's mailbox full (or an
     /// earlier spill waiting) and queued in an outbox.
     spilled: u64,
@@ -107,6 +112,7 @@ fn run_point(cfg: &WordCountConfig, mode: ExecutorMode) -> Result<Measurement, S
         wall_s,
         counter_tput: total as f64 / wall_s,
         activations: stats.activations("counter"),
+        all_activations: stats.instances.iter().map(|i| i.activations).sum(),
         spilled: stats.spilled("counter"),
         loads: stats.loads("counter"),
         p99_ns: stats.latency_percentiles("counter")[1],
@@ -191,9 +197,23 @@ fn main() {
             let late_us = w.timer_late_ns as f64 / w.timers_fired.max(1) as f64 / 1e3;
             let _ = writeln!(
                 r,
-                "{label} @ {instances} instances, worker {wid}: parks={} spins={} \
-                 timers_fired={} timer_late_mean_us={late_us:.1}",
-                w.parks, w.spins, w.timers_fired,
+                "{label} @ {instances} instances, worker {wid}: runs={} steals={} parks={} \
+                 spins={} timers_fired={} timer_late_mean_us={late_us:.1}",
+                w.runs, w.steals, w.parks, w.spins, w.timers_fired,
+            );
+        }
+        if !m.workers.is_empty() {
+            let runs: u64 = m.workers.iter().map(|w| w.runs).sum();
+            r.check(
+                format_args!(
+                    "{label} @ {instances} instances: Σ runs {runs} = Σ activations {}",
+                    m.all_activations
+                ),
+                runs == m.all_activations,
+            );
+            r.check(
+                format_args!("{label} @ {instances} instances: steals ≤ runs on every worker"),
+                m.workers.iter().all(|w| w.steals <= w.runs),
             );
         }
     }

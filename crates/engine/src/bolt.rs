@@ -54,8 +54,9 @@ pub struct Emitter<'a> {
     /// The runtime and the running instance's outgoing side; `None` for
     /// [`Emitter::drop_sink`].
     pub(crate) outlet: Option<(&'a Shared, &'a mut Outlet)>,
-    /// The worker running this activation: the data wakes its deliveries
-    /// raise queue on that worker's own deque.
+    /// The worker running this activation: a data wake its deliveries
+    /// raise queues on that worker's own deque, unless another worker ran
+    /// the woken task last.
     pub(crate) wid: Option<usize>,
     /// Birth timestamp to inherit (0 = stamp with `now_ns`).
     pub(crate) inherit_born_ns: u64,

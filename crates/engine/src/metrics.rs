@@ -61,6 +61,12 @@ pub struct InstanceStats {
 /// Scheduler counters of one pool worker, reported when the run ends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
+    /// Activations this worker ran. Summed over the workers, it equals
+    /// the instances' summed `InstanceStats::activations`.
+    pub runs: u64,
+    /// Tasks this worker took from a sibling's deque or inbox (a subset of
+    /// its runs).
+    pub steals: u64,
     /// Idle waits that parked the thread (`park_timeout`).
     pub parks: u64,
     /// Idle waits that spun toward a timer deadline instead of parking. An

@@ -1,10 +1,13 @@
 //! The pool schedule: a fixed set of worker threads ([`worker_loop`]) pick
-//! tasks from their own Chase–Lev deques, then each other's, then a global
-//! injector; tick and stall deadlines live in one central
+//! tasks from their own Chase–Lev deques and inboxes, then each other's,
+//! then a global injector; tick and stall deadlines live in one central
 //! [`TimerWheel`](crate::timer) that the workers fire when they visit the
-//! injector. A data wake stays on the worker that raised it: the woken
-//! consumer is pushed onto the waker's own deque, lock-free, so its window
-//! table and inbox stay warm on the core that just filled them. The
+//! injector. A data wake follows the task, not the sender: the woken
+//! consumer queues on the worker that last ran it — its own deque when
+//! that is the waker (lock-free), that worker's mutexed inbox otherwise —
+//! so its window table, latency histogram and body stay on one core
+//! instead of following whichever source filled its mailbox. A task that
+//! never ran has no such core, and queues on the waker's deque. The
 //! injector carries only what starts a cascade — the initial sources, a
 //! source's requeue, backpressure releases and timer fires — so every local
 //! cascade is bounded by what one source quantum or one deadline produced,
@@ -46,15 +49,24 @@ struct Sched {
     timers: TimerWheel,
 }
 
+/// [`Pool::last`] of a task that has never run.
+const NEVER_RAN: usize = usize::MAX;
+
 /// The pool schedule's state: nothing here exists under dedicated threads.
 pub(crate) struct Pool {
     sched: Mutex<Sched>,
-    /// Per-worker run queues: the data wakes a worker's activations raise
-    /// and its bolts' requeues. Each is a Chase–Lev deque: worker `w` alone
-    /// pushes onto queue `w` (no lock), and every worker — `w` included —
-    /// takes the oldest entry by CAS, so a worker runs its own queue in
-    /// wake order.
+    /// Per-worker run queues: a worker's bolts' requeues and the data wakes
+    /// its activations raise for tasks it ran last (or that never ran).
+    /// Each is a Chase–Lev deque: worker `w` alone pushes onto queue `w`
+    /// (no lock), and every worker — `w` included — takes the oldest entry
+    /// by CAS, so a worker runs its own queue in wake order.
     locals: Vec<WorkStealingDeque>,
+    /// Per-worker inboxes: the data wakes raised on another worker for the
+    /// tasks this worker ran last.
+    inboxes: Vec<Inbox>,
+    /// Per task, the worker that last ran it ([`NEVER_RAN`] before its
+    /// first activation); written by that worker before each activation.
+    last: Vec<AtomicUsize>,
     /// Idle workers awaiting work, newest last.
     idlers: Mutex<Vec<(usize, Unparker)>>,
     /// Workers between their idle registration and its removal. Every wake
@@ -76,6 +88,8 @@ pub(crate) struct Pool {
 #[repr(align(64))]
 #[derive(Default)]
 struct WorkerCounters {
+    runs: AtomicU64,
+    steals: AtomicU64,
     parks: AtomicU64,
     spins: AtomicU64,
     timers_fired: AtomicU64,
@@ -93,11 +107,50 @@ impl WorkerCounters {
         // ordering: SeqCst — read once every worker has joined (SC-only model)
         let read = |counter: &AtomicU64| counter.load(SeqCst);
         WorkerStats {
+            runs: read(&self.runs),
+            steals: read(&self.steals),
             parks: read(&self.parks),
             spins: read(&self.spins),
             timers_fired: read(&self.timers_fired),
             timer_late_ns: read(&self.timer_late_ns),
         }
+    }
+}
+
+/// One worker's inbox: a mutexed FIFO any worker pushes onto and takes
+/// from, beside its length, which lets a pick skip the lock while it is
+/// empty. On a cache line of its own, so two inboxes never false-share.
+#[repr(align(64))]
+#[derive(Default)]
+struct Inbox {
+    queue: Mutex<VecDeque<usize>>,
+    len: AtomicUsize,
+}
+
+impl Inbox {
+    fn push(&self, t: usize) {
+        let mut queue = lock(&self.queue);
+        queue.push_back(t);
+        // ordering: SeqCst — raised before the waker reads the idle count;
+        // pairs with an idler's raise-then-re-check (SC-only model)
+        self.len.fetch_add(1, SeqCst);
+    }
+
+    fn pop(&self) -> Option<usize> {
+        if self.is_empty() {
+            return None;
+        }
+        let mut queue = lock(&self.queue);
+        let t = queue.pop_front()?;
+        // ordering: SeqCst — lowered under the lock, like push's raise, so
+        // the length is the queue's whenever the lock is free (SC-only model)
+        self.len.fetch_sub(1, SeqCst);
+        Some(t)
+    }
+
+    fn is_empty(&self) -> bool {
+        // ordering: SeqCst — a lock-free read of push's raise (SC-only model)
+        self.len.load(SeqCst) == 0
     }
 }
 
@@ -109,6 +162,8 @@ impl Pool {
             // Each task id is queued at most once across all queues (the
             // QUEUED state is exclusive), so `tasks + 1` slots never fill.
             locals: (0..workers).map(|_| WorkStealingDeque::new(tasks + 1)).collect(),
+            inboxes: (0..workers).map(|_| Inbox::default()).collect(),
+            last: (0..tasks).map(|_| AtomicUsize::new(NEVER_RAN)).collect(),
             idlers: Mutex::new(Vec::new()),
             idle: AtomicUsize::new(0),
             remaining: AtomicUsize::new(tasks),
@@ -119,15 +174,24 @@ impl Pool {
 
     /// Queue task `t`, which a wake just made QUEUED; `wid` is the worker
     /// whose activation raised the wake. Where it queues is fixed by the
-    /// wake alone:
+    /// wake and by `v`, the worker that last ran `t`:
     ///
     /// | wake | queue |
     /// |------|-------|
-    /// | `Notify` from worker `w` | `locals[w]`, lock-free |
+    /// | `Notify` from worker `w`, `v = w` or `t` never ran | `locals[w]`, lock-free |
+    /// | `Notify` from worker `w`, `v ≠ w` | `inboxes[v]` |
     /// | `Unpark` (a release), or from no worker | the injector |
     pub(crate) fn wake(&self, t: usize, kind: &WakeKind, wid: Option<usize>) {
         match (kind, wid) {
-            (WakeKind::Notify, Some(w)) => self.push_local(w, t),
+            (WakeKind::Notify, Some(w)) => {
+                // ordering: SeqCst — written before `t`'s last activation,
+                // which precedes the state CAS that made this wake queue it
+                // (SC-only model)
+                match self.last[t].load(SeqCst) {
+                    v if v == w || v == NEVER_RAN => self.push_local(w, t),
+                    v => self.inboxes[v].push(t),
+                }
+            }
             _ => lock(&self.sched).runq.push_back(t),
         }
         self.unpark_one_idler();
@@ -176,6 +240,12 @@ impl Pool {
         }
     }
 
+    /// Whether every worker's deque and inbox is (observably) empty.
+    fn local_queues_empty(&self) -> bool {
+        self.locals.iter().all(WorkStealingDeque::is_empty)
+            && self.inboxes.iter().all(Inbox::is_empty)
+    }
+
     fn unpark_one_idler(&self) {
         // ordering: SeqCst — the caller's queue push precedes this read, and
         // an idler's increment precedes its re-check of every queue: one of
@@ -197,24 +267,41 @@ impl Pool {
     }
 }
 
-/// Take the oldest task of worker `wid`'s own deque, else steal the oldest
-/// of a sibling's. Oldest first on the own deque too: a woken consumer
+/// Take the oldest task of worker `wid`'s own deque, else of its own inbox,
+/// else steal the oldest of a sibling's inbox, then of its deque, counting
+/// the steal on `wid`. Oldest first on the own queues too: a woken consumer
 /// runs in wake order, behind the tasks woken before it.
-fn steal(pool: &Pool, wid: usize) -> Option<usize> {
+fn pick(pool: &Pool, wid: usize) -> Option<usize> {
     let n = pool.locals.len();
     for k in 0..n {
         let victim = (wid + k) % n;
-        loop {
-            match pool.locals[victim].steal() {
-                Steal::Success(tid) => return Some(tid),
-                // Lost a CAS race: someone else is making progress on this
-                // victim; try it again before moving on.
-                Steal::Retry => {}
-                Steal::Empty => break,
+        let inbox = &pool.inboxes[victim];
+        let found = if k == 0 {
+            take(&pool.locals[victim]).or_else(|| inbox.pop())
+        } else {
+            inbox.pop().or_else(|| take(&pool.locals[victim]))
+        };
+        if found.is_some() {
+            if k != 0 {
+                WorkerCounters::bump(&pool.counters[wid].steals, 1);
             }
+            return found;
         }
     }
     None
+}
+
+/// Take the oldest task of `deque`.
+fn take(deque: &WorkStealingDeque) -> Option<usize> {
+    loop {
+        match deque.steal() {
+            Steal::Success(tid) => return Some(tid),
+            // Lost a CAS race: someone else is making progress on this
+            // deque; try it again before moving on.
+            Steal::Retry => {}
+            Steal::Empty => return None,
+        }
+    }
 }
 
 /// Fire the timer wheel's due deadlines onto the injector, counting them
@@ -241,19 +328,14 @@ fn worker_loop(shared: &Shared, pool: &Pool, wid: usize) {
     let parker = Parker::new();
     let mut due: Vec<(usize, bool)> = Vec::new();
     loop {
-        // Pick order: own deque (oldest first) → a sibling's → the injector
-        // and due timers. Sources and deadlines enter only through the
-        // injector, so the deques drain between two visits to it.
-        match steal(pool, wid).or_else(|| inject(shared, pool, wid, &mut due)) {
-            Some(tid) => {
-                // ordering: SeqCst — the final decrement pairs with the idle
-                // workers' remaining-count exit checks (SC-only model)
-                if run_task(shared, tid, wid) && pool.remaining.fetch_sub(1, SeqCst) == 1 {
-                    pool.unpark_all_idlers();
-                }
-            }
-            // ordering: SeqCst — exit check pairs with the final decrement
-            // above (SC-only model)
+        // Pick order: own deque and inbox (oldest first) → a sibling's →
+        // the injector and due timers. Sources and deadlines enter only
+        // through the injector, so the local queues drain between two
+        // visits to it.
+        match pick(pool, wid).or_else(|| inject(shared, pool, wid, &mut due)) {
+            Some(tid) => run_picked(shared, pool, wid, tid),
+            // ordering: SeqCst — exit check pairs with run_picked's final
+            // decrement (SC-only model)
             None if pool.remaining.load(SeqCst) == 0 => {
                 pool.unpark_all_idlers();
                 return;
@@ -263,12 +345,32 @@ fn worker_loop(shared: &Shared, pool: &Pool, wid: usize) {
     }
 }
 
+/// Run the activation of `tid` that worker `wid` just picked, recording
+/// `wid` as the worker that last ran it and counting the run.
+fn run_picked(shared: &Shared, pool: &Pool, wid: usize, tid: usize) {
+    let last = &pool.last[tid];
+    // Stored only on a change, so a task that stays put never dirties the
+    // line its neighbours' wakes read.
+    // ordering: SeqCst — read and written only while `tid` is QUEUED or
+    // RUNNING here, ahead of the state CAS a later wake needs (SC-only model)
+    if last.load(SeqCst) != wid {
+        // ordering: SeqCst — as the load above (SC-only model)
+        last.store(wid, SeqCst);
+    }
+    WorkerCounters::bump(&pool.counters[wid].runs, 1);
+    // ordering: SeqCst — the final decrement pairs with the idle workers'
+    // remaining-count exit checks (SC-only model)
+    if run_task(shared, tid, wid) && pool.remaining.fetch_sub(1, SeqCst) == 1 {
+        pool.unpark_all_idlers();
+    }
+}
+
 /// Wait, as worker `wid`, for a wake, the next timer deadline or the
 /// backstop. It registers as idle *before* re-checking every queue: a waker
 /// that pushes after the re-check reads the raised idle count and pops our
 /// unparker, and a pre-park unpark makes park return immediately (no lost
-/// wake). The re-check covers the siblings' deques too, so a local wake
-/// that raced the registration is stolen now instead of after the backstop.
+/// wake). The re-check covers every deque and inbox, so a local wake that
+/// raced the registration is taken now instead of after the backstop.
 ///
 /// A re-check that finds nothing ends in exactly one park or one spin. A
 /// park returns late (see `SPIN_WINDOW_NS`), so a worker whose next
@@ -285,7 +387,7 @@ fn idle_wait(shared: &Shared, pool: &Pool, wid: usize, parker: &Parker) {
         let s = lock(&pool.sched);
         (s.runq.is_empty(), s.timers.next_deadline_ns())
     };
-    let empty = empty && pool.locals.iter().all(WorkStealingDeque::is_empty);
+    let empty = empty && pool.local_queues_empty();
     let mut spun = false;
     // ordering: SeqCst — re-check under idler registration (SC-only model)
     if empty && pool.remaining.load(SeqCst) != 0 {
@@ -323,7 +425,7 @@ fn idle_wait(shared: &Shared, pool: &Pool, wid: usize, parker: &Parker) {
 
 /// Spin until `parker`'s token is set or the clock reaches `deadline_ns`.
 /// The exit test reads only the token and the clock: polling the siblings'
-/// deques too would only add cache traffic to a busy worker, since every
+/// queues too would only add cache traffic to a busy worker, since every
 /// wake that queues work also sets an idler's token.
 #[cfg(not(feature = "pkg_model"))]
 fn spin_until(shared: &Shared, parker: &Parker, deadline_ns: u64) {
@@ -379,7 +481,7 @@ mod tests {
                     depth_high: AtomicUsize::new(0),
                 })
                 .collect(),
-            schedule: Schedule::Pool(Pool::new(1, n_tasks)),
+            schedule: Schedule::Pool(Box::new(Pool::new(1, n_tasks))),
             epoch: Instant::now(),
             batch: DEFAULT_BATCH,
             stats: Mutex::new(Vec::new()),
@@ -388,7 +490,7 @@ mod tests {
 
     /// `shared` with `n` workers: a deque and a counter block each.
     pub(super) fn with_workers(mut shared: Shared, n: usize) -> Shared {
-        shared.schedule = Schedule::Pool(Pool::new(n, shared.tasks.len()));
+        shared.schedule = Schedule::Pool(Box::new(Pool::new(n, shared.tasks.len())));
         shared
     }
 
@@ -411,27 +513,44 @@ mod tests {
         lock(&pool(shared).sched).runq.drain(..).collect()
     }
 
+    fn drain_inbox(shared: &Shared, w: usize) -> Vec<usize> {
+        std::iter::from_fn(|| pool(shared).inboxes[w].pop()).collect()
+    }
+
     /// Where each kind of wake and requeue queues its task — the pool's
     /// whole wake rule, one row at a time.
     #[test]
-    fn wakes_queue_on_the_wakers_worker_and_releases_on_the_injector() {
+    fn wakes_queue_on_the_tasks_last_worker_and_releases_on_the_injector() {
         let mut shared = with_workers(mini_shared(4, 4), 2);
         shared.batch = 1;
+        let last = |shared: &Shared, t: usize, w: usize| {
+            // ordering: SeqCst — single-threaded fixture set-up (SC-only model)
+            pool(shared).last[t].store(w, SeqCst);
+        };
 
-        // A data wake from worker 1: worker 1's deque, the injector untouched.
+        // A data wake from worker 1 for a task last run on worker 0: worker
+        // 0's inbox, every deque and the injector untouched.
+        last(&shared, 0, 0);
         shared.wake(0, &WakeKind::Notify, Some(1));
-        assert_eq!(drain(&pool(&shared).locals[1]), [0]);
-        assert!(pool(&shared).locals[0].is_empty());
+        assert_eq!(drain_inbox(&shared, 0), [0]);
+        assert!(pool(&shared).local_queues_empty());
         assert!(drain_runq(&shared).is_empty());
 
-        // A release, even from a worker, and any wake from outside a worker:
-        // the injector.
+        // The same wake for a task that never ran: worker 1's deque.
+        shared.wake(1, &WakeKind::Notify, Some(1));
+        assert_eq!(drain(&pool(&shared).locals[1]), [1]);
+        assert!(pool(&shared).local_queues_empty());
+        assert!(drain_runq(&shared).is_empty());
+
+        // A release, even from a worker and for a task last run on another,
+        // and any wake from outside a worker: the injector.
         // ordering: SeqCst — single-threaded fixture set-up (SC-only model)
-        shared.tasks[1].state.store(PARKED, SeqCst);
-        shared.wake(1, &WakeKind::Unpark, Some(1));
-        shared.wake(2, &WakeKind::Notify, None);
-        assert_eq!(drain_runq(&shared), [1, 2]);
-        assert!(pool(&shared).locals.iter().all(WorkStealingDeque::is_empty));
+        shared.tasks[2].state.store(PARKED, SeqCst);
+        last(&shared, 2, 0);
+        shared.wake(2, &WakeKind::Unpark, Some(1));
+        shared.wake(3, &WakeKind::Notify, None);
+        assert_eq!(drain_runq(&shared), [2, 3]);
+        assert!(pool(&shared).local_queues_empty());
 
         // A source's yield (a quantum of 1, two tuples left): the injector.
         let tuples = (0..3).map(|v| Tuple::new(*b"k", v));
@@ -439,13 +558,12 @@ mod tests {
             TaskKind::Spout { spout: spout_from_iter(tuples), exhausted: false, ingress: None };
         *lock(&shared.tasks[3].body) =
             Some(Box::new(TaskBody::new("src".into(), 0, source, Vec::new(), 1.0, None)));
-        // ordering: SeqCst — as above (SC-only model)
-        shared.tasks[3].state.store(QUEUED, SeqCst);
         run_task(&shared, 3, 1);
         assert_eq!(drain_runq(&shared), [3]);
-        assert!(pool(&shared).locals.iter().all(WorkStealingDeque::is_empty));
+        assert!(pool(&shared).local_queues_empty());
 
-        // A bolt's yield: the back of its worker's deque, behind task 2.
+        // A bolt's yield: the back of the deque of the worker that ran it,
+        // behind task 2, though the bolt last ran on worker 0.
         let bolt = TaskKind::Bolt {
             bolt: Box::new(CountingBolt::default()),
             eof_remaining: 1,
@@ -462,6 +580,7 @@ mod tests {
         pool(&shared).push_local(1, 2);
         run_task(&shared, 0, 1);
         assert_eq!(drain(&pool(&shared).locals[1]), [2, 0]);
+        assert!(pool(&shared).local_queues_empty());
         assert!(drain_runq(&shared).is_empty());
 
         // Under dedicated threads every wake unparks the task's owner, which
@@ -552,6 +671,27 @@ mod tests {
         assert!(fired.timer_late_ns >= least, "Σ lateness: {}", fired.timer_late_ns);
         assert_eq!(pool.counters[0].snapshot(), WorkerStats::default());
     }
+    /// `pick` takes from the own deque, then the own inbox, then a
+    /// sibling's inbox and deque; only the last two count a steal, on the
+    /// worker that took the task.
+    #[test]
+    fn a_steal_counts_on_the_worker_that_took_the_task() {
+        let shared = with_workers(mini_shared(4, 4), 2);
+        let pool = pool(&shared);
+        let steals = |w: usize| pool.counters[w].snapshot().steals;
+        pool.push_local(1, 0);
+        pool.inboxes[1].push(1);
+        assert_eq!(pick(pool, 1), Some(0), "its own deque first");
+        assert_eq!(pick(pool, 1), Some(1), "then its own inbox");
+        assert_eq!((steals(0), steals(1)), (0, 0), "neither is a steal");
+        pool.push_local(0, 2);
+        pool.inboxes[0].push(3);
+        assert_eq!(pick(pool, 1), Some(3), "a sibling's inbox before its deque");
+        assert_eq!(pick(pool, 1), Some(2));
+        assert_eq!(pick(pool, 1), None);
+        assert_eq!((steals(0), steals(1)), (0, 2), "both counted on the thief");
+    }
+
     /// A relay: every input tuple goes on downstream.
     struct Relay;
 

@@ -66,6 +66,10 @@
 //!     always owed a release wake, and the partials arrive complete, in
 //!     order and ahead of the Eof
 //!     ([`a_pending_cursor_drains_ahead_of_the_eof`]).
+//! 13. **Wakes follow the task** — a data wake raised on worker 0 for a
+//!     task last run on worker 1 queues in worker 1's inbox while worker 1
+//!     idles: the task runs exactly once, on worker 1, and nothing strands
+//!     ([`a_wake_for_an_idling_workers_task_reaches_its_inbox`]).
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
 //! the PR 4 stall bug, an unconditional-IDLE variant of the idle
@@ -75,9 +79,10 @@
 //! idle count only after its re-check, an idle re-check blind to the
 //! siblings' deques, a backlogged bolt that settles `Idle` with no
 //! waiter registered, a spinner that deregisters before it spins, an
-//! idler that spins without claiming the spinner slot, and a cursor pull
-//! that stops short of the spill that registers its release, and assert the
-//! checker *finds* the violating schedule.
+//! idler that spins without claiming the spinner slot, a cursor pull that
+//! stops short of the spill that registers its release, and an idle
+//! re-check blind to the inboxes, and assert the checker *finds* the
+//! violating schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
 // to police fixture code.
@@ -865,13 +870,8 @@ fn worker_loop_idling(shared: &Shared, pool: &Pool, wid: usize, idle: Idle) {
     let parker = Parker::new();
     let mut due = Vec::new();
     loop {
-        match steal(pool, wid).or_else(|| inject(shared, pool, wid, &mut due)) {
-            Some(tid) => {
-                // ordering: SeqCst — as in worker_loop (SC-only model)
-                if run_task(shared, tid, wid) && pool.remaining.fetch_sub(1, SeqCst) == 1 {
-                    pool.unpark_all_idlers();
-                }
-            }
+        match pick(pool, wid).or_else(|| inject(shared, pool, wid, &mut due)) {
+            Some(tid) => run_picked(shared, pool, wid, tid),
             // ordering: SeqCst — as in worker_loop (SC-only model)
             None if pool.remaining.load(SeqCst) == 0 => return,
             None => idle(shared, pool, wid, &parker),
@@ -880,11 +880,14 @@ fn worker_loop_idling(shared: &Shared, pool: &Pool, wid: usize, idle: Idle) {
 }
 
 /// Worker 0's activation delivers a tuple and the Eof to an idle sink (task
-/// 0, two worker deques) as one run: one `Notify` wake, onto deque 0. Then
-/// worker 0 stays busy for the rest of the run — its thread ends — while
-/// worker 1 runs `worker`. The sink must see the tuple in exactly one
-/// activation and every thread must finish: under the model a park never
-/// times out, so a wake that reaches no worker is reported as a deadlock.
+/// 0, two worker deques) as one run: one `Notify` wake. The sink never ran,
+/// so the wake queues on deque 0 — or, with `ran_on_idler`, the sink last
+/// ran on worker 1 and the wake queues in worker 1's inbox. Then worker 0
+/// stays busy for the rest of the run — its thread ends — while worker 1
+/// runs `worker`. The sink must see the tuple in exactly one activation,
+/// taken by a steal exactly when it queued on deque 0, and every thread must
+/// finish: under the model a park never times out, so a wake that reaches
+/// no worker is reported as a deadlock.
 ///
 /// With `near`, the clock is frozen just short of a deadline
 /// ([`freeze_near_a_deadline`]), so worker 1 spins wherever its re-check
@@ -893,6 +896,7 @@ fn worker_loop_idling(shared: &Shared, pool: &Pool, wid: usize, idle: Idle) {
 fn check_local_wake(
     worker: fn(&Shared, &Pool, usize),
     near: bool,
+    ran_on_idler: bool,
 ) -> (Result<pkg_model::Report, pkg_model::Violation>, u64) {
     let spins = Arc::new(StdAtomicU64::new(0));
     let total = Arc::clone(&spins);
@@ -901,6 +905,10 @@ fn check_local_wake(
         let mut shared = with_workers(mini_shared(1, 4), 2);
         if near {
             freeze_near_a_deadline(&mut shared);
+        }
+        if ran_on_idler {
+            // ordering: SeqCst — single-threaded fixture set-up (SC-only model)
+            pool(&shared).last[0].store(1, SeqCst);
         }
         let kind = TaskKind::Bolt {
             bolt: Box::new(OrderBolt { seen: Arc::clone(&seen) }),
@@ -929,8 +937,11 @@ fn check_local_wake(
         assert_eq!(shared.tasks[0].state.load(SeqCst), DONE);
         let stats = lock(&shared.stats);
         assert_eq!(stats[0].activations, 1, "the woken bolt ran exactly once");
+        let idler = pool(&shared).counters[1].snapshot();
+        assert_eq!(idler.runs, 1, "worker 1 ran it");
+        assert_eq!(idler.steals, u64::from(!ran_on_idler), "queued on the wrong worker");
         // ordering: SeqCst — a tally across schedules, read after the last
-        total.fetch_add(pool(&shared).counters[1].snapshot().spins, StdSeqCst);
+        total.fetch_add(idler.spins, StdSeqCst);
     });
     // ordering: SeqCst — read after every schedule has run (SC-only model)
     (result, spins.load(StdSeqCst))
@@ -943,7 +954,7 @@ fn check_local_wake(
 #[test]
 fn local_wake_is_stolen_by_an_idling_sibling() {
     let report =
-        check_local_wake(worker_loop, false).0.expect("no schedule may strand a local wake");
+        check_local_wake(worker_loop, false, false).0.expect("no schedule may strand a local wake");
     assert!(
         report.iterations >= 100,
         "expected a real interleaving space, got {} schedules",
@@ -958,8 +969,7 @@ fn local_wake_is_stolen_by_an_idling_sibling() {
 fn mutation_idle_count_raised_after_recheck_is_caught() {
     fn raises_after_recheck(_shared: &Shared, pool: &Pool, wid: usize, parker: &Parker) {
         lock(&pool.idlers).push((wid, parker.unparker()));
-        let empty = lock(&pool.sched).runq.is_empty()
-            && pool.locals.iter().all(WorkStealingDeque::is_empty);
+        let empty = lock(&pool.sched).runq.is_empty() && pool.local_queues_empty();
         // BUG (deliberate): the count rises after the re-check, so a push
         // in between is seen by neither side.
         // ordering: SeqCst — as in idle_wait (SC-only model)
@@ -974,6 +984,7 @@ fn mutation_idle_count_raised_after_recheck_is_caught() {
     }
     let violation = check_local_wake(
         |shared, pool, wid| worker_loop_idling(shared, pool, wid, raises_after_recheck),
+        false,
         false,
     )
     .0
@@ -1003,9 +1014,52 @@ fn mutation_recheck_blind_to_sibling_deques_is_caught() {
     let violation = check_local_wake(
         |shared, pool, wid| worker_loop_idling(shared, pool, wid, ignores_deques),
         false,
+        false,
     )
     .0
     .expect_err("an idle re-check blind to the siblings' deques must be caught");
+    assert!(violation.message.contains("deadlock"), "got: {violation}");
+}
+
+/// Invariant 13, through the real [`worker_loop`]: a data wake raised on
+/// worker 0 for a sink last run on worker 1 queues in worker 1's inbox, and
+/// however worker 1's idle registration interleaves with that push, the sink
+/// runs exactly once, on worker 1, taken from its own inbox.
+#[test]
+fn a_wake_for_an_idling_workers_task_reaches_its_inbox() {
+    let report = check_local_wake(worker_loop, false, true)
+        .0
+        .expect("no schedule may strand a wake queued in an idler's inbox");
+    assert!(report.iterations >= 100, "expected a real interleaving space, got {report:?}");
+}
+
+/// Detection power for invariant 13: an idler whose re-check skips the
+/// inboxes must be caught — a wake pushed into its inbox before the count
+/// rose sends no unpark, and the idler parks with the sink queued.
+#[test]
+fn mutation_recheck_blind_to_the_inboxes_is_caught() {
+    fn skips_inboxes(_shared: &Shared, pool: &Pool, wid: usize, parker: &Parker) {
+        lock(&pool.idlers).push((wid, parker.unparker()));
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        pool.idle.fetch_add(1, SeqCst);
+        // BUG (deliberate): the inboxes are not re-checked.
+        let empty = lock(&pool.sched).runq.is_empty()
+            && pool.locals.iter().all(WorkStealingDeque::is_empty);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        if empty && pool.remaining.load(SeqCst) != 0 {
+            parker.park();
+        }
+        lock(&pool.idlers).retain(|(w, _)| *w != wid);
+        // ordering: SeqCst — as in idle_wait (SC-only model)
+        pool.idle.fetch_sub(1, SeqCst);
+    }
+    let violation = check_local_wake(
+        |shared, pool, wid| worker_loop_idling(shared, pool, wid, skips_inboxes),
+        false,
+        true,
+    )
+    .0
+    .expect_err("an idle re-check blind to the inboxes must be caught");
     assert!(violation.message.contains("deadlock"), "got: {violation}");
 }
 
@@ -1031,7 +1085,7 @@ fn freeze_near_a_deadline(shared: &mut Shared) {
 /// deadlock, not a spin the deadline rescues.
 #[test]
 fn a_wake_raised_while_a_worker_spins_is_never_lost() {
-    let (result, spins) = check_local_wake(worker_loop, true);
+    let (result, spins) = check_local_wake(worker_loop, true, false);
     let report = result.expect("no schedule may strand a wake raised during a spin");
     assert!(report.iterations >= 100, "expected a real interleaving space, got {report:?}");
     assert!(spins > 0, "no explored schedule took the spin path");
@@ -1046,8 +1100,7 @@ fn mutation_spinner_deregisters_before_spinning_is_caught() {
         lock(&pool.idlers).push((wid, parker.unparker()));
         // ordering: SeqCst — as in idle_wait (SC-only model)
         pool.idle.fetch_add(1, SeqCst);
-        let empty = lock(&pool.sched).runq.is_empty()
-            && pool.locals.iter().all(WorkStealingDeque::is_empty);
+        let empty = lock(&pool.sched).runq.is_empty() && pool.local_queues_empty();
         lock(&pool.idlers).retain(|(w, _)| *w != wid);
         // ordering: SeqCst — as in idle_wait (SC-only model)
         pool.idle.fetch_sub(1, SeqCst);
@@ -1061,6 +1114,7 @@ fn mutation_spinner_deregisters_before_spinning_is_caught() {
     let violation = check_local_wake(
         |shared, pool, wid| worker_loop_idling(shared, pool, wid, deregisters_first),
         true,
+        false,
     )
     .0
     .expect_err("a spinner that deregisters before it spins must be caught");
@@ -1134,8 +1188,7 @@ fn mutation_spin_without_the_slot_claim_is_caught() {
         lock(&pool.idlers).push((wid, parker.unparker()));
         // ordering: SeqCst — as in idle_wait (SC-only model)
         pool.idle.fetch_add(1, SeqCst);
-        let empty = lock(&pool.sched).runq.is_empty()
-            && pool.locals.iter().all(WorkStealingDeque::is_empty);
+        let empty = lock(&pool.sched).runq.is_empty() && pool.local_queues_empty();
         // ordering: SeqCst — as in idle_wait (SC-only model)
         if empty && pool.remaining.load(SeqCst) != 0 {
             // BUG (deliberate): the spin never claims the spinner slot.
@@ -1257,7 +1310,7 @@ fn check_ticking_backlog(
         }
         push(&shared, 1, Packet::Eof);
         while let Some(t) =
-            steal(pool(&shared), 0).or_else(|| lock(&pool(&shared).sched).runq.pop_front())
+            pick(pool(&shared), 0).or_else(|| lock(&pool(&shared).sched).runq.pop_front())
         {
             run_task(&shared, t, 0);
         }

@@ -83,8 +83,9 @@ impl Shared {
 
 /// Who runs a task's activations, and when.
 pub(crate) enum Schedule {
-    /// A fixed set of worker threads over shared run queues.
-    Pool(Pool),
+    /// A fixed set of worker threads over shared run queues (boxed: its
+    /// fields outweigh the other arm's one `Vec` many times over).
+    Pool(Box<Pool>),
     /// One owner per task, indexed by task id.
     Threads(Vec<Owner>),
 }
@@ -170,7 +171,7 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
             } else {
                 workers
             };
-            (Schedule::Pool(Pool::new(workers, total_instances)), batch, workers)
+            (Schedule::Pool(Box::new(Pool::new(workers, total_instances))), batch, workers)
         }
     };
 

@@ -106,13 +106,15 @@ fn ticking_counts_are_exact_around_spilled_flushes() {
 /// pulled into free mailbox slots, so under both schedules at most one
 /// partial in twenty spills to an outbox, and the aggregator's totals stay
 /// exact. The collector reads the aggregator's final totals, so a counter
-/// has one out-edge, as in the benchmark.
+/// has one out-edge, as in the benchmark. The stream is long enough to span
+/// at least five periods at twice the engine's speed, so the tick-count gate
+/// reads the ticking, not how fast the engine ran.
 #[test]
 fn flush_heavy_counts_pull_their_partials_into_free_slots() {
     let cfg = WordCountConfig {
         variant: WordCountVariant::PartialKeyGrouping,
         sources: 2,
-        messages_per_source: 100_000,
+        messages_per_source: 400_000,
         vocabulary: 60_000,
         p1: 0.01,
         counters: 8,
