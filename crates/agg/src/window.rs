@@ -107,25 +107,6 @@ impl<K: Eq + Hash, A: PartialAgg> TumblingWindow<K, A> {
         closed.filter(|p| p.inserted > 0)
     }
 
-    /// Fold an already-accumulated partial for `key` into the pane at `ts`
-    /// — how migrated state (a departing worker's accumulator arriving over
-    /// the migration bus) merges into its new owner's open window. Counts as
-    /// one observation, so a pane holding only migrated state still flushes.
-    /// Returns the previous pane when `ts` crosses into a new one, exactly
-    /// like [`Self::insert`].
-    pub fn merge_partial(&mut self, key: K, part: &A, ts: u64) -> Option<Pane<K, A>> {
-        let idx = ts / self.width;
-        let closed = match &self.current {
-            Some(p) if p.index >= idx => None,
-            _ => self.current.take(),
-        };
-        let pane = self.current.get_or_insert_with(|| Pane::new(idx, self.width));
-        pane.accs.entry(key).or_insert_with(A::identity).merge(part);
-        pane.inserted += 1;
-        pane.sum_ts += ts as u128;
-        closed.filter(|p| p.inserted > 0)
-    }
-
     /// Close every pane ending at or before `ts` (periodic flush without a
     /// triggering insert).
     pub fn advance_to(&mut self, ts: u64) -> Option<Pane<K, A>> {
@@ -263,19 +244,6 @@ mod tests {
         // Two observations at ts 10 and 20 flushed at ts 100.
         assert_eq!(p.staleness_total(100), (100 - 10) as f64 + (100 - 20) as f64);
         assert_eq!(w.entries(), 0);
-    }
-
-    #[test]
-    fn tumbling_merge_partial_counts_as_an_observation() {
-        let mut w: TumblingWindow<&str, Sum> = TumblingWindow::new(10);
-        let mut part = Sum::identity();
-        part.insert(0, 40);
-        part.insert(0, 2);
-        // A pane holding only migrated state still closes as non-empty.
-        assert!(w.merge_partial("a", &part, 3).is_none());
-        let p = w.insert("a", 1, 1, 15).expect("migrated-state pane closes");
-        assert_eq!(p.inserted, 1);
-        assert_eq!(p.accs.get("a").map(PartialAgg::emit), Some(42));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! into per-key [`PartialAgg`] accumulators inside a tick-driven
 //! [`TumblingWindow`], and on every pane close emits one tuple per key — the
 //! aggregation messages whose rate the paper's Fig. 5 trades against memory
-//! via the period `T`. [`emit_partials`] picks each partial's wire form: a
+//! via the period `T`. `emit_partials` picks each partial's wire form: a
 //! partial that is a single observation ([`PartialAgg::as_observation`]:
 //! every `Sum`, a set `Max`, a `Count` of one) travels as that value with an
 //! empty payload; any other carries its *encoded state* as the payload.
@@ -184,7 +184,7 @@ impl<A: PartialAgg> Bolt for WindowedWorkerBolt<A> {
 /// The pane goes out as a cursor ([`Emitter::emit_iter`]): each partial
 /// takes its wire form only when the engine pulls it into a free slot of
 /// the aggregator's mailbox, so a tick's flush never waits in an outbox.
-pub fn emit_partials<A: PartialAgg>(pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {
+fn emit_partials<A: PartialAgg>(pane: Pane<TupleKey, A>, out: &mut Emitter<'_>) {
     let mut buf = Vec::new();
     out.emit_iter(pane.accs.into_iter().map(move |(key, acc)| match acc.as_observation() {
         Some(value) => Tuple::new(key, value),

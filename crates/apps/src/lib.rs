@@ -25,16 +25,18 @@
 //! Key splitting needs a second aggregation phase (§V-D). `pkg-agg` holds
 //! its algebra; the bolts that run it on the engine live here: [`bolts`]
 //! (the generic [`WindowedWorkerBolt`] / [`AggregatorBolt`] pair, the one
-//! phase-one flush [`bolts::emit_partials`], and a [`Collector`] sink),
-//! [`elastic`] ([`ElasticWorkerBolt`], phase one across membership
-//! changes) and [`shed`] ([`SketchDegrade`], a shed policy that folds
-//! refused tuples into a Space-Saving summary).
+//! phase-one flush `bolts::emit_partials`, and a [`Collector`] sink) and
+//! [`shed`] ([`SketchDegrade`], a shed policy that folds refused tuples
+//! into a Space-Saving summary). Phase one needs no variant behind an
+//! elastic edge (`Grouping::elastic(plan)`): an instance that leaves the
+//! live set stops receiving tuples, and its open pane flushes at its next
+//! tick or at end of stream as one more split of each key, which the
+//! aggregator merges like any other.
 
 #![forbid(unsafe_code)]
 
 pub mod bolts;
 pub mod decision_tree;
-pub mod elastic;
 pub mod heavy_hitters;
 pub mod naive_bayes;
 pub mod shed;
@@ -42,7 +44,6 @@ pub mod wordcount;
 
 pub use bolts::{AggregatorBolt, Collector, ServiceDelay, WindowedWorkerBolt};
 pub use decision_tree::SpdtConfig;
-pub use elastic::ElasticWorkerBolt;
 pub use heavy_hitters::{heavy_hitters_topology, HeavyHittersConfig};
 pub use shed::SketchDegrade;
 pub use wordcount::{wordcount_topology, WordCountConfig, WordCountVariant};

@@ -1,23 +1,24 @@
-//! **Elastic reconfiguration** — runtime worker membership with key-space
-//! migration, exercised end to end and gated hard.
+//! **Elastic reconfiguration** — runtime worker membership, exercised end
+//! to end and gated hard.
 //!
 //! The paper fixes the worker set for the lifetime of a run; `pkg-elastic`
 //! lifts that: a [`MembershipPlan`] scripts join/leave steps at message
-//! thresholds, the partitioners confine routing to the live set, and the
-//! engine migrates a departing instance's window state to the survivors
-//! over the migration bus (see `pkg_engine::elastic` /
-//! `pkg_apps::ElasticWorkerBolt`). This binary **halves then doubles** the
-//! live worker set mid-stream and exits non-zero unless every gate holds:
+//! thresholds, and the partitioners confine routing to the live set. No
+//! state moves. Key splitting (§III) already spreads each key over two
+//! workers and merges the splits downstream, so a worker that leaves the
+//! live set simply stops receiving tuples and flushes its open pane at its
+//! next tick or at end of stream, one more split of each key for the
+//! aggregator to merge. This binary **halves then doubles** the live worker
+//! set mid-stream and exits non-zero unless every gate holds:
 //!
 //! 1. **Tuple conservation** (engine) — every spout tuple is processed
-//!    exactly once: Σ worker `processed` equals spout emissions plus the
-//!    in-band epoch markers (`S × W` per membership step), and every
-//!    migration-bus message posted is drained.
+//!    exactly once: Σ worker `processed` equals the spout emissions in both
+//!    the elastic run and the static-W oracle.
 //! 2. **Byte-identity to a static-W oracle** (engine) — the merged
 //!    second-phase output (key, value, payload triples; birth timestamps
 //!    excluded) of the elastic run equals a plain fixed-W PKG run of the
-//!    same stream: migration neither loses, duplicates, nor corrupts
-//!    state.
+//!    same stream through the same worker bolt: leaving and rejoining
+//!    neither loses, duplicates, nor corrupts a split.
 //! 3. **Bounded re-convergence** (sim) — after each membership change the
 //!    imbalance fraction measured over tumbling windows of recent traffic
 //!    returns inside the pre-change band (2× epoch 0's trailing-window
@@ -27,25 +28,23 @@
 //! Threshold semantics differ by arm, deliberately: the simulator applies
 //! membership steps on the *global* routed-message count (all sources
 //! switch atomically), while the engine is distributed — each sender
-//! crosses a threshold on its *own* routed count and announces it with an
-//! in-band marker, so epochs overlap and the migration protocol has real
-//! in-flight traffic to preserve.
+//! crosses a threshold on its *own* routed count, so epochs overlap and a
+//! departing worker can still be draining old-epoch tuples while its peers
+//! already route around it.
 //!
-//! `--smoke` shrinks both arms and keeps every gate; CI runs it under both
+//! `--smoke` shrinks both arms and keeps every gate; CI loops it under both
 //! `PKG_ENGINE_EXECUTOR` values.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
 use pkg_agg::Sum;
-use pkg_apps::{AggregatorBolt, Collector, ElasticWorkerBolt, WindowedWorkerBolt};
+use pkg_apps::{AggregatorBolt, Collector, WindowedWorkerBolt};
 use pkg_bench::{seed, Report, TextTable};
 use pkg_core::{EstimateKind, SchemeSpec};
 use pkg_datagen::DatasetProfile;
 use pkg_elastic::{Change, MembershipPlan};
 use pkg_engine::prelude::*;
-use pkg_engine::MigrationBus;
 use pkg_sim::{run as sim_run, SimConfig};
 
 /// Fixed id space: the full worker set.
@@ -86,67 +85,35 @@ fn triples(c: &Collector) -> Vec<Triple> {
     c.tuples().into_iter().map(|t| (t.key.into_boxed(), t.value, t.payload)).collect()
 }
 
-/// Run the two-phase word count over `per_source` tuples per spout; elastic
-/// arm when a plan is given, static-W PKG oracle otherwise. Returns the
-/// collected output, the run stats, and the migration bus (elastic arm).
-fn engine_run(
-    per_source: u64,
-    the_plan: Option<MembershipPlan>,
-) -> (Collector, pkg_engine::RunStats, Option<MigrationBus>) {
+/// Run the two-phase word count over `per_source` tuples per spout behind
+/// `grouping`. Returns the collected output and the run stats.
+fn engine_run(per_source: u64, grouping: Grouping) -> (Collector, pkg_engine::RunStats) {
     let collector = Collector::new();
     let mut topo = Topology::new();
     let src = topo
         .add_spout("src", S, move |s| pkg_engine::spout::spout_from_iter(stream(s, per_source)));
-    let bus = the_plan.as_ref().map(|_| MigrationBus::new(W));
-    let worker = match &the_plan {
-        Some(p) => {
-            let plan = Arc::new(p.clone());
-            let bus = bus.clone().expect("bus built with the plan");
-            let worker_seed = seed();
-            topo.add_bolt("worker", W, move |i| {
-                Box::new(
-                    ElasticWorkerBolt::<Sum>::new(
-                        i,
-                        S,
-                        Arc::clone(&plan),
-                        bus.clone(),
-                        worker_seed,
-                    )
-                    .panes_every_ticks(2),
-                )
-            })
-            .input(src, Grouping::elastic(p.clone()))
-        }
-        None => topo
-            .add_bolt("worker", W, |_| {
-                Box::new(WindowedWorkerBolt::<Sum>::per_key().panes_every_ticks(2))
-            })
-            .input(src, Grouping::partial_key()),
-    }
-    .tick_every(Duration::from_millis(2))
-    .id();
+    let worker = topo
+        .add_bolt("worker", W, |_| {
+            Box::new(WindowedWorkerBolt::<Sum>::per_key().panes_every_ticks(2))
+        })
+        .input(src, grouping)
+        .tick_every(Duration::from_millis(2))
+        .id();
     let agg = topo
         .add_bolt("agg", 1, |_| Box::new(AggregatorBolt::<Sum>::new()))
         .input(worker, Grouping::Key)
         .id();
     let c = collector.clone();
     let _sink = topo.add_bolt("sink", 1, move |_| c.bolt()).input(agg, Grouping::Global);
-
-    let mut options = RuntimeOptions { seed: seed(), ..RuntimeOptions::default() };
-    if let ExecutorMode::Pool { workers, .. } = &mut options.executor {
-        // The gated finish polls the migration bus on a pool worker thread;
-        // keep enough workers that departers always have one to run on.
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-        *workers = (*workers).max(cores.max(4));
-    }
+    let options = RuntimeOptions { seed: seed(), ..RuntimeOptions::default() };
     let stats = Runtime::with_options(options).run(topo);
-    (collector, stats, bus)
+    (collector, stats)
 }
 
 fn main() {
     let mut r = Report::start(
         "fig_elastic",
-        "fig_elastic: halve-then-double worker membership with key-space migration",
+        "fig_elastic: halve-then-double worker membership, departing workers flush their own panes",
     );
     let per_source: u64 = if r.smoke() { 5_000 } else { 30_000 };
     let sim_messages: u64 = if r.smoke() { 45_000 } else { 120_000 };
@@ -157,27 +124,20 @@ fn main() {
         r.smoke_tag(),
     );
 
-    // ---- Engine arm: migration protocol under real concurrency ----------
+    // ---- Engine arm: membership changes under real concurrency ---------
     let engine_plan = plan(per_source / 3, 2 * per_source / 3);
-    let epochs = u64::from(engine_plan.epochs());
-    let (elastic, elastic_stats, bus) = engine_run(per_source, Some(engine_plan));
-    let (oracle, oracle_stats, _) = engine_run(per_source, None);
-    let bus = bus.expect("elastic arm has a bus");
+    let (elastic, elastic_stats) = engine_run(per_source, Grouping::elastic(engine_plan));
+    let (oracle, oracle_stats) = engine_run(per_source, Grouping::partial_key());
 
-    // Gate 1: exact tuple conservation. Workers see every spout tuple plus
-    // one marker per sender per membership step, and the bus drains fully.
+    // Gate 1: exact tuple conservation in both arms.
     let spout_total = S as u64 * per_source;
-    let markers = S as u64 * (epochs - 1) * W as u64;
-    let (sent, received) = bus.totals();
-    let conserved = elastic_stats.processed("worker") == spout_total + markers
-        && oracle_stats.processed("worker") == spout_total
-        && sent == received
-        && sent > 0;
+    let conserved = elastic_stats.processed("worker") == spout_total
+        && oracle_stats.processed("worker") == spout_total;
     r.check(
         format_args!(
-            "conservation — worker processed {} == {spout_total} tuples + {markers} markers; \
-             bus sent {sent} == received {received}",
+            "conservation — worker processed {} (elastic) and {} (static) == {spout_total}",
             elastic_stats.processed("worker"),
+            oracle_stats.processed("worker"),
         ),
         conserved,
     );

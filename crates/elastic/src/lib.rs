@@ -31,7 +31,6 @@
 //!     .with_step(2000, [Change::Insert(2), Change::Insert(3)]);
 //! assert_eq!(plan.epochs(), 3);
 //! assert_eq!(plan.live(1), &[0, 1]);
-//! assert_eq!(plan.departers(1), vec![2, 3]);
 //! assert_eq!(plan.epoch_at(1500), 1);
 //! ```
 
@@ -45,8 +44,8 @@ use std::fmt;
 pub enum Change {
     /// Worker `i` (re)joins the live set.
     Insert(usize),
-    /// Worker `i` leaves the live set; its keyed state migrates to the
-    /// surviving owners.
+    /// Worker `i` leaves the live set: it receives no new tuples, and what
+    /// it already holds flushes downstream as one more split of each key.
     Remove(usize),
 }
 
@@ -157,24 +156,6 @@ impl MembershipPlan {
         self.steps[epoch as usize - 1].at
     }
 
-    /// The changes applied entering `epoch` (`epoch ≥ 1`).
-    fn changes(&self, epoch: u32) -> &[Change] {
-        assert!(epoch >= 1 && epoch < self.epochs(), "epoch {epoch} has no changes");
-        &self.steps[epoch as usize - 1].changes
-    }
-
-    /// Workers live in `epoch - 1` but not in `epoch` — the instances whose
-    /// state must migrate when `epoch` seals.
-    pub fn departers(&self, epoch: u32) -> Vec<usize> {
-        self.changes(epoch)
-            .iter()
-            .filter_map(|c| match c {
-                Change::Remove(i) => Some(*i),
-                Change::Insert(_) => None,
-            })
-            .collect()
-    }
-
     /// The epoch in force after `count` tuples have been routed (epoch `e`
     /// applies from `threshold(e)` inclusive).
     pub fn epoch_at(&self, count: u64) -> u32 {
@@ -215,8 +196,6 @@ mod tests {
         assert_eq!(p.live(0), &[0, 1, 2, 3]);
         assert_eq!(p.live(1), &[0, 1]);
         assert_eq!(p.live(2), &[0, 1, 2, 3]);
-        assert_eq!(p.departers(1), vec![2, 3]);
-        assert_eq!(p.departers(2), Vec::<usize>::new());
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl Outlet {
     /// and deliver each destination's run with one `push_run` — the only
     /// place a tuple leaves an instance. Decisions stay per tuple, in stream
     /// order; only delivery is grouped.
-    fn flush(&mut self, shared: &Shared, now_ns: u64, wid: Option<usize>) {
+    fn flush(&mut self, shared: &Shared, wid: Option<usize>) {
         let Self { edges, outbox, spilled, keys, tuples, targets, .. } = self;
         // A flush only ever appends to the outbox.
         let queued = outbox.len();
@@ -167,16 +167,9 @@ impl Outlet {
             let dests = tx.dests();
             let mut start = 0;
             while start < keys.len() {
-                // Elastic: each epoch entered is announced to every instance
-                // ahead of the tuples routed under it (markers are control
-                // traffic, not emissions), and the flush is cut at the next
-                // threshold.
-                while let Some(epoch) = router.advance_epoch() {
-                    let marker = crate::elastic::epoch_marker(epoch, now_ns);
-                    for &d in dests {
-                        shared.push_run(d, [Packet::Tuple(marker.clone())], outbox, wid);
-                    }
-                }
+                // Elastic: enter every epoch that is due, then cut the flush
+                // at the next threshold.
+                while router.advance_epoch().is_some() {}
                 let end = keys.len().min(start.saturating_add(router.until_epoch()));
                 let cut = &keys[start..end];
                 // Hedge candidates are read before `route` observes the key;
@@ -290,7 +283,7 @@ impl Emitter<'_> {
         outlet.keys.push(key_id);
         outlet.tuples.push(Some(tuple));
         if outlet.flush_each || outlet.keys.len() >= shared.batch {
-            outlet.flush(shared, self.now_ns, self.wid);
+            outlet.flush(shared, self.wid);
             return outlet.outbox.is_empty();
         }
         true
@@ -302,7 +295,7 @@ impl Emitter<'_> {
     pub(crate) fn flush(&mut self) {
         match &mut self.outlet {
             Some((shared, outlet)) if !outlet.keys.is_empty() => {
-                outlet.flush(shared, self.now_ns, self.wid);
+                outlet.flush(shared, self.wid);
             }
             _ => {}
         }

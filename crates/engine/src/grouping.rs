@@ -24,9 +24,11 @@ pub enum Grouping {
     ///
     /// With a `plan`, routing is confined to the live worker set of a
     /// [`MembershipPlan`]: each sender replays the plan against its own
-    /// routed-tuple count; on crossing a threshold it broadcasts an in-band
-    /// epoch marker (see [`crate::elastic`]) to every downstream instance,
-    /// then routes new tuples over the new live set.
+    /// routed-tuple count and, on crossing a threshold, routes new tuples
+    /// over the new live set. Nothing else changes downstream: an instance
+    /// that leaves the live set stops receiving tuples and flushes what it
+    /// holds at its next tick or at end of stream, one more split of each
+    /// key for the downstream aggregation to merge.
     Greedy {
         /// Candidate count per key.
         policy: CandidatePolicy,
@@ -292,11 +294,9 @@ impl Router {
     /// Advance this sender's membership epoch by one if its routed-tuple
     /// count has crossed the next plan threshold, switching routing onto the
     /// new live set and returning the epoch just entered. The engine's flush
-    /// calls this before routing each cut of its batch (looping, in case
-    /// thresholds are a single tuple apart) and broadcasts an in-band marker
-    /// per epoch returned — so on every FIFO channel the marker separates
-    /// old-epoch from new-epoch traffic. `None` for non-elastic groupings
-    /// and between thresholds.
+    /// calls this before routing each cut of its batch, looping in case
+    /// thresholds are a single tuple apart. `None` for non-elastic
+    /// groupings and between thresholds.
     pub fn advance_epoch(&mut self) -> Option<u32> {
         match &mut self.kind {
             RouterKind::Keyed { scheme, elastic: Some(replay) } => {
@@ -523,7 +523,7 @@ mod tests {
     #[test]
     fn elastic_senders_agree_on_candidates_with_static_partial() {
         // An elastic edge whose plan never changes routes exactly like
-        // plain PKG — markers aside, the schemes are byte-identical.
+        // plain PKG — the schemes are byte-identical.
         use pkg_elastic::MembershipPlan;
         let mut a = Router::new(&Grouping::elastic(MembershipPlan::new(8)), 8, 3, 0);
         let mut b = Router::new(&Grouping::partial_key(), 8, 3, 0);

@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bolt;
-pub mod elastic;
 pub mod grouping;
 pub mod ingress;
 pub mod load;
@@ -62,7 +61,6 @@ pub mod tuple;
 /// Convenient glob import for building topologies.
 pub mod prelude {
     pub use crate::bolt::{Bolt, CountingBolt, Emitter};
-    pub use crate::elastic::{MigrationBus, MigrationMsg};
     pub use crate::grouping::Grouping;
     pub use crate::ingress::IngressOptions;
     pub use crate::load::LoadSignalOptions;
@@ -73,7 +71,6 @@ pub mod prelude {
 }
 
 pub use bolt::{Bolt, Emitter};
-pub use elastic::{MigrationBus, MigrationMsg, EPOCH_MARKER_KEY};
 pub use grouping::Grouping;
 pub use ingress::IngressOptions;
 pub use load::LoadSignalOptions;

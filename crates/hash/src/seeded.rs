@@ -166,20 +166,6 @@ impl HashFamily {
         &out[..d]
     }
 
-    /// The `i`-th hash of `key`, reduced onto a *membership subset*: the
-    /// result is an element of `live`, not a raw index in `[0, n)`.
-    ///
-    /// When `live` is exactly `[0, n)` this computes `hash % n` — the same
-    /// value as [`Self::choice`] — so elastic routing over a full live set
-    /// is byte-identical to fixed-`W` routing. A surviving member keeps its
-    /// identity across membership changes (ids are positions in the fixed
-    /// id space); only the modulus changes with `live.len()`.
-    #[inline]
-    pub fn choice_in<K: StreamKey + ?Sized>(&self, i: usize, key: &K, live: &[usize]) -> usize {
-        debug_assert!(!live.is_empty());
-        live[(key.hash_seeded(self.seeds[i]) % live.len() as u64) as usize]
-    }
-
     /// The seeds of the family members (exposed for tests and diagnostics).
     pub fn seeds(&self) -> &[u64] {
         &self.seeds
@@ -194,28 +180,6 @@ mod tests {
         /// All `d` candidates of `key`, owned.
         fn choices<K: StreamKey + ?Sized>(&self, key: &K, n: usize) -> Vec<usize> {
             self.choices_into(key, n, &mut [0; MAX_CHOICES]).to_vec()
-        }
-    }
-
-    #[test]
-    fn choice_in_full_set_matches_choice() {
-        let fam = HashFamily::new(3, 11);
-        let live: Vec<usize> = (0..17).collect();
-        for key in 0..500u64 {
-            for i in 0..3 {
-                assert_eq!(fam.choice_in(i, &key, &live), fam.choice(i, &key, 17));
-            }
-        }
-    }
-
-    #[test]
-    fn choice_in_lands_only_on_live_members() {
-        let fam = HashFamily::new(2, 5);
-        let live = [1usize, 4, 9, 12];
-        for key in 0..500u64 {
-            for i in 0..fam.d() {
-                assert!(live.contains(&fam.choice_in(i, &key, &live)));
-            }
         }
     }
 

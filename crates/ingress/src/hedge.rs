@@ -4,10 +4,9 @@
 //! When the engine hedges a W-Choices head tuple (its chosen instance is
 //! stalled past the latency budget), it re-issues a copy to the next
 //! candidate. Both copies carry the same *hedge tag* in the otherwise
-//! unused tuple payload: a reserved NUL-prefixed marker (the same
-//! reserved-key convention as `pkg_engine::EPOCH_MARKER_KEY` — real
-//! payloads in this codebase are either empty or a `PartialAgg` codec
-//! frame, neither of which starts with NUL) followed by a little-endian
+//! unused tuple payload: a reserved NUL-prefixed marker (real payloads in
+//! this codebase are either empty or a `PartialAgg` codec frame, neither
+//! of which starts with NUL) followed by a little-endian
 //! `u64` id unique per hedge. The aggregator treats the first copy it sees
 //! as the observation and drops the second, counting it in [`audit`] so
 //! drivers can assert exact conservation: duplicates dropped == hedges

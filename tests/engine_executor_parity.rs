@@ -468,7 +468,7 @@ impl Arrivals {
     }
 }
 
-/// Logs every tuple it receives, epoch markers included, in arrival order.
+/// Logs every tuple it receives, in arrival order.
 struct Recorder {
     log: Arrivals,
     instance: usize,
@@ -486,8 +486,7 @@ fn arrival(t: &Tuple) -> Arrival {
 
 /// Sender `sender`'s stream for the arrival oracle: the skewed stream with
 /// each value set to `sender << 32 | seq`, so a recorder's log splits back
-/// into per-sender subsequences (epoch markers carry a small epoch number
-/// and so attribute to sender 0 — the elastic leg has one sender).
+/// into per-sender subsequences.
 fn tagged_stream(sender: usize, n: u64) -> Vec<Tuple> {
     skewed_stream(sender, n)
         .zip(0i64..)
@@ -511,8 +510,8 @@ struct OracleEdge {
 
 /// What each recorder instance must receive from one sender: the stream
 /// replayed tuple by tuple through one bare `Router` per out-edge, in edge
-/// order, each elastic epoch marker broadcast before the tuple that crosses
-/// its threshold — the emitter's contract, with no engine involved.
+/// order, each elastic epoch entered before the tuple that crosses its
+/// threshold — the emitter's contract, with no engine involved.
 /// `from` is the sending component's index; recorder `r` is component
 /// `r + 1 + from`.
 fn replay_arrivals(
@@ -525,7 +524,6 @@ fn replay_arrivals(
 ) -> Vec<Vec<Vec<Arrival>>> {
     use partial_key_grouping::engine::edge_seed;
     use partial_key_grouping::engine::grouping::{Router, Target};
-    use partial_key_grouping::engine::EPOCH_MARKER_KEY;
     let mut routers: Vec<Router> = edges
         .iter()
         .map(|e| {
@@ -537,11 +535,7 @@ fn replay_arrivals(
     for t in stream {
         for (e, router) in edges.iter().zip(&mut routers) {
             let log = &mut want[e.rec];
-            while let Some(epoch) = router.advance_epoch() {
-                for w in log.iter_mut() {
-                    w.push((EPOCH_MARKER_KEY.to_vec(), i64::from(epoch)));
-                }
-            }
+            while router.advance_epoch().is_some() {}
             match router.route(t.key_id()) {
                 Target::One(w) => log[w].push(arrival(t)),
                 Target::All => log.iter_mut().for_each(|w| w.push(arrival(t))),
@@ -614,9 +608,9 @@ fn relay_emissions(input: &[Tuple], logs: &[Vec<Arrival>]) -> Vec<Tuple> {
 }
 
 /// Executor-free arrival oracle: recording bolts log each instance's full
-/// arrival sequence, epoch markers included, and every sender's subsequence
-/// must equal a bare-`Router` replay of its stream — in every mode and
-/// transport, with capacity-1 and capacity-32 mailboxes. Unlike the load
+/// arrival sequence, and every sender's subsequence must equal a
+/// bare-`Router` replay of its stream — in every mode and transport, with
+/// capacity-1 and capacity-32 mailboxes. Unlike the load
 /// oracle above, this sees a reordering, not just a miscount. Legs:
 /// Broadcast; one spout with two out-edges (PKG and Key); one component
 /// subscribed twice to the same spout, so two edges share destination tasks

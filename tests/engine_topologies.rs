@@ -302,3 +302,72 @@ fn pool_workers_report_idle_waits_and_fired_timers() {
     assert!(waits > 0, "a 20 ms trickle never left a worker idle");
     assert!(run(ExecutorMode::ThreadPerInstance).workers.is_empty());
 }
+
+/// An elastic edge is routing alone: a worker that leaves the live set
+/// stops receiving tuples and flushes its open pane at its next tick or at
+/// end of stream, one more split of each key. `fig_elastic`'s smoke
+/// topology (6 ticking phase-one workers halved then doubled back under 4
+/// senders, 2-tick panes at 2 ms) must then merge to exactly the static-W
+/// PKG output, run after run, under both schedules.
+#[test]
+fn elastic_two_phase_counts_equal_the_static_oracle_run_after_run() {
+    use partial_key_grouping::agg::Sum;
+    use partial_key_grouping::apps::{AggregatorBolt, Collector, WindowedWorkerBolt};
+    use partial_key_grouping::elastic::{Change, MembershipPlan};
+    use std::time::Duration;
+    const W: usize = 6;
+    const S: usize = 4;
+    const PER_SOURCE: u64 = 5_000;
+    const RUNS: usize = 20;
+    // ~20% of each source's traffic on one hot key, the rest on a tail.
+    let stream = |s: usize| -> Vec<Tuple> {
+        (0..PER_SOURCE)
+            .map(|j| {
+                let key = if j % 5 == 0 {
+                    b"k-hot".to_vec()
+                } else {
+                    format!("k{}", 1 + (j * S as u64 + s as u64) % 997).into_bytes()
+                };
+                Tuple::new(key, 1)
+            })
+            .collect()
+    };
+    let run = |executor: ExecutorMode, grouping: Grouping| {
+        let collector = Collector::new();
+        let mut topo = Topology::new();
+        let src = topo.add_spout("src", S, move |s| spout_from_iter(stream(s)));
+        let worker = topo
+            .add_bolt("worker", W, |_| {
+                Box::new(WindowedWorkerBolt::<Sum>::per_key().panes_every_ticks(2))
+            })
+            .input(src, grouping)
+            .tick_every(Duration::from_millis(2))
+            .id();
+        let agg = topo
+            .add_bolt("agg", 1, |_| Box::new(AggregatorBolt::<Sum>::new()))
+            .input(worker, Grouping::Key)
+            .id();
+        let c = collector.clone();
+        let _sink = topo.add_bolt("sink", 1, move |_| c.bolt()).input(agg, Grouping::Global);
+        let stats = Runtime::with_options(RuntimeOptions { executor, ..RuntimeOptions::default() })
+            .run(topo);
+        let merged: Vec<(TupleKey, i64, Box<[u8]>)> =
+            collector.tuples().into_iter().map(|t| (t.key, t.value, t.payload)).collect();
+        (merged, stats.processed("worker"))
+    };
+    let plan = MembershipPlan::new(W)
+        .with_step(PER_SOURCE / 3, [Change::Remove(3), Change::Remove(4), Change::Remove(5)])
+        .with_step(2 * PER_SOURCE / 3, [Change::Insert(3), Change::Insert(4), Change::Insert(5)]);
+    for (label, executor) in
+        [("threads", ExecutorMode::ThreadPerInstance), ("pool", ExecutorMode::pool())]
+    {
+        let (oracle, processed) = run(executor, Grouping::partial_key());
+        assert_eq!(processed, S as u64 * PER_SOURCE, "{label}: static run lost tuples");
+        assert_eq!(oracle.iter().map(|(_, v, _)| v).sum::<i64>(), (S as u64 * PER_SOURCE) as i64);
+        for i in 0..RUNS {
+            let (merged, processed) = run(executor, Grouping::elastic(plan.clone()));
+            assert_eq!(processed, S as u64 * PER_SOURCE, "{label} run {i}: tuples lost");
+            assert!(merged == oracle, "{label} run {i}: merged output diverged from static W");
+        }
+    }
+}
