@@ -36,7 +36,7 @@ use std::time::Duration;
 use pkg_agg::{canonical_merge, Pane, PartialAgg, TumblingWindow};
 use pkg_engine::bolt::{Bolt, Emitter};
 use pkg_engine::tuple::{Tuple, TupleKey};
-use pkg_hash::{FxHashMap, FxHashSet};
+use pkg_hash::FxHashMap;
 
 /// Key under which [`AggScope::Global`] workers accumulate and emit: the
 /// empty byte string (allocation-free, routes consistently under `Key`
@@ -135,14 +135,6 @@ impl<A: PartialAgg> WindowedWorkerBolt<A> {
 
 impl<A: PartialAgg> Bolt for WindowedWorkerBolt<A> {
     fn execute(&mut self, tuple: Tuple, out: &mut Emitter<'_>) {
-        if pkg_ingress::hedge::is_tagged(&tuple.payload) {
-            // Hedged head-key copy (`pkg_ingress::hedge`): relay it to the
-            // aggregation stage untouched — and without charging service
-            // time, which is the point of hedging past a stalled sibling.
-            // The aggregator counts exactly one of the two copies.
-            out.emit(tuple);
-            return;
-        }
         self.delay.charge(out);
         let key_id = tuple.key_id();
         let (key, value) = match self.scope {
@@ -205,9 +197,6 @@ pub struct AggregatorBolt<A: PartialAgg> {
     /// Payloads that failed to decode (wiring bugs; surfaced via
     /// `debug_assert` in debug builds, counted and skipped in release).
     decode_failures: u64,
-    /// Hedge ids already observed; the second copy of a hedged tuple is
-    /// dropped and counted in `pkg_ingress::hedge::audit`.
-    hedge_seen: FxHashSet<u64>,
 }
 
 impl<A: PartialAgg> Default for AggregatorBolt<A> {
@@ -231,12 +220,7 @@ impl<A: PartialAgg> AggregatorBolt<A> {
     /// A payload that fails to decode is a wiring bug: it trips a
     /// `debug_assert` in debug builds and is counted and skipped in release.
     pub fn new() -> Self {
-        Self {
-            merged: FxHashMap::default(),
-            buffered: FxHashMap::default(),
-            decode_failures: 0,
-            hedge_seen: FxHashSet::default(),
-        }
+        Self { merged: FxHashMap::default(), buffered: FxHashMap::default(), decode_failures: 0 }
     }
 
     /// Fold raw observations into `key`'s merged state.
@@ -269,16 +253,6 @@ impl<A: PartialAgg> AggregatorBolt<A> {
 impl<A: PartialAgg> Bolt for AggregatorBolt<A> {
     fn execute(&mut self, tuple: Tuple, _out: &mut Emitter<'_>) {
         let key_id = tuple.key_id();
-        if let Some(id) = pkg_ingress::hedge::decode_tag(&tuple.payload) {
-            if self.hedge_seen.insert(id) {
-                // First copy to arrive wins: count it as one raw
-                // observation of its key.
-                self.observe(tuple.key, key_id, tuple.value);
-            } else {
-                pkg_ingress::hedge::audit::record_duplicate();
-            }
-            return;
-        }
         if tuple.payload.is_empty() {
             // A raw observation: a single-observation partial
             // (`emit_partials`) or a single-phase input, e.g. running

@@ -1,26 +1,26 @@
-//! **Overload survival** — admission control, load shedding, and hedged
-//! dispatch under 2× offered load, gated on tail latency and accuracy.
+//! **Overload survival** — admission control and load shedding under 2×
+//! offered load, gated on tail latency, accuracy and conservation.
 //!
 //! The paper measures PKG in steady state; production engines also face
 //! *overload*, where the offered rate exceeds downstream service capacity
 //! and an unprotected topology just grows its queues (and its tail
 //! latency) without bound. `pkg-ingress` adds the missing control plane —
-//! a deterministic token bucket, watermark-triggered load shedding with a
-//! degrade-to-sketch policy ([`SketchDegrade`]), and hedged dispatch for
-//! W-Choices head keys — and this driver exercises all three end to end,
-//! exiting non-zero unless every gate holds:
+//! a deterministic token bucket and watermark-triggered load shedding with a
+//! degrade-to-sketch policy ([`SketchDegrade`]) — and this driver exercises
+//! both end to end, exiting non-zero unless every gate holds:
 //!
 //! 1. **Transparency at ≤ 1× load** — with an active-but-generous ingress
 //!    (token bucket refilling twice as fast as the logical offered rate),
 //!    the merged second-phase output is byte-identical to a run with the
-//!    ingress layer disabled, and nothing is shed or hedged.
+//!    ingress layer disabled, and nothing is shed.
 //! 2. **Bounded tail under 2× overload** — with the bucket admitting half
-//!    the logically-offered rate, a depth watermark, and hedging enabled,
-//!    worker p99 latency stays under a hard bound, the degrade policy
-//!    absorbs (not drops) the refused tuples, and top-10 recall of the
-//!    final totals stays above the accuracy floor.
-//! 3. **Hedge conservation** — every duplicated head-key copy is
-//!    deduplicated at the aggregator: duplicates dropped == hedges issued.
+//!    the logically-offered rate and a depth watermark, worker p99 latency
+//!    stays under a hard bound, the degrade policy absorbs (not drops) the
+//!    refused tuples, and top-10 recall of the final totals stays above the
+//!    accuracy floor.
+//! 3. **Conservation** — on the protected arm every tuple is accounted for
+//!    exactly: the spout processes each offered tuple, and each stage
+//!    processes exactly what the stage before it emitted.
 //! 4. **The unprotected baseline degrades** — the same overload without
 //!    ingress (and with effectively unbounded mailboxes) shows its peak
 //!    queue depth growing strictly monotonically with stream volume: the
@@ -42,7 +42,7 @@ use pkg_engine::prelude::*;
 const W: usize = 6;
 /// Mega-hot key occurrences per stream round: 40 of 102 ≈ 39% of traffic,
 /// above the W-Choices head threshold θ = 2(1+ε)/W ≈ 0.367 for W = 6, so
-/// the adaptive router classifies it as head and hedging can engage.
+/// the adaptive router spreads it over every worker.
 const HOT: usize = 40;
 /// Warm-key weights, strictly heavier than any tail key, so the true
 /// top-10 set is exactly {hot} ∪ {warm0..warm8} with no tie ambiguity.
@@ -130,7 +130,7 @@ fn top10(c: &Collector) -> Vec<Box<[u8]>> {
 fn main() {
     let mut r = Report::start(
         "fig_overload",
-        "fig_overload: admission control, load shedding, and hedged dispatch at 2x load",
+        "fig_overload: admission control and load shedding at 2x load",
     );
     let parity_rounds: u64 = if r.smoke() { 100 } else { 400 };
     let overload_rounds: u64 = if r.smoke() { 120 } else { 600 };
@@ -146,8 +146,8 @@ fn main() {
 
     // ---- Gate 1: transparency at <= 1x load -----------------------------
     // Logical offered rate 1M tuples/s (1 µs per tuple), bucket refilling
-    // at 2M/s: admission never refuses, and no watermark or hedging is
-    // configured — the layer is active but must be invisible.
+    // at 2M/s: admission never refuses, and no watermark is configured —
+    // the layer is active but must be invisible.
     let neutral = IngressOptions {
         rate_per_sec: Some(2_000_000),
         burst: 64,
@@ -157,13 +157,11 @@ fn main() {
     let (with_ingress, wi_stats) = engine_run(parity_rounds, Some(neutral), 1_024, Duration::ZERO);
     let (without, wo_stats) = engine_run(parity_rounds, None, 1_024, Duration::ZERO);
     let (wt, ot) = (triples(&with_ingress), triples(&without));
-    let untouched = wi_stats.shed_dropped("src") == 0
-        && wi_stats.shed_degraded("src") == 0
-        && wi_stats.hedges("src") == 0;
+    let untouched = wi_stats.shed_dropped("src") == 0 && wi_stats.shed_degraded("src") == 0;
     r.check(
         format_args!(
             "at <=1x load ingress output is byte-identical to the no-ingress run \
-             ({} keys, 0 shed, 0 hedged)",
+             ({} keys, 0 shed)",
             wt.len(),
         ),
         wt == ot && !wt.is_empty() && untouched,
@@ -181,9 +179,7 @@ fn main() {
     // Logical offered rate 2M tuples/s against a 1M/s bucket: half the
     // stream must be refused. The degrade policy absorbs refusals into a
     // 64-counter Space-Saving summary that is re-injected at end of
-    // stream; the watermark sheds on downstream backlog; head tuples hedge
-    // past any instance more than 8 tuples deep.
-    let dups_before = pkg_ingress::hedge::audit::duplicates();
+    // stream; the watermark sheds on downstream backlog.
     let protected = IngressOptions {
         rate_per_sec: Some(1_000_000),
         burst: 64,
@@ -192,25 +188,21 @@ fn main() {
         policy: Some(Arc::new(|_instance| {
             Box::new(SketchDegrade::new(64)) as Box<dyn pkg_ingress::ShedPolicy>
         })),
-        hedge_depth_budget: Some(8),
     };
     let (shed_run, shed_stats) = engine_run(overload_rounds, Some(protected), 1_024, delay);
-    let dups = pkg_ingress::hedge::audit::duplicates() - dups_before;
 
     let [p50, p99, p999] = shed_stats.latency_percentiles("worker");
     let degraded = shed_stats.shed_degraded("src");
     let dropped = shed_stats.shed_dropped("src");
-    let hedges = shed_stats.hedges("src");
     let offered = overload_rounds * ROUND_LEN;
 
     let mut table = TextTable::new();
-    table.row(["arm", "offered", "admitted", "degraded", "hedges", "p50_ms", "p99_ms", "p999_ms"]);
+    table.row(["arm", "offered", "admitted", "degraded", "p50_ms", "p99_ms", "p999_ms"]);
     table.row([
         "protected".into(),
         offered.to_string(),
         (offered - degraded - dropped).to_string(),
         degraded.to_string(),
-        hedges.to_string(),
         format!("{:.3}", p50 as f64 / 1e6),
         format!("{:.3}", p99 as f64 / 1e6),
         format!("{:.3}", p999 as f64 / 1e6),
@@ -250,11 +242,14 @@ fn main() {
         recall >= floor,
     );
 
-    // Hedge conservation: exactly one of each duplicated pair is dropped.
-    r.check(
-        format_args!("hedges issued {hedges} == duplicates deduplicated {dups} (and > 0)"),
-        hedges > 0 && dups == hedges,
-    );
+    // Conservation: the spout processes every offered tuple (admitted or
+    // shed), and each stage processes exactly what the one before emitted.
+    let src = shed_stats.processed("src");
+    r.check(format_args!("src processed {src} == offered {offered}"), src == offered);
+    for (from, to) in [("src", "worker"), ("worker", "agg"), ("agg", "sink")] {
+        let (sent, got) = (shed_stats.emitted(from), shed_stats.processed(to));
+        r.check(format_args!("{to} processed {got} == {from} emitted {sent}"), got == sent);
+    }
 
     // ---- Gate 4: the unprotected baseline degrades ----------------------
     // No ingress, effectively unbounded mailboxes: peak worker queue depth
@@ -272,7 +267,6 @@ fn main() {
             format!("baseline x{rounds}"),
             (rounds * ROUND_LEN).to_string(),
             stats.processed("src").to_string(),
-            "-".into(),
             "-".into(),
             "-".into(),
             format!("{:.3}", base_p99 as f64 / 1e6),

@@ -24,9 +24,9 @@
 //! streams (pinned by `tests/property_tests.rs`).
 //!
 //! **One probe per routed message.** The router calls only `observe` and
-//! classifies its count and the new total (`is_head_at`); `is_head` /
-//! `candidates` apply the same test to [`HeadTracker::next_count`] and
-//! `total + 1`, exactly the integers the next `observe` produces.
+//! classifies its count and the new total (`is_head_at`); `candidates`
+//! applies the same test to [`HeadTracker::next_count`] and `total + 1`,
+//! exactly the integers the next `observe` produces.
 
 use pkg_agg::SpaceSaving;
 

@@ -125,15 +125,6 @@ impl PartialKeyGrouping {
         self.head.as_ref().map(|h| h.theta)
     }
 
-    /// Whether the *next* message of `key` routes as a head key (never,
-    /// under a fixed policy). Uses the same prediction as
-    /// [`Self::route`], so it must be consulted *before* routing
-    /// that message (`route` observes the key and can flip the prediction
-    /// for the one after).
-    pub fn is_head(&self, key: u64) -> bool {
-        self.head.as_ref().is_some_and(|h| h.next_d(key, self.view.live_count()).is_some())
-    }
-
     /// How many members of its hash sequence the *next* message of `key` is
     /// routed among; `None`: every live worker.
     #[inline]

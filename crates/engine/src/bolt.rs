@@ -1,13 +1,12 @@
 //! Stream operators, and the one way a tuple leaves an instance: the
 //! [`Emitter`] stages it, and one flush routes and delivers what is staged,
 //! with every opt-in layer (load signals, Elastic cuts, Broadcast and extra
-//! edges, hedging) composed at that one point.
+//! edges) composed at that one point.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use crate::grouping::{Router, TargetBatch};
-use crate::ingress::HedgeState;
 use crate::schedule::Shared;
 use crate::transport::deliver_outbox;
 use crate::tuple::{Packet, Tuple};
@@ -82,9 +81,6 @@ pub(crate) struct OutEdge {
     /// Senders that may pull into a destination at once (its upstream
     /// instances, one per pool worker at most): a pull takes one share.
     pub(crate) share: usize,
-    /// Hedged-dispatch state; `Some` only on spout out-edges when the
-    /// ingress layer enables hedging.
-    pub(crate) hedge: Option<HedgeState>,
     /// Destination component's shared load signals, when
     /// [`crate::load::LoadSignalOptions`] attached any. The router inside
     /// this edge then carries [`pkg_core::Estimate::Global`] handles onto
@@ -144,13 +140,13 @@ impl Outlet {
     /// The outgoing side over `edges`; `reads_depth` when the instance's
     /// ingress admits by downstream queue depth.
     pub(crate) fn new(edges: Vec<OutEdge>, reads_depth: bool) -> Self {
-        // Flush per tuple where a decision reads queue depths (an admission,
-        // a hedge), which must reflect every earlier delivery, and where two
-        // edges feed the same instances, whose deliveries and shared loads
-        // must interleave per tuple, not per edge.
+        // Flush per tuple where an admission reads queue depths, which must
+        // reflect every earlier delivery, and where two edges feed the same
+        // instances, whose deliveries and shared loads must interleave per
+        // tuple, not per edge.
         let shared_dests = (1..edges.len())
             .any(|i| edges[..i].iter().any(|e| e.tx.dests() == edges[i].tx.dests()));
-        let flush_each = reads_depth || shared_dests || edges.iter().any(|e| e.hedge.is_some());
+        let flush_each = reads_depth || shared_dests;
         Self { edges, flush_each, ..Self::default() }
     }
 
@@ -163,7 +159,7 @@ impl Outlet {
         // A flush only ever appends to the outbox.
         let queued = outbox.len();
         let last_edge = edges.len() - 1;
-        for (e, OutEdge { router, tx, hedge, signals, .. }) in edges.iter_mut().enumerate() {
+        for (e, OutEdge { router, tx, signals, .. }) in edges.iter_mut().enumerate() {
             let dests = tx.dests();
             let mut start = 0;
             while start < keys.len() {
@@ -172,36 +168,11 @@ impl Outlet {
                 while router.advance_epoch().is_some() {}
                 let end = keys.len().min(start.saturating_add(router.until_epoch()));
                 let cut = &keys[start..end];
-                // Hedge candidates are read before `route` observes the key;
-                // a payload-carrying tuple is never hedged (the tag rides in
-                // the payload).
-                let plain = tuples[start].as_ref().is_some_and(|t| t.payload.is_empty());
-                let hedge_cands =
-                    if hedge.is_some() && plain { router.head_candidates(cut[0]) } else { None };
                 match signals {
                     Some(loads) => {
                         router.route_batch_with(cut, targets, |w| loads.record(w));
                     }
                     None => router.route_batch(cut, targets),
-                }
-                // Hedging, between route and delivery (a hedging edge flushes
-                // per tuple): past its queue budget the chosen instance shares
-                // the tuple with the next candidate, both copies tagged so the
-                // aggregation stage keeps one.
-                if let (Some(state), Some(cands)) = (hedge.as_mut(), hedge_cands) {
-                    let w = targets.dest(0);
-                    let alt = cands.iter().copied().find(|&c| c != w);
-                    if let Some(alt) = alt.filter(|_| shared.depth(dests[w]) > state.budget) {
-                        let mut tagged = staged(tuples, start, e == last_edge);
-                        tagged.payload = pkg_ingress::hedge::encode_tag(state.next_id());
-                        if let Some(loads) = signals {
-                            loads.record(alt);
-                        }
-                        shared.push_run(dests[alt], [Packet::Tuple(tagged.clone())], outbox, wid);
-                        shared.push_run(dests[w], [Packet::Tuple(tagged)], outbox, wid);
-                        start = end;
-                        continue;
-                    }
                 }
                 // A tuple moves on its last delivery (the last edge's run for
                 // it; under a broadcast, whose runs all span the cut, the last

@@ -274,23 +274,6 @@ impl Router {
         }
     }
 
-    /// Candidate instances for a *head* key's next message under an
-    /// adaptive (D-/W-Choices) grouping, in hash-sequence order; `None` for
-    /// tail keys and every other grouping. Must be consulted *before*
-    /// [`Router::route`] for the same message — routing observes the key,
-    /// which can flip the head prediction for the one after. The hedged
-    /// dispatcher uses this to pick the fallback instance.
-    pub fn head_candidates(&self, key_id: u64) -> Option<Vec<usize>> {
-        match &self.kind {
-            RouterKind::Keyed { scheme: Partitioner::PartialKeyGrouping(pkg), .. }
-                if pkg.is_head(key_id) =>
-            {
-                Some(pkg.candidates(key_id))
-            }
-            _ => None,
-        }
-    }
-
     /// Advance this sender's membership epoch by one if its routed-tuple
     /// count has crossed the next plan threshold, switching routing onto the
     /// new live set and returning the epoch just entered. The engine's flush

@@ -1,8 +1,7 @@
-//! Engine-side ingress wiring: admission control, load shedding, and the
-//! state backing hedged dispatch.
+//! Engine-side ingress wiring: admission control and load shedding.
 //!
-//! The mechanisms (token bucket, shed policies, hedge tag codec) live in
-//! `pkg-ingress`; this module owns the *placement*: a `SpoutIngress` sits
+//! The mechanisms (token bucket, shed policies) live in `pkg-ingress`;
+//! this module owns the *placement*: a `SpoutIngress` sits
 //! between each spout and its emitter and decides, tuple by tuple, whether
 //! the tuple enters the topology. Refused tuples go to the configured
 //! [`ShedPolicy`]; whatever the policy retains is
@@ -10,8 +9,8 @@
 //! downstream bolts see degraded summaries as ordinary tuples.
 //!
 //! There is one depth signal, whichever schedule drives the instances:
-//! admission and hedging read the destination mailboxes' queue lengths
-//! lock-free (ring indices, or the length the mutexed mailbox publishes
+//! admission reads the destination mailboxes' queue lengths lock-free
+//! (ring indices, or the length the mutexed mailbox publishes
 //! under its lock), and each mailbox keeps a producer-side high-water mark
 //! that surfaces as `InstanceStats::max_depth`. Watermark shedding
 //! therefore behaves the same under either schedule and either transport
@@ -45,10 +44,6 @@ pub struct IngressOptions {
     /// Builds the shed policy for a given spout instance; `None` means
     /// [`HardDrop`].
     pub policy: Option<Arc<ShedPolicyFactory>>,
-    /// Hedged dispatch: when a head tuple's chosen instance has more than
-    /// this many tuples queued, re-issue the tuple to the next candidate.
-    /// `None` disables hedging.
-    pub hedge_depth_budget: Option<usize>,
     /// Logical admission clock: advance the token bucket's clock by this
     /// many nanoseconds per *offered* tuple instead of reading wall time.
     /// Makes the admit/shed decision sequence a pure function of the input
@@ -58,14 +53,7 @@ pub struct IngressOptions {
 
 impl Default for IngressOptions {
     fn default() -> Self {
-        Self {
-            rate_per_sec: None,
-            burst: 1,
-            watermark: None,
-            policy: None,
-            hedge_depth_budget: None,
-            logical_step_ns: None,
-        }
+        Self { rate_per_sec: None, burst: 1, watermark: None, policy: None, logical_step_ns: None }
     }
 }
 
@@ -76,7 +64,6 @@ impl fmt::Debug for IngressOptions {
             .field("burst", &self.burst)
             .field("watermark", &self.watermark)
             .field("policy", &self.policy.as_ref().map(|_| "<factory>"))
-            .field("hedge_depth_budget", &self.hedge_depth_budget)
             .field("logical_step_ns", &self.logical_step_ns)
             .finish()
     }
@@ -206,36 +193,6 @@ impl SpoutIngress {
     }
 }
 
-/// Per-edge hedging state for a spout's out-edge: the latency budget, an
-/// id generator for hedge tags, and the issue counter surfaced in
-/// `InstanceStats::hedges`.
-pub(crate) struct HedgeState {
-    /// Queue-depth budget: hedge when the chosen instance has *more* than
-    /// this many tuples queued.
-    pub(crate) budget: usize,
-    /// High bits of every hedge id from this spout instance, so ids are
-    /// unique topology-wide without coordination.
-    pub(crate) sender: u64,
-    /// Per-sender sequence number (low bits of the hedge id).
-    pub(crate) seq: u64,
-    /// Hedges issued (each producing exactly one duplicate downstream).
-    pub(crate) issued: u64,
-}
-
-impl HedgeState {
-    pub(crate) fn new(budget: usize, sender: u64) -> Self {
-        Self { budget, sender, seq: 0, issued: 0 }
-    }
-
-    /// Mint the tag id for the next hedge.
-    pub(crate) fn next_id(&mut self) -> u64 {
-        let id = (self.sender << 40) | self.seq;
-        self.seq += 1;
-        self.issued += 1;
-        id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,17 +257,5 @@ mod tests {
         ingress.start_drain();
         assert_eq!(ingress.next_drained().map(|t| t.value), Some(8));
         assert!(ingress.next_drained().is_none());
-    }
-
-    #[test]
-    fn hedge_ids_are_unique_per_sender() {
-        let mut a = HedgeState::new(4, 1);
-        let mut b = HedgeState::new(4, 2);
-        let ids = [a.next_id(), a.next_id(), b.next_id(), b.next_id()];
-        let mut sorted = ids.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ids.len());
-        assert_eq!(a.issued, 2);
     }
 }

@@ -44,10 +44,6 @@ pub struct InstanceStats {
     /// Tuples refused at ingress and absorbed into a degraded summary
     /// (spouts only; see `pkg_ingress::Shed::Absorbed`).
     pub shed_degraded: u64,
-    /// Hedged dispatches issued (spouts only): head tuples duplicated to a
-    /// second candidate because the chosen instance was over its latency
-    /// budget.
-    pub hedges: u64,
     /// High-water mark of this instance's input queue depth (bolts only):
     /// the deepest its mailbox got at any point in the run.
     pub max_depth: u64,
@@ -204,9 +200,10 @@ impl RunStats {
         self.instances.iter().filter(|i| i.component == component).map(|i| i.shed_degraded).sum()
     }
 
-    /// Hedged dispatches a component issued.
-    pub fn hedges(&self, component: &str) -> u64 {
-        self.instances.iter().filter(|i| i.component == component).map(|i| i.hedges).sum()
+    /// Always 0: the engine duplicates no tuple. Kept only for the
+    /// benchmark's conservation check, which still adds it in.
+    pub fn hedges(&self, _component: &str) -> u64 {
+        0
     }
 
     /// Packets a component's flushes spilled into outboxes (see

@@ -729,7 +729,6 @@ mod tests {
         let edge = OutEdge {
             router: Router::new(&crate::grouping::Grouping::Key, 1, 7, 0),
             tx: EdgeTx::Tasks(vec![0]),
-            hedge: None,
             signals: None,
             share: 1,
         };

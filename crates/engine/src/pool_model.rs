@@ -324,7 +324,6 @@ fn deferral_fixture(due: Arc<StdMutex<bool>>) -> Shared {
     let edges = vec![OutEdge {
         router: Router::new(&Grouping::Key, 1, 7, 0),
         tx: EdgeTx::Tasks(vec![1]),
-        hedge: None,
         signals: None,
         share: 1,
     }];
@@ -494,13 +493,8 @@ fn blank_body(component: &str, kind: TaskKind, edges: Vec<OutEdge>) -> TaskBody 
 /// covering the ring legs of the same protocol.
 fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> Shared {
     let tx = if ring { EdgeTx::TaskRings(vec![1]) } else { EdgeTx::Tasks(vec![1]) };
-    let spout_edges = vec![OutEdge {
-        router: Router::new(&Grouping::Key, 1, 7, 0),
-        tx,
-        hedge: None,
-        signals: None,
-        share: 1,
-    }];
+    let spout_edges =
+        vec![OutEdge { router: Router::new(&Grouping::Key, 1, 7, 0), tx, signals: None, share: 1 }];
     let spout_kind = TaskKind::Spout {
         spout: spout_from_iter((1..=3).map(|v| Tuple::new(*b"k", v))),
         exhausted: false,
@@ -1272,7 +1266,6 @@ fn check_ticking_backlog(
         let edge = OutEdge {
             router: Router::new(&Grouping::Key, 1, 7, 0),
             tx: EdgeTx::Tasks(vec![0]),
-            hedge: None,
             signals: None,
             share: 1,
         };

@@ -136,7 +136,7 @@ pub struct RuntimeOptions {
     /// the parity suite uses as a differential oracle).
     pub spsc_rings: bool,
     /// Ingress layer between spouts and the routing layer: admission
-    /// control, load shedding, and hedged dispatch (see
+    /// control and load shedding (see
     /// [`crate::ingress`]). `None` (the default) disables it entirely —
     /// the spout path is then byte-for-byte the pre-ingress code path.
     pub ingress: Option<IngressOptions>,

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use crate::bolt::{EdgeTx, OutEdge};
 use crate::grouping::Router;
-use crate::ingress::{HedgeState, SpoutIngress};
+use crate::ingress::SpoutIngress;
 use crate::metrics::{InstanceStats, RunStats, WorkerStats};
 use crate::pool::Pool;
 use crate::ring::SpscRing;
@@ -188,7 +188,6 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
     for (ci, c) in topology.components.iter().enumerate() {
         for i in 0..c.parallelism {
             let tid = first_task[ci] + i;
-            let is_spout = matches!(c.kind, ComponentKind::Spout(_));
             let edges: Vec<OutEdge> = out_edges[ci]
                 .iter()
                 .map(|(to, grouping, edge_seed)| OutEdge {
@@ -208,14 +207,6 @@ pub(crate) fn run_pool(topology: &Topology, opts: &RuntimeOptions) -> RunStats {
                         } else {
                             EdgeTx::Tasks(dests)
                         }
-                    },
-                    hedge: match &opts.ingress {
-                        // The sender id derives from (component, instance)
-                        // only, so hedge tags are schedule-independent.
-                        Some(ingress) if is_spout => ingress
-                            .hedge_depth_budget
-                            .map(|budget| HedgeState::new(budget, (ci as u64) << 16 | i as u64)),
-                        _ => None,
                     },
                     signals: component_shared[*to].clone(),
                     share: upstream[*to].min(running).max(1),

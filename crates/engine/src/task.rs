@@ -192,8 +192,6 @@ impl TaskBody {
             TaskKind::Spout { ingress: Some(ing), .. } => (ing.dropped(), ing.degraded()),
             _ => (0, 0),
         };
-        let edges = self.outlet.edges.iter();
-        let hedges = edges.map(|e| e.hedge.as_ref().map_or(0, |h| h.issued)).sum();
         InstanceStats {
             component: self.component,
             instance: self.instance,
@@ -208,7 +206,6 @@ impl TaskBody {
             activations: self.activations,
             shed_dropped,
             shed_degraded,
-            hedges,
             max_depth: self.max_depth,
             spilled: self.outlet.spilled,
         }

@@ -49,7 +49,7 @@ impl Shared {
     }
 
     /// Current queue depth of `tid`'s mailbox — the downstream-pressure
-    /// signal consulted by ingress watermark shedding and hedged dispatch.
+    /// signal consulted by ingress watermark shedding.
     /// A point-in-time, lock-free read: the mutexed arm reads the length
     /// last published under the mailbox lock, the ring arm its indices.
     pub(crate) fn depth(&self, tid: usize) -> usize {

@@ -530,11 +530,15 @@ mod tests {
 
     #[test]
     fn inline_clone_is_allocation_free_and_heap_clone_is_counted() {
+        // The counter is process-wide and sibling tests bump it
+        // concurrently, so only monotone checks read it; an inline clone is
+        // checked through its representation.
         let before = audit::heap_keys();
         let small = TupleKey::from_slice(b"abc");
         #[allow(clippy::redundant_clone)]
-        let _copy = small.clone();
-        assert_eq!(audit::heap_keys(), before, "inline keys clone without allocating");
+        let copy = small.clone();
+        assert!(matches!(copy.repr, Repr::Inline { .. }), "inline keys clone without allocating");
+        assert_eq!(copy.as_bytes(), b"abc");
         let big = TupleKey::from_slice(&[1u8; 64]);
         let after_spill = audit::heap_keys();
         assert!(after_spill > before, "oversized key spills to the heap");

@@ -3,13 +3,12 @@
 //! Heavy traffic means sustained input above capacity; without an ingress
 //! layer a saturated topology just parks its producers until the spout
 //! drains. This crate holds the *mechanisms* — deterministic token-bucket
-//! admission ([`TokenBucket`]), a pluggable load-shedding policy
-//! ([`ShedPolicy`] with the [`HardDrop`] baseline), and the hedged-dispatch
-//! wire protocol ([`hedge`]) — modeled on tower's `tower-limit` /
-//! `tower-load-shed` / `tower-hedge` middleware stack. The *wiring* (where
-//! depth watermarks come from, which tuples get hedged) lives in
-//! `pkg-engine`'s ingress module; the *degrade* policy that absorbs shed
-//! tuples into a sketch lives in `pkg-apps` (over `pkg-agg`'s sketches).
+//! admission ([`TokenBucket`]) and a pluggable load-shedding policy
+//! ([`ShedPolicy`] with the [`HardDrop`] baseline) — modeled on tower's
+//! `tower-limit` / `tower-load-shed` middleware. The *wiring* (where depth
+//! watermarks come from) lives in `pkg-engine`'s ingress module; the
+//! *degrade* policy that absorbs shed tuples into a sketch lives in
+//! `pkg-apps` (over `pkg-agg`'s sketches).
 //! This crate depends on nothing, so both can depend on it.
 //!
 //! Everything here is deterministic by construction: the token bucket is a
@@ -20,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bucket;
-pub mod hedge;
 pub mod shed;
 
 pub use bucket::TokenBucket;

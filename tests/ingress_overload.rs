@@ -1,7 +1,7 @@
 //! Queue-depth signals and overload behavior across schedules and
 //! transports.
 //!
-//! The ingress layer's shed/hedge decisions key off one signal — "tuples
+//! The ingress layer's shed decisions key off one signal — "tuples
 //! queued downstream" — read from the destination mailboxes' lengths, with
 //! a producer-side high-water mark per mailbox, under both schedules
 //! (thread-per-instance and the worker pool) and both transports (mutexed

@@ -15,8 +15,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pkg_core::{
-    CandidatePolicy, EstimateKind, KeyFrequencies, KeyGrouping, Partitioner, SchemeSpec,
-    SharedLoads,
+    CandidatePolicy, Estimate, EstimateKind, HeadTracker, KeyFrequencies, KeyGrouping, LoadView,
+    PartialKeyGrouping, Partitioner, SchemeSpec, SharedLoads,
 };
 use pkg_elastic::{Change, MembershipPlan};
 use pkg_engine::grouping::{Router, Target, TargetBatch};
@@ -213,34 +213,82 @@ fn groupings(n: usize) -> Vec<(&'static str, Grouping)> {
     ]
 }
 
+/// `pkg-core`'s head test, restated: past 8 observations of warm-up mass,
+/// a key counted `count` times in `total` is head when `count/total ≥ θ`.
+fn is_head_at(count: u64, total: u64, theta: f64) -> bool {
+    total as f64 * theta >= 8.0 && count as f64 / total as f64 >= theta
+}
+
+/// One sender's head-key prediction on a D-/W-Choices edge, kept beside its
+/// `Router`: a partitioner and a head tracker offered every key the sender
+/// routes.
+struct HeadMirror {
+    pkg: PartialKeyGrouping,
+    tracker: HeadTracker,
+    theta: f64,
+}
+
+impl HeadMirror {
+    /// `None` unless `grouping` is an adaptive edge without a plan.
+    fn new(grouping: &Grouping, n: usize) -> Option<Self> {
+        let Grouping::Greedy { policy: policy @ CandidatePolicy::Head { .. }, plan: None } =
+            grouping
+        else {
+            return None;
+        };
+        let pkg = PartialKeyGrouping::over(LoadView::new(n, Estimate::local(n)), *policy, SEED);
+        let theta = pkg.theta()?;
+        Some(Self { pkg, tracker: HeadTracker::for_threshold(theta), theta })
+    }
+
+    /// The candidates of `key`'s next message, when it routes as a head key.
+    fn head_candidates(&self, key: u64) -> Option<Vec<usize>> {
+        let head = is_head_at(self.tracker.next_count(key), self.tracker.total() + 1, self.theta);
+        head.then(|| self.pkg.candidates(key))
+    }
+
+    fn observe(&mut self, key: u64) {
+        self.pkg.route(key, 0);
+        self.tracker.observe(key);
+    }
+}
+
 /// Digest of an engine edge: three senders route their share of the stream
 /// in quanta of 256 — through `route_batch_with` where the edge is
-/// batchable, tuple by tuple (epoch replay and `head_candidates` folded in)
-/// otherwise. `shared` selects `Router::with_shared`.
+/// batchable, tuple by tuple (epoch replay and a head key's candidates
+/// folded in) otherwise. `shared` selects `Router::with_shared`.
 fn router_run(grouping: &Grouping, n: usize, variant: Variant, keys: &[u64]) -> u64 {
     let shared = (variant != Variant::Plain).then(|| shared_loads(n, variant));
     let mut senders: Vec<Router> =
         (0..SOURCES).map(|s| Router::with_shared(grouping, n, SEED, s, shared.as_ref())).collect();
+    let mut mirrors: Vec<Option<HeadMirror>> =
+        (0..SOURCES).map(|_| HeadMirror::new(grouping, n)).collect();
     let mut feedback = Feedback::new(shared.unwrap_or_else(|| SharedLoads::new(n)));
     let mut digest = Digest::new();
     let mut out = TargetBatch::new();
     for (q, quantum) in keys.chunks(256).enumerate() {
-        let router = &mut senders[q % SOURCES];
+        let (router, mirror) = (&mut senders[q % SOURCES], &mut mirrors[q % SOURCES]);
         // Odd quanta take the per-tuple path even on batchable edges, so
         // both entry points (and their interleaving on one router) are
         // pinned.
         if router.is_batchable() && q % 2 == 0 {
             router.route_batch_with(quantum, &mut out, |w| feedback.delivered(w));
             (0..out.len()).for_each(|i| digest.fold(out.dest(i) as u64));
+            if let Some(m) = mirror {
+                quantum.iter().for_each(|&key| m.observe(key));
+            }
             continue;
         }
         for &key in quantum {
             while let Some(epoch) = router.advance_epoch() {
                 digest.fold(0xe90c_0000 | u64::from(epoch));
             }
-            if let Some(cands) = router.head_candidates(key) {
-                digest.fold(0xcad0_0000 | cands.len() as u64);
-                cands.iter().for_each(|&c| digest.fold(c as u64));
+            if let Some(m) = mirror {
+                if let Some(cands) = m.head_candidates(key) {
+                    digest.fold(0xcad0_0000 | cands.len() as u64);
+                    cands.iter().for_each(|&c| digest.fold(c as u64));
+                }
+                m.observe(key);
             }
             match router.route(key) {
                 Target::One(w) => {
